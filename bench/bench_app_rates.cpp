@@ -1,23 +1,25 @@
-//===- bench/bench_app_rates.cpp - Scalar vs batched application A/B ----------===//
+//===- bench/bench_app_rates.cpp - Scalar vs compiled application A/B ---------===//
 //
 // Part of the gpuwmm project, a reproduction of "Exposing Errors Related to
 // Weak Memory in GPU Applications" (Sorensen & Donaldson, PLDI 2016).
 //
-// A/B-measures the batched application engine (DESIGN.md Sec. 19) against
+// A/B-measures the compiled application engine (DESIGN.md Sec. 19) against
 // the scalar coroutine interpreter on the unit of work the Tab. 5 campaign
 // performs millions of times: one full application execution under the
-// tuned sys-str+ environment. One arm per lowered kernel code base —
+// tuned sys-str+ environment. The arms run the same runApplicationOnce
+// loop and differ only in the engine mode (--engine=scalar vs auto). One
+// arm per lowered kernel code base —
 // sdk-red (regular reduction), cub-scan (decoupled-lookback polls),
 // cbe-dot (spin locks), cbe-ht (data-dependent addressing) — so each
 // control-flow shape the compiler lowers is measured separately.
 //
 // Hard failure conditions:
 //  * any arm's per-run verdict sequence diverges between scalar and
-//    batched execution (a determinism-contract violation), or
+//    compiled execution (a determinism-contract violation), or
 //  * a baseline JSON is supplied (--baseline=FILE or GPUWMM_BENCH_BASELINE)
 //    and the aggregate scalar throughput regressed more than 2% against
 //    its committed scalar_runs_per_sec — the guard that keeps the shared
-//    scalar engine honest while the batched engine carries the speedup.
+//    scalar engine honest while the compiled engine carries the speedup.
 //    The committed reference lives in bench/baselines/ (same-machine
 //    comparisons only; see its README).
 //
@@ -67,8 +69,8 @@ double baselineScalarRunsPerSec(const std::string &Path) {
   return std::strtod(Text.str().c_str() + At + Key.size(), nullptr);
 }
 
-/// One application's A/B: scalar runApplicationOnce loop vs
-/// runApplicationBatch, per-run verdicts compared bit for bit.
+/// One application's A/B: runApplicationOnce loops under --engine=scalar
+/// and auto, per-run verdicts compared bit for bit.
 struct ArmResult {
   double ScalarSeconds = 0;
   double BatchedSeconds = 0;
@@ -97,15 +99,17 @@ ArmResult runArm(apps::AppKind App, const sim::ChipProfile &Chip,
   const unsigned SliceRuns = std::max(1u, Runs / 20);
   for (unsigned Done = 0; Done != Runs;) {
     const unsigned N = std::min(SliceRuns, Runs - Done);
+    sim::setEngineMode(sim::EngineMode::Scalar);
     double T = now();
     for (unsigned I = Done; I != Done + N; ++I)
       ScalarV[I] = apps::runApplicationOnce(ScalarCtx, App, Chip, Env,
                                             Tuned, nullptr, Seeds[I]);
     R.ScalarSeconds += now() - T;
+    sim::setEngineMode(sim::EngineMode::Auto);
     T = now();
-    apps::runApplicationBatch(BatchedCtx, App, Chip, Env, Tuned, nullptr,
-                              Seeds.data() + Done, BatchedV.data() + Done,
-                              N);
+    for (unsigned I = Done; I != Done + N; ++I)
+      BatchedV[I] = apps::runApplicationOnce(BatchedCtx, App, Chip, Env,
+                                             Tuned, nullptr, Seeds[I]);
     R.BatchedSeconds += now() - T;
     Done += N;
   }
@@ -128,11 +132,10 @@ int main(int Argc, char **Argv) {
                                 apps::AppKind::CbeDot, apps::AppKind::CbeHt};
 
   std::printf("app batch: %u sys-str+ executions per kernel and engine, "
-              "seed %llu, K=%u\n\n",
-              Runs, static_cast<unsigned long long>(Seed),
-              sim::defaultBatchWidth());
+              "seed %llu\n\n",
+              Runs, static_cast<unsigned long long>(Seed));
 
-  // Warm both engines (plan compilation, context slabs) so no arm pays
+  // Warm both engines (plan compilation, context lane state) so no arm pays
   // first-run allocation.
   for (apps::AppKind App : Apps)
     (void)runArm(App, Chip, Env, Tuned, std::max(8u, Runs / 50), Seed + 1);

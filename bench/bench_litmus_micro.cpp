@@ -1,26 +1,27 @@
-//===- bench/bench_litmus_micro.cpp - Scalar vs batched litmus A/B -----------===//
+//===- bench/bench_litmus_micro.cpp - Scalar vs compiled litmus A/B ----------===//
 //
 // Part of the gpuwmm project, a reproduction of "Exposing Errors Related to
 // Weak Memory in GPU Applications" (Sorensen & Donaldson, PLDI 2016).
 //
-// A/B-measures the batched litmus engine (DESIGN.md Sec. 17) against the
+// A/B-measures the compiled litmus engine (DESIGN.md Sec. 17) against the
 // scalar coroutine interpreter on the unit of work the Sec. 3 tuning
 // pipeline performs hundreds of millions of times: one full litmus-test
-// execution. Two configurations per arm:
+// execution. The arms differ only in the engine mode (--engine=scalar vs
+// auto). Two configurations per arm:
 //
 //  * plain:    native MP executions (no stress) — the pure interpreter
-//              loop, where the batched engine's flat op streams and
-//              recycled SoA slabs pay off most directly.
+//              loop, where the compiled engine's flat op streams and
+//              recycled lane state pay off most directly.
 //  * stressed: tuned sys-str MP executions — the tuning pipeline's real
-//              workload, with the per-run stress source amortised.
+//              workload, with the per-call stress source amortised.
 //
 // Hard failure conditions:
 //  * any arm's per-run weak-verdict sequence diverges between scalar and
-//    batched execution (a determinism-contract violation), or
+//    compiled execution (a determinism-contract violation), or
 //  * a baseline JSON is supplied (--baseline=FILE or GPUWMM_BENCH_BASELINE)
 //    and the scalar plain-path throughput regressed more than 2% against
 //    its committed scalar_runs_per_sec — the guard that keeps the shared
-//    scalar engine honest while the batched engine carries the speedup.
+//    scalar engine honest while the compiled engine carries the speedup.
 //    The committed reference lives in bench/baselines/ (same-machine
 //    comparisons only; see its README).
 //
@@ -70,8 +71,8 @@ double baselineScalarRunsPerSec(const std::string &Path) {
   return std::strtod(Text.str().c_str() + At + Key.size(), nullptr);
 }
 
-/// One configuration's A/B: scalar runOnce loop vs one countWeakBatch
-/// call, per-run verdicts compared bit for bit.
+/// One configuration's A/B: a runOnce loop under --engine=scalar vs one
+/// compiled countWeak call, per-run verdicts compared bit for bit.
 struct ArmResult {
   double ScalarSeconds = 0;
   double BatchedSeconds = 0;
@@ -99,12 +100,14 @@ ArmResult runArm(const sim::ChipProfile &Chip, const litmus::Program &P,
   const unsigned SliceRuns = std::max(1u, Runs / 20);
   for (unsigned Done = 0; Done != Runs;) {
     const unsigned N = std::min(SliceRuns, Runs - Done);
+    sim::setEngineMode(sim::EngineMode::Scalar);
     double T = now();
     for (unsigned I = 0; I != N; ++I)
       ScalarWeak.push_back(Scalar.runOnce(P, Distance, S));
     R.ScalarSeconds += now() - T;
+    sim::setEngineMode(sim::EngineMode::Auto);
     T = now();
-    (void)Batched.countWeakBatch(P, Distance, S, N, {}, &Slice);
+    (void)Batched.countWeak(P, Distance, S, N, {}, &Slice);
     R.BatchedSeconds += now() - T;
     BatchedWeak.insert(BatchedWeak.end(), Slice.begin(), Slice.end());
     Done += N;
@@ -127,17 +130,18 @@ int main(int Argc, char **Argv) {
   const unsigned Distance = 2 * Chip.PatchSizeWords;
 
   std::printf("litmus micro: %u MP executions per arm and configuration, "
-              "seed %llu, K=%u\n\n",
-              Runs, static_cast<unsigned long long>(Seed),
-              sim::defaultBatchWidth());
+              "seed %llu\n\n",
+              Runs, static_cast<unsigned long long>(Seed));
 
   // Warm the thread-local context pool so no arm pays first-run
   // allocation.
   {
     litmus::LitmusRunner Warm(Chip, Seed);
     (void)Warm.countWeak(P, Distance, Stress, 200);
+    sim::setEngineMode(sim::EngineMode::Scalar);
     for (unsigned I = 0; I != 200; ++I)
       (void)Warm.runOnce(P, Distance, litmus::LitmusRunner::MicroStress::none());
+    sim::setEngineMode(sim::EngineMode::Auto);
   }
 
   const ArmResult Plain =

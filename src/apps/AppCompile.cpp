@@ -25,20 +25,20 @@
 //    after each armed site, including inside spin loops (branch targets
 //    re-enter at the memory op, never mid-fence);
 //  * bake addresses by replaying MemorySystem::alloc's patch-aligned
-//    bump allocator over the app's setup allocation sequence (asserted
+//    bump allocator over the app's setup allocation sequence (checked
 //    against the live layout every run).
 //
 // Site-id tables mirror the file-local Site enums of the app sources
 // (SdkReduction.cpp, CubScan.cpp, CbeDot.cpp, CbeHashtable.cpp); the
-// AppBatch identity grid runs every app under FencePolicy::all, so any
-// drift between the tables and the kernels fails the tier-1 suite.
+// AppBatch and event-stream identity grids run every app under fence
+// policies, so any drift between the tables and the kernels fails the
+// tier-1 suite.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/AppCompile.h"
 
 #include "sim/ChipProfile.h"
-#include "sim/ExecutionContext.h"
 #include "sim/FencePolicy.h"
 
 #include <cassert>
@@ -530,67 +530,4 @@ const AppPlan &apps::compileApplication(AppKind K,
   Cache.emplace_back(Key,
                      std::make_unique<AppPlan>(compile(K, Chip, Key.Mask)));
   return *Cache.back().second;
-}
-
-void apps::runApplicationBatch(sim::ExecutionContext &Ctx, AppKind K,
-                               const sim::ChipProfile &Chip,
-                               const stress::Environment &Env,
-                               const stress::TunedStressParams &Tuned,
-                               const sim::FencePolicy *Policy,
-                               const uint64_t *Seeds, AppVerdict *Verdicts,
-                               size_t N, unsigned BatchWidth) {
-  if (N == 0)
-    return;
-  // Traced / sink-attached contexts observe through the scalar engine's
-  // event seam; --engine=scalar forces the coroutine path everywhere.
-  const bool Scalar = !appLowerable(K) ||
-                      sim::engineMode() == sim::EngineMode::Scalar ||
-                      Ctx.tracingRequested() || Ctx.streamingSink();
-  if (Scalar) {
-    for (size_t J = 0; J != N; ++J)
-      Verdicts[J] =
-          runApplicationOnce(Ctx, K, Chip, Env, Tuned, Policy, Seeds[J]);
-    return;
-  }
-
-  const AppPlan &Plan = compileApplication(K, Chip, Policy);
-  const unsigned W =
-      BatchWidth != 0 ? BatchWidth : sim::defaultBatchWidth();
-  const std::unique_ptr<Application> App = makeApp(K);
-  sim::BatchScratch &S = Ctx.batchScratch();
-  // One SoA register slab serves W runs (striped); every lowering writes
-  // each register before reading it, so stripes need no per-run clear.
-  S.RegSlab.assign(static_cast<size_t>(W) * Plan.BP.NumSlots, 0);
-
-  sim::BatchRunConfig Cfg;
-  Cfg.RandomiseThreads = Env.Randomise;
-  Cfg.MaxTicks = Plan.MaxTicks;
-
-  for (size_t J = 0; J != N; ++J) {
-    // Per-run draw order is exactly runApplicationOnce's: seed the
-    // context, set up the app, fork the environment stream, apply the
-    // stress — the batched executor then replaces only Device::run.
-    Rng R(Seeds[J]);
-    sim::Device Dev(Ctx, Chip, R.next());
-    Dev.setSequentialMode(false);
-    App->setup(Dev, R);
-    assert(Ctx.memory().allocatedWords() == Plan.SetupAllocWords &&
-           "allocation layout diverged from the compiled plan");
-    Rng EnvRng = R.fork(1);
-    const auto Stress = stress::applyEnvironment(Env, Dev, Tuned, EnvRng);
-    (void)Stress; // Keeps the congestion source alive through the run.
-
-    Word *Regs = S.RegSlab.data() +
-                 static_cast<size_t>(J % W) * Plan.BP.NumSlots;
-    const sim::RunResult Result = sim::runBatchProgram(
-        Plan.BP, Chip, Ctx.memory(), Ctx.rng(), S, Regs, Cfg);
-
-    if (Result.Status != sim::RunStatus::Completed)
-      Verdicts[J] = Result.Status == sim::RunStatus::Timeout
-                        ? AppVerdict::Timeout
-                        : AppVerdict::SimFault;
-    else
-      Verdicts[J] = App->checkPostCondition(Dev) ? AppVerdict::Pass
-                                                 : AppVerdict::PostCondFail;
-  }
 }

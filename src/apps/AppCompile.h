@@ -16,16 +16,16 @@
 /// expressed with register branches, barriers as the engine's Barrier op,
 /// and both built-in and policy fences baked into the stream at their
 /// arming sites. Addresses are baked by replaying the context's
-/// deterministic patch-aligned bump allocator; every run asserts the
+/// deterministic patch-aligned bump allocator; every run checks the
 /// replayed layout against the live one.
 ///
-/// runApplicationBatch then executes N seeds of one cell on a single
-/// context, reusing the plan and the context's BatchScratch SoA slabs.
-/// Per-run verdicts are bit-identical to apps::runApplicationOnce —
-/// draw-for-draw, tick-for-tick — for every batch width and any context
-/// history. Apps with irregular control (ct-octree, tpo-tm, ls-bh(-nf))
-/// report !appLowerable and fall back to the coroutine path, as do traced
-/// or sink-attached contexts and --engine=scalar.
+/// apps::runApplicationOnce executes a lowerable kernel's plan in place of
+/// the coroutine launch — traced, sink-attached and sequential runs
+/// included — bit-identical to the coroutine engine draw for draw, tick
+/// for tick and event for event, for any context history. Apps with
+/// irregular control (ct-octree, tpo-tm, ls-bh(-nf)) report !appLowerable
+/// and stay on the coroutine path, as does everything under
+/// --engine=scalar.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +47,7 @@ struct AppPlan {
   sim::BatchProgram BP;
   uint64_t MaxTicks = 0; ///< The app's per-launch tick budget.
   /// allocatedWords() right after Application::setup — the replayed bump
-  /// allocator's high-water mark, asserted against every live run.
+  /// allocator's high-water mark, checked against every live run.
   unsigned SetupAllocWords = 0;
 };
 
@@ -57,23 +57,6 @@ struct AppPlan {
 /// appLowerable.
 const AppPlan &compileApplication(AppKind K, const sim::ChipProfile &Chip,
                                   const sim::FencePolicy *Policy);
-
-/// Executes \p N application runs (seeds \p Seeds[0..N)) of one
-/// (app, chip, environment) cell on \p Ctx, writing per-run verdicts to
-/// \p Verdicts. Verdicts are bit-identical to calling runApplicationOnce
-/// per seed, for every batch width \p BatchWidth (0 = the process-wide
-/// default) and any context history.
-///
-/// Dispatch: runs execute on the batched engine when the app lowers, the
-/// engine mode allows it and \p Ctx has no tracing/streaming request;
-/// otherwise each run takes the scalar coroutine path unchanged.
-void runApplicationBatch(sim::ExecutionContext &Ctx, AppKind K,
-                         const sim::ChipProfile &Chip,
-                         const stress::Environment &Env,
-                         const stress::TunedStressParams &Tuned,
-                         const sim::FencePolicy *Policy,
-                         const uint64_t *Seeds, AppVerdict *Verdicts,
-                         size_t N, unsigned BatchWidth = 0);
 
 } // namespace apps
 } // namespace gpuwmm

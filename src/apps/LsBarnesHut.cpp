@@ -34,6 +34,7 @@
 
 #include "sim/ThreadContext.h"
 
+#include <algorithm>
 #include <vector>
 
 using namespace gpuwmm;
@@ -218,7 +219,12 @@ Kernel summariseKernel(ThreadContext &Ctx, TreeAddrs T, Addr PosX,
                        Addr PosY) {
   if (Ctx.globalId() != 0)
     co_return;
-  const unsigned Count = co_await Ctx.ld(T.NodeCount);
+  // A failed build can leave NodeCount past the node arrays (every
+  // inserter that overflows still bumps it) and garbage in child slots,
+  // so the walk is bounded like the force kernel's: at most MaxNodes
+  // nodes, child nodes below MaxNodes, bodies below NumBodies.
+  const unsigned Count =
+      std::min<Word>(co_await Ctx.ld(T.NodeCount), MaxNodes);
   // Children always have higher indices than their parents, so one
   // reverse pass computes all centres of mass bottom-up. Exact coordinate
   // SUMS are stored (division happens at use in the force kernel), so the
@@ -233,11 +239,15 @@ Kernel summariseKernel(ThreadContext &Ctx, TreeAddrs T, Addr PosX,
         continue;
       if (slotIsBody(C)) {
         const unsigned B = bodyOf(C);
+        if (B >= NumBodies)
+          continue;
         Mass += 1;
         Sx += co_await Ctx.ld(PosX + B, SiteSumLd);
         Sy += co_await Ctx.ld(PosY + B, SiteSumLd);
         continue;
       }
+      if (C >= MaxNodes)
+        continue;
       Mass += co_await Ctx.ld(T.Mass + C, SiteSumLd);
       Sx += co_await Ctx.ld(T.ComX + C, SiteSumLd);
       Sy += co_await Ctx.ld(T.ComY + C, SiteSumLd);

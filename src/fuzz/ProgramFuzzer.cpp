@@ -340,9 +340,9 @@ Outcome fuzz::runCompiledOnWeakMachine(sim::ExecutionContext &Ctx,
   sim::BatchRunConfig Cfg;
   Cfg.RandomiseThreads = Stressed; // applyEnvironment's sys-str+ setting.
   sim::BatchScratch &BS = Ctx.batchScratch();
-  BS.RegSlab.assign(CP.BP.NumSlots, 0);
+  BS.Regs.assign(CP.BP.NumSlots, 0);
   const sim::RunResult Result = sim::runBatchProgram(
-      CP.BP, Chip, Dev.memory(), Dev.rng(), BS, BS.RegSlab.data(), Cfg);
+      CP.BP, Chip, Dev.memory(), Dev.rng(), BS, BS.Regs.data(), Cfg);
   assert(Result.completed() && "fuzz execution must terminate");
   (void)Result;
 

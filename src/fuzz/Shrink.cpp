@@ -192,8 +192,8 @@ Repro reproducesWeak(const Program &P, const sim::ChipProfile &Chip,
   litmus::LitmusRunner Runner(Chip, Rng::deriveStream(Opts.Seed, AttemptIdx));
   litmus::LitmusRunner::RunOpts RunOpts;
   // Trace (rather than sink-stream) so the same recorded events feed both
-  // checkers. Tracing and sinking are equally pure observation on the
-  // scalar path, so verdicts and run outcomes match the historical
+  // checkers. Tracing and sinking are equally pure observation on either
+  // engine, so verdicts and run outcomes match the historical
   // sink-attached behaviour bit for bit.
   RunOpts.Trace = true;
 

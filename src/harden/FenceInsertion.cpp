@@ -2,8 +2,6 @@
 
 #include "harden/FenceInsertion.h"
 
-#include "apps/AppCompile.h"
-
 #include <algorithm>
 #include <cassert>
 #include <chrono>
@@ -106,29 +104,15 @@ bool AppCheckOracle::checkApplication(const FencePolicy &F,
   // keeps the verdict AND executions() identical for every job count
   // (the chunk size must therefore never depend on the pool).
   constexpr unsigned ChunkSize = 32;
-  // Inside a chunk, workers take sub-chunks through the batched engine
-  // (one compiled-plan bind per SubChunk runs instead of per run); the
-  // check stream — seeds, Execs accounting, chunk-granular early exit —
-  // is unchanged, and verdicts are engine-independent (DESIGN.md
-  // Sec. 19), so reductions take identical decisions.
-  constexpr unsigned SubChunk = 8;
   std::vector<uint8_t> Erroneous(Iterations, 0);
   for (unsigned Base = 0; Base < Iterations; Base += ChunkSize) {
     const unsigned Chunk = std::min(ChunkSize, Iterations - Base);
     Execs += Chunk;
-    parallelFor(Pool, (Chunk + SubChunk - 1) / SubChunk, [&](size_t C) {
+    parallelFor(Pool, Chunk, [&](size_t I) {
       sim::ContextLease Ctx; // Worker-recycled execution engine.
-      const unsigned Lo = static_cast<unsigned>(C) * SubChunk;
-      const unsigned Hi = std::min(Lo + SubChunk, Chunk);
-      uint64_t Seeds[SubChunk];
-      apps::AppVerdict Verdicts[SubChunk];
-      for (unsigned I = Lo; I != Hi; ++I)
-        Seeds[I - Lo] =
-            Rng::deriveStream(CheckSeed, Base + static_cast<uint64_t>(I));
-      apps::runApplicationBatch(Ctx.get(), App, Chip, Env, Tuned, &F,
-                                Seeds, Verdicts, Hi - Lo, SubChunk);
-      for (unsigned I = Lo; I != Hi; ++I)
-        Erroneous[Base + I] = apps::isErroneous(Verdicts[I - Lo]);
+      Erroneous[Base + I] = apps::isErroneous(apps::runApplicationOnce(
+          Ctx.get(), App, Chip, Env, Tuned, &F,
+          Rng::deriveStream(CheckSeed, Base + static_cast<uint64_t>(I))));
     });
     for (unsigned I = 0; I != Chunk; ++I)
       if (Erroneous[Base + I])

@@ -60,8 +60,8 @@ Program insertAtSites(const Program &P, const sim::FencePolicy &F,
 /// non-SC behaviours survive does not pass. The K-th check runs with
 /// seed stream deriveStream(Seed, K), so verdicts depend only on the
 /// check's position in the reduction — deterministic for every --jobs
-/// and --batch (the attached sink forces the scalar engine, which is
-/// bit-identical to the batched one by contract).
+/// and --engine (sink-attached runs take the compiled engine, which is
+/// bit-identical to the coroutine one by contract).
 class LitmusCheckOracle final : public CheckOracle {
 public:
   LitmusCheckOracle(const Program &P, const sim::ChipProfile &Chip,

@@ -96,7 +96,7 @@ struct LitmusHardenResult {
 /// distinguish from fully fenced (zero checker-weak runs per check),
 /// doubling iterations until empirically stable. The K-th check draws its
 /// seeds from stream deriveStream(Seed, K), so the result is
-/// deterministic and independent of --jobs and --batch. \p P must
+/// deterministic and independent of --jobs and --engine. \p P must
 /// validate.
 LitmusHardenResult hardenLitmusProgram(const litmus::Program &P,
                                        const sim::ChipProfile &Chip,

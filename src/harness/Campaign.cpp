@@ -68,12 +68,10 @@ uint64_t canonicalLitmusIndex(const litmus::Program &Test) {
 }
 
 /// Executes runs [Begin, End) of one app cell on the calling worker's
-/// leased context, mirroring the litmus cells' oracle-stretch pattern
-/// (DESIGN.md Sec. 19): every OracleEvery-th run executes scalar with the
-/// streaming checker attached, and the unchecked stretches between
-/// samples go through the batched engine. Per-run verdicts (and the
-/// oracle's sampling grid) are bit-identical to the all-scalar loop for
-/// every chunking.
+/// leased context. Every OracleEvery-th run streams its events through
+/// the worker's incremental checker; checked or not, each run takes the
+/// engine --engine selects, so per-run verdicts and the oracle's sampling
+/// grid are independent of chunking and engine.
 void runCellChunk(apps::AppKind App, const sim::ChipProfile &Chip,
                   const stress::Environment &Env,
                   const stress::TunedStressParams &Tuned, uint64_t CellSeed,
@@ -81,31 +79,16 @@ void runCellChunk(apps::AppKind App, const sim::ChipProfile &Chip,
                   apps::AppVerdict *Verdicts, uint8_t *OracleStatus) {
   sim::ContextLease Ctx;
   thread_local model::StreamingChecker Checker;
-  std::vector<uint64_t> Seeds;
-  unsigned Run = Begin;
-  while (Run != End) {
-    if (OracleEvery != 0 && Run % OracleEvery == 0) {
+  for (unsigned Run = Begin; Run != End; ++Run) {
+    const bool Check = OracleEvery != 0 && Run % OracleEvery == 0;
+    if (Check)
       Checker.begin();
-      Ctx.get().requestStreaming(&Checker);
-      Verdicts[Run] = apps::runApplicationOnce(
-          Ctx.get(), App, Chip, Env, Tuned,
-          /*Policy=*/nullptr, Rng::deriveStream(CellSeed, Run));
-      Ctx.get().requestStreaming(nullptr);
+    Ctx.get().requestStreaming(Check ? &Checker : nullptr);
+    Verdicts[Run] = apps::runApplicationOnce(
+        Ctx.get(), App, Chip, Env, Tuned,
+        /*Policy=*/nullptr, Rng::deriveStream(CellSeed, Run));
+    if (Check)
       OracleStatus[Run] = Checker.finish().AxiomsOk ? 1 : 2;
-      ++Run;
-      continue;
-    }
-    unsigned StretchEnd = End;
-    if (OracleEvery != 0)
-      StretchEnd = std::min<unsigned>(
-          End, (Run / OracleEvery + 1) * OracleEvery);
-    Seeds.resize(StretchEnd - Run);
-    for (unsigned I = Run; I != StretchEnd; ++I)
-      Seeds[I - Run] = Rng::deriveStream(CellSeed, I);
-    apps::runApplicationBatch(Ctx.get(), App, Chip, Env, Tuned,
-                              /*Policy=*/nullptr, Seeds.data(),
-                              Verdicts + Run, Seeds.size());
-    Run = StretchEnd;
   }
 }
 
@@ -190,21 +173,23 @@ CampaignReport harness::runCampaign(const CampaignConfig &Config,
   std::vector<uint8_t> OracleStatus(
       Config.OracleEvery ? Verdicts.size() : 0, 0);
   // Distribute chunks of the flattened (cell, run) space: each work unit
-  // is up to one batch width of one cell's runs. Checked runs stream
-  // their memory events through the incremental oracle as they execute:
+  // is up to CellChunkRuns of one cell's runs. Checked runs stream their
+  // memory events through the incremental oracle as they execute:
   // no trace is retained, so --oracle=all costs frontier-bounded memory.
   // The oracle observes only: verdicts (and thus the report's counts)
   // are identical with it on or off. One recycled execution engine and
   // checker per worker thread (DESIGN.md Sec. 12).
-  const unsigned W = sim::defaultBatchWidth();
-  const size_t ChunksPerCell = (Config.Runs + W - 1) / W;
+  const size_t ChunksPerCell =
+      (Config.Runs + CellChunkRuns - 1) / CellChunkRuns;
   parallelFor(Pool, Report.Cells.size() * ChunksPerCell, [&](size_t I) {
     const size_t CellIdx = I / ChunksPerCell;
-    const unsigned Begin = static_cast<unsigned>(I % ChunksPerCell) * W;
+    const unsigned Begin =
+        static_cast<unsigned>(I % ChunksPerCell) * CellChunkRuns;
     const CampaignCell &Cell = Report.Cells[CellIdx];
     runCellChunk(Cell.App, *Cell.Chip, Cell.Env,
                  Tuned[CellIdx / CellsPerChip], CellSeeds[CellIdx], Begin,
-                 std::min(Begin + W, Config.Runs), Config.OracleEvery,
+                 std::min(Begin + CellChunkRuns, Config.Runs),
+                 Config.OracleEvery,
                  Verdicts.data() + CellIdx * Config.Runs,
                  Config.OracleEvery
                      ? OracleStatus.data() + CellIdx * Config.Runs
@@ -270,16 +255,15 @@ CampaignCell harness::runCampaignAppCell(const CampaignConfig &Config,
   std::vector<uint8_t> OracleStatus(Config.OracleEvery ? Config.Runs : 0,
                                     0);
   // Same per-run math as runCampaign's chunked loop: run R executes at
-  // deriveStream(cell seed, R), every OracleEvery-th run streams through
-  // the incremental checker, and the stretches between samples take the
-  // batched engine — so this cell's counts are bit-identical to the
-  // monolithic campaign's.
-  const unsigned W = sim::defaultBatchWidth();
-  parallelFor(Pool, (Config.Runs + W - 1) / W, [&](size_t C) {
-    const unsigned Begin = static_cast<unsigned>(C) * W;
+  // deriveStream(cell seed, R) and every OracleEvery-th run streams
+  // through the incremental checker — so this cell's counts are
+  // bit-identical to the monolithic campaign's.
+  const size_t Chunks = (Config.Runs + CellChunkRuns - 1) / CellChunkRuns;
+  parallelFor(Pool, Chunks, [&](size_t C) {
+    const unsigned Begin = static_cast<unsigned>(C) * CellChunkRuns;
     runCellChunk(App, Chip, Env, Tuned, CellSeed, Begin,
-                 std::min(Begin + W, Config.Runs), Config.OracleEvery,
-                 Verdicts.data(),
+                 std::min(Begin + CellChunkRuns, Config.Runs),
+                 Config.OracleEvery, Verdicts.data(),
                  Config.OracleEvery ? OracleStatus.data() : nullptr);
   });
   for (unsigned Run = 0; Run != Config.Runs; ++Run) {
@@ -316,37 +300,26 @@ harness::runCampaignLitmusCell(const CampaignConfig &Config,
     const auto Stress = litmus::LitmusRunner::MicroStress::at(
         Tuned.Seq, Region * Tuned.PatchWords);
     unsigned Weak = 0;
-    for (unsigned Run = 0; Run != Config.Runs;) {
-      // Checked runs stream through the incremental oracle: the
-      // axioms must hold and the checker's SC-vs-weak classification
-      // must agree with the operational outcome. The oracle observes
-      // only, so the weak counts are identical with it on or off.
-      const bool Check = Config.OracleEvery != 0 &&
-                         Run % Config.OracleEvery == 0;
+    for (unsigned Run = 0; Run != Config.Runs; ++Run) {
+      // Checked runs stream through the incremental oracle: the axioms
+      // must hold and the checker's SC-vs-weak classification must agree
+      // with the operational outcome. The oracle observes only, so the
+      // weak counts are identical with it on or off.
+      const bool Check =
+          Config.OracleEvery != 0 && Run % Config.OracleEvery == 0;
+      litmus::LitmusRunner::RunOpts Opts;
       if (Check) {
-        litmus::LitmusRunner::RunOpts Opts;
         Checker.begin();
         Opts.Sink = &Checker;
-        const bool Forbidden = Runner.runOnce(Test, Distance, Stress, Opts);
-        Weak += Forbidden;
-        const model::StreamVerdict &R = Checker.finish();
-        ++Cell.OracleChecked;
-        if (!R.AxiomsOk || R.weak() != Forbidden)
-          ++Cell.OracleViolations;
-        ++Run;
-        continue;
       }
-      // The unchecked stretch up to the next sampled run goes through the
-      // batched engine in one call. The runner's seed stream advances one
-      // fork per execution either way, so the per-run verdicts — and thus
-      // the cell's weak count — are bit-identical to the scalar loop.
-      const unsigned End =
-          Config.OracleEvery == 0
-              ? Config.Runs
-              : std::min(Config.Runs,
-                         (Run / Config.OracleEvery + 1) * Config.OracleEvery);
-      Weak += Runner.countWeak(Test, Distance, Stress, End - Run, {});
-      Run = End;
+      const bool Forbidden = Runner.runOnce(Test, Distance, Stress, Opts);
+      Weak += Forbidden;
+      if (!Check)
+        continue;
+      const model::StreamVerdict &R = Checker.finish();
+      ++Cell.OracleChecked;
+      if (!R.AxiomsOk || R.weak() != Forbidden)
+        ++Cell.OracleViolations;
     }
     Cell.Weak = std::max(Cell.Weak, Weak);
   }
@@ -505,9 +478,9 @@ void harness::writeCampaignJson(const CampaignReport &Report,
        << "\", \"runs\": " << R.Runs << ", \"errors\": " << R.Errors
        << ", \"timeouts\": " << R.Timeouts << ", \"effective\": "
        << (R.effective() ? "true" : "false")
-       // Which engine the cell's unchecked runs took (additive v2 key;
-       // derived, not stored — dispatch is a pure function of the app and
-       // the process-wide mode).
+       // Which engine the cell's runs took (additive v2 key; derived, not
+       // stored — dispatch is a pure function of the app and the
+       // process-wide mode).
        << ", \"engine\": \""
        << (apps::appLowerable(Cell.App) &&
                sim::engineMode() != sim::EngineMode::Scalar

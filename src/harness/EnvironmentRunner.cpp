@@ -2,9 +2,6 @@
 
 #include "harness/EnvironmentRunner.h"
 
-#include "apps/AppCompile.h"
-#include "sim/BatchExec.h"
-
 #include <algorithm>
 #include <vector>
 
@@ -14,23 +11,18 @@ using namespace gpuwmm::harness;
 namespace {
 
 /// Runs one contiguous chunk of a cell's runs on the calling worker's
-/// leased context, writing per-run verdicts. The batch API dispatches to
-/// the compiled-plan engine when the app lowers (and to the coroutine
-/// path otherwise), so this is pure in its arguments either way: the
-/// leased context is recycled worker state, and context history never
-/// affects results (DESIGN.md Secs. 12, 19). Distribution — and now the
-/// engine — stays a pure wall-clock knob.
+/// leased context, writing per-run verdicts. Pure in its arguments: the
+/// leased context is recycled worker state, and neither context history
+/// nor the engine affects results (DESIGN.md Secs. 12, 19).
 void runChunk(apps::AppKind App, const sim::ChipProfile &Chip,
               const stress::Environment &Env,
               const stress::TunedStressParams &Tuned, uint64_t CellSeed,
               unsigned Begin, unsigned End, apps::AppVerdict *Verdicts) {
-  std::vector<uint64_t> Seeds(End - Begin);
-  for (unsigned I = Begin; I != End; ++I)
-    Seeds[I - Begin] = Rng::deriveStream(CellSeed, static_cast<uint64_t>(I));
   sim::ContextLease Ctx;
-  apps::runApplicationBatch(Ctx.get(), App, Chip, Env, Tuned,
-                            /*Policy=*/nullptr, Seeds.data(),
-                            Verdicts + Begin, Seeds.size());
+  for (unsigned I = Begin; I != End; ++I)
+    Verdicts[I] = apps::runApplicationOnce(
+        Ctx.get(), App, Chip, Env, Tuned, /*Policy=*/nullptr,
+        Rng::deriveStream(CellSeed, static_cast<uint64_t>(I)));
 }
 
 /// Folds per-run verdicts into a CellResult. The fold is a commutative
@@ -51,15 +43,12 @@ CellResult harness::runCell(apps::AppKind App, const sim::ChipProfile &Chip,
                             unsigned Runs, uint64_t Seed, ThreadPool *Pool) {
   CellResult Cell;
   Cell.Runs = Runs;
-  // Chunk at the batch width: each work unit amortises one plan bind and
-  // one register-slab setup over up to W runs.
-  const unsigned W = sim::defaultBatchWidth();
-  const size_t Chunks = (Runs + W - 1) / W;
+  const size_t Chunks = (Runs + CellChunkRuns - 1) / CellChunkRuns;
   std::vector<apps::AppVerdict> Verdicts(Runs);
   parallelFor(Pool, Chunks, [&](size_t C) {
-    const unsigned Begin = static_cast<unsigned>(C) * W;
+    const unsigned Begin = static_cast<unsigned>(C) * CellChunkRuns;
     runChunk(App, Chip, Env, Tuned, Seed, Begin,
-             std::min(Begin + W, Runs), Verdicts.data());
+             std::min(Begin + CellChunkRuns, Runs), Verdicts.data());
   });
   for (apps::AppVerdict V : Verdicts)
     accumulate(Cell, V);
@@ -73,16 +62,17 @@ EnvironmentSummary harness::runEnvironmentSummary(
   const size_t NumApps = apps::AllAppKinds.size();
   // Flatten (app, chunk) into one index space so small per-app run counts
   // still fill every worker; chunks never straddle an app boundary (each
-  // cell has its own seed stream and compiled plan).
-  const unsigned W = sim::defaultBatchWidth();
-  const size_t ChunksPerApp = (Runs + W - 1) / W;
+  // cell has its own seed stream).
+  const size_t ChunksPerApp = (Runs + CellChunkRuns - 1) / CellChunkRuns;
   std::vector<apps::AppVerdict> Verdicts(NumApps * Runs);
   parallelFor(Pool, NumApps * ChunksPerApp, [&](size_t I) {
     const size_t A = I / ChunksPerApp;
-    const unsigned Begin = static_cast<unsigned>(I % ChunksPerApp) * W;
+    const unsigned Begin =
+        static_cast<unsigned>(I % ChunksPerApp) * CellChunkRuns;
     const uint64_t CellSeed = Rng::deriveStream(Seed, static_cast<uint64_t>(A));
     runChunk(apps::AllAppKinds[A], Chip, Env, Tuned, CellSeed, Begin,
-             std::min(Begin + W, Runs), Verdicts.data() + A * Runs);
+             std::min(Begin + CellChunkRuns, Runs),
+             Verdicts.data() + A * Runs);
   });
 
   EnvironmentSummary Summary;

@@ -55,6 +55,11 @@ struct CellResult {
   }
 };
 
+/// Runs per work unit when a cell's runs are spread over a pool
+/// (runCell, runEnvironmentSummary, the campaign). Chunking is
+/// wall-clock only: run I's seed depends on I alone, never on its chunk.
+inline constexpr unsigned CellChunkRuns = 64;
+
 /// Summary over the ten applications for one (chip, environment) pair, as
 /// presented in Tab. 5's "a/b" cells.
 struct EnvironmentSummary {

@@ -255,7 +255,7 @@ bool hunt::runHunt(const HuntConfig &Cfg, ThreadPool *Pool,
 void hunt::writeHuntJson(const HuntReport &Report, std::ostream &OS) {
   const HuntConfig &Cfg = Report.Config;
   // Build-stable metadata only (no wall-clock, no host facts): the report
-  // is byte-identical across machines, --jobs and --batch for one config.
+  // is byte-identical across machines, --jobs and --engine for one config.
   OS << "{\n"
      << "  \"schema\": \"gpuwmm-hunt-v1\",\n"
      << "  \"schema_version\": 1,\n"

@@ -26,8 +26,8 @@
 /// (deriveStream(Seed, 4R + stage)), each parallel stage derives
 /// per-index streams and writes per-index slots, and serial stages walk
 /// in index order — so a bounded hunt's corpus and report are
-/// bit-identical for every --jobs and --batch. Resume re-enters at the
-/// first round without a durable round_done marker and re-runs it
+/// bit-identical for every --jobs and every --engine. Resume re-enters at
+/// the first round without a durable round_done marker and re-runs it
 /// identically; corpus dedupe turns the replayed discoveries into no-ops.
 ///
 //===----------------------------------------------------------------------===//
@@ -107,13 +107,13 @@ struct HuntReport {
 /// failure — a corpus I/O error or, crucially, any streaming-vs-post-hoc
 /// checker disagreement on a shrink acceptance run (a result built on a
 /// diverging oracle must not be trusted). \p Pool may be null (serial);
-/// results are bit-identical for every pool size and batch width.
+/// results are bit-identical for every pool size and engine.
 bool runHunt(const HuntConfig &Cfg, ThreadPool *Pool, HuntReport &Report,
              std::string *Err);
 
 /// Writes the hunt report ("gpuwmm-hunt-v1"). No wall-clock or host
-/// facts: byte-identical across machines, job counts and batch widths
-/// for one config.
+/// facts: byte-identical across machines, job counts and engines for one
+/// config.
 void writeHuntJson(const HuntReport &Report, std::ostream &OS);
 
 } // namespace hunt

@@ -1,11 +1,13 @@
-//===- litmus/Litmus.cpp - Litmus program interpreter -------------------------===//
+//===- litmus/Litmus.cpp - Litmus program runner ------------------------------===//
 //
-// Executes litmus::Program tests on the simulated GPU. The interpreter
-// reproduces the op shape of the original hand-written Fig. 2 kernels
-// exactly — start-phase jitter, ops in order, then register writeback in
-// first-load order — so catalog programs for MP/LB/SB/R/S/2+2W execute
-// bit-identically to the historical enum-dispatched kernels (pinned by
-// LitmusTests' enum-vs-IR equality suite).
+// Executes litmus::Program tests on the simulated GPU, compiled to a flat
+// op stream (the default) or interpreted on the coroutine engine
+// (--engine=scalar, the reference). Both reproduce the op shape of the
+// original hand-written Fig. 2 kernels exactly — start-phase jitter, ops
+// in order, then register writeback in first-load order — so catalog
+// programs for MP/LB/SB/R/S/2+2W execute bit-identically to the
+// historical enum-dispatched kernels (pinned by LitmusTests' enum-vs-IR
+// equality suite).
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +16,7 @@
 #include "sim/Device.h"
 #include "sim/ThreadContext.h"
 #include "stress/StressSources.h"
+#include "support/Check.h"
 
 #include <cassert>
 
@@ -112,6 +115,42 @@ struct RunState {
   std::vector<Word> *Regs;
 };
 
+/// The stress source for \p S over the scratchpad at \p ScratchBase (null
+/// when unstressed), with no population yet: each run draws its own
+/// (\ref drawPopulation), so one source can serve many runs.
+std::unique_ptr<stress::SysStress>
+makeStress(const sim::ChipProfile &Chip, Addr ScratchBase,
+           const LitmusRunner::MicroStress &S) {
+  if (!S.Enabled)
+    return nullptr;
+  GPUWMM_CHECK(!S.ScratchOffsets.empty(), "stress without locations");
+  std::vector<Addr> Locs;
+  Locs.reserve(S.ScratchOffsets.size());
+  for (unsigned Off : S.ScratchOffsets)
+    Locs.push_back(ScratchBase + Off);
+  return std::make_unique<stress::SysStress>(Chip, S.Seq, std::move(Locs),
+                                             0.0);
+}
+
+/// The scratchpad size \p S needs: its furthest offset plus one patch.
+unsigned scratchWords(const sim::ChipProfile &Chip,
+                      const LitmusRunner::MicroStress &S) {
+  unsigned MaxOff = 0;
+  for (unsigned Off : S.ScratchOffsets)
+    MaxOff = std::max(MaxOff, Off);
+  return MaxOff + Chip.PatchSizeWords;
+}
+
+/// Draws the run's stressing population — a random 50-100% (by default)
+/// of the chip's concurrent threads — from \p RunRng into \p Stress.
+void drawPopulation(stress::SysStress &Stress, const sim::ChipProfile &Chip,
+                    const LitmusRunner::MicroStress &S, Rng &RunRng) {
+  const unsigned StressThreads = static_cast<unsigned>(
+      RunRng.realIn(S.OccupancyLo, S.OccupancyHi) *
+      static_cast<double>(Chip.maxConcurrentThreads()));
+  Stress.setUnits(stress::threadUnits(Chip, StressThreads));
+}
+
 } // namespace
 
 void LitmusRunner::rebuildPlan(const Program &P, unsigned Distance) {
@@ -144,8 +183,53 @@ void LitmusRunner::rebuildPlan(const Program &P, unsigned Distance) {
 
 bool LitmusRunner::runOnce(const Program &P, unsigned Distance,
                            const MicroStress &S, const RunOpts &Opts) {
+  if (sim::engineMode() == sim::EngineMode::Scalar)
+    return runInterpreted(P, Distance, S, Opts);
+  const CompiledPlan &B = compiledPlan(P, Distance, Opts.WithFences);
+  const auto Stress = makeStress(Chip, B.ScratchBase, S);
+  return runCompiled(B, S, Opts, Stress.get());
+}
+
+unsigned LitmusRunner::countWeak(const Program &P, unsigned Distance,
+                                 const MicroStress &S, unsigned C,
+                                 const RunOpts &Opts,
+                                 std::vector<uint8_t> *PerRun) {
+  if (PerRun)
+    PerRun->clear();
+  unsigned Weak = 0;
+  const auto Count = [&](bool IsWeak) {
+    Weak += IsWeak;
+    if (PerRun)
+      PerRun->push_back(IsWeak);
+  };
+  if (sim::engineMode() == sim::EngineMode::Scalar) {
+    for (unsigned I = 0; I != C; ++I)
+      Count(runInterpreted(P, Distance, S, Opts));
+    return Weak;
+  }
+  if (C == 0)
+    return 0;
+  const CompiledPlan &B = compiledPlan(P, Distance, Opts.WithFences);
+  const auto Stress = makeStress(Chip, B.ScratchBase, S);
+  for (unsigned I = 0; I != C; ++I)
+    Count(runCompiled(B, S, Opts, Stress.get()));
+  return Weak;
+}
+
+void LitmusRunner::noteLayout(const Program &P, Addr Base, unsigned Delta,
+                              Addr Results) {
+  LastProgram = &P;
+  const unsigned NumLocs = static_cast<unsigned>(P.Locations.size());
+  LocAddr.resize(NumLocs);
+  for (unsigned L = 0; L != NumLocs; ++L)
+    LocAddr[L] = Base + L * Delta;
+  ResultsBase = Results;
+}
+
+bool LitmusRunner::runInterpreted(const Program &P, unsigned Distance,
+                                  const MicroStress &S, const RunOpts &Opts) {
   if (Cached.P != &P || Cached.Distance != Distance) {
-    assert(P.validate().empty() && "program must be well-formed");
+    GPUWMM_CHECK(P.validate().empty(), "program must be well-formed");
     rebuildPlan(P, Distance);
   }
   Rng RunRng = Master.fork(Execs);
@@ -165,12 +249,9 @@ bool LitmusRunner::runOnce(const Program &P, unsigned Distance,
   const unsigned Delta = Cached.Delta;
   const unsigned NumLocs = static_cast<unsigned>(P.Locations.size());
   const Addr Base = Dev.alloc((NumLocs - 1) * Delta + 1);
-  LocAddr.resize(NumLocs);
-  for (unsigned L = 0; L != NumLocs; ++L)
-    LocAddr[L] = Base + L * Delta;
   const unsigned NumRegs = static_cast<unsigned>(P.Registers.size());
   const Addr Results = Dev.alloc(std::max(NumRegs, 1u));
-  ResultsBase = Results;
+  noteLayout(P, Base, Delta, Results);
   for (unsigned L = 0; L != NumLocs; ++L)
     if (P.Init[L] != 0)
       Dev.write(LocAddr[L], P.Init[L]);
@@ -181,22 +262,8 @@ bool LitmusRunner::runOnce(const Program &P, unsigned Distance,
   // designs the stress not to depend on it).
   std::unique_ptr<stress::SysStress> Stress;
   if (S.Enabled) {
-    assert(!S.ScratchOffsets.empty() && "stress without locations");
-    unsigned MaxOff = 0;
-    for (unsigned Off : S.ScratchOffsets)
-      MaxOff = std::max(MaxOff, Off);
-    const Addr Scratch = Dev.alloc(MaxOff + Chip.PatchSizeWords);
-    std::vector<Addr> Locs;
-    Locs.reserve(S.ScratchOffsets.size());
-    for (unsigned Off : S.ScratchOffsets)
-      Locs.push_back(Scratch + Off);
-    const unsigned MaxThreads = Chip.maxConcurrentThreads();
-    const unsigned StressThreads = static_cast<unsigned>(
-        RunRng.realIn(S.OccupancyLo, S.OccupancyHi) *
-        static_cast<double>(MaxThreads));
-    Stress = std::make_unique<stress::SysStress>(
-        Chip, S.Seq, std::move(Locs),
-        stress::threadUnits(Chip, StressThreads));
+    Stress = makeStress(Chip, Dev.alloc(scratchWords(Chip, S)), S);
+    drawPopulation(*Stress, Chip, S, RunRng);
     Dev.setCongestionSource(Stress.get());
   }
 
@@ -216,8 +283,7 @@ bool LitmusRunner::runOnce(const Program &P, unsigned Distance,
 
   const sim::RunResult Result =
       Dev.run({Cached.GridDim, Cached.BlockDim}, Fn);
-  assert(Result.completed() && "litmus execution must terminate");
-  (void)Result;
+  GPUWMM_CHECK(Result.completed(), "litmus execution must terminate");
 
   FinalRegs.resize(NumRegs);
   for (unsigned R = 0; R != NumRegs; ++R)
@@ -231,7 +297,7 @@ bool LitmusRunner::runOnce(const Program &P, unsigned Distance,
 std::string LitmusRunner::addrName(sim::Addr A) const {
   // Built without operator+ to dodge GCC 12's -Wrestrict false positive.
   std::string S;
-  if (const Program *P = Cached.P) {
+  if (const Program *P = LastProgram) {
     for (size_t L = 0; L != LocAddr.size(); ++L)
       if (LocAddr[L] == A)
         return P->Locations[L];
@@ -247,27 +313,12 @@ std::string LitmusRunner::addrName(sim::Addr A) const {
   return S;
 }
 
-unsigned LitmusRunner::countWeak(const Program &P, unsigned Distance,
-                                 const MicroStress &S, unsigned C,
-                                 const RunOpts &Opts) {
-  // Tracing and streaming sinks observe through the scalar engine's
-  // event seam, which the batched executor does not drive: such runs take
-  // the scalar path, as does everything under --engine=scalar. Results
-  // and seed streams are identical either way, so callers may freely
-  // interleave traced and batched runs on one runner.
-  if (Opts.Trace || Opts.Sink ||
-      sim::engineMode() == sim::EngineMode::Scalar) {
-    unsigned Weak = 0;
-    for (unsigned I = 0; I != C; ++I)
-      Weak += runOnce(P, Distance, S, Opts);
-    return Weak;
-  }
-  return countWeakBatch(P, Distance, S, C, Opts);
-}
-
-void LitmusRunner::rebuildBatchPlan(const Program &P, unsigned Distance,
-                                    bool Fenced) {
-  BatchPlan &B = Batched;
+const LitmusRunner::CompiledPlan &
+LitmusRunner::compiledPlan(const Program &P, unsigned Distance, bool Fenced) {
+  CompiledPlan &B = Compiled;
+  if (B.P == &P && B.Distance == Distance && B.Fenced == Fenced)
+    return B;
+  GPUWMM_CHECK(P.validate().empty(), "program must be well-formed");
   B.P = &P;
   B.Distance = Distance;
   B.Fenced = Fenced;
@@ -276,7 +327,7 @@ void LitmusRunner::rebuildBatchPlan(const Program &P, unsigned Distance,
   B.NumRegs = static_cast<unsigned>(P.Registers.size());
 
   // Bake the address layout: a freshly reset context allocates with a
-  // deterministic patch-aligned bump from zero, in runOnce's order
+  // deterministic patch-aligned bump from zero, in the interpreter's order
   // (locations, writebacks, then the stress scratchpad).
   const unsigned Patch = Chip.PatchSizeWords;
   const auto AlignUp = [Patch](unsigned X) {
@@ -304,7 +355,6 @@ void LitmusRunner::rebuildBatchPlan(const Program &P, unsigned Distance,
   for (unsigned TI = 0; TI != NumThreads; ++TI) {
     const auto Begin = static_cast<uint32_t>(BP.Ops.size());
     using Code = sim::BatchOp::Code;
-    assert(P.PhaseJitter > 0 && "phase jitter bound must be positive");
     BP.Ops.push_back({Code::Jitter, 0, 0, 0, P.PhaseJitter});
     for (const ProgOp &O : P.Threads[TI].Ops) {
       const sim::Addr A = B.Base + O.Loc * B.Delta;
@@ -349,126 +399,53 @@ void LitmusRunner::rebuildBatchPlan(const Program &P, unsigned Distance,
     BP.Lanes[static_cast<size_t>(Blk) * BP.BlockDim + NextLane[Blk]++] =
         ThreadRange[TI];
   }
+  return B;
 }
 
-unsigned LitmusRunner::countWeakBatch(const Program &P, unsigned Distance,
-                                      const MicroStress &S, unsigned C,
-                                      const RunOpts &Opts,
-                                      std::vector<uint8_t> *PerRun) {
-  assert(!Opts.Trace && !Opts.Sink &&
-         "traced/streamed runs take the scalar path (countWeak)");
-  if (PerRun)
-    PerRun->clear();
-  if (C == 0)
-    return 0;
-  if (Batched.P != &P || Batched.Distance != Distance ||
-      Batched.Fenced != Opts.WithFences) {
-    assert(P.validate().empty() && "program must be well-formed");
-    rebuildBatchPlan(P, Distance, Opts.WithFences);
-  }
-  const BatchPlan &B = Batched;
-
+bool LitmusRunner::runCompiled(const CompiledPlan &B, const MicroStress &S,
+                               const RunOpts &Opts,
+                               stress::SysStress *Stress) {
+  // Per-run draw order is exactly the interpreter's: fork the run stream,
+  // seed the context, then (when stressed) draw the occupancy.
+  Rng RunRng = Master.fork(Execs);
+  ++Execs;
   sim::ExecutionContext &EC = Ctx.get();
-  // The batched path never records events; disarm any previously armed
-  // recorder/sink so reset() leaves the memory system untraced.
-  EC.requestTracing(false);
-  EC.requestStreaming(nullptr);
+  EC.requestTracing(Opts.Trace);
+  EC.requestStreaming(Opts.Sink);
+  EC.reset(Chip, RunRng.next());
   sim::MemorySystem &Mem = EC.memory();
-  sim::BatchScratch &BS = EC.batchScratch();
+  Mem.setSequentialMode(Opts.Sequential);
 
+  const Addr Base = Mem.alloc((B.NumLocs - 1) * B.Delta + 1);
+  const Addr Results = Mem.alloc(std::max(B.NumRegs, 1u));
+  GPUWMM_CHECK(Base == B.Base && Results == B.Results,
+               "allocation layout diverged from the compiled plan");
+  noteLayout(*B.P, Base, B.Delta, Results);
+  for (const auto &[A, V] : B.InitWrites)
+    Mem.hostWrite(A, V);
+  if (Stress) {
+    const Addr Scratch = Mem.alloc(scratchWords(Chip, S));
+    GPUWMM_CHECK(Scratch == B.ScratchBase,
+                 "scratch layout diverged from the compiled plan");
+    drawPopulation(*Stress, Chip, S, RunRng);
+    Mem.setCongestionSource(Stress);
+  }
+
+  // Program::validate guarantees every register slot is written — by its
+  // load or async ticket — before any op reads it.
+  sim::BatchScratch &BS = EC.batchScratch();
+  BS.Regs.assign(B.BP.NumSlots, 0);
   sim::BatchRunConfig Cfg;
   Cfg.RandomiseThreads = Opts.Randomise;
+  const sim::RunResult Result =
+      sim::runBatchProgram(B.BP, Chip, Mem, EC.rng(), BS, BS.Regs.data(), Cfg);
+  GPUWMM_CHECK(Result.completed(), "litmus execution must terminate");
 
-  // One stress source serves the whole call: its locations are fixed by
-  // the deterministic address layout, so only the per-run random
-  // population (the RunRng occupancy draw, kept in scalar order) varies.
-  std::unique_ptr<stress::SysStress> Stress;
-  unsigned ScratchWords = 0, MaxThreads = 0;
-  if (S.Enabled) {
-    assert(!S.ScratchOffsets.empty() && "stress without locations");
-    unsigned MaxOff = 0;
-    std::vector<sim::Addr> Locs;
-    Locs.reserve(S.ScratchOffsets.size());
-    for (unsigned Off : S.ScratchOffsets) {
-      MaxOff = std::max(MaxOff, Off);
-      Locs.push_back(B.ScratchBase + Off);
-    }
-    ScratchWords = MaxOff + Chip.PatchSizeWords;
-    MaxThreads = Chip.maxConcurrentThreads();
-    Stress = std::make_unique<stress::SysStress>(Chip, S.Seq,
-                                                 std::move(Locs), 0.0);
-  }
-
-  const unsigned NumSlots = B.BP.NumSlots;
-  const unsigned RegStride = std::max(B.NumRegs, 1u);
-  const unsigned MemStride = std::max(B.NumLocs, 1u);
-  const unsigned K = batchWidth();
-  unsigned Weak = 0;
-  if (PerRun)
-    PerRun->reserve(C);
-
-  for (unsigned Done = 0; Done != C;) {
-    const unsigned N = std::min(K, C - Done);
-    // One SoA slab per batch; register slots need no per-run clearing
-    // beyond this (Program::validate guarantees every slot is written —
-    // by its load or async ticket — before any op reads it).
-    BS.RegSlab.assign(static_cast<size_t>(N) * NumSlots, 0);
-    BS.FinalRegSlab.resize(static_cast<size_t>(N) * RegStride);
-    BS.FinalMemSlab.resize(static_cast<size_t>(N) * MemStride);
-
-    for (unsigned J = 0; J != N; ++J, ++Done) {
-      // Per-run draw order is exactly runOnce's: fork the run stream,
-      // seed the context, then (when stressed) draw the occupancy.
-      Rng RunRng = Master.fork(Execs);
-      ++Execs;
-      EC.reset(Chip, RunRng.next());
-      Mem.setSequentialMode(Opts.Sequential);
-
-      const sim::Addr Base = Mem.alloc((B.NumLocs - 1) * B.Delta + 1);
-      const sim::Addr Results = Mem.alloc(std::max(B.NumRegs, 1u));
-      assert(Base == B.Base && Results == B.Results &&
-             "allocation layout diverged from the compiled plan");
-      (void)Base;
-      (void)Results;
-      for (const auto &[A, V] : B.InitWrites)
-        Mem.hostWrite(A, V);
-      if (S.Enabled) {
-        const sim::Addr Scratch = Mem.alloc(ScratchWords);
-        assert(Scratch == B.ScratchBase && "scratch layout diverged");
-        (void)Scratch;
-        const unsigned StressThreads = static_cast<unsigned>(
-            RunRng.realIn(S.OccupancyLo, S.OccupancyHi) *
-            static_cast<double>(MaxThreads));
-        Stress->setUnits(stress::threadUnits(Chip, StressThreads));
-        Mem.setCongestionSource(Stress.get());
-      }
-
-      Word *Regs = BS.RegSlab.data() + static_cast<size_t>(J) * NumSlots;
-      const sim::RunResult Result =
-          sim::runBatchProgram(B.BP, Chip, Mem, EC.rng(), BS, Regs, Cfg);
-      assert(Result.completed() && "litmus execution must terminate");
-      (void)Result;
-
-      Word *FR = BS.FinalRegSlab.data() + static_cast<size_t>(J) * RegStride;
-      Word *FM = BS.FinalMemSlab.data() + static_cast<size_t>(J) * MemStride;
-      for (unsigned R = 0; R != B.NumRegs; ++R)
-        FR[R] = Mem.hostRead(B.Results + R);
-      for (unsigned L = 0; L != B.NumLocs; ++L)
-        FM[L] = Mem.hostRead(B.Base + L * B.Delta);
-
-      // evalForbidden over the slab stripes (conjunction; empty = never).
-      bool IsWeak = !P.Forbidden.empty();
-      for (const CondAtom &A : P.Forbidden) {
-        const Word V = A.IsReg ? FR[A.Index] : FM[A.Index];
-        if ((V == A.Value) == A.Negated) {
-          IsWeak = false;
-          break;
-        }
-      }
-      Weak += IsWeak;
-      if (PerRun)
-        PerRun->push_back(IsWeak);
-    }
-  }
-  return Weak;
+  FinalRegs.resize(B.NumRegs);
+  for (unsigned R = 0; R != B.NumRegs; ++R)
+    FinalRegs[R] = Mem.hostRead(B.Results + R);
+  FinalMem.resize(B.NumLocs);
+  for (unsigned L = 0; L != B.NumLocs; ++L)
+    FinalMem[L] = Mem.hostRead(LocAddr[L]);
+  return B.P->evalForbidden(FinalRegs, FinalMem);
 }

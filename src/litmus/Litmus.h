@@ -37,6 +37,9 @@
 #include <vector>
 
 namespace gpuwmm {
+namespace stress {
+class SysStress;
+} // namespace stress
 namespace litmus {
 
 /// The three idioms of Fig. 2, plus three further classic two-location
@@ -138,46 +141,29 @@ public:
 
   /// Executes \p P once with its communication locations \p Distance
   /// words apart; returns true iff the program's forbidden outcome was
-  /// observed. \p P must satisfy Program::validate() and must not be
+  /// observed. \p P must satisfy Program::validate() (checked whenever the
+  /// runner compiles a new plan, in every build type) and must not be
   /// mutated between executions on one runner (the runner caches a
-  /// per-(program, distance) execution plan keyed by identity, so
-  /// sweeps allocate nothing per run in steady state).
+  /// per-(program, distance) execution plan keyed by identity, so sweeps
+  /// allocate nothing per run in steady state).
+  ///
+  /// The engine is chosen only by --engine (sim::engineMode()): the
+  /// compiled op-stream engine unless the mode is scalar, for traced,
+  /// sink-attached and sequential runs alike. Both engines emit identical
+  /// results and event streams (DESIGN.md Sec. 17).
   bool runOnce(const Program &P, unsigned Distance, const MicroStress &S,
                const RunOpts &Opts = RunOpts());
 
   /// Executes \p P \p C times; returns the number of weak behaviours.
-  ///
-  /// Runs batched (see \ref countWeakBatch) unless the options request
-  /// tracing or attach a streaming sink — those force the scalar
-  /// \ref runOnce path per run, since the batched executor does not emit
-  /// trace events. Either way, results, executions() accounting and the
-  /// runner's derived seed streams are bit-identical, so `litmus
-  /// --explain`, `--oracle=all` and `fuzz --shrink` outputs never change.
+  /// Bit-identical, run for run, to a \ref runOnce loop on the same
+  /// runner; on the compiled engine one stress source serves the whole
+  /// call, with only the per-run stressing population redrawn. When
+  /// \p PerRun is non-null it receives each run's weak verdict in
+  /// execution order (0/1).
   unsigned countWeak(const Program &P, unsigned Distance,
                      const MicroStress &S, unsigned C,
-                     const RunOpts &Opts = RunOpts());
-
-  /// Executes \p P \p C times on the batched engine (sim/BatchExec.h):
-  /// the program is compiled once into a flat op-stream plan, runs are
-  /// grouped into batches of K seeds over the context's SoA slabs, and
-  /// the per-run stress source is reused with only its intensity redrawn.
-  /// Bit-identical, run for run, to a \ref runOnce loop at the same seed
-  /// stream for every batch width (DESIGN.md Sec. 17). \p Opts must not
-  /// request tracing or a sink (asserted). When \p PerRun is non-null it
-  /// receives each run's weak verdict in execution order (0/1) — the A/B
-  /// hook for the identity bench and property tests.
-  unsigned countWeakBatch(const Program &P, unsigned Distance,
-                          const MicroStress &S, unsigned C,
-                          const RunOpts &Opts = RunOpts(),
-                          std::vector<uint8_t> *PerRun = nullptr);
-
-  /// Batch width K for the batched path; 0 (default) resolves to the
-  /// process-wide sim::defaultBatchWidth(). Width only sets the slab
-  /// amortisation window — it never affects results.
-  void setBatchWidth(unsigned K) { BatchWidth = K; }
-  unsigned batchWidth() const {
-    return BatchWidth != 0 ? BatchWidth : sim::defaultBatchWidth();
-  }
+                     const RunOpts &Opts = RunOpts(),
+                     std::vector<uint8_t> *PerRun = nullptr);
 
   /// Executes the catalog program of \p T.Kind once (bit-identical to the
   /// original hand-written kernels); true iff the weak behaviour was
@@ -197,7 +183,8 @@ public:
   uint64_t executions() const { return Execs; }
 
   /// The events the most recent execution recorded (empty unless it ran
-  /// with RunOpts::Trace). Valid until the next execution.
+  /// with RunOpts::Trace), on either engine. Valid until the next
+  /// execution.
   const sim::EventTrace &trace() const { return Ctx.get().trace(); }
 
   /// Names an address of the most recent execution for explanations: a
@@ -206,11 +193,10 @@ public:
   std::string addrName(sim::Addr A) const;
 
 private:
-  /// The (program, distance)-invariant part of an execution: register
-  /// writeback lists, the (block, lane) -> thread dispatch table and the
-  /// launch geometry. Rebuilt only when the instance changes, so the
-  /// million-run tuning sweeps reuse one plan (PR 3's zero-allocation
-  /// steady state).
+  /// The interpreter's (program, distance)-invariant tables for
+  /// --engine=scalar: register writeback lists, the (block, lane) ->
+  /// thread dispatch table and the launch geometry. Rebuilt only when the
+  /// instance changes.
   struct Plan {
     const Program *P = nullptr;
     unsigned Distance = 0;
@@ -221,12 +207,12 @@ private:
     std::vector<int> ThreadAt; ///< block * BlockDim + lane -> thread.
   };
 
-  /// The batched form of \ref Plan: the flat pre-resolved op stream plus
-  /// the address layout the per-run allocations are guaranteed to produce
-  /// (allocation on a freshly reset context is a deterministic
-  /// patch-aligned bump from zero, so addresses are bakeable at
-  /// plan-build time and asserted against the real allocs per run).
-  struct BatchPlan {
+  /// The compiled form: the flat pre-resolved op stream plus the address
+  /// layout the per-run allocations are guaranteed to produce (allocation
+  /// on a freshly reset context is a deterministic patch-aligned bump from
+  /// zero, so addresses are bakeable at plan-build time and checked
+  /// against the real allocs per run).
+  struct CompiledPlan {
     const Program *P = nullptr;
     unsigned Distance = 0;
     bool Fenced = false;
@@ -241,16 +227,27 @@ private:
   };
 
   void rebuildPlan(const Program &P, unsigned Distance);
-  void rebuildBatchPlan(const Program &P, unsigned Distance, bool Fenced);
+  const CompiledPlan &compiledPlan(const Program &P, unsigned Distance,
+                                   bool Fenced);
+  /// One interpreted (coroutine-engine) execution.
+  bool runInterpreted(const Program &P, unsigned Distance,
+                      const MicroStress &S, const RunOpts &Opts);
+  /// One compiled execution; \p Stress is the source built for \p S (null
+  /// when unstressed), reused across runs.
+  bool runCompiled(const CompiledPlan &B, const MicroStress &S,
+                   const RunOpts &Opts, stress::SysStress *Stress);
+  /// Records the program and layout addrName describes.
+  void noteLayout(const Program &P, sim::Addr Base, unsigned Delta,
+                  sim::Addr Results);
 
   const sim::ChipProfile &Chip;
   Rng Master;
   sim::ContextLease Ctx; ///< Recycled engine state, reused every run.
   uint64_t Execs = 0;
   Plan Cached;
-  BatchPlan Batched;
-  unsigned BatchWidth = 0; ///< 0 = process default.
+  CompiledPlan Compiled;
   // Per-run scratch, recycled across runs.
+  const Program *LastProgram = nullptr; ///< Most recent run (addrName).
   std::vector<sim::Addr> LocAddr;
   std::vector<sim::Word> Regs, FinalRegs, FinalMem;
   sim::Addr ResultsBase = 0; ///< Writeback allocation (addrName).

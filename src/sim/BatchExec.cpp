@@ -34,8 +34,9 @@
 //    guarantees per kernel (apps/AppCompile.cpp).
 //  * Barriers replicate opBarrier/releaseBarrier: the arriving lane parks
 //    (still resident in its warp, ineligible), the last live arriver
-//    releases every parked lane of its block in ascending Tid order with
-//    a draw-free block fence and wake at Now + 1, and a lane completing
+//    emits the BarrierRelease trace event, then releases every parked
+//    lane of its block in ascending Tid order with a draw-free block
+//    fence and wake at Now + 1, and a lane completing
 //    while block-mates are parked raises the divergence flag, which the
 //    main loop surfaces at the top of the next tick — all in the scalar
 //    engine's exact order.
@@ -46,6 +47,8 @@
 
 #include "sim/ChipProfile.h"
 #include "sim/MemorySystem.h"
+#include "sim/TraceSink.h"
+#include "support/Check.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -55,44 +58,6 @@
 
 using namespace gpuwmm;
 using namespace gpuwmm::sim;
-
-//===----------------------------------------------------------------------===//
-// Batch width resolution
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// CLI-installed width; 0 = auto (GPUWMM_BATCH, else 64). Written once
-/// before any workers start, read-only afterwards.
-unsigned CliBatchWidth = 0;
-
-unsigned resolveEnvBatchWidth() {
-  unsigned W = 64;
-  if (const char *Env = std::getenv("GPUWMM_BATCH")) {
-    char *End = nullptr;
-    const long Parsed = std::strtol(Env, &End, 10);
-    if (*Env != '\0' && *End == '\0' && Parsed > 0 && Parsed <= MaxBatchWidth)
-      return static_cast<unsigned>(Parsed);
-    // Mirror the --batch validation, but warn-and-fall-back rather than
-    // exit: an environment variable should not be fatal to library users.
-    std::fprintf(stderr,
-                 "warning: ignoring invalid GPUWMM_BATCH='%s' (must be a "
-                 "positive integer); using batch width %u\n",
-                 Env, W);
-  }
-  return W;
-}
-
-} // namespace
-
-unsigned sim::defaultBatchWidth() {
-  if (CliBatchWidth != 0)
-    return CliBatchWidth;
-  static const unsigned Resolved = resolveEnvBatchWidth();
-  return Resolved;
-}
-
-void sim::setDefaultBatchWidth(unsigned K) { CliBatchWidth = K; }
 
 //===----------------------------------------------------------------------===//
 // Engine mode resolution
@@ -176,8 +141,8 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
                                Rng &R, BatchScratch &S, Word *Regs,
                                const BatchRunConfig &Cfg) {
   const unsigned NumThreads = BP.GridDim * BP.BlockDim;
-  assert(NumThreads != 0 && BP.Lanes.size() == NumThreads &&
-         "batch program has no lanes");
+  GPUWMM_CHECK(NumThreads != 0 && BP.Lanes.size() == NumThreads,
+               "batch program lane table does not match its launch shape");
   Mem.registerThreads(NumThreads);
 
   // Lane state: everything starts Sleeping at wake tick 0 (eligible on
@@ -431,12 +396,16 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
             break;
           case BatchOp::Code::Barrier: {
             // opBarrier: park the lane; the last live arriver releases
-            // the whole block within its own resume (releaseBarrier),
-            // fencing each parked lane in ascending Tid order.
+            // the whole block within its own resume (releaseBarrier):
+            // the release event first, then a fence for each parked lane
+            // in ascending Tid order.
             S.State[Tid] = LaneAtBarrier;
             S.PC[Tid] = PC + 1;
             const unsigned B = W.Block;
             if (++S.BlockAtBarrier[B] == S.BlockLive[B]) {
+              if (TraceSink *TS = Mem.traceSink())
+                TS->event({TraceEventKind::BarrierRelease, LoadSource::Memory,
+                           false, 0, B, 0, 0, 0, 0, Now});
               const unsigned FirstTid = B * BP.BlockDim;
               for (unsigned L = 0; L != BP.BlockDim; ++L) {
                 const unsigned T2 = FirstTid + L;

@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batched execution engine behind the litmus/fuzz hot path
-/// (DESIGN.md Sec. 17).
+/// The compiled execution engine behind every lowerable program: litmus
+/// and fuzz programs and the regular application kernels (DESIGN.md
+/// Secs. 17, 19).
 ///
 /// Every tuning sweep, campaign cell and fuzz round executes the same small
 /// program thousands of times at different seeds. The coroutine-based
@@ -21,7 +22,7 @@
 /// slots and writeback targets pre-resolved — and \ref runBatchProgram is a
 /// tight table-walking replica of Scheduler::run that touches only resident
 /// SMs and fast-forwards idle tick spans. Per-run state lives in
-/// structure-of-arrays slabs owned by the ExecutionContext's
+/// structure-of-arrays lane state owned by the ExecutionContext's
 /// \ref BatchScratch, so resets stay O(touched).
 ///
 /// Determinism contract (absolute): for the op shapes a BatchProgram can
@@ -30,15 +31,16 @@
 /// loops/branches over registers, indexed addressing and pre-compiled
 /// fence-policy sequences), runBatchProgram consumes exactly the same RNG
 /// draws in exactly the same order as the coroutine scheduler and produces
-/// bit-identical memory states, for every batch width and both scheduling
-/// modes. The idle fast-forward is draw-free by construction: a tick in
-/// which no lane is eligible, no store is buffered and no async load is
-/// pending draws nothing in the scalar engine either — it only advances
-/// the clock and the SM rotors, which the fast-forward replays in closed
-/// form. BatchedExecutionTests pins the equivalence per run against
-/// LitmusRunner::runOnce and fuzz::runOnWeakMachine; the application
-/// lowering layer (apps::compileApplication, DESIGN.md Sec. 19) pins it
-/// per run against apps::runApplicationOnce.
+/// bit-identical memory states and trace event streams, under both
+/// scheduling modes. The idle fast-forward is draw-free by construction: a
+/// tick in which no lane is eligible, no store is buffered and no async
+/// load is pending draws nothing in the scalar engine either — it only
+/// advances the clock and the SM rotors, which the fast-forward replays in
+/// closed form. The engine emits every scheduler-level trace event itself (the
+/// barrier release); all other events come from the shared MemorySystem.
+/// EngineIdentityTests pins the equivalence event for event against the
+/// coroutine engine (--engine=scalar) for litmus, fuzz and application
+/// programs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -133,13 +135,13 @@ struct BatchLane {
 
 /// A program compiled to the batched executor: one contiguous op stream
 /// plus a per-lane (Tid = block * BlockDim + lane) range table. Immutable
-/// once built; reused across every run of a batch.
+/// once built; reused across every run of the program.
 struct BatchProgram {
   std::vector<BatchOp> Ops;
   std::vector<BatchLane> Lanes; ///< Indexed by Tid; size GridDim*BlockDim.
   unsigned GridDim = 0;
   unsigned BlockDim = 0;
-  unsigned NumSlots = 0; ///< Register slots one run's Regs stripe needs.
+  unsigned NumSlots = 0; ///< Register slots one run needs.
 };
 
 /// Mirrors the SchedulerConfig fields the batched shapes use.
@@ -151,11 +153,11 @@ struct BatchRunConfig {
 
 /// Recyclable batched-executor state, owned by an ExecutionContext
 /// alongside the scheduler scratch. Lane state is structure-of-arrays and
-/// sized O(lanes); the slabs hold a whole batch's register/final-state
-/// stripes (K runs x stride) so per-run reset is a stripe write, not an
-/// allocation. Residency (warp placement per SM) is cached across runs of
-/// the same geometry under deterministic scheduling, where launch draws
-/// nothing and the layout is a pure function of (grid, block, SMs).
+/// sized O(lanes); the register vector keeps its capacity, so per-run
+/// reset is a fill, not an allocation. Residency (warp placement per SM)
+/// is cached across runs of the same geometry under deterministic
+/// scheduling, where launch draws nothing and the layout is a pure
+/// function of (grid, block, SMs).
 struct BatchScratch {
   struct Warp {
     unsigned FirstTid = 0;
@@ -192,35 +194,20 @@ struct BatchScratch {
   /// randomised scheduling, which redraws placement per run).
   unsigned CachedGrid = ~0u, CachedBlock = ~0u, CachedSMs = ~0u;
 
-  /// K-seed batch slabs: callers stripe them (run J's registers live at
-  /// RegSlab[J * stride]). FinalRegSlab/FinalMemSlab hold the batch's
-  /// final register writebacks and memory states for outcome evaluation.
-  std::vector<Word> RegSlab;
-  std::vector<Word> FinalRegSlab;
-  std::vector<Word> FinalMemSlab;
+  /// One run's registers (BatchProgram::NumSlots words), filled by the
+  /// caller before each run.
+  std::vector<Word> Regs;
 
   /// Drops the deterministic residency cache (tests / chip changes).
   void invalidateResidency() { CachedGrid = CachedBlock = CachedSMs = ~0u; }
 };
 
-/// The process-wide batch width K used when a runner/config leaves its
-/// width at 0 ("auto"): the CLI's --batch=K, else the GPUWMM_BATCH
-/// environment variable (invalid values warn and fall back, mirroring
-/// GPUWMM_JOBS), else 64. Width never affects results — only how many
-/// runs share one slab/plan amortisation window.
-unsigned defaultBatchWidth();
-
-/// Installs the CLI-selected width (0 restores auto resolution).
-void setDefaultBatchWidth(unsigned K);
-
-/// Upper bound accepted for --batch / GPUWMM_BATCH.
-inline constexpr int64_t MaxBatchWidth = 1 << 16;
-
 /// The process-wide engine selection (--engine / GPUWMM_ENGINE).
 ///
-///  * Auto (the default): batch-capable work (litmus/fuzz programs,
-///    lowerable app kernels) runs on the batched engine; everything else
-///    — and every traced or sink-attached run — takes the scalar path.
+///  * Auto (the default): every program that lowers (litmus/fuzz
+///    programs, lowerable app kernels) runs on the compiled engine, traced,
+///    sink-attached and sequential runs included; only the unlowerable
+///    apps take the coroutine engine.
 ///  * Scalar: force the coroutine engine everywhere (A/B debugging,
 ///    bisection of batched-vs-scalar divergence).
 ///  * Batched: as Auto, but consumers that cannot batch a request the
@@ -232,7 +219,7 @@ inline constexpr int64_t MaxBatchWidth = 1 << 16;
 enum class EngineMode : uint8_t { Auto, Scalar, Batched };
 
 /// The process-wide engine mode: the CLI's --engine, else GPUWMM_ENGINE
-/// (invalid values warn and fall back to auto, mirroring GPUWMM_BATCH),
+/// (invalid values warn and fall back to auto, mirroring GPUWMM_JOBS),
 /// else Auto.
 EngineMode engineMode();
 
@@ -247,10 +234,10 @@ std::optional<EngineMode> parseEngineMode(std::string_view Name);
 
 /// Executes one run of \p BP to completion on \p Mem, drawing from \p R —
 /// a draw-for-draw replica of Scheduler::launch + Scheduler::run for the
-/// batched op shapes. \p Regs is the run's register stripe (NumSlots
-/// words). The caller owns per-run setup exactly as with the scalar
-/// engine: context reset, allocations, initial-value writes and the
-/// congestion source all happen before the call.
+/// batched op shapes, trace events included. \p Regs is the run's
+/// register vector (NumSlots words). The caller owns per-run setup exactly
+/// as with the scalar engine: context reset, allocations, initial-value
+/// writes and the congestion source all happen before the call.
 RunResult runBatchProgram(const BatchProgram &BP, const ChipProfile &Chip,
                           MemorySystem &Mem, Rng &R, BatchScratch &S,
                           Word *Regs, const BatchRunConfig &Cfg);

@@ -90,7 +90,6 @@ public:
   /// nullptr to disarm. Takes precedence over \ref requestTracing; like
   /// it, cleared when a leased context is returned to its pool.
   void requestStreaming(TraceSink *S) { StreamSink = S; }
-  TraceSink *streamingSink() const { return StreamSink; }
 
   /// The events recorded by the most recent run (empty when tracing was
   /// off). Valid until the next reset().
@@ -100,8 +99,8 @@ public:
   Rng &rng() { return R; }
   MemorySystem &memory() { return Memory; }
   Scheduler::Scratch &schedulerScratch() { return Scratch; }
-  /// The batched executor's recyclable lane/residency state and K-seed
-  /// SoA slabs (sim/BatchExec.h, DESIGN.md Sec. 17). Like the scheduler
+  /// The compiled executor's recyclable lane/residency state and register
+  /// vector (sim/BatchExec.h, DESIGN.md Sec. 17). Like the scheduler
   /// scratch, contents are internal to the engine that fills them.
   BatchScratch &batchScratch() { return BScratch; }
 

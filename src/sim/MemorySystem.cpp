@@ -2,6 +2,8 @@
 
 #include "sim/MemorySystem.h"
 
+#include "support/Check.h"
+
 #include <algorithm>
 #include <cassert>
 
@@ -86,7 +88,7 @@ Addr MemorySystem::alloc(unsigned Words) {
 //===----------------------------------------------------------------------===//
 
 Word MemorySystem::visibleRead(unsigned Block, Addr A) const {
-  assert(A < Mem.size() && "address out of bounds");
+  GPUWMM_CHECK(A < Mem.size(), "address out of bounds");
   if (!Overlay.empty()) {
     auto Range = Overlay.equal_range(A);
     for (auto It = Range.first; It != Range.second; ++It)
@@ -98,7 +100,7 @@ Word MemorySystem::visibleRead(unsigned Block, Addr A) const {
 
 Word MemorySystem::visibleReadSrc(unsigned Block, Addr A,
                                   LoadSource &Src) const {
-  assert(A < Mem.size() && "address out of bounds");
+  GPUWMM_CHECK(A < Mem.size(), "address out of bounds");
   if (!Overlay.empty()) {
     auto Range = Overlay.equal_range(A);
     for (auto It = Range.first; It != Range.second; ++It)
@@ -112,7 +114,7 @@ Word MemorySystem::visibleReadSrc(unsigned Block, Addr A,
 }
 
 void MemorySystem::atomicWrite(Addr A, Word V) {
-  assert(A < Mem.size() && "address out of bounds");
+  GPUWMM_CHECK(A < Mem.size(), "address out of bounds");
   markDirty(A);
   Mem[A] = V;
   if (!Overlay.empty())
@@ -120,7 +122,7 @@ void MemorySystem::atomicWrite(Addr A, Word V) {
 }
 
 void MemorySystem::globalWrite(Addr A, Word V, uint64_t StoreId) {
-  assert(A < Mem.size() && "address out of bounds");
+  GPUWMM_CHECK(A < Mem.size(), "address out of bounds");
   // Per-location coherence: never step backwards in the store order.
   if (StoreId < MemWriteId[A])
     return;
@@ -604,12 +606,12 @@ void MemorySystem::drainAll() {
 }
 
 Word MemorySystem::hostRead(Addr A) const {
-  assert(A < Mem.size() && "address out of bounds");
+  GPUWMM_CHECK(A < Mem.size(), "address out of bounds");
   return Mem[A];
 }
 
 void MemorySystem::hostWrite(Addr A, Word V) {
-  assert(A < Mem.size() && "address out of bounds");
+  GPUWMM_CHECK(A < Mem.size(), "address out of bounds");
   markDirty(A);
   Mem[A] = V;
   MemWriteId[A] = NextStoreId++;

@@ -53,8 +53,8 @@ public:
   /// Re-targets the source at a new total intensity, keeping its access
   /// sequence and locations. Equivalent to constructing a fresh source
   /// with the same sequence/locations and \p Units — the hook that lets
-  /// batched runners reuse one source across a batch while still drawing
-  /// the per-run random stressing population (LitmusRunner::countWeak).
+  /// the compiled litmus path reuse one source across a countWeak call
+  /// while still drawing the per-run random stressing population.
   void setUnits(double Units);
 
   sim::BankPressure pressureAt(uint64_t Tick, unsigned Bank) const override;

@@ -25,6 +25,13 @@ Options::Options(int Argc, char **Argv) {
   }
 }
 
+std::vector<std::string> Options::keys() const {
+  std::vector<std::string> Keys;
+  for (const auto &[Key, Value] : Values)
+    Keys.push_back(Key);
+  return Keys;
+}
+
 int64_t Options::getInt(const std::string &Key, int64_t Default) const {
   const auto It = Values.find(Key);
   if (It == Values.end())

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace gpuwmm {
 
@@ -27,6 +28,9 @@ public:
   Options(int Argc, char **Argv);
 
   bool has(const std::string &Key) const { return Values.count(Key) != 0; }
+
+  /// Every key given on the command line, sorted.
+  std::vector<std::string> keys() const;
 
   /// Returns the integer value of \p Key, or \p Default when absent.
   int64_t getInt(const std::string &Key, int64_t Default) const;

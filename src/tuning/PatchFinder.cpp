@@ -38,7 +38,6 @@ PatchScan PatchFinder::scan(const Config &Cfg, ThreadPool *Pool) {
     const size_t D = I / Cfg.NumLocations % Scan.Distances.size();
     const unsigned L = static_cast<unsigned>(I % Cfg.NumLocations);
     LitmusRunner Cell(Chip, Rng::deriveStream(Seed, I));
-    Cell.setBatchWidth(Cfg.BatchWidth);
     Scan.Hist[K][D][L] =
         Cell.countWeak(*Cfg.Tests[K], Scan.Distances[D],
                        LitmusRunner::MicroStress::at(Cfg.Seq, L),

@@ -69,9 +69,6 @@ public:
     /// The three tuning idioms (Fig. 2 by default; any catalog trio via
     /// `gpuwmm tune --tests=a,b,c`).
     std::array<const litmus::Program *, 3> Tests = litmus::tuningPrograms();
-    /// Batch width for the runners' batched engine (0 = process default);
-    /// amortisation only — histograms are identical for every width.
-    unsigned BatchWidth = 0;
   };
 
   /// Default distance subsampling for a chip: a spread of d values around

@@ -33,7 +33,6 @@ std::vector<SequenceScore> SequenceTuner::rankAll(unsigned PatchSize,
     SequenceScore &Score = Ranked[I];
     Score.Seq = All[I];
     LitmusRunner Runner(Chip, Rng::deriveStream(Seed, I));
-    Runner.setBatchWidth(Cfg.BatchWidth);
     for (size_t K = 0; K != Cfg.Tests.size(); ++K) {
       uint64_t Total = 0;
       for (unsigned D : Distances) {

@@ -27,7 +27,6 @@ std::vector<SpreadScore> SpreadTuner::rankAll(unsigned PatchSize,
     // for the random region subsets.
     const uint64_t SpreadSeed = Rng::deriveStream(Seed, I);
     LitmusRunner Runner(Chip, Rng::deriveStream(SpreadSeed, 0));
-    Runner.setBatchWidth(Cfg.BatchWidth);
     Rng SubsetRng(Rng::deriveStream(SpreadSeed, 1));
     for (size_t K = 0; K != Cfg.Tests.size(); ++K) {
       uint64_t Total = 0;

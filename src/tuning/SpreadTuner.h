@@ -44,9 +44,6 @@ public:
     std::vector<unsigned> Distances;
     /// The three tuning idioms (Fig. 2 by default; any catalog trio).
     std::array<const litmus::Program *, 3> Tests = litmus::tuningPrograms();
-    /// Batch width for the runners' batched engine (0 = process default);
-    /// amortisation only — scores are identical for every width.
-    unsigned BatchWidth = 0;
   };
 
   SpreadTuner(const sim::ChipProfile &Chip, uint64_t Seed)

@@ -10,8 +10,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineModeGuard.h"
+
 #include "apps/AppCompile.h"
 #include "apps/Application.h"
+#include "harness/Campaign.h"
+#include "harness/EnvironmentRunner.h"
 #include "model/StreamingChecker.h"
 
 #include "gtest/gtest.h"
@@ -204,7 +208,7 @@ TEST(AppFindingsTest, VerdictNamesAreStable) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched application execution (DESIGN.md Sec. 19)
+// Compiled application execution (DESIGN.md Sec. 19)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -217,11 +221,12 @@ std::vector<uint64_t> forkSeeds(uint64_t Master, unsigned N) {
   return Seeds;
 }
 
-std::vector<AppVerdict> scalarVerdicts(AppKind K,
-                                       const sim::ChipProfile &Chip,
-                                       const stress::Environment &Env,
-                                       const sim::FencePolicy *Policy,
-                                       const std::vector<uint64_t> &Seeds) {
+/// runApplicationOnce over \p Seeds on one context, with the engine the
+/// current --engine mode picks.
+std::vector<AppVerdict> runVerdicts(AppKind K, const sim::ChipProfile &Chip,
+                                    const stress::Environment &Env,
+                                    const sim::FencePolicy *Policy,
+                                    const std::vector<uint64_t> &Seeds) {
   const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
   sim::ExecutionContext Ctx;
   std::vector<AppVerdict> V;
@@ -230,18 +235,14 @@ std::vector<AppVerdict> scalarVerdicts(AppKind K,
   return V;
 }
 
-std::vector<AppVerdict> batchedVerdicts(AppKind K,
-                                        const sim::ChipProfile &Chip,
-                                        const stress::Environment &Env,
-                                        const sim::FencePolicy *Policy,
-                                        const std::vector<uint64_t> &Seeds,
-                                        unsigned Width) {
-  const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
-  sim::ExecutionContext Ctx;
-  std::vector<AppVerdict> V(Seeds.size());
-  runApplicationBatch(Ctx, K, Chip, Env, Tuned, Policy, Seeds.data(),
-                      V.data(), Seeds.size(), Width);
-  return V;
+/// The coroutine reference (--engine=scalar).
+std::vector<AppVerdict> scalarVerdicts(AppKind K,
+                                       const sim::ChipProfile &Chip,
+                                       const stress::Environment &Env,
+                                       const sim::FencePolicy *Policy,
+                                       const std::vector<uint64_t> &Seeds) {
+  EngineModeGuard Scalar(sim::EngineMode::Scalar);
+  return runVerdicts(K, Chip, Env, Policy, Seeds);
 }
 
 const AppKind LowerableKinds[] = {AppKind::CbeHt,    AppKind::CbeDot,
@@ -268,9 +269,9 @@ TEST_P(AppBatchIdentity, MatchesScalarAcrossEnvironments) {
   for (const stress::Environment &Env : stress::Environment::all()) {
     const auto Scalar =
         scalarVerdicts(GetParam(), titan(), Env, nullptr, Seeds);
-    const auto Batched =
-        batchedVerdicts(GetParam(), titan(), Env, nullptr, Seeds, 8);
-    EXPECT_EQ(Scalar, Batched) << appName(GetParam()) << " " << Env.name();
+    const auto Compiled =
+        runVerdicts(GetParam(), titan(), Env, nullptr, Seeds);
+    EXPECT_EQ(Scalar, Compiled) << appName(GetParam()) << " " << Env.name();
   }
 }
 
@@ -286,23 +287,34 @@ TEST_P(AppBatchIdentity, MatchesScalarUnderFencePolicies) {
   for (const sim::FencePolicy &P : Policies) {
     const auto Scalar =
         scalarVerdicts(GetParam(), titan(), SysPlus, &P, Seeds);
-    const auto Batched =
-        batchedVerdicts(GetParam(), titan(), SysPlus, &P, Seeds, 8);
-    EXPECT_EQ(Scalar, Batched)
+    const auto Compiled = runVerdicts(GetParam(), titan(), SysPlus, &P, Seeds);
+    EXPECT_EQ(Scalar, Compiled)
         << appName(GetParam()) << " policy " << P.count() << " sites";
   }
 }
 
 TEST_P(AppBatchIdentity, WidthSweepIncludingDegenerateAndOversized) {
-  // K = 1 (degenerate), K > N (oversized slab), awkward odd widths: the
-  // stripe width must never leak into results.
-  const auto Seeds = forkSeeds(3030, 12);
-  const auto Ref =
-      batchedVerdicts(GetParam(), titan(), SysPlus, nullptr, Seeds, 1);
-  for (const unsigned W : {2u, 5u, 12u, 64u, 256u})
-    EXPECT_EQ(Ref, batchedVerdicts(GetParam(), titan(), SysPlus, nullptr,
-                                   Seeds, W))
-        << appName(GetParam()) << " width " << W;
+  // runCell splits a cell into work units of CellChunkRuns runs: a single
+  // run (degenerate), one short of a unit, and a unit plus a partial one
+  // (oversized) must all fold to the scalar per-run verdicts.
+  const auto Tuned = stress::TunedStressParams::paperDefaults(titan());
+  ThreadPool Pool(2);
+  for (const unsigned Runs :
+       {1u, harness::CellChunkRuns - 1, harness::CellChunkRuns + 3}) {
+    std::vector<uint64_t> Seeds(Runs);
+    for (unsigned I = 0; I != Runs; ++I)
+      Seeds[I] = Rng::deriveStream(3030, I);
+    harness::CellResult Ref;
+    Ref.Runs = Runs;
+    for (const AppVerdict V :
+         scalarVerdicts(GetParam(), titan(), SysPlus, nullptr, Seeds)) {
+      Ref.Errors += isErroneous(V);
+      Ref.Timeouts += V == AppVerdict::Timeout;
+    }
+    EXPECT_EQ(Ref, harness::runCell(GetParam(), titan(), SysPlus, Tuned,
+                                    Runs, 3030, &Pool))
+        << appName(GetParam()) << " runs " << Runs;
+  }
 }
 
 TEST_P(AppBatchIdentity, ChipRebindingInterleavings) {
@@ -319,28 +331,40 @@ TEST_P(AppBatchIdentity, ChipRebindingInterleavings) {
   sim::ExecutionContext Ctx;
   for (size_t I = 0; I != Seeds.size(); ++I) {
     const sim::ChipProfile &Chip = I % 2 ? C980 : titan();
-    AppVerdict V;
-    runApplicationBatch(Ctx, GetParam(), Chip, SysPlus,
-                        stress::TunedStressParams::paperDefaults(Chip),
-                        nullptr, &Seeds[I], &V, 1, 4);
+    const AppVerdict V = runApplicationOnce(
+        Ctx, GetParam(), Chip, SysPlus,
+        stress::TunedStressParams::paperDefaults(Chip), nullptr, Seeds[I]);
     EXPECT_EQ(V, (I % 2 ? Ref980 : RefTitan)[I])
         << appName(GetParam()) << " run " << I;
   }
 }
 
 TEST_P(AppBatchIdentity, TracedContextsFallBackToScalar) {
-  // A tracing request pins the batch API to the coroutine path — results
-  // must still be identical, and the trace seam stays authoritative.
+  // Tracing never picks the engine: a traced context falls back to the
+  // coroutine engine only under --engine=scalar, and otherwise runs the
+  // compiled plan — with the same verdicts and the same event stream.
   const auto Seeds = forkSeeds(5050, 6);
-  const auto Ref =
-      scalarVerdicts(GetParam(), titan(), SysPlus, nullptr, Seeds);
   const auto Tuned = stress::TunedStressParams::paperDefaults(titan());
-  sim::ExecutionContext Ctx;
-  Ctx.requestTracing(true);
-  std::vector<AppVerdict> V(Seeds.size());
-  runApplicationBatch(Ctx, GetParam(), titan(), SysPlus, Tuned, nullptr,
-                      Seeds.data(), V.data(), Seeds.size(), 8);
-  EXPECT_EQ(Ref, V) << appName(GetParam());
+  const auto Traced = [&](sim::EngineMode M) {
+    EngineModeGuard Guard(M);
+    sim::ExecutionContext Ctx;
+    Ctx.requestTracing(true);
+    std::vector<AppVerdict> V;
+    std::vector<size_t> Events;
+    for (const uint64_t S : Seeds) {
+      V.push_back(runApplicationOnce(Ctx, GetParam(), titan(), SysPlus,
+                                     Tuned, nullptr, S));
+      Events.push_back(Ctx.trace().size());
+    }
+    return std::make_pair(V, Events);
+  };
+  const auto Scalar = Traced(sim::EngineMode::Scalar);
+  const auto Compiled = Traced(sim::EngineMode::Auto);
+  EXPECT_EQ(Scalar, Compiled) << appName(GetParam());
+  EXPECT_EQ(Scalar.first,
+            scalarVerdicts(GetParam(), titan(), SysPlus, nullptr, Seeds));
+  for (const size_t N : Compiled.second)
+    EXPECT_GT(N, 0u) << appName(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Lowerable, AppBatchIdentity,
@@ -354,25 +378,41 @@ INSTANTIATE_TEST_SUITE_P(Lowerable, AppBatchIdentity,
                          });
 
 TEST(AppBatchFallback, UnlowerableAppsMatchScalarViaFallback) {
-  // runApplicationBatch on an irregular app silently takes the coroutine
-  // path run-for-run.
+  // An irregular app takes the coroutine path under every engine mode,
+  // run for run.
   const auto Seeds = forkSeeds(6060, 6);
   for (const AppKind K : {AppKind::LsBh, AppKind::TpoTm}) {
     const auto Ref = scalarVerdicts(K, titan(), SysPlus, nullptr, Seeds);
-    EXPECT_EQ(Ref, batchedVerdicts(K, titan(), SysPlus, nullptr, Seeds, 8))
+    EXPECT_EQ(Ref, runVerdicts(K, titan(), SysPlus, nullptr, Seeds))
         << appName(K);
   }
 }
 
 TEST(AppBatchFallback, ScalarEngineModeForcesCoroutinePath) {
-  // --engine=scalar must be honoured by the batch API (identity again,
-  // but exercised through the mode switch).
+  // --engine=scalar must be honoured by runApplicationOnce (identity
+  // again, but exercised through the mode switch).
   const auto Seeds = forkSeeds(7070, 6);
-  const auto Ref =
-      scalarVerdicts(AppKind::CbeDot, titan(), SysPlus, nullptr, Seeds);
-  sim::setEngineMode(sim::EngineMode::Scalar);
-  const auto V =
-      batchedVerdicts(AppKind::CbeDot, titan(), SysPlus, nullptr, Seeds, 8);
-  sim::setEngineMode(sim::EngineMode::Auto);
-  EXPECT_EQ(Ref, V);
+  const auto Compiled =
+      runVerdicts(AppKind::CbeDot, titan(), SysPlus, nullptr, Seeds);
+  EXPECT_EQ(Compiled,
+            scalarVerdicts(AppKind::CbeDot, titan(), SysPlus, nullptr, Seeds));
+}
+
+//===----------------------------------------------------------------------===//
+// ls-bh regression
+//===----------------------------------------------------------------------===//
+
+TEST(LsBhRegression, CampaignSeed4SummariseStaysInBounds) {
+  // Campaign seed 4, cell 980/no-str-/ls-bh: an overflowed tree build
+  // used to send the summarise kernel past the node arrays and outside
+  // the memory image. The bounds checks stay on in Release, so a
+  // regression aborts here.
+  harness::CampaignConfig Cfg;
+  Cfg.Seed = 4;
+  Cfg.Runs = 8;
+  const sim::ChipProfile &Chip = *sim::ChipProfile::lookup("980");
+  const auto Env = *stress::Environment::parse("no-str-");
+  const harness::CampaignCell Cell =
+      harness::runCampaignAppCell(Cfg, Chip, Env, AppKind::LsBh, nullptr);
+  EXPECT_EQ(Cell.Result.Runs, 8u);
 }

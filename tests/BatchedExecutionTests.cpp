@@ -3,14 +3,17 @@
 // Part of the gpuwmm project, a reproduction of "Exposing Errors Related to
 // Weak Memory in GPU Applications" (Sorensen & Donaldson, PLDI 2016).
 //
-// The batched litmus engine's determinism contract (DESIGN.md Sec. 17):
-// LitmusRunner::countWeakBatch must be bit-identical, run for run, to a
-// scalar runOnce loop at the same derived seed streams — for every batch
-// width K, every option combination, fresh and reused contexts, and under
-// host-level parallelism. These property tests pin that contract over the
-// full built-in catalog and a population of random fuzz programs.
+// The compiled litmus engine's determinism contract (DESIGN.md Sec. 17):
+// LitmusRunner::countWeak on the compiled engine must be bit-identical,
+// run for run, to a runOnce loop on the coroutine reference engine
+// (--engine=scalar) at the same derived seed streams — for every option
+// combination, fresh and reused contexts, and under host-level
+// parallelism. These property tests pin that contract over the full
+// built-in catalog and a population of random fuzz programs.
 //
 //===----------------------------------------------------------------------===//
+
+#include "EngineModeGuard.h"
 
 #include "fuzz/LitmusBridge.h"
 #include "fuzz/ProgramFuzzer.h"
@@ -19,6 +22,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -66,13 +70,14 @@ std::vector<OptCase> optCases() {
   return Cases;
 }
 
-/// The scalar reference: a runOnce loop on a fresh runner, collecting the
-/// per-run weak verdicts.
+/// The scalar reference: a runOnce loop on a fresh runner under
+/// --engine=scalar, collecting the per-run weak verdicts.
 std::vector<uint8_t> scalarVerdicts(const Program &P, unsigned Distance,
                                     const LitmusRunner::MicroStress &S,
                                     unsigned Runs,
                                     const LitmusRunner::RunOpts &Opts,
                                     uint64_t Seed) {
+  EngineModeGuard Scalar(sim::EngineMode::Scalar);
   LitmusRunner Runner(titan(), Seed);
   std::vector<uint8_t> V;
   V.reserve(Runs);
@@ -81,16 +86,15 @@ std::vector<uint8_t> scalarVerdicts(const Program &P, unsigned Distance,
   return V;
 }
 
-/// The batched run at width K on a fresh runner.
+/// One compiled countWeak call on a fresh runner.
 std::vector<uint8_t> batchedVerdicts(const Program &P, unsigned Distance,
                                      const LitmusRunner::MicroStress &S,
                                      unsigned Runs,
                                      const LitmusRunner::RunOpts &Opts,
-                                     uint64_t Seed, unsigned K) {
+                                     uint64_t Seed) {
   LitmusRunner Runner(titan(), Seed);
-  Runner.setBatchWidth(K);
   std::vector<uint8_t> V;
-  const unsigned Weak = Runner.countWeakBatch(P, Distance, S, Runs, Opts, &V);
+  const unsigned Weak = Runner.countWeak(P, Distance, S, Runs, Opts, &V);
   EXPECT_EQ(Weak, static_cast<unsigned>(
                       std::count(V.begin(), V.end(), uint8_t(1))));
   EXPECT_EQ(Runner.executions(), Runs);
@@ -113,8 +117,7 @@ TEST_P(CatalogIdentity, BatchedMatchesScalarBitForBit) {
     const auto S = C.Stressed ? tunedStress() : LitmusRunner::MicroStress::none();
     const uint64_t Seed = 9000 + GetParam();
     const auto Scalar = scalarVerdicts(P, Distance, S, Runs, C.Opts, Seed);
-    const auto Batched =
-        batchedVerdicts(P, Distance, S, Runs, C.Opts, Seed, 7);
+    const auto Batched = batchedVerdicts(P, Distance, S, Runs, C.Opts, Seed);
     EXPECT_EQ(Scalar, Batched) << P.Name << " under " << C.Name;
   }
 }
@@ -131,39 +134,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 //===----------------------------------------------------------------------===//
-// Batch width is purely an amortisation window
-//===----------------------------------------------------------------------===//
-
-TEST(BatchWidth, ResultsIdenticalForEveryK) {
-  LitmusRunner::RunOpts Opts;
-  Opts.Randomise = true;
-  const auto S = tunedStress();
-  for (LitmusKind Kind : AllLitmusKinds) {
-    const Program &P = catalogProgram(Kind);
-    const auto Ref = scalarVerdicts(P, 128, S, 150, Opts, 42);
-    for (unsigned K : {1u, 2u, 7u, 64u})
-      EXPECT_EQ(Ref, batchedVerdicts(P, 128, S, 150, Opts, 42, K))
-          << litmusName(Kind) << " at K=" << K;
-  }
-}
-
-TEST(BatchWidth, ZeroResolvesToProcessDefault) {
-  LitmusRunner Runner(titan(), 1);
-  EXPECT_EQ(Runner.batchWidth(), sim::defaultBatchWidth());
-  Runner.setBatchWidth(5);
-  EXPECT_EQ(Runner.batchWidth(), 5u);
-  Runner.setBatchWidth(0);
-  EXPECT_EQ(Runner.batchWidth(), sim::defaultBatchWidth());
-}
-
-//===----------------------------------------------------------------------===//
 // Context reuse: plan switches and mixed scalar/batched streams
 //===----------------------------------------------------------------------===//
 
 TEST(ContextReuse, AlternatingInstancesMatchScalarSequence) {
-  // One runner alternating programs/distances batched must replay the
+  // One runner alternating programs/distances compiled must replay the
   // exact verdict sequence of one scalar runner doing the same sequence:
-  // plan rebuilds and slab reuse never leak state between instances.
+  // plan rebuilds and scratch reuse never leak state between instances.
   const Program &A = catalogProgram(LitmusKind::MP);
   const Program &B = catalogProgram(LitmusKind::SB);
   const auto S = tunedStress();
@@ -171,19 +148,20 @@ TEST(ContextReuse, AlternatingInstancesMatchScalarSequence) {
 
   LitmusRunner Scalar(titan(), 77);
   std::vector<uint8_t> Ref;
-  for (unsigned Leg = 0; Leg != 4; ++Leg) {
-    const Program &P = Leg % 2 ? B : A;
-    const unsigned D = Leg % 2 ? 64 : 128;
-    for (unsigned I = 0; I != 40; ++I)
-      Ref.push_back(Scalar.runOnce(P, D, S, Opts));
+  {
+    EngineModeGuard Guard(sim::EngineMode::Scalar);
+    for (unsigned Leg = 0; Leg != 4; ++Leg) {
+      const Program &P = Leg % 2 ? B : A;
+      const unsigned D = Leg % 2 ? 64 : 128;
+      for (unsigned I = 0; I != 40; ++I)
+        Ref.push_back(Scalar.runOnce(P, D, S, Opts));
+    }
   }
 
   LitmusRunner Batched(titan(), 77);
-  Batched.setBatchWidth(16);
   std::vector<uint8_t> Got, Leg;
   for (unsigned L = 0; L != 4; ++L) {
-    Batched.countWeakBatch(L % 2 ? B : A, L % 2 ? 64 : 128, S, 40, Opts,
-                           &Leg);
+    Batched.countWeak(L % 2 ? B : A, L % 2 ? 64 : 128, S, 40, Opts, &Leg);
     Got.insert(Got.end(), Leg.begin(), Leg.end());
   }
   EXPECT_EQ(Ref, Got);
@@ -191,40 +169,48 @@ TEST(ContextReuse, AlternatingInstancesMatchScalarSequence) {
 }
 
 TEST(ContextReuse, TracedRunsInterleaveWithBatchedRuns) {
-  // Traced runs take the scalar path inside countWeak; the seed stream
-  // must stay continuous across the seam so `litmus --explain` replays
-  // are unaffected by batching around them.
+  // Traced runs take the compiled engine like any other; the seed stream
+  // must stay continuous across traced and untraced calls so `litmus
+  // --explain` replays are unaffected by the runs around them.
   const Program &P = catalogProgram(LitmusKind::MP);
   const auto S = tunedStress();
   LitmusRunner::RunOpts Plain, Traced;
   Traced.Trace = true;
 
-  LitmusRunner Ref(titan(), 5);
   std::vector<uint8_t> Want;
-  for (unsigned I = 0; I != 100; ++I)
-    Want.push_back(Ref.runOnce(P, 128, S, Plain));
+  {
+    EngineModeGuard Guard(sim::EngineMode::Scalar);
+    LitmusRunner Ref(titan(), 5);
+    for (unsigned I = 0; I != 100; ++I)
+      Want.push_back(Ref.runOnce(P, 128, S, Plain));
+  }
 
   LitmusRunner Mixed(titan(), 5);
   std::vector<uint8_t> Got;
-  for (unsigned I = 0; I != 3; ++I)
+  for (unsigned I = 0; I != 3; ++I) {
     Got.push_back(Mixed.countWeak(P, 128, S, 1, Traced) != 0);
+    EXPECT_FALSE(Mixed.trace().empty());
+  }
   std::vector<uint8_t> Tail;
-  Mixed.countWeakBatch(P, 128, S, 97, Plain, &Tail);
+  Mixed.countWeak(P, 128, S, 97, Plain, &Tail);
   Got.insert(Got.end(), Tail.begin(), Tail.end());
   EXPECT_EQ(Want, Got);
   EXPECT_EQ(Mixed.executions(), 100u);
 }
 
 TEST(ContextReuse, CountWeakDelegatesToBatchedPath) {
-  // The public countWeak and the explicit batched call agree (they share
-  // one code path when no trace/sink is requested).
+  // countWeak's compiled loop (one stress source per call) and a runOnce
+  // loop (one source per run) agree run for run.
   const Program &P = catalogProgram(LitmusKind::LB);
   const auto S = tunedStress();
   LitmusRunner A(titan(), 11), B(titan(), 11);
-  std::vector<uint8_t> PerRun;
-  EXPECT_EQ(A.countWeak(P, 128, S, 200),
-            B.countWeakBatch(P, 128, S, 200, {}, &PerRun));
-  EXPECT_EQ(PerRun.size(), 200u);
+  std::vector<uint8_t> PerRun, Loop;
+  const unsigned Weak = A.countWeak(P, 128, S, 200, {}, &PerRun);
+  for (unsigned I = 0; I != 200; ++I)
+    Loop.push_back(B.runOnce(P, 128, S));
+  EXPECT_EQ(PerRun, Loop);
+  EXPECT_EQ(Weak, static_cast<unsigned>(
+                      std::count(Loop.begin(), Loop.end(), uint8_t(1))));
 }
 
 //===----------------------------------------------------------------------===//
@@ -232,16 +218,15 @@ TEST(ContextReuse, CountWeakDelegatesToBatchedPath) {
 //===----------------------------------------------------------------------===//
 
 TEST(PoolDeterminism, BatchedRunnersAreBitIdenticalUnderThreadPool) {
-  // Each index runs a batched sweep on its own runner with a derived
+  // Each index runs a compiled sweep on its own runner with a derived
   // seed; a 4-job pool must reproduce the serial results exactly (the
-  // batched engine keeps all state in the per-thread leased context).
+  // compiled engine keeps all state in the per-thread leased context).
   const auto S = tunedStress();
   const auto RunIndex = [&](size_t I) {
     const Program &P = catalog()[I % catalog().size()];
     LitmusRunner Runner(titan(), 1234 + I);
-    Runner.setBatchWidth(I % 2 ? 3 : 64);
     std::vector<uint8_t> V;
-    Runner.countWeakBatch(P, 96, S, 80, {}, &V);
+    Runner.countWeak(P, 96, S, 80, {}, &V);
     return V;
   };
 
@@ -274,8 +259,7 @@ TEST(FuzzPrograms, FiftyRandomProgramsMatchScalarBitForBit) {
     const auto S = I % 3 == 0 ? LitmusRunner::MicroStress::none()
                               : tunedStress();
     const auto Scalar = scalarVerdicts(P, 32, S, 30, Opts, 5000 + I);
-    const auto Batched =
-        batchedVerdicts(P, 32, S, 30, Opts, 5000 + I, 1 + I % 9);
+    const auto Batched = batchedVerdicts(P, 32, S, 30, Opts, 5000 + I);
     ASSERT_EQ(Scalar, Batched) << FP.str();
     ++Checked;
   }
@@ -291,7 +275,7 @@ TEST(FuzzPrograms, FiftyRandomProgramsMatchScalarBitForBit) {
 namespace {
 
 /// Runs a hand-assembled program once on a fresh context and returns the
-/// RunResult; \p Regs receives the run's final register stripe.
+/// RunResult; \p Regs receives the run's final registers.
 sim::RunResult runRaw(const sim::BatchProgram &BP, sim::ExecutionContext &Ctx,
                       std::vector<sim::Word> &Regs) {
   sim::BatchRunConfig Cfg;

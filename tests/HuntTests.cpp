@@ -16,10 +16,12 @@
 //  * the crash-safe corpus store (manifest discipline, torn tails, key
 //    CRCs, artifact healing, SIGKILL injection via fork+waitpid), and
 //  * the pipeline itself: a bounded hunt mines an oracle-verified-SC
-//    corpus whose bytes are identical for every --jobs and --batch, and
+//    corpus whose bytes are identical for every --jobs and engine, and
 //    crash+resume converges on the uninterrupted corpus.
 //
 //===----------------------------------------------------------------------===//
+
+#include "EngineModeGuard.h"
 
 #include "fuzz/LitmusBridge.h"
 #include "fuzz/ProgramFuzzer.h"
@@ -837,33 +839,24 @@ TEST(HuntPipelineTest, SameBugFromDifferentFuzzSeedsCollapses) {
   EXPECT_TRUE(C.contains(fuzz::canonicalKey(RB.Reduced)));
 }
 
-namespace {
-
-/// Restores the CLI batch-width override on scope exit.
-struct BatchWidthGuard {
-  ~BatchWidthGuard() { sim::setDefaultBatchWidth(0); }
-};
-
-} // namespace
-
-TEST(HuntPipelineTest, JobsAndBatchWidthsYieldIdenticalCorpus) {
+TEST(HuntPipelineTest, JobsYieldIdenticalCorpus) {
   // The determinism acceptance criterion: a bounded hunt's corpus bytes,
-  // artifacts and report JSON are bit-identical for every --jobs and
-  // --batch combination.
-  BatchWidthGuard Guard;
+  // artifacts and report JSON are bit-identical for every --jobs, and for
+  // the coroutine reference engine too.
   ThreadPool Pool(8);
   struct Variant {
+    const char *Name;
     ThreadPool *Pool;
-    unsigned BatchWidth;
+    sim::EngineMode Engine;
   };
   std::string RefJson, RefLog;
   std::map<std::string, std::string> RefArtifacts;
   for (const Variant &V :
-       {Variant{nullptr, 1}, Variant{nullptr, 64}, Variant{&Pool, 1},
-        Variant{&Pool, 64}}) {
-    sim::setDefaultBatchWidth(V.BatchWidth);
-    TempCorpusDir Dir(V.Pool ? (V.BatchWidth == 1 ? "-p1" : "-p64")
-                             : (V.BatchWidth == 1 ? "-s1" : "-s64"));
+       {Variant{"-serial", nullptr, sim::EngineMode::Auto},
+        Variant{"-pool", &Pool, sim::EngineMode::Auto},
+        Variant{"-scalar", &Pool, sim::EngineMode::Scalar}}) {
+    EngineModeGuard Engine(V.Engine);
+    TempCorpusDir Dir(V.Name);
     hunt::HuntConfig Cfg = tinyHunt(2);
     Cfg.CorpusDir = Dir.str();
     const hunt::HuntReport R = runHuntOk(Cfg, V.Pool);
@@ -879,11 +872,9 @@ TEST(HuntPipelineTest, JobsAndBatchWidthsYieldIdenticalCorpus) {
       EXPECT_FALSE(RefArtifacts.empty());
       continue;
     }
-    EXPECT_EQ(Json, RefJson) << "report diverged (pool=" << !!V.Pool
-                             << " batch=" << V.BatchWidth << ")";
-    EXPECT_EQ(Log, RefLog) << "corpus log diverged (pool=" << !!V.Pool
-                           << " batch=" << V.BatchWidth << ")";
-    EXPECT_EQ(Artifacts, RefArtifacts);
+    EXPECT_EQ(Json, RefJson) << "report diverged (" << V.Name << ")";
+    EXPECT_EQ(Log, RefLog) << "corpus log diverged (" << V.Name << ")";
+    EXPECT_EQ(Artifacts, RefArtifacts) << V.Name;
   }
 }
 

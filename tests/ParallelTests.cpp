@@ -13,6 +13,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineModeGuard.h"
+
 #include "fuzz/ProgramFuzzer.h"
 #include "harden/FenceInsertion.h"
 #include "harness/Campaign.h"
@@ -201,11 +203,13 @@ TEST(ParallelDeterminismTest, PatchFinderScan) {
   Cfg.NumLocations = 48;
   Cfg.Distances = {16, 32, 64};
   Cfg.Executions = 3;
-  const auto A = Serial.scan(Cfg);
+  // The serial arm runs the coroutine reference engine: histograms must
+  // be invariant to both jobs and engine.
+  const auto A = [&] {
+    EngineModeGuard Scalar(sim::EngineMode::Scalar);
+    return Serial.scan(Cfg);
+  }();
   ThreadPool Pool(8);
-  // The parallel arm also uses a deliberately odd batch width: histograms
-  // must be invariant to both jobs and K.
-  Cfg.BatchWidth = 7;
   const auto B = Parallel.scan(Cfg, &Pool);
   EXPECT_EQ(A.Hist, B.Hist);
   EXPECT_EQ(Serial.executions(), Parallel.executions());
@@ -218,9 +222,12 @@ TEST(ParallelDeterminismTest, SequenceTunerRanking) {
   tuning::SequenceTuner::Config Cfg;
   Cfg.NumLocations = 64; // One patch-aligned location on a 64-word chip.
   Cfg.Executions = 2;
-  const auto A = Serial.rankAll(64, Cfg);
+  // Rankings are invariant to jobs and engine.
+  const auto A = [&] {
+    EngineModeGuard Scalar(sim::EngineMode::Scalar);
+    return Serial.rankAll(64, Cfg);
+  }();
   ThreadPool Pool(8);
-  Cfg.BatchWidth = 3; // Rankings are invariant to jobs and batch width.
   const auto B = Parallel.rankAll(64, Cfg, &Pool);
   ASSERT_EQ(A.size(), B.size());
   for (size_t I = 0; I != A.size(); ++I) {
@@ -237,9 +244,12 @@ TEST(ParallelDeterminismTest, SpreadTunerRanking) {
   Cfg.MaxSpread = 6;
   Cfg.Executions = 8;
   const auto Seq = stress::AccessSequence::parse("st ld");
-  const auto A = Serial.rankAll(32, Seq, Cfg);
+  // Rankings are invariant to jobs and engine.
+  const auto A = [&] {
+    EngineModeGuard Scalar(sim::EngineMode::Scalar);
+    return Serial.rankAll(32, Seq, Cfg);
+  }();
   ThreadPool Pool(8);
-  Cfg.BatchWidth = 5; // Rankings are invariant to jobs and batch width.
   const auto B = Parallel.rankAll(32, Seq, Cfg, &Pool);
   ASSERT_EQ(A.size(), B.size());
   for (size_t I = 0; I != A.size(); ++I) {
@@ -417,17 +427,17 @@ TEST(GoldenCampaignTest, SubGridSummariesArePinned) {
 }
 
 //===----------------------------------------------------------------------===//
-// Golden engine grid: scalar and batched campaigns are interchangeable
+// Golden engine grid: scalar and compiled campaigns are interchangeable
 //===----------------------------------------------------------------------===//
 
-TEST(GoldenCampaignTest, EngineJobsAndBatchWidthGridIsInvariant) {
-  // The batched application engine (DESIGN.md Sec. 19) must leave every
+TEST(GoldenCampaignTest, EngineAndJobsGridIsInvariant) {
+  // The compiled application engine (DESIGN.md Sec. 19) must leave every
   // campaign number untouched: a sub-grid mixing lowerable kernels
   // (cbe-dot, sdk-red, cub-scan) with a coroutine-only fallback (ls-bh),
   // with the streaming oracle sampling every 5th run, is executed under
-  // engine {scalar, auto} x jobs {1, 8} x batch width {1, 64} and every
-  // combination must reproduce the scalar/serial reference cell for cell
-  // — error counts, oracle tallies and all.
+  // engine {scalar, auto} x jobs {1, 8} and every combination must
+  // reproduce the scalar/serial reference cell for cell — error counts,
+  // oracle tallies and all.
   harness::CampaignConfig Config;
   Config.Chips = {sim::ChipProfile::lookup("titan")};
   Config.Envs = {{stress::StressKind::None, false},
@@ -438,28 +448,31 @@ TEST(GoldenCampaignTest, EngineJobsAndBatchWidthGridIsInvariant) {
   Config.Seed = 42;
   Config.OracleEvery = 5;
 
-  sim::setEngineMode(sim::EngineMode::Scalar);
-  const auto Reference = harness::runCampaign(Config);
+  const auto Reference = [&] {
+    EngineModeGuard Scalar(sim::EngineMode::Scalar);
+    return harness::runCampaign(Config);
+  }();
   ASSERT_EQ(Reference.Cells.size(), 8u);
 
   for (sim::EngineMode Mode :
        {sim::EngineMode::Scalar, sim::EngineMode::Auto}) {
-    sim::setEngineMode(Mode);
+    EngineModeGuard Guard(Mode);
     for (unsigned Jobs : {1u, 8u}) {
-      for (unsigned Width : {1u, 64u}) {
-        sim::setDefaultBatchWidth(Width);
-        ThreadPool Pool(Jobs);
-        const auto Report = harness::runCampaign(Config, &Pool);
-        ASSERT_EQ(Report.Cells.size(), Reference.Cells.size());
-        for (size_t I = 0; I != Report.Cells.size(); ++I)
-          EXPECT_EQ(Report.Cells[I].Result, Reference.Cells[I].Result)
-              << "engine=" << sim::engineModeName(Mode)
-              << " jobs=" << Jobs << " batch=" << Width << " cell " << I;
+      ThreadPool Pool(Jobs);
+      const auto Report = harness::runCampaign(Config, &Pool);
+      ASSERT_EQ(Report.Cells.size(), Reference.Cells.size());
+      for (size_t I = 0; I != Report.Cells.size(); ++I) {
+        const harness::CampaignCell &Got = Report.Cells[I];
+        const harness::CampaignCell &Want = Reference.Cells[I];
+        EXPECT_EQ(Got.Result, Want.Result)
+            << "engine=" << sim::engineModeName(Mode) << " jobs=" << Jobs
+            << " cell " << I;
+        EXPECT_EQ(Got.OracleChecked, Want.OracleChecked) << "cell " << I;
+        EXPECT_EQ(Got.OracleViolations, Want.OracleViolations)
+            << "cell " << I;
       }
     }
   }
-  sim::setDefaultBatchWidth(0);
-  sim::setEngineMode(sim::EngineMode::Auto);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 # Smoke-tests the `gpuwmm hunt` CLI: runs a bounded hunt with an on-disk
 # corpus and validates the JSON report with CMake's native string(JSON)
 # parser (no Python/network dependency). With -DCHECK_GRID=ON it
-# additionally re-runs the identical bounded hunt across a --jobs x
-# --batch grid and requires the report, the corpus record log, the
+# additionally re-runs the identical bounded hunt across a --jobs grid
+# and requires the report, the corpus record log, the
 # manifest and every .litmus artifact to be byte-identical — the hunt
 # determinism acceptance criterion.
 #
@@ -115,39 +115,37 @@ if(NOT CHECK_GRID)
 endif()
 
 # --- The determinism grid ---------------------------------------------------
-# The identical bounded hunt at every --jobs x --batch combination must
-# reproduce the reference corpus and report bit for bit.
+# The identical bounded hunt at every --jobs value must reproduce the
+# reference corpus and report bit for bit.
 file(READ "${REF_CORPUS}/manifest.json" REF_MANIFEST)
 file(READ "${REF_CORPUS}/corpus-0000.jsonl" REF_LOG)
 file(GLOB REF_ARTIFACTS RELATIVE "${REF_CORPUS}" "${REF_CORPUS}/*.litmus")
 
 foreach(JOBS 1 8)
-  foreach(BATCH 1 64)
-    set(TAG "j${JOBS}-b${BATCH}")
-    set(OUT "${WORK_DIR}/hunt-${TAG}.json")
-    set(CORPUS "${WORK_DIR}/corpus-${TAG}")
-    run_hunt("${OUT}" "${CORPUS}" --jobs=${JOBS} --batch=${BATCH})
-    file(READ "${OUT}" GOT)
-    if(NOT GOT STREQUAL REPORT)
-      message(FATAL_ERROR "${TAG}: report diverged from the reference")
+  set(TAG "j${JOBS}")
+  set(OUT "${WORK_DIR}/hunt-${TAG}.json")
+  set(CORPUS "${WORK_DIR}/corpus-${TAG}")
+  run_hunt("${OUT}" "${CORPUS}" --jobs=${JOBS})
+  file(READ "${OUT}" GOT)
+  if(NOT GOT STREQUAL REPORT)
+    message(FATAL_ERROR "${TAG}: report diverged from the reference")
+  endif()
+  file(READ "${CORPUS}/manifest.json" GOT_MANIFEST)
+  if(NOT GOT_MANIFEST STREQUAL REF_MANIFEST)
+    message(FATAL_ERROR "${TAG}: manifest diverged")
+  endif()
+  file(READ "${CORPUS}/corpus-0000.jsonl" GOT_LOG)
+  if(NOT GOT_LOG STREQUAL REF_LOG)
+    message(FATAL_ERROR "${TAG}: corpus record log diverged")
+  endif()
+  foreach(ARTIFACT IN LISTS REF_ARTIFACTS)
+    file(READ "${REF_CORPUS}/${ARTIFACT}" WANT_BYTES)
+    file(READ "${CORPUS}/${ARTIFACT}" GOT_BYTES)
+    if(NOT GOT_BYTES STREQUAL WANT_BYTES)
+      message(FATAL_ERROR "${TAG}: artifact ${ARTIFACT} diverged")
     endif()
-    file(READ "${CORPUS}/manifest.json" GOT_MANIFEST)
-    if(NOT GOT_MANIFEST STREQUAL REF_MANIFEST)
-      message(FATAL_ERROR "${TAG}: manifest diverged")
-    endif()
-    file(READ "${CORPUS}/corpus-0000.jsonl" GOT_LOG)
-    if(NOT GOT_LOG STREQUAL REF_LOG)
-      message(FATAL_ERROR "${TAG}: corpus record log diverged")
-    endif()
-    foreach(ARTIFACT IN LISTS REF_ARTIFACTS)
-      file(READ "${REF_CORPUS}/${ARTIFACT}" WANT_BYTES)
-      file(READ "${CORPUS}/${ARTIFACT}" GOT_BYTES)
-      if(NOT GOT_BYTES STREQUAL WANT_BYTES)
-        message(FATAL_ERROR "${TAG}: artifact ${ARTIFACT} diverged")
-      endif()
-    endforeach()
   endforeach()
 endforeach()
 
 message(STATUS "hunt determinism grid: report + corpus byte-identical"
-               " across jobs x batch")
+               " across jobs")

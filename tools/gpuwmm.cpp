@@ -33,6 +33,7 @@
 #include "support/ThreadPool.h"
 #include "tuning/Tuner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -113,12 +114,12 @@ int usage() {
       "\n"
       "common options: --seed=N; --jobs=N worker threads (results are\n"
       "identical for every N; default GPUWMM_JOBS or all cores);\n"
-      "--batch=K seeds per batch in the batched litmus and application\n"
-      "engines (results are identical for every K; default GPUWMM_BATCH\n"
-      "or 64); --engine=auto|scalar|batched engine selection (auto\n"
-      "batches wherever the kernel lowers; batched fails on kernels\n"
-      "that cannot lower; results are engine-independent; default\n"
-      "GPUWMM_ENGINE or auto); GPUWMM_SCALE scales run counts globally\n");
+      "--engine=auto|scalar|batched engine selection (auto runs every\n"
+      "program that lowers on the compiled engine, traced and oracle-\n"
+      "checked runs included; scalar forces the coroutine reference\n"
+      "engine; batched fails on kernels that cannot lower; results are\n"
+      "engine-independent; default GPUWMM_ENGINE or auto); GPUWMM_SCALE\n"
+      "scales run counts globally. Unknown options are rejected.\n");
   return 2;
 }
 
@@ -150,6 +151,16 @@ const litmus::Program *catalogTestOrNull(const std::string &Name) {
                suggestClause(Name, litmus::catalogNames()).c_str());
   return nullptr;
 }
+
+/// Every option key any command reads (main() rejects all others).
+constexpr const char *KnownOptions[] = {
+    "app",         "apps",     "cells",       "chip",        "chips",
+    "corpus-dir",  "dir",      "distance",    "engine",      "env",
+    "envs",        "explain",  "export-weak", "fences",      "file",
+    "harden-runs", "jobs",     "litmus",      "oracle",      "out",
+    "out-dir",     "print",    "programs",    "resume",      "rounds",
+    "runs",        "scale",    "seed",        "shrink",      "shrink-runs",
+    "stable-runs", "stress",   "test",        "tests",       "verify-runs"};
 
 /// Upper bound on --jobs: far beyond any useful worker count, but small
 /// enough that narrowing to unsigned can never truncate.
@@ -630,7 +641,7 @@ int cmdHunt(const Options &Opts) {
     std::fprintf(stderr, "warning: %s\n", W.c_str());
 
   // Wall time goes to stderr only: the JSON report is byte-identical
-  // across machines, --jobs and --batch values for one config.
+  // across machines and --jobs values for one config.
   std::fprintf(stderr,
                "hunt: %u round(s) [%u..%u): %llu programs fuzzed, %llu "
                "weak, %llu shrunk into %llu new entr%s (%llu duplicate(s), "
@@ -911,12 +922,19 @@ int main(int Argc, char **Argv) {
   // --jobs is a common option: validate it for every command (exits with
   // a clear error on 0, negative, non-numeric or absurdly large values).
   (void)Opts.getPositiveInt("jobs", 0, MaxJobs);
-  // --batch is equally common: the batched engine's seeds-per-batch width
-  // (amortisation only — results are identical for every width). 0 keeps
-  // the auto resolution (GPUWMM_BATCH, else 64).
-  if (const int64_t Batch =
-          Opts.getPositiveInt("batch", 0, sim::MaxBatchWidth))
-    sim::setDefaultBatchWidth(static_cast<unsigned>(Batch));
+  // Every --key must be one the CLI reads: a misspelt or retired option
+  // fails loudly instead of being silently ignored.
+  for (const std::string &Key : Opts.keys()) {
+    if (std::find(std::begin(KnownOptions), std::end(KnownOptions), Key) !=
+        std::end(KnownOptions))
+      continue;
+    std::vector<std::string> Candidates;
+    for (const char *K : KnownOptions)
+      Candidates.push_back(std::string("--") + K);
+    std::fprintf(stderr, "error: unknown option '--%s'%s\n", Key.c_str(),
+                 suggestClause("--" + Key, Candidates).c_str());
+    return 2;
+  }
   // --engine selects the execution engine globally (results are
   // engine-independent; batched additionally refuses kernels that cannot
   // lower). An explicit flag must parse, unlike GPUWMM_ENGINE which
