@@ -27,11 +27,24 @@
 //    and the off-arm throughput regressed more than 2% against its
 //    committed off_runs_per_sec (bench/baselines/; same-machine only).
 //
+// The app-trace arms replay recorded titan traces of the three hub-heavy
+// applications (tpo-tm, cbe-ht, ls-bh; unstressed, so the runs stay
+// sequentially consistent and the live graph does work to the end)
+// through both checkers, where the litmus arms above never build a hub.
+// Each arm hard-fails when the checkers' verdicts differ, when streaming
+// costs more than its budgeted multiple of the post-hoc replay of the same
+// traces, or when the live graph's edge operations per event exceed the
+// arm's budget. The last is a deterministic work counter: a splice that
+// densifies again (the unreduced one spent over 300 per event on tpo-tm)
+// fails it on any machine.
+//
 //===----------------------------------------------------------------------===//
 
+#include "apps/Application.h"
 #include "litmus/Litmus.h"
 #include "model/ConsistencyChecker.h"
 #include "model/StreamingChecker.h"
+#include "sim/ExecutionContext.h"
 #include "stress/Environment.h"
 #include "support/Options.h"
 #include "support/Table.h"
@@ -55,6 +68,22 @@ namespace {
 /// container; 3.5x leaves noise headroom while still catching an
 /// accidental per-event allocation or a quadratic frontier walk.
 constexpr double StreamBudget = 3.5;
+
+/// One app-trace arm's budgets: streaming seconds over post-hoc seconds on
+/// the same traces, and live-graph edge operations per event. Measured on
+/// a 4-core x86 host: tpo-tm 38-56x and 76/event (the unreduced splice:
+/// ~500x and over 300/event), cbe-ht ~5x and 14/event, ls-bh ~3x and
+/// 3/event.
+struct AppArm {
+  apps::AppKind App;
+  double TimeBudget;
+  double EdgeOpsBudget;
+};
+constexpr AppArm AppArms[] = {
+    {apps::AppKind::TpoTm, 100.0, 100.0},
+    {apps::AppKind::CbeHt, 20.0, 20.0},
+    {apps::AppKind::LsBh, 20.0, 5.0},
+};
 
 double now() {
   return std::chrono::duration<double>(
@@ -178,6 +207,72 @@ int main(int Argc, char **Argv) {
   std::printf("streaming weak verdicts: %u/%u; violations: %u\n",
               StreamWeakVerdicts, Runs, StreamViolations);
 
+  // --- App-trace arms: hub-heavy traces, streaming vs post-hoc ------------
+  const unsigned AppRuns = scaledCount(6);
+  const stress::Environment Unstressed{stress::StressKind::None, false};
+  std::printf("\napp traces: %u recorded unstressed titan runs per app\n\n",
+              AppRuns);
+  Table AT({"app", "events", "post-hoc s", "streaming s", "ratio",
+            "edge ops/event", "peak degree", "verdict"});
+  bool AppsOk = true;
+  std::string AppJson;
+  sim::ExecutionContext Ctx;
+  Ctx.requestTracing(true);
+  for (const AppArm &Arm : AppArms) {
+    std::vector<std::vector<sim::TraceEvent>> Traces;
+    for (unsigned I = 0; I != AppRuns; ++I) {
+      (void)apps::runApplicationOnce(Ctx, Arm.App, Chip, Unstressed, Tuned,
+                                     /*Policy=*/nullptr,
+                                     Rng::deriveStream(Seed, I));
+      Traces.push_back(Ctx.trace().events());
+    }
+    uint64_t Events = 0, EdgeOps = 0;
+    size_t PeakDegree = 0;
+    std::vector<uint8_t> PostVerdicts, StreamVerdicts;
+    const double PostStart = now();
+    for (const auto &T : Traces) {
+      const model::CheckResult R = PostHoc.check(T);
+      PostVerdicts.push_back(R.AxiomsOk ? 1 + R.weak() : 0);
+    }
+    const double AppPostSeconds = now() - PostStart;
+    const double ArmStart = now();
+    for (const auto &T : Traces) {
+      const model::StreamVerdict &R = Checker.checkAll(T);
+      StreamVerdicts.push_back(R.AxiomsOk ? 1 + R.weak() : 0);
+      Events += T.size();
+      EdgeOps += Checker.edgeOps();
+      PeakDegree = std::max(PeakDegree, Checker.peakDegree());
+    }
+    const double AppStreamSeconds = now() - ArmStart;
+    const double Ratio =
+        AppPostSeconds > 0.0 ? AppStreamSeconds / AppPostSeconds : 0.0;
+    const double OpsPerEvent =
+        Events ? static_cast<double>(EdgeOps) / Events : 0.0;
+    const bool Agree = PostVerdicts == StreamVerdicts;
+    const bool Ok = Agree && Ratio <= Arm.TimeBudget &&
+                    OpsPerEvent <= Arm.EdgeOpsBudget;
+    AppsOk = AppsOk && Ok;
+    AT.addRow({apps::appName(Arm.App), std::to_string(Events),
+               formatDouble(AppPostSeconds, 3),
+               formatDouble(AppStreamSeconds, 3),
+               formatDouble(Ratio, 1) + "x (<=" +
+                   formatDouble(Arm.TimeBudget, 0) + ")",
+               formatDouble(OpsPerEvent, 1) + " (<=" +
+                   formatDouble(Arm.EdgeOpsBudget, 0) + ")",
+               std::to_string(PeakDegree),
+               !Agree ? "CHECKERS DISAGREE" : Ok ? "ok" : "OVER BUDGET"});
+    char Buf[256];
+    std::snprintf(Buf, sizeof Buf,
+                  "%s{\"app\": \"%s\", \"events\": %llu, "
+                  "\"stream_vs_posthoc_ratio\": %.2f, "
+                  "\"edge_ops_per_event\": %.2f, \"peak_degree\": %zu}",
+                  AppJson.empty() ? "" : ", ", apps::appName(Arm.App),
+                  static_cast<unsigned long long>(Events), Ratio, OpsPerEvent,
+                  PeakDegree);
+    AppJson += Buf;
+  }
+  AT.print(std::cout);
+
   // Optional committed-baseline guard for the off path (>2% regression
   // fails). Same-machine comparisons only — never enabled blindly in CI.
   bool BaselineOk = true;
@@ -203,11 +298,13 @@ int main(int Argc, char **Argv) {
   std::printf("\n{\"bench\": \"streaming_oracle\", \"runs\": %u, "
               "\"off_runs_per_sec\": %.0f, \"trace_runs_per_sec\": %.0f, "
               "\"stream_runs_per_sec\": %.0f, \"posthoc_runs_per_sec\": "
-              "%.0f, \"stream_vs_trace_ratio\": %.2f, \"identical\": %s}\n",
+              "%.0f, \"stream_vs_trace_ratio\": %.2f, \"identical\": %s, "
+              "\"app_arms\": [%s]}\n",
               Runs, OffRate, TraceRate, StreamRate, PostRate, StreamRatio,
-              Identical ? "true" : "false");
+              Identical ? "true" : "false", AppJson.c_str());
 
-  // Identity and axiom-cleanliness are correctness contracts; the relative
-  // budget is the "checking every run is affordable" contract.
-  return Identical && Clean && WithinBudget && BaselineOk ? 0 : 1;
+  // Identity, axiom-cleanliness and checker agreement are correctness
+  // contracts; the relative budgets and the edge-op budget are the
+  // "checking every run is affordable" contract.
+  return Identical && Clean && WithinBudget && AppsOk && BaselineOk ? 0 : 1;
 }

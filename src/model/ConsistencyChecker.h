@@ -103,6 +103,15 @@ public:
     return check(Trace.events());
   }
 
+  /// The po ∪ rf ∪ co ∪ fr out-edges of the last check()'s events, by event
+  /// index. Built only when that check's axioms held; entries past its
+  /// event count are stale. Read-only, for auditing another checker's
+  /// witness against the full trace.
+  const std::vector<std::vector<std::pair<uint32_t, EdgeKind>>> &
+  edges() const {
+    return Edges;
+  }
+
 private:
   struct ReplayScratch; ///< Recycled replay-pass containers (in the .cpp).
   std::unique_ptr<ReplayScratch> ScratchPtr;

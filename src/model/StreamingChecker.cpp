@@ -18,6 +18,8 @@
 #include "model/StreamingChecker.h"
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 #include <sstream>
 
 using namespace gpuwmm;
@@ -62,36 +64,132 @@ void violate(StreamVerdict &R, const char *Msg, size_t A, size_t B,
     R.EventB = *EvB;
 }
 
-void eraseTarget(std::vector<std::pair<uint64_t, EdgeKind>> &Out,
-                 uint64_t To) {
-  for (size_t K = 0; K != Out.size(); ++K)
-    if (Out[K].first == To) {
-      Out.erase(Out.begin() + static_cast<ptrdiff_t>(K));
-      return;
-    }
-}
+/// No po lane: a host write, which sits on no thread's program order.
+constexpr uint32_t NoLane = static_cast<uint32_t>(-1);
+constexpr uint32_t NoSlot = static_cast<uint32_t>(-1); ///< Not live.
+constexpr uint32_t NoEdge = static_cast<uint32_t>(-1); ///< List end / miss.
 
-void eraseSource(std::vector<uint64_t> &In, uint64_t From) {
-  for (size_t K = 0; K != In.size(); ++K)
-    if (In[K] == From) {
-      In.erase(In.begin() + static_cast<ptrdiff_t>(K));
-      return;
-    }
-}
+/// Recycled storage with stable element addresses, grown a chunk at a time:
+/// no doubling copy, no doubled slack, and a run's surplus chunks can be
+/// handed back while the first is kept. (A pool of checkers on std::vector
+/// storage peaked about 3.5 MiB higher on titan's checked 8x10 grid with
+/// four workers.)
+template <typename T, unsigned ChunkBits> class Slab {
+public:
+  static constexpr uint32_t ChunkSize = uint32_t{1} << ChunkBits;
 
-bool hasTarget(const std::vector<std::pair<uint64_t, EdgeKind>> &Out,
-               uint64_t To) {
-  for (const auto &[T, K] : Out)
-    if (T == To)
-      return true;
-  return false;
-}
+  T &operator[](uint32_t I) {
+    return Chunks[I >> ChunkBits][I & (ChunkSize - 1)];
+  }
+  /// Makes element \p I addressable; elements are handed out in order.
+  void reach(uint32_t I) {
+    if ((I >> ChunkBits) == Chunks.size())
+      Chunks.push_back(std::make_unique<T[]>(ChunkSize));
+  }
+  /// Frees every chunk past the first.
+  void trim() {
+    if (Chunks.size() > 1)
+      Chunks.resize(1);
+  }
+
+private:
+  std::vector<std::unique_ptr<T[]>> Chunks;
+};
+
+/// Open-addressing map from a 64-bit adjacency key to an edge id: linear
+/// probing at load <= 3/4 and backward-shift deletion (no tombstones).
+class EdgeIndex {
+public:
+  /// Empties the map. A table past KeepBuckets is handed back; one up to
+  /// that size (a spin-lock app's hub index: tpo-tm needs ~19k keys)
+  /// stays, since reallocating it every run fragments the heap more than
+  /// keeping it costs.
+  void clear() {
+    if (Buckets.size() > KeepBuckets) {
+      std::vector<Bucket>().swap(Buckets);
+      Mask = 0;
+      Shift = 64;
+    } else if (Count != 0) {
+      std::fill(Buckets.begin(), Buckets.end(), Bucket());
+    }
+    Count = 0;
+  }
+
+  uint32_t find(uint64_t Key) const {
+    if (Buckets.empty())
+      return NoEdge;
+    for (size_t I = home(Key);; I = (I + 1) & Mask) {
+      const Bucket &B = Buckets[I];
+      if (B.Edge == NoEdge || B.Key == Key)
+        return B.Edge;
+    }
+  }
+
+  /// \p Key must be absent.
+  void insert(uint64_t Key, uint32_t Edge) {
+    if (4 * (Count + 1) > 3 * Buckets.size())
+      grow();
+    size_t I = home(Key);
+    while (Buckets[I].Edge != NoEdge)
+      I = (I + 1) & Mask;
+    Buckets[I] = {Key, Edge};
+    ++Count;
+  }
+
+  /// \p Key must be present.
+  void erase(uint64_t Key) {
+    size_t I = home(Key);
+    while (Buckets[I].Key != Key || Buckets[I].Edge == NoEdge)
+      I = (I + 1) & Mask;
+    // Backward shift: pull every later run member whose home is not in
+    // (I, J] into the hole, so probes never need tombstones.
+    for (size_t J = (I + 1) & Mask; Buckets[J].Edge != NoEdge;
+         J = (J + 1) & Mask) {
+      const size_t H = home(Buckets[J].Key);
+      if (((J - H) & Mask) >= ((J - I) & Mask)) {
+        Buckets[I] = Buckets[J];
+        I = J;
+      }
+    }
+    Buckets[I].Edge = NoEdge;
+    --Count;
+  }
+
+private:
+  struct Bucket {
+    uint64_t Key = 0;
+    uint32_t Edge = NoEdge; ///< NoEdge marks an empty bucket.
+  };
+  static constexpr size_t MinSize = 256, KeepBuckets = size_t{1} << 15;
+  std::vector<Bucket> Buckets;
+  size_t Mask = 0;
+  unsigned Shift = 64;
+  size_t Count = 0;
+
+  size_t home(uint64_t Key) const {
+    return static_cast<size_t>((Key * 0x9E3779B97F4A7C15ull) >> Shift);
+  }
+
+  void grow() {
+    std::vector<Bucket> Old;
+    Old.swap(Buckets);
+    const size_t Size = Old.empty() ? MinSize : 2 * Old.size();
+    Buckets.assign(Size, Bucket());
+    Mask = Size - 1;
+    Shift = 64 - static_cast<unsigned>(std::countr_zero(Size));
+    Count = 0;
+    for (const Bucket &B : Old)
+      if (B.Edge != NoEdge)
+        insert(B.Key, B.Edge);
+  }
+};
 
 } // namespace
 
 /// All incremental state, recycled across begin() calls (clear() keeps
-/// hash buckets and vector capacity). Namespace scope — not nested in the
-/// checker — so the file-local graph helper can name it.
+/// hash buckets, and the graph storage of litmus-sized runs). Namespace
+/// scope — not nested in the checker — so the file-local graph helper can
+/// name it.
 struct gpuwmm::model::detail::StreamingCheckerState {
   // --- Replay-axiom state (mirrors ConsistencyChecker's ReplayScratch) ----
   /// One thread's un-drained buffered store on one bank, with a copy of
@@ -146,14 +244,43 @@ struct gpuwmm::model::detail::StreamingCheckerState {
   std::unordered_map<Addr, AddrState> Addrs;
 
   // --- Live causality graph -----------------------------------------------
+  /// One stored edge, threaded on its source's out-list and its target's
+  /// in-list (both in insertion order: the DFS, and so the witness, order).
+  struct Edge {
+    uint32_t From, To; ///< Node slots.
+    uint32_t PrevOut, NextOut;
+    uint32_t PrevIn, NextIn;
+    EdgeKind Kind;
+  };
   struct GNode {
     TraceEvent Ev;
-    std::vector<std::pair<uint64_t, EdgeKind>> Out;
-    std::vector<uint64_t> In;
+    uint64_t Index = 0;     ///< Global event index.
+    uint32_t Lane = NoLane; ///< Issuing thread (NoLane for a host write).
+    uint32_t OutHead = NoEdge, OutTail = NoEdge;
+    uint32_t InHead = NoEdge, InTail = NoEdge;
+    uint32_t OutDegree = 0, InDegree = 0;
     uint8_t Pins = 0;
+    /// The list is in Adjacency (it outgrew a scan); stays until retired.
+    bool OutIndexed = false, InIndexed = false;
     uint64_t Stamp = 0; ///< DFS visitation stamp.
   };
-  std::unordered_map<uint64_t, GNode> Live;
+  /// Adjacency lists longer than this are indexed, shorter ones scanned
+  /// (DESIGN.md Sec. 15 has the measured degree distribution and the A/B
+  /// against indexing or scanning every list).
+  static constexpr uint32_t IndexAbove = 8;
+  /// The node slab: slots [0, UsedSlots) were handed out this run; retired
+  /// slots are recycled through FreeSlots. Edges pool the same way.
+  Slab<GNode, 8> Nodes;
+  std::vector<uint32_t> FreeSlots;
+  uint32_t UsedSlots = 0;
+  Slab<Edge, 10> Edges;
+  std::vector<uint32_t> FreeEdges;
+  uint32_t UsedEdges = 0;
+  /// (node slot, direction, neighbour lane) -> the node's unique edge to or
+  /// from that lane, for indexed lists; a host-write neighbour is keyed by
+  /// its slot instead.
+  EdgeIndex Adjacency;
+  std::unordered_map<uint64_t, uint32_t> Live; ///< Event index -> slot.
   /// Readers registered on a still-pending store (not yet in co), keyed by
   /// its issue node; transferred to the CoEnt when the store drains.
   std::unordered_map<uint64_t, std::vector<uint64_t>> PendingReaders;
@@ -165,10 +292,14 @@ struct gpuwmm::model::detail::StreamingCheckerState {
   TraceEvent LastEv; ///< Copy of the most recent event (end-of-run anchor).
 
   struct Frame {
-    uint64_t Node;
-    uint32_t Edge;
+    uint32_t Slot;
+    uint32_t Next;  ///< Next out-edge to try.
+    uint32_t Taken; ///< Out-edge the search descended through.
   };
   std::vector<Frame> Stack; ///< DFS scratch.
+  /// Retirement scratch: the retiring node's neighbours.
+  std::vector<uint32_t> SpliceFrom;
+  std::vector<std::pair<uint32_t, EdgeKind>> SpliceTo;
 
   void clear() {
     Pending.clear();
@@ -179,6 +310,17 @@ struct gpuwmm::model::detail::StreamingCheckerState {
     Overlay.clear();
     PromotedIds.clear();
     Addrs.clear();
+    // The first chunks stay, so streams of litmus-sized checked runs stop
+    // allocating. An app-sized graph's surplus is handed back: otherwise
+    // every pool worker's checker would hold its largest run's graph for
+    // good, and the process would peak at their sum.
+    Nodes.trim();
+    Edges.trim();
+    FreeSlots.clear();
+    UsedSlots = 0;
+    FreeEdges.clear();
+    UsedEdges = 0;
+    Adjacency.clear();
     Live.clear();
     PendingReaders.clear();
     LastPo.clear();
@@ -189,9 +331,10 @@ struct gpuwmm::model::detail::StreamingCheckerState {
     Stack.clear();
   }
 
-  GNode *node(uint64_t I) {
+  /// The live node's slot, or NoSlot when the event is not live.
+  uint32_t slotOf(uint64_t I) const {
     const auto It = Live.find(I);
-    return It == Live.end() ? nullptr : &It->second;
+    return It == Live.end() ? NoSlot : It->second;
   }
 };
 
@@ -207,7 +350,10 @@ struct Graph {
   StreamVerdict &R;
   size_t &PeakLive;
   uint64_t &Retired;
+  uint64_t &EdgeOps;
+  size_t &PeakDegree;
 
+  using Edge = State::Edge;
   using GNode = State::GNode;
   using AddrState = State::AddrState;
   using CoEnt = State::CoEnt;
@@ -215,94 +361,233 @@ struct Graph {
   void makeNode(uint64_t I, const TraceEvent &E) {
     if (S.GraphDead)
       return;
-    S.Live[I].Ev = E;
+    uint32_t Slot;
+    if (!S.FreeSlots.empty()) {
+      Slot = S.FreeSlots.back();
+      S.FreeSlots.pop_back();
+    } else {
+      Slot = S.UsedSlots++;
+      S.Nodes.reach(Slot);
+    }
+    GNode &N = S.Nodes[Slot];
+    N = GNode();
+    N.Ev = E;
+    N.Index = I;
+    N.Lane = E.Kind == TraceEventKind::HostWrite ? NoLane : E.Tid;
+    S.Live.emplace(I, Slot);
     PeakLive = std::max(PeakLive, S.Live.size());
   }
 
   void pin(uint64_t I, uint8_t Bit) {
     if (S.GraphDead)
       return;
-    if (GNode *N = S.node(I))
-      N->Pins |= Bit;
+    const uint32_t Slot = S.slotOf(I);
+    if (Slot != NoSlot)
+      S.Nodes[Slot].Pins |= Bit;
   }
 
   void unpin(uint64_t I, uint8_t Bit) {
     if (S.GraphDead)
       return;
-    GNode *N = S.node(I);
-    if (!N)
+    const uint32_t Slot = S.slotOf(I);
+    if (Slot == NoSlot)
       return;
-    N->Pins &= static_cast<uint8_t>(~Bit);
-    if (N->Pins == 0)
-      retire(I, *N);
+    GNode &N = S.Nodes[Slot];
+    N.Pins &= static_cast<uint8_t>(~Bit);
+    if (N.Pins == 0)
+      retire(Slot);
   }
 
-  /// Splices the node out: every in-neighbor gains shortcut edges to every
+  /// The adjacency-index key for \p Slot's edge in direction \p In whose
+  /// neighbour is \p Nb on \p NbLane: the lane, or the slot of a host write.
+  static uint64_t adjKey(uint32_t Slot, bool In, uint32_t Nb, uint32_t NbLane) {
+    const uint64_t Key = NbLane == NoLane ? (uint64_t{1} << 32) | Nb : NbLane;
+    return (static_cast<uint64_t>(Slot) << 34) | (uint64_t{In} << 33) | Key;
+  }
+  uint64_t outKey(const Edge &E) {
+    return adjKey(E.From, /*In=*/false, E.To, S.Nodes[E.To].Lane);
+  }
+  uint64_t inKey(const Edge &E) {
+    return adjKey(E.To, /*In=*/true, E.From, S.Nodes[E.From].Lane);
+  }
+
+  /// \p Slot's edge in direction \p In whose neighbour matches \p Nb on
+  /// \p NbLane (same lane; for a host write, the node itself), or NoEdge.
+  /// There is at most one: the lane reduction's invariant.
+  uint32_t findEdge(uint32_t Slot, bool In, uint32_t Nb, uint32_t NbLane) {
+    const GNode &N = S.Nodes[Slot];
+    if (In ? N.InIndexed : N.OutIndexed)
+      return S.Adjacency.find(adjKey(Slot, In, Nb, NbLane));
+    for (uint32_t Id = In ? N.InHead : N.OutHead; Id != NoEdge;) {
+      const Edge &E = S.Edges[Id];
+      const uint32_t Other = In ? E.From : E.To;
+      if (NbLane == NoLane ? Other == Nb : S.Nodes[Other].Lane == NbLane)
+        return Id;
+      Id = In ? E.NextIn : E.NextOut;
+    }
+    return NoEdge;
+  }
+
+  /// Moves a list that outgrew a scan into the index.
+  void indexList(uint32_t Slot, bool In) {
+    GNode &N = S.Nodes[Slot];
+    (In ? N.InIndexed : N.OutIndexed) = true;
+    for (uint32_t Id = In ? N.InHead : N.OutHead; Id != NoEdge;) {
+      const Edge &E = S.Edges[Id];
+      S.Adjacency.insert(In ? inKey(E) : outKey(E), Id);
+      Id = In ? E.NextIn : E.NextOut;
+    }
+  }
+
+  void eraseEdge(uint32_t Id) {
+    const Edge &E = S.Edges[Id];
+    GNode &From = S.Nodes[E.From];
+    GNode &To = S.Nodes[E.To];
+    (E.PrevOut == NoEdge ? From.OutHead : S.Edges[E.PrevOut].NextOut) =
+        E.NextOut;
+    (E.NextOut == NoEdge ? From.OutTail : S.Edges[E.NextOut].PrevOut) =
+        E.PrevOut;
+    (E.PrevIn == NoEdge ? To.InHead : S.Edges[E.PrevIn].NextIn) = E.NextIn;
+    (E.NextIn == NoEdge ? To.InTail : S.Edges[E.NextIn].PrevIn) = E.PrevIn;
+    --From.OutDegree;
+    --To.InDegree;
+    if (From.OutIndexed)
+      S.Adjacency.erase(outKey(E));
+    if (To.InIndexed)
+      S.Adjacency.erase(inKey(E));
+    S.FreeEdges.push_back(Id);
+    ++EdgeOps;
+  }
+
+  void appendEdge(uint32_t FromSlot, uint32_t ToSlot, EdgeKind K) {
+    uint32_t Id;
+    if (!S.FreeEdges.empty()) {
+      Id = S.FreeEdges.back();
+      S.FreeEdges.pop_back();
+    } else {
+      Id = S.UsedEdges++;
+      S.Edges.reach(Id);
+    }
+    GNode &From = S.Nodes[FromSlot];
+    GNode &To = S.Nodes[ToSlot];
+    Edge &E = S.Edges[Id];
+    E = {FromSlot, ToSlot, From.OutTail, NoEdge, To.InTail, NoEdge, K};
+    (From.OutTail == NoEdge ? From.OutHead : S.Edges[From.OutTail].NextOut) =
+        Id;
+    From.OutTail = Id;
+    (To.InTail == NoEdge ? To.InHead : S.Edges[To.InTail].NextIn) = Id;
+    To.InTail = Id;
+    ++From.OutDegree;
+    ++To.InDegree;
+    if (From.OutIndexed)
+      S.Adjacency.insert(outKey(E), Id);
+    else if (From.OutDegree > State::IndexAbove)
+      indexList(FromSlot, /*In=*/false);
+    if (To.InIndexed)
+      S.Adjacency.insert(inKey(E), Id);
+    else if (To.InDegree > State::IndexAbove)
+      indexList(ToSlot, /*In=*/true);
+    ++EdgeOps;
+    PeakDegree = std::max<size_t>(PeakDegree,
+                                  std::max(From.OutDegree, To.InDegree));
+  }
+
+  /// Stores From --K--> To unless program order already implies it, and
+  /// drops the stored edges the new one implies (DESIGN.md Sec. 15). Each
+  /// live lane is a chain: consecutive live nodes of one thread are joined
+  /// by an edge. So From -> T' (T' at or before To on To's lane) already
+  /// reaches To, and F' -> To (F' at or after From on From's lane) is
+  /// already reached from From. Keeping only the dominant edge leaves each
+  /// node at most one out-edge per target lane and one in-edge per source
+  /// lane, which findEdge finds in O(1). Host writes sit on no lane:
+  /// reasoning never runs through one. Returns false when the edge was
+  /// implied (or a duplicate).
+  bool link(uint32_t FromSlot, uint32_t ToSlot, EdgeKind K) {
+    const GNode &From = S.Nodes[FromSlot];
+    const GNode &To = S.Nodes[ToSlot];
+    // From's edge into To's lane (or to To itself, for a host write).
+    const uint32_t Later = findEdge(FromSlot, /*In=*/false, ToSlot, To.Lane);
+    if (Later != NoEdge &&
+        (To.Lane == NoLane || S.Nodes[S.Edges[Later].To].Index <= To.Index))
+      return false;
+    // To's edge from From's lane.
+    uint32_t Earlier = NoEdge;
+    if (From.Lane != NoLane) {
+      Earlier = findEdge(ToSlot, /*In=*/true, FromSlot, From.Lane);
+      if (Earlier != NoEdge &&
+          S.Nodes[S.Edges[Earlier].From].Index >= From.Index)
+        return false;
+    }
+    if (Later != NoEdge)
+      eraseEdge(Later);
+    if (Earlier != NoEdge)
+      eraseEdge(Earlier);
+    appendEdge(FromSlot, ToSlot, K);
+    return true;
+  }
+
+  /// Splices the node out: every in-neighbor is linked to every
   /// out-neighbor, so reachability among live nodes — and therefore cycle
   /// detection — is preserved exactly. A shortcut cannot create a cycle
-  /// (the two-edge path already existed), so no search is needed.
-  void retire(uint64_t I, GNode &N) {
-    // Detach from neighbors first so the splice sees clean lists.
-    for (uint64_t F : N.In)
-      if (GNode *FN = S.node(F))
-        eraseTarget(FN->Out, I);
-    for (const auto &[T, K] : N.Out)
-      if (GNode *TN = S.node(T))
-        eraseSource(TN->In, I);
-    for (uint64_t F : N.In) {
-      GNode *FN = S.node(F);
-      if (!FN)
-        continue;
-      for (const auto &[T, K] : N.Out) {
-        if (T == F)
-          continue;
-        GNode *TN = S.node(T);
-        if (!TN || hasTarget(FN->Out, T))
-          continue;
-        FN->Out.emplace_back(T, K);
-        TN->In.push_back(F);
-      }
-    }
-    S.Live.erase(I);
+  /// (the two-edge path already existed), so no search is needed. The
+  /// lane reduction keeps both sides at about one edge per thread, so the
+  /// splice is bounded by the thread count squared, not by run length.
+  void retire(uint32_t Slot) {
+    GNode &N = S.Nodes[Slot];
+    S.SpliceFrom.clear();
+    S.SpliceTo.clear();
+    for (uint32_t E = N.InHead; E != NoEdge; E = S.Edges[E].NextIn)
+      S.SpliceFrom.push_back(S.Edges[E].From);
+    for (uint32_t E = N.OutHead; E != NoEdge; E = S.Edges[E].NextOut)
+      S.SpliceTo.emplace_back(S.Edges[E].To, S.Edges[E].Kind);
+    // Detach first so the splice sees clean lists.
+    while (N.InHead != NoEdge)
+      eraseEdge(N.InHead);
+    while (N.OutHead != NoEdge)
+      eraseEdge(N.OutHead);
+    for (uint32_t F : S.SpliceFrom)
+      for (const auto &[T, K] : S.SpliceTo)
+        if (T != F)
+          (void)link(F, T, K);
+    S.Live.erase(N.Index);
+    S.FreeSlots.push_back(Slot);
     ++Retired;
   }
 
   /// Inserts From --K--> To and searches for a return path To ->* From; a
   /// hit is the first po ∪ rf ∪ co ∪ fr cycle, reported at the event that
-  /// closed it.
+  /// closed it. An edge po already implies is skipped with its search: a
+  /// cycle through it would have closed through the implying path.
   void addEdge(uint64_t From, uint64_t To, EdgeKind K) {
     if (S.GraphDead || From == To)
       return;
-    GNode *FN = S.node(From);
-    GNode *TN = S.node(To);
-    if (!FN || !TN)
+    const uint32_t FromSlot = S.slotOf(From);
+    const uint32_t ToSlot = S.slotOf(To);
+    if (FromSlot == NoSlot || ToSlot == NoSlot ||
+        !link(FromSlot, ToSlot, K))
       return;
-    if (hasTarget(FN->Out, To))
-      return;
-    FN->Out.emplace_back(To, K);
-    TN->In.push_back(From);
 
     ++S.DfsStamp;
     S.Stack.clear();
-    S.Stack.push_back({To, 0});
-    TN->Stamp = S.DfsStamp;
+    S.Stack.push_back({ToSlot, S.Nodes[ToSlot].OutHead, NoEdge});
+    S.Nodes[ToSlot].Stamp = S.DfsStamp;
     while (!S.Stack.empty()) {
       State::Frame &F = S.Stack.back();
-      GNode &FNode = *S.node(F.Node);
-      if (F.Edge == FNode.Out.size()) {
+      if (F.Next == NoEdge) {
         S.Stack.pop_back();
         continue;
       }
-      const uint64_t T = FNode.Out[F.Edge].first;
-      ++F.Edge;
-      if (T == From) {
-        foundCycle(From, K);
+      F.Taken = F.Next;
+      F.Next = S.Edges[F.Taken].NextOut;
+      const uint32_t T = S.Edges[F.Taken].To;
+      if (T == FromSlot) {
+        foundCycle(FromSlot, K);
         return;
       }
-      GNode &TNode = *S.node(T);
+      GNode &TNode = S.Nodes[T];
       if (TNode.Stamp != S.DfsStamp) {
         TNode.Stamp = S.DfsStamp;
-        S.Stack.push_back({T, 0});
+        S.Stack.push_back({T, TNode.OutHead, NoEdge});
       }
     }
   }
@@ -311,13 +596,14 @@ struct Graph {
   /// the witness cycle. Record it (with event copies), pick the decisive
   /// pair the way the post-hoc checker does, and drop the graph — the
   /// verdict is fixed, only the axioms keep running.
-  void foundCycle(uint64_t From, EdgeKind K) {
+  void foundCycle(uint32_t FromSlot, EdgeKind K) {
     R.Sc = false;
-    R.Cycle.emplace_back(From, K);
-    R.CycleEvents.push_back(S.node(From)->Ev);
+    const GNode &From = S.Nodes[FromSlot];
+    R.Cycle.emplace_back(From.Index, K);
+    R.CycleEvents.push_back(From.Ev);
     for (const State::Frame &F : S.Stack) {
-      GNode &N = *S.node(F.Node);
-      R.Cycle.emplace_back(F.Node, N.Out[F.Edge - 1].second);
+      const GNode &N = S.Nodes[F.Slot];
+      R.Cycle.emplace_back(N.Index, S.Edges[F.Taken].Kind);
       R.CycleEvents.push_back(N.Ev);
     }
     // The decisive pair: the first fr edge of the cycle (the read that
@@ -550,6 +836,8 @@ void StreamingChecker::begin() {
   Consumed = 0;
   PeakLive = 0;
   Retired = 0;
+  EdgeOps = 0;
+  PeakDegree = 0;
 }
 
 size_t StreamingChecker::liveEvents() const { return St->Live.size(); }
@@ -565,7 +853,7 @@ void StreamingChecker::event(const TraceEvent &E) {
   if (S.Done)
     return;
   S.LastEv = E;
-  Graph G{S, R, PeakLive, Retired};
+  Graph G{S, R, PeakLive, Retired, EdgeOps, PeakDegree};
 
   const uint64_t Key = tidBankKey(E.Tid, E.Bank);
   const auto globalValue = [&](Addr A) {
@@ -865,13 +1153,16 @@ void StreamingChecker::event(const TraceEvent &E) {
       G.coAppend(AS, I, /*Plain=*/false, /*Id=*/0);
       G.transferVisible(OldVisible, I);
       S.Overlay.erase(E.A); // Atomics invalidate block-visible values.
-      if (!S.GraphDead && AS.PendingStores == 0)
-        G.pruneCo(AS);
     }
     if (!S.GraphDead) {
       G.noteRead(I, E.A, W, /*RfPending=*/false);
       G.addPo(E.Tid, I);
     }
+    // The prune comes after the read side: it may retire the write the
+    // atomic read from (and a dropped write after it), whose rf and fr
+    // edges noteRead must still see live.
+    if (E.Flag && !S.GraphDead && AS.PendingStores == 0)
+      G.pruneCo(AS);
     break;
   }
   case TraceEventKind::FenceDevice: {

@@ -36,6 +36,11 @@
 ///    pending split-phase loads, per-thread po heads, per-address
 ///    coherence windows), not by run length.
 ///
+///  * No edge program order already implies is stored, so every live node
+///    keeps at most one edge per thread in each direction (plus one per
+///    live host write) and a retirement splice costs at most the thread
+///    count squared, however long the run (DESIGN.md Sec. 15).
+///
 /// The post-hoc checker remains the reference: both consume identical
 /// event streams, so every streaming verdict is differentially testable
 /// (tests/StreamingCheckerTests.cpp pins verdict and first-violation
@@ -98,7 +103,8 @@ struct StreamVerdict {
 /// (ExecutionContext::requestStreaming or LitmusRunOpts::Sink), bracketed
 /// by \ref begin and \ref finish; or feed a recorded trace via
 /// \ref checkAll. One instance is reusable: begin() keeps container
-/// capacity, so steady-state checked runs stop allocating.
+/// capacity (the graph's only up to litmus size), so steady-state checked
+/// litmus runs stop allocating.
 class StreamingChecker final : public sim::TraceSink {
 public:
   StreamingChecker();
@@ -142,12 +148,24 @@ public:
   /// Nodes retired (spliced out of the live graph) since begin().
   uint64_t retiredEvents() const { return Retired; }
 
+  // --- Work counters (deterministic cost of the live graph) ---------------
+
+  /// Edges inserted plus edges erased in the live graph since begin(), by
+  /// edge insertion and by retirement splices: the checker's work.
+  uint64_t edgeOps() const { return EdgeOps; }
+  /// High-water mark of any live node's in- or out-degree since begin().
+  /// The per-lane reduction bounds it by the thread count plus the live
+  /// host-write nodes.
+  size_t peakDegree() const { return PeakDegree; }
+
 private:
   std::unique_ptr<detail::StreamingCheckerState> St;
   StreamVerdict R;
   uint64_t Consumed = 0;
   size_t PeakLive = 0;
   uint64_t Retired = 0;
+  uint64_t EdgeOps = 0;
+  size_t PeakDegree = 0;
 };
 
 /// Renders a streaming verdict in the same format as

@@ -27,6 +27,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace gpuwmm;
 using model::CheckResult;
 using model::ConsistencyChecker;
@@ -179,28 +181,132 @@ TEST(StreamingDifferentialTest, TwoHundredFuzzProgramsMatchPostHoc) {
 // Differential: application workloads
 //===----------------------------------------------------------------------===//
 
-// Every Tab. 4 application under sys stress: app traces exercise what
-// litmus runs cannot (barriers, block fences, overlay reads, atomics,
-// multi-kernel launches with host writes between them).
-TEST(StreamingDifferentialTest, AppTracesMatchPostHoc) {
+namespace {
+
+using Adjacency =
+    std::vector<std::vector<std::pair<uint32_t, model::EdgeKind>>>;
+
+/// True iff \p Edges (one run's full po ∪ rf ∪ co ∪ fr graph) has a
+/// non-empty path From ->* To.
+bool reaches(const Adjacency &Edges, size_t NumEvents, size_t From,
+             size_t To) {
+  std::vector<uint8_t> Seen(NumEvents, 0);
+  std::vector<size_t> Work = {From};
+  while (!Work.empty()) {
+    const size_t N = Work.back();
+    Work.pop_back();
+    for (const auto &[T, K] : Edges[N]) {
+      if (T == To)
+        return true;
+      if (!Seen[T]) {
+        Seen[T] = 1;
+        Work.push_back(T);
+      }
+    }
+  }
+  return false;
+}
+
+/// Counts of what one app-trace grid exercised.
+struct AppGridCounts {
+  unsigned Weak = 0;   ///< Runs both checkers judged weak.
+  unsigned LongSc = 0; ///< SC runs of more than 20k events.
+};
+
+/// Runs every Tab. 4 application twice under \p Env on titan and applies
+/// the differential contract to each trace. Every streaming witness must
+/// also be a real cycle: each consecutive pair is joined by a path in the
+/// full trace's graph.
+void checkAppTraces(const stress::Environment &Env, AppGridCounts &Counts) {
   const sim::ChipProfile &Chip = titan();
-  const stress::Environment Env{stress::StressKind::Sys, true};
   const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
   ConsistencyChecker PostHoc;
   StreamingChecker Stream;
   sim::ExecutionContext Ctx;
   Ctx.requestTracing(true);
-  for (apps::AppKind App : apps::AllAppKinds) {
+  for (apps::AppKind App : apps::AllAppKinds)
     for (unsigned Run = 0; Run != 2; ++Run) {
       (void)apps::runApplicationOnce(Ctx, App, Chip, Env, Tuned,
                                      /*Policy=*/nullptr,
                                      Rng::deriveStream(11, Run));
-      ASSERT_FALSE(Ctx.trace().empty());
-      expectSameVerdict(Ctx.trace().events(), PostHoc, Stream,
-                        std::string(apps::appName(App)) + " run " +
-                            std::to_string(Run));
+      const std::vector<TraceEvent> &Events = Ctx.trace().events();
+      ASSERT_FALSE(Events.empty());
+      const std::string What = std::string(apps::appName(App)) + " " +
+                               Env.name() + " run " + std::to_string(Run);
+      expectSameVerdict(Events, PostHoc, Stream, What);
+      const StreamVerdict &V = Stream.verdict();
+      Counts.LongSc += V.AxiomsOk && V.Sc && Events.size() > 20000;
+      if (!V.weak())
+        continue;
+      ++Counts.Weak;
+      // expectSameVerdict left the post-hoc graph of this trace behind.
+      for (size_t K = 0; K != V.Cycle.size(); ++K) {
+        const size_t A = V.Cycle[K].first;
+        const size_t B = V.Cycle[(K + 1) % V.Cycle.size()].first;
+        ASSERT_LT(A, Events.size()) << What;
+        EXPECT_TRUE(reaches(PostHoc.edges(), Events.size(), A, B))
+            << What << ": witness step e" << A << " -> e" << B
+            << " is not a path in the trace";
+      }
     }
-  }
+}
+
+const stress::Environment SysStressPlus{stress::StressKind::Sys, true};
+
+} // namespace
+
+// Every Tab. 4 application under sys stress: app traces exercise what
+// litmus runs cannot (barriers, block fences, overlay reads, atomics,
+// multi-kernel launches with host writes between them).
+TEST(StreamingDifferentialTest, AppTracesMatchPostHoc) {
+  AppGridCounts Counts;
+  checkAppTraces(SysStressPlus, Counts);
+  EXPECT_GT(Counts.Weak, 0u) << "no weak witness was audited";
+}
+
+// The other seven environments: unstressed and randomly stressed runs
+// keep tpo-tm sequentially consistent for tens of thousands of events —
+// the long traces on which retirement and the per-lane edge reduction do
+// real work. (Multi-second; carries the "slow" CTest label.)
+TEST(StreamingDifferentialTest, AppTracesAllEnvsMatchPostHoc) {
+  AppGridCounts Counts;
+  for (const stress::Environment &Env : stress::Environment::all())
+    if (Env.name() != SysStressPlus.name())
+      checkAppTraces(Env, Counts);
+  EXPECT_GT(Counts.LongSc, 0u) << "no long SC trace was compared";
+}
+
+// The missed-cycle regression behind hunt's "checkers disagreed during
+// shrink": an atomic's write side prunes the coherence window, which used
+// to run before its read side and retire the write it read from (and a
+// coherence-dropped write ordered after it), so the read lost its rf and
+// fr edges. Post-hoc: e0 is dropped into co after the atomic e3, so
+// e0 -co-> e5 and e5 (which read e3) -fr-> e0.
+TEST(StreamingDifferentialTest, AtomicReadSurvivesItsOwnPrune) {
+  const auto Ev = [](TraceEventKind K, bool Flag, unsigned Tid, sim::Word V,
+                     uint64_t Id) -> TraceEvent {
+    return {K, LoadSource::Memory, Flag, Tid, Tid, /*Bank=*/0, /*A=*/0,
+            V, Id, 0};
+  };
+  const std::vector<TraceEvent> Events = {
+      Ev(TraceEventKind::StoreIssue, false, 1, 7, 2),
+      Ev(TraceEventKind::StoreIssue, false, 0, 1, 3),
+      Ev(TraceEventKind::StoreDrain, true, 0, 1, 3),
+      Ev(TraceEventKind::Atomic, true, 0, 3, /*Old=*/1),
+      Ev(TraceEventKind::StoreDrain, false, 1, 7, 2),
+      Ev(TraceEventKind::Atomic, true, 0, 8, /*Old=*/3),
+  };
+  ConsistencyChecker PostHoc;
+  StreamingChecker Stream;
+  const CheckResult A = PostHoc.check(Events);
+  ASSERT_TRUE(A.AxiomsOk) << A.AxiomViolation;
+  ASSERT_TRUE(A.weak());
+  const StreamVerdict &B = Stream.checkAll(Events);
+  ASSERT_TRUE(B.AxiomsOk) << B.AxiomViolation;
+  EXPECT_TRUE(B.weak());
+  ASSERT_EQ(B.Cycle.size(), 2u);
+  EXPECT_EQ(B.ViolatingA, 5u);
+  EXPECT_EQ(B.ViolatingB, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -241,6 +347,59 @@ TEST(StreamingMemoryBoundTest, PeakLiveEventsStayAtTheFrontier) {
   }
 }
 
+namespace {
+
+/// Forwards every event to a checker while counting what bounds its
+/// degree: the threads seen and the host writes.
+struct DegreeWitness final : sim::TraceSink {
+  explicit DegreeWitness(StreamingChecker &C) : Checker(C) {}
+  void event(const TraceEvent &E) override {
+    if (E.Kind == TraceEventKind::HostWrite)
+      ++HostWrites;
+    else if (E.Kind != TraceEventKind::BarrierRelease)
+      Threads.insert(E.Tid);
+    Checker.event(E);
+  }
+  StreamingChecker &Checker;
+  std::set<unsigned> Threads;
+  size_t HostWrites = 0;
+};
+
+} // namespace
+
+// The per-lane edge reduction on the same long tpo-tm traces: no live
+// node ever holds more than one edge per thread plus one per host-write
+// node, and the graph work per event stays far below the unreduced
+// splice's (more than 300 edge operations per event on these traces).
+TEST(StreamingMemoryBoundTest, DegreeAndEdgeWorkStayBounded) {
+  const sim::ChipProfile &Chip = titan();
+  const stress::Environment Env{stress::StressKind::None, false};
+  const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
+  StreamingChecker Checker;
+  sim::ExecutionContext Ctx;
+  for (unsigned Run = 0; Run != 3; ++Run) {
+    DegreeWitness Witness(Checker);
+    Checker.begin();
+    Ctx.requestStreaming(&Witness);
+    (void)apps::runApplicationOnce(Ctx, apps::AppKind::TpoTm, Chip, Env,
+                                   Tuned, /*Policy=*/nullptr,
+                                   Rng::deriveStream(21, Run));
+    Ctx.requestStreaming(nullptr);
+    const StreamVerdict &R = Checker.finish();
+    ASSERT_TRUE(R.AxiomsOk) << R.AxiomViolation;
+    ASSERT_TRUE(R.Sc) << "run " << Run << ": the graph must stay live";
+    ASSERT_GT(Checker.consumedEvents(), 20000u) << "run " << Run;
+    EXPECT_GT(Checker.peakDegree(), 1u) << "run " << Run;
+    EXPECT_LE(Checker.peakDegree(),
+              Witness.Threads.size() + Witness.HostWrites)
+        << "run " << Run << ": " << Witness.Threads.size() << " threads, "
+        << Witness.HostWrites << " host writes";
+    EXPECT_LT(Checker.edgeOps(), 150 * Checker.consumedEvents())
+        << "run " << Run << ": " << Checker.edgeOps() << " edge ops over "
+        << Checker.consumedEvents() << " events";
+  }
+}
+
 // begin() must fully reset the diagnostics: a short run after a long one
 // reports the short run's counters, not a residue of the long one's.
 TEST(StreamingMemoryBoundTest, CountersResetPerRun) {
@@ -259,11 +418,14 @@ TEST(StreamingMemoryBoundTest, CountersResetPerRun) {
   EXPECT_EQ(Checker.consumedEvents(), 0u);
   EXPECT_EQ(Checker.peakLiveEvents(), 0u);
   EXPECT_EQ(Checker.retiredEvents(), 0u);
+  EXPECT_EQ(Checker.edgeOps(), 0u);
+  EXPECT_EQ(Checker.peakDegree(), 0u);
   (void)Runner.runOnce(litmus::catalogProgram(litmus::LitmusKind::MP), 64,
                        litmus::LitmusRunner::MicroStress::none(), Opts);
   const StreamVerdict &R = Checker.finish();
   EXPECT_TRUE(R.AxiomsOk) << R.AxiomViolation;
   EXPECT_EQ(Checker.consumedEvents(), FirstConsumed);
+  EXPECT_GT(Checker.edgeOps(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
