@@ -4,9 +4,10 @@
 // Weak Memory in GPU Applications" (Sorensen & Donaldson, PLDI 2016).
 //
 // A/B-measures the compiled litmus engine (DESIGN.md Sec. 17) against the
-// scalar coroutine interpreter on the unit of work the Sec. 3 tuning
-// pipeline performs hundreds of millions of times: one full litmus-test
-// execution. The arms differ only in the engine mode (--engine=scalar vs
+// coroutine reference interpretation of the same op stream
+// (sim::runProgram under --engine=scalar) on the unit of work the Sec. 3
+// tuning pipeline performs hundreds of millions of times: one full
+// litmus-test execution. The arms differ only in the engine mode (--engine=scalar vs
 // auto). Two configurations per arm:
 //
 //  * plain:    native MP executions (no stress) — the pure interpreter

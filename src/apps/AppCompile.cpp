@@ -40,8 +40,8 @@
 
 #include "sim/ChipProfile.h"
 #include "sim/FencePolicy.h"
+#include "support/Check.h"
 
-#include <cassert>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -99,7 +99,7 @@ public:
 
   /// A fresh per-lane register slot.
   uint16_t reg() {
-    assert(Plan.BP.NumSlots < 0xffff && "register slots exhausted");
+    GPUWMM_CHECK(Plan.BP.NumSlots < 0xffff, "register slots exhausted");
     return static_cast<uint16_t>(Plan.BP.NumSlots++);
   }
 
@@ -460,7 +460,7 @@ uint32_t policyMask(AppKind K, const sim::FencePolicy *Policy) {
   if (!Policy)
     return 0;
   const unsigned NumSites = appNumSites(K);
-  assert(NumSites <= 32 && "policy mask too narrow");
+  GPUWMM_CHECK(NumSites <= 32, "policy mask too narrow");
   uint32_t Mask = 0;
   for (unsigned S = 0; S != NumSites; ++S)
     if (Policy->fenceAfter(static_cast<int>(S)))
@@ -495,7 +495,7 @@ AppPlan compile(AppKind K, const sim::ChipProfile &Chip, uint32_t Mask) {
     return B.finish(MaxTicks);
   }
   default:
-    assert(false && "app does not lower (check appLowerable first)");
+    GPUWMM_CHECK(false, "app does not lower (check appLowerable first)");
     return AppPlan();
   }
 }
@@ -517,7 +517,7 @@ struct PlanKey {
 const AppPlan &apps::compileApplication(AppKind K,
                                         const sim::ChipProfile &Chip,
                                         const sim::FencePolicy *Policy) {
-  assert(appLowerable(K) && "app does not lower to the batched engine");
+  GPUWMM_CHECK(appLowerable(K), "app does not lower to the batched engine");
   const PlanKey Key{K, policyMask(K, Policy), Chip.PatchSizeWords,
                     Chip.FenceBaseLatency};
   // Worker-local cache, linear scan: campaigns touch a handful of

@@ -2,14 +2,10 @@
 
 #include "fuzz/LitmusBridge.h"
 
-#include <cassert>
+#include "support/Check.h"
 
 using namespace gpuwmm;
 using namespace gpuwmm::fuzz;
-
-/// The fuzz interpreter's start-phase jitter bound (see interpretThread in
-/// ProgramFuzzer.cpp).
-static constexpr unsigned FuzzJitter = 8;
 
 litmus::Program fuzz::toLitmusProgram(const Program &P,
                                       const std::string &Name,
@@ -17,7 +13,7 @@ litmus::Program fuzz::toLitmusProgram(const Program &P,
   litmus::Program L;
   L.Name = Name;
   L.Doc = "exported fuzz case";
-  L.PhaseJitter = FuzzJitter;
+  L.PhaseJitter = StartJitter;
   for (unsigned V = 0; V != P.NumVars; ++V) {
     // Built without operator+ to dodge GCC 12's -Wrestrict false positive.
     std::string Loc = "v";
@@ -56,8 +52,8 @@ litmus::Program fuzz::toLitmusProgram(const Program &P,
   if (Weak) {
     // Outcome layout: thread 0's loads, thread 1's loads, then the final
     // memory value of every variable (see fuzz::Outcome).
-    assert(Weak->size() == L.Registers.size() + P.NumVars &&
-           "outcome does not match the program");
+    GPUWMM_CHECK(Weak->size() == L.Registers.size() + P.NumVars,
+                 "outcome does not match the program");
     for (unsigned R = 0; R != L.Registers.size(); ++R)
       L.Forbidden.push_back({/*IsReg=*/true, R, /*Negated=*/false,
                              (*Weak)[R]});
@@ -65,7 +61,8 @@ litmus::Program fuzz::toLitmusProgram(const Program &P,
       L.Forbidden.push_back({/*IsReg=*/false, V, /*Negated=*/false,
                              (*Weak)[L.Registers.size() + V]});
   }
-  assert(L.validate().empty() && "conversion must produce a valid program");
+  GPUWMM_CHECK(L.validate().empty(),
+               "conversion must produce a valid program");
   return L;
 }
 

@@ -28,7 +28,7 @@ namespace fuzz {
 
 /// Expresses \p P in the litmus IR: locations v0..vN-1 in variable order,
 /// registers r0.. in load order (thread 0's loads first), two threads in
-/// blocks 0 and 1, and the fuzz interpreter's start-phase jitter. When
+/// blocks 0 and 1, and the fuzz runner's start-phase jitter. When
 /// \p Weak is given (an outcome in the layout of fuzz::Outcome), the
 /// forbidden clause pins it exactly: every load's value and every final
 /// memory value; otherwise the clause is empty and the test never reports

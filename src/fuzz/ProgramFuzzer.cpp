@@ -3,8 +3,8 @@
 #include "fuzz/ProgramFuzzer.h"
 
 #include "sim/Device.h"
-#include "sim/ThreadContext.h"
 #include "stress/Environment.h"
+#include "support/Check.h"
 
 #include <algorithm>
 #include <cassert>
@@ -13,9 +13,6 @@
 
 using namespace gpuwmm;
 using namespace gpuwmm::fuzz;
-using sim::Addr;
-using sim::Kernel;
-using sim::ThreadContext;
 using sim::Word;
 
 //===----------------------------------------------------------------------===//
@@ -160,107 +157,13 @@ std::set<Outcome> fuzz::enumerateScOutcomes(const Program &P) {
 // Weak-machine execution
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-Kernel interpretThread(ThreadContext &Ctx, const std::vector<Op> *Ops,
-                       Addr Vars, Addr LoadLog) {
-  co_await Ctx.yield(1 + static_cast<unsigned>(Ctx.rand(8)));
-  unsigned LoadIdx = 0;
-  for (const Op &O : *Ops) {
-    switch (O.K) {
-    case Op::Kind::Store:
-      co_await Ctx.st(Vars + O.Var, O.Value);
-      break;
-    case Op::Kind::Load: {
-      const Word V = co_await Ctx.ld(Vars + O.Var);
-      co_await Ctx.st(LoadLog + LoadIdx++, V + 1); // +1: log 0 = "unset".
-      break;
-    }
-    case Op::Kind::AtomicAdd:
-      co_await Ctx.atomicAdd(Vars + O.Var, O.Value);
-      break;
-    case Op::Kind::Fence:
-      co_await Ctx.fence();
-      break;
-    }
-  }
-}
-
-} // namespace
-
-Outcome fuzz::runOnWeakMachine(sim::ExecutionContext &Ctx, const Program &P,
-                               const sim::ChipProfile &Chip, uint64_t Seed,
-                               bool Stressed) {
-  Rng R(Seed);
-  sim::Device Dev(Ctx, Chip, R.next());
-
-  // Spread variables over distinct patches so cross-bank reordering can
-  // occur between any pair, as between distinct allocations in real
-  // applications.
-  std::vector<Addr> VarAddr(P.NumVars);
-  const Addr Vars = Dev.alloc(P.NumVars * Chip.PatchSizeWords);
-  for (unsigned V = 0; V != P.NumVars; ++V)
-    VarAddr[V] = Vars + V * Chip.PatchSizeWords;
-  const unsigned MaxLoads = static_cast<unsigned>(
-      std::max(P.Thread[0].size(), P.Thread[1].size()));
-  const Addr Log0 = Dev.alloc(MaxLoads + 1);
-  const Addr Log1 = Dev.alloc(MaxLoads + 1);
-
-  std::unique_ptr<sim::CongestionSource> Stress;
-  if (Stressed) {
-    Rng EnvRng = R.fork(1);
-    Stress = stress::applyEnvironment(
-        {stress::StressKind::Sys, true}, Dev,
-        stress::TunedStressParams::paperDefaults(Chip), EnvRng);
-  }
-
-  // Translate variable indices into patch-spread word offsets for the
-  // interpreter (the translated vectors outlive the synchronous run).
-  std::vector<Op> Translated[2];
-  for (unsigned T = 0; T != 2; ++T) {
-    Translated[T] = P.Thread[T];
-    for (Op &O : Translated[T])
-      O.Var *= Chip.PatchSizeWords;
-  }
-
-  const std::vector<Op> *T0 = &Translated[0];
-  const std::vector<Op> *T1 = &Translated[1];
-  const Addr VarsBase = Vars;
-  Dev.run({2, 1}, [=](ThreadContext &Ctx) -> Kernel {
-    return interpretThread(Ctx, Ctx.blockIdx() == 0 ? T0 : T1, VarsBase,
-                           Ctx.blockIdx() == 0 ? Log0 : Log1);
-  });
-
-  Outcome O;
-  for (unsigned T = 0; T != 2; ++T) {
-    const Addr Log = T == 0 ? Log0 : Log1;
-    unsigned LoadIdx = 0;
-    for (const Op &Op_ : P.Thread[T])
-      if (Op_.K == Op::Kind::Load)
-        O.push_back(Dev.read(Log + LoadIdx++) - 1);
-  }
-  for (unsigned V = 0; V != P.NumVars; ++V)
-    O.push_back(Dev.read(VarAddr[V]));
-  return O;
-}
-
-Outcome fuzz::runOnWeakMachine(const Program &P,
-                               const sim::ChipProfile &Chip, uint64_t Seed,
-                               bool Stressed) {
-  sim::ContextLease Ctx;
-  return runOnWeakMachine(Ctx.get(), P, Chip, Seed, Stressed);
-}
-
-//===----------------------------------------------------------------------===//
-// Batched weak-machine execution
-//===----------------------------------------------------------------------===//
-
 CompiledProgram fuzz::compileProgram(const Program &P,
                                      const sim::ChipProfile &Chip) {
   CompiledProgram CP;
   CP.NumVars = P.NumVars;
-  // Scalar parity: the logs are sized by ops per thread (a safe upper
-  // bound on loads), so the allocation layout matches runOnWeakMachine.
+  // The logs are sized by ops per thread (an upper bound on loads), not by
+  // loads: this keeps the historical allocation layout, and with it the
+  // stress scratchpad's placement that the fuzz goldens pin.
   CP.MaxLoads = static_cast<unsigned>(
       std::max(P.Thread[0].size(), P.Thread[1].size()));
 
@@ -279,7 +182,7 @@ CompiledProgram fuzz::compileProgram(const Program &P,
   for (unsigned T = 0; T != 2; ++T) {
     using Code = sim::BatchOp::Code;
     const auto Begin = static_cast<uint32_t>(BP.Ops.size());
-    BP.Ops.push_back({Code::Jitter, 0, 0, 0, 8}); // yield(1 + rand(8)).
+    BP.Ops.push_back({Code::Jitter, 0, 0, 0, StartJitter});
     const sim::Addr Log = T == 0 ? CP.Log0 : CP.Log1;
     unsigned LoadIdx = 0;
     for (const Op &O : P.Thread[T]) {
@@ -289,8 +192,8 @@ CompiledProgram fuzz::compileProgram(const Program &P,
         BP.Ops.push_back({Code::Store, 0, 0, A, O.Value});
         break;
       case Op::Kind::Load:
-        // The interpreter logs each load right after it completes; the
-        // +1 bias distinguishes a logged 0 from "unset".
+        // Each load is logged right after it completes; the +1 bias
+        // distinguishes a logged 0 from "unset".
         BP.Ops.push_back({Code::Load, NextSlot, 0, A, 0});
         BP.Ops.push_back({Code::WbStore, NextSlot, 0, Log + LoadIdx++, 1});
         ++NextSlot;
@@ -310,24 +213,23 @@ CompiledProgram fuzz::compileProgram(const Program &P,
   return CP;
 }
 
-Outcome fuzz::runCompiledOnWeakMachine(sim::ExecutionContext &Ctx,
-                                       const CompiledProgram &CP,
-                                       const sim::ChipProfile &Chip,
-                                       uint64_t Seed, bool Stressed) {
-  // Draw-for-draw replica of runOnWeakMachine: same device seeding, same
-  // allocation order, same environment draws — only the kernel launch is
-  // replaced by the batched executor.
+Outcome fuzz::runOnWeakMachine(sim::ExecutionContext &Ctx,
+                               const CompiledProgram &CP,
+                               const sim::ChipProfile &Chip, uint64_t Seed,
+                               bool Stressed) {
+  // Per-run draw order: seed the device, allocate, then (when stressed)
+  // draw the environment from its own fork.
   Rng R(Seed);
   sim::Device Dev(Ctx, Chip, R.next());
 
+  // Variables sit on distinct patches so cross-bank reordering can occur
+  // between any pair, as between distinct allocations in real
+  // applications.
   const sim::Addr Vars = Dev.alloc(CP.NumVars * Chip.PatchSizeWords);
   const sim::Addr Log0 = Dev.alloc(CP.MaxLoads + 1);
   const sim::Addr Log1 = Dev.alloc(CP.MaxLoads + 1);
-  assert(Vars == CP.Vars && Log0 == CP.Log0 && Log1 == CP.Log1 &&
-         "allocation layout diverged from the compiled plan");
-  (void)Vars;
-  (void)Log0;
-  (void)Log1;
+  GPUWMM_CHECK(Vars == CP.Vars && Log0 == CP.Log0 && Log1 == CP.Log1,
+               "allocation layout diverged from the compiled plan");
 
   std::unique_ptr<sim::CongestionSource> Stress;
   if (Stressed) {
@@ -339,12 +241,11 @@ Outcome fuzz::runCompiledOnWeakMachine(sim::ExecutionContext &Ctx,
 
   sim::BatchRunConfig Cfg;
   Cfg.RandomiseThreads = Stressed; // applyEnvironment's sys-str+ setting.
-  sim::BatchScratch &BS = Ctx.batchScratch();
-  BS.Regs.assign(CP.BP.NumSlots, 0);
-  const sim::RunResult Result = sim::runBatchProgram(
-      CP.BP, Chip, Dev.memory(), Dev.rng(), BS, BS.Regs.data(), Cfg);
-  assert(Result.completed() && "fuzz execution must terminate");
-  (void)Result;
+  std::vector<sim::Word> &Regs = Ctx.batchScratch().Regs;
+  Regs.assign(CP.BP.NumSlots, 0);
+  const sim::RunResult Result =
+      sim::runProgram(CP.BP, Ctx, Chip, Regs.data(), Cfg);
+  GPUWMM_CHECK(Result.completed(), "fuzz execution must terminate");
 
   Outcome O;
   for (unsigned T = 0; T != 2; ++T) {
@@ -367,33 +268,10 @@ FuzzResult fuzz::fuzzProgram(const Program &P,
   std::set<Outcome> WeakSeen, ScSeen;
   Rng Master(Seed);
   sim::ContextLease Ctx; // One recycled engine across all runs.
-  // Compile once, execute every run on the batched engine — bit-identical
-  // to the scalar interpreter at the same derived seeds (the property
-  // FuzzTests pins), at a fraction of the per-run cost. --engine=scalar
-  // forces the interpreter for A/B debugging.
-  if (sim::engineMode() == sim::EngineMode::Scalar) {
-    for (unsigned I = 0; I != Runs; ++I) {
-      const Outcome O =
-          runOnWeakMachine(Ctx.get(), P, Chip, Master.fork(I).next(),
-                           Stressed);
-      if (Sc.count(O)) {
-        ScSeen.insert(O);
-        continue;
-      }
-      if (Result.WeakOutcomes == 0)
-        Result.FirstWeak = O;
-      ++Result.WeakOutcomes;
-      WeakSeen.insert(O);
-    }
-    Result.DistinctWeak = static_cast<unsigned>(WeakSeen.size());
-    Result.DistinctScSeen = static_cast<unsigned>(ScSeen.size());
-    return Result;
-  }
-  const CompiledProgram CP = compileProgram(P, Chip);
+  const CompiledProgram CP = compileProgram(P, Chip); // Once per program.
   for (unsigned I = 0; I != Runs; ++I) {
-    const Outcome O =
-        runCompiledOnWeakMachine(Ctx.get(), CP, Chip, Master.fork(I).next(),
-                                 Stressed);
+    const Outcome O = runOnWeakMachine(Ctx.get(), CP, Chip,
+                                       Master.fork(I).next(), Stressed);
     if (Sc.count(O)) {
       ScSeen.insert(O);
       continue;

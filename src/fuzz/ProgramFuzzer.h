@@ -67,6 +67,10 @@ struct Program {
   std::string str() const;
 };
 
+/// Every fuzz thread's start-phase jitter bound: each thread first sleeps
+/// 1 + rand(StartJitter) ticks.
+inline constexpr unsigned StartJitter = 8;
+
 /// An observable outcome: every load's value in program order for both
 /// threads, followed by the final memory value of every variable.
 using Outcome = std::vector<sim::Word>;
@@ -77,25 +81,15 @@ using Outcome = std::vector<sim::Word>;
 /// small (<= ~8 ops per thread).
 std::set<Outcome> enumerateScOutcomes(const Program &P);
 
-/// Executes \p P once on the weak machine and returns the outcome.
-/// \p Stressed applies tuned sys-str stress to the run. \p Ctx is the
-/// reusable execution engine to run on (reset for this run); the overload
-/// without it leases one from the current thread's pool.
-Outcome runOnWeakMachine(sim::ExecutionContext &Ctx, const Program &P,
-                         const sim::ChipProfile &Chip, uint64_t Seed,
-                         bool Stressed);
-Outcome runOnWeakMachine(const Program &P, const sim::ChipProfile &Chip,
-                         uint64_t Seed, bool Stressed);
-
-/// A fuzz program compiled for the batched executor (sim/BatchExec.h): the
-/// flat op stream with variable addresses, load-log writebacks and
-/// register slots pre-resolved, plus the baked allocation layout a freshly
-/// reset context reproduces (asserted per run). Compiled once per program;
-/// every run of a fuzz campaign reuses it.
+/// A fuzz program compiled to one flat op stream (sim/BatchExec.h): the
+/// variable addresses, load-log writebacks and register slots
+/// pre-resolved, plus the baked allocation layout a freshly reset context
+/// reproduces (checked per run). Compiled once per program; every run of
+/// a fuzz campaign reuses it.
 struct CompiledProgram {
   sim::BatchProgram BP;
   unsigned NumVars = 0;
-  unsigned MaxLoads = 0; ///< Per-thread log capacity (scalar parity).
+  unsigned MaxLoads = 0; ///< Per-thread log capacity (historical layout).
   unsigned NumLoads[2] = {0, 0};
   sim::Addr Vars = 0, Log0 = 0, Log1 = 0; ///< Baked allocation layout.
 };
@@ -103,13 +97,14 @@ struct CompiledProgram {
 /// Compiles \p P for \p Chip (addresses depend on the chip's patch size).
 CompiledProgram compileProgram(const Program &P, const sim::ChipProfile &Chip);
 
-/// Executes one run of a compiled program on the batched engine —
-/// bit-identical to runOnWeakMachine on the same (program, seed,
-/// stressed) triple, per the batched determinism contract.
-Outcome runCompiledOnWeakMachine(sim::ExecutionContext &Ctx,
-                                 const CompiledProgram &CP,
-                                 const sim::ChipProfile &Chip, uint64_t Seed,
-                                 bool Stressed);
+/// Executes one run of \p CP on the weak machine and returns the outcome.
+/// \p Stressed applies tuned sys-str+ stress to the run. \p Ctx is the
+/// reusable execution engine to run on (reset for this run); the engine is
+/// sim::runProgram's choice, so --engine=scalar interprets the same op
+/// stream on the coroutine scheduler.
+Outcome runOnWeakMachine(sim::ExecutionContext &Ctx, const CompiledProgram &CP,
+                         const sim::ChipProfile &Chip, uint64_t Seed,
+                         bool Stressed);
 
 /// Result of fuzzing one program for \p Runs executions.
 struct FuzzResult {
@@ -125,8 +120,8 @@ struct FuzzResult {
 };
 
 /// Runs \p P repeatedly on the weak machine and classifies outcomes
-/// against the exhaustive SC set. Executes on the batched engine
-/// (compiled once, bit-identical to runOnWeakMachine per run).
+/// against the exhaustive SC set: compiled once, then one
+/// runOnWeakMachine per run at derived seeds.
 FuzzResult fuzzProgram(const Program &P, const sim::ChipProfile &Chip,
                        unsigned Runs, uint64_t Seed, bool Stressed);
 

@@ -12,11 +12,12 @@
 /// micro-benchmark machinery behind the paper's entire Sec. 3 tuning
 /// pipeline.
 ///
-/// Tests are data (litmus/Program.h): the runner interprets any program —
+/// Tests are data (litmus/Program.h): the runner compiles any program —
 /// a built-in catalog entry, a parsed `.litmus` file, or an exported fuzz
-/// case. The historical LitmusKind enum API remains as a thin catalog
-/// lookup and executes bit-identically to the original hand-written
-/// kernels. Communication locations are placed in global memory with the
+/// case — to one op stream and runs it through sim::runProgram. The
+/// historical LitmusKind enum API remains as a thin catalog lookup and
+/// executes bit-identically to the original hand-written kernels.
+/// Communication locations are placed in global memory with the
 /// communicating threads in distinct blocks by default, matching the
 /// paper's focus on inter-block idioms.
 ///
@@ -147,17 +148,18 @@ public:
   /// per-(program, distance) execution plan keyed by identity, so sweeps
   /// allocate nothing per run in steady state).
   ///
-  /// The engine is chosen only by --engine (sim::engineMode()): the
-  /// compiled op-stream engine unless the mode is scalar, for traced,
-  /// sink-attached and sequential runs alike. Both engines emit identical
-  /// results and event streams (DESIGN.md Sec. 17).
+  /// Equivalent to countWeak(P, Distance, S, 1, Opts) != 0. Every run
+  /// executes the plan's op stream through sim::runProgram, so the engine
+  /// is chosen only by --engine: the compiled engine unless the mode is
+  /// scalar, which interprets the same stream on the coroutine scheduler.
+  /// Both emit identical results and event streams (DESIGN.md Sec. 17).
   bool runOnce(const Program &P, unsigned Distance, const MicroStress &S,
                const RunOpts &Opts = RunOpts());
 
   /// Executes \p P \p C times; returns the number of weak behaviours.
   /// Bit-identical, run for run, to a \ref runOnce loop on the same
-  /// runner; on the compiled engine one stress source serves the whole
-  /// call, with only the per-run stressing population redrawn. When
+  /// runner; one stress source serves the whole call, with only the
+  /// per-run stressing population redrawn. When
   /// \p PerRun is non-null it receives each run's weak verdict in
   /// execution order (0/1).
   unsigned countWeak(const Program &P, unsigned Distance,
@@ -193,20 +195,6 @@ public:
   std::string addrName(sim::Addr A) const;
 
 private:
-  /// The interpreter's (program, distance)-invariant tables for
-  /// --engine=scalar: register writeback lists, the (block, lane) ->
-  /// thread dispatch table and the launch geometry. Rebuilt only when the
-  /// instance changes.
-  struct Plan {
-    const Program *P = nullptr;
-    unsigned Distance = 0;
-    unsigned Delta = 1;
-    unsigned GridDim = 0;
-    unsigned BlockDim = 0;
-    std::vector<std::vector<unsigned>> Writeback; ///< Per thread.
-    std::vector<int> ThreadAt; ///< block * BlockDim + lane -> thread.
-  };
-
   /// The compiled form: the flat pre-resolved op stream plus the address
   /// layout the per-run allocations are guaranteed to produce (allocation
   /// on a freshly reset context is a deterministic patch-aligned bump from
@@ -226,14 +214,11 @@ private:
     sim::BatchProgram BP;
   };
 
-  void rebuildPlan(const Program &P, unsigned Distance);
   const CompiledPlan &compiledPlan(const Program &P, unsigned Distance,
                                    bool Fenced);
-  /// One interpreted (coroutine-engine) execution.
-  bool runInterpreted(const Program &P, unsigned Distance,
-                      const MicroStress &S, const RunOpts &Opts);
-  /// One compiled execution; \p Stress is the source built for \p S (null
-  /// when unstressed), reused across runs.
+  /// One execution of \p B on the engine sim::runProgram picks; \p Stress
+  /// is the source built for \p S (null when unstressed), reused across
+  /// runs.
   bool runCompiled(const CompiledPlan &B, const MicroStress &S,
                    const RunOpts &Opts, stress::SysStress *Stress);
   /// Records the program and layout addrName describes.
@@ -244,12 +229,11 @@ private:
   Rng Master;
   sim::ContextLease Ctx; ///< Recycled engine state, reused every run.
   uint64_t Execs = 0;
-  Plan Cached;
   CompiledPlan Compiled;
   // Per-run scratch, recycled across runs.
   const Program *LastProgram = nullptr; ///< Most recent run (addrName).
   std::vector<sim::Addr> LocAddr;
-  std::vector<sim::Word> Regs, FinalRegs, FinalMem;
+  std::vector<sim::Word> FinalRegs, FinalMem;
   sim::Addr ResultsBase = 0; ///< Writeback allocation (addrName).
 };
 

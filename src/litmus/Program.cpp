@@ -249,7 +249,7 @@ std::vector<Program> buildCatalog() {
 
   // The paper's Fig. 2 tuning set. Op shapes, block placement and the
   // forbidden outcomes mirror the original hand-written kernels exactly,
-  // so the interpreter reproduces their executions bit-for-bit.
+  // so the runner's op streams reproduce their executions bit-for-bit.
   C.push_back(Builder("MP", "message passing (Fig. 2)", {"x", "y"})
                   .thread(0).st("x", 1).optFence().st("y", 1)
                   .thread(1).ld("r0", "y").optFence().ld("r1", "x")

@@ -46,13 +46,14 @@
 #include "sim/BatchExec.h"
 
 #include "sim/ChipProfile.h"
+#include "sim/ExecutionContext.h"
 #include "sim/MemorySystem.h"
+#include "sim/ThreadContext.h"
 #include "sim/TraceSink.h"
 #include "support/Check.h"
 #include "support/Rng.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -331,7 +332,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
               PC = Regs[F.Slot] < F.Imm ? F.A : PC + 1;
               break;
             default:
-              assert(false && "suspending op in free-op dispatch");
+              GPUWMM_CHECK(false, "suspending op in free-op dispatch");
             }
           }
           if (PC == End) {
@@ -463,8 +464,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
             S.WakeTick[Tid] = Now + std::max(1u, Chip.AtomicLatency);
             break;
           default:
-            assert(false && "free op in suspending-op dispatch");
-            break;
+            GPUWMM_CHECK(false, "free op in suspending-op dispatch");
           }
           WakeNextTick |= S.WakeTick[Tid] == Now + 1;
           S.PC[Tid] = PC + 1;
@@ -528,4 +528,72 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
   Result.Ticks = Now;
   Result.Mem = Mem.stats();
   return Result;
+}
+
+//===----------------------------------------------------------------------===//
+// The reference interpretation (--engine=scalar)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Interprets lane \p L of a straight-line program: one co_await per op,
+/// issued in op order, so every op takes one resume as in
+/// runBatchProgram. An idle lane (empty range) completes at its first
+/// resume. \p Regs is shared by all lanes; the lowerings give every slot a
+/// single writing lane, and a split-phase load's slot holds its ticket
+/// until the await replaces it with the loaded value.
+Kernel interpretLane(ThreadContext &TC, const BatchOp *Ops, BatchLane L,
+                     Word *Regs) {
+  for (uint32_t PC = L.Begin; PC != L.End; ++PC) {
+    const BatchOp &O = Ops[PC];
+    switch (O.C) {
+    case BatchOp::Code::Jitter:
+      co_await TC.yield(1 + static_cast<unsigned>(TC.rand(O.Imm)));
+      break;
+    case BatchOp::Code::Store:
+      co_await TC.st(O.A, O.Imm);
+      break;
+    case BatchOp::Code::Load:
+      Regs[O.Slot] = co_await TC.ld(O.A);
+      break;
+    case BatchOp::Code::AsyncLoad:
+      Regs[O.Slot] = co_await TC.ldAsync(O.A);
+      break;
+    case BatchOp::Code::AwaitLoad:
+      Regs[O.Slot] = co_await TC.awaitLoad(Regs[O.Slot]);
+      break;
+    case BatchOp::Code::AtomicAdd:
+      co_await TC.atomicAdd(O.A, O.Imm);
+      break;
+    case BatchOp::Code::FenceDevice:
+      co_await TC.fence();
+      break;
+    case BatchOp::Code::WbStore:
+      co_await TC.st(O.A, Regs[O.Slot] + O.Imm);
+      break;
+    default:
+      GPUWMM_CHECK(false, "op has no reference interpretation");
+    }
+  }
+}
+
+} // namespace
+
+RunResult sim::runProgram(const BatchProgram &BP, ExecutionContext &Ctx,
+                          const ChipProfile &Chip, Word *Regs,
+                          const BatchRunConfig &Cfg) {
+  if (engineMode() != EngineMode::Scalar)
+    return runBatchProgram(BP, Chip, Ctx.memory(), Ctx.rng(),
+                           Ctx.batchScratch(), Regs, Cfg);
+  GPUWMM_CHECK(BP.Lanes.size() == size_t{BP.GridDim} * BP.BlockDim,
+               "batch program lane table does not match its launch shape");
+  SchedulerConfig SC;
+  SC.RandomiseThreads = Cfg.RandomiseThreads;
+  SC.IssueWidthPerSM = Cfg.IssueWidthPerSM;
+  SC.MaxTicks = Cfg.MaxTicks;
+  Scheduler S(Chip, Ctx.memory(), Ctx.rng(), SC, &Ctx.schedulerScratch());
+  S.launch({BP.GridDim, BP.BlockDim}, [&BP, Regs](ThreadContext &TC) {
+    return interpretLane(TC, BP.Ops.data(), BP.Lanes[TC.globalId()], Regs);
+  });
+  return S.run();
 }

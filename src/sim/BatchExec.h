@@ -39,8 +39,9 @@
 /// closed form. The engine emits every scheduler-level trace event itself (the
 /// barrier release); all other events come from the shared MemorySystem.
 /// EngineIdentityTests pins the equivalence event for event against the
-/// coroutine engine (--engine=scalar) for litmus, fuzz and application
-/// programs.
+/// coroutine engine (--engine=scalar): for litmus and fuzz programs that is
+/// \ref runProgram's interpretation of the same op stream on the
+/// scheduler, for applications their hand-written coroutine bodies.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,6 +61,7 @@ class Rng;
 
 namespace sim {
 
+class ExecutionContext;
 class MemorySystem;
 struct ChipProfile;
 
@@ -241,6 +243,18 @@ std::optional<EngineMode> parseEngineMode(std::string_view Name);
 RunResult runBatchProgram(const BatchProgram &BP, const ChipProfile &Chip,
                           MemorySystem &Mem, Rng &R, BatchScratch &S,
                           Word *Regs, const BatchRunConfig &Cfg);
+
+/// Executes one run of a compiled straight-line program (litmus and fuzz
+/// lowerings) on \p Ctx's memory system and RNG: runBatchProgram by
+/// default; under --engine=scalar, the reference interpretation — a
+/// Scheduler launch whose kernel coroutine walks each lane's op range
+/// through ThreadContext, one co_await per suspending op. Only the op
+/// codes those lowerings emit (Jitter, Store, Load, AsyncLoad, AwaitLoad,
+/// AtomicAdd, FenceDevice, WbStore) are interpretable; any other fails a
+/// GPUWMM_CHECK. Per-run setup is the caller's, as for runBatchProgram.
+RunResult runProgram(const BatchProgram &BP, ExecutionContext &Ctx,
+                     const ChipProfile &Chip, Word *Regs,
+                     const BatchRunConfig &Cfg);
 
 } // namespace sim
 } // namespace gpuwmm

@@ -11,13 +11,20 @@
 //
 //  * every catalog program, plain, under tuned stress, fenced and with
 //    randomised scheduling;
-//  * 200 random fuzz programs, through fuzz::toLitmusProgram; and
+//  * 200 random fuzz programs, through fuzz::toLitmusProgram;
+//  * random fuzz programs through the fuzz runner itself, whose stressed
+//    runs add sys-str+ environment stress with randomised threads; and
 //  * every lowered application kernel under all eight environments, with
 //    no inserted fences and with one single-site fence policy.
 //
-// The barrier release is the one event the engines emit themselves
-// (everything else comes from the shared MemorySystem), so the app grid
-// is what pins runBatchProgram's BarrierRelease against the scheduler's.
+// For litmus and fuzz programs the reference is sim::runProgram's
+// interpretation of the very op stream the compiled engine walks, so these
+// tests check runBatchProgram against the coroutine scheduler directly
+// (the lowerings themselves are pinned by the litmus and fuzz goldens).
+// For apps it is the hand-written coroutine bodies. The barrier release
+// is the one event the engines emit themselves (everything else comes
+// from the shared MemorySystem), so the app grid is what pins
+// runBatchProgram's BarrierRelease against the scheduler's.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,10 +48,11 @@ namespace {
 
 const sim::ChipProfile &titan() { return *sim::ChipProfile::lookup("titan"); }
 
-/// One engine's record of a run sequence: per-run verdicts and the
-/// concatenated per-run event streams.
+/// One engine's record of a run sequence: per-run verdicts (or fuzz
+/// outcomes) and the per-run event streams.
 struct Record {
   std::vector<int> Verdicts;
+  std::vector<fuzz::Outcome> Outcomes;
   std::vector<std::vector<sim::TraceEvent>> Events;
 };
 
@@ -68,6 +76,7 @@ std::string describe(const sim::TraceEvent &E) {
 void expectIdentical(const Record &Scalar, const Record &Compiled,
                      const std::string &What) {
   ASSERT_EQ(Scalar.Verdicts, Compiled.Verdicts) << What;
+  ASSERT_EQ(Scalar.Outcomes, Compiled.Outcomes) << What;
   ASSERT_EQ(Scalar.Events.size(), Compiled.Events.size()) << What;
   for (size_t R = 0; R != Scalar.Events.size(); ++R) {
     const auto &S = Scalar.Events[R];
@@ -162,6 +171,42 @@ TEST(EventStreamIdentity, TwoHundredFuzzPrograms) {
   }
 }
 
+namespace {
+
+/// \p Runs traced fuzz::runOnWeakMachine calls of \p CP under \p Mode,
+/// at seeds Seed, Seed + 1, ...
+Record fuzzRecord(sim::EngineMode Mode, const fuzz::CompiledProgram &CP,
+                  bool Stressed, unsigned Runs, uint64_t Seed) {
+  EngineModeGuard Guard(Mode);
+  sim::ExecutionContext Ctx;
+  Ctx.requestTracing(true);
+  Record R;
+  for (unsigned I = 0; I != Runs; ++I) {
+    R.Outcomes.push_back(
+        fuzz::runOnWeakMachine(Ctx, CP, titan(), Seed + I, Stressed));
+    R.Events.push_back(Ctx.trace().events());
+  }
+  return R;
+}
+
+} // namespace
+
+TEST(EventStreamIdentity, FuzzRunnerMatchesReferenceBitForBit) {
+  // The fuzz runner's own path: native runs, and sys-str+ runs whose
+  // environment stress and randomised threads no litmus case above uses.
+  Rng R(7100);
+  for (int I = 0; I != 40; ++I) {
+    const fuzz::Program P = fuzz::Program::generate(R, 3, 5, true);
+    const fuzz::CompiledProgram CP = fuzz::compileProgram(P, titan());
+    const bool Stressed = I % 2 == 0;
+    const uint64_t Seed = 9000 + 100 * I;
+    expectIdentical(
+        fuzzRecord(sim::EngineMode::Scalar, CP, Stressed, 5, Seed),
+        fuzzRecord(sim::EngineMode::Auto, CP, Stressed, 5, Seed),
+        (Stressed ? "stressed\n" : "native\n") + P.str());
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Lowered application kernels
 //===----------------------------------------------------------------------===//
@@ -242,4 +287,34 @@ TEST(EngineChecksDeathTest, MalformedProgramAbortsInEveryBuild) {
         },
         "check failed: program must be well-formed")
         << sim::engineModeName(Mode);
+}
+
+TEST(EngineChecksDeathTest, UnlowerableAppAbortsInEveryBuild) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ASSERT_FALSE(apps::appLowerable(apps::AppKind::LsBh));
+  EXPECT_DEATH((void)apps::compileApplication(apps::AppKind::LsBh, titan(),
+                                              nullptr),
+               "check failed: app does not lower");
+}
+
+TEST(EngineChecksDeathTest, ReferenceInterpreterRejectsUnsupportedOps) {
+  // The reference interpretation covers the straight-line ops the litmus
+  // and fuzz lowerings emit; anything else (a barrier, say) must abort
+  // rather than run wrongly.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::BatchProgram BP;
+  BP.GridDim = 1;
+  BP.BlockDim = 1;
+  BP.NumSlots = 1;
+  BP.Ops.push_back({sim::BatchOp::Code::Barrier, 0, 0, 0, 0});
+  BP.Lanes.push_back({0, 1});
+  EXPECT_DEATH(
+      {
+        EngineModeGuard Guard(sim::EngineMode::Scalar);
+        sim::ExecutionContext Ctx;
+        Ctx.reset(titan(), 1);
+        sim::Word Reg = 0;
+        (void)sim::runProgram(BP, Ctx, titan(), &Reg, {});
+      },
+      "check failed: op has no reference interpretation");
 }

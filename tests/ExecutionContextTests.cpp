@@ -240,13 +240,14 @@ TEST(ExecutionContextLayers, FuzzFreshVsReusedOutcomesAgree) {
   const fuzz::Program P = fuzz::Program::generate(Gen, /*NumVars=*/3,
                                                   /*OpsPerThread=*/5,
                                                   /*WithFences=*/false);
+  const fuzz::CompiledProgram CP = fuzz::compileProgram(P, titan());
   ExecutionContext Reused;
   for (uint64_t Run = 0; Run != 20; ++Run) {
     const uint64_t Seed = Rng::deriveStream(32, Run);
     ExecutionContext Fresh;
     EXPECT_EQ(
-        fuzz::runOnWeakMachine(Reused, P, titan(), Seed, /*Stressed=*/true),
-        fuzz::runOnWeakMachine(Fresh, P, titan(), Seed, /*Stressed=*/true))
+        fuzz::runOnWeakMachine(Reused, CP, titan(), Seed, /*Stressed=*/true),
+        fuzz::runOnWeakMachine(Fresh, CP, titan(), Seed, /*Stressed=*/true))
         << "run " << Run;
   }
 }

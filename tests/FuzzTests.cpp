@@ -10,9 +10,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineModeGuard.h"
+
 #include "fuzz/ProgramFuzzer.h"
 
 #include "gtest/gtest.h"
+
+#include <iterator>
+#include <utility>
 
 using namespace gpuwmm;
 using namespace gpuwmm::fuzz;
@@ -183,27 +188,36 @@ TEST(FuzzWeaknessTest, MpWeakOutcomeIsObservableUnderStress) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched execution identity
+// Golden outcomes
 //===----------------------------------------------------------------------===//
 
-TEST(FuzzBatchedTest, CompiledRunsMatchInterpreterBitForBit) {
-  // The batched engine behind fuzzProgram must reproduce the coroutine
-  // interpreter's outcome exactly — same seed, same outcome vector — for
-  // random programs, native and stressed alike.
-  Rng R(7100);
-  sim::ContextLease Scalar, Batched;
-  for (int I = 0; I != 40; ++I) {
-    const Program P = Program::generate(R, 3, 5, /*WithFences=*/true);
-    const CompiledProgram CP = compileProgram(P, titan());
-    const bool Stressed = I % 2 == 0;
-    for (uint64_t Seed = 0; Seed != 5; ++Seed) {
-      const uint64_t RunSeed = 9000 + 100 * I + Seed;
-      EXPECT_EQ(runOnWeakMachine(Scalar.get(), P, titan(), RunSeed, Stressed),
-                runCompiledOnWeakMachine(Batched.get(), CP, titan(), RunSeed,
-                                         Stressed))
-          << "divergence at seed " << RunSeed << " (stressed=" << Stressed
-          << "):\n"
-          << P.str();
+TEST(FuzzGoldenTest, BatchWeakCountsPinnedAtSeed2024) {
+  // Per-program weak counts of one stressed fuzzBatch on titan, recorded
+  // from the coroutine interpreter the fuzzer kept beside its compiled
+  // path until both engines came to share fuzz::compileProgram's lowering.
+  // The engine-identity tests cannot see a bug in that shared lowering;
+  // this golden pins it against the historical behaviour on both engines.
+  // Regenerate by copying the reported actuals — but any diff here means
+  // fuzz execution semantics changed and fuzz/hunt reproducibility is
+  // broken.
+  const std::pair<unsigned, unsigned> Golden[] = {
+      {1, 1},  {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0},  {0, 0},
+      {15, 5}, {12, 2}, {3, 1}, {8, 2}, {0, 0}, {0, 0}, {0, 0},  {0, 0},
+      {0, 0},  {0, 0}, {0, 0}, {3, 1}, {12, 1}, {0, 0}, {0, 0}, {0, 0}};
+  BatchConfig Cfg;
+  Cfg.Programs = static_cast<unsigned>(std::size(Golden));
+  Cfg.RunsPerProgram = 150;
+  for (const sim::EngineMode Mode :
+       {sim::EngineMode::Auto, sim::EngineMode::Scalar}) {
+    EngineModeGuard Guard(Mode);
+    const std::vector<BatchEntry> Batch = fuzzBatch(titan(), Cfg, 2024);
+    ASSERT_EQ(Batch.size(), std::size(Golden));
+    for (size_t I = 0; I != Batch.size(); ++I) {
+      EXPECT_EQ(Batch[I].R.WeakOutcomes, Golden[I].first)
+          << "program " << I << " on " << sim::engineModeName(Mode) << ":\n"
+          << Batch[I].P.str();
+      EXPECT_EQ(Batch[I].R.DistinctWeak, Golden[I].second)
+          << "program " << I << " on " << sim::engineModeName(Mode);
     }
   }
 }

@@ -243,7 +243,7 @@ TEST(LitmusBridgeTest, ExportPinsTheObservedOutcome) {
   ASSERT_EQ(L.Forbidden.size(), 4u);
   EXPECT_TRUE(L.evalForbidden({1, 0}, {1, 0}));
   EXPECT_FALSE(L.evalForbidden({1, 1}, {1, 0}));
-  EXPECT_EQ(L.PhaseJitter, 8u) << "must match the fuzz interpreter";
+  EXPECT_EQ(L.PhaseJitter, fuzz::StartJitter) << "must match the fuzz runner";
 
   // The exported artifact replays: the weak outcome the fuzzer saw is
   // exactly what LitmusRunner reports as weak.

@@ -9,12 +9,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineModeGuard.h"
+
 #include "litmus/Format.h"
 #include "litmus/Litmus.h"
 #include "stress/Environment.h"
 
 #include "gtest/gtest.h"
 
+#include <iterator>
+#include <string>
 #include <tuple>
 
 using namespace gpuwmm;
@@ -307,41 +311,60 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, EnumVsIrTest,
                          });
 
 TEST(EnumVsIrTest, GoldenWeakCountsPinnedAtSeed42) {
-  // Absolute weak counts of the six historical shapes at seed 42,
-  // recorded from the PR 3 hand-written kernels (verified bit-identical
-  // to the IR interpreter when it was introduced). EnumVsIrTest above
-  // proves enum == IR; this golden pins both against the *historical*
-  // behaviour, so a change to the interpreter's issue sequence cannot
-  // slip through by changing both sides equally. Regenerate by copying
-  // the reported actuals — but any diff here means litmus execution
-  // semantics changed and PR 2/3 reproducibility is broken.
+  // Absolute weak counts of every catalog program at seed 42. The six
+  // historical shapes were recorded from the PR 3 hand-written kernels;
+  // the multi-thread idioms from the coroutine interpreter the litmus
+  // runner kept beside its compiled path until both engines came to share
+  // one lowering. The compiled engine and the reference interpretation
+  // (--engine=scalar) run the same op stream, so a lowering bug would
+  // shift both sides equally and slip past every identity test: this
+  // golden pins both against the historical behaviour. Regenerate by
+  // copying the reported actuals — but any diff here means litmus
+  // execution semantics changed and reproducibility is broken.
   struct Golden {
-    LitmusKind Kind;
+    const char *Name;
     unsigned Plain, Stressed, Fenced;
   };
   const Golden Table[] = {
-      {LitmusKind::MP, 0, 69, 0},  {LitmusKind::LB, 2, 34, 0},
-      {LitmusKind::SB, 0, 78, 0},  {LitmusKind::R, 0, 79, 0},
-      {LitmusKind::S, 0, 0, 0},    {LitmusKind::TwoPlusTwoW, 0, 0, 0}};
+      {"MP", 0, 69, 0},   {"LB", 2, 34, 0},   {"SB", 0, 78, 0},
+      {"R", 0, 79, 0},    {"S", 0, 0, 0},     {"2+2W", 0, 0, 0},
+      {"IRIW", 0, 13, 0}, {"WRC", 0, 4, 0},   {"ISA2", 0, 18, 0},
+      {"RWC", 0, 24, 0},  {"W+RWC", 0, 22, 0}};
+  ASSERT_EQ(std::size(Table), catalog().size()) << "pin every catalog entry";
   const unsigned D = 2 * titan().PatchSizeWords;
-  for (const Golden &G : Table) {
-    LitmusRunner Runner(titan(), 42);
-    const LitmusInstance T{G.Kind, D};
-    EXPECT_EQ(Runner.countWeak(T, LitmusRunner::MicroStress::none(), 300),
-              G.Plain)
-        << litmusName(G.Kind) << " plain";
-    EXPECT_EQ(bestStressWeakCount(Runner, T, 200), G.Stressed)
-        << litmusName(G.Kind) << " stressed (best per-bank location)";
-    LitmusRunner::RunOpts Fenced;
-    Fenced.WithFences = true;
-    unsigned FencedWeak = 0;
-    for (unsigned Region = 0; Region != 4; ++Region)
-      FencedWeak += Runner.countWeak(
-          T,
-          LitmusRunner::MicroStress::at(tunedSeq(),
-                                        Region * titan().PatchSizeWords),
-          100, Fenced);
-    EXPECT_EQ(FencedWeak, G.Fenced) << litmusName(G.Kind) << " fenced";
+  const unsigned Patch = titan().PatchSizeWords;
+  LitmusRunner::RunOpts Fenced;
+  Fenced.WithFences = true;
+  for (const sim::EngineMode Mode :
+       {sim::EngineMode::Auto, sim::EngineMode::Scalar}) {
+    EngineModeGuard Guard(Mode);
+    for (const Golden &G : Table) {
+      const Program *P = findCatalogProgram(G.Name);
+      ASSERT_NE(P, nullptr) << G.Name;
+      const std::string What =
+          std::string(G.Name) + " on " + sim::engineModeName(Mode);
+      LitmusRunner Runner(titan(), 42);
+      EXPECT_EQ(Runner.countWeak(*P, D, LitmusRunner::MicroStress::none(),
+                                 300),
+                G.Plain)
+          << What << " plain";
+      // The most effective single stress location over the first
+      // NumBanks patch-aligned scratchpad offsets.
+      unsigned Best = 0;
+      for (unsigned Region = 0; Region != titan().NumBanks; ++Region)
+        Best = std::max(
+            Best, Runner.countWeak(*P, D,
+                                   LitmusRunner::MicroStress::at(
+                                       tunedSeq(), Region * Patch),
+                                   200));
+      EXPECT_EQ(Best, G.Stressed) << What << " stressed (best location)";
+      unsigned FencedWeak = 0;
+      for (unsigned Region = 0; Region != 4; ++Region)
+        FencedWeak += Runner.countWeak(
+            *P, D, LitmusRunner::MicroStress::at(tunedSeq(), Region * Patch),
+            100, Fenced);
+      EXPECT_EQ(FencedWeak, G.Fenced) << What << " fenced";
+    }
   }
 }
 
