@@ -26,13 +26,15 @@
 //    re-enter at the memory op, never mid-fence);
 //  * bake addresses by replaying MemorySystem::alloc's patch-aligned
 //    bump allocator over the app's setup allocation sequence (checked
-//    against the live layout every run).
+//    against the live layout every run);
+//  * flag plans with a backward branch (PlanBuilder::finish): only those
+//    try runBatchProgram's provable-timeout check.
 //
 // Site-id tables mirror the file-local Site enums of the app sources
-// (SdkReduction.cpp, CubScan.cpp, CbeDot.cpp, CbeHashtable.cpp); the
-// AppBatch and event-stream identity grids run every app under fence
-// policies, so any drift between the tables and the kernels fails the
-// tier-1 suite.
+// (SdkReduction.cpp, CubScan.cpp, CbeDot.cpp, CbeHashtable.cpp,
+// TpoTaskMgmt.cpp); the AppBatch and event-stream identity grids run
+// every app under fence policies, so any drift between the tables and
+// the kernels fails the tier-1 suite.
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,9 +63,9 @@ bool apps::appLowerable(AppKind K) {
   case AppKind::SdkRedNf:
   case AppKind::CubScan:
   case AppKind::CubScanNf:
+  case AppKind::TpoTm:
     return true;
   case AppKind::CtOctree: // Dynamic work queues (data-dependent fan-out).
-  case AppKind::TpoTm:    // Task donation across queues.
   case AppKind::LsBh:     // Tree build with retry loops over child slots.
   case AppKind::LsBhNf:
     return false;
@@ -141,6 +143,17 @@ public:
       emit(Code::Sleep, 0, 0, 0, 1);
   }
 
+  /// lock(mutex): spin on atomicCAS(mutex, 0, 1), site \p Site, with the
+  /// random backoff yield(1 + rand(3)) after each failed attempt.
+  void spinLock(int Site, uint16_t RLock, Addr Mutex) {
+    const uint32_t Spin = size();
+    emitMem(Code::AtomicCas, Site, RLock, 0, Mutex, 1u << 16);
+    const uint32_t BrCrit = emit(Code::BrEq, RLock, 0, 0, 0);
+    emit(Code::SleepRand, 0, 0, 1, 3);
+    emit(Code::Jump, 0, 0, Spin);
+    patch(BrCrit, size());
+  }
+
   /// Retargets a branch/jump emitted earlier to \p Target.
   void patch(uint32_t OpIdx, uint32_t Target) {
     Plan.BP.Ops[OpIdx].A = Target;
@@ -150,6 +163,11 @@ public:
     Plan.MaxTicks = MaxTicks;
     Plan.SetupAllocWords = Next;
     Plan.BP.NumSlots = std::max(Plan.BP.NumSlots, 1u);
+    for (uint32_t I = 0; I != size(); ++I) {
+      const BatchOp &O = Plan.BP.Ops[I];
+      Plan.BP.HasBackwardBranch |=
+          O.C >= Code::Jump && O.C <= Code::BrLtRR && O.A <= I;
+    }
     return std::move(Plan);
   }
 
@@ -372,14 +390,7 @@ void emitCbeDot(PlanBuilder &B) {
       B.emitMem(Code::LoadAcc, sim::NoSite, RSum, 0,
                 Cache + Blk * BlockDim + I);
 
-    // lock(mutex): spin on atomicCAS(mutex, 0, 1) with random backoff.
-    const uint16_t RLock = B.reg();
-    const uint32_t Spin = B.size();
-    B.emitMem(Code::AtomicCas, SiteLockCAS, RLock, 0, Mutex, 1u << 16);
-    const uint32_t BrCrit = B.emit(Code::BrEq, RLock, 0, 0, 0);
-    B.emit(Code::SleepRand, 0, 0, 1, 3); // yield(1 + rand(3)).
-    B.emit(Code::Jump, 0, 0, Spin);
-    B.patch(BrCrit, B.size());
+    B.spinLock(SiteLockCAS, B.reg(), Mutex);
 
     // *c += blockSum; unlock(mutex).
     const uint16_t ROld = B.reg();
@@ -453,6 +464,110 @@ void emitCbeHt(PlanBuilder &B) {
 }
 
 //===----------------------------------------------------------------------===//
+// tpo-tm (TpoTaskMgmt.cpp)
+//===----------------------------------------------------------------------===//
+
+namespace tpotm {
+enum : int {
+  SiteLockCAS = 0,
+  SiteHeadLd,
+  SiteTailLd,
+  SiteBufLd,
+  SiteBufSt,
+  SiteTailSt,
+  SiteUnlockExch
+};
+constexpr unsigned GridDim = 4, BlockDim = 16;
+constexpr unsigned RootTasks = 24, ChildrenPerRoot = 2;
+constexpr unsigned TotalTasks = RootTasks * (1 + ChildrenPerRoot);
+constexpr unsigned QueueCap = TotalTasks + 8;
+constexpr Word EmptySlot = 0xffffffffu;
+} // namespace tpotm
+
+void emitTpoTm(PlanBuilder &B) {
+  using namespace tpotm;
+  const Addr Buf = B.alloc(QueueCap);
+  const Addr Head = B.alloc(1);
+  const Addr Tail = B.alloc(1);
+  const Addr Mutex = B.alloc(1);
+  const Addr Done = B.alloc(1);
+  const Addr ExecCounts = B.alloc(TotalTasks);
+  const Addr ErrorFlag = B.alloc(1);
+
+  for (unsigned Tid = 0; Tid != GridDim * BlockDim; ++Tid) {
+    B.beginLane(Tid);
+    const uint16_t RDone = B.reg();
+    const uint16_t RLock = B.reg();
+    const uint16_t RH = B.reg();
+    const uint16_t RT = B.reg();
+    const uint16_t RTask = B.reg();
+    const uint16_t RId = B.reg();
+    const uint16_t RId2 = B.reg();
+    const uint16_t RSlot = B.reg();
+
+    // while (ld(done) < TotalTasks) — the exit jump is patched to the
+    // lane end below.
+    const uint32_t Loop = B.size();
+    B.emitMem(Code::Load, sim::NoSite, RDone, 0, Done);
+    const uint32_t BrWork = B.emit(Code::BrLt, RDone, 0, 0, TotalTasks);
+    const uint32_t Exit = B.emit(Code::Jump);
+    B.patch(BrWork, B.size());
+
+    // Pop under the lock: Task = H < T ? buf[H] (and ++head) : empty.
+    B.spinLock(SiteLockCAS, RLock, Mutex);
+    B.emitMem(Code::Load, SiteHeadLd, RH, 0, Head);
+    B.emitMem(Code::Load, SiteTailLd, RT, 0, Tail);
+    B.emit(Code::MovImm, RTask, 0, 0, EmptySlot);
+    const uint32_t BrPop = B.emit(Code::BrLtRR, RH, RT);
+    const uint32_t ToUnlock = B.emit(Code::Jump);
+    B.patch(BrPop, B.size());
+    B.emitMem(Code::LoadIdx, SiteBufLd, RTask, RH, Buf);
+    B.emitMem(Code::AtomicAdd, sim::NoSite, 0, 0, Head, 1);
+    B.patch(ToUnlock, B.size());
+    B.emitMem(Code::AtomicExch, SiteUnlockExch, 0, 0, Mutex, 0);
+
+    // An empty queue: yield(3), then poll again.
+    const uint32_t BrGot = B.emit(Code::BrNe, RTask, 0, 0, EmptySlot);
+    B.emit(Code::Sleep, 0, 0, 0, 3);
+    B.emit(Code::Jump, 0, 0, Loop);
+    B.patch(BrGot, B.size());
+
+    // A stale descriptor (Id >= TotalTasks): flag it and count it.
+    B.emit(Code::AndImm, RId, RTask, 0, 0xffffu);
+    const uint32_t BrValid = B.emit(Code::BrLt, RId, 0, 0, TotalTasks);
+    B.emitMem(Code::Store, sim::NoSite, 0, 0, ErrorFlag, 1);
+    B.emitMem(Code::AtomicAdd, sim::NoSite, 0, 0, Done, 1);
+    B.emit(Code::Jump, 0, 0, Loop);
+    B.patch(BrValid, B.size());
+
+    // Execute the task; a root task pushes its children.
+    B.emitMem(Code::AtomicAddIdx, sim::NoSite, 0, RId, ExecCounts, 1);
+    B.emit(Code::AndImm, RTask, RTask, 0, 0x10000u);
+    const uint32_t BrChild = B.emit(Code::BrEq, RTask, 0, 0, 0);
+    B.emit(Code::AddRR, RId2, RId, RId);
+    for (unsigned C = 0; C != ChildrenPerRoot; ++C) {
+      B.spinLock(SiteLockCAS, RLock, Mutex);
+      B.emitMem(Code::Load, SiteTailLd, RSlot, 0, Tail);
+      const uint32_t BrRoom = B.emit(Code::BrLt, RSlot, 0, 0, QueueCap);
+      B.emitMem(Code::Store, sim::NoSite, 0, 0, ErrorFlag, 1);
+      const uint32_t ToRelease = B.emit(Code::Jump);
+      B.patch(BrRoom, B.size());
+      // buf[slot] = packTask(RootTasks + 2 * Id + C, false); tail = slot+1.
+      B.emitMem(Code::WbStoreIdx, SiteBufSt, RId2, RSlot, Buf,
+                RootTasks + C);
+      B.emitMem(Code::WbStore, SiteTailSt, RSlot, 0, Tail, 1);
+      B.patch(ToRelease, B.size());
+      B.emitMem(Code::AtomicExch, SiteUnlockExch, 0, 0, Mutex, 0);
+    }
+    B.patch(BrChild, B.size());
+    B.emitMem(Code::AtomicAdd, sim::NoSite, 0, 0, Done, 1);
+    B.emit(Code::Jump, 0, 0, Loop);
+    B.patch(Exit, B.size()); // co_return == lane end.
+    B.endLane();
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Compilation + cache
 //===----------------------------------------------------------------------===//
 
@@ -492,6 +607,11 @@ AppPlan compile(AppKind K, const sim::ChipProfile &Chip, uint32_t Mask) {
   case AppKind::CbeHt: {
     PlanBuilder B(Chip, Mask, cbeht::GridDim, cbeht::BlockDim);
     emitCbeHt(B);
+    return B.finish(MaxTicks);
+  }
+  case AppKind::TpoTm: {
+    PlanBuilder B(Chip, Mask, tpotm::GridDim, tpotm::BlockDim);
+    emitTpoTm(B);
     return B.finish(MaxTicks);
   }
   default:

@@ -9,11 +9,12 @@
 /// Lowering of the Tab. 4 application kernels to the batched flat
 /// op-stream engine (DESIGN.md Sec. 19).
 ///
-/// The regular kernels — sdk-red(-nf), cub-scan(-nf), cbe-dot, cbe-ht —
-/// compile once per (app, chip shape, fence policy) into a BatchProgram:
-/// compile-time loops unrolled, lane roles (leader vs. worker) split into
-/// per-lane op ranges, data-dependent loops (lock spins, lookback polls)
-/// expressed with register branches, barriers as the engine's Barrier op,
+/// The regular kernels — sdk-red(-nf), cub-scan(-nf), cbe-dot, cbe-ht and
+/// tpo-tm — compile once per (app, chip shape, fence policy) into a
+/// BatchProgram: compile-time loops unrolled, lane roles (leader vs.
+/// worker) split into per-lane op ranges, data-dependent loops (lock
+/// spins, lookback polls, task-queue polling) expressed with register
+/// branches, barriers as the engine's Barrier op,
 /// and both built-in and policy fences baked into the stream at their
 /// arming sites. Addresses are baked by replaying the context's
 /// deterministic patch-aligned bump allocator; every run checks the
@@ -22,10 +23,11 @@
 /// apps::runApplicationOnce executes a lowerable kernel's plan in place of
 /// the coroutine launch — traced, sink-attached and sequential runs
 /// included — bit-identical to the coroutine engine draw for draw, tick
-/// for tick and event for event, for any context history. Apps with
-/// irregular control (ct-octree, tpo-tm, ls-bh(-nf)) report !appLowerable
-/// and stay on the coroutine path, as does everything under
-/// --engine=scalar.
+/// for tick and event for event, for any context history. An untraced
+/// run that livelocks (tpo-tm's lost push) ends as soon as its timeout is
+/// provable, with the same verdict and tick count (sim/BatchExec.h). Apps
+/// with irregular control (ct-octree, ls-bh(-nf)) report !appLowerable and
+/// stay on the coroutine path, as does everything under --engine=scalar.
 ///
 //===----------------------------------------------------------------------===//
 

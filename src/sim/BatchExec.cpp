@@ -135,6 +135,271 @@ constexpr uint8_t LaneOnTicket = 1;
 constexpr uint8_t LaneDone = 2;
 constexpr uint8_t LaneAtBarrier = 3;
 
+/// One register in the timeout proof: a concrete value, or unknown.
+struct AbsReg {
+  Word V = 0;
+  bool Known = false;
+};
+
+/// The provable-timeout check (DESIGN.md Sec. 19). Explores every live
+/// lane's op range from its PC over its concrete registers: a load returns
+/// the current global word unless an explored op may write that address,
+/// a branch on an unknown value takes both arms, and the may-write set
+/// grows to a fixpoint across lanes. holds() is true iff no lane can reach
+/// its end, a Barrier, an AsyncLoad or an AwaitLoad, and every explored
+/// write has a known in-bounds address; the run can then only time out.
+///
+/// Sound under the caller's preconditions (memory quiescent, no lane at a
+/// barrier or on a ticket, no divergence pending): a word outside the
+/// may-write set keeps its global value until something writes it, and the
+/// first such write would have to be issued by an explored op. Lanes own
+/// disjoint register slots (every lowering allocates them per lane).
+class TimeoutProof {
+public:
+  TimeoutProof(const BatchProgram &BP, const MemorySystem &Mem,
+               const BatchScratch &S, const Word *Regs)
+      : BP(BP), Mem(Mem), S(S), Regs(Regs),
+        SlotIdx(std::max(1u, BP.NumSlots), NoSlot) {}
+
+  bool holds() {
+    const unsigned NumThreads = BP.GridDim * BP.BlockDim;
+    for (;;) {
+      NewWrites.clear();
+      for (unsigned Tid = 0; Tid != NumThreads; ++Tid)
+        if (S.State[Tid] != LaneDone && !exploreLane(Tid))
+          return false;
+      std::sort(NewWrites.begin(), NewWrites.end());
+      NewWrites.erase(std::unique(NewWrites.begin(), NewWrites.end()),
+                      NewWrites.end());
+      // Exploration is monotone in the may-write set, so NewWrites
+      // contains Writes; equal sizes mean the fixpoint.
+      if (NewWrites.size() == Writes.size())
+        return true;
+      Writes.swap(NewWrites);
+    }
+  }
+
+private:
+  static constexpr uint32_t NoSlot = ~0u;
+
+  bool exploreLane(unsigned Tid) {
+    const BatchLane L = BP.Lanes[Tid];
+    const uint32_t Start = S.PC[Tid];
+    if (Start == L.End)
+      return false; // Completes at its next resume.
+    // Track every slot the lane's ops name (a superset of the registers
+    // it uses), seeded with their current values.
+    Slots.clear();
+    const auto AddSlot = [&](uint32_t Sl) {
+      if (Sl < SlotIdx.size() && SlotIdx[Sl] == NoSlot) {
+        SlotIdx[Sl] = static_cast<uint32_t>(Slots.size());
+        Slots.push_back(Sl);
+      }
+    };
+    for (uint32_t PC = L.Begin; PC != L.End; ++PC) {
+      const BatchOp &O = BP.Ops[PC];
+      AddSlot(O.Slot);
+      AddSlot(O.Slot2);
+      if (O.C == BatchOp::Code::AddRR)
+        AddSlot(O.A);
+    }
+    K = Slots.size();
+    Begin = L.Begin;
+    End = L.End;
+    At.assign(static_cast<size_t>(End - Begin) * K, AbsReg());
+    Seen.assign(End - Begin, 0);
+    Cur.resize(K);
+    for (size_t J = 0; J != K; ++J)
+      Cur[J] = {Regs[Slots[J]], true};
+    Work.clear();
+    bool Ok = flowTo(Start);
+    while (Ok && !Work.empty()) {
+      const uint32_t PC = Work.back();
+      Work.pop_back();
+      std::copy_n(At.begin() + static_cast<ptrdiff_t>((PC - Begin) * K), K,
+                  Cur.begin());
+      Ok = step(PC);
+    }
+    for (const uint32_t Sl : Slots)
+      SlotIdx[Sl] = NoSlot;
+    return Ok;
+  }
+
+  AbsReg &reg(uint32_t Sl) { return Cur[SlotIdx[Sl]]; }
+
+  /// The abstract address A + Regs[Slot2] of an indexed op.
+  AbsReg indexed(const BatchOp &O) {
+    const AbsReg I = reg(O.Slot2);
+    return {O.A + I.V, I.Known};
+  }
+
+  /// What a load from \p A returns from here on.
+  AbsReg read(AbsReg A) const {
+    if (!A.Known || A.V >= Mem.allocatedWords() ||
+        std::binary_search(Writes.begin(), Writes.end(), A.V))
+      return {};
+    return {Mem.hostRead(A.V), true};
+  }
+
+  /// Adds \p A to the may-write set; false if it is unknown or out of
+  /// bounds.
+  bool write(AbsReg A) {
+    if (!A.Known || A.V >= Mem.allocatedWords())
+      return false;
+    NewWrites.push_back(A.V);
+    return true;
+  }
+
+  /// Joins Cur into op \p T's state; false if \p T ends the lane.
+  bool flowTo(uint32_t T) {
+    if (T < Begin || T >= End)
+      return false;
+    AbsReg *Dst = &At[static_cast<size_t>(T - Begin) * K];
+    bool Changed = !Seen[T - Begin];
+    if (Changed) {
+      Seen[T - Begin] = 1;
+      std::copy_n(Cur.begin(), K, Dst);
+    } else {
+      for (size_t J = 0; J != K; ++J)
+        if (Dst[J].Known && (!Cur[J].Known || Cur[J].V != Dst[J].V)) {
+          Dst[J].Known = false;
+          Changed = true;
+        }
+    }
+    if (Changed)
+      Work.push_back(T);
+    return true;
+  }
+
+  /// A branch: one successor when the condition is known, both if not.
+  bool branch(const BatchOp &O, uint32_t PC, AbsReg Cond) {
+    if (Cond.Known)
+      return flowTo(Cond.V ? O.A : PC + 1);
+    return flowTo(PC + 1) && flowTo(O.A);
+  }
+
+  /// Applies op \p PC to Cur and flows to its successors.
+  bool step(uint32_t PC) {
+    using Code = BatchOp::Code;
+    const BatchOp &O = BP.Ops[PC];
+    switch (O.C) {
+    case Code::Barrier:
+    case Code::AsyncLoad:
+    case Code::AwaitLoad:
+      return false;
+    case Code::Jitter:
+    case Code::FenceDevice:
+    case Code::Sleep:
+    case Code::SleepRand:
+      break;
+    case Code::Load:
+      reg(O.Slot) = read({O.A, true});
+      break;
+    case Code::LoadIdx:
+      reg(O.Slot) = read(indexed(O));
+      break;
+    case Code::LoadAcc:
+    case Code::LoadAccIdx: {
+      const AbsReg V =
+          read(O.C == Code::LoadAcc ? AbsReg{O.A, true} : indexed(O));
+      AbsReg &D = reg(O.Slot);
+      D = {D.V + V.V, D.Known && V.Known};
+      break;
+    }
+    case Code::LoadMulAcc: {
+      const AbsReg V = read({O.A, true});
+      const AbsReg M = reg(O.Slot2);
+      AbsReg &D = reg(O.Slot);
+      D = {D.V + M.V * V.V, D.Known && M.Known && V.Known};
+      break;
+    }
+    case Code::Store:
+    case Code::WbStore:
+    case Code::AtomicAdd:
+    case Code::AtomicExch:
+      if (!write({O.A, true}))
+        return false;
+      break;
+    case Code::StoreIdx:
+    case Code::WbStoreIdx:
+    case Code::AtomicAddIdx:
+    case Code::AtomicExchIdx:
+      if (!write(indexed(O)))
+        return false;
+      break;
+    case Code::AtomicAddReg:
+    case Code::AtomicCas:
+    case Code::AtomicCasIdx:
+      if (!write(O.C == Code::AtomicCasIdx ? indexed(O) : AbsReg{O.A, true}))
+        return false;
+      reg(O.Slot) = {}; // The old value of a written word.
+      break;
+    case Code::MovImm:
+      reg(O.Slot) = {O.Imm, true};
+      break;
+    case Code::AddImm:
+    case Code::MulImm:
+    case Code::ModImm:
+    case Code::AndImm: {
+      const AbsReg X = reg(O.Slot2);
+      Word V = 0;
+      bool Known = X.Known;
+      if (O.C == Code::AddImm)
+        V = X.V + O.Imm;
+      else if (O.C == Code::MulImm)
+        V = X.V * O.Imm;
+      else if (O.C == Code::AndImm)
+        V = X.V & O.Imm;
+      else if (O.Imm != 0)
+        V = X.V % O.Imm;
+      else
+        Known = false;
+      reg(O.Slot) = {V, Known};
+      break;
+    }
+    case Code::AddRR: {
+      const AbsReg X = reg(O.Slot2), Y = reg(O.A);
+      reg(O.Slot) = {X.V + Y.V, X.Known && Y.Known};
+      break;
+    }
+    case Code::Jump:
+      return flowTo(O.A);
+    case Code::BrEq: {
+      const AbsReg X = reg(O.Slot);
+      return branch(O, PC, {X.V == O.Imm, X.Known});
+    }
+    case Code::BrNe: {
+      const AbsReg X = reg(O.Slot);
+      return branch(O, PC, {X.V != O.Imm, X.Known});
+    }
+    case Code::BrLt: {
+      const AbsReg X = reg(O.Slot);
+      return branch(O, PC, {X.V < O.Imm, X.Known});
+    }
+    case Code::BrLtRR: {
+      const AbsReg X = reg(O.Slot), Y = reg(O.Slot2);
+      return branch(O, PC, {X.V < Y.V, X.Known && Y.Known});
+    }
+    }
+    return flowTo(PC + 1);
+  }
+
+  const BatchProgram &BP;
+  const MemorySystem &Mem;
+  const BatchScratch &S;
+  const Word *Regs;
+  std::vector<Addr> Writes;    ///< The may-write set (sorted).
+  std::vector<Addr> NewWrites; ///< Writes found by the current round.
+  std::vector<uint32_t> SlotIdx; ///< Slot -> index into the lane's Slots.
+  std::vector<uint32_t> Slots;   ///< The current lane's tracked slots.
+  size_t K = 0;                  ///< Slots.size().
+  uint32_t Begin = 0, End = 0;   ///< The current lane's op range.
+  std::vector<AbsReg> At;        ///< Joined state per op (K per op).
+  std::vector<uint8_t> Seen;     ///< Op reached at all.
+  std::vector<AbsReg> Cur;       ///< The state being stepped.
+  std::vector<uint32_t> Work;    ///< Ops whose state changed.
+};
+
 } // namespace
 
 RunResult sim::runBatchProgram(const BatchProgram &BP,
@@ -218,6 +483,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
   unsigned Live = NumThreads;
   uint64_t Now = 0;
   bool DivergenceFlag = false;
+  uint64_t NextProof = TimeoutProofInterval;
   RunResult Result;
 
   while (Live > 0) {
@@ -315,6 +581,10 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
               Regs[F.Slot] = Regs[F.Slot2] % F.Imm;
               ++PC;
               break;
+            case BatchOp::Code::AndImm:
+              Regs[F.Slot] = Regs[F.Slot2] & F.Imm;
+              ++PC;
+              break;
             case BatchOp::Code::AddRR:
               Regs[F.Slot] = Regs[F.Slot2] + Regs[F.A];
               ++PC;
@@ -330,6 +600,9 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
               break;
             case BatchOp::Code::BrLt:
               PC = Regs[F.Slot] < F.Imm ? F.A : PC + 1;
+              break;
+            case BatchOp::Code::BrLtRR:
+              PC = Regs[F.Slot] < Regs[F.Slot2] ? F.A : PC + 1;
               break;
             default:
               GPUWMM_CHECK(false, "suspending op in free-op dispatch");
@@ -463,6 +736,14 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
             (void)Mem.atomicExch(Tid, O.A + Regs[O.Slot2], O.Imm);
             S.WakeTick[Tid] = Now + std::max(1u, Chip.AtomicLatency);
             break;
+          case BatchOp::Code::AtomicAddIdx:
+            (void)Mem.atomicAdd(Tid, O.A + Regs[O.Slot2], O.Imm);
+            S.WakeTick[Tid] = Now + std::max(1u, Chip.AtomicLatency);
+            break;
+          case BatchOp::Code::WbStoreIdx:
+            Mem.store(Tid, W.Block, O.A + Regs[O.Slot2], Regs[O.Slot] + O.Imm);
+            S.WakeTick[Tid] = Now + 1;
+            break;
           default:
             GPUWMM_CHECK(false, "free op in suspending-op dispatch");
           }
@@ -495,6 +776,23 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
           AnyAtBarrier |= AB != 0;
         Result.Status = AnyAtBarrier ? RunStatus::BarrierDivergence
                                      : RunStatus::Deadlock;
+        break;
+      }
+    }
+
+    // Provable timeout: stop as soon as no lane can ever finish. The run
+    // ends exactly as the full simulation would (Timeout at MaxTicks + 1);
+    // only the skipped ticks' memory statistics and RNG draws are missing.
+    // Traced runs never stop early: their event stream is the result.
+    if (BP.HasBackwardBranch && Live > 0 && Now >= NextProof) {
+      NextProof = Now + TimeoutProofInterval;
+      if (!Mem.traceSink() && !DivergenceFlag && S.TicketWaiters.empty() &&
+          Mem.quiescent() &&
+          std::all_of(S.BlockAtBarrier.begin(), S.BlockAtBarrier.end(),
+                      [](unsigned AB) { return AB == 0; }) &&
+          TimeoutProof(BP, Mem, S, Regs).holds()) {
+        Now = Cfg.MaxTicks + 1;
+        Result.Status = RunStatus::Timeout;
         break;
       }
     }

@@ -43,6 +43,12 @@
 /// \ref runProgram's interpretation of the same op stream on the
 /// scheduler, for applications their hand-written coroutine bodies.
 ///
+/// Provable timeouts: an untraced run of a program with a backward branch
+/// stops as soon as a check proves that no lane can ever finish, and
+/// reports what the full simulation would (RunStatus::Timeout, Ticks =
+/// MaxTicks + 1). Only its MemStats totals and the RNG's final draw
+/// position differ from the full run (DESIGN.md Sec. 19).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPUWMM_SIM_BATCHEXEC_H
@@ -107,6 +113,9 @@ struct BatchOp {
     AtomicExch,   ///< Mem.atomicExch(A, Imm); sleep AtomicLatency.
     AtomicExchIdx, ///< Mem.atomicExch(A + Regs[Slot2], Imm); sleep
                    ///< AtomicLatency.
+    AtomicAddIdx,  ///< Mem.atomicAdd(A + Regs[Slot2], Imm); sleep
+                   ///< AtomicLatency.
+    WbStoreIdx,    ///< Mem.store(A + Regs[Slot2], Regs[Slot] + Imm); sleep 1.
     // --- Free ops (no suspension; run before the resume's suspending
     // --- op). Everything from MovImm on must stay free: the executor
     // --- tests `C >= Code::MovImm`.
@@ -114,12 +123,15 @@ struct BatchOp {
     AddImm, ///< Regs[Slot] = Regs[Slot2] + Imm (unsigned wraparound;
             ///< Imm = 0xffffffff decrements).
     MulImm, ///< Regs[Slot] = Regs[Slot2] * Imm (unsigned wraparound).
+    AndImm, ///< Regs[Slot] = Regs[Slot2] & Imm.
     ModImm, ///< Regs[Slot] = Regs[Slot2] % Imm (Imm != 0).
     AddRR,  ///< Regs[Slot] = Regs[Slot2] + Regs[A] (A names a third slot).
+    // --- Control flow: Jump through BrLtRR, kept last and contiguous.
     Jump,   ///< PC = A.
     BrEq,   ///< if (Regs[Slot] == Imm) PC = A; else fall through.
     BrNe,   ///< if (Regs[Slot] != Imm) PC = A; else fall through.
-    BrLt    ///< if (Regs[Slot] < Imm) PC = A; else fall through.
+    BrLt,   ///< if (Regs[Slot] < Imm) PC = A; else fall through.
+    BrLtRR  ///< if (Regs[Slot] < Regs[Slot2]) PC = A; else fall through.
   };
   Code C = Code::Jitter;
   uint16_t Slot = 0;  ///< Destination/source register slot.
@@ -144,6 +156,12 @@ struct BatchProgram {
   unsigned GridDim = 0;
   unsigned BlockDim = 0;
   unsigned NumSlots = 0; ///< Register slots one run needs.
+  /// Some branch or jump targets an earlier op, so a lane may loop
+  /// forever. Set by the builder; only such programs try the provable
+  /// timeout (runBatchProgram), so straight-line litmus and fuzz
+  /// programs never pay for it. A false flag on a looping program only
+  /// disables the early stop.
+  bool HasBackwardBranch = false;
 };
 
 /// Mirrors the SchedulerConfig fields the batched shapes use.
@@ -152,6 +170,10 @@ struct BatchRunConfig {
   unsigned IssueWidthPerSM = 2;
   uint64_t MaxTicks = 400000;
 };
+
+/// Ticks between two attempts at runBatchProgram's provable-timeout
+/// check: a constant, not an option.
+inline constexpr uint64_t TimeoutProofInterval = 4096;
 
 /// Recyclable batched-executor state, owned by an ExecutionContext
 /// alongside the scheduler scratch. Lane state is structure-of-arrays and
@@ -236,7 +258,14 @@ std::optional<EngineMode> parseEngineMode(std::string_view Name);
 
 /// Executes one run of \p BP to completion on \p Mem, drawing from \p R —
 /// a draw-for-draw replica of Scheduler::launch + Scheduler::run for the
-/// batched op shapes, trace events included. \p Regs is the run's
+/// batched op shapes, trace events included. Without a trace sink, a run
+/// of a program with HasBackwardBranch set ends early once its timeout is
+/// provable: every TimeoutProofInterval ticks, when memory is quiescent
+/// and no lane waits at a barrier or on a ticket, it explores each live
+/// lane's reachable ops and stops if none can complete, reach a barrier
+/// or an async load, or write an unknown address. The result is then
+/// Timeout at MaxTicks + 1, as the full run's; only Mem's statistics and
+/// \p R's position reflect the skipped ticks. \p Regs is the run's
 /// register vector (NumSlots words). The caller owns per-run setup exactly
 /// as with the scalar engine: context reset, allocations, initial-value
 /// writes and the congestion source all happen before the call.

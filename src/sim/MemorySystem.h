@@ -160,6 +160,12 @@ public:
     return !ActiveQueues.empty() || PendingAsyncCount != 0;
   }
 
+  /// True when no buffered store, pending async load or block-visible
+  /// overlay value exists, so every load returns the global word
+  /// (hostRead). Conservative: a drained queue tick() has not yet pruned
+  /// still counts as buffered.
+  bool quiescent() const { return !hasPendingWork() && Overlay.empty(); }
+
   /// Synchronously drains everything owned by \p Tid (thread exit,
   /// barrier-free end of kernel for that thread).
   void drainThread(unsigned Tid);

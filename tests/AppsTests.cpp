@@ -20,6 +20,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <vector>
 
 using namespace gpuwmm;
@@ -247,7 +248,8 @@ std::vector<AppVerdict> scalarVerdicts(AppKind K,
 
 const AppKind LowerableKinds[] = {AppKind::CbeHt,    AppKind::CbeDot,
                                   AppKind::SdkRed,   AppKind::SdkRedNf,
-                                  AppKind::CubScan,  AppKind::CubScanNf};
+                                  AppKind::CubScan,  AppKind::CubScanNf,
+                                  AppKind::TpoTm};
 
 } // namespace
 
@@ -255,7 +257,6 @@ TEST(AppBatchLowering, CapabilityMatrixIsStable) {
   for (const AppKind K : LowerableKinds)
     EXPECT_TRUE(appLowerable(K)) << appName(K);
   EXPECT_FALSE(appLowerable(AppKind::CtOctree));
-  EXPECT_FALSE(appLowerable(AppKind::TpoTm));
   EXPECT_FALSE(appLowerable(AppKind::LsBh));
   EXPECT_FALSE(appLowerable(AppKind::LsBhNf));
 }
@@ -266,12 +267,21 @@ TEST_P(AppBatchIdentity, MatchesScalarAcrossEnvironments) {
   // The tier-1 identity grid: every environment of the paper's sweep,
   // unfenced, 24 runs each, verdict-for-verdict agreement.
   const auto Seeds = forkSeeds(1010, 24);
+  unsigned Timeouts = 0;
   for (const stress::Environment &Env : stress::Environment::all()) {
     const auto Scalar =
         scalarVerdicts(GetParam(), titan(), Env, nullptr, Seeds);
     const auto Compiled =
         runVerdicts(GetParam(), titan(), Env, nullptr, Seeds);
     EXPECT_EQ(Scalar, Compiled) << appName(GetParam()) << " " << Env.name();
+    Timeouts += static_cast<unsigned>(
+        std::count(Scalar.begin(), Scalar.end(), AppVerdict::Timeout));
+  }
+  // tpo-tm's livelocks are where the compiled engine stops a run early
+  // (a provable timeout); the coroutine reference never does, so the grid
+  // must hold some for the comparison to cover that path.
+  if (GetParam() == AppKind::TpoTm) {
+    EXPECT_GT(Timeouts, 0u);
   }
 }
 
@@ -381,7 +391,7 @@ TEST(AppBatchFallback, UnlowerableAppsMatchScalarViaFallback) {
   // An irregular app takes the coroutine path under every engine mode,
   // run for run.
   const auto Seeds = forkSeeds(6060, 6);
-  for (const AppKind K : {AppKind::LsBh, AppKind::TpoTm}) {
+  for (const AppKind K : {AppKind::LsBh, AppKind::CtOctree}) {
     const auto Ref = scalarVerdicts(K, titan(), SysPlus, nullptr, Seeds);
     EXPECT_EQ(Ref, runVerdicts(K, titan(), SysPlus, nullptr, Seeds))
         << appName(K);

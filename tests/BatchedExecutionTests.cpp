@@ -438,3 +438,206 @@ TEST(BatchOpSemantics, BarrierDivergenceIsDetected) {
   const sim::RunResult R = runRaw(BP, Ctx, Regs);
   EXPECT_EQ(R.Status, sim::RunStatus::BarrierDivergence);
 }
+
+TEST(BatchOpSemantics, TaskQueueOps) {
+  // The tpo-tm lowering's ops: AndImm masks a packed descriptor, BrLtRR
+  // compares two registers, AtomicAddIdx counts through an index register
+  // and WbStoreIdx writes a register plus a bias through one.
+  using Code = sim::BatchOp::Code;
+  sim::ExecutionContext Ctx;
+  Ctx.reset(titan(), 23);
+  const sim::Addr Counts = Ctx.memory().alloc(8);
+  const sim::Addr Buf = Ctx.memory().alloc(8);
+  const sim::Addr Out = Ctx.memory().alloc(2);
+
+  sim::BatchProgram BP;
+  BP.GridDim = 1;
+  BP.BlockDim = 1;
+  BP.NumSlots = 3;
+  BP.Ops.push_back({Code::MovImm, 0, 0, 0, 0x10003});  // r0 = packed task
+  BP.Ops.push_back({Code::AndImm, 1, 0, 0, 0xffff});   // r1 = 3
+  BP.Ops.push_back({Code::AtomicAddIdx, 0, 1, Counts, 5}); // Counts[3] += 5
+  BP.Ops.push_back({Code::WbStoreIdx, 1, 1, Buf, 10}); // Buf[3] = 3 + 10
+  BP.Ops.push_back({Code::MovImm, 2, 0, 0, 4});        // r2 = 4
+  BP.Ops.push_back({Code::BrLtRR, 1, 2, 8, 0});        // 3 < 4: taken
+  BP.Ops.push_back({Code::Store, 0, 0, Out, 1});       // skipped
+  BP.Ops.push_back({Code::Jump, 0, 0, 9, 0});          // skipped
+  BP.Ops.push_back({Code::BrLtRR, 2, 1, 10, 0});       // 4 < 3: not taken
+  BP.Ops.push_back({Code::Store, 0, 0, Out + 1, 1});   // runs
+  BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
+
+  std::vector<sim::Word> Regs;
+  const sim::RunResult R = runRaw(BP, Ctx, Regs);
+  EXPECT_EQ(R.Status, sim::RunStatus::Completed);
+  EXPECT_EQ(Regs[1], 3u);
+  EXPECT_EQ(Ctx.memory().hostRead(Counts + 3), 5u);
+  EXPECT_EQ(Ctx.memory().hostRead(Buf + 3), 13u);
+  EXPECT_EQ(Ctx.memory().hostRead(Out), 0u);
+  EXPECT_EQ(Ctx.memory().hostRead(Out + 1), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Provable timeouts (DESIGN.md Sec. 19): an untraced run stops once no lane
+// can ever finish, reporting exactly what the full simulation reports.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using ProofCode = sim::BatchOp::Code;
+
+constexpr uint64_t ProofBudget = 5 * sim::TimeoutProofInterval;
+
+struct ProofRun {
+  sim::RunResult Result;
+  size_t Events = 0; ///< Trace events recorded (0 untraced).
+};
+
+/// One run of \p BP on a fresh context whose memory holds \p Words zeroed
+/// words (address 0 is the flag every case spins on), traced or not.
+ProofRun runProofCase(const sim::BatchProgram &BP, unsigned Words,
+                      bool Traced) {
+  sim::ExecutionContext Ctx;
+  Ctx.requestTracing(Traced);
+  Ctx.reset(titan(), 29);
+  (void)Ctx.memory().alloc(Words);
+  sim::BatchRunConfig Cfg;
+  Cfg.MaxTicks = ProofBudget;
+  std::vector<sim::Word> Regs(std::max(1u, BP.NumSlots), 0);
+  ProofRun R;
+  R.Result = sim::runBatchProgram(BP, titan(), Ctx.memory(), Ctx.rng(),
+                                  Ctx.batchScratch(), Regs.data(), Cfg);
+  R.Events = Ctx.trace().size();
+  return R;
+}
+
+/// Appends "spin: r = ld(flag); if (r == 0) goto spin" as the next lane.
+void spinLane(sim::BatchProgram &BP, uint16_t Slot) {
+  const uint32_t Begin = static_cast<uint32_t>(BP.Ops.size());
+  BP.Ops.push_back({ProofCode::Load, Slot, 0, 0, 0});
+  BP.Ops.push_back({ProofCode::BrEq, Slot, 0, Begin, 0});
+  BP.Lanes.push_back({Begin, static_cast<uint32_t>(BP.Ops.size())});
+}
+
+/// Appends "sleep(SleepTicks); st(flag, 1); spin on the flag".
+void flagSetterLane(sim::BatchProgram &BP, uint16_t Slot,
+                    uint64_t SleepTicks) {
+  const uint32_t Begin = static_cast<uint32_t>(BP.Ops.size());
+  BP.Ops.push_back(
+      {ProofCode::Sleep, 0, 0, 0, static_cast<sim::Word>(SleepTicks)});
+  BP.Ops.push_back({ProofCode::Store, 0, 0, 0, 1});
+  BP.Ops.push_back({ProofCode::Load, Slot, 0, 0, 0});
+  BP.Ops.push_back({ProofCode::BrEq, Slot, 0, Begin + 2, 0});
+  BP.Lanes.push_back({Begin, static_cast<uint32_t>(BP.Ops.size())});
+}
+
+/// An empty one-block program of \p Lanes lanes, flagged as looping.
+sim::BatchProgram loopingProgram(unsigned Lanes) {
+  sim::BatchProgram BP;
+  BP.GridDim = 1;
+  BP.BlockDim = Lanes;
+  BP.NumSlots = 2;
+  BP.HasBackwardBranch = true;
+  return BP;
+}
+
+/// Expects the run neither stopped early nor changed: the untraced run's
+/// memory statistics equal the traced (never cut) run's.
+void expectUncut(const sim::BatchProgram &BP, unsigned Words,
+                 sim::RunStatus Status) {
+  const ProofRun Plain = runProofCase(BP, Words, false);
+  const ProofRun Traced = runProofCase(BP, Words, true);
+  EXPECT_EQ(Plain.Result.Status, Status);
+  EXPECT_EQ(Traced.Result.Status, Status);
+  EXPECT_EQ(Plain.Result.Ticks, Traced.Result.Ticks);
+  EXPECT_EQ(Plain.Result.Mem.Loads, Traced.Result.Mem.Loads);
+  EXPECT_EQ(Plain.Result.Mem.Stores, Traced.Result.Mem.Stores);
+  EXPECT_EQ(Plain.Result.Mem.Atomics, Traced.Result.Mem.Atomics);
+}
+
+} // namespace
+
+TEST(ProvableTimeout, SpinOnUnwrittenFlagStopsEarly) {
+  // Two lanes spin on a flag no op writes: the proof holds at its first
+  // attempt, and the run reports the full simulation's Timeout at
+  // MaxTicks + 1 after a fraction of its loads.
+  sim::BatchProgram BP = loopingProgram(2);
+  spinLane(BP, 0);
+  spinLane(BP, 1);
+  const ProofRun Plain = runProofCase(BP, 1, false);
+  EXPECT_EQ(Plain.Result.Status, sim::RunStatus::Timeout);
+  EXPECT_EQ(Plain.Result.Ticks, ProofBudget + 1);
+  EXPECT_LT(Plain.Result.Mem.Loads, 2 * 2 * sim::TimeoutProofInterval);
+
+  // Traced, the same run is never cut: every load of the full budget is
+  // in the event stream.
+  const ProofRun Traced = runProofCase(BP, 1, true);
+  EXPECT_EQ(Traced.Result.Status, sim::RunStatus::Timeout);
+  EXPECT_EQ(Traced.Result.Ticks, ProofBudget + 1);
+  EXPECT_GE(Traced.Result.Mem.Loads, 2 * ProofBudget - 2);
+  EXPECT_GE(Traced.Events, Traced.Result.Mem.Loads);
+}
+
+TEST(ProvableTimeout, FlagSetLaterByAnotherLaneCompletes) {
+  // Lane 1 sleeps past the first attempt, then stores the flag and spins
+  // on it too. Its pending Store puts the flag in the may-write set, so
+  // both spinners' exits are reachable and the run completes.
+  sim::BatchProgram BP = loopingProgram(2);
+  spinLane(BP, 0);
+  flagSetterLane(BP, 1, 2 * sim::TimeoutProofInterval);
+  expectUncut(BP, 1, sim::RunStatus::Completed);
+}
+
+TEST(ProvableTimeout, BufferedFlagStoreBlocksTheProof) {
+  // Lane 1 stores the flag in the very tick of the first attempt. Global
+  // memory still holds 0 and no op left to explore writes the flag, so
+  // only the quiescence precondition keeps the proof from cutting a run
+  // that completes.
+  sim::BatchProgram BP = loopingProgram(2);
+  spinLane(BP, 0);
+  flagSetterLane(BP, 1, sim::TimeoutProofInterval - 1);
+  expectUncut(BP, 1, sim::RunStatus::Completed);
+}
+
+TEST(ProvableTimeout, UnknownStoreAddressBlocksTheProof) {
+  // The spin loop holds an indexed store through the result of an atomic:
+  // never executed (the atomic always returns 0), but its address is
+  // unknown to the proof, so the run goes to the full budget.
+  sim::BatchProgram BP = loopingProgram(1);
+  BP.Ops.push_back({ProofCode::Load, 0, 0, 0, 0});
+  BP.Ops.push_back({ProofCode::AtomicAddReg, 1, 0, 1, 0});
+  BP.Ops.push_back({ProofCode::BrEq, 1, 0, 4, 0});
+  BP.Ops.push_back({ProofCode::StoreIdx, 0, 1, 2, 1});
+  BP.Ops.push_back({ProofCode::BrEq, 0, 0, 0, 0});
+  BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
+  expectUncut(BP, 4, sim::RunStatus::Timeout);
+}
+
+TEST(ProvableTimeout, BarrierInSpinLoopBlocksTheProof) {
+  // Both lanes spin through a block barrier: a barrier is never proven
+  // unreachable, so the run goes to the full budget.
+  sim::BatchProgram BP = loopingProgram(2);
+  for (uint16_t Slot = 0; Slot != 2; ++Slot) {
+    const uint32_t Begin = static_cast<uint32_t>(BP.Ops.size());
+    BP.Ops.push_back({ProofCode::Load, Slot, 0, 0, 0});
+    BP.Ops.push_back({ProofCode::Barrier, 0, 0, 0, 0});
+    BP.Ops.push_back({ProofCode::BrEq, Slot, 0, Begin, 0});
+    BP.Lanes.push_back({Begin, static_cast<uint32_t>(BP.Ops.size())});
+  }
+  expectUncut(BP, 1, sim::RunStatus::Timeout);
+}
+
+TEST(ProvableTimeout, LastLaneFinishingOnAnAttemptTickCompletes) {
+  // The only lane completes in the very tick of the first attempt: with
+  // no live lane left the proof must not be tried (it would hold
+  // vacuously and turn a completed run into a timeout).
+  sim::BatchProgram BP = loopingProgram(1);
+  BP.Ops.push_back({ProofCode::MovImm, 0, 0, 0, 0});
+  BP.Ops.push_back({ProofCode::AddImm, 0, 0, 0, 1});
+  BP.Ops.push_back({ProofCode::BrLt, 0, 0, 1, 3});
+  BP.Ops.push_back({ProofCode::Sleep, 0, 0, 0,
+                    static_cast<sim::Word>(sim::TimeoutProofInterval - 1)});
+  BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
+  const ProofRun Plain = runProofCase(BP, 1, false);
+  EXPECT_EQ(Plain.Result.Status, sim::RunStatus::Completed);
+  EXPECT_EQ(Plain.Result.Ticks, sim::TimeoutProofInterval);
+}

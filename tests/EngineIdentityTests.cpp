@@ -257,7 +257,8 @@ INSTANTIATE_TEST_SUITE_P(
     Lowered, EventStreamIdentityApps,
     ::testing::Values(apps::AppKind::CbeHt, apps::AppKind::CbeDot,
                       apps::AppKind::SdkRed, apps::AppKind::SdkRedNf,
-                      apps::AppKind::CubScan, apps::AppKind::CubScanNf),
+                      apps::AppKind::CubScan, apps::AppKind::CubScanNf,
+                      apps::AppKind::TpoTm),
     [](const auto &Info) {
       std::string N = apps::appName(Info.param);
       for (char &C : N)
