@@ -54,8 +54,6 @@
 #include "support/Rng.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace gpuwmm;
 using namespace gpuwmm::sim;
@@ -66,38 +64,15 @@ using namespace gpuwmm::sim;
 
 namespace {
 
-/// CLI-installed engine mode; unset until setEngineMode runs. Written once
-/// before any workers start, read-only afterwards.
-EngineMode CliEngineMode = EngineMode::Auto;
-bool CliEngineModeSet = false;
-
-EngineMode resolveEnvEngineMode() {
-  if (const char *Env = std::getenv("GPUWMM_ENGINE")) {
-    if (const std::optional<EngineMode> M = parseEngineMode(Env))
-      return *M;
-    // Mirror the --engine validation, but warn-and-fall-back rather than
-    // exit: an environment variable should not be fatal to library users.
-    std::fprintf(stderr,
-                 "warning: ignoring invalid GPUWMM_ENGINE='%s' (must be "
-                 "auto, scalar or batched); using engine mode auto\n",
-                 Env);
-  }
-  return EngineMode::Auto;
-}
+/// The installed engine mode. Written once before any workers start,
+/// read-only afterwards.
+EngineMode InstalledEngineMode = EngineMode::Auto;
 
 } // namespace
 
-EngineMode sim::engineMode() {
-  if (CliEngineModeSet)
-    return CliEngineMode;
-  static const EngineMode Resolved = resolveEnvEngineMode();
-  return Resolved;
-}
+EngineMode sim::engineMode() { return InstalledEngineMode; }
 
-void sim::setEngineMode(EngineMode M) {
-  CliEngineMode = M;
-  CliEngineModeSet = true;
-}
+void sim::setEngineMode(EngineMode M) { InstalledEngineMode = M; }
 
 const char *sim::engineModeName(EngineMode M) {
   switch (M) {

@@ -226,7 +226,7 @@ struct BatchScratch {
   void invalidateResidency() { CachedGrid = CachedBlock = CachedSMs = ~0u; }
 };
 
-/// The process-wide engine selection (--engine / GPUWMM_ENGINE).
+/// The process-wide engine selection (--engine).
 ///
 ///  * Auto (the default): every program that lowers (litmus/fuzz
 ///    programs, lowerable app kernels) runs on the compiled engine, traced,
@@ -242,9 +242,8 @@ struct BatchScratch {
 /// draw-for-draw identical per run.
 enum class EngineMode : uint8_t { Auto, Scalar, Batched };
 
-/// The process-wide engine mode: the CLI's --engine, else GPUWMM_ENGINE
-/// (invalid values warn and fall back to auto, mirroring GPUWMM_JOBS),
-/// else Auto.
+/// The process-wide engine mode: the one last installed by
+/// \ref setEngineMode (the CLI's --engine), else Auto.
 EngineMode engineMode();
 
 /// Installs the CLI-selected engine mode.

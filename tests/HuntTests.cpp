@@ -737,9 +737,15 @@ TEST(CorpusTest, SigkillAfterNthAppendKeepsDurablePrefix) {
 TEST(HuntPipelineTest, TinyHuntMinesOracleVerifiedCorpus) {
   const hunt::HuntReport R = runHuntOk(tinyHunt(2));
   // The bounded-hunt golden at seed 9 (deterministic per the contract).
+  // The stage totals are exact work pins: a change to shrink's candidate
+  // order or budget, or to the cross-check policy, moves them and must
+  // re-pin them here.
   EXPECT_EQ(R.ProgramsFuzzed, 24u);
   EXPECT_EQ(R.WeakPrograms, 6u);
   EXPECT_EQ(R.NotReproduced, 1u);
+  EXPECT_EQ(R.ShrinkCandidates, 36u);
+  EXPECT_EQ(R.ShrinkAccepted, 5u);
+  EXPECT_EQ(R.CrossChecks, 1464u);
   EXPECT_EQ(R.Duplicates, 0u);
   ASSERT_EQ(R.Entries.size(), 5u);
   EXPECT_EQ(R.NewEntries, 5u);

@@ -11,10 +11,14 @@
 // tuned stress, on fuzz-generated programs, on every application workload,
 // and on deliberately corrupted traces; it also pins the streaming
 // checker's bounded-memory property (retirement keeps the live graph at
-// the active frontier, not the run length) and the campaign's
-// --oracle=all mode (every run checked, counts unperturbed).
+// the active frontier, not the run length), the exact work a checked run
+// does (events, edge operations, memory operations) on both engines, and
+// the campaign's --oracle=all mode (every run checked, counts
+// unperturbed).
 //
 //===----------------------------------------------------------------------===//
+
+#include "EngineModeGuard.h"
 
 #include "apps/Application.h"
 #include "fuzz/LitmusBridge.h"
@@ -27,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 using namespace gpuwmm;
@@ -426,6 +431,170 @@ TEST(StreamingMemoryBoundTest, CountersResetPerRun) {
   EXPECT_TRUE(R.AxiomsOk) << R.AxiomViolation;
   EXPECT_EQ(Checker.consumedEvents(), FirstConsumed);
   EXPECT_GT(Checker.edgeOps(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Exact work pins
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The deterministic work of a set of checked runs: what the streaming
+/// checker consumed and spent, and what the memory system did.
+struct WorkCounts {
+  uint64_t Events = 0;       ///< StreamingChecker::consumedEvents().
+  uint64_t EdgeOps = 0;      ///< StreamingChecker::edgeOps().
+  uint64_t Loads = 0;        ///< MemStats::Loads.
+  uint64_t Stores = 0;       ///< MemStats::Stores.
+  uint64_t Atomics = 0;      ///< MemStats::Atomics.
+  uint64_t Fences = 0;       ///< MemStats::DeviceFences + BlockFences.
+  uint64_t Drained = 0;      ///< MemStats::DrainedStores.
+  uint64_t ForcedDrains = 0; ///< MemStats::ForcedSelfDrains.
+
+  bool operator==(const WorkCounts &) const = default;
+
+  void add(const StreamingChecker &C) {
+    Events += C.consumedEvents();
+    EdgeOps += C.edgeOps();
+  }
+  void add(const sim::MemStats &M) {
+    Loads += M.Loads;
+    Stores += M.Stores;
+    Atomics += M.Atomics;
+    Fences += M.DeviceFences + M.BlockFences;
+    Drained += M.DrainedStores;
+    ForcedDrains += M.ForcedSelfDrains;
+  }
+  /// The table row that pins these counts.
+  std::string row() const {
+    std::string Row = "{";
+    for (const uint64_t V : {Events, EdgeOps, Loads, Stores, Atomics, Fences,
+                             Drained, ForcedDrains})
+      Row += (Row.size() > 1 ? ", " : "") + std::to_string(V);
+    return Row + "}";
+  }
+};
+
+/// One checked titan run of the \p AppIndex-th application under each of
+/// no-str+ and cache-str- (seed deriveStream(99, 2 * AppIndex + EnvIndex)),
+/// summed.
+WorkCounts checkedAppWork(size_t AppIndex) {
+  const apps::AppKind App = apps::AllAppKinds[AppIndex];
+  const sim::ChipProfile &Chip = titan();
+  const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
+  const stress::Environment Envs[] = {{stress::StressKind::None, true},
+                                      {stress::StressKind::Cache, false}};
+  StreamingChecker Checker;
+  sim::ExecutionContext Ctx;
+  WorkCounts W;
+  for (size_t E = 0; E != std::size(Envs); ++E) {
+    Checker.begin();
+    Ctx.requestStreaming(&Checker);
+    (void)apps::runApplicationOnce(Ctx, App, Chip, Envs[E], Tuned,
+                                   /*Policy=*/nullptr,
+                                   Rng::deriveStream(99, 2 * AppIndex + E));
+    Ctx.requestStreaming(nullptr);
+    const StreamVerdict &V = Checker.finish();
+    EXPECT_TRUE(V.AxiomsOk) << apps::appName(App) << " " << Envs[E].name()
+                            << ": " << V.AxiomViolation;
+    W.add(Checker);
+    W.add(Ctx.memory().stats());
+  }
+  return W;
+}
+
+/// 200 stressed titan MP runs at seed 42, 25 at each per-bank stress
+/// location, with \p Opts. With \p W non-null a StreamingChecker is each
+/// run's sink and its work is added to \p W. Returns the per-run weak
+/// verdicts.
+std::vector<uint8_t> stressedMpRuns(litmus::LitmusRunner::RunOpts Opts,
+                                    WorkCounts *W = nullptr) {
+  const sim::ChipProfile &Chip = titan();
+  const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
+  const litmus::Program &P = litmus::catalogProgram(litmus::LitmusKind::MP);
+  StreamingChecker Checker;
+  if (W)
+    Opts.Sink = &Checker;
+  litmus::LitmusRunner Runner(Chip, /*Seed=*/42);
+  std::vector<uint8_t> Weak;
+  for (unsigned Region = 0; Region != Chip.NumBanks; ++Region) {
+    const auto S = litmus::LitmusRunner::MicroStress::at(
+        Tuned.Seq, Region * Tuned.PatchWords);
+    for (unsigned I = 0; I != 25; ++I) {
+      Checker.begin();
+      Weak.push_back(Runner.runOnce(P, 2 * Chip.PatchSizeWords, S, Opts));
+      if (!W)
+        continue;
+      const StreamVerdict &V = Checker.finish();
+      EXPECT_TRUE(V.AxiomsOk) << V.AxiomViolation;
+      EXPECT_EQ(V.weak(), Weak.back() != 0) << "region " << Region;
+      W->add(Checker);
+    }
+  }
+  return Weak;
+}
+
+} // namespace
+
+// The exact work of fixed checked runs, on both engines. Checked runs are
+// never cut short, so the compiled engine and the coroutine reference must
+// do the same work to the unit. The counts are machine independent, so
+// they gate performance where wall time cannot: a splice that densifies,
+// an extra store or fence in a lowering, or an engine that diverges from
+// its reference fails here on any host. A change that moves a pin on
+// purpose re-pins it from the printed actual row and says why.
+//
+// Apps: one checked run of each application under no-str+ and under
+// cache-str-, summed per app. MP: 200 stressed runs with the checker as
+// their sink (its cost per checked litmus run, in edge operations); their
+// weak sequence must equal the unchecked and the traced one — observation
+// never steers the simulation.
+TEST(StreamingMemoryBoundTest, CheckedWorkIsPinnedOnBothEngines) {
+  // {events, edge ops, loads, stores, atomics, fences, drained stores,
+  //  forced self-drains}, in AllAppKinds order.
+  const WorkCounts AppPins[] = {
+      {4780, 70463, 512, 768, 2204, 0, 768, 0},      // cbe-ht
+      {3141, 2891, 1288, 264, 28, 256, 264, 0},      // cbe-dot
+      {2510, 15049, 844, 192, 512, 0, 192, 0},       // ct-octree
+      {68361, 5296548, 2816, 192, 64951, 0, 192, 0}, // tpo-tm
+      {3191, 2110, 1040, 530, 16, 528, 530, 0},      // sdk-red
+      {3177, 2110, 1040, 530, 16, 512, 530, 0},      // sdk-red-nf
+      {7008, 10998, 2159, 1616, 0, 1056, 1616, 16},  // cub-scan
+      {6966, 10910, 2148, 1616, 0, 1024, 1616, 24},  // cub-scan-nf
+      {15385, 48224, 12335, 802, 241, 45, 802, 1},   // ls-bh
+      {15029, 45116, 11922, 838, 271, 0, 838, 2},    // ls-bh-nf
+  };
+  // MP: {events, edge ops} (its memory counts are not observable through
+  // the runner) and the number of weak runs.
+  const WorkCounts MpPin = {2000, 1847};
+  const size_t MpWeakPin = 6;
+  ASSERT_EQ(std::size(AppPins), apps::AllAppKinds.size())
+      << "pin every app";
+
+  for (const sim::EngineMode Mode :
+       {sim::EngineMode::Auto, sim::EngineMode::Scalar}) {
+    EngineModeGuard Guard(Mode);
+    const std::string Engine = sim::engineModeName(Mode);
+    for (size_t A = 0; A != std::size(AppPins); ++A) {
+      const WorkCounts Got = checkedAppWork(A);
+      EXPECT_EQ(Got, AppPins[A])
+          << apps::appName(apps::AllAppKinds[A]) << " on " << Engine
+          << ": actual " << Got.row();
+    }
+
+    WorkCounts Got;
+    const std::vector<uint8_t> Weak = stressedMpRuns({}, &Got);
+    EXPECT_EQ(Got, MpPin) << "MP on " << Engine << ": actual " << Got.row();
+    EXPECT_EQ(static_cast<size_t>(std::count(Weak.begin(), Weak.end(), 1)),
+              MpWeakPin)
+        << "MP on " << Engine;
+    EXPECT_EQ(stressedMpRuns({}), Weak)
+        << "MP on " << Engine << ": the checker perturbed the runs";
+    litmus::LitmusRunner::RunOpts Traced;
+    Traced.Trace = true;
+    EXPECT_EQ(stressedMpRuns(Traced), Weak)
+        << "MP on " << Engine << ": tracing perturbed the runs";
+  }
 }
 
 //===----------------------------------------------------------------------===//

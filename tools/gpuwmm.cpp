@@ -118,8 +118,8 @@ int usage() {
       "program that lowers on the compiled engine, traced and oracle-\n"
       "checked runs included; scalar forces the coroutine reference\n"
       "engine; batched fails on kernels that cannot lower; results are\n"
-      "engine-independent; default GPUWMM_ENGINE or auto); GPUWMM_SCALE\n"
-      "scales run counts globally. Unknown options are rejected.\n");
+      "engine-independent; default auto); GPUWMM_SCALE scales run\n"
+      "counts globally. Unknown options are rejected.\n");
   return 2;
 }
 
@@ -937,8 +937,7 @@ int main(int Argc, char **Argv) {
   }
   // --engine selects the execution engine globally (results are
   // engine-independent; batched additionally refuses kernels that cannot
-  // lower). An explicit flag must parse, unlike GPUWMM_ENGINE which
-  // warns and falls back.
+  // lower). The flag must parse.
   if (Opts.has("engine")) {
     const std::string Name = Opts.getString("engine", "");
     const auto Mode = sim::parseEngineMode(Name);
