@@ -20,14 +20,12 @@
 #include <iostream>
 
 using namespace gpuwmm;
-using litmus::AllLitmusKinds;
 
 int main(int Argc, char **Argv) {
   Options Opts(Argc, Argv);
   const std::string ChipName = Opts.getString("chip", "titan");
-  const unsigned C =
-      static_cast<unsigned>(Opts.getInt("executions", scaledCount(40)));
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 29));
+  const unsigned C = Opts.getCount("executions", scaledCount(40));
+  const uint64_t Seed = Opts.getSeed(29);
 
   const sim::ChipProfile *Chip = sim::ChipProfile::lookup(ChipName);
   if (!Chip) {
@@ -44,9 +42,10 @@ int main(int Argc, char **Argv) {
   const auto Ranked = Tuner.rankAll(Chip->PatchSizeWords, Cfg);
   const auto Best = tuning::SequenceTuner::selectBest(Ranked);
 
+  const auto Tests = litmus::tuningPrograms();
   for (unsigned K = 0; K != 3; ++K) {
     const auto Sorted = tuning::SequenceTuner::sortedByKind(Ranked, K);
-    std::printf("-- %s --\n", litmusName(AllLitmusKinds[K]));
+    std::printf("-- %s --\n", Tests[K]->Name.c_str());
     Table T({"rank", "sigma", "score"});
     for (size_t I = 0; I != 3; ++I)
       T.addRow({std::to_string(I + 1), Sorted[I].Seq.str(),

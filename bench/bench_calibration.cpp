@@ -20,18 +20,15 @@
 #include <iostream>
 
 using namespace gpuwmm;
-using litmus::AllLitmusKinds;
-using litmus::LitmusInstance;
 using litmus::LitmusRunner;
 
 int main(int Argc, char **Argv) {
   Options Opts(Argc, Argv);
-  const unsigned C =
-      static_cast<unsigned>(Opts.getInt("runs", scaledCount(1500)));
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 5));
+  const unsigned C = Opts.getCount("runs", scaledCount(1500));
+  const uint64_t Seed = Opts.getSeed(5);
   const std::string Only = Opts.getString("chip", "");
   const unsigned MaxSpread =
-      static_cast<unsigned>(Opts.getInt("max-spread", 5));
+      static_cast<unsigned>(Opts.getInt("max-spread", 5, 1, 16));
 
   const auto PatchSeq = stress::AccessSequence::parse("st ld");
   const auto AltSeq = stress::AccessSequence::parse("ld st ld st");
@@ -48,25 +45,28 @@ int main(int Argc, char **Argv) {
                 Chip.NumBanks, Chip.Sensitivity);
     Table T({"test", "native%", "hit%", "miss%", "m=1", "m=2", "m=3", "m=4",
              "m=5"});
-    for (size_t K = 0; K != AllLitmusKinds.size(); ++K) {
+    const auto Tests = litmus::tuningPrograms();
+    for (size_t K = 0; K != Tests.size(); ++K) {
       LitmusRunner Runner(Chip, Rng::deriveStream(Seed, K));
-      const LitmusInstance Inst{AllLitmusKinds[K], 2 * P};
+      const litmus::Program &Test = *Tests[K];
 
       const double Native =
-          100.0 * Runner.countWeak(Inst, LitmusRunner::MicroStress::none(),
-                                   C) / C;
+          100.0 * Runner.countWeak(Test, 2 * P,
+                                   LitmusRunner::MicroStress::none(), C) /
+          C;
       // Direct hit: find the most effective single location in the first
       // NumBanks patches (one maps to bank(x)).
       unsigned BestHit = 0;
       unsigned WorstHit = ~0u;
       for (unsigned R = 0; R != Chip.NumBanks; ++R) {
         const unsigned W = Runner.countWeak(
-            Inst, LitmusRunner::MicroStress::at(PatchSeq, R * P), C / 4);
+            Test, 2 * P, LitmusRunner::MicroStress::at(PatchSeq, R * P),
+            C / 4);
         BestHit = std::max(BestHit, W);
         WorstHit = std::min(WorstHit, W);
       }
       std::vector<std::string> Row{
-          litmusName(AllLitmusKinds[K]), formatDouble(Native, 2),
+          Test.Name, formatDouble(Native, 2),
           formatDouble(100.0 * BestHit / (C / 4), 1),
           formatDouble(100.0 * WorstHit / (C / 4), 1)};
 
@@ -80,7 +80,8 @@ int main(int Argc, char **Argv) {
           for (unsigned Region : SubsetRng.sampleDistinct(M, 16))
             Offs.push_back(Region * P);
           Score += Runner.countWeak(
-              Inst, LitmusRunner::MicroStress::atAll(AltSeq, Offs), 1);
+              Test, 2 * P, LitmusRunner::MicroStress::atAll(AltSeq, Offs),
+              1);
         }
         Row.push_back(std::to_string(Score));
       }

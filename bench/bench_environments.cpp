@@ -22,9 +22,8 @@ using namespace gpuwmm;
 
 int main(int Argc, char **Argv) {
   Options Opts(Argc, Argv);
-  const unsigned Runs =
-      static_cast<unsigned>(Opts.getInt("runs", scaledCount(60)));
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 13));
+  const unsigned Runs = Opts.getCount("runs", scaledCount(60));
+  const uint64_t Seed = Opts.getSeed(13);
   const std::string OnlyChip = Opts.getString("chip", "");
 
   std::printf("== Table 5: effectiveness of the eight testing environments "

@@ -35,11 +35,9 @@ const apps::AppKind CostApps[] = {
 
 int main(int Argc, char **Argv) {
   Options Opts(Argc, Argv);
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 23));
-  const unsigned Runs =
-      static_cast<unsigned>(Opts.getInt("runs", scaledCount(25)));
-  const unsigned StableRuns = static_cast<unsigned>(
-      Opts.getInt("stable-runs", scaledCount(150)));
+  const uint64_t Seed = Opts.getSeed(23);
+  const unsigned Runs = Opts.getCount("runs", scaledCount(25));
+  const unsigned StableRuns = Opts.getCount("stable-runs", scaledCount(150));
   const std::string OnlyChip = Opts.getString("chip", "");
 
   std::printf("== Figure 5: cost of {no, emp, cons} fences ==\n");

@@ -33,11 +33,9 @@ const apps::AppKind FencelessApps[] = {
 
 int main(int Argc, char **Argv) {
   Options Opts(Argc, Argv);
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 17));
-  const unsigned StableRuns = static_cast<unsigned>(
-      Opts.getInt("stable-runs", scaledCount(300)));
-  const unsigned InitialIters = static_cast<unsigned>(
-      Opts.getInt("iterations", 32));
+  const uint64_t Seed = Opts.getSeed(17);
+  const unsigned StableRuns = Opts.getCount("stable-runs", scaledCount(300));
+  const unsigned InitialIters = Opts.getCount("iterations", 32);
   const std::string OnlyApp = Opts.getString("app", "");
   const bool Verbose = Opts.has("verbose");
 

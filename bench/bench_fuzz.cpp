@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/ProgramFuzzer.h"
+#include "harden/LitmusHarden.h"
 #include "support/Options.h"
 #include "support/Table.h"
 
@@ -25,11 +26,9 @@ using namespace gpuwmm;
 int main(int Argc, char **Argv) {
   Options Opts(Argc, Argv);
   const std::string ChipName = Opts.getString("chip", "titan");
-  const unsigned Programs =
-      static_cast<unsigned>(Opts.getInt("programs", scaledCount(40)));
-  const unsigned Runs =
-      static_cast<unsigned>(Opts.getInt("runs", scaledCount(40)));
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 101));
+  const unsigned Programs = Opts.getCount("programs", scaledCount(40));
+  const unsigned Runs = Opts.getCount("runs", scaledCount(40));
+  const uint64_t Seed = Opts.getSeed(101);
 
   const sim::ChipProfile *Chip = sim::ChipProfile::lookup(ChipName);
   if (!Chip) {
@@ -46,16 +45,20 @@ int main(int Argc, char **Argv) {
   unsigned FencedViolations = 0;
 
   for (unsigned I = 0; I != Programs; ++I) {
-    const fuzz::Program P = fuzz::Program::generate(Gen, 3, 5, false);
+    const litmus::Program P = fuzz::generateProgram(Gen, 3, 5, false);
     const auto Native =
         fuzz::fuzzProgram(P, *Chip, Runs, Rng::deriveStream(Seed, 2 * I),
                           /*Stressed=*/false);
     const auto Stressed =
         fuzz::fuzzProgram(P, *Chip, Runs, Rng::deriveStream(Seed, 2 * I),
                           /*Stressed=*/true);
-    const auto Fenced = fuzz::fuzzProgram(P.fullyFenced(), *Chip,
-                                          /*Runs=*/8,
-                                          Rng::deriveStream(Seed, 2 * I + 1), true);
+    // A fence after every access (Alg. 1's starting point).
+    const litmus::Program AllFenced = harden::applyLitmusFences(
+        P, sim::FencePolicy::all(static_cast<unsigned>(
+               harden::litmusFenceSites(P).size())));
+    const auto Fenced =
+        fuzz::fuzzProgram(AllFenced, *Chip, /*Runs=*/8,
+                          Rng::deriveStream(Seed, 2 * I + 1), true);
     NativeWeakProgs += Native.WeakOutcomes > 0;
     StressedWeakProgs += Stressed.WeakOutcomes > 0;
     NativeWeakRuns += Native.WeakOutcomes;

@@ -19,7 +19,6 @@
 #include <cstdio>
 
 using namespace gpuwmm;
-using litmus::AllLitmusKinds;
 
 namespace {
 
@@ -66,15 +65,16 @@ void runChip(const char *Name, const std::vector<unsigned> &Distances,
       tuning::PatchFinder::decide(PF.scan(FullCfg), Cfg.Eps);
 
   std::printf("-- %s --\n", Chip->Name);
-  for (size_t K = 0; K != AllLitmusKinds.size(); ++K) {
-    if (AllLitmusKinds[K] == litmus::LitmusKind::SB)
+  const auto Tests = litmus::tuningPrograms();
+  for (size_t K = 0; K != Tests.size(); ++K) {
+    if (Tests[K]->Name == "SB")
       continue; // The paper omits SB from Fig. 3 (similar to LB).
     for (size_t D = 0; D != Scan.Distances.size(); ++D) {
       unsigned MaxCount = 0;
       for (unsigned V : Scan.Hist[K][D])
         MaxCount = std::max(MaxCount, V);
       std::printf("  %s d=%-3u (max %u weak / %u runs per location)\n",
-                  litmusName(AllLitmusKinds[K]), Scan.Distances[D],
+                  Tests[K]->Name.c_str(), Scan.Distances[D],
                   MaxCount, C);
       plotHistogram(Scan.Hist[K][D], MaxCount);
     }
@@ -95,9 +95,8 @@ void runChip(const char *Name, const std::vector<unsigned> &Distances,
 
 int main(int Argc, char **Argv) {
   Options Opts(Argc, Argv);
-  const unsigned C =
-      static_cast<unsigned>(Opts.getInt("executions", scaledCount(60)));
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 3));
+  const unsigned C = Opts.getCount("executions", scaledCount(60));
+  const uint64_t Seed = Opts.getSeed(3);
 
   std::printf("== Figure 3: patch finding (x axis: stressed scratchpad "
               "location 0..255, bar height: weak behaviours) ==\n\n");

@@ -50,10 +50,9 @@ static void runChip(const std::string &Name, unsigned MaxSpread,
 int main(int Argc, char **Argv) {
   Options Opts(Argc, Argv);
   const unsigned MaxSpread =
-      static_cast<unsigned>(Opts.getInt("max-spread", 16));
-  const unsigned Executions = static_cast<unsigned>(
-      Opts.getInt("executions", scaledCount(60)));
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 11));
+      static_cast<unsigned>(Opts.getInt("max-spread", 16, 1, 1 << 10));
+  const unsigned Executions = Opts.getCount("executions", scaledCount(60));
+  const uint64_t Seed = Opts.getSeed(11);
 
   std::printf("== Figure 4: spread finding ==\n\n");
   const std::string Only = Opts.getString("chip", "");

@@ -22,8 +22,8 @@ using namespace gpuwmm;
 int main(int Argc, char **Argv) {
   Options Opts(Argc, Argv);
   const double Scale =
-      Opts.getDouble("scale", 1.0) * experimentScale();
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 7));
+      Opts.getDouble("scale", 1.0, 1e-3, 1e3) * experimentScale();
+  const uint64_t Seed = Opts.getSeed(7);
   const std::string Only = Opts.getString("chip", "");
 
   std::printf("== Table 2: stressing parameters and tuning cost ==\n");

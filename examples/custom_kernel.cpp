@@ -102,9 +102,8 @@ bool runOnce(const sim::ChipProfile &Chip, const stress::Environment &Env,
 int main(int Argc, char **Argv) {
   Options Opts(Argc, Argv);
   const std::string ChipName = Opts.getString("chip", "titan");
-  const unsigned Runs =
-      static_cast<unsigned>(Opts.getInt("runs", scaledCount(200)));
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 7));
+  const unsigned Runs = Opts.getCount("runs", scaledCount(200));
+  const uint64_t Seed = Opts.getSeed(7);
 
   const sim::ChipProfile *Chip = sim::ChipProfile::lookup(ChipName);
   if (!Chip) {

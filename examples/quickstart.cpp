@@ -20,9 +20,8 @@ using namespace gpuwmm;
 int main(int Argc, char **Argv) {
   Options Opts(Argc, Argv);
   const std::string ChipName = Opts.getString("chip", "titan");
-  const unsigned Runs =
-      static_cast<unsigned>(Opts.getInt("runs", scaledCount(400)));
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 42));
+  const unsigned Runs = Opts.getCount("runs", scaledCount(400));
+  const uint64_t Seed = Opts.getSeed(42);
 
   const sim::ChipProfile *Chip = sim::ChipProfile::lookup(ChipName);
   if (!Chip) {
@@ -40,14 +39,11 @@ int main(int Argc, char **Argv) {
 
   std::printf("%-4s  %-4s  %-18s  %-18s  %s\n", "test", "d", "native weak",
               "stressed weak", "stress location");
-  for (litmus::LitmusKind K : litmus::AllLitmusKinds) {
+  for (const litmus::Program *T : litmus::tuningPrograms()) {
     for (unsigned D : {0u, P, 2 * P}) {
       litmus::LitmusRunner Runner(*Chip, Seed);
-      const litmus::LitmusInstance T{K, D};
-
-      const unsigned Native =
-          Runner.countWeak(T, litmus::LitmusRunner::MicroStress::none(),
-                           Runs);
+      const unsigned Native = Runner.countWeak(
+          *T, D, litmus::LitmusRunner::MicroStress::none(), Runs);
       // Stress the patch-sized region holding location x: on real chips
       // one cannot know which scratchpad patch conflicts with the
       // application; the tuning pipeline discovers effective ones. Here we
@@ -57,31 +53,32 @@ int main(int Argc, char **Argv) {
       for (unsigned Region = 0; Region != 8; ++Region) {
         const unsigned Loc = Region * P;
         const unsigned W = Runner.countWeak(
-            T, litmus::LitmusRunner::MicroStress::at(Tuned.Seq, Loc), Runs);
+            *T, D, litmus::LitmusRunner::MicroStress::at(Tuned.Seq, Loc),
+            Runs);
         if (W > BestWeak) {
           BestWeak = W;
           BestLoc = Loc;
         }
       }
       std::printf("%-4s  %-4u  %5u/%u (%5.1f%%)   %5u/%u (%5.1f%%)   @%u\n",
-                  litmusName(K), D, Native, Runs, 100.0 * Native / Runs,
+                  T->Name.c_str(), D, Native, Runs, 100.0 * Native / Runs,
                   BestWeak, Runs, 100.0 * BestWeak / Runs, BestLoc);
     }
   }
 
   std::printf("\nWith a fence between each thread's two operations the weak "
               "behaviours vanish:\n");
-  for (litmus::LitmusKind K : litmus::AllLitmusKinds) {
+  for (const litmus::Program *T : litmus::tuningPrograms()) {
     litmus::LitmusRunner Runner(*Chip, Seed);
     litmus::LitmusRunner::RunOpts Fenced;
     Fenced.WithFences = true;
     unsigned Weak = 0;
     for (unsigned Region = 0; Region != 8; ++Region)
       Weak += Runner.countWeak(
-          {K, 2 * P},
+          *T, 2 * P,
           litmus::LitmusRunner::MicroStress::at(Tuned.Seq, Region * P),
           Runs / 4, Fenced);
-    std::printf("  %-4s fenced, stressed: %u weak\n", litmusName(K), Weak);
+    std::printf("  %-4s fenced, stressed: %u weak\n", T->Name.c_str(), Weak);
   }
   return 0;
 }

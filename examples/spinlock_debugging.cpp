@@ -34,9 +34,8 @@ using namespace gpuwmm;
 int main(int Argc, char **Argv) {
   Options Opts(Argc, Argv);
   const std::string ChipName = Opts.getString("chip", "k20");
-  const unsigned Runs =
-      static_cast<unsigned>(Opts.getInt("runs", scaledCount(300)));
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 2016));
+  const unsigned Runs = Opts.getCount("runs", scaledCount(300));
+  const uint64_t Seed = Opts.getSeed(2016);
 
   const sim::ChipProfile *Chip = sim::ChipProfile::lookup(ChipName);
   if (!Chip) {

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <sstream>
 
 using namespace gpuwmm;
 using namespace gpuwmm::fuzz;
@@ -19,91 +18,69 @@ using sim::Word;
 // Program generation
 //===----------------------------------------------------------------------===//
 
-Program Program::generate(Rng &R, unsigned NumVars, unsigned OpsPerThread,
-                          bool WithFences) {
+litmus::Program fuzz::generateProgram(Rng &R, unsigned NumVars,
+                                      unsigned OpsPerThread,
+                                      bool WithFences) {
   assert(NumVars > 0 && "need at least one variable");
-  Program P;
-  P.NumVars = NumVars;
+  litmus::Program P;
+  P.Name = "fuzz";
+  P.PhaseJitter = StartJitter;
+  for (unsigned V = 0; V != NumVars; ++V) {
+    // Built without operator+ to dodge GCC 12's -Wrestrict false positive.
+    std::string Loc = "v";
+    Loc += std::to_string(V);
+    P.Locations.push_back(std::move(Loc));
+  }
+  P.Init.assign(NumVars, 0);
   Word NextValue = 1;
   for (unsigned T = 0; T != 2; ++T) {
+    litmus::ProgThread &Thread = P.Threads.emplace_back();
+    Thread.Block = T;
     for (unsigned I = 0; I != OpsPerThread; ++I) {
-      Op O;
       const unsigned Kinds = WithFences ? 4 : 3;
       switch (R.below(Kinds)) {
       case 0:
-        O.K = Op::Kind::Store;
-        O.Var = static_cast<unsigned>(R.below(NumVars));
-        O.Value = NextValue++;
+        Thread.Ops.push_back(litmus::ProgOp::store(
+            static_cast<unsigned>(R.below(NumVars)), NextValue++));
         break;
-      case 1:
-        O.K = Op::Kind::Load;
-        O.Var = static_cast<unsigned>(R.below(NumVars));
-        break;
-      case 2:
-        O.K = Op::Kind::AtomicAdd;
-        O.Var = static_cast<unsigned>(R.below(NumVars));
-        O.Value = NextValue++;
-        break;
-      default:
-        O.K = Op::Kind::Fence;
+      case 1: {
+        const auto Reg = static_cast<unsigned>(P.Registers.size());
+        std::string Name = "r";
+        Name += std::to_string(Reg);
+        P.Registers.push_back(std::move(Name));
+        Thread.Ops.push_back(litmus::ProgOp::load(
+            Reg, static_cast<unsigned>(R.below(NumVars))));
         break;
       }
-      P.Thread[T].push_back(O);
+      case 2:
+        Thread.Ops.push_back(litmus::ProgOp::atomicAdd(
+            static_cast<unsigned>(R.below(NumVars)), NextValue++));
+        break;
+      default:
+        Thread.Ops.push_back(litmus::ProgOp::fence());
+        break;
+      }
     }
   }
   return P;
-}
-
-Program Program::fullyFenced() const {
-  Program F;
-  F.NumVars = NumVars;
-  for (unsigned T = 0; T != 2; ++T) {
-    for (const Op &O : Thread[T]) {
-      F.Thread[T].push_back(O);
-      if (O.K != Op::Kind::Fence)
-        F.Thread[T].push_back({Op::Kind::Fence, 0, 0});
-    }
-  }
-  return F;
-}
-
-std::string Program::str() const {
-  std::ostringstream OS;
-  for (unsigned T = 0; T != 2; ++T) {
-    OS << "T" << T << ":";
-    for (const Op &O : Thread[T]) {
-      switch (O.K) {
-      case Op::Kind::Store:
-        OS << " st(v" << O.Var << "," << O.Value << ")";
-        break;
-      case Op::Kind::Load:
-        OS << " ld(v" << O.Var << ")";
-        break;
-      case Op::Kind::AtomicAdd:
-        OS << " add(v" << O.Var << "," << O.Value << ")";
-        break;
-      case Op::Kind::Fence:
-        OS << " fence";
-        break;
-      }
-    }
-    OS << "\n";
-  }
-  return OS.str();
 }
 
 //===----------------------------------------------------------------------===//
 // Exhaustive SC reference
 //===----------------------------------------------------------------------===//
 
-std::set<Outcome> fuzz::enumerateScOutcomes(const Program &P) {
+std::set<Outcome> fuzz::enumerateScOutcomes(const litmus::Program &P) {
+  using Kind = litmus::ProgOp::Kind;
+  GPUWMM_CHECK(P.Threads.size() == 2, "fuzz programs have two threads");
+  const std::vector<litmus::ProgOp> &Ops0 = P.Threads[0].Ops;
+  const std::vector<litmus::ProgOp> &Ops1 = P.Threads[1].Ops;
   std::set<Outcome> Outcomes;
-  std::vector<Word> Mem(P.NumVars, 0);
+  std::vector<Word> Mem(P.Locations.size(), 0);
   std::vector<Word> Loads[2];
 
   // DFS over interleavings: at each step run the next op of thread 0 or 1.
   std::function<void(size_t, size_t)> Step = [&](size_t I0, size_t I1) {
-    if (I0 == P.Thread[0].size() && I1 == P.Thread[1].size()) {
+    if (I0 == Ops0.size() && I1 == Ops1.size()) {
       Outcome O = Loads[0];
       O.insert(O.end(), Loads[1].begin(), Loads[1].end());
       O.insert(O.end(), Mem.begin(), Mem.end());
@@ -111,42 +88,35 @@ std::set<Outcome> fuzz::enumerateScOutcomes(const Program &P) {
       return;
     }
     for (unsigned T = 0; T != 2; ++T) {
+      const std::vector<litmus::ProgOp> &Ops = T == 0 ? Ops0 : Ops1;
       const size_t I = T == 0 ? I0 : I1;
-      if (I == P.Thread[T].size())
+      if (I == Ops.size())
         continue;
-      const Op &O = P.Thread[T][I];
+      const litmus::ProgOp &O = Ops[I];
       // Apply, recurse, undo.
       Word SavedMem = 0;
-      bool Loaded = false;
       switch (O.K) {
-      case Op::Kind::Store:
-        SavedMem = Mem[O.Var];
-        Mem[O.Var] = O.Value;
+      case Kind::Store:
+        SavedMem = Mem[O.Loc];
+        Mem[O.Loc] = O.Value;
         break;
-      case Op::Kind::AtomicAdd:
-        SavedMem = Mem[O.Var];
-        Mem[O.Var] = SavedMem + O.Value;
+      case Kind::AtomicAdd:
+        SavedMem = Mem[O.Loc];
+        Mem[O.Loc] = SavedMem + O.Value;
         break;
-      case Op::Kind::Load:
-        Loads[T].push_back(Mem[O.Var]);
-        Loaded = true;
+      case Kind::Load:
+        Loads[T].push_back(Mem[O.Loc]);
         break;
-      case Op::Kind::Fence:
+      case Kind::Fence:
         break; // SC: fences are no-ops.
+      default:
+        GPUWMM_CHECK(false, "fuzz programs use only st, ld, add and fence");
       }
       Step(T == 0 ? I0 + 1 : I0, T == 1 ? I1 + 1 : I1);
-      switch (O.K) {
-      case Op::Kind::Store:
-      case Op::Kind::AtomicAdd:
-        Mem[O.Var] = SavedMem;
-        break;
-      case Op::Kind::Load:
-        if (Loaded)
-          Loads[T].pop_back();
-        break;
-      case Op::Kind::Fence:
-        break;
-      }
+      if (O.K == Kind::Store || O.K == Kind::AtomicAdd)
+        Mem[O.Loc] = SavedMem;
+      else if (O.K == Kind::Load)
+        Loads[T].pop_back();
     }
   };
   Step(0, 0);
@@ -157,15 +127,17 @@ std::set<Outcome> fuzz::enumerateScOutcomes(const Program &P) {
 // Weak-machine execution
 //===----------------------------------------------------------------------===//
 
-CompiledProgram fuzz::compileProgram(const Program &P,
+CompiledProgram fuzz::compileProgram(const litmus::Program &P,
                                      const sim::ChipProfile &Chip) {
+  using Kind = litmus::ProgOp::Kind;
+  GPUWMM_CHECK(P.Threads.size() == 2, "fuzz programs have two threads");
   CompiledProgram CP;
-  CP.NumVars = P.NumVars;
+  CP.NumVars = static_cast<unsigned>(P.Locations.size());
   // The logs are sized by ops per thread (an upper bound on loads), not by
   // loads: this keeps the historical allocation layout, and with it the
   // stress scratchpad's placement that the fuzz goldens pin.
   CP.MaxLoads = static_cast<unsigned>(
-      std::max(P.Thread[0].size(), P.Thread[1].size()));
+      std::max(P.Threads[0].Ops.size(), P.Threads[1].Ops.size()));
 
   const unsigned Patch = Chip.PatchSizeWords;
   const auto AlignUp = [Patch](unsigned X) {
@@ -185,25 +157,27 @@ CompiledProgram fuzz::compileProgram(const Program &P,
     BP.Ops.push_back({Code::Jitter, 0, 0, 0, StartJitter});
     const sim::Addr Log = T == 0 ? CP.Log0 : CP.Log1;
     unsigned LoadIdx = 0;
-    for (const Op &O : P.Thread[T]) {
-      const sim::Addr A = CP.Vars + O.Var * Patch;
+    for (const litmus::ProgOp &O : P.Threads[T].Ops) {
+      const sim::Addr A = CP.Vars + O.Loc * Patch;
       switch (O.K) {
-      case Op::Kind::Store:
+      case Kind::Store:
         BP.Ops.push_back({Code::Store, 0, 0, A, O.Value});
         break;
-      case Op::Kind::Load:
+      case Kind::Load:
         // Each load is logged right after it completes; the +1 bias
         // distinguishes a logged 0 from "unset".
         BP.Ops.push_back({Code::Load, NextSlot, 0, A, 0});
         BP.Ops.push_back({Code::WbStore, NextSlot, 0, Log + LoadIdx++, 1});
         ++NextSlot;
         break;
-      case Op::Kind::AtomicAdd:
+      case Kind::AtomicAdd:
         BP.Ops.push_back({Code::AtomicAdd, 0, 0, A, O.Value});
         break;
-      case Op::Kind::Fence:
+      case Kind::Fence:
         BP.Ops.push_back({Code::FenceDevice, 0, 0, 0, 0});
         break;
+      default:
+        GPUWMM_CHECK(false, "fuzz programs use only st, ld, add and fence");
       }
     }
     CP.NumLoads[T] = LoadIdx;
@@ -258,7 +232,7 @@ Outcome fuzz::runOnWeakMachine(sim::ExecutionContext &Ctx,
   return O;
 }
 
-FuzzResult fuzz::fuzzProgram(const Program &P,
+FuzzResult fuzz::fuzzProgram(const litmus::Program &P,
                              const sim::ChipProfile &Chip, unsigned Runs,
                              uint64_t Seed, bool Stressed) {
   FuzzResult Result;
@@ -293,8 +267,8 @@ std::vector<BatchEntry> fuzz::fuzzBatch(const sim::ChipProfile &Chip,
   parallelFor(Pool, Cfg.Programs, [&](size_t I) {
     BatchEntry &Entry = Batch[I];
     Rng Gen(Rng::deriveStream(Seed, 2 * static_cast<uint64_t>(I)));
-    Entry.P = Program::generate(Gen, Cfg.NumVars, Cfg.OpsPerThread,
-                                Cfg.WithFences);
+    Entry.P = generateProgram(Gen, Cfg.NumVars, Cfg.OpsPerThread,
+                              Cfg.WithFences);
     Entry.R = fuzzProgram(Entry.P, Chip, Cfg.RunsPerProgram,
                           Rng::deriveStream(Seed, 2 * static_cast<uint64_t>(I) + 1),
                           Cfg.Stressed);

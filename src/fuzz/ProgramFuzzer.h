@@ -7,9 +7,12 @@
 ///
 /// \file
 /// The "fuzzing" half of the paper's title, generalised: generate random
-/// two-thread straight-line programs over a handful of shared variables,
-/// enumerate their sequentially consistent outcomes exhaustively, and
-/// compare against outcomes observed on the weak machine.
+/// two-thread straight-line litmus programs over a handful of shared
+/// locations, enumerate their sequentially consistent outcomes
+/// exhaustively, and compare against outcomes observed on the weak
+/// machine. Fuzz cases are plain litmus::Program values, so a weak one is
+/// already the `.litmus` artifact `fuzz --export-weak` writes and `hunt`
+/// shrinks.
 ///
 /// Two uses:
 ///  * Soundness validation of the memory model: with a fence after every
@@ -25,6 +28,7 @@
 #ifndef GPUWMM_FUZZ_PROGRAMFUZZER_H
 #define GPUWMM_FUZZ_PROGRAMFUZZER_H
 
+#include "litmus/Program.h"
 #include "sim/ChipProfile.h"
 #include "sim/ExecutionContext.h"
 #include "sim/Types.h"
@@ -32,54 +36,35 @@
 #include "support/ThreadPool.h"
 
 #include <set>
-#include <string>
 #include <vector>
 
 namespace gpuwmm {
 namespace fuzz {
 
-/// One straight-line instruction.
-struct Op {
-  enum class Kind { Store, Load, AtomicAdd, Fence };
-  Kind K = Kind::Load;
-  unsigned Var = 0; ///< Variable index (ignored for Fence).
-  sim::Word Value = 0; ///< Stored/added value (ignored for Load/Fence).
-};
-
-/// A two-thread straight-line program over NumVars shared variables. The
-/// two threads run in distinct blocks, as in the paper's inter-block
-/// focus.
-struct Program {
-  unsigned NumVars = 0;
-  std::vector<Op> Thread[2];
-
-  /// Generates a random program: \p OpsPerThread ops per thread over
-  /// \p NumVars variables. Stores write distinct non-zero values so
-  /// outcomes identify their writers. Fences are included only when
-  /// \p WithFences (used for the soundness property).
-  static Program generate(Rng &R, unsigned NumVars, unsigned OpsPerThread,
-                          bool WithFences);
-
-  /// Inserts a fence after every access (the cons-fence transform).
-  Program fullyFenced() const;
-
-  /// Human-readable listing (for failure reports).
-  std::string str() const;
-};
-
 /// Every fuzz thread's start-phase jitter bound: each thread first sleeps
 /// 1 + rand(StartJitter) ticks.
 inline constexpr unsigned StartJitter = 8;
 
+/// Generates a random two-thread litmus program: \p OpsPerThread ops per
+/// thread over \p NumVars locations v0..vN-1 (zero-initialised), threads
+/// in blocks 0 and 1, registers r0.. in load order (thread 0's loads
+/// first), PhaseJitter = StartJitter, and no forbidden clause. Stores and
+/// adds write distinct non-zero values so outcomes identify their
+/// writers. Fences are included only when \p WithFences.
+litmus::Program generateProgram(Rng &R, unsigned NumVars,
+                                unsigned OpsPerThread, bool WithFences);
+
 /// An observable outcome: every load's value in program order for both
-/// threads, followed by the final memory value of every variable.
+/// threads, followed by the final memory value of every location.
 using Outcome = std::vector<sim::Word>;
 
 /// Exhaustively enumerates the outcomes of \p P under sequential
 /// consistency (all interleavings of the two threads; fences are no-ops
 /// under SC). The number of interleavings is C(n+m, n) — keep programs
-/// small (<= ~8 ops per thread).
-std::set<Outcome> enumerateScOutcomes(const Program &P);
+/// small (<= ~8 ops per thread). \p P must be fuzzable
+/// (fuzz/LitmusBridge.h): its registers and block placement are ignored,
+/// loads are observed in program order.
+std::set<Outcome> enumerateScOutcomes(const litmus::Program &P);
 
 /// A fuzz program compiled to one flat op stream (sim/BatchExec.h): the
 /// variable addresses, load-log writebacks and register slots
@@ -94,8 +79,11 @@ struct CompiledProgram {
   sim::Addr Vars = 0, Log0 = 0, Log1 = 0; ///< Baked allocation layout.
 };
 
-/// Compiles \p P for \p Chip (addresses depend on the chip's patch size).
-CompiledProgram compileProgram(const Program &P, const sim::ChipProfile &Chip);
+/// Compiles the fuzzable program \p P for \p Chip (addresses depend on
+/// the chip's patch size). Every thread starts with StartJitter jitter,
+/// whatever \p P's PhaseJitter says.
+CompiledProgram compileProgram(const litmus::Program &P,
+                               const sim::ChipProfile &Chip);
 
 /// Executes one run of \p CP on the weak machine and returns the outcome.
 /// \p Stressed applies tuned sys-str+ stress to the run. \p Ctx is the
@@ -122,8 +110,9 @@ struct FuzzResult {
 /// Runs \p P repeatedly on the weak machine and classifies outcomes
 /// against the exhaustive SC set: compiled once, then one
 /// runOnWeakMachine per run at derived seeds.
-FuzzResult fuzzProgram(const Program &P, const sim::ChipProfile &Chip,
-                       unsigned Runs, uint64_t Seed, bool Stressed);
+FuzzResult fuzzProgram(const litmus::Program &P,
+                       const sim::ChipProfile &Chip, unsigned Runs,
+                       uint64_t Seed, bool Stressed);
 
 /// A fuzzing batch: how many programs to generate and how to fuzz each.
 struct BatchConfig {
@@ -137,7 +126,7 @@ struct BatchConfig {
 
 /// One program of a batch, with its classification.
 struct BatchEntry {
-  Program P;
+  litmus::Program P;
   FuzzResult R;
 };
 

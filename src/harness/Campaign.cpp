@@ -67,31 +67,6 @@ uint64_t canonicalLitmusIndex(const litmus::Program &Test) {
   return 0;
 }
 
-/// Executes runs [Begin, End) of one app cell on the calling worker's
-/// leased context. Every OracleEvery-th run streams its events through
-/// the worker's incremental checker; checked or not, each run takes the
-/// engine --engine selects, so per-run verdicts and the oracle's sampling
-/// grid are independent of chunking and engine.
-void runCellChunk(apps::AppKind App, const sim::ChipProfile &Chip,
-                  const stress::Environment &Env,
-                  const stress::TunedStressParams &Tuned, uint64_t CellSeed,
-                  unsigned Begin, unsigned End, unsigned OracleEvery,
-                  apps::AppVerdict *Verdicts, uint8_t *OracleStatus) {
-  sim::ContextLease Ctx;
-  thread_local model::StreamingChecker Checker;
-  for (unsigned Run = Begin; Run != End; ++Run) {
-    const bool Check = OracleEvery != 0 && Run % OracleEvery == 0;
-    if (Check)
-      Checker.begin();
-    Ctx.get().requestStreaming(Check ? &Checker : nullptr);
-    Verdicts[Run] = apps::runApplicationOnce(
-        Ctx.get(), App, Chip, Env, Tuned,
-        /*Policy=*/nullptr, Rng::deriveStream(CellSeed, Run));
-    if (Check)
-      OracleStatus[Run] = Checker.finish().AxiomsOk ? 1 : 2;
-  }
-}
-
 } // namespace
 
 CampaignConfig CampaignConfig::full() {
@@ -142,76 +117,28 @@ CampaignReport harness::runCampaign(const CampaignConfig &Config,
   CampaignReport Report;
   Report.Config = Config;
 
-  // Lay out the cells (and their tuned parameters) up front, then flatten
-  // (cell, run) into one index space: with only tens of cells but
-  // hundreds of runs each, cell-level distribution alone would starve
+  // Lay out the cells (and their tuned parameters) up front, then run
+  // them as one flattened (cell, chunk) space: with only tens of cells
+  // but hundreds of runs each, cell-level distribution alone would starve
   // workers at the tail.
-  Report.Cells.reserve(Config.Chips.size() * Config.Envs.size() *
-                       Config.Apps.size());
   std::vector<stress::TunedStressParams> Tuned;
   Tuned.reserve(Config.Chips.size());
   for (const sim::ChipProfile *Chip : Config.Chips)
     Tuned.push_back(stress::TunedStressParams::paperDefaults(*Chip));
-  std::vector<uint64_t> CellSeeds;
+  std::vector<CellSpec> Specs;
   for (size_t C = 0; C != Config.Chips.size(); ++C)
     for (const stress::Environment &Env : Config.Envs)
-      for (apps::AppKind App : Config.Apps) {
-        CampaignCell Cell;
-        Cell.Chip = Config.Chips[C];
-        Cell.Env = Env;
-        Cell.App = App;
-        Cell.Result.Runs = Config.Runs;
-        Report.Cells.push_back(Cell);
-        CellSeeds.push_back(
-            campaignCellSeed(Config.Seed, *Config.Chips[C], Env, App));
-      }
-
-  const size_t CellsPerChip = Config.Envs.size() * Config.Apps.size();
-  std::vector<apps::AppVerdict> Verdicts(Report.Cells.size() * Config.Runs);
-  // Per-run oracle status (0 = unchecked, 1 = axioms held, 2 = violation),
-  // filled only when the oracle samples runs.
-  std::vector<uint8_t> OracleStatus(
-      Config.OracleEvery ? Verdicts.size() : 0, 0);
-  // Distribute chunks of the flattened (cell, run) space: each work unit
-  // is up to CellChunkRuns of one cell's runs. Checked runs stream their
-  // memory events through the incremental oracle as they execute:
-  // no trace is retained, so --oracle=all costs frontier-bounded memory.
-  // The oracle observes only: verdicts (and thus the report's counts)
-  // are identical with it on or off. One recycled execution engine and
-  // checker per worker thread (DESIGN.md Sec. 12).
-  const size_t ChunksPerCell =
-      (Config.Runs + CellChunkRuns - 1) / CellChunkRuns;
-  parallelFor(Pool, Report.Cells.size() * ChunksPerCell, [&](size_t I) {
-    const size_t CellIdx = I / ChunksPerCell;
-    const unsigned Begin =
-        static_cast<unsigned>(I % ChunksPerCell) * CellChunkRuns;
-    const CampaignCell &Cell = Report.Cells[CellIdx];
-    runCellChunk(Cell.App, *Cell.Chip, Cell.Env,
-                 Tuned[CellIdx / CellsPerChip], CellSeeds[CellIdx], Begin,
-                 std::min(Begin + CellChunkRuns, Config.Runs),
-                 Config.OracleEvery,
-                 Verdicts.data() + CellIdx * Config.Runs,
-                 Config.OracleEvery
-                     ? OracleStatus.data() + CellIdx * Config.Runs
-                     : nullptr);
-  });
-
-  for (size_t CellIdx = 0; CellIdx != Report.Cells.size(); ++CellIdx) {
-    CampaignCell &Cell = Report.Cells[CellIdx];
-    CellResult &R = Cell.Result;
-    for (unsigned Run = 0; Run != Config.Runs; ++Run) {
-      const apps::AppVerdict V = Verdicts[CellIdx * Config.Runs + Run];
-      if (apps::isErroneous(V))
-        ++R.Errors;
-      if (V == apps::AppVerdict::Timeout)
-        ++R.Timeouts;
-      if (Config.OracleEvery) {
-        const uint8_t S = OracleStatus[CellIdx * Config.Runs + Run];
-        Cell.OracleChecked += S != 0;
-        Cell.OracleViolations += S == 2;
-      }
-    }
-  }
+      for (apps::AppKind App : Config.Apps)
+        Specs.push_back(
+            {App, Config.Chips[C], Env, &Tuned[C],
+             campaignCellSeed(Config.Seed, *Config.Chips[C], Env, App)});
+  const std::vector<CellTally> Tallies =
+      runCells(Specs, Config.Runs, Config.OracleEvery, Pool);
+  Report.Cells.reserve(Specs.size());
+  for (size_t I = 0; I != Specs.size(); ++I)
+    Report.Cells.push_back({Specs[I].Chip, Specs[I].Env, Specs[I].App,
+                            Tallies[I].Result, Tallies[I].OracleChecked,
+                            Tallies[I].OracleViolations});
 
   // Litmus cells: for each (chip, test), the `gpuwmm litmus --stress`
   // scan — Runs executions per per-bank stress location, best location's
@@ -230,12 +157,9 @@ CampaignReport harness::runCampaign(const CampaignConfig &Config,
 
   // Tab. 5 "a/b" summaries, one per (chip, env) in cell order.
   Report.Summaries.resize(Config.Chips.size() * Config.Envs.size());
-  for (size_t CellIdx = 0; CellIdx != Report.Cells.size(); ++CellIdx) {
-    const CellResult &R = Report.Cells[CellIdx].Result;
-    EnvironmentSummary &S = Report.Summaries[CellIdx / Config.Apps.size()];
-    S.AppsWithErrors += R.observed();
-    S.AppsEffective += R.effective();
-  }
+  for (size_t CellIdx = 0; CellIdx != Report.Cells.size(); ++CellIdx)
+    Report.Summaries[CellIdx / Config.Apps.size()].add(
+        Report.Cells[CellIdx].Result);
   return Report;
 }
 
@@ -244,40 +168,15 @@ CampaignCell harness::runCampaignAppCell(const CampaignConfig &Config,
                                          const stress::Environment &Env,
                                          apps::AppKind App,
                                          ThreadPool *Pool) {
-  CampaignCell Cell;
-  Cell.Chip = &Chip;
-  Cell.Env = Env;
-  Cell.App = App;
-  Cell.Result.Runs = Config.Runs;
-  const uint64_t CellSeed = campaignCellSeed(Config.Seed, Chip, Env, App);
-  const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
-  std::vector<apps::AppVerdict> Verdicts(Config.Runs);
-  std::vector<uint8_t> OracleStatus(Config.OracleEvery ? Config.Runs : 0,
-                                    0);
-  // Same per-run math as runCampaign's chunked loop: run R executes at
-  // deriveStream(cell seed, R) and every OracleEvery-th run streams
-  // through the incremental checker — so this cell's counts are
+  // runCampaign's per-run math, one cell wide: this cell's counts are
   // bit-identical to the monolithic campaign's.
-  const size_t Chunks = (Config.Runs + CellChunkRuns - 1) / CellChunkRuns;
-  parallelFor(Pool, Chunks, [&](size_t C) {
-    const unsigned Begin = static_cast<unsigned>(C) * CellChunkRuns;
-    runCellChunk(App, Chip, Env, Tuned, CellSeed, Begin,
-                 std::min(Begin + CellChunkRuns, Config.Runs),
-                 Config.OracleEvery, Verdicts.data(),
-                 Config.OracleEvery ? OracleStatus.data() : nullptr);
-  });
-  for (unsigned Run = 0; Run != Config.Runs; ++Run) {
-    const apps::AppVerdict V = Verdicts[Run];
-    if (apps::isErroneous(V))
-      ++Cell.Result.Errors;
-    if (V == apps::AppVerdict::Timeout)
-      ++Cell.Result.Timeouts;
-    if (Config.OracleEvery) {
-      Cell.OracleChecked += OracleStatus[Run] != 0;
-      Cell.OracleViolations += OracleStatus[Run] == 2;
-    }
-  }
-  return Cell;
+  const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
+  const CellTally T =
+      runCells({{App, &Chip, Env, &Tuned,
+                 campaignCellSeed(Config.Seed, Chip, Env, App)}},
+               Config.Runs, Config.OracleEvery, Pool)
+          .front();
+  return {&Chip, Env, App, T.Result, T.OracleChecked, T.OracleViolations};
 }
 
 LitmusCampaignCell

@@ -26,6 +26,8 @@
 #include "stress/Environment.h"
 #include "support/ThreadPool.h"
 
+#include <vector>
+
 namespace gpuwmm {
 namespace harness {
 
@@ -66,11 +68,47 @@ struct EnvironmentSummary {
   unsigned AppsWithErrors = 0; ///< b: applications with any erroneous run.
   unsigned AppsEffective = 0;  ///< a: applications above the 5% threshold.
 
+  /// Counts one application's cell.
+  void add(const CellResult &R) {
+    AppsWithErrors += R.observed();
+    AppsEffective += R.effective();
+  }
+
   bool operator==(const EnvironmentSummary &O) const {
     return AppsWithErrors == O.AppsWithErrors &&
            AppsEffective == O.AppsEffective;
   }
 };
+
+/// One application cell to run: \p App under \p Env on \p Chip, run I
+/// executing with seed deriveStream(Seed, I).
+struct CellSpec {
+  apps::AppKind App = apps::AppKind::CbeHt;
+  const sim::ChipProfile *Chip = nullptr;
+  stress::Environment Env;
+  const stress::TunedStressParams *Tuned = nullptr;
+  uint64_t Seed = 0;
+};
+
+/// One cell's counts, with the oracle's when it sampled runs.
+struct CellTally {
+  CellResult Result;
+  unsigned OracleChecked = 0;    ///< Runs streamed through the checker.
+  unsigned OracleViolations = 0; ///< Axiom violations among them.
+};
+
+/// Runs \p Runs executions of every cell in \p Cells: the one per-run
+/// loop behind runCell, runEnvironmentSummary and the campaign. Every
+/// \p OracleEvery-th run of a cell (none when 0) streams its events
+/// through the worker's incremental checker as it executes: no trace is
+/// retained, so checking every run costs frontier-bounded memory, and
+/// the checker only observes, so counts are the same with it on or off.
+/// The flattened (cell, chunk of CellChunkRuns runs) space is spread
+/// over \p Pool, so small cells still fill every worker; results are
+/// bit-identical for any pool and engine.
+std::vector<CellTally> runCells(const std::vector<CellSpec> &Cells,
+                                unsigned Runs, unsigned OracleEvery,
+                                ThreadPool *Pool);
 
 /// Runs \p Runs executions of one cell. Fences are as shipped: no inserted
 /// fences; built-in fences enabled unless the app is a -nf variant. Run I

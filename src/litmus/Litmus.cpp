@@ -7,7 +7,7 @@
 // reproduces the op shape of the original hand-written Fig. 2 kernels
 // exactly — start-phase jitter, ops in order, then register writeback in
 // first-load order — so catalog programs for MP/LB/SB/R/S/2+2W execute
-// bit-identically to the historical enum-dispatched kernels (pinned by
+// bit-identically to the historical hand-written kernels (pinned by
 // LitmusTests' golden weak counts).
 //
 //===----------------------------------------------------------------------===//
@@ -23,30 +23,6 @@ using namespace gpuwmm;
 using namespace gpuwmm::litmus;
 using sim::Addr;
 using sim::Word;
-
-const char *litmus::litmusName(LitmusKind K) {
-  switch (K) {
-  case LitmusKind::MP:
-    return "MP";
-  case LitmusKind::LB:
-    return "LB";
-  case LitmusKind::SB:
-    return "SB";
-  case LitmusKind::R:
-    return "R";
-  case LitmusKind::S:
-    return "S";
-  case LitmusKind::TwoPlusTwoW:
-    return "2+2W";
-  }
-  return "unknown";
-}
-
-const Program &litmus::catalogProgram(LitmusKind K) {
-  const Program *P = findCatalogProgram(litmusName(K));
-  assert(P && "every LitmusKind has a catalog program");
-  return *P;
-}
 
 namespace {
 

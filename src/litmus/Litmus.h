@@ -14,12 +14,12 @@
 ///
 /// Tests are data (litmus/Program.h): the runner compiles any program —
 /// a built-in catalog entry, a parsed `.litmus` file, or an exported fuzz
-/// case — to one op stream and runs it through sim::runProgram. The
-/// historical LitmusKind enum API remains as a thin catalog lookup and
-/// executes bit-identically to the original hand-written kernels.
-/// Communication locations are placed in global memory with the
-/// communicating threads in distinct blocks by default, matching the
-/// paper's focus on inter-block idioms.
+/// case — to one op stream and runs it through sim::runProgram; catalog
+/// programs execute bit-identically to the original hand-written kernels.
+/// A test instance T_d is a (program, distance) pair. Communication
+/// locations are placed in global memory with the communicating threads
+/// in distinct blocks by default, matching the paper's focus on
+/// inter-block idioms.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +33,6 @@
 #include "stress/AccessSequence.h"
 #include "support/Rng.h"
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -42,40 +41,6 @@ namespace stress {
 class SysStress;
 } // namespace stress
 namespace litmus {
-
-/// The three idioms of Fig. 2, plus three further classic two-location
-/// shapes (R, S, 2+2W) the paper's Sec. 3.1 says the stress can be
-/// re-tuned to if new buggy idioms emerge.
-enum class LitmusKind { MP, LB, SB, R, S, TwoPlusTwoW };
-
-/// The paper's tuning set (Fig. 2).
-inline constexpr std::array<LitmusKind, 3> AllLitmusKinds = {
-    LitmusKind::MP, LitmusKind::LB, LitmusKind::SB};
-
-/// Every supported shape. Note: the weak outcomes of S and 2+2W hinge on
-/// write-write reordering *observed through final memory states*; our
-/// model's per-location coherence follows issue order, which forbids
-/// them — a documented strengthening relative to real GPUs (tested in
-/// LitmusTests). R is observable.
-inline constexpr std::array<LitmusKind, 6> AllLitmusKindsExtended = {
-    LitmusKind::MP, LitmusKind::LB,          LitmusKind::SB,
-    LitmusKind::R,  LitmusKind::S,           LitmusKind::TwoPlusTwoW};
-
-const char *litmusName(LitmusKind K);
-
-/// The catalog program a LitmusKind names (the enum API is a thin lookup
-/// into the data-driven catalog; see litmus/Program.h).
-const Program &catalogProgram(LitmusKind K);
-
-/// A test instance T_d: test T with communication locations d words apart.
-struct LitmusInstance {
-  LitmusKind Kind = LitmusKind::MP;
-  unsigned Distance = 0;
-
-  /// The address delta between x and y. A distance of 0 means contiguous
-  /// locations (delta 1); x and y can never share an address.
-  unsigned addressDelta() const { return Distance == 0 ? 1 : Distance; }
-};
 
 /// Per-execution litmus options.
 struct LitmusRunOpts {
@@ -166,20 +131,6 @@ public:
                      const MicroStress &S, unsigned C,
                      const RunOpts &Opts = RunOpts(),
                      std::vector<uint8_t> *PerRun = nullptr);
-
-  /// Executes the catalog program of \p T.Kind once (bit-identical to the
-  /// original hand-written kernels); true iff the weak behaviour was
-  /// observed.
-  bool runOnce(const LitmusInstance &T, const MicroStress &S,
-               const RunOpts &Opts = RunOpts()) {
-    return runOnce(catalogProgram(T.Kind), T.Distance, S, Opts);
-  }
-
-  /// Executes \p C times; returns the number of weak behaviours.
-  unsigned countWeak(const LitmusInstance &T, const MicroStress &S,
-                     unsigned C, const RunOpts &Opts = RunOpts()) {
-    return countWeak(catalogProgram(T.Kind), T.Distance, S, C, Opts);
-  }
 
   /// Total executions performed by this runner (tuning-cost reporting).
   uint64_t executions() const { return Execs; }

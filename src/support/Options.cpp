@@ -3,9 +3,10 @@
 #include "support/Options.h"
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string_view>
 
 using namespace gpuwmm;
@@ -32,38 +33,54 @@ std::vector<std::string> Options::keys() const {
   return Keys;
 }
 
-int64_t Options::getInt(const std::string &Key, int64_t Default) const {
-  const auto It = Values.find(Key);
-  if (It == Values.end())
-    return Default;
-  return std::strtoll(It->second.c_str(), nullptr, 10);
+namespace {
+
+/// The one exit for a malformed or out-of-range option value.
+[[noreturn]] void rejectValue(const std::string &Key, const std::string &Text,
+                              const std::string &Expected) {
+  std::fprintf(stderr, "error: --%s must be %s (got '%s')\n", Key.c_str(),
+               Expected.c_str(), Text.c_str());
+  std::exit(2);
 }
 
-int64_t Options::getPositiveInt(const std::string &Key, int64_t Default,
-                                int64_t Max) const {
+} // namespace
+
+int64_t Options::getInt(const std::string &Key, int64_t Default, int64_t Min,
+                        int64_t Max) const {
   const auto It = Values.find(Key);
   if (It == Values.end())
     return Default;
   const std::string &Text = It->second;
-  errno = 0;
-  char *End = nullptr;
-  const long long Parsed = std::strtoll(Text.c_str(), &End, 10);
-  if (Text.empty() || End != Text.c_str() + Text.size() || errno == ERANGE ||
-      Parsed <= 0 || Parsed > Max) {
-    std::fprintf(stderr,
-                 "error: --%s must be a positive integer no larger than "
-                 "%lld (got '%s')\n",
-                 Key.c_str(), static_cast<long long>(Max), Text.c_str());
-    std::exit(2);
-  }
-  return Parsed;
+  int64_t Parsed = 0;
+  const auto [End, Ec] =
+      std::from_chars(Text.data(), Text.data() + Text.size(), Parsed);
+  if (Ec == std::errc() && End == Text.data() + Text.size() &&
+      Parsed >= Min && Parsed <= Max)
+    return Parsed;
+  const std::string Bound = "no larger than " + std::to_string(Max);
+  rejectValue(Key, Text,
+              Min == 1   ? "a positive integer " + Bound
+              : Min == 0 ? "a non-negative integer " + Bound
+                         : "an integer from " + std::to_string(Min) +
+                               " to " + std::to_string(Max));
 }
 
-double Options::getDouble(const std::string &Key, double Default) const {
+double Options::getDouble(const std::string &Key, double Default,
+                          double Min, double Max) const {
   const auto It = Values.find(Key);
   if (It == Values.end())
     return Default;
-  return std::strtod(It->second.c_str(), nullptr);
+  const std::string &Text = It->second;
+  double Parsed = 0;
+  const auto [End, Ec] =
+      std::from_chars(Text.data(), Text.data() + Text.size(), Parsed);
+  // The range test also refuses NaN: every comparison with it is false.
+  if (Ec == std::errc() && End == Text.data() + Text.size() &&
+      Parsed >= Min && Parsed <= Max)
+    return Parsed;
+  std::ostringstream Expected;
+  Expected << "a number from " << Min << " to " << Max;
+  rejectValue(Key, Text, Expected.str());
 }
 
 std::string Options::getString(const std::string &Key,

@@ -32,19 +32,41 @@ public:
   /// Every key given on the command line, sorted.
   std::vector<std::string> keys() const;
 
-  /// Returns the integer value of \p Key, or \p Default when absent.
-  int64_t getInt(const std::string &Key, int64_t Default) const;
+  /// Returns the integer value of \p Key, or \p Default when absent. A
+  /// present value must be a whole decimal integer in [\p Min, \p Max];
+  /// anything else (--runs=abc, --programs=2x, --runs=-1, or a value that
+  /// would truncate when narrowed) prints an error naming the option to
+  /// stderr and exits with status 2 instead of silently misbehaving.
+  int64_t getInt(const std::string &Key, int64_t Default, int64_t Min,
+                 int64_t Max) const;
 
-  /// Returns the strictly positive integer value of \p Key, or \p Default
-  /// when absent. When the option is present but zero, negative, not a
-  /// number, or larger than \p Max (e.g. --jobs=0, --jobs=-3, --jobs=abc,
-  /// or a value that would truncate when narrowed), prints a clear error
-  /// to stderr and exits with status 2 instead of silently misbehaving.
+  /// getInt with \p Min = 1 (e.g. --jobs: 0, negative and junk values are
+  /// refused).
   int64_t getPositiveInt(const std::string &Key, int64_t Default,
-                         int64_t Max = INT64_MAX) const;
+                         int64_t Max = INT64_MAX) const {
+    return getInt(Key, Default, 1, Max);
+  }
 
-  /// Returns the double value of \p Key, or \p Default when absent.
-  double getDouble(const std::string &Key, double Default) const;
+  /// A count option (--runs, --programs, --rounds, ...): a positive
+  /// integer no larger than \ref MaxCount, so narrowing never truncates.
+  unsigned getCount(const std::string &Key, unsigned Default) const {
+    return static_cast<unsigned>(getPositiveInt(Key, Default, MaxCount));
+  }
+
+  /// --seed: any non-negative 64-bit integer.
+  uint64_t getSeed(uint64_t Default) const {
+    return static_cast<uint64_t>(
+        getInt("seed", static_cast<int64_t>(Default), 0, INT64_MAX));
+  }
+
+  /// Upper bound on a count option: far beyond any useful run budget.
+  static constexpr int64_t MaxCount = int64_t{1} << 30;
+
+  /// Returns the value of \p Key as a decimal number in [\p Min, \p Max],
+  /// or \p Default when absent; exits with status 2, like getInt, when
+  /// the value does not parse whole or falls outside the range.
+  double getDouble(const std::string &Key, double Default, double Min,
+                   double Max) const;
 
   /// Returns the string value of \p Key, or \p Default when absent.
   std::string getString(const std::string &Key,

@@ -15,8 +15,8 @@
 
 #include "EngineModeGuard.h"
 
-#include "fuzz/LitmusBridge.h"
 #include "fuzz/ProgramFuzzer.h"
+#include "litmus/Format.h"
 #include "litmus/Litmus.h"
 #include "support/ThreadPool.h"
 
@@ -141,8 +141,8 @@ TEST(ContextReuse, AlternatingInstancesMatchScalarSequence) {
   // One runner alternating programs/distances compiled must replay the
   // exact verdict sequence of one scalar runner doing the same sequence:
   // plan rebuilds and scratch reuse never leak state between instances.
-  const Program &A = catalogProgram(LitmusKind::MP);
-  const Program &B = catalogProgram(LitmusKind::SB);
+  const Program &A = *findCatalogProgram("MP");
+  const Program &B = *findCatalogProgram("SB");
   const auto S = tunedStress();
   const LitmusRunner::RunOpts Opts;
 
@@ -172,7 +172,7 @@ TEST(ContextReuse, TracedRunsInterleaveWithBatchedRuns) {
   // Traced runs take the compiled engine like any other; the seed stream
   // must stay continuous across traced and untraced calls so `litmus
   // --explain` replays are unaffected by the runs around them.
-  const Program &P = catalogProgram(LitmusKind::MP);
+  const Program &P = *findCatalogProgram("MP");
   const auto S = tunedStress();
   LitmusRunner::RunOpts Plain, Traced;
   Traced.Trace = true;
@@ -201,7 +201,7 @@ TEST(ContextReuse, TracedRunsInterleaveWithBatchedRuns) {
 TEST(ContextReuse, CountWeakDelegatesToBatchedPath) {
   // countWeak's compiled loop (one stress source per call) and a runOnce
   // loop (one source per run) agree run for run.
-  const Program &P = catalogProgram(LitmusKind::LB);
+  const Program &P = *findCatalogProgram("LB");
   const auto S = tunedStress();
   LitmusRunner A(titan(), 11), B(titan(), 11);
   std::vector<uint8_t> PerRun, Loop;
@@ -250,9 +250,7 @@ TEST(FuzzPrograms, FiftyRandomProgramsMatchScalarBitForBit) {
   unsigned Checked = 0;
   for (unsigned I = 0; I != 50; ++I) {
     Rng R = Gen.fork(I);
-    const fuzz::Program FP = fuzz::Program::generate(R, 3, 5, I % 4 == 0);
-    const Program P =
-        fuzz::toLitmusProgram(FP, "fuzz" + std::to_string(I));
+    const Program P = fuzz::generateProgram(R, 3, 5, I % 4 == 0);
     ASSERT_TRUE(P.validate().empty()) << P.validate();
     LitmusRunner::RunOpts Opts;
     Opts.Randomise = I % 2 == 0;
@@ -260,7 +258,7 @@ TEST(FuzzPrograms, FiftyRandomProgramsMatchScalarBitForBit) {
                               : tunedStress();
     const auto Scalar = scalarVerdicts(P, 32, S, 30, Opts, 5000 + I);
     const auto Batched = batchedVerdicts(P, 32, S, 30, Opts, 5000 + I);
-    ASSERT_EQ(Scalar, Batched) << FP.str();
+    ASSERT_EQ(Scalar, Batched) << printLitmus(P);
     ++Checked;
   }
   EXPECT_EQ(Checked, 50u);

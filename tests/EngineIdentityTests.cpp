@@ -11,7 +11,7 @@
 //
 //  * every catalog program, plain, under tuned stress, fenced and with
 //    randomised scheduling;
-//  * 200 random fuzz programs, through fuzz::toLitmusProgram;
+//  * 200 random fuzz programs, through the litmus runner;
 //  * random fuzz programs through the fuzz runner itself, whose stressed
 //    runs add sys-str+ environment stress with randomised threads; and
 //  * every lowered application kernel under all eight environments, with
@@ -31,8 +31,8 @@
 #include "EngineModeGuard.h"
 
 #include "apps/AppCompile.h"
-#include "fuzz/LitmusBridge.h"
 #include "fuzz/ProgramFuzzer.h"
+#include "litmus/Format.h"
 #include "litmus/Litmus.h"
 
 #include "gtest/gtest.h"
@@ -159,15 +159,14 @@ TEST(EventStreamIdentity, TwoHundredFuzzPrograms) {
   Rng Gen(0x1de7u);
   for (unsigned I = 0; I != 200; ++I) {
     Rng R = Gen.fork(I);
-    const fuzz::Program FP = fuzz::Program::generate(R, 3, 4, I % 4 == 0);
-    const litmus::Program P =
-        fuzz::toLitmusProgram(FP, "fuzz" + std::to_string(I));
+    const litmus::Program P = fuzz::generateProgram(R, 3, 4, I % 4 == 0);
     ASSERT_TRUE(P.validate().empty()) << P.validate();
     litmus::LitmusRunOpts Opts;
     Opts.Randomise = I % 2 == 0;
     const auto S =
         I % 3 == 0 ? litmus::LitmusRunner::MicroStress::none() : tunedStress();
-    expectLitmusIdentity(P, 32, S, Opts, 4, 9000 + I, FP.str());
+    expectLitmusIdentity(P, 32, S, Opts, 4, 9000 + I,
+                         litmus::printLitmus(P));
   }
 }
 
@@ -196,14 +195,14 @@ TEST(EventStreamIdentity, FuzzRunnerMatchesReferenceBitForBit) {
   // environment stress and randomised threads no litmus case above uses.
   Rng R(7100);
   for (int I = 0; I != 40; ++I) {
-    const fuzz::Program P = fuzz::Program::generate(R, 3, 5, true);
+    const litmus::Program P = fuzz::generateProgram(R, 3, 5, true);
     const fuzz::CompiledProgram CP = fuzz::compileProgram(P, titan());
     const bool Stressed = I % 2 == 0;
     const uint64_t Seed = 9000 + 100 * I;
     expectIdentical(
         fuzzRecord(sim::EngineMode::Scalar, CP, Stressed, 5, Seed),
         fuzzRecord(sim::EngineMode::Auto, CP, Stressed, 5, Seed),
-        (Stressed ? "stressed\n" : "native\n") + P.str());
+        (Stressed ? "stressed\n" : "native\n") + litmus::printLitmus(P));
   }
 }
 

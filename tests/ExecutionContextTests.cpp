@@ -200,19 +200,19 @@ TEST(ExecutionContext, OneShotDeviceReusesLeasedContext) {
 TEST(ExecutionContextLayers, LitmusRunnerIsHistoryIndependent) {
   // Two runners at one seed — the second's leased context was warmed by
   // the first's executions — must agree run by run.
-  const litmus::LitmusInstance T{litmus::LitmusKind::MP, 128};
+  const litmus::Program &Mp = *litmus::findCatalogProgram("MP");
   const auto Tuned = stress::TunedStressParams::paperDefaults(titan());
   const auto S = litmus::LitmusRunner::MicroStress::at(Tuned.Seq, 0);
   std::vector<bool> FirstRuns, SecondRuns;
   {
     litmus::LitmusRunner Runner(titan(), /*Seed=*/21);
     for (unsigned I = 0; I != 200; ++I)
-      FirstRuns.push_back(Runner.runOnce(T, S));
+      FirstRuns.push_back(Runner.runOnce(Mp, 128, S));
   }
   {
     litmus::LitmusRunner Runner(titan(), /*Seed=*/21);
     for (unsigned I = 0; I != 200; ++I)
-      SecondRuns.push_back(Runner.runOnce(T, S));
+      SecondRuns.push_back(Runner.runOnce(Mp, 128, S));
   }
   EXPECT_EQ(FirstRuns, SecondRuns);
 }
@@ -237,7 +237,7 @@ TEST(ExecutionContextLayers, AppsFreshVsReusedVerdictsAgree) {
 
 TEST(ExecutionContextLayers, FuzzFreshVsReusedOutcomesAgree) {
   Rng Gen(31);
-  const fuzz::Program P = fuzz::Program::generate(Gen, /*NumVars=*/3,
+  const litmus::Program P = fuzz::generateProgram(Gen, /*NumVars=*/3,
                                                   /*OpsPerThread=*/5,
                                                   /*WithFences=*/false);
   const fuzz::CompiledProgram CP = fuzz::compileProgram(P, titan());

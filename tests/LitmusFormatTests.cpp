@@ -5,11 +5,12 @@
 //
 // The .litmus text format: parse -> print -> parse round-trip identity
 // (over the catalog, hand-written documents and random fuzz exports),
-// precise line/column error reporting, and the fuzz <-> litmus bridge.
+// precise line/column error reporting, and fuzz case export and import.
 //
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/LitmusBridge.h"
+#include "fuzz/ProgramFuzzer.h"
 #include "litmus/Format.h"
 
 #include "gtest/gtest.h"
@@ -99,32 +100,17 @@ TEST(LitmusFormatTest, DefaultsAreOmittedWhenPrinting) {
 }
 
 TEST(LitmusFormatTest, RandomFuzzExportsRoundTrip) {
-  // Property test: any generated fuzz program survives
-  // fuzz -> litmus -> text -> litmus -> fuzz unchanged.
+  // Property test: any generated fuzz program, bare or exported with a
+  // pinned outcome, survives print -> parse unchanged.
   for (uint64_t Seed = 0; Seed != 50; ++Seed) {
     Rng R(Seed);
-    const fuzz::Program P = fuzz::Program::generate(
+    const Program P = fuzz::generateProgram(
         R, /*NumVars=*/3, /*OpsPerThread=*/6, /*WithFences=*/true);
-    const Program L = fuzz::toLitmusProgram(P, "t");
-    const Program Reparsed = parseOk(printLitmus(L));
-    EXPECT_TRUE(Reparsed == L) << "seed " << Seed;
+    EXPECT_TRUE(parseOk(printLitmus(P)) == P) << "seed " << Seed;
 
-    std::string Why;
-    std::optional<fuzz::Program> Back =
-        fuzz::fromLitmusProgram(Reparsed, &Why);
-    ASSERT_TRUE(Back.has_value()) << Why;
-    EXPECT_EQ(Back->NumVars, P.NumVars);
-    for (unsigned T = 0; T != 2; ++T) {
-      ASSERT_EQ(Back->Thread[T].size(), P.Thread[T].size());
-      for (size_t I = 0; I != P.Thread[T].size(); ++I) {
-        EXPECT_EQ(Back->Thread[T][I].K, P.Thread[T][I].K);
-        EXPECT_EQ(Back->Thread[T][I].Var, P.Thread[T][I].Var);
-        if (P.Thread[T][I].K != fuzz::Op::Kind::Load &&
-            P.Thread[T][I].K != fuzz::Op::Kind::Fence) {
-          EXPECT_EQ(Back->Thread[T][I].Value, P.Thread[T][I].Value);
-        }
-      }
-    }
+    const fuzz::Outcome Zeros(P.Registers.size() + P.Locations.size(), 0);
+    const Program L = fuzz::toLitmusProgram(P, "t", &Zeros);
+    EXPECT_TRUE(parseOk(printLitmus(L)) == L) << "seed " << Seed;
   }
 }
 
@@ -233,38 +219,60 @@ TEST(LitmusFormatTest, StrayPunctuationIsRejected) {
 TEST(LitmusBridgeTest, ExportPinsTheObservedOutcome) {
   // A program whose SC outcomes are easy to enumerate: T0 stores, T1
   // loads twice. Pin a fabricated "outcome" and check the clause.
-  fuzz::Program P;
-  P.NumVars = 2;
-  P.Thread[0] = {{fuzz::Op::Kind::Store, 0, 1}};
-  P.Thread[1] = {{fuzz::Op::Kind::Load, 0, 0},
-                 {fuzz::Op::Kind::Load, 1, 0}};
+  const Program P = parseOk("litmus t\nlocations v0 v1\njitter 8\n"
+                            "thread 0 {\n  st v0 1\n}\n"
+                            "thread 1 {\n  ld r0 v0\n  ld r1 v1\n}\n");
   const fuzz::Outcome Weak = {1, 0, 1, 0}; // r0, r1, v0, v1.
   const Program L = fuzz::toLitmusProgram(P, "case", &Weak);
+  EXPECT_EQ(L.Name, "case");
   ASSERT_EQ(L.Forbidden.size(), 4u);
   EXPECT_TRUE(L.evalForbidden({1, 0}, {1, 0}));
   EXPECT_FALSE(L.evalForbidden({1, 1}, {1, 0}));
   EXPECT_EQ(L.PhaseJitter, fuzz::StartJitter) << "must match the fuzz runner";
 
-  // The exported artifact replays: the weak outcome the fuzzer saw is
-  // exactly what LitmusRunner reports as weak.
+  // Outcome values follow load order, whatever the registers' indices:
+  // thread 0 loads into b (index 1), thread 1 into a (index 0).
+  Program Swapped;
+  Swapped.Name = "t";
+  Swapped.Locations = {"v0", "v1"};
+  Swapped.Registers = {"a", "b"};
+  Swapped.Init = {0, 0};
+  Swapped.Threads = {{0, {ProgOp::load(1, 0)}}, {1, {ProgOp::load(0, 1)}}};
+  const Program LS = fuzz::toLitmusProgram(Swapped, "case", &Weak);
+  EXPECT_TRUE(LS.evalForbidden({0, 1}, {1, 0})) << "b pins 1, a pins 0";
+  EXPECT_FALSE(LS.evalForbidden({1, 0}, {1, 0}));
+
   const std::string Text = printLitmus(L);
   EXPECT_NE(Text.find("forbidden"), std::string::npos);
 }
 
 TEST(LitmusBridgeTest, ImportRejectsUnrepresentablePrograms) {
-  std::string Why;
-  EXPECT_FALSE(
-      fuzz::fromLitmusProgram(*findCatalogProgram("IRIW"), &Why));
-  EXPECT_NE(Why.find("two threads"), std::string::npos) << Why;
+  EXPECT_NE(fuzz::fuzzabilityError(*findCatalogProgram("IRIW"))
+                .find("two threads"),
+            std::string::npos);
+  EXPECT_NE(fuzz::fuzzabilityError(*findCatalogProgram("LB"))
+                .find("no fuzz equivalent"),
+            std::string::npos);
+  EXPECT_NE(fuzz::fuzzabilityError(*findCatalogProgram("MP"))
+                .find("conditional fences"),
+            std::string::npos);
 
-  EXPECT_FALSE(fuzz::fromLitmusProgram(*findCatalogProgram("LB"), &Why));
-  EXPECT_NE(Why.find("no fuzz equivalent"), std::string::npos) << Why;
+  const Program Init = parseOk("litmus t\nlocations x\ninit { x = 3 }\n"
+                               "thread 0 @ block 0 {\n  st x 1\n}\n"
+                               "thread 1 @ block 1 {\n  ld r0 x\n}\n");
+  EXPECT_NE(fuzz::fuzzabilityError(Init).find("all-zero initial state"),
+            std::string::npos);
 
-  Program Init = parseOk("litmus t\nlocations x\ninit { x = 3 }\n"
-                         "thread 0 @ block 0 {\n  st x 1\n}\n"
-                         "thread 1 @ block 1 {\n  ld r0 x\n}\n");
-  EXPECT_FALSE(fuzz::fromLitmusProgram(Init, &Why));
-  EXPECT_NE(Why.find("all-zero initial state"), std::string::npos) << Why;
+  const Program OneBlock = parseOk("litmus t\nlocations x\n"
+                                   "thread 0 @ block 0 {\n  st x 1\n}\n"
+                                   "thread 1 @ block 0 {\n  ld r0 x\n}\n");
+  EXPECT_NE(fuzz::fuzzabilityError(OneBlock).find("distinct blocks"),
+            std::string::npos);
+
+  Program Broken = OneBlock;
+  Broken.Threads[1].Ops.clear();
+  EXPECT_NE(fuzz::fuzzabilityError(Broken).find("not well-formed"),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

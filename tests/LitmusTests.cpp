@@ -35,15 +35,31 @@ stress::AccessSequence tunedSeq() {
   return stress::AccessSequence::parse("ld st2 ld");
 }
 
-/// Finds the most effective single stress location for an instance by
-/// scanning the first NumBanks patch-aligned scratchpad offsets.
-unsigned bestStressWeakCount(LitmusRunner &Runner, const LitmusInstance &T,
-                             unsigned Runs) {
-  const unsigned P = titan().PatchSizeWords;
+/// A catalog test named by its canonical catalog index: the parameter of
+/// the suites below. A 4-byte struct without a printer, so parameterised
+/// test names print the same bytes whatever the catalog holds.
+struct CatalogTest {
+  unsigned Index;
+  const Program &program() const { return catalog()[Index]; }
+};
+
+CatalogTest catalogTest(const char *Name) {
+  const Program *P = findCatalogProgram(Name);
+  EXPECT_NE(P, nullptr) << Name;
+  return {static_cast<unsigned>(P - catalog().data())};
+}
+
+/// Finds the most effective single stress location for test instance
+/// (\p P, \p Distance) by scanning the first NumBanks patch-aligned
+/// scratchpad offsets.
+unsigned bestStressWeakCount(LitmusRunner &Runner, const Program &P,
+                             unsigned Distance, unsigned Runs) {
+  const unsigned Patch = titan().PatchSizeWords;
   unsigned Best = 0;
   for (unsigned Region = 0; Region != titan().NumBanks; ++Region) {
     const unsigned W = Runner.countWeak(
-        T, LitmusRunner::MicroStress::at(tunedSeq(), Region * P), Runs);
+        P, Distance, LitmusRunner::MicroStress::at(tunedSeq(), Region * Patch),
+        Runs);
     Best = std::max(Best, W);
   }
   return Best;
@@ -56,20 +72,20 @@ unsigned bestStressWeakCount(LitmusRunner &Runner, const LitmusInstance &T,
 //===----------------------------------------------------------------------===//
 
 class LitmusSweep
-    : public ::testing::TestWithParam<std::tuple<LitmusKind, unsigned>> {};
+    : public ::testing::TestWithParam<std::tuple<CatalogTest, unsigned>> {};
 
 TEST_P(LitmusSweep, SequentialModeForbidsWeakBehaviour) {
-  const auto [Kind, Distance] = GetParam();
+  const auto [Test, Distance] = GetParam();
   LitmusRunner Runner(titan(), 1000 + Distance);
   LitmusRunner::RunOpts Opts;
   Opts.Sequential = true;
-  EXPECT_EQ(Runner.countWeak({Kind, Distance},
+  EXPECT_EQ(Runner.countWeak(Test.program(), Distance,
                              LitmusRunner::MicroStress::none(), 300, Opts),
             0u);
 }
 
 TEST_P(LitmusSweep, FencesForbidWeakBehaviourEvenUnderStress) {
-  const auto [Kind, Distance] = GetParam();
+  const auto [Test, Distance] = GetParam();
   LitmusRunner Runner(titan(), 2000 + Distance);
   LitmusRunner::RunOpts Opts;
   Opts.WithFences = true;
@@ -77,26 +93,26 @@ TEST_P(LitmusSweep, FencesForbidWeakBehaviourEvenUnderStress) {
   unsigned Weak = 0;
   for (unsigned Region = 0; Region != 4; ++Region)
     Weak += Runner.countWeak(
-        {Kind, Distance},
+        Test.program(), Distance,
         LitmusRunner::MicroStress::at(tunedSeq(), Region * P), 100, Opts);
   EXPECT_EQ(Weak, 0u);
 }
 
 TEST_P(LitmusSweep, NativeWeakBehaviourIsRare) {
-  const auto [Kind, Distance] = GetParam();
+  const auto [Test, Distance] = GetParam();
   LitmusRunner Runner(titan(), 3000 + Distance);
   const unsigned Weak = Runner.countWeak(
-      {Kind, Distance}, LitmusRunner::MicroStress::none(), 500);
+      Test.program(), Distance, LitmusRunner::MicroStress::none(), 500);
   EXPECT_LE(Weak, 8u) << "native weak rate must stay below ~1.5%";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     KindsAndDistances, LitmusSweep,
-    ::testing::Combine(::testing::Values(LitmusKind::MP, LitmusKind::LB,
-                                         LitmusKind::SB),
+    ::testing::Combine(::testing::Values(catalogTest("MP"), catalogTest("LB"),
+                                         catalogTest("SB")),
                        ::testing::Values(0u, 16u, 32u, 64u, 128u)),
     [](const auto &Info) {
-      return std::string(litmusName(std::get<0>(Info.param))) + "_d" +
+      return std::get<0>(Info.param).program().Name + "_d" +
              std::to_string(std::get<1>(Info.param));
     });
 
@@ -104,24 +120,24 @@ INSTANTIATE_TEST_SUITE_P(
 // The paper's headline patch phenomena
 //===----------------------------------------------------------------------===//
 
-class LitmusKindTest : public ::testing::TestWithParam<LitmusKind> {};
+// The suite keeps its historical name so its test IDs stay stable.
+class LitmusKindTest : public ::testing::TestWithParam<CatalogTest> {};
 
 TEST_P(LitmusKindTest, SamePatchDistanceShowsNoWeakBehaviourUnderStress) {
   // Fig. 3: no weak behaviour when communication locations are fewer than
   // a patch apart (same bank keeps ordering).
   LitmusRunner Runner(titan(), 4000);
-  const LitmusInstance T{GetParam(), 0};
-  EXPECT_EQ(bestStressWeakCount(Runner, T, 150), 0u);
+  EXPECT_EQ(bestStressWeakCount(Runner, GetParam().program(), 0, 150), 0u);
 }
 
 TEST_P(LitmusKindTest, TargetedStressAmplifiesWeakBehaviour) {
   LitmusRunner Runner(titan(), 5000);
   const unsigned P = titan().PatchSizeWords;
-  const LitmusInstance T{GetParam(), 2 * P};
+  const Program &T = GetParam().program();
 
   const unsigned Native =
-      Runner.countWeak(T, LitmusRunner::MicroStress::none(), 400);
-  const unsigned Stressed = bestStressWeakCount(Runner, T, 400);
+      Runner.countWeak(T, 2 * P, LitmusRunner::MicroStress::none(), 400);
+  const unsigned Stressed = bestStressWeakCount(Runner, T, 2 * P, 400);
   EXPECT_GT(Stressed, 20u) << "tuned stress must be highly effective";
   EXPECT_GT(Stressed, 8 * std::max(Native, 1u))
       << "stress must amplify far beyond the native rate";
@@ -132,7 +148,7 @@ TEST_P(LitmusKindTest, WrongBankStressIsIneffective) {
   // locations' banks behaves like no stress at all.
   LitmusRunner Runner(titan(), 6000);
   const unsigned P = titan().PatchSizeWords;
-  const LitmusInstance T{GetParam(), 2 * P};
+  const Program &T = GetParam().program();
 
   // x sits at bank(base). The litmus array (delta+1 words) plus results
   // occupy the first patches; scratch offset banks cycle mod NumBanks.
@@ -141,17 +157,19 @@ TEST_P(LitmusKindTest, WrongBankStressIsIneffective) {
   unsigned Weakest = ~0u;
   for (unsigned Region = 0; Region != titan().NumBanks; ++Region) {
     const unsigned W = Runner.countWeak(
-        T, LitmusRunner::MicroStress::at(tunedSeq(), Region * P), 200);
+        T, 2 * P, LitmusRunner::MicroStress::at(tunedSeq(), Region * P),
+        200);
     Weakest = std::min(Weakest, W);
   }
   EXPECT_LE(Weakest, 4u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, LitmusKindTest,
-                         ::testing::Values(LitmusKind::MP, LitmusKind::LB,
-                                           LitmusKind::SB),
+                         ::testing::Values(catalogTest("MP"),
+                                           catalogTest("LB"),
+                                           catalogTest("SB")),
                          [](const auto &Info) {
-                           return litmusName(Info.param);
+                           return Info.param.program().Name;
                          });
 
 //===----------------------------------------------------------------------===//
@@ -164,15 +182,15 @@ TEST_P(LitmusChipTest, StressEffectiveOnEveryChip) {
   const sim::ChipProfile &Chip = *sim::ChipProfile::lookup(GetParam());
   LitmusRunner Runner(Chip, 7000);
   const unsigned P = Chip.PatchSizeWords;
-  const LitmusInstance T{LitmusKind::SB, 2 * P};
+  const Program &Sb = *findCatalogProgram("SB");
   unsigned Best = 0;
   for (unsigned Region = 0; Region != Chip.NumBanks && Best < 20;
        ++Region) {
     const auto Seq = stress::TunedStressParams::paperDefaults(Chip).Seq;
     Best = std::max(Best,
                     Runner.countWeak(
-                        T, LitmusRunner::MicroStress::at(Seq, Region * P),
-                        150));
+                        Sb, 2 * P,
+                        LitmusRunner::MicroStress::at(Seq, Region * P), 150));
   }
   EXPECT_GE(Best, 15u);
 }
@@ -186,26 +204,37 @@ INSTANTIATE_TEST_SUITE_P(AllChips, LitmusChipTest,
 //===----------------------------------------------------------------------===//
 
 TEST(LitmusTest, AddressDeltaNeverZero) {
-  EXPECT_EQ((LitmusInstance{LitmusKind::MP, 0}).addressDelta(), 1u);
-  EXPECT_EQ((LitmusInstance{LitmusKind::MP, 5}).addressDelta(), 5u);
+  // Distance 0 means contiguous locations (delta 1): x and y can never
+  // share an address.
+  const Program &Mp = *findCatalogProgram("MP");
+  for (const unsigned Distance : {0u, 5u}) {
+    LitmusRunner Runner(titan(), 1);
+    (void)Runner.runOnce(Mp, Distance, LitmusRunner::MicroStress::none());
+    sim::Addr X = 0;
+    while (Runner.addrName(X) != "x")
+      ++X;
+    EXPECT_EQ(Runner.addrName(X + std::max(Distance, 1u)), "y")
+        << "distance " << Distance;
+  }
 }
 
 TEST(LitmusTest, NamesAreStable) {
-  EXPECT_STREQ(litmusName(LitmusKind::MP), "MP");
-  EXPECT_STREQ(litmusName(LitmusKind::LB), "LB");
-  EXPECT_STREQ(litmusName(LitmusKind::SB), "SB");
+  const auto Trio = tuningPrograms();
+  EXPECT_EQ(Trio[0]->Name, "MP");
+  EXPECT_EQ(Trio[1]->Name, "LB");
+  EXPECT_EQ(Trio[2]->Name, "SB");
 }
 
 TEST(LitmusTest, RunnerIsDeterministicForSeed) {
-  const LitmusInstance T{LitmusKind::MP, 64};
+  const Program &Mp = *findCatalogProgram("MP");
   const auto S = LitmusRunner::MicroStress::at(tunedSeq(), 64);
   LitmusRunner A(titan(), 99), B(titan(), 99);
-  EXPECT_EQ(A.countWeak(T, S, 100), B.countWeak(T, S, 100));
+  EXPECT_EQ(A.countWeak(Mp, 64, S, 100), B.countWeak(Mp, 64, S, 100));
 }
 
 TEST(LitmusTest, ExecutionsAreCounted) {
   LitmusRunner Runner(titan(), 1);
-  Runner.countWeak({LitmusKind::SB, 32},
+  Runner.countWeak(*findCatalogProgram("SB"), 32,
                    LitmusRunner::MicroStress::none(), 25);
   EXPECT_EQ(Runner.executions(), 25u);
 }
@@ -215,9 +244,11 @@ TEST(LitmusTest, ExecutionsAreCounted) {
 //===----------------------------------------------------------------------===//
 
 TEST(ExtendedLitmusTest, NamesAreStable) {
-  EXPECT_STREQ(litmusName(LitmusKind::R), "R");
-  EXPECT_STREQ(litmusName(LitmusKind::S), "S");
-  EXPECT_STREQ(litmusName(LitmusKind::TwoPlusTwoW), "2+2W");
+  const std::vector<std::string> Names = catalogNames();
+  ASSERT_GE(Names.size(), 6u);
+  EXPECT_EQ(Names[3], "R");
+  EXPECT_EQ(Names[4], "S");
+  EXPECT_EQ(Names[5], "2+2W");
 }
 
 TEST(ExtendedLitmusTest, RWeakBehaviourIsProvokable) {
@@ -226,30 +257,31 @@ TEST(ExtendedLitmusTest, RWeakBehaviourIsProvokable) {
   // is observable, and amplified by targeted stress.
   LitmusRunner Runner(titan(), 8100);
   const unsigned P = titan().PatchSizeWords;
-  const LitmusInstance T{LitmusKind::R, 2 * P};
-  EXPECT_GT(bestStressWeakCount(Runner, T, 300), 10u);
+  EXPECT_GT(bestStressWeakCount(Runner, *findCatalogProgram("R"), 2 * P, 300),
+            10u);
 }
 
 TEST(ExtendedLitmusTest, RWeakBehaviourForbiddenByFencesAndSc) {
   LitmusRunner Runner(titan(), 8200);
   const unsigned P = titan().PatchSizeWords;
+  const Program &R = *findCatalogProgram("R");
   LitmusRunner::RunOpts Fenced;
   Fenced.WithFences = true;
   unsigned Weak = 0;
   for (unsigned Region = 0; Region != 4; ++Region)
     Weak += Runner.countWeak(
-        {LitmusKind::R, 2 * P},
-        LitmusRunner::MicroStress::at(tunedSeq(), Region * P), 100, Fenced);
+        R, 2 * P, LitmusRunner::MicroStress::at(tunedSeq(), Region * P), 100,
+        Fenced);
   EXPECT_EQ(Weak, 0u);
 
   LitmusRunner::RunOpts Sc;
   Sc.Sequential = true;
-  EXPECT_EQ(Runner.countWeak({LitmusKind::R, 2 * P},
-                             LitmusRunner::MicroStress::none(), 200, Sc),
-            0u);
+  EXPECT_EQ(
+      Runner.countWeak(R, 2 * P, LitmusRunner::MicroStress::none(), 200, Sc),
+      0u);
 }
 
-class ForbiddenShapeTest : public ::testing::TestWithParam<LitmusKind> {};
+class ForbiddenShapeTest : public ::testing::TestWithParam<CatalogTest> {};
 
 TEST_P(ForbiddenShapeTest, WriteWriteShapesAreForbiddenByIssueCoherence) {
   // S and 2+2W require two writes to one location to become visible
@@ -258,57 +290,22 @@ TEST_P(ForbiddenShapeTest, WriteWriteShapesAreForbiddenByIssueCoherence) {
   // documented strengthening relative to real GPUs (DESIGN.md Sec. 6).
   LitmusRunner Runner(titan(), 8300);
   const unsigned P = titan().PatchSizeWords;
-  const LitmusInstance T{GetParam(), 2 * P};
-  EXPECT_EQ(bestStressWeakCount(Runner, T, 200), 0u);
+  EXPECT_EQ(bestStressWeakCount(Runner, GetParam().program(), 2 * P, 200),
+            0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(WriteWriteShapes, ForbiddenShapeTest,
-                         ::testing::Values(LitmusKind::S,
-                                           LitmusKind::TwoPlusTwoW),
+                         ::testing::Values(catalogTest("S"),
+                                           catalogTest("2+2W")),
                          [](const auto &Info) {
-                           return Info.param == LitmusKind::S
-                                      ? std::string("S")
-                                      : std::string("TwoPlusTwoW");
+                           const std::string &Name = Info.param.program().Name;
+                           return Name == "2+2W" ? std::string("TwoPlusTwoW")
+                                                 : Name;
                          });
 
 //===----------------------------------------------------------------------===//
-// The enum API is a catalog lookup: enum-based and IR-based execution are
-// bit-identical (the contract that keeps the PR 2/3 goldens pinned).
+// Golden execution of the catalog
 //===----------------------------------------------------------------------===//
-
-class EnumVsIrTest : public ::testing::TestWithParam<LitmusKind> {};
-
-TEST_P(EnumVsIrTest, ExecutionIsBitIdenticalAtSeed42) {
-  const LitmusKind Kind = GetParam();
-  const Program &P = catalogProgram(Kind);
-  const unsigned D = 2 * titan().PatchSizeWords;
-
-  // Two independent runners at seed 42; interleave plain, stressed and
-  // fenced runs and demand per-run equality of the weak verdicts.
-  LitmusRunner Enum(titan(), 42), Ir(titan(), 42);
-  LitmusRunner::RunOpts Fenced;
-  Fenced.WithFences = true;
-  const auto S = LitmusRunner::MicroStress::at(tunedSeq(), 2 * D);
-  for (unsigned I = 0; I != 120; ++I) {
-    EXPECT_EQ(Enum.runOnce({Kind, D}, LitmusRunner::MicroStress::none()),
-              Ir.runOnce(P, D, LitmusRunner::MicroStress::none()))
-        << "plain run " << I;
-    EXPECT_EQ(Enum.runOnce({Kind, D}, S), Ir.runOnce(P, D, S))
-        << "stressed run " << I;
-    EXPECT_EQ(Enum.runOnce({Kind, D}, S, Fenced),
-              Ir.runOnce(P, D, S, Fenced))
-        << "fenced run " << I;
-  }
-  EXPECT_EQ(Enum.executions(), Ir.executions());
-}
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, EnumVsIrTest,
-                         ::testing::ValuesIn(AllLitmusKindsExtended),
-                         [](const auto &Info) {
-                           return Info.param == LitmusKind::TwoPlusTwoW
-                                      ? std::string("TwoPlusTwoW")
-                                      : std::string(litmusName(Info.param));
-                         });
 
 TEST(EnumVsIrTest, GoldenWeakCountsPinnedAtSeed42) {
   // Absolute weak counts of every catalog program at seed 42. The six
@@ -370,7 +367,7 @@ TEST(EnumVsIrTest, GoldenWeakCountsPinnedAtSeed42) {
 
 TEST(EnumVsIrTest, ParsedTextExecutesBitIdenticallyToTheEnumPath) {
   // End-to-end: a .litmus document (as a user would write it) parses to
-  // a program whose execution matches the historical enum path exactly.
+  // the catalog program and executes exactly as it does.
   ParseError Err;
   std::optional<Program> P = parseLitmus("litmus MP\n"
                                          "locations x y\n"
@@ -387,13 +384,16 @@ TEST(EnumVsIrTest, ParsedTextExecutesBitIdenticallyToTheEnumPath) {
                                          "forbidden r0 = 1 /\\ r1 = 0\n",
                                          Err);
   ASSERT_TRUE(P.has_value()) << Err.render("<test>");
-  ASSERT_TRUE(*P == catalogProgram(LitmusKind::MP));
+  const Program &Mp = *findCatalogProgram("MP");
+  ASSERT_TRUE(*P == Mp);
 
   const unsigned D = 2 * titan().PatchSizeWords;
   const auto S = LitmusRunner::MicroStress::at(tunedSeq(), 2 * D);
-  LitmusRunner Enum(titan(), 42), Parsed(titan(), 42);
-  EXPECT_EQ(Enum.countWeak({LitmusKind::MP, D}, S, 200),
-            Parsed.countWeak(*P, D, S, 200));
+  LitmusRunner Catalog(titan(), 42), Parsed(titan(), 42);
+  std::vector<uint8_t> CatalogRuns, ParsedRuns;
+  EXPECT_EQ(Catalog.countWeak(Mp, D, S, 200, {}, &CatalogRuns),
+            Parsed.countWeak(*P, D, S, 200, {}, &ParsedRuns));
+  EXPECT_EQ(CatalogRuns, ParsedRuns);
 }
 
 //===----------------------------------------------------------------------===//

@@ -83,7 +83,7 @@ OracleTally crossCheck(const litmus::Program &P, unsigned Runs,
 
 TEST(TraceTest, OffByDefaultAndEmpty) {
   litmus::LitmusRunner Runner(titan(), 1);
-  (void)Runner.runOnce(litmus::catalogProgram(litmus::LitmusKind::MP), 64,
+  (void)Runner.runOnce(*litmus::findCatalogProgram("MP"), 64,
                        litmus::LitmusRunner::MicroStress::none());
   EXPECT_TRUE(Runner.trace().empty());
 }
@@ -92,7 +92,7 @@ TEST(TraceTest, RecordsLitmusEvents) {
   litmus::LitmusRunner Runner(titan(), 1);
   litmus::LitmusRunner::RunOpts Opts;
   Opts.Trace = true;
-  (void)Runner.runOnce(litmus::catalogProgram(litmus::LitmusKind::MP), 64,
+  (void)Runner.runOnce(*litmus::findCatalogProgram("MP"), 64,
                        litmus::LitmusRunner::MicroStress::none(), Opts);
   const auto &Events = Runner.trace().events();
   ASSERT_FALSE(Events.empty());
@@ -112,7 +112,7 @@ TEST(TraceTest, RecordsLitmusEvents) {
 TEST(TraceTest, TracingDoesNotPerturbResults) {
   // Two runners, same seed: one traced, one not. Weak sequences must be
   // bit-identical — tracing observes, it cannot steer.
-  const litmus::Program &P = litmus::catalogProgram(litmus::LitmusKind::SB);
+  const litmus::Program &P = *litmus::findCatalogProgram("SB");
   const auto Tuned = stress::TunedStressParams::paperDefaults(titan());
   const auto S = litmus::LitmusRunner::MicroStress::at(Tuned.Seq, 0);
   litmus::LitmusRunner Plain(titan(), 42), Traced(titan(), 42);
@@ -373,12 +373,11 @@ TEST(OracleTest, AgreesWithSimulatorOnAllCatalogPrograms) {
 }
 
 TEST(OracleTest, FencedRunsStaySc) {
-  for (litmus::LitmusKind K : litmus::AllLitmusKinds) {
-    const OracleTally T = crossCheck(litmus::catalogProgram(K),
-                                     /*Runs=*/25, /*Seed=*/7,
+  for (const litmus::Program *P : litmus::tuningPrograms()) {
+    const OracleTally T = crossCheck(*P, /*Runs=*/25, /*Seed=*/7,
                                      /*Fenced=*/true);
-    EXPECT_EQ(T.Disagreements, 0u) << litmus::litmusName(K);
-    EXPECT_EQ(T.Weak, 0u) << litmus::litmusName(K);
+    EXPECT_EQ(T.Disagreements, 0u) << P->Name;
+    EXPECT_EQ(T.Weak, 0u) << P->Name;
   }
 }
 
@@ -521,7 +520,7 @@ forbidden r0 = 1 /\ r1 = 0
 //===----------------------------------------------------------------------===//
 
 TEST(ExplainTest, RunnerNamesAddressesInExplanations) {
-  const litmus::Program &P = litmus::catalogProgram(litmus::LitmusKind::MP);
+  const litmus::Program &P = *litmus::findCatalogProgram("MP");
   const sim::ChipProfile &Chip = titan();
   litmus::LitmusRunner Runner(Chip, 42);
   litmus::LitmusRunner::RunOpts Opts;

@@ -21,7 +21,6 @@
 #include "EngineModeGuard.h"
 
 #include "apps/Application.h"
-#include "fuzz/LitmusBridge.h"
 #include "fuzz/ProgramFuzzer.h"
 #include "harness/Campaign.h"
 #include "litmus/Litmus.h"
@@ -118,8 +117,8 @@ TEST(StreamingDifferentialTest, LiveSinkMatchesRecordedReplay) {
   ConsistencyChecker PostHoc;
   StreamingChecker Stream;
   unsigned Weak = 0;
-  for (litmus::LitmusKind K : litmus::AllLitmusKinds) {
-    const litmus::Program &P = litmus::catalogProgram(K);
+  for (const litmus::Program *Test : litmus::tuningPrograms()) {
+    const litmus::Program &P = *Test;
     litmus::LitmusRunner Recorded(Chip, 7), Streamed(Chip, 7);
     litmus::LitmusRunner::RunOpts TraceOpts, SinkOpts;
     TraceOpts.Trace = true;
@@ -132,12 +131,12 @@ TEST(StreamingDifferentialTest, LiveSinkMatchesRecordedReplay) {
         Stream.begin();
         const bool B = Streamed.runOnce(P, 128, S, SinkOpts);
         const StreamVerdict &Live = Stream.finish();
-        ASSERT_EQ(A, B) << litmus::litmusName(K) << " run " << I
+        ASSERT_EQ(A, B) << P.Name << " run " << I
                         << ": streaming perturbed the execution";
         const CheckResult Ref = PostHoc.check(Recorded.trace());
         ASSERT_TRUE(Live.AxiomsOk) << Live.AxiomViolation;
         EXPECT_EQ(Ref.weak(), Live.weak())
-            << litmus::litmusName(K) << " region " << Region << " run "
+            << P.Name << " region " << Region << " run "
             << I;
         Weak += Live.weak();
       }
@@ -162,9 +161,8 @@ TEST(StreamingDifferentialTest, TwoHundredFuzzProgramsMatchPostHoc) {
   unsigned Compared = 0;
   for (unsigned PI = 0; PI != 200; ++PI) {
     Rng Gen(Rng::deriveStream(99, PI));
-    const fuzz::Program FP = fuzz::Program::generate(
+    const litmus::Program LP = fuzz::generateProgram(
         Gen, /*NumVars=*/3, /*OpsPerThread=*/5, /*WithFences=*/PI % 4 == 0);
-    const litmus::Program LP = fuzz::toLitmusProgram(FP, "fuzz-case");
     ASSERT_TRUE(LP.validate().empty()) << LP.validate();
     litmus::LitmusRunner Runner(Chip, Rng::deriveStream(100, PI));
     litmus::LitmusRunner::RunOpts Opts;
@@ -414,7 +412,7 @@ TEST(StreamingMemoryBoundTest, CountersResetPerRun) {
   litmus::LitmusRunner::RunOpts Opts;
   Opts.Sink = &Checker;
   Checker.begin();
-  (void)Runner.runOnce(litmus::catalogProgram(litmus::LitmusKind::MP), 64,
+  (void)Runner.runOnce(*litmus::findCatalogProgram("MP"), 64,
                        litmus::LitmusRunner::MicroStress::none(), Opts);
   (void)Checker.finish();
   const uint64_t FirstConsumed = Checker.consumedEvents();
@@ -425,7 +423,7 @@ TEST(StreamingMemoryBoundTest, CountersResetPerRun) {
   EXPECT_EQ(Checker.retiredEvents(), 0u);
   EXPECT_EQ(Checker.edgeOps(), 0u);
   EXPECT_EQ(Checker.peakDegree(), 0u);
-  (void)Runner.runOnce(litmus::catalogProgram(litmus::LitmusKind::MP), 64,
+  (void)Runner.runOnce(*litmus::findCatalogProgram("MP"), 64,
                        litmus::LitmusRunner::MicroStress::none(), Opts);
   const StreamVerdict &R = Checker.finish();
   EXPECT_TRUE(R.AxiomsOk) << R.AxiomViolation;
@@ -511,7 +509,7 @@ std::vector<uint8_t> stressedMpRuns(litmus::LitmusRunner::RunOpts Opts,
                                     WorkCounts *W = nullptr) {
   const sim::ChipProfile &Chip = titan();
   const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
-  const litmus::Program &P = litmus::catalogProgram(litmus::LitmusKind::MP);
+  const litmus::Program &P = *litmus::findCatalogProgram("MP");
   StreamingChecker Checker;
   if (W)
     Opts.Sink = &Checker;
@@ -608,7 +606,7 @@ std::vector<TraceEvent> recordedMpTrace() {
   litmus::LitmusRunner Runner(titan(), /*Seed=*/5);
   litmus::LitmusRunner::RunOpts Opts;
   Opts.Trace = true;
-  (void)Runner.runOnce(litmus::catalogProgram(litmus::LitmusKind::MP), 64,
+  (void)Runner.runOnce(*litmus::findCatalogProgram("MP"), 64,
                        litmus::LitmusRunner::MicroStress::none(), Opts);
   return Runner.trace().events();
 }

@@ -228,16 +228,16 @@ TEST(TableTest, FormatOverheadPercent) {
 TEST(OptionsTest, ParsesKeyValueAndFlags) {
   const char *Argv[] = {"prog", "--runs=50", "--verbose", "positional"};
   Options O(4, const_cast<char **>(Argv));
-  EXPECT_EQ(O.getInt("runs", 0), 50);
+  EXPECT_EQ(O.getInt("runs", 0, 0, 100), 50);
   EXPECT_TRUE(O.has("verbose"));
   EXPECT_FALSE(O.has("positional"));
-  EXPECT_EQ(O.getInt("missing", 7), 7);
+  EXPECT_EQ(O.getInt("missing", 7, 0, 100), 7);
 }
 
 TEST(OptionsTest, ParsesDoubleAndString) {
   const char *Argv[] = {"prog", "--scale=0.5", "--chip=titan"};
   Options O(3, const_cast<char **>(Argv));
-  EXPECT_DOUBLE_EQ(O.getDouble("scale", 1.0), 0.5);
+  EXPECT_DOUBLE_EQ(O.getDouble("scale", 1.0, 1e-3, 1e3), 0.5);
   EXPECT_EQ(O.getString("chip", ""), "titan");
   EXPECT_EQ(O.getString("other", "dflt"), "dflt");
 }
@@ -275,6 +275,48 @@ TEST(OptionsDeathTest, GetPositiveIntRejectsZeroNegativeAndJunk) {
     Options O(2, const_cast<char **>(Argv));
     EXPECT_EXIT((void)O.getPositiveInt("jobs", 0, 1 << 16),
                 ::testing::ExitedWithCode(2), "positive integer")
+        << Bad;
+  }
+}
+
+TEST(OptionsTest, GetIntAcceptsItsRangeInclusive) {
+  const char *Argv[] = {"prog", "--distance=0", "--seed=-4", "--runs=7"};
+  Options O(4, const_cast<char **>(Argv));
+  EXPECT_EQ(O.getInt("distance", 9, 0, 64), 0);
+  EXPECT_EQ(O.getInt("seed", 0, -4, 4), -4);
+  EXPECT_EQ(O.getCount("runs", 1), 7u);
+}
+
+TEST(OptionsDeathTest, GetIntRejectsJunkAndOutOfRangeNamingTheOption) {
+  for (const char *Bad : {"--runs=abc", "--runs=2x", "--runs=-1", "--runs=",
+                          "--runs= 5", "--runs=1e3", "--runs=65"}) {
+    const char *Argv[] = {"prog", Bad};
+    Options O(2, const_cast<char **>(Argv));
+    EXPECT_EXIT((void)O.getInt("runs", 1, 0, 64),
+                ::testing::ExitedWithCode(2),
+                "error: --runs must be a non-negative integer no larger "
+                "than 64")
+        << Bad;
+  }
+}
+
+TEST(OptionsDeathTest, GetCountRejectsWhatWouldWrapWhenNarrowed) {
+  for (const char *Bad : {"--runs=-1", "--runs=0", "--runs=4294967297"}) {
+    const char *Argv[] = {"prog", Bad};
+    Options O(2, const_cast<char **>(Argv));
+    EXPECT_EXIT((void)O.getCount("runs", 1), ::testing::ExitedWithCode(2),
+                "--runs must be a positive integer")
+        << Bad;
+  }
+}
+
+TEST(OptionsDeathTest, GetDoubleRejectsJunkNanAndOutOfRange) {
+  for (const char *Bad : {"--scale=abc", "--scale=0.5x", "--scale=nan",
+                          "--scale=0", "--scale=-1", "--scale=inf"}) {
+    const char *Argv[] = {"prog", Bad};
+    Options O(2, const_cast<char **>(Argv));
+    EXPECT_EXIT((void)O.getDouble("scale", 1.0, 1e-3, 1e3),
+                ::testing::ExitedWithCode(2), "error: --scale must be a number")
         << Bad;
   }
 }

@@ -166,6 +166,13 @@ constexpr const char *KnownOptions[] = {
 /// enough that narrowing to unsigned can never truncate.
 constexpr int64_t MaxJobs = 1 << 16;
 
+/// --distance in words (0 = contiguous locations), defaulting to two
+/// patches of \p Chip; bounded so a program's footprint stays small.
+unsigned distanceOption(const Options &Opts, const sim::ChipProfile &Chip) {
+  return static_cast<unsigned>(
+      Opts.getInt("distance", 2 * Chip.PatchSizeWords, 0, 1 << 16));
+}
+
 /// The worker pool every subcommand draws from: --jobs, else GPUWMM_JOBS,
 /// else all cores. --jobs is validated up front in main() for every
 /// command; 0 here means "auto".
@@ -255,11 +262,9 @@ int cmdLitmus(const Options &Opts) {
     return 0;
   }
 
-  const unsigned Distance = static_cast<unsigned>(
-      Opts.getInt("distance", 2 * Chip->PatchSizeWords));
-  const unsigned Runs =
-      static_cast<unsigned>(Opts.getInt("runs", scaledCount(1000)));
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));
+  const unsigned Distance = distanceOption(Opts, *Chip);
+  const unsigned Runs = Opts.getCount("runs", scaledCount(1000));
+  const uint64_t Seed = Opts.getSeed(1);
 
   litmus::LitmusRunner Runner(*Chip, Seed);
   litmus::LitmusRunner::RunOpts RunOpts;
@@ -370,10 +375,10 @@ int cmdTune(const Options &Opts) {
         return 2;
     }
   }
-  tuning::Tuner Tuner(*Chip, static_cast<uint64_t>(Opts.getInt("seed", 7)),
-                      Tests);
-  const auto R = Tuner.tune(Opts.getDouble("scale", 1.0) *
-                            experimentScale(), &Pool);
+  tuning::Tuner Tuner(*Chip, Opts.getSeed(7), Tests);
+  const auto R = Tuner.tune(Opts.getDouble("scale", 1.0, 1e-3, 1e3) *
+                                experimentScale(),
+                            &Pool);
   std::printf("%s: critical patch size %u, sequence \"%s\", spread %u "
               "(%llu executions, %.1f s, %u jobs)\n",
               Chip->ShortName, R.Params.PatchWords,
@@ -411,12 +416,11 @@ int cmdTest(const Options &Opts) {
     std::fprintf(stderr, "error: unknown environment\n");
     return 2;
   }
-  const unsigned Runs =
-      static_cast<unsigned>(Opts.getInt("runs", scaledCount(200)));
+  const unsigned Runs = Opts.getCount("runs", scaledCount(200));
   ThreadPool Pool = makePool(Opts);
   const auto Cell = harness::runCell(
       *App, *Chip, *Env, stress::TunedStressParams::paperDefaults(*Chip),
-      Runs, static_cast<uint64_t>(Opts.getInt("seed", 1)), &Pool);
+      Runs, Opts.getSeed(1), &Pool);
   std::printf("%s on %s under %s: %u/%u erroneous (%u timeouts) -> %s\n",
               apps::appName(*App), Chip->ShortName, Env->name().c_str(),
               Cell.Errors, Cell.Runs, Cell.Timeouts,
@@ -434,12 +438,10 @@ int cmdHarden(const Options &Opts) {
     return 2;
   }
   dieIfBatchedUnlowerable(*App);
-  const unsigned StableRuns = static_cast<unsigned>(
-      Opts.getInt("stable-runs", scaledCount(300)));
+  const unsigned StableRuns = Opts.getCount("stable-runs", scaledCount(300));
   ThreadPool Pool = makePool(Opts);
-  harden::AppCheckOracle Oracle(
-      *App, *Chip, static_cast<uint64_t>(Opts.getInt("seed", 1)),
-      StableRuns, &Pool);
+  harden::AppCheckOracle Oracle(*App, *Chip, Opts.getSeed(1), StableRuns,
+                                &Pool);
   const unsigned NumSites = apps::appNumSites(*App);
   const auto R = harden::empiricalFenceInsertion(
       sim::FencePolicy::all(NumSites), Oracle);
@@ -456,10 +458,8 @@ int cmdHarden(const Options &Opts) {
 int cmdFuzz(const Options &Opts) {
   const sim::ChipProfile *Chip = chipOrDie(Opts);
   fuzz::BatchConfig Cfg;
-  Cfg.Programs =
-      static_cast<unsigned>(Opts.getInt("programs", scaledCount(20)));
-  Cfg.RunsPerProgram =
-      static_cast<unsigned>(Opts.getInt("runs", scaledCount(40)));
+  Cfg.Programs = Opts.getCount("programs", scaledCount(20));
+  Cfg.RunsPerProgram = Opts.getCount("runs", scaledCount(40));
 
   // --shrink operates on one imported case, never on generated batches.
   if (Opts.has("shrink") && !Opts.has("file")) {
@@ -481,11 +481,9 @@ int cmdFuzz(const Options &Opts) {
     // candidate is re-validated by the axiomatic checker).
     if (Opts.has("shrink")) {
       fuzz::ShrinkOptions SOpts;
-      SOpts.Distance = static_cast<unsigned>(
-          Opts.getInt("distance", 2 * Chip->PatchSizeWords));
-      SOpts.RunsPerAttempt = static_cast<unsigned>(
-          Opts.getInt("runs", scaledCount(250)));
-      SOpts.Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));
+      SOpts.Distance = distanceOption(Opts, *Chip);
+      SOpts.RunsPerAttempt = Opts.getCount("runs", scaledCount(250));
+      SOpts.Seed = Opts.getSeed(1);
       const fuzz::ShrinkResult R =
           fuzz::shrinkWeakProgram(*L, *Chip, SOpts);
       // A streaming/post-hoc verdict disagreement on any consulted run is
@@ -527,51 +525,49 @@ int cmdFuzz(const Options &Opts) {
       }
       return 0;
     }
-    std::string Why;
-    std::optional<fuzz::Program> P = fuzz::fromLitmusProgram(*L, &Why);
-    if (!P) {
+    if (const std::string Why = fuzz::fuzzabilityError(*L); !Why.empty()) {
       std::fprintf(stderr, "error: '%s' is not fuzzable: %s\n",
                    Path.c_str(), Why.c_str());
       return 2;
     }
-    const fuzz::FuzzResult R = fuzz::fuzzProgram(
-        *P, *Chip, Cfg.RunsPerProgram,
-        static_cast<uint64_t>(Opts.getInt("seed", 1)), /*Stressed=*/true);
-    std::printf("%s%s: %u/%u non-SC outcomes (%u distinct, SC set %zu)\n",
-                P->str().c_str(), L->Name.c_str(), R.WeakOutcomes, R.Runs,
-                R.DistinctWeak, R.ScSetSize);
+    const fuzz::FuzzResult R =
+        fuzz::fuzzProgram(*L, *Chip, Cfg.RunsPerProgram, Opts.getSeed(1),
+                          /*Stressed=*/true);
+    std::printf("%s: %u/%u non-SC outcomes (%u distinct, SC set %zu)\n",
+                L->Name.c_str(), R.WeakOutcomes, R.Runs, R.DistinctWeak,
+                R.ScSetSize);
     return 0;
   }
 
   ThreadPool Pool = makePool(Opts);
-  const auto Batch = fuzz::fuzzBatch(
-      *Chip, Cfg, static_cast<uint64_t>(Opts.getInt("seed", 1)), &Pool);
+  const auto Batch = fuzz::fuzzBatch(*Chip, Cfg, Opts.getSeed(1), &Pool);
   unsigned WeakProgs = 0;
   for (size_t I = 0; I != Batch.size(); ++I) {
     const fuzz::FuzzResult &R = Batch[I].R;
     if (R.WeakOutcomes == 0)
       continue;
     ++WeakProgs;
+    // The weak case as a replayable .litmus test whose forbidden clause
+    // pins the first observed non-SC outcome (re-run it with `gpuwmm
+    // litmus --file` or `gpuwmm fuzz --file`); --export-weak writes it
+    // out.
+    std::string Name = "fuzz-";
+    Name += std::to_string(I);
+    const std::string Text = litmus::printLitmus(
+        fuzz::toLitmusProgram(Batch[I].P, Name, &R.FirstWeak));
     std::printf("program %zu: %u/%u non-SC outcomes (%u distinct, SC set "
                 "%zu)\n%s",
                 I, R.WeakOutcomes, R.Runs, R.DistinctWeak, R.ScSetSize,
-                Batch[I].P.str().c_str());
-    // --export-weak: shrink the failing case to a replayable .litmus
-    // artifact whose forbidden clause pins the first observed non-SC
-    // outcome (re-run with `gpuwmm litmus --file` or `gpuwmm fuzz
-    // --file`).
+                Text.c_str());
     if (Opts.has("export-weak")) {
-      const std::string Path = Opts.getString("export-weak", ".") +
-                               "/fuzz-" + std::to_string(I) + ".litmus";
-      std::string Name = "fuzz-";
-      Name += std::to_string(I);
+      const std::string Path =
+          Opts.getString("export-weak", ".") + "/" + Name + ".litmus";
       std::ofstream OS(Path);
       if (!OS) {
         std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
         return 1;
       }
-      OS << litmus::printLitmus(
-          fuzz::toLitmusProgram(Batch[I].P, Name, &R.FirstWeak));
+      OS << Text;
       std::printf("  exported to %s\n", Path.c_str());
     }
   }
@@ -589,21 +585,15 @@ int cmdHunt(const Options &Opts) {
   const sim::ChipProfile *Chip = chipOrDie(Opts);
   hunt::HuntConfig Cfg;
   Cfg.Chip = Chip;
-  Cfg.Rounds = static_cast<unsigned>(Opts.getInt("rounds", 4));
-  Cfg.Fuzz.Programs =
-      static_cast<unsigned>(Opts.getInt("programs", scaledCount(20)));
-  Cfg.Fuzz.RunsPerProgram =
-      static_cast<unsigned>(Opts.getInt("runs", scaledCount(40)));
-  Cfg.Distance = static_cast<unsigned>(
-      Opts.getInt("distance", 2 * Chip->PatchSizeWords));
-  Cfg.ShrinkRuns =
-      static_cast<unsigned>(Opts.getInt("shrink-runs", scaledCount(200)));
-  Cfg.HardenRuns = static_cast<unsigned>(Opts.getInt("harden-runs", 32));
-  Cfg.StableRuns =
-      static_cast<unsigned>(Opts.getInt("stable-runs", scaledCount(300)));
-  Cfg.VerifyRuns =
-      static_cast<unsigned>(Opts.getInt("verify-runs", scaledCount(200)));
-  Cfg.Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));
+  Cfg.Rounds = Opts.getCount("rounds", 4);
+  Cfg.Fuzz.Programs = Opts.getCount("programs", scaledCount(20));
+  Cfg.Fuzz.RunsPerProgram = Opts.getCount("runs", scaledCount(40));
+  Cfg.Distance = distanceOption(Opts, *Chip);
+  Cfg.ShrinkRuns = Opts.getCount("shrink-runs", scaledCount(200));
+  Cfg.HardenRuns = Opts.getCount("harden-runs", 32);
+  Cfg.StableRuns = Opts.getCount("stable-runs", scaledCount(300));
+  Cfg.VerifyRuns = Opts.getCount("verify-runs", scaledCount(200));
+  Cfg.Seed = Opts.getSeed(1);
   Cfg.CorpusDir = Opts.getString("corpus-dir", "");
   Cfg.Resume = Opts.has("resume");
   if (Cfg.Resume && Cfg.CorpusDir.empty()) {
@@ -838,9 +828,8 @@ int cmdCampaign(const Options &Opts) {
   }
   for (apps::AppKind App : Config.Apps)
     dieIfBatchedUnlowerable(App);
-  Config.Runs =
-      static_cast<unsigned>(Opts.getInt("runs", scaledCount(100)));
-  Config.Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));
+  Config.Runs = Opts.getCount("runs", scaledCount(100));
+  Config.Seed = Opts.getSeed(1);
   // --oracle=N: stream every Nth run of every cell through the
   // incremental checker (validated as a positive integer; 0 = off).
   // --oracle=all verifies every run (N=1): the streaming checker's
