@@ -5,6 +5,7 @@
 #include "litmus/Format.h"
 #include "litmus/Litmus.h"
 #include "model/ConsistencyChecker.h"
+#include "model/Enumerate.h"
 #include "model/StreamingChecker.h"
 #include "stress/Environment.h"
 #include "support/Rng.h"
@@ -169,10 +170,11 @@ Program removeUnit(const Program &P, const Unit &U) {
 }
 
 /// Shared oracle state of one reduction: both checkers, recycled across
-/// candidates, plus the cross-check accounting.
+/// candidates, plus the run and cross-check accounting.
 struct ShrinkOracle {
   model::StreamingChecker Streaming;
   model::ConsistencyChecker PostHoc;
+  uint64_t LitmusRuns = 0;
   uint64_t CrossChecks = 0;
   std::string Error; ///< First disagreement (sticky).
 };
@@ -218,6 +220,7 @@ Repro reproducesWeak(const Program &P, const sim::ChipProfile &Chip,
     for (unsigned Run = 0; Run != Opts.RunsPerAttempt; ++Run) {
       const bool Forbidden = Runner.runOnce(P, Opts.Distance, Stress,
                                             RunOpts);
+      ++Oracle.LitmusRuns;
       if (!Forbidden)
         continue;
       // The forbidden outcome was observed; only a checker-confirmed
@@ -248,6 +251,24 @@ Repro reproducesWeak(const Program &P, const sim::ChipProfile &Chip,
   return Repro::No;
 }
 
+/// The shrinker's acceptance test for one candidate: programs the
+/// enumerator proves cannot show their forbidden outcome non-SC are
+/// rejected without a run (no simulated run of them can be judged weak,
+/// model/Enumerate.h); the rest are simulated. A ruled-out candidate
+/// still consumes its attempt index and leaves \p PreferRegion alone, so
+/// every later candidate runs on the stream and region it would have had
+/// without the filter.
+Repro acceptsCandidate(const Program &P, const sim::ChipProfile &Chip,
+                       const ShrinkOptions &Opts, uint64_t AttemptIdx,
+                       unsigned &PreferRegion, ShrinkOracle &Oracle,
+                       ShrinkResult &Result) {
+  if (model::enumerateForbidden(P).rulesOutWeak()) {
+    ++Result.RuledOut;
+    return Repro::No;
+  }
+  return reproducesWeak(P, Chip, Opts, AttemptIdx, PreferRegion, Oracle);
+}
+
 } // namespace
 
 ShrinkResult fuzz::shrinkWeakProgram(const Program &P,
@@ -261,8 +282,9 @@ ShrinkResult fuzz::shrinkWeakProgram(const Program &P,
   ShrinkOracle Oracle;
   unsigned PreferRegion = 0;
   uint64_t AttemptIdx = 0;
-  const Repro First =
-      reproducesWeak(P, Chip, Opts, AttemptIdx++, PreferRegion, Oracle);
+  const Repro First = acceptsCandidate(P, Chip, Opts, AttemptIdx++,
+                                       PreferRegion, Oracle, Result);
+  Result.LitmusRuns = Oracle.LitmusRuns;
   Result.CrossChecks = Oracle.CrossChecks;
   Result.OracleError = Oracle.Error;
   if (First != Repro::Yes)
@@ -273,14 +295,12 @@ ShrinkResult fuzz::shrinkWeakProgram(const Program &P,
   bool Improved = true;
   while (Improved) {
     Improved = false;
-    for (const Unit &U : removableUnits(Result.Reduced)) {
-      Program Candidate = removeUnit(Result.Reduced, U);
-      if (!Candidate.validate().empty())
-        continue;
+    for (Program &Candidate : shrinkCandidates(Result.Reduced)) {
       ++Result.Candidates;
-      const Repro R = reproducesWeak(Candidate, Chip, Opts, AttemptIdx++,
-                                     PreferRegion, Oracle);
+      const Repro R = acceptsCandidate(Candidate, Chip, Opts, AttemptIdx++,
+                                       PreferRegion, Oracle, Result);
       if (R == Repro::Disagree) {
+        Result.LitmusRuns = Oracle.LitmusRuns;
         Result.CrossChecks = Oracle.CrossChecks;
         Result.OracleError = Oracle.Error;
         return Result; // Hard failure: stop reducing immediately.
@@ -297,8 +317,19 @@ ShrinkResult fuzz::shrinkWeakProgram(const Program &P,
     }
   }
   Result.ReducedOps = countOps(Result.Reduced);
+  Result.LitmusRuns = Oracle.LitmusRuns;
   Result.CrossChecks = Oracle.CrossChecks;
   return Result;
+}
+
+std::vector<Program> fuzz::shrinkCandidates(const Program &P) {
+  std::vector<Program> Candidates;
+  for (const Unit &U : removableUnits(P)) {
+    Program Candidate = removeUnit(P, U);
+    if (Candidate.validate().empty())
+      Candidates.push_back(std::move(Candidate));
+  }
+  return Candidates;
 }
 
 bool fuzz::reproducesWeakProgram(const Program &P,

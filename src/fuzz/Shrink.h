@@ -18,7 +18,10 @@
 /// and the post-hoc checker (model/ConsistencyChecker.h), and any verdict
 /// disagreement aborts the reduction with ShrinkResult::OracleError — a
 /// silent oracle divergence must never decide which programs enter a hunt
-/// corpus.
+/// corpus. Before simulating a candidate, the shrinker asks the axiomatic
+/// enumerator (model/Enumerate.h) whether any non-SC execution can show
+/// its forbidden outcome; a candidate it rules out cannot be judged weak
+/// by either checker, so it is rejected without a run.
 ///
 /// Instructions whose result register appears in the forbidden clause are
 /// never removed (they define the outcome being pinned); split-phase
@@ -74,9 +77,14 @@ struct ShrinkResult {
   unsigned ReducedOps = 0;  ///< Instructions after reduction.
   unsigned Candidates = 0;  ///< Candidate programs evaluated.
   unsigned Accepted = 0;    ///< Reductions that kept the weak outcome.
+  /// Programs (the original included) the enumerator ruled out without a
+  /// run.
+  unsigned RuledOut = 0;
   /// The tuned stress bank region that last provoked the weak outcome —
   /// the region `gpuwmm hunt` hardens and verifies under.
   unsigned ProvokingRegion = 0;
+  /// Litmus executions simulated during the reduction.
+  uint64_t LitmusRuns = 0;
   /// Streaming-vs-post-hoc verdict comparisons performed (one per
   /// forbidden-outcome run consulted during the reduction).
   uint64_t CrossChecks = 0;
@@ -96,11 +104,19 @@ ShrinkResult shrinkWeakProgram(const litmus::Program &P,
                                const sim::ChipProfile &Chip,
                                const ShrinkOptions &Opts);
 
+/// One reduction pass's candidates for \p P, in the order the shrinker
+/// tries them: \p P minus one removable unit (a whole thread first, then
+/// single ops and split-phase pairs), keeping only programs that
+/// validate. The shrinker accepts the first that still reproduces, then
+/// starts a new pass from it.
+std::vector<litmus::Program> shrinkCandidates(const litmus::Program &P);
+
 /// Whether \p P provokes its forbidden outcome as a checker-confirmed
-/// weak behaviour within \p Opts' attempt budget (the shrinker's own
-/// acceptance test, exposed for property tests and the hunt pipeline).
-/// A streaming/post-hoc disagreement reports false and sets
-/// \p OracleError when non-null.
+/// weak behaviour within \p Opts' attempt budget: the simulated half of
+/// the shrinker's acceptance test, exposed for property tests. It always
+/// simulates (never consults the enumerator), so it is what the
+/// enumerator's soundness is tested against. A streaming/post-hoc
+/// disagreement reports false and sets \p OracleError when non-null.
 bool reproducesWeakProgram(const litmus::Program &P,
                            const sim::ChipProfile &Chip,
                            const ShrinkOptions &Opts,

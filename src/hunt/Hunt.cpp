@@ -58,6 +58,8 @@ struct Survivor {
   /// identical entry statistics.
   size_t SourceIndex = 0;
   CorpusEntry E; ///< Shrink-stage fields filled; rest after harden.
+  uint64_t HardenRuns = 0; ///< Litmus executions Alg. 1 consumed.
+  uint64_t VerifyRuns = 0; ///< Oracle-checked executions, all attempts.
 };
 
 /// Hardening attempts per survivor before giving up and recording the
@@ -93,6 +95,8 @@ void hardenAndVerify(Survivor &S, const HuntConfig &Cfg,
     HO.StressRegion = S.E.ProvokingRegion;
     const harden::LitmusHardenResult HR =
         harden::hardenLitmusProgram(S.Canon, *Cfg.Chip, HO);
+    S.HardenRuns += HR.Executions;
+    S.VerifyRuns += Cfg.VerifyRuns;
     S.E.Annotated = HR.Annotated;
     S.E.FenceSites = HR.NumSites;
     S.E.Fences = static_cast<unsigned>(HR.Fences.count());
@@ -188,6 +192,8 @@ bool hunt::runHunt(const HuntConfig &Cfg, ThreadPool *Pool,
       fuzz::ShrinkResult &SR = Shrunk[J];
       Report.ShrinkCandidates += SR.Candidates;
       Report.ShrinkAccepted += SR.Accepted;
+      Report.ShrinkRuledOut += SR.RuledOut;
+      Report.ShrinkLitmusRuns += SR.LitmusRuns;
       Report.CrossChecks += SR.CrossChecks;
       if (!SR.OracleError.empty()) {
         // A diverging oracle invalidates the whole mining run: nothing
@@ -232,6 +238,8 @@ bool hunt::runHunt(const HuntConfig &Cfg, ThreadPool *Pool,
 
     // Durable appends, in index order, then the round marker.
     for (Survivor &S : Survivors) {
+      Report.HardenLitmusRuns += S.HardenRuns;
+      Report.VerifyLitmusRuns += S.VerifyRuns;
       if (!C.append(std::move(S.E), Err))
         return false;
       ++Report.NewEntries;
@@ -252,7 +260,8 @@ bool hunt::runHunt(const HuntConfig &Cfg, ThreadPool *Pool,
   return true;
 }
 
-void hunt::writeHuntJson(const HuntReport &Report, std::ostream &OS) {
+void hunt::writeHuntJson(const HuntReport &Report, std::ostream &OS,
+                         bool WithWork) {
   const HuntConfig &Cfg = Report.Config;
   // Build-stable metadata only (no wall-clock, no host facts): the report
   // is byte-identical across machines, --jobs and --engine for one config.
@@ -284,7 +293,13 @@ void hunt::writeHuntJson(const HuntReport &Report, std::ostream &OS) {
      << ", \"cross_checks\": " << Report.CrossChecks
      << ", \"duplicates\": " << Report.Duplicates
      << ", \"new_entries\": " << Report.NewEntries
-     << ", \"corpus_size\": " << Report.Entries.size() << "},\n";
+     << ", \"corpus_size\": " << Report.Entries.size();
+  if (WithWork)
+    OS << ", \"shrink_ruled_out\": " << Report.ShrinkRuledOut
+       << ", \"litmus_runs\": {\"shrink\": " << Report.ShrinkLitmusRuns
+       << ", \"harden\": " << Report.HardenLitmusRuns
+       << ", \"verify\": " << Report.VerifyLitmusRuns << "}";
+  OS << "},\n";
 
   OS << "  \"oracle\": {\"checked\": " << Report.OracleChecked
      << ", \"weak\": " << Report.OracleWeak

@@ -86,7 +86,13 @@ struct HuntReport {
   uint64_t NotReproduced = 0; ///< Weak cases the shrinker could not re-provoke.
   uint64_t ShrinkCandidates = 0;
   uint64_t ShrinkAccepted = 0;
+  /// Shrink programs the enumerator ruled out without simulating.
+  uint64_t ShrinkRuledOut = 0;
   uint64_t CrossChecks = 0; ///< Streaming-vs-post-hoc verdict comparisons.
+  // Litmus executions simulated, per stage (deterministic work counters).
+  uint64_t ShrinkLitmusRuns = 0;
+  uint64_t HardenLitmusRuns = 0;
+  uint64_t VerifyLitmusRuns = 0;
   uint64_t Duplicates = 0;  ///< Shrunk cases whose key was already mined.
   uint64_t NewEntries = 0;
   // Corpus-wide oracle accounting (sums over \ref Entries).
@@ -113,8 +119,14 @@ bool runHunt(const HuntConfig &Cfg, ThreadPool *Pool, HuntReport &Report,
 
 /// Writes the hunt report ("gpuwmm-hunt-v1"). No wall-clock or host
 /// facts: byte-identical across machines, job counts and engines for one
-/// config.
-void writeHuntJson(const HuntReport &Report, std::ostream &OS);
+/// config. With \p WithWork the totals also carry the per-stage work
+/// counters (`shrink_ruled_out`, `litmus_runs`), as `gpuwmm hunt` writes
+/// them. Without, the report is what a caller that rebuilds a HuntReport
+/// from per-stage results, filling only the fields below them, can
+/// reproduce: perfbench's traced hunt replay compares its report with
+/// runHunt's that way.
+void writeHuntJson(const HuntReport &Report, std::ostream &OS,
+                   bool WithWork = false);
 
 } // namespace hunt
 } // namespace gpuwmm

@@ -10,6 +10,7 @@
 
 #include "model/ConsistencyChecker.h"
 
+#include <algorithm>
 #include <deque>
 #include <sstream>
 #include <unordered_map>
@@ -33,9 +34,86 @@ const char *model::edgeKindName(EdgeKind K) {
   return "?";
 }
 
-namespace {
+void model::addCommunicationEdges(RelationGraph &G,
+                                  const std::vector<std::vector<uint32_t>> &Co,
+                                  const std::vector<CommRead> &Reads,
+                                  std::vector<uint32_t> &CoPos) {
+  for (const std::vector<uint32_t> &Order : Co)
+    for (uint32_t K = 0; K != Order.size(); ++K) {
+      if (CoPos.size() <= Order[K])
+        CoPos.resize(Order[K] + 1);
+      CoPos[Order[K]] = K;
+      if (K + 1 != Order.size())
+        G[Order[K]].emplace_back(Order[K + 1], EdgeKind::Co);
+    }
+  for (const CommRead &Rd : Reads) {
+    uint32_t FrTarget = InitWrite;
+    if (Rd.RfWrite == InitWrite) {
+      if (Rd.Loc < Co.size() && !Co[Rd.Loc].empty())
+        FrTarget = Co[Rd.Loc].front();
+    } else {
+      G[Rd.RfWrite].emplace_back(Rd.Node, EdgeKind::Rf);
+      const std::vector<uint32_t> &Order = Co[Rd.Loc];
+      const uint32_t K = CoPos[Rd.RfWrite];
+      if (K + 1 != Order.size())
+        FrTarget = Order[K + 1];
+    }
+    // An atomic's fr successor of its own read is itself; skip self-loops.
+    if (FrTarget != InitWrite && FrTarget != Rd.Node)
+      G[Rd.Node].emplace_back(FrTarget, EdgeKind::Fr);
+  }
+}
 
-constexpr uint32_t NoWrite = static_cast<uint32_t>(-1); ///< Initial state.
+bool model::findCycle(const RelationGraph &G, uint32_t N,
+                      std::vector<uint8_t> &Color,
+                      std::vector<std::pair<size_t, EdgeKind>> *Cycle) {
+  // Iterative DFS; a back edge into the stack is a cycle.
+  if (Color.size() < N)
+    Color.resize(N);
+  std::fill(Color.begin(), Color.begin() + N, 0);
+  struct Frame {
+    uint32_t Node;
+    uint32_t Edge;
+  };
+  std::vector<Frame> Stack;
+  for (uint32_t Start = 0; Start != N; ++Start) {
+    if (Color[Start] != 0 || G[Start].empty())
+      continue;
+    Stack.clear();
+    Stack.push_back({Start, 0});
+    Color[Start] = 1;
+    while (!Stack.empty()) {
+      Frame &F = Stack.back();
+      if (F.Edge == G[F.Node].size()) {
+        Color[F.Node] = 2;
+        Stack.pop_back();
+        continue;
+      }
+      const uint32_t To = G[F.Node][F.Edge++].first;
+      if (Color[To] == 1) {
+        // Found: the cycle is the stack suffix starting at To.
+        if (Cycle) {
+          size_t Base = Stack.size();
+          while (Base != 0 && Stack[Base - 1].Node != To)
+            --Base;
+          --Base;
+          for (size_t K = Base; K != Stack.size(); ++K) {
+            const Frame &CF = Stack[K];
+            Cycle->emplace_back(CF.Node, G[CF.Node][CF.Edge - 1].second);
+          }
+        }
+        return true;
+      }
+      if (Color[To] == 0) {
+        Color[To] = 1;
+        Stack.push_back({To, 0});
+      }
+    }
+  }
+  return false;
+}
+
+namespace {
 
 const char *sourceName(LoadSource S) {
   switch (S) {
@@ -67,7 +145,7 @@ struct OverlayEnt {
 /// One read access awaiting the causality pass.
 struct ReadAccess {
   uint32_t Node;   ///< Its program-order event (LoadBind/AsyncIssue/Atomic).
-  uint32_t RfWrite; ///< Writer node, or NoWrite for the initial state.
+  uint32_t RfWrite; ///< Writer node, or InitWrite for the initial state.
   Addr A;
   bool WroteToo;   ///< Atomic that also wrote (fr to itself is skipped).
 };
@@ -91,10 +169,24 @@ struct ConsistencyChecker::ReplayScratch {
   std::unordered_map<Addr, uint64_t> PlainMaxId;       ///< MemWriteId mirror.
   std::unordered_map<Addr, std::vector<OverlayEnt>> Overlay;
   std::unordered_set<uint64_t> PromotedIds;
-  std::unordered_map<Addr, std::vector<uint32_t>> Co;
+  /// Per-address coherence orders: CoIndex names each written address's
+  /// slot in CoOrders; the first NumCo slots are in use, the rest are
+  /// empty (kept for their capacity).
+  std::unordered_map<Addr, uint32_t> CoIndex;
+  std::vector<std::vector<uint32_t>> CoOrders;
+  uint32_t NumCo = 0;
   std::unordered_map<unsigned, uint32_t> LastPo;
   std::vector<ReadAccess> Reads;
-  std::unordered_map<uint32_t, std::pair<Addr, uint32_t>> WritePos;
+  std::vector<CommRead> CommReads;
+  std::vector<uint32_t> CoPos;
+
+  /// The coherence order of \p A, created empty on first use.
+  std::vector<uint32_t> &coOrder(Addr A) {
+    const auto [It, New] = CoIndex.try_emplace(A, NumCo);
+    if (New && NumCo++ == CoOrders.size())
+      CoOrders.emplace_back();
+    return CoOrders[It->second];
+  }
 
   void clear() {
     Pending.clear();
@@ -107,10 +199,13 @@ struct ConsistencyChecker::ReplayScratch {
     PlainMaxId.clear();
     Overlay.clear();
     PromotedIds.clear();
-    Co.clear();
+    CoIndex.clear();
+    for (uint32_t K = 0; K != NumCo; ++K)
+      CoOrders[K].clear();
+    NumCo = 0;
     LastPo.clear();
     Reads.clear();
-    WritePos.clear();
+    CommReads.clear();
   }
 };
 
@@ -145,7 +240,6 @@ CheckResult ConsistencyChecker::check(const std::vector<TraceEvent> &Events) {
   auto &PlainMaxId = S.PlainMaxId;
   auto &Overlay = S.Overlay;
   auto &PromotedIds = S.PromotedIds;
-  auto &Co = S.Co;
   auto &LastPo = S.LastPo;
   auto &Reads = S.Reads;
 
@@ -157,7 +251,7 @@ CheckResult ConsistencyChecker::check(const std::vector<TraceEvent> &Events) {
 
   const auto visibleWriter = [&](Addr A) {
     const auto It = Visible.find(A);
-    return It == Visible.end() ? NoWrite : It->second;
+    return It == Visible.end() ? InitWrite : It->second;
   };
   const auto globalValue = [&](Addr A) {
     const auto It = GlobalVal.find(A);
@@ -240,26 +334,30 @@ CheckResult ConsistencyChecker::check(const std::vector<TraceEvent> &Events) {
         GlobalVal[E.A] = E.V;
         Visible[E.A] = Issue;
         PlainMaxId[E.A] = E.Id;
-        Co[E.A].push_back(Issue);
+        S.coOrder(E.A).push_back(Issue);
         // A write that reaches globally visible memory through the plain
         // path invalidates every block-visible value for the address.
         if (!WasPromoted)
           Overlay.erase(E.A);
       } else {
         // A coherence-dropped write never became visible, but it still has
-        // a coherence position: before every plain write with a newer
-        // store id. Applied plain writes appear in increasing id order, so
-        // scanning back from the end places it exactly (atomics, which
-        // carry no id, bound the scan).
-        auto &Order = Co[E.A];
+        // a coherence position: immediately before the earliest plain
+        // write with a newer store id (the one whose application made this
+        // drain stale), past any atomics in between — the final value and
+        // every atomic's read agree with that order. Plain writes stay in
+        // increasing id order, so the scan back from the end stops at the
+        // first plain write older than this one (atomics carry no id and
+        // are stepped over).
+        std::vector<uint32_t> &Order = S.coOrder(E.A);
         size_t Pos = Order.size();
-        while (Pos != 0) {
-          const TraceEvent &W = Events[Order[Pos - 1]];
-          const bool Plain = W.Kind == TraceEventKind::StoreIssue ||
-                             W.Kind == TraceEventKind::HostWrite;
-          if (!Plain || W.Id < E.Id)
+        for (size_t K = Order.size(); K != 0; --K) {
+          const TraceEvent &W = Events[Order[K - 1]];
+          if (W.Kind != TraceEventKind::StoreIssue &&
+              W.Kind != TraceEventKind::HostWrite)
+            continue;
+          if (W.Id < E.Id)
             break;
-          --Pos;
+          Pos = K - 1;
         }
         Order.insert(Order.begin() + static_cast<ptrdiff_t>(Pos), Issue);
       }
@@ -268,7 +366,7 @@ CheckResult ConsistencyChecker::check(const std::vector<TraceEvent> &Events) {
     case TraceEventKind::LoadBind: {
       const PendingStore *Newest = newestPendingTo(Key, E.A);
       const OverlayEnt *OV = overlayFor(E.Block, E.A);
-      uint32_t Rf = NoWrite;
+      uint32_t Rf = InitWrite;
       switch (E.Source) {
       case LoadSource::Memory: {
         const auto It = Pending.find(Key);
@@ -282,7 +380,7 @@ CheckResult ConsistencyChecker::check(const std::vector<TraceEvent> &Events) {
                   OV->Issue, I);
         else if (E.V != globalValue(E.A))
           Violate("read-value: a load bound a value no write produced",
-                  visibleWriter(E.A) == NoWrite ? I : visibleWriter(E.A), I);
+                  visibleWriter(E.A) == InitWrite ? I : visibleWriter(E.A), I);
         Rf = visibleWriter(E.A);
         break;
       }
@@ -315,7 +413,7 @@ CheckResult ConsistencyChecker::check(const std::vector<TraceEvent> &Events) {
         else if (E.V != globalValue(E.A))
           Violate("read-value: a superseded-forward load bound a value "
                   "memory does not hold",
-                  visibleWriter(E.A) == NoWrite ? I : visibleWriter(E.A), I);
+                  visibleWriter(E.A) == InitWrite ? I : visibleWriter(E.A), I);
         Rf = visibleWriter(E.A);
         break;
       }
@@ -374,7 +472,7 @@ CheckResult ConsistencyChecker::check(const std::vector<TraceEvent> &Events) {
       if (E.V != globalValue(E.A))
         Violate("read-value: a split-phase load bound a value memory does "
                 "not hold",
-                visibleWriter(E.A) == NoWrite ? I : visibleWriter(E.A), I);
+                visibleWriter(E.A) == InitWrite ? I : visibleWriter(E.A), I);
       // The read's program-order point is the issue; the binding write is
       // whatever is visible now.
       Reads.push_back({It->second, visibleWriter(E.A), E.A,
@@ -394,12 +492,12 @@ CheckResult ConsistencyChecker::check(const std::vector<TraceEvent> &Events) {
                 I, I);
       else if (static_cast<Word>(E.Id) != globalValue(E.A))
         Violate("read-value: an atomic read a value memory does not hold",
-                visibleWriter(E.A) == NoWrite ? I : visibleWriter(E.A), I);
+                visibleWriter(E.A) == InitWrite ? I : visibleWriter(E.A), I);
       Reads.push_back({I, visibleWriter(E.A), E.A, /*WroteToo=*/E.Flag});
       if (E.Flag) {
         GlobalVal[E.A] = E.V;
         Visible[E.A] = I;
-        Co[E.A].push_back(I);
+        S.coOrder(E.A).push_back(I);
         Overlay.erase(E.A); // Atomics invalidate block-visible values.
       }
       addPo(E.Tid, I);
@@ -444,7 +542,7 @@ CheckResult ConsistencyChecker::check(const std::vector<TraceEvent> &Events) {
       GlobalVal[E.A] = E.V;
       Visible[E.A] = I;
       PlainMaxId[E.A] = E.Id;
-      Co[E.A].push_back(I);
+      S.coOrder(E.A).push_back(I);
       break;
     }
     }
@@ -467,75 +565,14 @@ CheckResult ConsistencyChecker::check(const std::vector<TraceEvent> &Events) {
     return R;
 
   // --- Causality pass: acyclicity of po ∪ rf ∪ co ∪ fr ---------------------
-  auto &WritePos = S.WritePos;
-  for (const auto &[A, Order] : Co) {
-    for (uint32_t K = 0; K != Order.size(); ++K) {
-      WritePos[Order[K]] = {A, K};
-      if (K + 1 != Order.size())
-        Edges[Order[K]].emplace_back(Order[K + 1], EdgeKind::Co);
-    }
-  }
   for (const ReadAccess &Rd : Reads) {
-    uint32_t FrTarget = NoWrite;
-    if (Rd.RfWrite == NoWrite) {
-      const auto It = Co.find(Rd.A);
-      if (It != Co.end() && !It->second.empty())
-        FrTarget = It->second.front();
-    } else {
-      Edges[Rd.RfWrite].emplace_back(Rd.Node, EdgeKind::Rf);
-      const auto &[A, K] = WritePos.at(Rd.RfWrite);
-      const auto &Order = Co.at(A);
-      if (K + 1 != Order.size())
-        FrTarget = Order[K + 1];
-    }
-    // An atomic's fr successor of its own read is itself; skip self-loops.
-    if (FrTarget != NoWrite && FrTarget != Rd.Node)
-      Edges[Rd.Node].emplace_back(FrTarget, EdgeKind::Fr);
+    const auto It = S.CoIndex.find(Rd.A);
+    S.CommReads.push_back(
+        {Rd.Node, Rd.RfWrite,
+         It == S.CoIndex.end() ? InitWrite : It->second});
   }
-
-  // Iterative DFS; a back edge into the stack is a cycle.
-  if (Color.size() < N)
-    Color.resize(N);
-  for (uint32_t I = 0; I != N; ++I)
-    Color[I] = 0;
-  struct Frame {
-    uint32_t Node;
-    uint32_t Edge;
-  };
-  std::vector<Frame> Stack;
-  for (uint32_t Start = 0; Start != N && R.Sc; ++Start) {
-    if (Color[Start] != 0 || Edges[Start].empty())
-      continue;
-    Stack.clear();
-    Stack.push_back({Start, 0});
-    Color[Start] = 1;
-    while (!Stack.empty() && R.Sc) {
-      Frame &F = Stack.back();
-      if (F.Edge == Edges[F.Node].size()) {
-        Color[F.Node] = 2;
-        Stack.pop_back();
-        continue;
-      }
-      const auto [To, Kind] = Edges[F.Node][F.Edge++];
-      if (Color[To] == 1) {
-        // Found: the cycle is the stack suffix starting at To.
-        R.Sc = false;
-        size_t Base = Stack.size();
-        while (Base != 0 && Stack[Base - 1].Node != To)
-          --Base;
-        --Base;
-        for (size_t K = Base; K != Stack.size(); ++K) {
-          const Frame &CF = Stack[K];
-          R.Cycle.emplace_back(CF.Node, Edges[CF.Node][CF.Edge - 1].second);
-        }
-        break;
-      }
-      if (Color[To] == 0) {
-        Color[To] = 1;
-        Stack.push_back({To, 0});
-      }
-    }
-  }
+  addCommunicationEdges(Edges, S.CoOrders, S.CommReads, S.CoPos);
+  R.Sc = !findCycle(Edges, N, Color, &R.Cycle);
   if (!R.Sc && !R.Cycle.empty()) {
     // The decisive pair: the first fr edge of the cycle (the read that
     // observed the past), else the first edge.

@@ -57,6 +57,42 @@ enum class EdgeKind : uint8_t {
 
 const char *edgeKindName(EdgeKind K);
 
+/// A po ∪ rf ∪ co ∪ fr graph: out-edges by node index.
+using RelationGraph = std::vector<std::vector<std::pair<uint32_t, EdgeKind>>>;
+
+/// The rf source of a read of the initial state (no write node).
+inline constexpr uint32_t InitWrite = static_cast<uint32_t>(-1);
+
+/// One read of an execution, for \ref addCommunicationEdges: its
+/// program-order node, the write it read from (\ref InitWrite for the
+/// initial state), and the index of its location's coherence order
+/// (\ref InitWrite for a location nothing wrote).
+struct CommRead {
+  uint32_t Node;
+  uint32_t RfWrite;
+  uint32_t Loc;
+};
+
+/// Adds the communication relations of one execution to \p G: co between
+/// consecutive writes of each per-location order in \p Co, rf from each
+/// read's source, and fr from each read to its source's co successor (an
+/// initial-state read to its order's front; an atomic's fr to itself is
+/// skipped). \p CoPos is scratch. The checker (over a replayed trace) and
+/// the enumerator (over candidate executions, model/Enumerate.h) both
+/// build their graphs here, so they judge an execution by the same
+/// relations.
+void addCommunicationEdges(RelationGraph &G,
+                           const std::vector<std::vector<uint32_t>> &Co,
+                           const std::vector<CommRead> &Reads,
+                           std::vector<uint32_t> &CoPos);
+
+/// Depth-first search of \p G's first \p N nodes, roots in index order;
+/// true iff it has a cycle. With \p Cycle non-null, the first cycle found
+/// is stored as (node, edge to the next entry), closing from the last
+/// entry back to the first. \p Color is scratch.
+bool findCycle(const RelationGraph &G, uint32_t N, std::vector<uint8_t> &Color,
+               std::vector<std::pair<size_t, EdgeKind>> *Cycle);
+
 /// Verdict over one recorded execution.
 struct CheckResult {
   /// Every replay axiom held. A violation here is a simulator bug (or a
@@ -107,16 +143,13 @@ public:
   /// index. Built only when that check's axioms held; entries past its
   /// event count are stale. Read-only, for auditing another checker's
   /// witness against the full trace.
-  const std::vector<std::vector<std::pair<uint32_t, EdgeKind>>> &
-  edges() const {
-    return Edges;
-  }
+  const RelationGraph &edges() const { return Edges; }
 
 private:
   struct ReplayScratch; ///< Recycled replay-pass containers (in the .cpp).
   std::unique_ptr<ReplayScratch> ScratchPtr;
   // Recycled causality-graph storage (adjacency lists per event index).
-  std::vector<std::vector<std::pair<uint32_t, EdgeKind>>> Edges;
+  RelationGraph Edges;
   std::vector<uint8_t> Color;
 };
 

@@ -3,6 +3,7 @@
 #include "support/Options.h"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -93,8 +94,23 @@ double gpuwmm::experimentScale() {
   const char *Env = std::getenv("GPUWMM_SCALE");
   if (!Env)
     return 1.0;
-  const double Scale = std::strtod(Env, nullptr);
-  return Scale > 0.0 ? Scale : 1.0;
+  // The --scale rules (whole string, 0.001..1000), but warn and fall back
+  // rather than exit, as GPUWMM_JOBS does: an environment variable should
+  // not be fatal to library users. Warn once per process, not per count.
+  const std::string_view Text = Env;
+  double Scale = 0;
+  const auto [End, Ec] =
+      std::from_chars(Text.data(), Text.data() + Text.size(), Scale);
+  if (Ec == std::errc() && End == Text.data() + Text.size() &&
+      Scale >= 1e-3 && Scale <= 1e3)
+    return Scale;
+  static std::atomic<bool> Warned{false};
+  if (!Warned.exchange(true))
+    std::fprintf(stderr,
+                 "warning: ignoring invalid GPUWMM_SCALE='%s' (must be a "
+                 "number from 0.001 to 1000); using scale 1\n",
+                 Env);
+  return 1.0;
 }
 
 unsigned gpuwmm::scaledCount(unsigned Count, unsigned Min) {

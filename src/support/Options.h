@@ -81,7 +81,8 @@ private:
 /// Reads GPUWMM_SCALE from the environment (default 1.0). Experiment
 /// binaries multiply their execution counts by this value, so
 /// GPUWMM_SCALE=4 approaches the paper's counts and GPUWMM_SCALE=0.25 gives
-/// a smoke-test run.
+/// a smoke-test run. A value that is not a number from 0.001 to 1000 (the
+/// --scale range) is ignored with a one-time warning on stderr.
 double experimentScale();
 
 /// Scales \p Count by experimentScale(), with a floor of \p Min.

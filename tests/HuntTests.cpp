@@ -10,7 +10,8 @@
 //  * the shrinker battery — over hundreds of pool-fuzzed weak programs,
 //    every accepted shrink step still provokes checker-confirmed weakness,
 //    thread counts never grow, and op counts strictly fall; a padded IRIW
-//    is pinned to reduce to the catalog IRIW core at seed 42,
+//    is pinned to reduce to the catalog IRIW core at seed 42; and no
+//    candidate the enumerator pre-filter rules out reproduces weak,
 //  * Alg. 1 hardening over litmus programs (fence sets that restore SC
 //    under the streaming oracle, `fence?` annotation round-trips),
 //  * the crash-safe corpus store (manifest discipline, torn tails, key
@@ -31,6 +32,7 @@
 #include "hunt/Hunt.h"
 #include "litmus/Format.h"
 #include "litmus/Litmus.h"
+#include "model/Enumerate.h"
 #include "model/StreamingChecker.h"
 #include "sim/BatchExec.h"
 #include "stress/Environment.h"
@@ -197,7 +199,7 @@ hunt::HuntConfig tinyHunt(unsigned Rounds = 2) {
 
 std::string huntJson(const hunt::HuntReport &Report) {
   std::ostringstream OS;
-  hunt::writeHuntJson(Report, OS);
+  hunt::writeHuntJson(Report, OS, /*WithWork=*/true);
   return OS.str();
 }
 
@@ -413,6 +415,54 @@ TEST(ShrinkPropertyTest, EveryStepStaysWeak) { shrinkBattery(25); }
 
 // The full 200-program battery (slow label).
 TEST(ShrinkPropertyTest, EveryStepStaysWeakBattery200) { shrinkBattery(200); }
+
+// The enumerator pre-filter's soundness on the pipeline's own inputs: for
+// every weak case of the pinned tiny hunt (both rounds, the hunt's shrink
+// seeds), every program a reduction pass starts from (the original and
+// each accepted step) and every candidate of that pass, whatever the
+// enumerator rules out must not reproduce weak when simulated anyway.
+TEST(ShrinkPropertyTest, RuledOutCandidatesNeverReproduceWeak) {
+  const hunt::HuntConfig Cfg = tinyHunt(2);
+  unsigned Checked = 0;
+  for (unsigned Round = 0; Round != Cfg.Rounds; ++Round) {
+    const auto Batch = fuzz::fuzzBatch(*Cfg.Chip, Cfg.Fuzz,
+                                       Rng::deriveStream(Cfg.Seed, 4 * Round));
+    const uint64_t ShrinkSeed = Rng::deriveStream(Cfg.Seed, 4 * Round + 1);
+    uint64_t J = 0;
+    for (const fuzz::BatchEntry &B : Batch) {
+      if (!B.R.WeakOutcomes)
+        continue;
+      fuzz::ShrinkOptions Opts;
+      Opts.Distance = Cfg.Distance;
+      Opts.RunsPerAttempt = Cfg.ShrinkRuns;
+      Opts.Seed = Rng::deriveStream(ShrinkSeed, J++);
+      Opts.RecordSteps = true;
+      const litmus::Program P =
+          fuzz::toLitmusProgram(B.P, "hunt-candidate", &B.R.FirstWeak);
+      const fuzz::ShrinkResult R =
+          fuzz::shrinkWeakProgram(P, *Cfg.Chip, Opts);
+      ASSERT_TRUE(R.OracleError.empty()) << R.OracleError;
+      std::vector<litmus::Program> Programs = {P};
+      for (const litmus::Program &Step : R.Steps)
+        for (litmus::Program &C : fuzz::shrinkCandidates(Step))
+          Programs.push_back(std::move(C));
+      for (litmus::Program &C : fuzz::shrinkCandidates(P))
+        Programs.push_back(std::move(C));
+      for (const litmus::Program &C : Programs) {
+        if (!model::enumerateForbidden(C).rulesOutWeak())
+          continue;
+        ++Checked;
+        std::string OracleError;
+        EXPECT_FALSE(
+            fuzz::reproducesWeakProgram(C, *Cfg.Chip, Opts, &OracleError))
+            << litmus::printLitmus(C);
+        EXPECT_TRUE(OracleError.empty()) << OracleError;
+      }
+    }
+  }
+  // At least every program the hunt itself ruled out.
+  EXPECT_GE(Checked, 31u);
+}
 
 TEST(ShrinkPropertyTest, PaddedIriwReducesToCatalogCoreAtSeed42) {
   // IRIW buried in noise: a bystander thread, a bystander store in the
@@ -738,14 +788,20 @@ TEST(HuntPipelineTest, TinyHuntMinesOracleVerifiedCorpus) {
   const hunt::HuntReport R = runHuntOk(tinyHunt(2));
   // The bounded-hunt golden at seed 9 (deterministic per the contract).
   // The stage totals are exact work pins: a change to shrink's candidate
-  // order or budget, or to the cross-check policy, moves them and must
-  // re-pin them here.
+  // order or budget, to the enumerator's pre-filter, to the cross-check
+  // policy or to a stage's run budget moves them and must re-pin them
+  // here. Without the pre-filter shrink made 33,722 runs and 1,464
+  // cross-checks for the same corpus.
   EXPECT_EQ(R.ProgramsFuzzed, 24u);
   EXPECT_EQ(R.WeakPrograms, 6u);
   EXPECT_EQ(R.NotReproduced, 1u);
   EXPECT_EQ(R.ShrinkCandidates, 36u);
   EXPECT_EQ(R.ShrinkAccepted, 5u);
-  EXPECT_EQ(R.CrossChecks, 1464u);
+  EXPECT_EQ(R.ShrinkRuledOut, 31u);
+  EXPECT_EQ(R.CrossChecks, 10u);
+  EXPECT_EQ(R.ShrinkLitmusRuns, 3962u);
+  EXPECT_EQ(R.HardenLitmusRuns, 1400u);
+  EXPECT_EQ(R.VerifyLitmusRuns, 400u);
   EXPECT_EQ(R.Duplicates, 0u);
   ASSERT_EQ(R.Entries.size(), 5u);
   EXPECT_EQ(R.NewEntries, 5u);
@@ -788,6 +844,12 @@ TEST(HuntPipelineTest, ReportJsonParsesAndMirrorsTheReport) {
   ASSERT_NE(Totals, nullptr);
   EXPECT_EQ(Totals->find("programs_fuzzed")->asUInt64(), R.ProgramsFuzzed);
   EXPECT_EQ(Totals->find("corpus_size")->asUInt64(), R.Entries.size());
+  EXPECT_EQ(Totals->find("shrink_ruled_out")->asUInt64(), R.ShrinkRuledOut);
+  const JsonValue *Runs = Totals->find("litmus_runs");
+  ASSERT_NE(Runs, nullptr);
+  EXPECT_EQ(Runs->find("shrink")->asUInt64(), R.ShrinkLitmusRuns);
+  EXPECT_EQ(Runs->find("harden")->asUInt64(), R.HardenLitmusRuns);
+  EXPECT_EQ(Runs->find("verify")->asUInt64(), R.VerifyLitmusRuns);
   const JsonValue *Oracle = Doc->find("oracle");
   ASSERT_NE(Oracle, nullptr);
   EXPECT_TRUE(Oracle->find("clean")->asBool());

@@ -9,20 +9,28 @@
 // unchanged), hand-built traces trip each axiom, and — the differential
 // oracle — the checker's SC-vs-weak classification agrees with the
 // operational interpreter on every catalog litmus program at pinned seeds.
+// Also the axiomatic execution enumerator (model/Enumerate.h): each of its
+// four answers on hand-picked programs, and its soundness against
+// simulation on the catalog, bare and fenced.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/Application.h"
+#include "fuzz/LitmusBridge.h"
+#include "fuzz/ProgramFuzzer.h"
 #include "fuzz/Shrink.h"
 #include "harness/Campaign.h"
 #include "litmus/Format.h"
 #include "litmus/Litmus.h"
 #include "model/ConsistencyChecker.h"
+#include "model/Enumerate.h"
 #include "sim/Device.h"
 #include "sim/ThreadContext.h"
 #include "stress/Environment.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace gpuwmm;
 using model::CheckResult;
@@ -544,4 +552,210 @@ TEST(ExplainTest, RunnerNamesAddressesInExplanations) {
     }
   }
   FAIL() << "no weak MP outcome found to explain";
+}
+
+//===----------------------------------------------------------------------===//
+// The axiomatic execution enumerator
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+litmus::Program parseProgram(const char *Text) {
+  litmus::ParseError Err;
+  std::optional<litmus::Program> P = litmus::parseLitmus(Text, Err);
+  EXPECT_TRUE(P.has_value()) << Err.render("test-program");
+  return P ? *P : litmus::Program();
+}
+
+/// The catalog program \p Name with its forbidden clause replaced.
+litmus::Program withOutcome(const char *Name,
+                            std::vector<litmus::CondAtom> Forbidden) {
+  litmus::Program P = *litmus::findCatalogProgram(Name);
+  P.Forbidden = std::move(Forbidden);
+  return P;
+}
+
+litmus::CondAtom reg(unsigned R, sim::Word V) { return {true, R, false, V}; }
+
+} // namespace
+
+TEST(EnumerateTest, ClassicWeakShapesAreNonScReachable) {
+  for (const char *Name : {"MP", "SB", "LB", "IRIW"}) {
+    const model::Enumeration E =
+        model::enumerateForbidden(*litmus::findCatalogProgram(Name));
+    EXPECT_EQ(E.Answer, model::Reach::NonSc) << Name;
+    EXPECT_GT(E.Candidates, 0u) << Name;
+    EXPECT_FALSE(E.rulesOutWeak()) << Name;
+  }
+}
+
+TEST(EnumerateTest, SequentialOutcomesAreScOnly) {
+  // MP's r0 = 1 /\ r1 = 1: the reader runs after the writer.
+  const model::Enumeration E =
+      model::enumerateForbidden(withOutcome("MP", {reg(0, 1), reg(1, 1)}));
+  EXPECT_EQ(E.Answer, model::Reach::ScOnly);
+  EXPECT_TRUE(E.rulesOutWeak());
+}
+
+TEST(EnumerateTest, NeverWrittenValuesAreUnreachable) {
+  // No write of MP stores 7.
+  const model::Enumeration E =
+      model::enumerateForbidden(withOutcome("MP", {reg(0, 7)}));
+  EXPECT_EQ(E.Answer, model::Reach::Unreachable);
+  EXPECT_TRUE(E.rulesOutWeak());
+  // A value that is written but that no coherence order leaves last: both
+  // adds always land, so x ends at 3.
+  EXPECT_EQ(model::enumerateForbidden(parseProgram(R"(
+litmus adds
+locations x
+thread 0 { add x 1 }
+thread 1 { add x 2 }
+forbidden x = 1
+)")).Answer,
+            model::Reach::Unreachable);
+  // An empty clause is never shown.
+  EXPECT_EQ(model::enumerateForbidden(withOutcome("SB", {})).Answer,
+            model::Reach::Unreachable);
+}
+
+TEST(EnumerateTest, TinyCapIsUnknown) {
+  const litmus::Program &Iriw = *litmus::findCatalogProgram("IRIW");
+  const model::Enumeration E = model::enumerateForbidden(Iriw, /*Cap=*/1);
+  EXPECT_EQ(E.Answer, model::Reach::Unknown);
+  EXPECT_FALSE(E.rulesOutWeak());
+  EXPECT_EQ(model::enumerateForbidden(Iriw).Answer, model::Reach::NonSc);
+}
+
+TEST(EnumerateTest, AtomicsReadTheirCoPredecessor) {
+  // Two adds of 1 from 0: each reads the other's write or the initial
+  // state, so x ends at 2 and a load sees 0, 1 or 2, never 3.
+  const char *Text = R"(
+litmus two-adds
+locations x
+thread 0 { add x 1 }
+thread 1 { add x 1
+  ld r0 x }
+forbidden r0 = %u /\ x = %u
+)";
+  const auto Classify = [&](unsigned R0, unsigned X) {
+    char Buf[256];
+    std::snprintf(Buf, sizeof(Buf), Text, R0, X);
+    return model::enumerateForbidden(parseProgram(Buf)).Answer;
+  };
+  EXPECT_EQ(Classify(2, 2), model::Reach::ScOnly);
+  // r0 = 1 when thread 1's add goes first. Were it second, its load would
+  // read past it: incoherent, so not a candidate.
+  EXPECT_EQ(Classify(1, 2), model::Reach::ScOnly);
+  EXPECT_EQ(Classify(0, 2), model::Reach::Unreachable);
+  EXPECT_EQ(Classify(3, 2), model::Reach::Unreachable);
+  EXPECT_EQ(Classify(2, 1), model::Reach::Unreachable);
+}
+
+// A split-phase load binds at its await and reads memory past its own
+// thread's buffered stores, so it can read the initial state after its
+// thread's store (CoWR). Programs with one are exempt from the coherence
+// requirement; the machine really produces this outcome, weak.
+TEST(EnumerateTest, SplitPhaseLoadsSkipTheCoherenceRequirement) {
+  const litmus::Program P = parseProgram(R"(
+litmus async-past-store
+locations x
+thread 0 { st x 1
+  ldasync r0 x
+  await r0 }
+forbidden r0 = 0
+)");
+  EXPECT_EQ(model::enumerateForbidden(P).Answer, model::Reach::NonSc);
+  fuzz::ShrinkOptions Opts;
+  Opts.RunsPerAttempt = 100;
+  std::string OracleError;
+  EXPECT_TRUE(fuzz::reproducesWeakProgram(P, titan(), Opts, &OracleError));
+  EXPECT_EQ(OracleError, "");
+  // With a plain load the same outcome is incoherent: never a candidate.
+  litmus::Program Plain = P;
+  Plain.Threads[0].Ops = {litmus::ProgOp::store(0, 1),
+                          litmus::ProgOp::load(0, 0)};
+  EXPECT_EQ(model::enumerateForbidden(Plain).Answer,
+            model::Reach::Unreachable);
+}
+
+// Every outcome the weak machine produces is a candidate's: over 200
+// stressed fuzz programs × 40 runs, no observed outcome is unreachable,
+// and each one outside the exhaustive SC set (a weak run) has a coherent
+// non-SC candidate. This checks the coherence requirement against the
+// machine itself, with no checker in between.
+TEST(EnumerateTest, EveryObservedFuzzOutcomeIsACandidate) {
+  const sim::ChipProfile &Chip = titan();
+  sim::ContextLease Ctx;
+  unsigned Weak = 0;
+  for (uint64_t I = 0; I != 200; ++I) {
+    Rng Gen(Rng::deriveStream(77, 2 * I));
+    const litmus::Program P = fuzz::generateProgram(Gen, 3, 5, false);
+    const std::set<fuzz::Outcome> Sc = fuzz::enumerateScOutcomes(P);
+    const fuzz::CompiledProgram CP = fuzz::compileProgram(P, Chip);
+    std::set<fuzz::Outcome> Seen;
+    Rng Master(Rng::deriveStream(77, 2 * I + 1));
+    for (unsigned Run = 0; Run != 40; ++Run) {
+      const fuzz::Outcome O = fuzz::runOnWeakMachine(
+          Ctx.get(), CP, Chip, Master.fork(Run).next(), /*Stressed=*/true);
+      if (!Seen.insert(O).second)
+        continue;
+      const model::Reach Got =
+          model::enumerateForbidden(fuzz::toLitmusProgram(P, "observed", &O))
+              .Answer;
+      const bool IsSc = Sc.count(O) != 0;
+      Weak += !IsSc;
+      EXPECT_TRUE(IsSc ? Got != model::Reach::Unreachable
+                       : Got == model::Reach::NonSc)
+          << "program " << I << " run " << Run << ": "
+          << model::reachName(Got) << "\n"
+          << litmus::printLitmus(fuzz::toLitmusProgram(P, "observed", &O));
+    }
+  }
+  EXPECT_GT(Weak, 20u);
+}
+
+// Soundness against simulation: every catalog program, bare and with its
+// fences in, under every forbidden outcome that pins one of its atoms to
+// another value its location can hold. Each variant the enumerator rules
+// out must never reproduce weak under tuned stress; the ruled-in originals
+// show the same budget does find weakness.
+TEST(EnumerateTest, RuledOutCatalogVariantsNeverReproduceWeak) {
+  fuzz::ShrinkOptions Opts;
+  Opts.Distance = 2 * titan().PatchSizeWords;
+  Opts.RunsPerAttempt = 100;
+  Opts.Seed = 11;
+  unsigned RuledOut = 0, WeakOriginals = 0;
+  for (const litmus::Program &Base : litmus::catalog()) {
+    litmus::Program Fenced = Base;
+    for (litmus::ProgThread &T : Fenced.Threads)
+      for (litmus::ProgOp &O : T.Ops)
+        if (O.K == litmus::ProgOp::Kind::OptFence)
+          O.K = litmus::ProgOp::Kind::Fence;
+    const litmus::Program *Forms[] = {&Base, &Fenced};
+    for (const litmus::Program *P : Forms) {
+      std::vector<litmus::Program> Variants;
+      for (size_t A = 0; A != P->Forbidden.size(); ++A)
+        for (sim::Word V : {0u, 1u, 2u}) {
+          litmus::Program Q = *P;
+          if (Q.Forbidden[A].Value == V)
+            continue;
+          Q.Forbidden[A].Value = V;
+          Variants.push_back(std::move(Q));
+        }
+      std::string Err;
+      if (P == &Base && fuzz::reproducesWeakProgram(*P, titan(), Opts, &Err))
+        ++WeakOriginals;
+      EXPECT_EQ(Err, "") << Base.Name;
+      for (const litmus::Program &Q : Variants) {
+        if (!model::enumerateForbidden(Q).rulesOutWeak())
+          continue;
+        ++RuledOut;
+        EXPECT_FALSE(fuzz::reproducesWeakProgram(Q, titan(), Opts, &Err))
+            << litmus::printLitmus(Q);
+        EXPECT_EQ(Err, "") << Q.Name;
+      }
+    }
+  }
+  EXPECT_GE(RuledOut, 50u);
+  EXPECT_GE(WeakOriginals, 5u);
 }

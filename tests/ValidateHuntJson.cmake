@@ -79,6 +79,16 @@ if(NOT NAXIOMS EQUAL 8)
   message(FATAL_ERROR "expected 8 axiom keys, got ${NAXIOMS}")
 endif()
 
+# The CLI report carries the per-stage work counters; the pinned hunt
+# shrinks, hardens and verifies, so every stage ran litmus programs.
+foreach(STAGE shrink harden verify)
+  string(JSON RUNS ERROR_VARIABLE ERR GET "${REPORT}" totals litmus_runs
+         ${STAGE})
+  if(ERR OR RUNS EQUAL 0)
+    message(FATAL_ERROR "totals.litmus_runs.${STAGE}: '${RUNS}' ${ERR}")
+  endif()
+endforeach()
+
 string(JSON NENTRIES LENGTH "${REPORT}" entries)
 if(NOT NENTRIES EQUAL ${CORPUS_SIZE})
   message(FATAL_ERROR "entries ${NENTRIES} != corpus_size ${CORPUS_SIZE}")

@@ -25,6 +25,7 @@
 #include "harness/WorkList.h"
 #include "hunt/Hunt.h"
 #include "litmus/Format.h"
+#include "model/Enumerate.h"
 #include "model/StreamingChecker.h"
 #include "sim/BatchExec.h"
 #include "support/Options.h"
@@ -61,7 +62,8 @@ int usage() {
       "                                --print shows the .litmus text instead;\n"
       "                                --explain cross-checks every run against\n"
       "                                the axiomatic oracle and prints the\n"
-      "                                event chain behind a weak outcome\n"
+      "                                event chain behind a weak outcome (or\n"
+      "                                says the outcome is SC-reachable)\n"
       "  tune    --chip [--scale] [--tests=a,b,c]\n"
       "                                run the Sec. 3 tuning pipeline against\n"
       "                                a catalog idiom trio (default MP,LB,SB)\n"
@@ -277,8 +279,12 @@ int cmdLitmus(const Options &Opts) {
   // frontier), cross-check its verdict against the operational outcome,
   // and print the human-readable event chain (the po ∪ rf ∪ co ∪ fr
   // cycle, extracted from the retained frontier) behind the first weak
-  // outcome.
+  // outcome. When the enumerator finds no non-SC execution showing the
+  // forbidden outcome, a run that shows it is SC, not a disagreement —
+  // and one the checker called weak would be.
   if (Opts.has("explain")) {
+    const bool ScOnly =
+        model::enumerateForbidden(*P).Answer == model::Reach::ScOnly;
     litmus::LitmusRunner::RunOpts StreamOpts = RunOpts;
     model::StreamingChecker Checker;
     StreamOpts.Sink = &Checker;
@@ -293,7 +299,7 @@ int cmdLitmus(const Options &Opts) {
     const model::AddrNamer Namer = [&Runner](sim::Addr A) {
       return Runner.addrName(A);
     };
-    unsigned Checked = 0, Weak = 0, Disagreements = 0;
+    unsigned Checked = 0, Weak = 0, ScForbidden = 0, Disagreements = 0;
     bool Explained = false;
     for (const auto &S : Configs)
       for (unsigned I = 0; I != Runs; ++I) {
@@ -301,15 +307,22 @@ int cmdLitmus(const Options &Opts) {
         const bool Forbidden = Runner.runOnce(*P, Distance, S, StreamOpts);
         const model::StreamVerdict &R = Checker.finish();
         ++Checked;
-        Weak += Forbidden;
-        if (!R.AxiomsOk || R.weak() != Forbidden)
-          ++Disagreements;
+        if (Forbidden && ScOnly) {
+          ScForbidden += R.AxiomsOk && !R.weak();
+          Disagreements += !R.AxiomsOk || R.weak();
+        } else {
+          Weak += Forbidden;
+          Disagreements += !R.AxiomsOk || R.weak() != Forbidden;
+        }
         if (!Explained && (Forbidden || !R.AxiomsOk)) {
           std::printf("%s d=%u on %s%s%s: execution %u hit the forbidden "
                       "outcome\n",
                       P->Name.c_str(), Distance, Chip->ShortName,
                       Opts.has("stress") ? " +tuned-stress" : "",
                       RunOpts.WithFences ? " +fences" : "", Checked - 1);
+          if (ScOnly)
+            std::printf("forbidden outcome is SC-reachable: no non-SC "
+                        "execution shows it\n");
           std::fputs(model::renderStreamExplanation(R, Namer).c_str(),
                      stdout);
           Explained = true;
@@ -323,6 +336,11 @@ int cmdLitmus(const Options &Opts) {
       std::printf("oracle: %u/%u cross-checked executions DISAGREE with "
                   "the operational simulator\n",
                   Disagreements, Checked);
+    else if (ScForbidden)
+      std::printf("oracle: checker agreed with the simulator on all %u "
+                  "executions (%u hit the SC-reachable forbidden outcome, "
+                  "none weak)\n",
+                  Checked, ScForbidden);
     else
       std::printf("oracle: checker agreed with the simulator on all %u "
                   "executions (%u weak)\n",
@@ -647,6 +665,19 @@ int cmdHunt(const Options &Opts) {
                static_cast<unsigned long long>(Report.NotReproduced),
                WallSeconds, Pool.jobs());
   std::fprintf(stderr,
+               "hunt work: %llu litmus runs (shrink %llu, harden %llu, "
+               "verify %llu); the enumerator ruled out %llu of %llu shrink "
+               "programs without a run\n",
+               static_cast<unsigned long long>(Report.ShrinkLitmusRuns +
+                                               Report.HardenLitmusRuns +
+                                               Report.VerifyLitmusRuns),
+               static_cast<unsigned long long>(Report.ShrinkLitmusRuns),
+               static_cast<unsigned long long>(Report.HardenLitmusRuns),
+               static_cast<unsigned long long>(Report.VerifyLitmusRuns),
+               static_cast<unsigned long long>(Report.ShrinkRuledOut),
+               static_cast<unsigned long long>(Report.ShrinkCandidates +
+                                               Report.WeakPrograms));
+  std::fprintf(stderr,
                "hunt oracle: corpus of %zu, %llu hardened runs checked, "
                "%llu weak, %llu axiom cross-checks during shrink — %s\n",
                Report.Entries.size(),
@@ -657,14 +688,14 @@ int cmdHunt(const Options &Opts) {
 
   const std::string Out = Opts.getString("out", "-");
   if (Out == "-") {
-    hunt::writeHuntJson(Report, std::cout);
+    hunt::writeHuntJson(Report, std::cout, /*WithWork=*/true);
   } else {
     std::ofstream OS(Out);
     if (!OS) {
       std::fprintf(stderr, "error: cannot write '%s'\n", Out.c_str());
       return 1;
     }
-    hunt::writeHuntJson(Report, OS);
+    hunt::writeHuntJson(Report, OS, /*WithWork=*/true);
   }
   return Report.clean() ? 0 : 1;
 }
