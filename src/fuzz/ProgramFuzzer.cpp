@@ -7,7 +7,6 @@
 #include "support/Check.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
 
 using namespace gpuwmm;
@@ -21,7 +20,7 @@ using sim::Word;
 litmus::Program fuzz::generateProgram(Rng &R, unsigned NumVars,
                                       unsigned OpsPerThread,
                                       bool WithFences) {
-  assert(NumVars > 0 && "need at least one variable");
+  GPUWMM_CHECK(NumVars > 0, "need at least one variable");
   litmus::Program P;
   P.Name = "fuzz";
   P.PhaseJitter = StartJitter;

@@ -7,7 +7,6 @@
 #include "model/ConsistencyChecker.h"
 #include "model/Enumerate.h"
 #include "model/StreamingChecker.h"
-#include "stress/Environment.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -201,19 +200,16 @@ Repro reproducesWeak(const Program &P, const sim::ChipProfile &Chip,
 
   // Stress locations to try, most-recently-successful region first (the
   // effective region rarely changes between close candidates).
-  const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
-  std::vector<std::pair<unsigned, litmus::LitmusRunner::MicroStress>> Configs;
+  using MicroStress = litmus::LitmusRunner::MicroStress;
+  std::vector<std::pair<unsigned, MicroStress>> Configs;
   if (Opts.Stressed) {
     const unsigned First = PreferRegion % Chip.NumBanks;
-    Configs.emplace_back(First, litmus::LitmusRunner::MicroStress::at(
-                                    Tuned.Seq, First * Tuned.PatchWords));
+    Configs.emplace_back(First, MicroStress::tuned(Chip, First));
     for (unsigned Region = 0; Region != Chip.NumBanks; ++Region)
       if (Region != First)
-        Configs.emplace_back(Region,
-                             litmus::LitmusRunner::MicroStress::at(
-                                 Tuned.Seq, Region * Tuned.PatchWords));
+        Configs.emplace_back(Region, MicroStress::tuned(Chip, Region));
   } else {
-    Configs.emplace_back(0, litmus::LitmusRunner::MicroStress::none());
+    Configs.emplace_back(0, MicroStress::none());
   }
 
   for (const auto &[Region, Stress] : Configs) {

@@ -4,10 +4,8 @@
 
 #include "litmus/Litmus.h"
 #include "model/StreamingChecker.h"
-#include "stress/Environment.h"
+#include "support/Check.h"
 #include "support/Rng.h"
-
-#include <cassert>
 
 using namespace gpuwmm;
 using namespace gpuwmm::harden;
@@ -35,6 +33,8 @@ bool isFenceSiteOp(const ProgOp &O) {
 /// apply/annotate; site numbering must match litmusFenceSites).
 Program insertAtSites(const Program &P, const sim::FencePolicy &F,
                       const ProgOp &Fence) {
+  GPUWMM_CHECK(litmusFenceSites(P).size() == F.numSites(),
+               "fence policy does not match program");
   Program Q = P;
   unsigned Site = 0;
   for (litmus::ProgThread &T : Q.Threads) {
@@ -47,7 +47,6 @@ Program insertAtSites(const Program &P, const sim::FencePolicy &F,
     }
     T.Ops = std::move(Ops);
   }
-  assert(Site == F.numSites() && "fence policy does not match program");
   return Q;
 }
 
@@ -67,12 +66,9 @@ public:
   LitmusCheckOracle(const Program &P, const sim::ChipProfile &Chip,
                     const LitmusHardenOptions &Opts)
       : P(P), Chip(Chip), Opts(Opts) {
-    const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
-    Stress = Opts.Stressed
-                 ? litmus::LitmusRunner::MicroStress::at(
-                       Tuned.Seq, (Opts.StressRegion % Chip.NumBanks) *
-                                      Tuned.PatchWords)
-                 : litmus::LitmusRunner::MicroStress::none();
+    Stress = Opts.Stressed ? litmus::LitmusRunner::MicroStress::tuned(
+                                 Chip, Opts.StressRegion)
+                           : litmus::LitmusRunner::MicroStress::none();
   }
 
   bool checkApplication(const sim::FencePolicy &F,

@@ -7,9 +7,9 @@
 #include "harness/WorkList.h"
 #include "model/StreamingChecker.h"
 #include "sim/BatchExec.h"
+#include "support/Check.h"
 
 #include <algorithm>
-#include <cassert>
 #include <csignal>
 #include <cstdio>
 #include <numeric>
@@ -31,40 +31,42 @@ namespace {
 uint64_t canonicalChipIndex(const sim::ChipProfile &Chip) {
   size_t Count = 0;
   const sim::ChipProfile *All = sim::ChipProfile::all(Count);
-  for (size_t I = 0; I != Count; ++I)
-    if (&All[I] == &Chip)
-      return I;
-  assert(false && "chip not in the canonical table");
-  return 0;
+  size_t I = 0;
+  while (I != Count && &All[I] != &Chip)
+    ++I;
+  GPUWMM_CHECK(I != Count, "chip not in the canonical table");
+  return I;
 }
 
 /// Canonical position of \p Env in the Tab. 5 column ordering.
 uint64_t canonicalEnvIndex(const stress::Environment &Env) {
   const auto &All = stress::Environment::all();
-  for (size_t I = 0; I != All.size(); ++I)
-    if (All[I].Kind == Env.Kind && All[I].Randomise == Env.Randomise)
-      return I;
-  assert(false && "environment not in the canonical table");
-  return 0;
+  size_t I = 0;
+  while (I != All.size() &&
+         (All[I].Kind != Env.Kind || All[I].Randomise != Env.Randomise))
+    ++I;
+  GPUWMM_CHECK(I != All.size(), "environment not in the canonical table");
+  return I;
 }
 
 /// Canonical position of \p App in the Tab. 4 ordering.
 uint64_t canonicalAppIndex(apps::AppKind App) {
-  for (size_t I = 0; I != apps::AllAppKinds.size(); ++I)
-    if (apps::AllAppKinds[I] == App)
-      return I;
-  assert(false && "app not in the canonical table");
-  return 0;
+  size_t I = 0;
+  while (I != apps::AllAppKinds.size() && apps::AllAppKinds[I] != App)
+    ++I;
+  GPUWMM_CHECK(I != apps::AllAppKinds.size(),
+               "app not in the canonical table");
+  return I;
 }
 
 /// Canonical position of \p Test in the litmus catalog.
 uint64_t canonicalLitmusIndex(const litmus::Program &Test) {
   const auto &All = litmus::catalog();
-  for (size_t I = 0; I != All.size(); ++I)
-    if (All[I].Name == Test.Name)
-      return I;
-  assert(false && "litmus test not in the catalog");
-  return 0;
+  size_t I = 0;
+  while (I != All.size() && All[I].Name != Test.Name)
+    ++I;
+  GPUWMM_CHECK(I != All.size(), "litmus test not in the catalog");
+  return I;
 }
 
 } // namespace
@@ -112,8 +114,9 @@ uint64_t harness::campaignLitmusSeed(uint64_t Seed,
 
 CampaignReport harness::runCampaign(const CampaignConfig &Config,
                                     ThreadPool *Pool) {
-  assert(!Config.Chips.empty() && !Config.Envs.empty() &&
-         !Config.Apps.empty() && "empty campaign grid");
+  GPUWMM_CHECK(!Config.Chips.empty() && !Config.Envs.empty() &&
+                   !Config.Apps.empty(),
+               "empty campaign grid");
   CampaignReport Report;
   Report.Config = Config;
 
@@ -190,14 +193,13 @@ harness::runCampaignLitmusCell(const CampaignConfig &Config,
   Cell.Chip = &Chip;
   Cell.Test = &Test;
   Cell.Runs = Config.Runs;
-  const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
   litmus::LitmusRunner Runner(Chip,
                               campaignLitmusSeed(Config.Seed, Chip, Test));
   const unsigned Distance = 2 * Chip.PatchSizeWords;
   model::StreamingChecker Checker;
   for (unsigned Region = 0; Region != Chip.NumBanks; ++Region) {
-    const auto Stress = litmus::LitmusRunner::MicroStress::at(
-        Tuned.Seq, Region * Tuned.PatchWords);
+    const auto Stress =
+        litmus::LitmusRunner::MicroStress::tuned(Chip, Region);
     unsigned Weak = 0;
     for (unsigned Run = 0; Run != Config.Runs; ++Run) {
       // Checked runs stream through the incremental oracle: the axioms
@@ -229,8 +231,9 @@ bool harness::runCampaignFabric(const CampaignConfig &Config,
                                 const FabricOptions &Opts, ThreadPool *Pool,
                                 FabricOutcome &Out, std::string *Err) {
   Out = FabricOutcome();
-  assert(!Config.Chips.empty() && !Config.Envs.empty() &&
-         !Config.Apps.empty() && "empty campaign grid");
+  GPUWMM_CHECK(!Config.Chips.empty() && !Config.Envs.empty() &&
+                   !Config.Apps.empty(),
+               "empty campaign grid");
   const std::vector<CampaignWorkItem> Work = buildWorkList(Config);
 
   // Cell identity is the store's dedupe key, so a selection that aliases
@@ -274,7 +277,7 @@ bool harness::runCampaignFabric(const CampaignConfig &Config,
 
   unsigned Appended = 0;
   for (const size_t Idx : *Selection) {
-    assert(Idx < Work.size() && "cell index outside the work list");
+    GPUWMM_CHECK(Idx < Work.size(), "cell index outside the work list");
     const CampaignWorkItem &Item = Work[Idx];
     const std::string Key = workItemKey(Config, Item);
     if (Durable.count(Key)) {

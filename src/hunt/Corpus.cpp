@@ -20,8 +20,8 @@ using namespace gpuwmm::hunt;
 
 const std::array<const char *, NumAxioms> &hunt::axiomKeys() {
   // The first seven are the message prefixes of the checkers' axiom
-  // violations (model/ConsistencyChecker.cpp); "causality" counts weak
-  // (axioms-clean but non-SC) verdicts.
+  // violations (model/Replay.h); "causality" counts weak (axioms-clean but
+  // non-SC) verdicts.
   static const std::array<const char *, NumAxioms> Keys = {
       "coherence-per-location", "same-bank FIFO", "fence-drain",
       "self-coherence",         "forwarding",     "same-bank issue order",

@@ -8,7 +8,6 @@
 #include "litmus/Format.h"
 #include "litmus/Litmus.h"
 #include "model/StreamingChecker.h"
-#include "stress/Environment.h"
 #include "support/Json.h"
 #include "support/Rng.h"
 
@@ -77,12 +76,10 @@ constexpr unsigned MaxHardenAttempts = 5;
 /// (survivor, seeds) — safe as a parallel per-index stage.
 void hardenAndVerify(Survivor &S, const HuntConfig &Cfg,
                      uint64_t HardenSeed, uint64_t VerifySeed) {
-  const auto Tuned = stress::TunedStressParams::paperDefaults(*Cfg.Chip);
   const auto Stress =
       Cfg.Fuzz.Stressed
-          ? litmus::LitmusRunner::MicroStress::at(
-                Tuned.Seq, (S.E.ProvokingRegion % Cfg.Chip->NumBanks) *
-                               Tuned.PatchWords)
+          ? litmus::LitmusRunner::MicroStress::tuned(*Cfg.Chip,
+                                                     S.E.ProvokingRegion)
           : litmus::LitmusRunner::MicroStress::none();
 
   for (unsigned Attempt = 0; Attempt != MaxHardenAttempts; ++Attempt) {

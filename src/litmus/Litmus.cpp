@@ -14,6 +14,7 @@
 
 #include "litmus/Litmus.h"
 
+#include "stress/Environment.h"
 #include "stress/StressSources.h"
 #include "support/Check.h"
 
@@ -63,6 +64,13 @@ void drawPopulation(stress::SysStress &Stress, const sim::ChipProfile &Chip,
 }
 
 } // namespace
+
+LitmusRunner::MicroStress
+LitmusRunner::MicroStress::tuned(const sim::ChipProfile &Chip,
+                                 unsigned Region) {
+  const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
+  return at(Tuned.Seq, (Region % Chip.NumBanks) * Tuned.PatchWords);
+}
 
 bool LitmusRunner::runOnce(const Program &P, unsigned Distance,
                            const MicroStress &S, const RunOpts &Opts) {

@@ -84,6 +84,11 @@ public:
       return S;
     }
 
+    /// The paper's tuned stress for \p Chip (its Tab. 2 sequence) at the
+    /// start of patch \p Region, taken modulo the chip's bank count: the
+    /// per-bank stress locations `litmus --stress` scans.
+    static MicroStress tuned(const sim::ChipProfile &Chip, unsigned Region);
+
     /// σ applied at several offsets simultaneously (⟨T_d, σ@Lm⟩).
     static MicroStress atAll(stress::AccessSequence Seq,
                              std::vector<unsigned> Offsets) {

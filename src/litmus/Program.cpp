@@ -2,8 +2,9 @@
 
 #include "litmus/Program.h"
 
+#include "support/Check.h"
+
 #include <algorithm>
-#include <cassert>
 #include <sstream>
 
 using namespace gpuwmm;
@@ -230,7 +231,8 @@ private:
 
   unsigned loc(const char *N) {
     const int I = P.findLocation(N);
-    assert(I >= 0 && "catalog entry references an undeclared location");
+    GPUWMM_CHECK(I >= 0,
+                 "catalog entry references an undeclared location");
     return static_cast<unsigned>(I);
   }
   unsigned reg(const char *N) {

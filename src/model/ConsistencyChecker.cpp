@@ -10,11 +10,11 @@
 
 #include "model/ConsistencyChecker.h"
 
+#include "model/Replay.h"
+
 #include <algorithm>
-#include <deque>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace gpuwmm;
 using namespace gpuwmm::model;
@@ -22,7 +22,6 @@ using sim::Addr;
 using sim::LoadSource;
 using sim::TraceEvent;
 using sim::TraceEventKind;
-using sim::Word;
 
 const char *model::edgeKindName(EdgeKind K) {
   switch (K) {
@@ -126,452 +125,137 @@ const char *sourceName(LoadSource S) {
   return "?";
 }
 
-/// One thread's un-drained buffered store on one bank.
-struct PendingStore {
-  uint32_t Issue; ///< StoreIssue event index.
-  uint64_t Id;
-  Addr A;
-  Word V;
-};
-
-/// One live block-visible value.
-struct OverlayEnt {
-  unsigned Block;
-  uint64_t Id;
-  uint32_t Issue;
-  Word V;
-};
-
-/// One read access awaiting the causality pass.
-struct ReadAccess {
-  uint32_t Node;   ///< Its program-order event (LoadBind/AsyncIssue/Atomic).
-  uint32_t RfWrite; ///< Writer node, or InitWrite for the initial state.
-  Addr A;
-  bool WroteToo;   ///< Atomic that also wrote (fr to itself is skipped).
-};
-
-uint64_t tidBankKey(unsigned Tid, unsigned Bank) {
-  return (static_cast<uint64_t>(Tid) << 32) | Bank;
-}
-
 } // namespace
 
-/// The replay pass's working containers, recycled across check() calls
-/// (clear() keeps hash buckets and vector capacity).
-struct ConsistencyChecker::ReplayScratch {
-  std::unordered_map<uint64_t, std::deque<PendingStore>> Pending;
-  std::unordered_map<unsigned, unsigned> PendingByTid;
-  std::unordered_map<uint64_t, unsigned> AsyncByTidBank;
-  std::unordered_map<unsigned, unsigned> AsyncByTid;
-  std::unordered_map<uint64_t, uint32_t> AsyncIssueAt; ///< ticket -> event.
-  std::unordered_map<Addr, uint32_t> Visible;          ///< Writer node.
-  std::unordered_map<Addr, Word> GlobalVal;
-  std::unordered_map<Addr, uint64_t> PlainMaxId;       ///< MemWriteId mirror.
-  std::unordered_map<Addr, std::vector<OverlayEnt>> Overlay;
-  std::unordered_set<uint64_t> PromotedIds;
-  /// Per-address coherence orders: CoIndex names each written address's
-  /// slot in CoOrders; the first NumCo slots are in use, the rest are
-  /// empty (kept for their capacity).
-  std::unordered_map<Addr, uint32_t> CoIndex;
+/// The post-hoc causality back end of the replay (model/Replay.h): it
+/// collects program order as it goes, and each location's coherence order
+/// and every read for the causality pass after the replay. Its containers
+/// are recycled across check() calls (clear() keeps vector capacity).
+struct ConsistencyChecker::PostHocGraph {
+  /// A location's coherence order: its slot in CoOrders, assigned on first
+  /// use.
+  struct Loc {
+    uint32_t Co = InitWrite;
+  };
+
+  const std::vector<TraceEvent> *Events = nullptr;
+  RelationGraph *Edges = nullptr;
+  std::unordered_map<unsigned, uint32_t> LastPo;
+  /// Per-location coherence orders: the first NumCo slots are in use, the
+  /// rest are empty (kept for their capacity).
   std::vector<std::vector<uint32_t>> CoOrders;
   uint32_t NumCo = 0;
-  std::unordered_map<unsigned, uint32_t> LastPo;
-  std::vector<ReadAccess> Reads;
   std::vector<CommRead> CommReads;
   std::vector<uint32_t> CoPos;
 
-  /// The coherence order of \p A, created empty on first use.
-  std::vector<uint32_t> &coOrder(Addr A) {
-    const auto [It, New] = CoIndex.try_emplace(A, NumCo);
-    if (New && NumCo++ == CoOrders.size())
-      CoOrders.emplace_back();
-    return CoOrders[It->second];
-  }
-
   void clear() {
-    Pending.clear();
-    PendingByTid.clear();
-    AsyncByTidBank.clear();
-    AsyncByTid.clear();
-    AsyncIssueAt.clear();
-    Visible.clear();
-    GlobalVal.clear();
-    PlainMaxId.clear();
-    Overlay.clear();
-    PromotedIds.clear();
-    CoIndex.clear();
+    LastPo.clear();
     for (uint32_t K = 0; K != NumCo; ++K)
       CoOrders[K].clear();
     NumCo = 0;
-    LastPo.clear();
-    Reads.clear();
     CommReads.clear();
   }
+
+  uint32_t coIndex(Loc &L) {
+    if (L.Co == InitWrite) {
+      L.Co = NumCo++;
+      if (L.Co == CoOrders.size())
+        CoOrders.emplace_back();
+    }
+    return L.Co;
+  }
+
+  static uint32_t idx(uint64_t W) {
+    return W == NoWriter ? InitWrite : static_cast<uint32_t>(W);
+  }
+
+  void po(unsigned Tid, uint64_t I) {
+    const auto [It, First] = LastPo.try_emplace(Tid, idx(I));
+    if (!First) {
+      (*Edges)[It->second].emplace_back(idx(I), EdgeKind::Po);
+      It->second = idx(I);
+    }
+  }
+
+  void read(uint64_t R, Loc &L, uint64_t W, bool /*Buffered*/) {
+    CommReads.push_back({idx(R), idx(W), coIndex(L)});
+  }
+
+  void coAppend(Loc &L, uint64_t W, bool /*Plain*/, uint64_t /*Id*/,
+                uint64_t /*OldVisible*/) {
+    CoOrders[coIndex(L)].push_back(idx(W));
+  }
+
+  /// A coherence-dropped write never became visible, but it still has a
+  /// coherence position: immediately before the earliest plain write with
+  /// a newer store id (the one whose application made this drain stale),
+  /// past any atomics in between — the final value and every atomic's
+  /// read agree with that order. Plain writes stay in increasing id order,
+  /// so the scan back from the end stops at the first plain write older
+  /// than this one (atomics carry no id and are stepped over).
+  void coInsertDropped(Loc &L, uint64_t W, uint64_t Id) {
+    std::vector<uint32_t> &Order = CoOrders[coIndex(L)];
+    size_t Pos = Order.size();
+    for (size_t K = Order.size(); K != 0; --K) {
+      const TraceEvent &Prev = (*Events)[Order[K - 1]];
+      if (Prev.Kind != TraceEventKind::StoreIssue &&
+          Prev.Kind != TraceEventKind::HostWrite)
+        continue;
+      if (Prev.Id < Id)
+        break;
+      Pos = K - 1;
+    }
+    Order.insert(Order.begin() + static_cast<ptrdiff_t>(Pos), idx(W));
+  }
+
+  // Pending work and window bookkeeping only the streaming graph keeps.
+  void node(uint64_t, const TraceEvent &) {}
+  void buffered(uint64_t, Loc &) {}
+  void asyncIssued(uint64_t) {}
+  void drained(Loc &, uint64_t, uint64_t) {}
+  void asyncBound(uint64_t) {}
+  void written(Loc &, uint64_t) {}
 };
 
-ConsistencyChecker::ConsistencyChecker()
-    : ScratchPtr(std::make_unique<ReplayScratch>()) {}
+struct ConsistencyChecker::State {
+  PostHocGraph Graph;
+  Replay<PostHocGraph> Axioms;
+};
+
+ConsistencyChecker::ConsistencyChecker() : St(std::make_unique<State>()) {}
 ConsistencyChecker::~ConsistencyChecker() = default;
 
 CheckResult ConsistencyChecker::check(const std::vector<TraceEvent> &Events) {
-  CheckResult R;
-  const auto Violate = [&](const std::string &Msg, size_t A, size_t B) {
-    if (!R.AxiomsOk)
-      return;
-    R.AxiomsOk = false;
-    R.AxiomViolation = Msg;
-    R.ViolatingA = A;
-    R.ViolatingB = B;
-  };
-
-  // --- Replay pass: axioms + provenance reconstruction ---------------------
-  // Recycled across check() calls (clear() keeps hash buckets and vector
-  // capacity): shrink candidates and sampled campaign runs check traces by
-  // the thousands on one instance.
-  ReplayScratch &S = *ScratchPtr;
-  S.clear();
-  auto &Pending = S.Pending;
-  auto &PendingByTid = S.PendingByTid;
-  auto &AsyncByTidBank = S.AsyncByTidBank;
-  auto &AsyncByTid = S.AsyncByTid;
-  auto &AsyncIssueAt = S.AsyncIssueAt;
-  auto &Visible = S.Visible;
-  auto &GlobalVal = S.GlobalVal;
-  auto &PlainMaxId = S.PlainMaxId;
-  auto &Overlay = S.Overlay;
-  auto &PromotedIds = S.PromotedIds;
-  auto &LastPo = S.LastPo;
-  auto &Reads = S.Reads;
-
+  // Recycled across check() calls: shrink candidates and sampled campaign
+  // runs check traces by the thousands on one instance.
+  State &S = *St;
+  PostHocGraph &G = S.Graph;
   const uint32_t N = static_cast<uint32_t>(Events.size());
   if (Edges.size() < N)
     Edges.resize(N);
   for (uint32_t I = 0; I != N; ++I)
     Edges[I].clear();
+  G.clear();
+  G.Events = &Events;
+  G.Edges = &Edges;
+  S.Axioms.clear();
 
-  const auto visibleWriter = [&](Addr A) {
-    const auto It = Visible.find(A);
-    return It == Visible.end() ? InitWrite : It->second;
-  };
-  const auto globalValue = [&](Addr A) {
-    const auto It = GlobalVal.find(A);
-    return It == GlobalVal.end() ? Word{0} : It->second;
-  };
-  const auto plainMaxId = [&](Addr A) {
-    const auto It = PlainMaxId.find(A);
-    return It == PlainMaxId.end() ? uint64_t{0} : It->second;
-  };
-  const auto overlayFor = [&](unsigned Block, Addr A) -> OverlayEnt * {
-    const auto It = Overlay.find(A);
-    if (It == Overlay.end())
-      return nullptr;
-    for (OverlayEnt &E : It->second)
-      if (E.Block == Block)
-        return &E;
-    return nullptr;
-  };
-  const auto newestPendingTo = [&](uint64_t Key, Addr A) -> PendingStore * {
-    const auto It = Pending.find(Key);
-    if (It == Pending.end())
-      return nullptr;
-    for (auto RIt = It->second.rbegin(); RIt != It->second.rend(); ++RIt)
-      if (RIt->A == A)
-        return &*RIt;
-    return nullptr;
-  };
-  const auto addPo = [&](unsigned Tid, uint32_t I) {
-    const auto It = LastPo.find(Tid);
-    if (It != LastPo.end())
-      Edges[It->second].emplace_back(I, EdgeKind::Po);
-    LastPo[Tid] = I;
-  };
-
-  for (uint32_t I = 0; I != N && R.AxiomsOk; ++I) {
-    const TraceEvent &E = Events[I];
-    const uint64_t Key = tidBankKey(E.Tid, E.Bank);
-    switch (E.Kind) {
-    case TraceEventKind::StoreIssue: {
-      if (AsyncByTidBank[Key] != 0)
-        Violate("same-bank issue order: store issued while a split-phase "
-                "load is pending on its bank",
-                I, I);
-      Pending[Key].push_back({I, E.Id, E.A, E.V});
-      ++PendingByTid[E.Tid];
-      addPo(E.Tid, I);
-      break;
-    }
-    case TraceEventKind::StoreDrain: {
-      auto &Q = Pending[Key];
-      if (Q.empty() || Q.front().Id != E.Id) {
-        Violate("same-bank FIFO: a store drained out of its bank's issue "
-                "order",
-                Q.empty() ? I : Q.front().Issue, I);
-        break;
-      }
-      const uint32_t Issue = Q.front().Issue;
-      Q.pop_front();
-      --PendingByTid[E.Tid];
-      const bool ShouldApply = E.Id >= plainMaxId(E.A);
-      if (E.Flag != ShouldApply) {
-        Violate("coherence-per-location: a drain was applied/dropped "
-                "against the per-address store order",
-                Issue, I);
-        break;
-      }
-      const bool WasPromoted = PromotedIds.count(E.Id) != 0;
-      if (WasPromoted) {
-        // The drain retires exactly its own block-visible value.
-        auto It = Overlay.find(E.A);
-        if (It != Overlay.end())
-          for (size_t K = 0; K != It->second.size(); ++K)
-            if (It->second[K].Id == E.Id) {
-              It->second.erase(It->second.begin() +
-                               static_cast<ptrdiff_t>(K));
-              break;
-            }
-      }
-      if (E.Flag) {
-        GlobalVal[E.A] = E.V;
-        Visible[E.A] = Issue;
-        PlainMaxId[E.A] = E.Id;
-        S.coOrder(E.A).push_back(Issue);
-        // A write that reaches globally visible memory through the plain
-        // path invalidates every block-visible value for the address.
-        if (!WasPromoted)
-          Overlay.erase(E.A);
-      } else {
-        // A coherence-dropped write never became visible, but it still has
-        // a coherence position: immediately before the earliest plain
-        // write with a newer store id (the one whose application made this
-        // drain stale), past any atomics in between — the final value and
-        // every atomic's read agree with that order. Plain writes stay in
-        // increasing id order, so the scan back from the end stops at the
-        // first plain write older than this one (atomics carry no id and
-        // are stepped over).
-        std::vector<uint32_t> &Order = S.coOrder(E.A);
-        size_t Pos = Order.size();
-        for (size_t K = Order.size(); K != 0; --K) {
-          const TraceEvent &W = Events[Order[K - 1]];
-          if (W.Kind != TraceEventKind::StoreIssue &&
-              W.Kind != TraceEventKind::HostWrite)
-            continue;
-          if (W.Id < E.Id)
-            break;
-          Pos = K - 1;
-        }
-        Order.insert(Order.begin() + static_cast<ptrdiff_t>(Pos), Issue);
-      }
-      break;
-    }
-    case TraceEventKind::LoadBind: {
-      const PendingStore *Newest = newestPendingTo(Key, E.A);
-      const OverlayEnt *OV = overlayFor(E.Block, E.A);
-      uint32_t Rf = InitWrite;
-      switch (E.Source) {
-      case LoadSource::Memory: {
-        const auto It = Pending.find(Key);
-        if (It != Pending.end() && !It->second.empty())
-          Violate("self-coherence: a load bound from memory while the "
-                  "thread still buffered stores on the load's bank",
-                  It->second.front().Issue, I);
-        else if (OV)
-          Violate("forwarding: a load bound from memory past a live "
-                  "block-visible value",
-                  OV->Issue, I);
-        else if (E.V != globalValue(E.A))
-          Violate("read-value: a load bound a value no write produced",
-                  visibleWriter(E.A) == InitWrite ? I : visibleWriter(E.A), I);
-        Rf = visibleWriter(E.A);
-        break;
-      }
-      case LoadSource::Forward: {
-        if (!Newest)
-          Violate("forwarding: a load forwarded with no buffered store to "
-                  "its address",
-                  I, I);
-        else if (E.V != Newest->V)
-          Violate("forwarding: a load forwarded a value its newest "
-                  "buffered store did not write",
-                  Newest->Issue, I);
-        else if (plainMaxId(E.A) > Newest->Id)
-          Violate("coherence-per-location: a load forwarded a store that "
-                  "newer globally visible writes supersede",
-                  Newest->Issue, I);
-        else if (OV && OV->Id > Newest->Id)
-          Violate("coherence-per-location: a load forwarded a store that "
-                  "a newer block-visible value supersedes",
-                  Newest->Issue, I);
-        if (Newest)
-          Rf = Newest->Issue;
-        break;
-      }
-      case LoadSource::MemorySuperseded: {
-        if (!Newest || plainMaxId(E.A) <= Newest->Id)
-          Violate("coherence-per-location: a superseded-forward load "
-                  "without a superseding write",
-                  I, I);
-        else if (E.V != globalValue(E.A))
-          Violate("read-value: a superseded-forward load bound a value "
-                  "memory does not hold",
-                  visibleWriter(E.A) == InitWrite ? I : visibleWriter(E.A), I);
-        Rf = visibleWriter(E.A);
-        break;
-      }
-      case LoadSource::OverlaySuperseded: {
-        if (!Newest || !OV || OV->Id <= Newest->Id)
-          Violate("coherence-per-location: a superseded-forward load "
-                  "without a newer block-visible value",
-                  I, I);
-        else if (E.V != OV->V)
-          Violate("read-value: a superseded-forward load bound a value "
-                  "the block overlay does not hold",
-                  OV->Issue, I);
-        if (OV)
-          Rf = OV->Issue;
-        break;
-      }
-      case LoadSource::Overlay: {
-        const auto It = Pending.find(Key);
-        if (It != Pending.end() && !It->second.empty())
-          Violate("self-coherence: a load bound from the block overlay "
-                  "while the thread still buffered stores on the bank",
-                  It->second.front().Issue, I);
-        else if (!OV)
-          Violate("forwarding: a load bound from the block overlay with no "
-                  "live value for its block",
-                  I, I);
-        else if (E.V != OV->V)
-          Violate("read-value: a load bound a value the block overlay does "
-                  "not hold",
-                  OV->Issue, I);
-        if (OV)
-          Rf = OV->Issue;
-        break;
-      }
-      }
-      Reads.push_back({I, Rf, E.A, /*WroteToo=*/false});
-      addPo(E.Tid, I);
-      break;
-    }
-    case TraceEventKind::AsyncIssue: {
-      AsyncIssueAt[E.Id] = I;
-      ++AsyncByTidBank[Key];
-      ++AsyncByTid[E.Tid];
-      addPo(E.Tid, I);
-      break;
-    }
-    case TraceEventKind::AsyncBind: {
-      const auto It = AsyncIssueAt.find(E.Id);
-      if (It == AsyncIssueAt.end()) {
-        Violate("causality: a split-phase load completed without an issue",
-                I, I);
-        break;
-      }
-      --AsyncByTidBank[Key];
-      --AsyncByTid[E.Tid];
-      if (E.V != globalValue(E.A))
-        Violate("read-value: a split-phase load bound a value memory does "
-                "not hold",
-                visibleWriter(E.A) == InitWrite ? I : visibleWriter(E.A), I);
-      // The read's program-order point is the issue; the binding write is
-      // whatever is visible now.
-      Reads.push_back({It->second, visibleWriter(E.A), E.A,
-                       /*WroteToo=*/false});
-      AsyncIssueAt.erase(It);
-      break;
-    }
-    case TraceEventKind::Atomic: {
-      const auto It = Pending.find(Key);
-      if (It != Pending.end() && !It->second.empty())
-        Violate("self-coherence: an atomic executed while the thread still "
-                "buffered stores on its bank",
-                It->second.front().Issue, I);
-      else if (AsyncByTidBank[Key] != 0)
-        Violate("same-bank issue order: an atomic executed while a "
-                "split-phase load is pending on its bank",
-                I, I);
-      else if (static_cast<Word>(E.Id) != globalValue(E.A))
-        Violate("read-value: an atomic read a value memory does not hold",
-                visibleWriter(E.A) == InitWrite ? I : visibleWriter(E.A), I);
-      Reads.push_back({I, visibleWriter(E.A), E.A, /*WroteToo=*/E.Flag});
-      if (E.Flag) {
-        GlobalVal[E.A] = E.V;
-        Visible[E.A] = I;
-        S.coOrder(E.A).push_back(I);
-        Overlay.erase(E.A); // Atomics invalidate block-visible values.
-      }
-      addPo(E.Tid, I);
-      break;
-    }
-    case TraceEventKind::FenceDevice: {
-      if (PendingByTid[E.Tid] != 0)
-        Violate("fence-drain: a device fence completed with the thread's "
-                "stores still buffered",
-                I, I);
-      else if (AsyncByTid[E.Tid] != 0)
-        Violate("fence-drain: a device fence completed with the thread's "
-                "split-phase loads still pending",
-                I, I);
-      break;
-    }
-    case TraceEventKind::StorePromote: {
-      PromotedIds.insert(E.Id);
-      const PendingStore *P = nullptr;
-      const auto It = Pending.find(Key);
-      if (It != Pending.end())
-        for (const PendingStore &PS : It->second)
-          if (PS.Id == E.Id)
-            P = &PS;
-      if (!P) {
-        Violate("forwarding: a block fence promoted a store that is not "
-                "buffered",
-                I, I);
-        break;
-      }
-      OverlayEnt *OV = overlayFor(E.Block, E.A);
-      if (!OV)
-        Overlay[E.A].push_back({E.Block, E.Id, P->Issue, E.V});
-      else if (OV->Id < E.Id)
-        *OV = {E.Block, E.Id, P->Issue, E.V};
-      break;
-    }
-    case TraceEventKind::FenceBlock:
-    case TraceEventKind::BarrierRelease:
-      break;
-    case TraceEventKind::HostWrite: {
-      GlobalVal[E.A] = E.V;
-      Visible[E.A] = I;
-      PlainMaxId[E.A] = E.Id;
-      S.coOrder(E.A).push_back(I);
-      break;
-    }
-    }
-  }
-
-  if (R.AxiomsOk) {
-    // End-of-run axioms: the kernel boundary drained everything.
-    for (const auto &KV : PendingByTid)
-      if (KV.second != 0)
-        Violate("fence-drain: stores were still buffered at the end of the "
-                "run (the kernel boundary must drain them)",
-                N ? N - 1 : 0, N ? N - 1 : 0);
-    for (const auto &KV : AsyncByTid)
-      if (KV.second != 0)
-        Violate("fence-drain: split-phase loads were still pending at the "
-                "end of the run",
-                N ? N - 1 : 0, N ? N - 1 : 0);
-  }
-  if (!R.AxiomsOk)
+  // --- Replay pass: axioms, program order, provenance ----------------------
+  for (uint32_t I = 0; I != N && S.Axioms.ok(); ++I)
+    S.Axioms.event(Events[I], I, G);
+  S.Axioms.finish();
+  CheckResult R;
+  if (!S.Axioms.ok()) {
+    const ReplayViolation &V = S.Axioms.violation();
+    R.AxiomsOk = false;
+    R.AxiomViolation = V.Msg;
+    R.ViolatingA = V.A;
+    R.ViolatingB = V.B;
     return R;
+  }
 
   // --- Causality pass: acyclicity of po ∪ rf ∪ co ∪ fr ---------------------
-  for (const ReadAccess &Rd : Reads) {
-    const auto It = S.CoIndex.find(Rd.A);
-    S.CommReads.push_back(
-        {Rd.Node, Rd.RfWrite,
-         It == S.CoIndex.end() ? InitWrite : It->second});
-  }
-  addCommunicationEdges(Edges, S.CoOrders, S.CommReads, S.CoPos);
+  addCommunicationEdges(Edges, G.CoOrders, G.CommReads, G.CoPos);
   R.Sc = !findCycle(Edges, N, Color, &R.Cycle);
   if (!R.Sc && !R.Cycle.empty()) {
     // The decisive pair: the first fr edge of the cycle (the read that

@@ -16,21 +16,19 @@
 /// drain lotteries, split-phase loads); the checker *judges* the recorded
 /// behaviour against declarative axioms, with no access to the mechanism:
 ///
-///  * Replay axioms — coherence-per-location (applied same-address plain
-///    writes never step backwards in store order), same-bank FIFO (a
-///    thread's drains on one bank follow its issue order), fence-drain
-///    (nothing of a thread is pending when its device fence completes),
-///    self-coherence/forwarding (a load's bound value and declared source
-///    are exactly what the visibility rules allow), same-bank issue order
-///    (no pending split-phase load on a bank when a store or atomic issues
-///    there), and read-value validity (every bound value equals its
-///    reconstructed writer's value).
+///  * Replay axioms — the forward replay of model/Replay.h, which the
+///    streaming checker (model/StreamingChecker.h) runs too: coherence per
+///    location, same-bank FIFO, fence-drain, self-coherence/forwarding,
+///    same-bank issue order and read-value validity.
 ///
 ///  * Causality — the execution's communication relations (program order,
 ///    reads-from, per-location coherence order, and from-reads) must be
 ///    acyclic for the run to be explainable by any sequential interleaving
 ///    (Shasha-Snir); a cycle is reported as the violating event chain, the
 ///    explanation `gpuwmm litmus --explain` prints for a weak outcome.
+///    This checker's back end builds the whole graph after the replay and
+///    searches it once: it is the reference the streaming checker's live
+///    graph is tested against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -146,8 +144,9 @@ public:
   const RelationGraph &edges() const { return Edges; }
 
 private:
-  struct ReplayScratch; ///< Recycled replay-pass containers (in the .cpp).
-  std::unique_ptr<ReplayScratch> ScratchPtr;
+  struct PostHocGraph; ///< The causality back end (in the .cpp).
+  struct State;        ///< Recycled replay and back-end containers.
+  std::unique_ptr<State> St;
   // Recycled causality-graph storage (adjacency lists per event index).
   RelationGraph Edges;
   std::vector<uint8_t> Color;

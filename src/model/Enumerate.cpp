@@ -44,7 +44,8 @@ bool satisfies(const std::vector<CondAtom> &Atoms, Word V) {
 
 class Search {
 public:
-  Search(const Program &P, uint64_t Cap) : P(P), Cap(Cap) {
+  Search(const Program &P, uint64_t Cap, bool FindSc)
+      : P(P), Cap(Cap), FindSc(FindSc) {
     const size_t NumLocs = P.Locations.size();
     Writes.resize(NumLocs);
     Co.resize(NumLocs);
@@ -113,10 +114,11 @@ public:
     }
     chooseCo(0);
     E.Candidates = Candidates;
-    E.Answer = Stop == StopReason::Cap      ? Reach::Unknown
-               : Stop == StopReason::NonSc ? Reach::NonSc
-               : ScSeen                    ? Reach::ScOnly
-                                           : Reach::Unreachable;
+    E.Answer = NonScSeen   ? Reach::NonSc
+               : CapPassed ? Reach::Unknown
+               : ScSeen    ? Reach::ScOnly
+                           : Reach::Unreachable;
+    E.ScReachable = ScSeen;
     return E;
   }
 
@@ -126,13 +128,12 @@ private:
     std::vector<CondAtom> Atoms; ///< Its register's pinned values.
     std::vector<uint32_t> Sources; ///< Writes it may read (InitWrite too).
   };
-  enum class StopReason { None, NonSc, Cap };
 
   /// Counts one candidate; false once the cap is passed.
   bool count() {
     if (++Candidates <= Cap)
       return true;
-    Stop = StopReason::Cap;
+    CapPassed = true;
     return false;
   }
 
@@ -221,8 +222,9 @@ private:
     return false;
   }
 
-  /// Judges the complete candidate: true (stop) when it is coherent and
-  /// non-SC, or the cap is passed.
+  /// Judges the complete candidate: true (stop) when it is the first
+  /// coherent non-SC one (with FindSc: once both kinds have been seen), or
+  /// the cap is passed.
   bool judge() {
     if (!count())
       return true;
@@ -236,12 +238,11 @@ private:
               {Order[K], K == 0 ? InitWrite : Order[K - 1], Loc[Order[K]]});
     if (CheckCoherence && hasCycle(PoLoc))
       return false; // Incoherent: no run of the program executes it.
-    if (hasCycle(Po)) {
-      Stop = StopReason::NonSc;
-      return true;
-    }
-    ScSeen = true;
-    return false;
+    if (hasCycle(Po))
+      NonScSeen = true;
+    else
+      ScSeen = true;
+    return NonScSeen && (!FindSc || ScSeen);
   }
 
   /// Whether \p Order ∪ rf ∪ co ∪ fr has a cycle under the current
@@ -257,6 +258,7 @@ private:
 
   const Program &P;
   const uint64_t Cap;
+  const bool FindSc; ///< Search on past the first non-SC candidate.
   uint32_t N = 0;
   // Per access node.
   std::vector<unsigned> Thread;
@@ -290,11 +292,13 @@ private:
 
   uint64_t Candidates = 0;
   bool ScSeen = false;
-  StopReason Stop = StopReason::None;
+  bool NonScSeen = false;
+  bool CapPassed = false;
 };
 
 } // namespace
 
-Enumeration model::enumerateForbidden(const Program &P, uint64_t Cap) {
-  return Search(P, Cap).run();
+Enumeration model::enumerateForbidden(const Program &P, uint64_t Cap,
+                                      bool FindSc) {
+  return Search(P, Cap, FindSc).run();
 }

@@ -58,6 +58,10 @@ inline constexpr uint64_t DefaultCandidateCap = uint64_t{1} << 21;
 struct Enumeration {
   Reach Answer = Reach::Unknown;
   uint64_t Candidates = 0;
+  /// Some SC candidate execution shows the outcome. Exact unless the
+  /// answer is NonSc from a search that stopped at its first non-SC
+  /// candidate, or the cap was passed first.
+  bool ScReachable = false;
 
   /// No simulated run of the program can be judged weak with its
   /// forbidden outcome.
@@ -69,11 +73,14 @@ struct Enumeration {
 /// Classifies \p P's forbidden outcome. Before enumerating, a load pinned
 /// by the forbidden clause keeps only the writes whose values satisfy its
 /// atoms, and a location's coherence orders must give its pinned final
-/// value; the search stops at the first non-SC execution. Fences and
-/// block placement do not enter the relations. An empty forbidden clause
-/// is unreachable. \p P must validate.
+/// value; the search stops at the first non-SC execution or, with
+/// \p FindSc, once it has also seen an SC one (so ScReachable is exact
+/// within the cap). Fences and block placement do not enter the
+/// relations. An empty forbidden clause is unreachable. \p P must
+/// validate.
 Enumeration enumerateForbidden(const litmus::Program &P,
-                               uint64_t Cap = DefaultCandidateCap);
+                               uint64_t Cap = DefaultCandidateCap,
+                               bool FindSc = false);
 
 } // namespace model
 } // namespace gpuwmm

@@ -1,11 +1,11 @@
 //===- model/StreamingChecker.cpp - Online consistency oracle ----------------===//
 //
 // The axiomatic checker as an incremental trace consumer. The replay
-// axioms are the same forward scan ConsistencyChecker.cpp performs — the
-// logic is ported statement for statement so the first violation (message
-// and violating event indices) is identical by construction. The
-// causality relation is maintained as a live graph with incremental cycle
-// detection and frontier-bounded retirement (DESIGN.md Sec. 15).
+// axioms are model/Replay.h's, shared with ConsistencyChecker.cpp, so the
+// first violation (message and violating event indices) is identical by
+// construction. This file is the causality back end: a live graph with
+// incremental cycle detection and frontier-bounded retirement (DESIGN.md
+// Sec. 15).
 //
 // Retirement soundness leans on one engine invariant: store ids
 // (NextStoreId, shared with host writes) are monotonic in issue order, so
@@ -17,6 +17,8 @@
 
 #include "model/StreamingChecker.h"
 
+#include "model/Replay.h"
+
 #include <algorithm>
 #include <bit>
 #include <memory>
@@ -24,15 +26,10 @@
 
 using namespace gpuwmm;
 using namespace gpuwmm::model;
-using sim::Addr;
-using sim::LoadSource;
 using sim::TraceEvent;
 using sim::TraceEventKind;
-using sim::Word;
 
 namespace {
-
-constexpr uint64_t NoNode = static_cast<uint64_t>(-1); ///< Initial state.
 
 /// Why a live graph node cannot retire yet (a bitmask; zero = retirable).
 enum : uint8_t {
@@ -43,26 +40,6 @@ enum : uint8_t {
   PinWatchedReader = 16, ///< A read whose fr target can still change.
   PinVisible = 32,       ///< An address's current visible writer (rf source).
 };
-
-uint64_t tidBankKey(unsigned Tid, unsigned Bank) {
-  return (static_cast<uint64_t>(Tid) << 32) | Bank;
-}
-
-/// Latches the first axiom violation (same message and indices the
-/// post-hoc checker would report), keeping event copies for rendering.
-void violate(StreamVerdict &R, const char *Msg, size_t A, size_t B,
-             const TraceEvent *EvA, const TraceEvent *EvB) {
-  if (!R.AxiomsOk)
-    return;
-  R.AxiomsOk = false;
-  R.AxiomViolation = Msg;
-  R.ViolatingA = A;
-  R.ViolatingB = B;
-  if (EvA)
-    R.EventA = *EvA;
-  if (EvB)
-    R.EventB = *EvB;
-}
 
 /// No po lane: a host write, which sits on no thread's program order.
 constexpr uint32_t NoLane = static_cast<uint32_t>(-1);
@@ -184,66 +161,25 @@ private:
   }
 };
 
-} // namespace
+/// One write in an address's live coherence window.
+struct CoEnt {
+  uint64_t Node;
+  uint64_t Id;
+  bool Plain; ///< Carries a store id (StoreIssue/HostWrite, not Atomic).
+  std::vector<uint64_t> Readers; ///< Watched readers of this write.
+};
 
-/// All incremental state, recycled across begin() calls (clear() keeps
-/// hash buckets, and the graph storage of litmus-sized runs). Namespace
-/// scope — not nested in the checker — so the file-local graph helper can
-/// name it.
-struct gpuwmm::model::detail::StreamingCheckerState {
-  // --- Replay-axiom state (mirrors ConsistencyChecker's ReplayScratch) ----
-  /// One thread's un-drained buffered store on one bank, with a copy of
-  /// its issue event (explanations render without the trace).
-  struct PendingStore {
-    uint64_t Node; ///< Global index of the StoreIssue event.
-    uint64_t Id;
-    Addr A;
-    Word V;
-    TraceEvent Ev;
-  };
-  /// One live block-visible value.
-  struct OverlayEnt {
-    unsigned Block;
-    uint64_t Id;
-    uint64_t Node;
-    Word V;
-    TraceEvent Ev;
-  };
-  /// A pending split-phase load: its issue node and event copy.
-  struct AsyncIssueEnt {
-    uint64_t Node;
-    TraceEvent Ev;
-  };
-  std::unordered_map<uint64_t, std::deque<PendingStore>> Pending;
-  std::unordered_map<unsigned, unsigned> PendingByTid;
-  std::unordered_map<uint64_t, unsigned> AsyncByTidBank;
-  std::unordered_map<unsigned, unsigned> AsyncByTid;
-  std::unordered_map<uint64_t, AsyncIssueEnt> AsyncIssueAt; ///< By ticket.
-  std::unordered_map<Addr, std::vector<OverlayEnt>> Overlay;
-  std::unordered_set<uint64_t> PromotedIds;
+/// The graph's per-address state (the replay keeps it with the address's
+/// axiom state).
+struct CoWindow {
+  unsigned PendingStores = 0;        ///< Buffered stores to this address.
+  std::vector<CoEnt> Co;             ///< Live coherence window.
+  std::vector<uint64_t> InitReaders; ///< Watched initial-state readers.
+};
 
-  // --- Per-address coherence state ----------------------------------------
-  /// One write in the live coherence window.
-  struct CoEnt {
-    uint64_t Node;
-    uint64_t Id;
-    bool Plain; ///< Carries a store id (StoreIssue/HostWrite, not Atomic).
-    std::vector<uint64_t> Readers; ///< Watched readers of this write.
-  };
-  struct AddrState {
-    // Axiom-side (always maintained).
-    Word Val = 0;                  ///< Globally visible value.
-    uint64_t PlainMax = 0;         ///< MemWriteId mirror.
-    uint64_t VisibleNode = NoNode; ///< Writer of Val (its issue node).
-    TraceEvent VisibleEv;          ///< Copy of that writer's event.
-    // Graph-side (idle once a cycle is found).
-    unsigned PendingStores = 0;        ///< Buffered stores to this address.
-    std::vector<CoEnt> Co;             ///< Live coherence window.
-    std::vector<uint64_t> InitReaders; ///< Watched initial-state readers.
-  };
-  std::unordered_map<Addr, AddrState> Addrs;
-
-  // --- Live causality graph -----------------------------------------------
+/// The live causality graph, recycled across begin() calls (clear() keeps
+/// hash buckets, and the graph storage of litmus-sized runs).
+struct GraphState {
   /// One stored edge, threaded on its source's out-list and its target's
   /// in-list (both in insertion order: the DFS, and so the witness, order).
   struct Edge {
@@ -287,9 +223,6 @@ struct gpuwmm::model::detail::StreamingCheckerState {
   std::unordered_map<unsigned, uint64_t> LastPo;
   uint64_t DfsStamp = 0;
   bool GraphDead = false; ///< Cycle found: graph dropped, axioms continue.
-  bool Done = false;      ///< Axiom violated: remaining events are skipped.
-
-  TraceEvent LastEv; ///< Copy of the most recent event (end-of-run anchor).
 
   struct Frame {
     uint32_t Slot;
@@ -302,14 +235,6 @@ struct gpuwmm::model::detail::StreamingCheckerState {
   std::vector<std::pair<uint32_t, EdgeKind>> SpliceTo;
 
   void clear() {
-    Pending.clear();
-    PendingByTid.clear();
-    AsyncByTidBank.clear();
-    AsyncByTid.clear();
-    AsyncIssueAt.clear();
-    Overlay.clear();
-    PromotedIds.clear();
-    Addrs.clear();
     // The first chunks stay, so streams of litmus-sized checked runs stop
     // allocating. An app-sized graph's surplus is handed back: otherwise
     // every pool worker's checker would hold its largest run's graph for
@@ -326,8 +251,6 @@ struct gpuwmm::model::detail::StreamingCheckerState {
     LastPo.clear();
     DfsStamp = 0;
     GraphDead = false;
-    Done = false;
-    LastEv = TraceEvent();
     Stack.clear();
   }
 
@@ -338,27 +261,63 @@ struct gpuwmm::model::detail::StreamingCheckerState {
   }
 };
 
-namespace {
-
-using State = gpuwmm::model::detail::StreamingCheckerState;
-
-/// The graph half of the checker: po ∪ rf ∪ co ∪ fr maintenance, pins,
-/// retirement, incremental cycle detection. Holds references for one
-/// event's worth of work.
+/// The causality back end of the replay (model/Replay.h): po ∪ rf ∪ co ∪
+/// fr maintenance, pins, retirement, incremental cycle detection. Holds
+/// references for one event's worth of work.
 struct Graph {
-  State &S;
+  using Loc = CoWindow;
+
+  GraphState &S;
   StreamVerdict &R;
   size_t &PeakLive;
   uint64_t &Retired;
   uint64_t &EdgeOps;
   size_t &PeakDegree;
 
-  using Edge = State::Edge;
-  using GNode = State::GNode;
-  using AddrState = State::AddrState;
-  using CoEnt = State::CoEnt;
+  using Edge = GraphState::Edge;
+  using GNode = GraphState::GNode;
 
-  void makeNode(uint64_t I, const TraceEvent &E) {
+  // --- The replay's facts (node, po and read are below) -------------------
+
+  void buffered(uint64_t I, CoWindow &L) {
+    if (S.GraphDead)
+      return;
+    pin(I, PinPendingStore);
+    ++L.PendingStores;
+  }
+
+  void asyncIssued(uint64_t I) { pin(I, PinPendingAsync); }
+
+  /// W's append also moves the address's rf-source pin to it.
+  void coAppend(CoWindow &L, uint64_t W, bool Plain, uint64_t Id,
+                uint64_t OldVisible) {
+    appendCo(L, W, Plain, Id);
+    if (S.GraphDead)
+      return;
+    pin(W, PinVisible);
+    if (OldVisible != NoWriter)
+      unpin(OldVisible, PinVisible);
+  }
+
+  void drained(CoWindow &L, uint64_t W, uint64_t Visible) {
+    if (S.GraphDead)
+      return;
+    if (L.PendingStores != 0)
+      --L.PendingStores;
+    unpin(W, PinPendingStore);
+    written(L, Visible);
+  }
+
+  void asyncBound(uint64_t I) { unpin(I, PinPendingAsync); }
+
+  void written(CoWindow &L, uint64_t Visible) {
+    if (!S.GraphDead && L.PendingStores == 0)
+      pruneCo(L, Visible);
+  }
+
+  // --- The live graph -----------------------------------------------------
+
+  void node(uint64_t I, const TraceEvent &E) {
     if (S.GraphDead)
       return;
     uint32_t Slot;
@@ -481,11 +440,11 @@ struct Graph {
     ++To.InDegree;
     if (From.OutIndexed)
       S.Adjacency.insert(outKey(E), Id);
-    else if (From.OutDegree > State::IndexAbove)
+    else if (From.OutDegree > GraphState::IndexAbove)
       indexList(FromSlot, /*In=*/false);
     if (To.InIndexed)
       S.Adjacency.insert(inKey(E), Id);
-    else if (To.InDegree > State::IndexAbove)
+    else if (To.InDegree > GraphState::IndexAbove)
       indexList(ToSlot, /*In=*/true);
     ++EdgeOps;
     PeakDegree = std::max<size_t>(PeakDegree,
@@ -572,7 +531,7 @@ struct Graph {
     S.Stack.push_back({ToSlot, S.Nodes[ToSlot].OutHead, NoEdge});
     S.Nodes[ToSlot].Stamp = S.DfsStamp;
     while (!S.Stack.empty()) {
-      State::Frame &F = S.Stack.back();
+      GraphState::Frame &F = S.Stack.back();
       if (F.Next == NoEdge) {
         S.Stack.pop_back();
         continue;
@@ -601,7 +560,7 @@ struct Graph {
     const GNode &From = S.Nodes[FromSlot];
     R.Cycle.emplace_back(From.Index, K);
     R.CycleEvents.push_back(From.Ev);
-    for (const State::Frame &F : S.Stack) {
+    for (const GraphState::Frame &F : S.Stack) {
       const GNode &N = S.Nodes[F.Slot];
       R.Cycle.emplace_back(N.Index, S.Edges[F.Taken].Kind);
       R.CycleEvents.push_back(N.Ev);
@@ -626,7 +585,7 @@ struct Graph {
     S.Stack.clear();
   }
 
-  void addPo(unsigned Tid, uint64_t I) {
+  void po(unsigned Tid, uint64_t I) {
     if (S.GraphDead)
       return;
     const auto It = S.LastPo.find(Tid);
@@ -670,21 +629,21 @@ struct Graph {
   /// issue order, and a dropped drain inserts only before plain writes
   /// with a *newer* id), so everything before the visible writer retires
   /// and every non-last write's from-read successor is final.
-  void pruneCo(AddrState &AS) {
-    if (S.GraphDead || AS.Co.empty())
+  void pruneCo(CoWindow &L, uint64_t Visible) {
+    if (S.GraphDead || L.Co.empty())
       return;
-    for (size_t K = 0; K + 1 < AS.Co.size(); ++K)
-      releaseReaders(AS.Co[K].Readers);
-    releaseReaders(AS.InitReaders);
+    for (size_t K = 0; K + 1 < L.Co.size(); ++K)
+      releaseReaders(L.Co[K].Readers);
+    releaseReaders(L.InitReaders);
     size_t VPos = 0;
-    for (size_t K = AS.Co.size(); K-- != 0;)
-      if (AS.Co[K].Node == AS.VisibleNode) {
+    for (size_t K = L.Co.size(); K-- != 0;)
+      if (L.Co[K].Node == Visible) {
         VPos = K;
         break;
       }
     for (size_t K = 0; K != VPos; ++K)
-      unpin(AS.Co[K].Node, PinCoWindow);
-    AS.Co.erase(AS.Co.begin(), AS.Co.begin() + static_cast<ptrdiff_t>(VPos));
+      unpin(L.Co[K].Node, PinCoWindow);
+    L.Co.erase(L.Co.begin(), L.Co.begin() + static_cast<ptrdiff_t>(VPos));
   }
 
   /// Moves readers registered while a write was buffered onto its window
@@ -701,22 +660,22 @@ struct Graph {
   /// Appends an applied write (drain/atomic/host write) to the window:
   /// coherence edge from the old last, from-read edges from its watched
   /// readers (their successor just materialised).
-  void coAppend(AddrState &AS, uint64_t N, bool Plain, uint64_t Id) {
+  void appendCo(CoWindow &L, uint64_t N, bool Plain, uint64_t Id) {
     if (S.GraphDead)
       return;
-    if (!AS.Co.empty()) {
-      addEdge(AS.Co.back().Node, N, EdgeKind::Co);
+    if (!L.Co.empty()) {
+      addEdge(L.Co.back().Node, N, EdgeKind::Co);
       if (S.GraphDead)
         return;
-      emitFr(AS.Co.back().Readers, N);
+      emitFr(L.Co.back().Readers, N);
     } else {
-      emitFr(AS.InitReaders, N);
+      emitFr(L.InitReaders, N);
     }
     if (S.GraphDead)
       return;
-    AS.Co.push_back({N, Id, Plain, {}});
+    L.Co.push_back({N, Id, Plain, {}});
     pin(N, PinCoWindow);
-    adoptPendingReaders(AS.Co.back());
+    adoptPendingReaders(L.Co.back());
   }
 
   /// Inserts a coherence-dropped write at its position: immediately
@@ -725,12 +684,12 @@ struct Graph {
   /// runs, over the live window (which still contains the true insertion
   /// point: the store was buffered since its issue, so no prune released
   /// it in between).
-  void coInsertDropped(AddrState &AS, uint64_t N, uint64_t Id) {
+  void coInsertDropped(CoWindow &L, uint64_t N, uint64_t Id) {
     if (S.GraphDead)
       return;
-    size_t Pos = AS.Co.size();
-    for (size_t K = AS.Co.size(); K != 0; --K) {
-      const CoEnt &W = AS.Co[K - 1];
+    size_t Pos = L.Co.size();
+    for (size_t K = L.Co.size(); K != 0; --K) {
+      const CoEnt &W = L.Co[K - 1];
       if (!W.Plain)
         continue;
       if (W.Id < Id)
@@ -738,61 +697,51 @@ struct Graph {
       Pos = K - 1;
     }
     if (Pos != 0) {
-      addEdge(AS.Co[Pos - 1].Node, N, EdgeKind::Co);
+      addEdge(L.Co[Pos - 1].Node, N, EdgeKind::Co);
       if (S.GraphDead)
         return;
       // The predecessor's immediate successor changed: its watched
       // readers' from-read now also targets the inserted write.
-      emitFr(AS.Co[Pos - 1].Readers, N);
+      emitFr(L.Co[Pos - 1].Readers, N);
     } else {
       // A new window front: initial-state reads read before it.
-      emitFr(AS.InitReaders, N);
+      emitFr(L.InitReaders, N);
     }
     if (S.GraphDead)
       return;
-    if (Pos != AS.Co.size()) {
-      addEdge(N, AS.Co[Pos].Node, EdgeKind::Co);
+    if (Pos != L.Co.size()) {
+      addEdge(N, L.Co[Pos].Node, EdgeKind::Co);
       if (S.GraphDead)
         return;
     }
-    AS.Co.insert(AS.Co.begin() + static_cast<ptrdiff_t>(Pos),
-                 {N, Id, true, {}});
+    L.Co.insert(L.Co.begin() + static_cast<ptrdiff_t>(Pos),
+                {N, Id, true, {}});
     pin(N, PinCoWindow);
-    adoptPendingReaders(AS.Co[Pos]);
+    adoptPendingReaders(L.Co[Pos]);
     if (S.GraphDead)
       return;
     // Readers that forwarded from this write get their from-read now that
     // the write has a coherence successor.
-    if (Pos + 1 < AS.Co.size())
-      emitFr(AS.Co[Pos].Readers, AS.Co[Pos + 1].Node);
-  }
-
-  /// The address's visible writer changed: transfer the rf-source pin.
-  void transferVisible(uint64_t OldNode, uint64_t NewNode) {
-    if (S.GraphDead)
-      return;
-    pin(NewNode, PinVisible);
-    if (OldNode != NoNode)
-      unpin(OldNode, PinVisible);
+    if (Pos + 1 < L.Co.size())
+      emitFr(L.Co[Pos].Readers, L.Co[Pos + 1].Node);
   }
 
   /// Registers a read: its rf edge, its current from-read edge, and — when
   /// the rf write's coherence successor can still change — a watch
   /// registration so every successor change re-emits the from-read.
-  void noteRead(uint64_t Reader, Addr A, uint64_t W, bool RfPending) {
+  void read(uint64_t Reader, CoWindow &L, uint64_t W, bool Buffered) {
     if (S.GraphDead)
       return;
-    AddrState &AS = S.Addrs[A];
-    if (W == NoNode) {
+    if (W == NoWriter) {
       // Initial-state read: from-read to the window front; watched while
       // the front can still change (no write yet, or inserts possible).
-      if (!AS.Co.empty()) {
-        emitFrOne(Reader, AS.Co.front().Node);
+      if (!L.Co.empty()) {
+        emitFrOne(Reader, L.Co.front().Node);
         if (S.GraphDead)
           return;
       }
-      if (AS.Co.empty() || AS.PendingStores != 0) {
-        AS.InitReaders.push_back(Reader);
+      if (L.Co.empty() || L.PendingStores != 0) {
+        L.InitReaders.push_back(Reader);
         pin(Reader, PinWatchedReader);
       }
       return;
@@ -800,7 +749,7 @@ struct Graph {
     addEdge(W, Reader, EdgeKind::Rf);
     if (S.GraphDead)
       return;
-    if (RfPending) {
+    if (Buffered) {
       // The write is still buffered (forward/overlay read): its coherence
       // position is unknown until it drains; watch through the drain.
       S.PendingReaders[W].push_back(Reader);
@@ -808,21 +757,21 @@ struct Graph {
       return;
     }
     // The write is in the window (it is the visible writer).
-    size_t Pos = AS.Co.size();
-    for (size_t K = AS.Co.size(); K-- != 0;)
-      if (AS.Co[K].Node == W) {
+    size_t Pos = L.Co.size();
+    for (size_t K = L.Co.size(); K-- != 0;)
+      if (L.Co[K].Node == W) {
         Pos = K;
         break;
       }
-    if (Pos == AS.Co.size())
+    if (Pos == L.Co.size())
       return; // Unreachable on engine traces; harmless on corrupted ones.
-    if (Pos + 1 != AS.Co.size()) {
-      emitFrOne(Reader, AS.Co[Pos + 1].Node);
+    if (Pos + 1 != L.Co.size()) {
+      emitFrOne(Reader, L.Co[Pos + 1].Node);
       if (S.GraphDead)
         return;
     }
-    if (Pos + 1 == AS.Co.size() || AS.PendingStores != 0) {
-      AS.Co[Pos].Readers.push_back(Reader);
+    if (Pos + 1 == L.Co.size() || L.PendingStores != 0) {
+      L.Co[Pos].Readers.push_back(Reader);
       pin(Reader, PinWatchedReader);
     }
   }
@@ -830,11 +779,19 @@ struct Graph {
 
 } // namespace
 
-StreamingChecker::StreamingChecker() : St(std::make_unique<State>()) {}
+/// All incremental state: the shared replay and the live graph it feeds.
+struct gpuwmm::model::detail::StreamingCheckerState {
+  GraphState GS;
+  Replay<Graph> Axioms;
+};
+
+StreamingChecker::StreamingChecker()
+    : St(std::make_unique<detail::StreamingCheckerState>()) {}
 StreamingChecker::~StreamingChecker() = default;
 
 void StreamingChecker::begin() {
-  St->clear();
+  St->GS.clear();
+  St->Axioms.clear();
   R = StreamVerdict();
   Consumed = 0;
   PeakLive = 0;
@@ -843,408 +800,23 @@ void StreamingChecker::begin() {
   PeakDegree = 0;
 }
 
-size_t StreamingChecker::liveEvents() const { return St->Live.size(); }
-
-//===----------------------------------------------------------------------===//
-// Event consumption: the replay axioms, ported statement for statement
-//===----------------------------------------------------------------------===//
+size_t StreamingChecker::liveEvents() const { return St->GS.Live.size(); }
 
 void StreamingChecker::event(const TraceEvent &E) {
-  State &S = *St;
-  const size_t I = static_cast<size_t>(Consumed);
-  ++Consumed;
-  if (S.Done)
-    return;
-  S.LastEv = E;
-  Graph G{S, R, PeakLive, Retired, EdgeOps, PeakDegree};
-
-  const uint64_t Key = tidBankKey(E.Tid, E.Bank);
-  const auto globalValue = [&](Addr A) {
-    const auto It = S.Addrs.find(A);
-    return It == S.Addrs.end() ? Word{0} : It->second.Val;
-  };
-  const auto plainMaxId = [&](Addr A) {
-    const auto It = S.Addrs.find(A);
-    return It == S.Addrs.end() ? uint64_t{0} : It->second.PlainMax;
-  };
-  const auto overlayFor = [&](unsigned Block, Addr A) -> State::OverlayEnt * {
-    const auto It = S.Overlay.find(A);
-    if (It == S.Overlay.end())
-      return nullptr;
-    for (State::OverlayEnt &O : It->second)
-      if (O.Block == Block)
-        return &O;
-    return nullptr;
-  };
-  const auto newestPendingTo = [&](uint64_t K,
-                                   Addr A) -> State::PendingStore * {
-    const auto It = S.Pending.find(K);
-    if (It == S.Pending.end())
-      return nullptr;
-    for (auto RIt = It->second.rbegin(); RIt != It->second.rend(); ++RIt)
-      if (RIt->A == A)
-        return &*RIt;
-    return nullptr;
-  };
-  // Violations that reference the visible writer use its node index when
-  // one exists, else the current event — as the post-hoc checker does.
-  const auto visibleOr = [&](Addr A, size_t Self) {
-    const auto It = S.Addrs.find(A);
-    return It == S.Addrs.end() || It->second.VisibleNode == NoNode
-               ? Self
-               : static_cast<size_t>(It->second.VisibleNode);
-  };
-  const auto visibleEvOr = [&](Addr A,
-                               const TraceEvent *Self) -> const TraceEvent * {
-    const auto It = S.Addrs.find(A);
-    return It == S.Addrs.end() || It->second.VisibleNode == NoNode
-               ? Self
-               : &It->second.VisibleEv;
-  };
-
-  switch (E.Kind) {
-  case TraceEventKind::StoreIssue: {
-    if (S.AsyncByTidBank[Key] != 0)
-      violate(R,
-              "same-bank issue order: store issued while a split-phase "
-              "load is pending on its bank",
-              I, I, &E, &E);
-    S.Pending[Key].push_back({I, E.Id, E.A, E.V, E});
-    ++S.PendingByTid[E.Tid];
-    if (!S.GraphDead) {
-      G.makeNode(I, E);
-      G.pin(I, PinPendingStore);
-      ++S.Addrs[E.A].PendingStores;
-      G.addPo(E.Tid, I);
-    }
-    break;
-  }
-  case TraceEventKind::StoreDrain: {
-    auto &Q = S.Pending[Key];
-    if (Q.empty() || Q.front().Id != E.Id) {
-      violate(R,
-              "same-bank FIFO: a store drained out of its bank's issue "
-              "order",
-              Q.empty() ? I : Q.front().Node, I,
-              Q.empty() ? &E : &Q.front().Ev, &E);
-      break;
-    }
-    const State::PendingStore Front = Q.front();
-    Q.pop_front();
-    --S.PendingByTid[E.Tid];
-    const bool ShouldApply = E.Id >= plainMaxId(E.A);
-    if (E.Flag != ShouldApply) {
-      violate(R,
-              "coherence-per-location: a drain was applied/dropped "
-              "against the per-address store order",
-              Front.Node, I, &Front.Ev, &E);
-      break;
-    }
-    const bool WasPromoted = S.PromotedIds.count(E.Id) != 0;
-    if (WasPromoted) {
-      // The drain retires exactly its own block-visible value.
-      auto It = S.Overlay.find(E.A);
-      if (It != S.Overlay.end())
-        for (size_t K = 0; K != It->second.size(); ++K)
-          if (It->second[K].Id == E.Id) {
-            It->second.erase(It->second.begin() + static_cast<ptrdiff_t>(K));
-            break;
-          }
-    }
-    State::AddrState &AS = S.Addrs[E.A];
-    if (!S.GraphDead && AS.PendingStores != 0)
-      --AS.PendingStores;
-    if (E.Flag) {
-      AS.Val = E.V;
-      const uint64_t OldVisible = AS.VisibleNode;
-      AS.VisibleNode = Front.Node;
-      AS.VisibleEv = Front.Ev;
-      AS.PlainMax = E.Id;
-      G.coAppend(AS, Front.Node, /*Plain=*/true, E.Id);
-      G.transferVisible(OldVisible, Front.Node);
-      // A write that reaches globally visible memory through the plain
-      // path invalidates every block-visible value for the address.
-      if (!WasPromoted)
-        S.Overlay.erase(E.A);
-    } else {
-      G.coInsertDropped(AS, Front.Node, E.Id);
-    }
-    G.unpin(Front.Node, PinPendingStore);
-    if (!S.GraphDead && AS.PendingStores == 0)
-      G.pruneCo(AS);
-    break;
-  }
-  case TraceEventKind::LoadBind: {
-    const State::PendingStore *Newest = newestPendingTo(Key, E.A);
-    const State::OverlayEnt *OV = overlayFor(E.Block, E.A);
-    uint64_t Rf = NoNode;
-    bool RfPending = false;
-    switch (E.Source) {
-    case LoadSource::Memory: {
-      const auto It = S.Pending.find(Key);
-      if (It != S.Pending.end() && !It->second.empty())
-        violate(R,
-                "self-coherence: a load bound from memory while the "
-                "thread still buffered stores on the load's bank",
-                It->second.front().Node, I, &It->second.front().Ev, &E);
-      else if (OV)
-        violate(R,
-                "forwarding: a load bound from memory past a live "
-                "block-visible value",
-                OV->Node, I, &OV->Ev, &E);
-      else if (E.V != globalValue(E.A))
-        violate(R, "read-value: a load bound a value no write produced",
-                visibleOr(E.A, I), I, visibleEvOr(E.A, &E), &E);
-      const auto AIt = S.Addrs.find(E.A);
-      if (AIt != S.Addrs.end())
-        Rf = AIt->second.VisibleNode;
-      break;
-    }
-    case LoadSource::Forward: {
-      if (!Newest)
-        violate(R,
-                "forwarding: a load forwarded with no buffered store to "
-                "its address",
-                I, I, &E, &E);
-      else if (E.V != Newest->V)
-        violate(R,
-                "forwarding: a load forwarded a value its newest "
-                "buffered store did not write",
-                Newest->Node, I, &Newest->Ev, &E);
-      else if (plainMaxId(E.A) > Newest->Id)
-        violate(R,
-                "coherence-per-location: a load forwarded a store that "
-                "newer globally visible writes supersede",
-                Newest->Node, I, &Newest->Ev, &E);
-      else if (OV && OV->Id > Newest->Id)
-        violate(R,
-                "coherence-per-location: a load forwarded a store that "
-                "a newer block-visible value supersedes",
-                Newest->Node, I, &Newest->Ev, &E);
-      if (Newest) {
-        Rf = Newest->Node;
-        RfPending = true;
-      }
-      break;
-    }
-    case LoadSource::MemorySuperseded: {
-      if (!Newest || plainMaxId(E.A) <= Newest->Id)
-        violate(R,
-                "coherence-per-location: a superseded-forward load "
-                "without a superseding write",
-                I, I, &E, &E);
-      else if (E.V != globalValue(E.A))
-        violate(R,
-                "read-value: a superseded-forward load bound a value "
-                "memory does not hold",
-                visibleOr(E.A, I), I, visibleEvOr(E.A, &E), &E);
-      const auto AIt = S.Addrs.find(E.A);
-      if (AIt != S.Addrs.end())
-        Rf = AIt->second.VisibleNode;
-      break;
-    }
-    case LoadSource::OverlaySuperseded: {
-      if (!Newest || !OV || OV->Id <= Newest->Id)
-        violate(R,
-                "coherence-per-location: a superseded-forward load "
-                "without a newer block-visible value",
-                I, I, &E, &E);
-      else if (E.V != OV->V)
-        violate(R,
-                "read-value: a superseded-forward load bound a value "
-                "the block overlay does not hold",
-                OV->Node, I, &OV->Ev, &E);
-      if (OV) {
-        Rf = OV->Node;
-        RfPending = true;
-      }
-      break;
-    }
-    case LoadSource::Overlay: {
-      const auto It = S.Pending.find(Key);
-      if (It != S.Pending.end() && !It->second.empty())
-        violate(R,
-                "self-coherence: a load bound from the block overlay "
-                "while the thread still buffered stores on the bank",
-                It->second.front().Node, I, &It->second.front().Ev, &E);
-      else if (!OV)
-        violate(R,
-                "forwarding: a load bound from the block overlay with no "
-                "live value for its block",
-                I, I, &E, &E);
-      else if (E.V != OV->V)
-        violate(R,
-                "read-value: a load bound a value the block overlay does "
-                "not hold",
-                OV->Node, I, &OV->Ev, &E);
-      if (OV) {
-        Rf = OV->Node;
-        RfPending = true;
-      }
-      break;
-    }
-    }
-    if (!S.GraphDead) {
-      G.makeNode(I, E);
-      G.noteRead(I, E.A, Rf, RfPending);
-      G.addPo(E.Tid, I);
-    }
-    break;
-  }
-  case TraceEventKind::AsyncIssue: {
-    S.AsyncIssueAt[E.Id] = {I, E};
-    ++S.AsyncByTidBank[Key];
-    ++S.AsyncByTid[E.Tid];
-    if (!S.GraphDead) {
-      G.makeNode(I, E);
-      G.pin(I, PinPendingAsync);
-      G.addPo(E.Tid, I);
-    }
-    break;
-  }
-  case TraceEventKind::AsyncBind: {
-    const auto It = S.AsyncIssueAt.find(E.Id);
-    if (It == S.AsyncIssueAt.end()) {
-      violate(R, "causality: a split-phase load completed without an issue",
-              I, I, &E, &E);
-      break;
-    }
-    --S.AsyncByTidBank[Key];
-    --S.AsyncByTid[E.Tid];
-    if (E.V != globalValue(E.A))
-      violate(R,
-              "read-value: a split-phase load bound a value memory does "
-              "not hold",
-              visibleOr(E.A, I), I, visibleEvOr(E.A, &E), &E);
-    // The read's program-order point is the issue; the binding write is
-    // whatever is visible now.
-    const uint64_t Issue = It->second.Node;
-    S.AsyncIssueAt.erase(It);
-    if (!S.GraphDead) {
-      const auto AIt = S.Addrs.find(E.A);
-      const uint64_t W =
-          AIt == S.Addrs.end() ? NoNode : AIt->second.VisibleNode;
-      G.noteRead(Issue, E.A, W, /*RfPending=*/false);
-      G.unpin(Issue, PinPendingAsync);
-    }
-    break;
-  }
-  case TraceEventKind::Atomic: {
-    const auto It = S.Pending.find(Key);
-    if (It != S.Pending.end() && !It->second.empty())
-      violate(R,
-              "self-coherence: an atomic executed while the thread still "
-              "buffered stores on its bank",
-              It->second.front().Node, I, &It->second.front().Ev, &E);
-    else if (S.AsyncByTidBank[Key] != 0)
-      violate(R,
-              "same-bank issue order: an atomic executed while a "
-              "split-phase load is pending on its bank",
-              I, I, &E, &E);
-    else if (static_cast<Word>(E.Id) != globalValue(E.A))
-      violate(R, "read-value: an atomic read a value memory does not hold",
-              visibleOr(E.A, I), I, visibleEvOr(E.A, &E), &E);
-    State::AddrState &AS = S.Addrs[E.A];
-    const uint64_t W = AS.VisibleNode; // The read side binds pre-write.
-    if (!S.GraphDead)
-      G.makeNode(I, E);
-    if (E.Flag) {
-      AS.Val = E.V;
-      const uint64_t OldVisible = AS.VisibleNode;
-      AS.VisibleNode = I;
-      AS.VisibleEv = E;
-      G.coAppend(AS, I, /*Plain=*/false, /*Id=*/0);
-      G.transferVisible(OldVisible, I);
-      S.Overlay.erase(E.A); // Atomics invalidate block-visible values.
-    }
-    if (!S.GraphDead) {
-      G.noteRead(I, E.A, W, /*RfPending=*/false);
-      G.addPo(E.Tid, I);
-    }
-    // The prune comes after the read side: it may retire the write the
-    // atomic read from (and a dropped write after it), whose rf and fr
-    // edges noteRead must still see live.
-    if (E.Flag && !S.GraphDead && AS.PendingStores == 0)
-      G.pruneCo(AS);
-    break;
-  }
-  case TraceEventKind::FenceDevice: {
-    if (S.PendingByTid[E.Tid] != 0)
-      violate(R,
-              "fence-drain: a device fence completed with the thread's "
-              "stores still buffered",
-              I, I, &E, &E);
-    else if (S.AsyncByTid[E.Tid] != 0)
-      violate(R,
-              "fence-drain: a device fence completed with the thread's "
-              "split-phase loads still pending",
-              I, I, &E, &E);
-    break;
-  }
-  case TraceEventKind::StorePromote: {
-    S.PromotedIds.insert(E.Id);
-    const State::PendingStore *P = nullptr;
-    const auto PIt = S.Pending.find(Key);
-    if (PIt != S.Pending.end())
-      for (const State::PendingStore &PS : PIt->second)
-        if (PS.Id == E.Id)
-          P = &PS;
-    if (!P) {
-      violate(R,
-              "forwarding: a block fence promoted a store that is not "
-              "buffered",
-              I, I, &E, &E);
-      break;
-    }
-    State::OverlayEnt *OV = overlayFor(E.Block, E.A);
-    if (!OV)
-      S.Overlay[E.A].push_back({E.Block, E.Id, P->Node, E.V, P->Ev});
-    else if (OV->Id < E.Id)
-      *OV = {E.Block, E.Id, P->Node, E.V, P->Ev};
-    break;
-  }
-  case TraceEventKind::FenceBlock:
-  case TraceEventKind::BarrierRelease:
-    break;
-  case TraceEventKind::HostWrite: {
-    State::AddrState &AS = S.Addrs[E.A];
-    AS.Val = E.V;
-    const uint64_t OldVisible = AS.VisibleNode;
-    AS.VisibleNode = I;
-    AS.VisibleEv = E;
-    AS.PlainMax = E.Id;
-    if (!S.GraphDead) {
-      G.makeNode(I, E);
-      G.coAppend(AS, I, /*Plain=*/true, E.Id);
-      G.transferVisible(OldVisible, I);
-      if (!S.GraphDead && AS.PendingStores == 0)
-        G.pruneCo(AS);
-    }
-    break;
-  }
-  }
-
-  if (!R.AxiomsOk)
-    S.Done = true;
+  Graph G{St->GS, R, PeakLive, Retired, EdgeOps, PeakDegree};
+  St->Axioms.event(E, Consumed++, G);
 }
 
 const StreamVerdict &StreamingChecker::finish() {
-  State &S = *St;
-  if (R.AxiomsOk) {
-    // End-of-run axioms: the kernel boundary drained everything.
-    const size_t Last = Consumed ? static_cast<size_t>(Consumed) - 1 : 0;
-    for (const auto &KV : S.PendingByTid)
-      if (KV.second != 0)
-        violate(R,
-                "fence-drain: stores were still buffered at the end of the "
-                "run (the kernel boundary must drain them)",
-                Last, Last, &S.LastEv, &S.LastEv);
-    for (const auto &KV : S.AsyncByTid)
-      if (KV.second != 0)
-        violate(R,
-                "fence-drain: split-phase loads were still pending at the "
-                "end of the run",
-                Last, Last, &S.LastEv, &S.LastEv);
+  St->Axioms.finish();
+  if (!St->Axioms.ok()) {
+    const ReplayViolation &V = St->Axioms.violation();
+    R.AxiomsOk = false;
+    R.AxiomViolation = V.Msg;
+    R.ViolatingA = V.A;
+    R.ViolatingB = V.B;
+    R.EventA = V.EvA;
+    R.EventB = V.EvB;
   }
   return R;
 }

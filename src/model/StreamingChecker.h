@@ -15,10 +15,10 @@
 ///
 ///  * The replay axioms (coherence-per-location, same-bank FIFO,
 ///    fence-drain, self-coherence/forwarding, same-bank issue order,
-///    read-value) are already a forward scan; the streaming checker runs
-///    the identical logic event by event and reports the first violation
-///    at the event where it occurred, with the same message and the same
-///    violating event indices as the post-hoc checker.
+///    read-value) are model/Replay.h's forward replay, the one the
+///    post-hoc checker runs too; fed event by event, it stops at the
+///    first violation, with the same message and the same violating event
+///    indices as the post-hoc checker.
 ///
 ///  * The causality relation po ∪ rf ∪ co ∪ fr is maintained as a live
 ///    graph with incremental cycle detection: each edge insertion searches
@@ -41,12 +41,13 @@
 ///    live host write) and a retirement splice costs at most the thread
 ///    count squared, however long the run (DESIGN.md Sec. 15).
 ///
-/// The post-hoc checker remains the reference: both consume identical
-/// event streams, so every streaming verdict is differentially testable
-/// (tests/StreamingCheckerTests.cpp pins verdict and first-violation
-/// equality). The retirement rule relies on one engine invariant: store
-/// ids (including host writes) are drawn from a single counter, so they
-/// are monotonic in issue order across the whole run.
+/// The live graph is this checker's own causality back end; the post-hoc
+/// checker's whole-trace graph remains its reference: both consume
+/// identical event streams, so every streaming verdict is differentially
+/// testable (tests/StreamingCheckerTests.cpp). The retirement rule relies
+/// on one engine invariant: store ids (including host writes) are drawn
+/// from a single counter, so they are monotonic in issue order across the
+/// whole run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,11 +58,8 @@
 #include "sim/TraceSink.h"
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace gpuwmm {

@@ -2,7 +2,8 @@
 
 #include "tuning/Pareto.h"
 
-#include <cassert>
+#include "support/Check.h"
+
 
 using namespace gpuwmm;
 using namespace gpuwmm::tuning;
@@ -21,9 +22,9 @@ tuning::paretoFront(const std::vector<Objectives> &Scores) {
 }
 
 size_t tuning::selectParetoWinner(const std::vector<Objectives> &Scores) {
-  assert(!Scores.empty() && "no candidates");
+  GPUWMM_CHECK(!Scores.empty(), "no candidates");
   const std::vector<size_t> Front = paretoFront(Scores);
-  assert(!Front.empty() && "a finite set always has a Pareto front");
+  GPUWMM_CHECK(!Front.empty(), "a finite set always has a Pareto front");
   if (Front.size() == 1)
     return Front.front();
 

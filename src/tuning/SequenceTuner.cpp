@@ -2,8 +2,9 @@
 
 #include "tuning/SequenceTuner.h"
 
+#include "support/Check.h"
+
 #include <algorithm>
-#include <cassert>
 
 using namespace gpuwmm;
 using namespace gpuwmm::tuning;
@@ -12,7 +13,7 @@ using litmus::LitmusRunner;
 std::vector<SequenceScore> SequenceTuner::rankAll(unsigned PatchSize,
                                                   const Config &Cfg,
                                                   ThreadPool *Pool) {
-  assert(PatchSize > 0 && "patch size required");
+  GPUWMM_CHECK(PatchSize > 0, "patch size required");
   std::vector<unsigned> Distances = Cfg.Distances;
   if (Distances.empty())
     Distances = {PatchSize, 2 * PatchSize, 3 * PatchSize,
@@ -61,7 +62,7 @@ SequenceTuner::selectBest(const std::vector<SequenceScore> &Ranked) {
 std::vector<SequenceScore>
 SequenceTuner::sortedByKind(std::vector<SequenceScore> Ranked,
                             unsigned KindIdx) {
-  assert(KindIdx < 3 && "bad litmus kind index");
+  GPUWMM_CHECK(KindIdx < 3, "bad litmus kind index");
   std::stable_sort(Ranked.begin(), Ranked.end(),
                    [KindIdx](const SequenceScore &A, const SequenceScore &B) {
                      return A.Scores[KindIdx] > B.Scores[KindIdx];

@@ -2,7 +2,8 @@
 
 #include "tuning/SpreadTuner.h"
 
-#include <cassert>
+#include "support/Check.h"
+
 
 using namespace gpuwmm;
 using namespace gpuwmm::tuning;
@@ -12,7 +13,7 @@ std::vector<SpreadScore> SpreadTuner::rankAll(unsigned PatchSize,
                                               stress::AccessSequence Seq,
                                               const Config &Cfg,
                                               ThreadPool *Pool) {
-  assert(PatchSize > 0 && "patch size required");
+  GPUWMM_CHECK(PatchSize > 0, "patch size required");
   std::vector<unsigned> Distances = Cfg.Distances;
   if (Distances.empty())
     Distances = {PatchSize, 2 * PatchSize, 3 * PatchSize,

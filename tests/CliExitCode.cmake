@@ -3,8 +3,8 @@
 # status).
 #
 # Inputs: GPUWMM_BIN (the gpuwmm binary), ARGS (the ;-separated command
-# line), EXIT (the expected exit status) and STDERR_REGEX (what stderr
-# must match).
+# line), EXIT (the expected exit status), STDERR_REGEX (what stderr must
+# match) and, optionally, STDOUT_REGEX (what stdout must match).
 
 if(NOT GPUWMM_BIN OR NOT DEFINED EXIT OR NOT DEFINED STDERR_REGEX)
   message(FATAL_ERROR "need -DGPUWMM_BIN, -DEXIT and -DSTDERR_REGEX")
@@ -19,4 +19,8 @@ endif()
 if(NOT err MATCHES "${STDERR_REGEX}")
   message(FATAL_ERROR "'${ARGS}' stderr does not match '${STDERR_REGEX}':\n"
                       "${err}")
+endif()
+if(DEFINED STDOUT_REGEX AND NOT out MATCHES "${STDOUT_REGEX}")
+  message(FATAL_ERROR "'${ARGS}' stdout does not match '${STDOUT_REGEX}':\n"
+                      "${out}")
 endif()

@@ -549,6 +549,20 @@ TEST(LitmusHardenTest, FenceSitesSkipIssuesAndExistingFences) {
   EXPECT_EQ(harden::litmusFenceSites(Fenced).size(), Sites.size());
 }
 
+// A policy sized for another program would fence the wrong accesses: the
+// site-count check is a GPUWMM_CHECK, so it aborts in Release builds too,
+// for a policy with too few sites as for one with too many.
+TEST(LitmusHardenDeathTest, MismatchedPolicyAbortsInEveryBuild) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const litmus::Program Mp = parse(MpText);
+  const auto Sites = static_cast<unsigned>(harden::litmusFenceSites(Mp).size());
+  for (const unsigned Wrong : {Sites - 1, Sites + 1})
+    EXPECT_DEATH((void)harden::applyLitmusFences(
+                     Mp, sim::FencePolicy::all(Wrong)),
+                 "check failed: fence policy does not match program")
+        << Wrong << " sites";
+}
+
 TEST(LitmusHardenTest, HardensMpToOracleVerifiedSc) {
   const sim::ChipProfile &Chip = titan();
   const litmus::Program Mp = parse(MpText);

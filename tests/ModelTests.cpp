@@ -597,6 +597,34 @@ TEST(EnumerateTest, SequentialOutcomesAreScOnly) {
   EXPECT_TRUE(E.rulesOutWeak());
 }
 
+TEST(EnumerateTest, FindScAnswersWhetherAnScExecutionShowsTheOutcome) {
+  // MP's r1 = 0 alone: the reader runs first (SC), or sees y = 1 and
+  // still x = 0 (non-SC). The default search stops at the first non-SC
+  // candidate; FindSc searches on until it has seen an SC one too.
+  const litmus::Program Mixed = withOutcome("MP", {reg(1, 0)});
+  const model::Enumeration Stop = model::enumerateForbidden(Mixed);
+  const model::Enumeration Both = model::enumerateForbidden(
+      Mixed, model::DefaultCandidateCap, /*FindSc=*/true);
+  EXPECT_EQ(Stop.Answer, model::Reach::NonSc);
+  EXPECT_EQ(Both.Answer, model::Reach::NonSc);
+  EXPECT_TRUE(Both.ScReachable);
+  EXPECT_GE(Both.Candidates, Stop.Candidates);
+  // The catalog's outcomes are non-SC only; FindSc changes no answer.
+  for (const litmus::Program &P : litmus::catalog()) {
+    const model::Enumeration E =
+        model::enumerateForbidden(P, model::DefaultCandidateCap, true);
+    EXPECT_EQ(E.Answer, model::enumerateForbidden(P).Answer) << P.Name;
+    EXPECT_FALSE(E.ScReachable) << P.Name;
+  }
+  // An SC-only outcome is SC-reachable whichever way it is asked.
+  const litmus::Program Sequential = withOutcome("MP", {reg(0, 1), reg(1, 1)});
+  EXPECT_TRUE(model::enumerateForbidden(Sequential).ScReachable);
+  // Past the cap after the first non-SC candidate, the answer stays NonSc.
+  const model::Enumeration Capped =
+      model::enumerateForbidden(Mixed, Stop.Candidates, /*FindSc=*/true);
+  EXPECT_EQ(Capped.Answer, model::Reach::NonSc);
+}
+
 TEST(EnumerateTest, NeverWrittenValuesAreUnreachable) {
   // No write of MP stores 7.
   const model::Enumeration E =

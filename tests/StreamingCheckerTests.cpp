@@ -9,12 +9,14 @@
 // axiom violation, the first-violation (message, event pair) — must match
 // exactly. The suite pins that contract on the whole litmus catalog under
 // tuned stress, on fuzz-generated programs, on every application workload,
-// and on deliberately corrupted traces; it also pins the streaming
-// checker's bounded-memory property (retirement keeps the live graph at
-// the active frontier, not the run length), the exact work a checked run
-// does (events, edge operations, memory operations) on both engines, and
-// the campaign's --oracle=all mode (every run checked, counts
-// unperturbed).
+// and on deliberately corrupted traces. The two checkers share one replay
+// of the axioms (model/Replay.h), so a hand-built table pins each
+// violation message and its event pair independently. The suite also
+// pins the streaming checker's bounded-memory property (retirement keeps
+// the live graph at the active frontier, not the run length), the exact
+// work a checked run does (events, edge operations, memory operations) on
+// both engines, and the campaign's --oracle=all mode (every run checked,
+// counts unperturbed).
 //
 //===----------------------------------------------------------------------===//
 
@@ -833,6 +835,201 @@ TEST(StreamingMutationTest, ReboundLoadSourceRejected) {
     }
   ASSERT_TRUE(Mutated);
   expectBothRejectWith(Events, "read-value", "rebound load");
+}
+
+//===----------------------------------------------------------------------===//
+// Every replay axiom against hand-derived expectations
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One hand-built trace that violates one replay or end-of-run axiom: the
+/// full message and the violating event pair both checkers must report.
+struct AxiomCase {
+  const char *Message;
+  std::vector<TraceEvent> Events;
+  size_t A, B;
+};
+
+// Event builders: thread T runs in block T unless a block is given.
+constexpr sim::Addr X = 0, Y = 64;
+TraceEvent st(unsigned T, unsigned Bank, sim::Addr A, sim::Word V,
+              uint64_t Id) {
+  return {TraceEventKind::StoreIssue, LoadSource::Memory, false, T, T, Bank,
+          A, V, Id, 0};
+}
+TraceEvent drain(unsigned T, unsigned Bank, sim::Addr A, sim::Word V,
+                 uint64_t Id, bool Applied = true) {
+  return {TraceEventKind::StoreDrain, LoadSource::Memory, Applied, T, T,
+          Bank, A, V, Id, 0};
+}
+TraceEvent ld(unsigned T, unsigned Bank, sim::Addr A, sim::Word V,
+              LoadSource Src = LoadSource::Memory) {
+  return {TraceEventKind::LoadBind, Src, false, T, T, Bank, A, V, 0, 0};
+}
+TraceEvent ldIn(unsigned Block, unsigned T, unsigned Bank, sim::Addr A,
+                sim::Word V, LoadSource Src) {
+  TraceEvent E = ld(T, Bank, A, V, Src);
+  E.Block = Block;
+  return E;
+}
+TraceEvent asyncIssue(unsigned T, unsigned Bank, sim::Addr A,
+                      uint64_t Ticket) {
+  return {TraceEventKind::AsyncIssue, LoadSource::Memory, false, T, T, Bank,
+          A, 0, Ticket, 0};
+}
+TraceEvent asyncBind(unsigned T, unsigned Bank, sim::Addr A, sim::Word V,
+                     uint64_t Ticket) {
+  return {TraceEventKind::AsyncBind, LoadSource::Memory, false, T, T, Bank,
+          A, V, Ticket, 0};
+}
+TraceEvent atomic(unsigned T, unsigned Bank, sim::Addr A, sim::Word Old,
+                  sim::Word New) {
+  return {TraceEventKind::Atomic, LoadSource::Memory, true, T, T, Bank, A,
+          New, Old, 0};
+}
+TraceEvent fenceDevice(unsigned T) {
+  return {TraceEventKind::FenceDevice, LoadSource::Memory, false, T, T, 0, 0,
+          0, 0, 0};
+}
+/// Thread \p T's buffered store \p Id becomes visible to block \p Block.
+TraceEvent promote(unsigned T, unsigned Block, unsigned Bank, sim::Addr A,
+                   sim::Word V, uint64_t Id) {
+  return {TraceEventKind::StorePromote, LoadSource::Memory, false, T, Block,
+          Bank, A, V, Id, 0};
+}
+TraceEvent hostWrite(sim::Addr A, sim::Word V, uint64_t Id) {
+  return {TraceEventKind::HostWrite, LoadSource::Memory, false, 0, 0, 0, A, V,
+          Id, 0};
+}
+
+std::vector<AxiomCase> axiomCases() {
+  const LoadSource Fwd = LoadSource::Forward, Ovl = LoadSource::Overlay;
+  const LoadSource MemSup = LoadSource::MemorySuperseded;
+  const LoadSource OvlSup = LoadSource::OverlaySuperseded;
+  // Thread 1's store to x (id 2) reaches memory past thread 0's buffered
+  // st x 1 (id 1); then one whose id-2 store is promoted to block 0.
+  const std::vector<TraceEvent> Superseded = {
+      st(0, 0, X, 1, 1), st(1, 0, X, 2, 2), drain(1, 0, X, 2, 2)};
+  const std::vector<TraceEvent> Overlaid = {
+      st(0, 0, X, 1, 1), st(1, 0, X, 2, 2), promote(1, 0, 0, X, 2, 2)};
+  const auto plus = [](std::vector<TraceEvent> Es, const TraceEvent &E) {
+    Es.push_back(E);
+    return Es;
+  };
+  return {
+      {"same-bank issue order: store issued while a split-phase load is "
+       "pending on its bank",
+       {asyncIssue(0, 0, X, 1), st(0, 0, Y, 1, 1)}, 1, 1},
+      {"same-bank FIFO: a store drained out of its bank's issue order",
+       {st(0, 0, X, 1, 1), st(0, 0, Y, 2, 2), drain(0, 0, Y, 2, 2)}, 0, 2},
+      {"same-bank FIFO: a store drained out of its bank's issue order",
+       {drain(0, 0, X, 1, 1)}, 0, 0},
+      {"coherence-per-location: a drain was applied/dropped against the "
+       "per-address store order",
+       {st(0, 0, X, 1, 1), drain(0, 0, X, 1, 1, /*Applied=*/false)}, 0, 1},
+      {"self-coherence: a load bound from memory while the thread still "
+       "buffered stores on the load's bank",
+       {st(0, 0, X, 1, 1), ld(0, 0, Y, 0)}, 0, 1},
+      {"forwarding: a load bound from memory past a live block-visible value",
+       {st(0, 0, X, 1, 1), promote(0, 0, 0, X, 1, 1),
+        ldIn(0, 1, 0, X, 1, LoadSource::Memory)},
+       0, 2},
+      {"read-value: a load bound a value no write produced",
+       {ld(0, 0, X, 5)}, 0, 0},
+      {"read-value: a load bound a value no write produced",
+       {st(0, 0, X, 1, 1), drain(0, 0, X, 1, 1), ld(1, 0, X, 5)}, 0, 2},
+      {"forwarding: a load forwarded with no buffered store to its address",
+       {ld(0, 0, X, 0, Fwd)}, 0, 0},
+      {"forwarding: a load forwarded a value its newest buffered store did "
+       "not write",
+       {st(0, 0, X, 1, 1), ld(0, 0, X, 2, Fwd)}, 0, 1},
+      {"coherence-per-location: a load forwarded a store that newer "
+       "globally visible writes supersede",
+       plus(Superseded, ld(0, 0, X, 1, Fwd)), 0, 3},
+      {"coherence-per-location: a load forwarded a store that a newer "
+       "block-visible value supersedes",
+       plus(Overlaid, ld(0, 0, X, 1, Fwd)), 0, 3},
+      {"coherence-per-location: a superseded-forward load without a "
+       "superseding write",
+       {ld(0, 0, X, 0, MemSup)}, 0, 0},
+      {"read-value: a superseded-forward load bound a value memory does not "
+       "hold",
+       plus(Superseded, ld(0, 0, X, 7, MemSup)), 1, 3},
+      {"coherence-per-location: a superseded-forward load without a newer "
+       "block-visible value",
+       {ld(0, 0, X, 0, OvlSup)}, 0, 0},
+      {"read-value: a superseded-forward load bound a value the block "
+       "overlay does not hold",
+       plus(Overlaid, ld(0, 0, X, 7, OvlSup)), 1, 3},
+      {"self-coherence: a load bound from the block overlay while the thread "
+       "still buffered stores on the bank",
+       {st(0, 0, X, 1, 1), ld(0, 0, Y, 0, Ovl)}, 0, 1},
+      {"forwarding: a load bound from the block overlay with no live value "
+       "for its block",
+       {ld(0, 0, X, 0, Ovl)}, 0, 0},
+      {"read-value: a load bound a value the block overlay does not hold",
+       {st(0, 0, X, 1, 1), promote(0, 1, 0, X, 1, 1), ld(1, 0, X, 9, Ovl)},
+       0, 2},
+      {"causality: a split-phase load completed without an issue",
+       {asyncBind(0, 0, X, 0, 7)}, 0, 0},
+      {"read-value: a split-phase load bound a value memory does not hold",
+       {asyncIssue(0, 0, X, 1), asyncBind(0, 0, X, 5, 1)}, 1, 1},
+      {"self-coherence: an atomic executed while the thread still buffered "
+       "stores on its bank",
+       {st(0, 0, X, 1, 1), atomic(0, 0, Y, 0, 1)}, 0, 1},
+      {"same-bank issue order: an atomic executed while a split-phase load "
+       "is pending on its bank",
+       {asyncIssue(0, 0, X, 1), atomic(0, 0, Y, 0, 1)}, 1, 1},
+      {"read-value: an atomic read a value memory does not hold",
+       {hostWrite(X, 5, 1), atomic(0, 0, X, 3, 4)}, 0, 1},
+      {"fence-drain: a device fence completed with the thread's stores "
+       "still buffered",
+       {st(0, 0, X, 1, 1), fenceDevice(0)}, 1, 1},
+      {"fence-drain: a device fence completed with the thread's split-phase "
+       "loads still pending",
+       {asyncIssue(0, 0, X, 1), fenceDevice(0)}, 1, 1},
+      {"forwarding: a block fence promoted a store that is not buffered",
+       {promote(0, 0, 0, X, 1, 1)}, 0, 0},
+      // End of run: the pair is the last event, twice.
+      {"fence-drain: stores were still buffered at the end of the run (the "
+       "kernel boundary must drain them)",
+       {st(0, 0, X, 1, 1), ld(1, 1, Y, 0)}, 1, 1},
+      {"fence-drain: split-phase loads were still pending at the end of the "
+       "run",
+       {asyncIssue(0, 0, X, 1), ld(1, 1, Y, 0)}, 1, 1},
+  };
+}
+
+} // namespace
+
+// Each replay and end-of-run message, provoked by a hand-built trace: both
+// checkers must report that full message and the hand-derived violating
+// pair, and the streaming verdict must carry copies of those two events.
+TEST(ReplayAxiomTest, EveryViolationReportsItsHandDerivedPair) {
+  ConsistencyChecker PostHoc;
+  StreamingChecker Stream;
+  std::set<std::string> Messages;
+  for (const AxiomCase &C : axiomCases()) {
+    SCOPED_TRACE(C.Message);
+    Messages.insert(C.Message);
+    const CheckResult A = PostHoc.check(C.Events);
+    const StreamVerdict &B = Stream.checkAll(C.Events);
+    EXPECT_FALSE(A.AxiomsOk);
+    EXPECT_EQ(A.AxiomViolation, C.Message);
+    EXPECT_EQ(A.ViolatingA, C.A);
+    EXPECT_EQ(A.ViolatingB, C.B);
+    EXPECT_FALSE(B.AxiomsOk);
+    EXPECT_EQ(B.AxiomViolation, C.Message);
+    EXPECT_EQ(B.ViolatingA, C.A);
+    EXPECT_EQ(B.ViolatingB, C.B);
+    EXPECT_EQ(model::describeEvent(B.EventA, B.ViolatingA),
+              model::describeEvent(C.Events, C.A));
+    EXPECT_EQ(model::describeEvent(B.EventB, B.ViolatingB),
+              model::describeEvent(C.Events, C.B));
+  }
+  // 25 replay messages and 2 end-of-run ones.
+  EXPECT_EQ(Messages.size(), 27u);
 }
 
 //===----------------------------------------------------------------------===//

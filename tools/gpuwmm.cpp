@@ -272,27 +272,27 @@ int cmdLitmus(const Options &Opts) {
   litmus::LitmusRunner::RunOpts RunOpts;
   RunOpts.WithFences = Opts.has("fences");
 
-  const auto Tuned = stress::TunedStressParams::paperDefaults(*Chip);
-
   // --explain: stream every run's events through the incremental checker
   // (no trace is retained — memory stays bounded by the checker's
   // frontier), cross-check its verdict against the operational outcome,
   // and print the human-readable event chain (the po ∪ rf ∪ co ∪ fr
   // cycle, extracted from the retained frontier) behind the first weak
-  // outcome. When the enumerator finds no non-SC execution showing the
-  // forbidden outcome, a run that shows it is SC, not a disagreement —
-  // and one the checker called weak would be.
+  // outcome. When the enumerator finds an SC execution showing the
+  // forbidden outcome, a run that shows it and is SC is not a
+  // disagreement; when it finds no non-SC one, a run the checker called
+  // weak is.
   if (Opts.has("explain")) {
-    const bool ScOnly =
-        model::enumerateForbidden(*P).Answer == model::Reach::ScOnly;
+    const model::Enumeration Enumerated = model::enumerateForbidden(
+        *P, model::DefaultCandidateCap, /*FindSc=*/true);
+    const bool ScOnly = Enumerated.Answer == model::Reach::ScOnly;
     litmus::LitmusRunner::RunOpts StreamOpts = RunOpts;
     model::StreamingChecker Checker;
     StreamOpts.Sink = &Checker;
     std::vector<litmus::LitmusRunner::MicroStress> Configs;
     if (Opts.has("stress"))
       for (unsigned Region = 0; Region != Chip->NumBanks; ++Region)
-        Configs.push_back(litmus::LitmusRunner::MicroStress::at(
-            Tuned.Seq, Region * Tuned.PatchWords));
+        Configs.push_back(
+            litmus::LitmusRunner::MicroStress::tuned(*Chip, Region));
     else
       Configs.push_back(litmus::LitmusRunner::MicroStress::none());
 
@@ -307,9 +307,10 @@ int cmdLitmus(const Options &Opts) {
         const bool Forbidden = Runner.runOnce(*P, Distance, S, StreamOpts);
         const model::StreamVerdict &R = Checker.finish();
         ++Checked;
-        if (Forbidden && ScOnly) {
-          ScForbidden += R.AxiomsOk && !R.weak();
-          Disagreements += !R.AxiomsOk || R.weak();
+        if (Forbidden && R.AxiomsOk && !R.weak() && Enumerated.ScReachable) {
+          ++ScForbidden;
+        } else if (Forbidden && ScOnly) {
+          ++Disagreements;
         } else {
           Weak += Forbidden;
           Disagreements += !R.AxiomsOk || R.weak() != Forbidden;
@@ -323,6 +324,9 @@ int cmdLitmus(const Options &Opts) {
           if (ScOnly)
             std::printf("forbidden outcome is SC-reachable: no non-SC "
                         "execution shows it\n");
+          else if (Enumerated.ScReachable)
+            std::printf("forbidden outcome is SC-reachable too: SC and "
+                        "non-SC executions both show it\n");
           std::fputs(model::renderStreamExplanation(R, Namer).c_str(),
                      stdout);
           Explained = true;
@@ -336,6 +340,11 @@ int cmdLitmus(const Options &Opts) {
       std::printf("oracle: %u/%u cross-checked executions DISAGREE with "
                   "the operational simulator\n",
                   Disagreements, Checked);
+    else if (ScForbidden && Weak)
+      std::printf("oracle: checker agreed with the simulator on all %u "
+                  "executions (%u weak; %u more hit the SC-reachable "
+                  "forbidden outcome by an SC execution)\n",
+                  Checked, Weak, ScForbidden);
     else if (ScForbidden)
       std::printf("oracle: checker agreed with the simulator on all %u "
                   "executions (%u hit the SC-reachable forbidden outcome, "
@@ -355,8 +364,8 @@ int cmdLitmus(const Options &Opts) {
     for (unsigned Region = 0; Region != Chip->NumBanks; ++Region)
       Weak = std::max(
           Weak, Runner.countWeak(*P, Distance,
-                                 litmus::LitmusRunner::MicroStress::at(
-                                     Tuned.Seq, Region * Tuned.PatchWords),
+                                 litmus::LitmusRunner::MicroStress::tuned(
+                                     *Chip, Region),
                                  Runs, RunOpts));
   } else {
     Weak = Runner.countWeak(*P, Distance,
