@@ -2,9 +2,7 @@
 
 #include "apps/Application.h"
 
-#include "apps/AppCompile.h"
 #include "apps/AppsInternal.h"
-#include "support/Check.h"
 
 using namespace gpuwmm;
 using namespace gpuwmm::apps;
@@ -107,38 +105,14 @@ AppVerdict apps::runApplicationOnce(sim::ExecutionContext &Ctx, AppKind K,
   Dev.setMaxTicks(App->maxTicks());
   App->setup(Dev, R);
 
-  // The engine: the compiled plan whenever the kernel lowers, unless
-  // --engine=scalar asks for the coroutine reference. The per-run ritual
-  // around the launch is shared, so both engines draw identically.
-  const AppPlan *Plan = appLowerable(K) &&
-                                sim::engineMode() != sim::EngineMode::Scalar
-                            ? &compileApplication(K, Chip, Policy)
-                            : nullptr;
-  if (Plan)
-    GPUWMM_CHECK(Ctx.memory().allocatedWords() == Plan->SetupAllocWords,
-                 "allocation layout diverged from the compiled plan");
-
   // The environment's scratchpad is allocated after the application's
   // arrays, as in the paper's testing harness.
   Rng EnvRng = R.fork(1);
   const auto Stress = applyEnvironment(Env, Dev, Tuned, EnvRng);
 
-  if (Plan) {
-    sim::BatchScratch &S = Ctx.batchScratch();
-    // Every lowering writes each register before reading it.
-    S.Regs.assign(Plan->BP.NumSlots, 0);
-    sim::BatchRunConfig Cfg;
-    Cfg.RandomiseThreads = Env.Randomise;
-    Cfg.MaxTicks = Plan->MaxTicks;
-    const sim::RunResult Result = sim::runBatchProgram(
-        Plan->BP, Chip, Ctx.memory(), Ctx.rng(), S, S.Regs.data(), Cfg);
-    if (!Result.completed())
-      return Result.Status == sim::RunStatus::Timeout ? AppVerdict::Timeout
-                                                      : AppVerdict::SimFault;
-  } else if (!App->run(Dev)) {
+  if (!App->run(Dev))
     return Dev.lastStatus() == sim::RunStatus::Timeout ? AppVerdict::Timeout
                                                        : AppVerdict::SimFault;
-  }
   return App->checkPostCondition(Dev) ? AppVerdict::Pass
                                       : AppVerdict::PostCondFail;
 }

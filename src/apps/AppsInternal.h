@@ -7,16 +7,22 @@
 ///
 /// \file
 /// Internal factory functions wiring each case-study implementation into
-/// the registry in Application.cpp. Not part of the public API.
+/// the registry in Application.cpp, and the plan builder the lowered
+/// kernels are written against (AppCompile.h). Not part of the public API.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPUWMM_APPS_APPSINTERNAL_H
 #define GPUWMM_APPS_APPSINTERNAL_H
 
-#include "apps/Application.h"
+#include "apps/AppCompile.h"
 
+#include "sim/ChipProfile.h"
+#include "support/Check.h"
+
+#include <algorithm>
 #include <memory>
+#include <utility>
 
 namespace gpuwmm {
 namespace apps {
@@ -29,6 +35,140 @@ std::unique_ptr<Application> makeTpoTaskMgmt();
 std::unique_ptr<Application> makeSdkReduction();
 std::unique_ptr<Application> makeCubScan();
 std::unique_ptr<Application> makeLsBarnesHut();
+
+/// Builds one kernel's plan: the op stream of every lane, in lane order,
+/// with register slots, fences and the buffer layout baked in. A lowered
+/// kernel reads as the kernel: one loop over its lanes, each lane's body
+/// written as the CUDA code's statements, one suspending op per access.
+class PlanBuilder {
+public:
+  using Code = sim::BatchOp::Code;
+
+  /// \p PolicyMask has bit S set iff the inserted-fence policy fences
+  /// site S.
+  PlanBuilder(const sim::ChipProfile &Chip, uint32_t PolicyMask)
+      : Chip(Chip), Mask(PolicyMask) {}
+
+  /// Sets the launch shape; call once, before the first lane.
+  void launch(unsigned GridDim, unsigned BlockDim) {
+    Plan.BP.GridDim = GridDim;
+    Plan.BP.BlockDim = BlockDim;
+    Plan.BP.Lanes.resize(static_cast<size_t>(GridDim) * BlockDim);
+  }
+
+  /// Replays MemorySystem::alloc: align the next free word up to the
+  /// patch size, return the aligned base, bump by \p Words. Setup
+  /// allocates the same buffers in the same order on the device.
+  sim::Addr alloc(unsigned Words) {
+    const unsigned P = Chip.PatchSizeWords;
+    Next = (Next + P - 1) / P * P;
+    const sim::Addr Base = Next;
+    Next += Words;
+    return Base;
+  }
+
+  /// A fresh per-lane register slot.
+  uint16_t reg() {
+    GPUWMM_CHECK(Plan.BP.NumSlots < 0xffff, "register slots exhausted");
+    return static_cast<uint16_t>(Plan.BP.NumSlots++);
+  }
+
+  void beginLane(unsigned Tid) {
+    LaneTid = Tid;
+    Plan.BP.Lanes[Tid].Begin = size();
+  }
+  void endLane() { Plan.BP.Lanes[LaneTid].End = size(); }
+
+  uint32_t size() const {
+    return static_cast<uint32_t>(Plan.BP.Ops.size());
+  }
+
+  uint32_t emit(Code C, uint16_t Slot = 0, uint16_t Slot2 = 0,
+                sim::Addr A = 0, sim::Word Imm = 0) {
+    Plan.BP.Ops.push_back({C, Slot, Slot2, A, Imm});
+    return size() - 1;
+  }
+
+  /// A site-instrumented memory op: the op itself, then — when the
+  /// policy fences the site — the inserted fence's two resumes: its
+  /// base latency (Sleep(FenceBaseLatency)), then its drain
+  /// (FenceDevice). Branches re-enter at the memory op, never mid-fence.
+  uint32_t emitMem(Code C, int Site, uint16_t Slot, uint16_t Slot2,
+                   sim::Addr A, sim::Word Imm = 0) {
+    const uint32_t Idx = emit(C, Slot, Slot2, A, Imm);
+    if (Site >= 0 && (Mask >> Site) & 1u) {
+      emit(Code::Sleep, 0, 0, 0, Chip.FenceBaseLatency);
+      emit(Code::FenceDevice);
+    }
+    return Idx;
+  }
+
+  /// A built-in fence (the kernel's own __threadfence()): a device fence
+  /// when enabled, a one-tick no-op in the -nf variants.
+  void builtinFence(bool Enabled) {
+    if (Enabled)
+      emit(Code::FenceDevice);
+    else
+      emit(Code::Sleep, 0, 0, 0, 1);
+  }
+
+  /// lock(mutex): spin on atomicCAS(mutex, 0, 1), site \p Site, with the
+  /// random backoff yield(1 + rand(3)) after each failed attempt (it
+  /// breaks deterministic starvation cycles, as contended spinlocks do on
+  /// real hardware). \p Index, if not NoIndex, names a register added to
+  /// the mutex address.
+  static constexpr uint16_t NoIndex = 0xffff;
+  void spinLock(int Site, uint16_t RLock, sim::Addr Mutex,
+                uint16_t Index = NoIndex) {
+    const uint32_t Spin = size();
+    if (Index == NoIndex)
+      emitMem(Code::AtomicCas, Site, RLock, 0, Mutex, 1u << 16);
+    else
+      emitMem(Code::AtomicCasIdx, Site, RLock, Index, Mutex, 1u << 16);
+    const uint32_t BrCrit = emit(Code::BrEq, RLock, 0, 0, 0);
+    emit(Code::SleepRand, 0, 0, 1, 3);
+    emit(Code::Jump, 0, 0, Spin);
+    patch(BrCrit, size());
+  }
+
+  /// Retargets a branch/jump emitted earlier to \p Target.
+  void patch(uint32_t OpIdx, uint32_t Target) {
+    Plan.BP.Ops[OpIdx].A = Target;
+  }
+
+  /// The finished plan; flags a backward branch, so only looping plans
+  /// try runBatchProgram's provable-timeout check.
+  AppPlan finish() {
+    Plan.SetupAllocWords = Next;
+    Plan.BP.NumSlots = std::max(Plan.BP.NumSlots, 1u);
+    for (uint32_t I = 0; I != size(); ++I) {
+      const sim::BatchOp &O = Plan.BP.Ops[I];
+      Plan.BP.HasBackwardBranch |=
+          O.C >= Code::Jump && O.C <= Code::BrLtRR && O.A <= I;
+    }
+    return std::move(Plan);
+  }
+
+private:
+  const sim::ChipProfile &Chip;
+  uint32_t Mask;
+  AppPlan Plan;
+  unsigned LaneTid = 0;
+  sim::Addr Next = 0;
+};
+
+/// The lowered kernels, each in its app's source file.
+void emitCbeDot(PlanBuilder &B);
+void emitCbeHt(PlanBuilder &B);
+void emitSdkRed(PlanBuilder &B, bool BuiltinFences);
+void emitCubScan(PlanBuilder &B, bool BuiltinFences);
+void emitTpoTm(PlanBuilder &B);
+
+/// The run() of every lowered app: launches \p K's plan for \p Dev's chip
+/// and fence policy on \p Dev. \p SetupWords is the device's
+/// allocatedWords() at the end of setup, checked against the plan's
+/// replayed layout. False if the launch faulted.
+bool runPlan(sim::Device &Dev, AppKind K, unsigned SetupWords);
 
 } // namespace detail
 } // namespace apps

@@ -18,14 +18,11 @@
 
 #include "apps/AppsInternal.h"
 
-#include "sim/ThreadContext.h"
-
 using namespace gpuwmm;
 using namespace gpuwmm::apps;
 using sim::Addr;
-using sim::Kernel;
-using sim::ThreadContext;
 using sim::Word;
+using Code = detail::PlanBuilder::Code;
 
 namespace {
 
@@ -52,42 +49,19 @@ constexpr unsigned N = 256;
 constexpr unsigned GridDim = 4;
 constexpr unsigned BlockDim = 32;
 
-Kernel dotKernel(ThreadContext &Ctx, Addr A, Addr B, Addr Cache, Addr Mutex,
-                 Addr C) {
-  const unsigned CacheBase = Ctx.blockIdx() * Ctx.blockDim();
-  const unsigned CacheIndex = Ctx.threadIdx();
+/// The kernel's buffers, allocated in this order by setup (on the device)
+/// and by the lowering (replaying the allocator).
+struct Buffers {
+  Addr A = 0, B = 0, Cache = 0, Mutex = 0, C = 0;
 
-  // Grid-stride partial products.
-  Word Temp = 0;
-  for (unsigned I = Ctx.globalId(); I < N;
-       I += Ctx.blockDim() * Ctx.gridDim()) {
-    const Word Av = co_await Ctx.ld(A + I, SiteLoadInput);
-    const Word Bv = co_await Ctx.ld(B + I, SiteLoadInput);
-    Temp += Av * Bv;
+  template <class Allocator> void allocate(Allocator &M) {
+    A = M.alloc(N);
+    B = M.alloc(N);
+    Cache = M.alloc(GridDim * BlockDim);
+    Mutex = M.alloc(1);
+    C = M.alloc(1);
   }
-
-  // Block-local reduction through the (shared-memory) cache.
-  co_await Ctx.st(Cache + CacheBase + CacheIndex, Temp);
-  co_await Ctx.syncthreads();
-  if (CacheIndex != 0)
-    co_return;
-  Word BlockSum = 0;
-  for (unsigned I = 0; I != Ctx.blockDim(); ++I)
-    BlockSum += co_await Ctx.ld(Cache + CacheBase + I);
-
-  // lock(mutex); *c += blockSum; unlock(mutex);  (Fig. 1, lines 13-16)
-  // Awaits stay out of conditions (GCC 12 coroutine bug).
-  for (;;) {
-    const Word Lock = co_await Ctx.atomicCAS(Mutex, 0, 1, SiteLockCAS);
-    if (Lock == 0)
-      break;
-    // Randomised backoff (see tpo-tm): avoids deterministic starvation.
-    co_await Ctx.yield(1 + static_cast<unsigned>(Ctx.rand(3)));
-  }
-  const Word Old = co_await Ctx.ld(C, SiteLoadC);
-  co_await Ctx.st(C, Old + BlockSum, SiteStoreC);
-  co_await Ctx.atomicExch(Mutex, 0, SiteUnlockExch);
-}
+};
 
 class CbeDot final : public Application {
 public:
@@ -98,40 +72,79 @@ public:
   }
 
   void setup(sim::Device &Dev, Rng &R) override {
-    A = Dev.alloc(N);
-    B = Dev.alloc(N);
-    Cache = Dev.alloc(GridDim * BlockDim);
-    Mutex = Dev.alloc(1);
-    C = Dev.alloc(1);
+    Buf.allocate(Dev);
+    SetupWords = Dev.memory().allocatedWords();
     Expected = 0;
     for (unsigned I = 0; I != N; ++I) {
       const Word Av = static_cast<Word>(R.below(8));
       const Word Bv = static_cast<Word>(R.below(8));
-      Dev.write(A + I, Av);
-      Dev.write(B + I, Bv);
+      Dev.write(Buf.A + I, Av);
+      Dev.write(Buf.B + I, Bv);
       Expected += Av * Bv;
     }
   }
 
   bool run(sim::Device &Dev) override {
-    const Addr Av = A, Bv = B, CacheV = Cache, MutexV = Mutex, CV = C;
-    const sim::RunResult Result = Dev.run(
-        {GridDim, BlockDim}, [=](ThreadContext &Ctx) -> Kernel {
-          return dotKernel(Ctx, Av, Bv, CacheV, MutexV, CV);
-        });
-    return Result.completed();
+    return detail::runPlan(Dev, AppKind::CbeDot, SetupWords);
   }
 
   bool checkPostCondition(const sim::Device &Dev) const override {
-    return Dev.read(C) == Expected;
+    return Dev.read(Buf.C) == Expected;
   }
 
 private:
-  Addr A = 0, B = 0, Cache = 0, Mutex = 0, C = 0;
+  Buffers Buf;
+  unsigned SetupWords = 0;
   Word Expected = 0;
 };
 
 } // namespace
+
+void apps::detail::emitCbeDot(PlanBuilder &B) {
+  Buffers Buf;
+  Buf.allocate(B);
+  B.launch(GridDim, BlockDim);
+  const unsigned Stride = GridDim * BlockDim; // 128: two iterations.
+
+  for (unsigned Tid = 0; Tid != GridDim * BlockDim; ++Tid) {
+    const unsigned CacheBase = Tid / BlockDim * BlockDim;
+    const unsigned CacheIndex = Tid % BlockDim;
+    B.beginLane(Tid);
+
+    // Grid-stride partial products: Temp += a[i] * b[i]. The
+    // multiply-accumulate folds into the b-load.
+    const uint16_t RA = B.reg();
+    const uint16_t RTemp = B.reg();
+    B.emit(Code::MovImm, RTemp);
+    for (unsigned I = Tid; I < N; I += Stride) {
+      B.emitMem(Code::Load, SiteLoadInput, RA, 0, Buf.A + I);
+      B.emitMem(Code::LoadMulAcc, SiteLoadInput, RTemp, RA, Buf.B + I);
+    }
+
+    // Block-local reduction through the (shared-memory) cache.
+    B.emitMem(Code::WbStore, sim::NoSite, RTemp, 0, Buf.Cache + Tid);
+    B.emit(Code::Barrier); // __syncthreads()
+    if (CacheIndex != 0) {
+      B.endLane();
+      continue;
+    }
+    const uint16_t RSum = B.reg();
+    B.emit(Code::MovImm, RSum);
+    for (unsigned I = 0; I != BlockDim; ++I)
+      B.emitMem(Code::LoadAcc, sim::NoSite, RSum, 0,
+                Buf.Cache + CacheBase + I);
+
+    // lock(mutex); *c += blockSum; unlock(mutex);  (Fig. 1, lines 13-16)
+    B.spinLock(SiteLockCAS, B.reg(), Buf.Mutex);
+    const uint16_t ROld = B.reg();
+    const uint16_t RNew = B.reg();
+    B.emitMem(Code::Load, SiteLoadC, ROld, 0, Buf.C);
+    B.emit(Code::AddRR, RNew, ROld, RSum);
+    B.emitMem(Code::WbStore, SiteStoreC, RNew, 0, Buf.C);
+    B.emitMem(Code::AtomicExch, SiteUnlockExch, 0, 0, Buf.Mutex, 0);
+    B.endLane();
+  }
+}
 
 std::unique_ptr<Application> apps::detail::makeCbeDot() {
   return std::make_unique<CbeDot>();

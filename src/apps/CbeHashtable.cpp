@@ -22,16 +22,13 @@
 
 #include "apps/AppsInternal.h"
 
-#include "sim/ThreadContext.h"
-
 #include <vector>
 
 using namespace gpuwmm;
 using namespace gpuwmm::apps;
 using sim::Addr;
-using sim::Kernel;
-using sim::ThreadContext;
 using sim::Word;
+using Code = detail::PlanBuilder::Code;
 
 namespace {
 
@@ -60,34 +57,23 @@ constexpr unsigned BlockDim = 32;
 constexpr unsigned KeysPerThread = 2;
 constexpr unsigned NumKeys = GridDim * BlockDim * KeysPerThread;
 constexpr Word NilIndex = 0xffffffffu;
+constexpr Word HashMultiplier = 2654435761u;
 
-unsigned hashKey(Word Key) { return (Key * 2654435761u) % NumBuckets; }
+unsigned hashKey(Word Key) { return (Key * HashMultiplier) % NumBuckets; }
 
-Kernel insertKernel(ThreadContext &Ctx, Addr Keys, Addr Heads, Addr Mutexes,
-                    Addr NodeKeys, Addr NodeNexts) {
-  for (unsigned I = 0; I != KeysPerThread; ++I) {
-    const unsigned NodeIdx = Ctx.globalId() * KeysPerThread + I;
-    const Word Key = co_await Ctx.ld(Keys + NodeIdx);
-    const unsigned Bucket = hashKey(Key);
+/// The kernel's buffers, allocated in this order by setup (on the device)
+/// and by the lowering (replaying the allocator).
+struct Buffers {
+  Addr Keys = 0, Heads = 0, Mutexes = 0, NodeKeys = 0, NodeNexts = 0;
 
-    // Awaits stay out of conditions (GCC 12 coroutine bug).
-    for (;;) {
-      const Word Lock =
-          co_await Ctx.atomicCAS(Mutexes + Bucket, 0, 1, SiteLockCAS);
-      if (Lock == 0)
-        break;
-      // Randomised backoff (see tpo-tm): avoids deterministic starvation.
-      co_await Ctx.yield(1 + static_cast<unsigned>(Ctx.rand(3)));
-    }
-
-    const Word OldHead = co_await Ctx.ld(Heads + Bucket, SiteHeadLd);
-    co_await Ctx.st(NodeNexts + NodeIdx, OldHead, SiteNextSt);
-    co_await Ctx.st(NodeKeys + NodeIdx, Key, SiteKeySt);
-    co_await Ctx.st(Heads + Bucket, NodeIdx, SiteHeadSt);
-
-    co_await Ctx.atomicExch(Mutexes + Bucket, 0, SiteUnlockExch);
+  template <class Allocator> void allocate(Allocator &M) {
+    Keys = M.alloc(NumKeys);
+    Heads = M.alloc(NumBuckets);
+    Mutexes = M.alloc(NumBuckets);
+    NodeKeys = M.alloc(NumKeys);
+    NodeNexts = M.alloc(NumKeys);
   }
-}
+};
 
 class CbeHashtable final : public Application {
 public:
@@ -98,33 +84,23 @@ public:
   }
 
   void setup(sim::Device &Dev, Rng &R) override {
-    Keys = Dev.alloc(NumKeys);
-    Heads = Dev.alloc(NumBuckets);
-    Mutexes = Dev.alloc(NumBuckets);
-    NodeKeys = Dev.alloc(NumKeys);
-    NodeNexts = Dev.alloc(NumKeys);
+    Buf.allocate(Dev);
+    SetupWords = Dev.memory().allocatedWords();
     InsertedKeys.clear();
     for (unsigned I = 0; I != NumKeys; ++I) {
       // Distinct keys so "exactly once" is checkable.
       const Word Key = static_cast<Word>(I * 7 + 1 + R.below(3) * NumKeys * 8);
       InsertedKeys.push_back(Key);
-      Dev.write(Keys + I, Key);
+      Dev.write(Buf.Keys + I, Key);
     }
     for (unsigned B = 0; B != NumBuckets; ++B)
-      Dev.write(Heads + B, NilIndex);
+      Dev.write(Buf.Heads + B, NilIndex);
     for (unsigned I = 0; I != NumKeys; ++I)
-      Dev.write(NodeNexts + I, NilIndex);
+      Dev.write(Buf.NodeNexts + I, NilIndex);
   }
 
   bool run(sim::Device &Dev) override {
-    const Addr KeysV = Keys, HeadsV = Heads, MutexesV = Mutexes,
-               NodeKeysV = NodeKeys, NodeNextsV = NodeNexts;
-    const sim::RunResult Result = Dev.run(
-        {GridDim, BlockDim}, [=](ThreadContext &Ctx) -> Kernel {
-          return insertKernel(Ctx, KeysV, HeadsV, MutexesV, NodeKeysV,
-                              NodeNextsV);
-        });
-    return Result.completed();
+    return detail::runPlan(Dev, AppKind::CbeHt, SetupWords);
   }
 
   bool checkPostCondition(const sim::Device &Dev) const override {
@@ -132,17 +108,17 @@ public:
     // in the bucket its hash selects.
     std::vector<unsigned> Seen(NumKeys, 0);
     for (unsigned B = 0; B != NumBuckets; ++B) {
-      Word Cur = Dev.read(Heads + B);
+      Word Cur = Dev.read(Buf.Heads + B);
       unsigned Steps = 0;
       while (Cur != NilIndex) {
         if (Cur >= NumKeys || ++Steps > NumKeys)
           return false; // Corrupt link or cycle.
-        const Word Key = Dev.read(NodeKeys + Cur);
+        const Word Key = Dev.read(Buf.NodeKeys + Cur);
         if (Key != InsertedKeys[Cur] || hashKey(Key) != B)
           return false;
         if (++Seen[Cur] > 1)
           return false;
-        Cur = Dev.read(NodeNexts + Cur);
+        Cur = Dev.read(Buf.NodeNexts + Cur);
       }
     }
     for (unsigned I = 0; I != NumKeys; ++I)
@@ -152,11 +128,47 @@ public:
   }
 
 private:
-  Addr Keys = 0, Heads = 0, Mutexes = 0, NodeKeys = 0, NodeNexts = 0;
+  Buffers Buf;
+  unsigned SetupWords = 0;
   std::vector<Word> InsertedKeys;
 };
 
 } // namespace
+
+void apps::detail::emitCbeHt(PlanBuilder &B) {
+  Buffers Buf;
+  Buf.allocate(B);
+  B.launch(GridDim, BlockDim);
+
+  for (unsigned Tid = 0; Tid != GridDim * BlockDim; ++Tid) {
+    B.beginLane(Tid);
+    const uint16_t RKey = B.reg();
+    const uint16_t RBucket = B.reg();
+    const uint16_t RLock = B.reg();
+    const uint16_t ROldHead = B.reg();
+
+    for (unsigned I = 0; I != KeysPerThread; ++I) {
+      const unsigned NodeIdx = Tid * KeysPerThread + I;
+      B.emitMem(Code::Load, sim::NoSite, RKey, 0, Buf.Keys + NodeIdx);
+      // Bucket = hashKey(Key).
+      B.emit(Code::MulImm, RBucket, RKey, 0, HashMultiplier);
+      B.emit(Code::ModImm, RBucket, RBucket, 0, NumBuckets);
+
+      B.spinLock(SiteLockCAS, RLock, Buf.Mutexes, RBucket);
+
+      // Link the node in front of the bucket chain.
+      B.emitMem(Code::LoadIdx, SiteHeadLd, ROldHead, RBucket, Buf.Heads);
+      B.emitMem(Code::WbStore, SiteNextSt, ROldHead, 0,
+                Buf.NodeNexts + NodeIdx);
+      B.emitMem(Code::WbStore, SiteKeySt, RKey, 0, Buf.NodeKeys + NodeIdx);
+      B.emitMem(Code::StoreIdx, SiteHeadSt, 0, RBucket, Buf.Heads, NodeIdx);
+
+      B.emitMem(Code::AtomicExchIdx, SiteUnlockExch, 0, RBucket, Buf.Mutexes,
+                0);
+    }
+    B.endLane();
+  }
+}
 
 std::unique_ptr<Application> apps::detail::makeCbeHashtable() {
   return std::make_unique<CbeHashtable>();

@@ -20,16 +20,13 @@
 
 #include "apps/AppsInternal.h"
 
-#include "sim/ThreadContext.h"
-
 #include <vector>
 
 using namespace gpuwmm;
 using namespace gpuwmm::apps;
 using sim::Addr;
-using sim::Kernel;
-using sim::ThreadContext;
 using sim::Word;
+using Code = detail::PlanBuilder::Code;
 
 namespace {
 
@@ -63,62 +60,22 @@ constexpr unsigned BlockDim = 32;
 constexpr unsigned N = GridDim * BlockDim;
 constexpr Word FlagEmpty = 0, FlagAgg = 1, FlagIncl = 2;
 
-Kernel scanKernel(ThreadContext &Ctx, Addr In, Addr Cache, Addr Aggregates,
-                  Addr Inclusives, Addr Flags, Addr Exclusive, Addr Out) {
-  const unsigned B = Ctx.blockIdx();
-  const unsigned CacheBase = B * Ctx.blockDim();
-  const unsigned Gid = Ctx.globalId();
+/// The kernel's buffers, allocated in this order by setup (on the device)
+/// and by the lowering (replaying the allocator).
+struct Buffers {
+  Addr In = 0, Cache = 0, Aggregates = 0, Inclusives = 0, Flags = 0,
+       Exclusive = 0, Out = 0;
 
-  // Stage values in the shared-memory cache.
-  const Word V = co_await Ctx.ld(In + Gid, SiteInLd);
-  co_await Ctx.st(Cache + CacheBase + Ctx.threadIdx(), V);
-  co_await Ctx.syncthreads();
-
-  if (Ctx.threadIdx() == 0) {
-    // Leader: block-local inclusive scan in shared memory.
-    Word Running = 0;
-    for (unsigned I = 0; I != Ctx.blockDim(); ++I) {
-      Running += co_await Ctx.ld(Cache + CacheBase + I);
-      co_await Ctx.st(Cache + CacheBase + I, Running);
-    }
-    const Word Aggregate = Running;
-
-    // Handshake 1: publish the block aggregate.
-    co_await Ctx.st(Aggregates + B, Aggregate, SiteAggSt);
-    co_await Ctx.builtinFence(); // CUB's first __threadfence().
-    co_await Ctx.st(Flags + B, FlagAgg, SiteFlagAggSt);
-
-    // Decoupled lookback for the exclusive prefix.
-    Word Prefix = 0;
-    if (B != 0) {
-      for (unsigned J = B; J-- != 0;) {
-        Word Flag;
-        do {
-          Flag = co_await Ctx.ld(Flags + J, SiteFlagLd);
-          if (Flag == FlagEmpty)
-            co_await Ctx.yield(2);
-        } while (Flag == FlagEmpty);
-        if (Flag == FlagIncl) {
-          Prefix += co_await Ctx.ld(Inclusives + J, SiteInclLd);
-          break;
-        }
-        Prefix += co_await Ctx.ld(Aggregates + J, SiteAggLd);
-      }
-    }
-
-    // Handshake 2: publish the inclusive prefix.
-    co_await Ctx.st(Inclusives + B, Prefix + Aggregate, SiteInclSt);
-    co_await Ctx.builtinFence(); // CUB's second __threadfence().
-    co_await Ctx.st(Flags + B, FlagIncl, SiteFlagInclSt);
-
-    co_await Ctx.st(Exclusive + B, Prefix); // Block-local broadcast slot.
+  template <class Allocator> void allocate(Allocator &M) {
+    In = M.alloc(N);
+    Cache = M.alloc(N);
+    Aggregates = M.alloc(GridDim);
+    Inclusives = M.alloc(GridDim);
+    Flags = M.alloc(GridDim);
+    Exclusive = M.alloc(GridDim);
+    Out = M.alloc(N);
   }
-  co_await Ctx.syncthreads();
-
-  const Word Prefix = co_await Ctx.ld(Exclusive + B);
-  const Word Scanned = co_await Ctx.ld(Cache + CacheBase + Ctx.threadIdx());
-  co_await Ctx.st(Out + Gid, Prefix + Scanned, SiteOutSt);
-}
+};
 
 class CubScan final : public Application {
 public:
@@ -129,49 +86,124 @@ public:
   }
 
   void setup(sim::Device &Dev, Rng &R) override {
-    In = Dev.alloc(N);
-    Cache = Dev.alloc(N);
-    Aggregates = Dev.alloc(GridDim);
-    Inclusives = Dev.alloc(GridDim);
-    Flags = Dev.alloc(GridDim);
-    Exclusive = Dev.alloc(GridDim);
-    Out = Dev.alloc(N);
+    Buf.allocate(Dev);
+    SetupWords = Dev.memory().allocatedWords();
     Expected.assign(N, 0);
     Word Running = 0;
     for (unsigned I = 0; I != N; ++I) {
       const Word V = static_cast<Word>(R.below(50));
-      Dev.write(In + I, V);
+      Dev.write(Buf.In + I, V);
       Running += V;
       Expected[I] = Running; // Inclusive scan.
     }
   }
 
   bool run(sim::Device &Dev) override {
-    const Addr InV = In, CacheV = Cache, AggV = Aggregates,
-               InclV = Inclusives, FlagsV = Flags, ExclV = Exclusive,
-               OutV = Out;
-    const sim::RunResult Result = Dev.run(
-        {GridDim, BlockDim}, [=](ThreadContext &Ctx) -> Kernel {
-          return scanKernel(Ctx, InV, CacheV, AggV, InclV, FlagsV, ExclV,
-                            OutV);
-        });
-    return Result.completed();
+    return detail::runPlan(
+        Dev, Dev.builtinFences() ? AppKind::CubScan : AppKind::CubScanNf,
+        SetupWords);
   }
 
   bool checkPostCondition(const sim::Device &Dev) const override {
     for (unsigned I = 0; I != N; ++I)
-      if (Dev.read(Out + I) != Expected[I])
+      if (Dev.read(Buf.Out + I) != Expected[I])
         return false;
     return true;
   }
 
 private:
-  Addr In = 0, Cache = 0, Aggregates = 0, Inclusives = 0, Flags = 0,
-       Exclusive = 0, Out = 0;
+  Buffers Buf;
+  unsigned SetupWords = 0;
   std::vector<Word> Expected;
 };
 
 } // namespace
+
+void apps::detail::emitCubScan(PlanBuilder &B, bool BuiltinFences) {
+  Buffers Buf;
+  Buf.allocate(B);
+  B.launch(GridDim, BlockDim);
+
+  for (unsigned Gid = 0; Gid != N; ++Gid) {
+    const unsigned Block = Gid / BlockDim, ThreadIdx = Gid % BlockDim;
+    const unsigned CacheBase = Block * BlockDim;
+    B.beginLane(Gid);
+
+    // Stage values in the shared-memory cache.
+    const uint16_t RV = B.reg();
+    B.emitMem(Code::Load, SiteInLd, RV, 0, Buf.In + Gid);
+    B.emitMem(Code::WbStore, sim::NoSite, RV, 0,
+              Buf.Cache + CacheBase + ThreadIdx);
+    B.emit(Code::Barrier); // __syncthreads()
+
+    if (ThreadIdx == 0) {
+      // Leader: block-local inclusive scan in shared memory; the running
+      // sum ends as the block aggregate.
+      const uint16_t RRunning = B.reg();
+      B.emit(Code::MovImm, RRunning);
+      for (unsigned I = 0; I != BlockDim; ++I) {
+        B.emitMem(Code::LoadAcc, sim::NoSite, RRunning, 0,
+                  Buf.Cache + CacheBase + I);
+        B.emitMem(Code::WbStore, sim::NoSite, RRunning, 0,
+                  Buf.Cache + CacheBase + I);
+      }
+
+      // Handshake 1: publish the block aggregate.
+      B.emitMem(Code::WbStore, SiteAggSt, RRunning, 0,
+                Buf.Aggregates + Block);
+      B.builtinFence(BuiltinFences); // CUB's first __threadfence().
+      B.emitMem(Code::Store, SiteFlagAggSt, 0, 0, Buf.Flags + Block,
+                FlagAgg);
+
+      // Decoupled lookback for the exclusive prefix: for J = Block - 1
+      // down to 0, poll flag[J] (yield(2) while empty); an inclusive
+      // prefix ends the walk, an aggregate adds and steps back.
+      const uint16_t RPrefix = B.reg();
+      B.emit(Code::MovImm, RPrefix);
+      if (Block != 0) {
+        const uint16_t RJ = B.reg();
+        const uint16_t RFlag = B.reg();
+        B.emit(Code::MovImm, RJ, 0, 0, Block - 1);
+        const uint32_t Poll = B.size();
+        B.emitMem(Code::LoadIdx, SiteFlagLd, RFlag, RJ, Buf.Flags);
+        const uint32_t Ready = B.emit(Code::BrNe, RFlag, 0, 0, FlagEmpty);
+        B.emit(Code::Sleep, 0, 0, 0, 2);
+        B.emit(Code::Jump, 0, 0, Poll);
+        B.patch(Ready, B.size());
+        const uint32_t Incl = B.emit(Code::BrEq, RFlag, 0, 0, FlagIncl);
+        B.emitMem(Code::LoadAccIdx, SiteAggLd, RPrefix, RJ, Buf.Aggregates);
+        const uint32_t Done = B.emit(Code::BrEq, RJ, 0, 0, 0);
+        B.emit(Code::AddImm, RJ, RJ, 0, 0xffffffffu); // --J
+        B.emit(Code::Jump, 0, 0, Poll);
+        B.patch(Incl, B.size());
+        B.emitMem(Code::LoadAccIdx, SiteInclLd, RPrefix, RJ, Buf.Inclusives);
+        B.patch(Done, B.size());
+      }
+
+      // Handshake 2: publish the inclusive prefix.
+      const uint16_t RInclusive = B.reg();
+      B.emit(Code::AddRR, RInclusive, RPrefix, RRunning);
+      B.emitMem(Code::WbStore, SiteInclSt, RInclusive, 0,
+                Buf.Inclusives + Block);
+      B.builtinFence(BuiltinFences); // CUB's second __threadfence().
+      B.emitMem(Code::Store, SiteFlagInclSt, 0, 0, Buf.Flags + Block,
+                FlagIncl);
+
+      // Block-local broadcast slot.
+      B.emitMem(Code::WbStore, sim::NoSite, RPrefix, 0,
+                Buf.Exclusive + Block);
+    }
+    B.emit(Code::Barrier); // __syncthreads()
+
+    // out[gid] = exclusive[block] + scanned[tid].
+    const uint16_t ROut = B.reg();
+    B.emitMem(Code::Load, sim::NoSite, ROut, 0, Buf.Exclusive + Block);
+    B.emitMem(Code::LoadAcc, sim::NoSite, ROut, 0,
+              Buf.Cache + CacheBase + ThreadIdx);
+    B.emitMem(Code::WbStore, SiteOutSt, ROut, 0, Buf.Out + Gid);
+    B.endLane();
+  }
+}
 
 std::unique_ptr<Application> apps::detail::makeCubScan() {
   return std::make_unique<CubScan>();

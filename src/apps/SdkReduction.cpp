@@ -19,14 +19,11 @@
 
 #include "apps/AppsInternal.h"
 
-#include "sim/ThreadContext.h"
-
 using namespace gpuwmm;
 using namespace gpuwmm::apps;
 using sim::Addr;
-using sim::Kernel;
-using sim::ThreadContext;
 using sim::Word;
+using Code = detail::PlanBuilder::Code;
 
 namespace {
 
@@ -51,38 +48,19 @@ constexpr unsigned N = 256;
 constexpr unsigned GridDim = 8;
 constexpr unsigned BlockDim = 32;
 
-Kernel reduceKernel(ThreadContext &Ctx, Addr In, Addr Cache, Addr Partials,
-                    Addr Counter, Addr Out) {
-  const unsigned CacheBase = Ctx.blockIdx() * Ctx.blockDim();
+/// The kernel's buffers, allocated in this order by setup (on the device)
+/// and by the lowering (replaying the allocator).
+struct Buffers {
+  Addr In = 0, Cache = 0, Partials = 0, Counter = 0, Out = 0;
 
-  // Grid-stride slice sum, then block reduction in shared-memory cache.
-  Word Temp = 0;
-  for (unsigned I = Ctx.globalId(); I < N;
-       I += Ctx.blockDim() * Ctx.gridDim())
-    Temp += co_await Ctx.ld(In + I, SiteLoadInput);
-  co_await Ctx.st(Cache + CacheBase + Ctx.threadIdx(), Temp);
-  co_await Ctx.syncthreads();
-  if (Ctx.threadIdx() != 0)
-    co_return;
-
-  Word BlockSum = 0;
-  for (unsigned I = 0; I != Ctx.blockDim(); ++I)
-    BlockSum += co_await Ctx.ld(Cache + CacheBase + I);
-  co_await Ctx.st(Partials + Ctx.blockIdx(), BlockSum, SitePartialSt);
-
-  // The SDK kernel's __threadfence() (removed in sdk-red-nf).
-  co_await Ctx.builtinFence();
-
-  const Word Ticket = co_await Ctx.atomicAdd(Counter, 1, SiteCounterAdd);
-  if (Ticket != Ctx.gridDim() - 1)
-    co_return;
-
-  // Last block standing combines every partial.
-  Word Total = 0;
-  for (unsigned B = 0; B != Ctx.gridDim(); ++B)
-    Total += co_await Ctx.ld(Partials + B, SitePartialLd);
-  co_await Ctx.st(Out, Total, SiteOutSt);
-}
+  template <class Allocator> void allocate(Allocator &M) {
+    In = M.alloc(N);
+    Cache = M.alloc(GridDim * BlockDim);
+    Partials = M.alloc(GridDim);
+    Counter = M.alloc(1);
+    Out = M.alloc(1);
+  }
+};
 
 class SdkReduction final : public Application {
 public:
@@ -93,39 +71,83 @@ public:
   }
 
   void setup(sim::Device &Dev, Rng &R) override {
-    In = Dev.alloc(N);
-    Cache = Dev.alloc(GridDim * BlockDim);
-    Partials = Dev.alloc(GridDim);
-    Counter = Dev.alloc(1);
-    Out = Dev.alloc(1);
+    Buf.allocate(Dev);
+    SetupWords = Dev.memory().allocatedWords();
     Expected = 0;
     for (unsigned I = 0; I != N; ++I) {
       const Word V = static_cast<Word>(R.below(100));
-      Dev.write(In + I, V);
+      Dev.write(Buf.In + I, V);
       Expected += V;
     }
   }
 
   bool run(sim::Device &Dev) override {
-    const Addr InV = In, CacheV = Cache, PartialsV = Partials,
-               CounterV = Counter, OutV = Out;
-    const sim::RunResult Result = Dev.run(
-        {GridDim, BlockDim}, [=](ThreadContext &Ctx) -> Kernel {
-          return reduceKernel(Ctx, InV, CacheV, PartialsV, CounterV, OutV);
-        });
-    return Result.completed();
+    return detail::runPlan(
+        Dev, Dev.builtinFences() ? AppKind::SdkRed : AppKind::SdkRedNf,
+        SetupWords);
   }
 
   bool checkPostCondition(const sim::Device &Dev) const override {
-    return Dev.read(Out) == Expected;
+    return Dev.read(Buf.Out) == Expected;
   }
 
 private:
-  Addr In = 0, Cache = 0, Partials = 0, Counter = 0, Out = 0;
+  Buffers Buf;
+  unsigned SetupWords = 0;
   Word Expected = 0;
 };
 
 } // namespace
+
+void apps::detail::emitSdkRed(PlanBuilder &B, bool BuiltinFences) {
+  Buffers Buf;
+  Buf.allocate(B);
+  B.launch(GridDim, BlockDim);
+
+  for (unsigned Tid = 0; Tid != GridDim * BlockDim; ++Tid) {
+    const unsigned Block = Tid / BlockDim, ThreadIdx = Tid % BlockDim;
+    const unsigned CacheBase = Block * BlockDim;
+    B.beginLane(Tid);
+
+    // Grid-stride slice sum (the stride is N: one element per thread),
+    // then block reduction in shared-memory cache.
+    const uint16_t RTemp = B.reg();
+    B.emit(Code::MovImm, RTemp);
+    B.emitMem(Code::LoadAcc, SiteLoadInput, RTemp, 0, Buf.In + Tid);
+    B.emitMem(Code::WbStore, sim::NoSite, RTemp, 0,
+              Buf.Cache + CacheBase + ThreadIdx);
+    B.emit(Code::Barrier); // __syncthreads()
+    if (ThreadIdx != 0) {
+      B.endLane();
+      continue;
+    }
+
+    const uint16_t RSum = B.reg();
+    B.emit(Code::MovImm, RSum);
+    for (unsigned I = 0; I != BlockDim; ++I)
+      B.emitMem(Code::LoadAcc, sim::NoSite, RSum, 0,
+                Buf.Cache + CacheBase + I);
+    B.emitMem(Code::WbStore, SitePartialSt, RSum, 0, Buf.Partials + Block);
+
+    // The SDK kernel's __threadfence() (removed in sdk-red-nf).
+    B.builtinFence(BuiltinFences);
+
+    // if (atomicAdd(counter, 1) != gridDim - 1) return;
+    const uint16_t RTicket = B.reg();
+    B.emitMem(Code::AtomicAddReg, SiteCounterAdd, RTicket, 0, Buf.Counter,
+              1);
+    const uint32_t NotLast = B.emit(Code::BrNe, RTicket, 0, 0, GridDim - 1);
+
+    // Last block standing combines every partial.
+    const uint16_t RTotal = B.reg();
+    B.emit(Code::MovImm, RTotal);
+    for (unsigned P = 0; P != GridDim; ++P)
+      B.emitMem(Code::LoadAcc, SitePartialLd, RTotal, 0, Buf.Partials + P);
+    B.emitMem(Code::WbStore, SiteOutSt, RTotal, 0, Buf.Out);
+    B.patch(NotLast, B.size());
+    B.endLane();
+  }
+}
 
 std::unique_ptr<Application> apps::detail::makeSdkReduction() {
   return std::make_unique<SdkReduction>();

@@ -212,7 +212,7 @@ Outcome fuzz::runOnWeakMachine(sim::ExecutionContext &Ctx,
         stress::TunedStressParams::paperDefaults(Chip), EnvRng);
   }
 
-  sim::BatchRunConfig Cfg;
+  sim::SchedulerConfig Cfg;
   Cfg.RandomiseThreads = Stressed; // applyEnvironment's sys-str+ setting.
   std::vector<sim::Word> &Regs = Ctx.batchScratch().Regs;
   Regs.assign(CP.BP.NumSlots, 0);

@@ -254,7 +254,7 @@ bool LitmusRunner::runCompiled(const CompiledPlan &B, const MicroStress &S,
   // load or async ticket — before any op reads it.
   std::vector<Word> &Regs = EC.batchScratch().Regs;
   Regs.assign(B.BP.NumSlots, 0);
-  sim::BatchRunConfig Cfg;
+  sim::SchedulerConfig Cfg;
   Cfg.RandomiseThreads = Opts.Randomise;
   const sim::RunResult Result =
       sim::runProgram(B.BP, EC, Chip, Regs.data(), Cfg);

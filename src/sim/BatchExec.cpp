@@ -27,11 +27,10 @@
 //    a release, which requires a sleeping lane's resume first).
 //  * Free ops (register arithmetic, branches) run at the head of the
 //    resume that issues the lane's next suspending op — exactly where the
-//    coroutine body evaluates its between-co_await computation. Register
-//    state is invisible to the memory model, so only the suspending ops'
-//    side effects, sleeps and draws carry fidelity; the free prefix just
-//    has to pick the same next suspending op, which the lowering
-//    guarantees per kernel (apps/AppCompile.cpp).
+//    reference interpretation (runProgram under --engine=scalar) runs
+//    them, between two co_awaits. Register state is invisible to the
+//    memory model, so only the suspending ops' side effects, sleeps and
+//    draws carry fidelity.
 //  * Barriers replicate opBarrier/releaseBarrier: the arriving lane parks
 //    (still resident in its warp, ineligible), the last live arriver
 //    emits the BarrierRelease trace event, then releases every parked
@@ -109,6 +108,46 @@ constexpr uint8_t LaneSleeping = 0;
 constexpr uint8_t LaneOnTicket = 1;
 constexpr uint8_t LaneDone = 2;
 constexpr uint8_t LaneAtBarrier = 3;
+
+/// Executes free op \p F at \p PC on \p Regs and returns the next PC.
+/// Both engines run free ops through this one definition; it is inlined
+/// into runBatchProgram's resume loop, the compiled engine's hot path.
+[[gnu::always_inline]] inline uint32_t runFreeOp(const BatchOp &F,
+                                                  Word *Regs, uint32_t PC) {
+  switch (F.C) {
+  case BatchOp::Code::MovImm:
+    Regs[F.Slot] = F.Imm;
+    return PC + 1;
+  case BatchOp::Code::AddImm:
+    Regs[F.Slot] = Regs[F.Slot2] + F.Imm;
+    return PC + 1;
+  case BatchOp::Code::MulImm:
+    Regs[F.Slot] = Regs[F.Slot2] * F.Imm;
+    return PC + 1;
+  case BatchOp::Code::ModImm:
+    Regs[F.Slot] = Regs[F.Slot2] % F.Imm;
+    return PC + 1;
+  case BatchOp::Code::AndImm:
+    Regs[F.Slot] = Regs[F.Slot2] & F.Imm;
+    return PC + 1;
+  case BatchOp::Code::AddRR:
+    Regs[F.Slot] = Regs[F.Slot2] + Regs[F.A];
+    return PC + 1;
+  case BatchOp::Code::Jump:
+    return F.A;
+  case BatchOp::Code::BrEq:
+    return Regs[F.Slot] == F.Imm ? F.A : PC + 1;
+  case BatchOp::Code::BrNe:
+    return Regs[F.Slot] != F.Imm ? F.A : PC + 1;
+  case BatchOp::Code::BrLt:
+    return Regs[F.Slot] < F.Imm ? F.A : PC + 1;
+  case BatchOp::Code::BrLtRR:
+    return Regs[F.Slot] < Regs[F.Slot2] ? F.A : PC + 1;
+  default:
+    GPUWMM_CHECK(false, "suspending op in free-op dispatch");
+    return PC;
+  }
+}
 
 /// One register in the timeout proof: a concrete value, or unknown.
 struct AbsReg {
@@ -380,7 +419,7 @@ private:
 RunResult sim::runBatchProgram(const BatchProgram &BP,
                                const ChipProfile &Chip, MemorySystem &Mem,
                                Rng &R, BatchScratch &S, Word *Regs,
-                               const BatchRunConfig &Cfg) {
+                               const SchedulerConfig &Cfg) {
   const unsigned NumThreads = BP.GridDim * BP.BlockDim;
   GPUWMM_CHECK(NumThreads != 0 && BP.Lanes.size() == NumThreads,
                "batch program lane table does not match its launch shape");
@@ -535,54 +574,8 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
           // --- next suspending op.
           uint32_t PC = S.PC[Tid];
           const uint32_t End = BP.Lanes[Tid].End;
-          while (PC != End) {
-            const BatchOp &F = Ops[PC];
-            if (F.C < BatchOp::Code::MovImm)
-              break;
-            switch (F.C) {
-            case BatchOp::Code::MovImm:
-              Regs[F.Slot] = F.Imm;
-              ++PC;
-              break;
-            case BatchOp::Code::AddImm:
-              Regs[F.Slot] = Regs[F.Slot2] + F.Imm;
-              ++PC;
-              break;
-            case BatchOp::Code::MulImm:
-              Regs[F.Slot] = Regs[F.Slot2] * F.Imm;
-              ++PC;
-              break;
-            case BatchOp::Code::ModImm:
-              Regs[F.Slot] = Regs[F.Slot2] % F.Imm;
-              ++PC;
-              break;
-            case BatchOp::Code::AndImm:
-              Regs[F.Slot] = Regs[F.Slot2] & F.Imm;
-              ++PC;
-              break;
-            case BatchOp::Code::AddRR:
-              Regs[F.Slot] = Regs[F.Slot2] + Regs[F.A];
-              ++PC;
-              break;
-            case BatchOp::Code::Jump:
-              PC = F.A;
-              break;
-            case BatchOp::Code::BrEq:
-              PC = Regs[F.Slot] == F.Imm ? F.A : PC + 1;
-              break;
-            case BatchOp::Code::BrNe:
-              PC = Regs[F.Slot] != F.Imm ? F.A : PC + 1;
-              break;
-            case BatchOp::Code::BrLt:
-              PC = Regs[F.Slot] < F.Imm ? F.A : PC + 1;
-              break;
-            case BatchOp::Code::BrLtRR:
-              PC = Regs[F.Slot] < Regs[F.Slot2] ? F.A : PC + 1;
-              break;
-            default:
-              GPUWMM_CHECK(false, "suspending op in free-op dispatch");
-            }
-          }
+          while (PC != End && Ops[PC].C >= BatchOp::Code::MovImm)
+            PC = runFreeOp(Ops[PC], Regs, PC);
           if (PC == End) {
             // The coroutine's final resume: the lane completes. A block
             // with lanes parked at a barrier can now never release it.
@@ -776,9 +769,10 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
     // lane sleeping, the ticks up to the first wake draw nothing and
     // change nothing but the clock and the rotors. A wake already set for
     // Now + 1 caps the jump target at the next tick, so the scan is
-    // skipped (the common case: most ops sleep exactly one tick).
-    if (!WakeNextTick && !Cfg.RandomiseThreads && Live > 0 &&
-        !Mem.hasPendingWork() && S.TicketWaiters.empty()) {
+    // skipped (the common case: most ops sleep exactly one tick). A
+    // pending divergence ends the run next tick, so it never jumps.
+    if (!WakeNextTick && !DivergenceFlag && !Cfg.RandomiseThreads &&
+        Live > 0 && !Mem.hasPendingWork() && S.TicketWaiters.empty()) {
       uint64_t MinWake = ~0ull;
       for (const unsigned SM : S.ActiveSMs)
         for (const BatchScratch::Warp &W : S.SMWarps[SM])
@@ -809,43 +803,112 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
 
 namespace {
 
-/// Interprets lane \p L of a straight-line program: one co_await per op,
-/// issued in op order, so every op takes one resume as in
-/// runBatchProgram. An idle lane (empty range) completes at its first
-/// resume. \p Regs is shared by all lanes; the lowerings give every slot a
-/// single writing lane, and a split-phase load's slot holds its ticket
-/// until the await replaces it with the loaded value.
+/// Interprets lane \p L: free ops run inline between co_awaits, and every
+/// suspending op is one co_await, so each resume executes the free prefix
+/// and then one suspending op, exactly as runBatchProgram does. An idle
+/// lane (empty range) completes at its first resume. \p Regs is shared by
+/// all lanes; every lowering gives each slot a single writing lane, and a
+/// split-phase load's slot holds its ticket until the await replaces it
+/// with the loaded value. A loaded value reaches its register when the
+/// lane next resumes rather than in the load's own resume; registers are
+/// lane-private, so nothing observes the difference.
 Kernel interpretLane(ThreadContext &TC, const BatchOp *Ops, BatchLane L,
                      Word *Regs) {
-  for (uint32_t PC = L.Begin; PC != L.End; ++PC) {
+  using Code = BatchOp::Code;
+  uint32_t PC = L.Begin;
+  while (PC != L.End) {
     const BatchOp &O = Ops[PC];
+    if (O.C >= Code::MovImm) {
+      PC = runFreeOp(O, Regs, PC);
+      continue;
+    }
+    ++PC;
+    // Awaits stay out of conditions and compound assignments (GCC 12
+    // coroutine bug): each loaded value lands in V first.
+    Word V = 0;
     switch (O.C) {
-    case BatchOp::Code::Jitter:
+    case Code::Jitter:
       co_await TC.yield(1 + static_cast<unsigned>(TC.rand(O.Imm)));
       break;
-    case BatchOp::Code::Store:
+    case Code::Store:
       co_await TC.st(O.A, O.Imm);
       break;
-    case BatchOp::Code::Load:
-      Regs[O.Slot] = co_await TC.ld(O.A);
+    case Code::Load:
+      V = co_await TC.ld(O.A);
+      Regs[O.Slot] = V;
       break;
-    case BatchOp::Code::AsyncLoad:
-      Regs[O.Slot] = co_await TC.ldAsync(O.A);
+    case Code::AsyncLoad:
+      V = co_await TC.ldAsync(O.A);
+      Regs[O.Slot] = V;
       break;
-    case BatchOp::Code::AwaitLoad:
-      Regs[O.Slot] = co_await TC.awaitLoad(Regs[O.Slot]);
+    case Code::AwaitLoad:
+      V = co_await TC.awaitLoad(Regs[O.Slot]);
+      Regs[O.Slot] = V;
       break;
-    case BatchOp::Code::AtomicAdd:
+    case Code::AtomicAdd:
       co_await TC.atomicAdd(O.A, O.Imm);
       break;
-    case BatchOp::Code::FenceDevice:
+    case Code::FenceDevice:
       co_await TC.fence();
       break;
-    case BatchOp::Code::WbStore:
+    case Code::WbStore:
       co_await TC.st(O.A, Regs[O.Slot] + O.Imm);
       break;
-    default:
-      GPUWMM_CHECK(false, "op has no reference interpretation");
+    case Code::Sleep:
+      co_await TC.yield(O.Imm);
+      break;
+    case Code::SleepRand:
+      co_await TC.yield(O.A + static_cast<unsigned>(TC.rand(O.Imm)));
+      break;
+    case Code::Barrier:
+      co_await TC.syncthreads();
+      break;
+    case Code::LoadAcc:
+      V = co_await TC.ld(O.A);
+      Regs[O.Slot] += V;
+      break;
+    case Code::LoadIdx:
+      V = co_await TC.ld(O.A + Regs[O.Slot2]);
+      Regs[O.Slot] = V;
+      break;
+    case Code::LoadAccIdx:
+      V = co_await TC.ld(O.A + Regs[O.Slot2]);
+      Regs[O.Slot] += V;
+      break;
+    case Code::LoadMulAcc:
+      V = co_await TC.ld(O.A);
+      Regs[O.Slot] += Regs[O.Slot2] * V;
+      break;
+    case Code::StoreIdx:
+      co_await TC.st(O.A + Regs[O.Slot2], O.Imm);
+      break;
+    case Code::AtomicAddReg:
+      V = co_await TC.atomicAdd(O.A, O.Imm);
+      Regs[O.Slot] = V;
+      break;
+    case Code::AtomicCas:
+      V = co_await TC.atomicCAS(O.A, O.Imm & 0xffffu, O.Imm >> 16);
+      Regs[O.Slot] = V;
+      break;
+    case Code::AtomicCasIdx:
+      V = co_await TC.atomicCAS(O.A + Regs[O.Slot2], O.Imm & 0xffffu,
+                                O.Imm >> 16);
+      Regs[O.Slot] = V;
+      break;
+    case Code::AtomicExch:
+      co_await TC.atomicExch(O.A, O.Imm);
+      break;
+    case Code::AtomicExchIdx:
+      co_await TC.atomicExch(O.A + Regs[O.Slot2], O.Imm);
+      break;
+    case Code::AtomicAddIdx:
+      co_await TC.atomicAdd(O.A + Regs[O.Slot2], O.Imm);
+      break;
+    case Code::WbStoreIdx:
+      co_await TC.st(O.A + Regs[O.Slot2], Regs[O.Slot] + O.Imm);
+      break;
+    default: // Free ops ran above.
+      break;
     }
   }
 }
@@ -854,17 +917,13 @@ Kernel interpretLane(ThreadContext &TC, const BatchOp *Ops, BatchLane L,
 
 RunResult sim::runProgram(const BatchProgram &BP, ExecutionContext &Ctx,
                           const ChipProfile &Chip, Word *Regs,
-                          const BatchRunConfig &Cfg) {
+                          const SchedulerConfig &Cfg) {
   if (engineMode() != EngineMode::Scalar)
     return runBatchProgram(BP, Chip, Ctx.memory(), Ctx.rng(),
                            Ctx.batchScratch(), Regs, Cfg);
   GPUWMM_CHECK(BP.Lanes.size() == size_t{BP.GridDim} * BP.BlockDim,
                "batch program lane table does not match its launch shape");
-  SchedulerConfig SC;
-  SC.RandomiseThreads = Cfg.RandomiseThreads;
-  SC.IssueWidthPerSM = Cfg.IssueWidthPerSM;
-  SC.MaxTicks = Cfg.MaxTicks;
-  Scheduler S(Chip, Ctx.memory(), Ctx.rng(), SC, &Ctx.schedulerScratch());
+  Scheduler S(Chip, Ctx.memory(), Ctx.rng(), Cfg, &Ctx.schedulerScratch());
   S.launch({BP.GridDim, BP.BlockDim}, [&BP, Regs](ThreadContext &TC) {
     return interpretLane(TC, BP.Ops.data(), BP.Lanes[TC.globalId()], Regs);
   });

@@ -39,9 +39,9 @@
 /// closed form. The engine emits every scheduler-level trace event itself (the
 /// barrier release); all other events come from the shared MemorySystem.
 /// EngineIdentityTests pins the equivalence event for event against the
-/// coroutine engine (--engine=scalar): for litmus and fuzz programs that is
-/// \ref runProgram's interpretation of the same op stream on the
-/// scheduler, for applications their hand-written coroutine bodies.
+/// coroutine engine (--engine=scalar), which is \ref runProgram's
+/// interpretation of the same op stream on the scheduler, for litmus,
+/// fuzz and application programs alike.
 ///
 /// Provable timeouts: an untraced run of a program with a backward branch
 /// stops as soon as a check proves that no lane can ever finish, and
@@ -164,13 +164,6 @@ struct BatchProgram {
   bool HasBackwardBranch = false;
 };
 
-/// Mirrors the SchedulerConfig fields the batched shapes use.
-struct BatchRunConfig {
-  bool RandomiseThreads = false; ///< Paper Sec. 3.5 scheduling noise.
-  unsigned IssueWidthPerSM = 2;
-  uint64_t MaxTicks = 400000;
-};
-
 /// Ticks between two attempts at runBatchProgram's provable-timeout
 /// check: a constant, not an option.
 inline constexpr uint64_t TimeoutProofInterval = 4096;
@@ -270,19 +263,18 @@ std::optional<EngineMode> parseEngineMode(std::string_view Name);
 /// writes and the congestion source all happen before the call.
 RunResult runBatchProgram(const BatchProgram &BP, const ChipProfile &Chip,
                           MemorySystem &Mem, Rng &R, BatchScratch &S,
-                          Word *Regs, const BatchRunConfig &Cfg);
+                          Word *Regs, const SchedulerConfig &Cfg);
 
-/// Executes one run of a compiled straight-line program (litmus and fuzz
+/// Executes one run of a compiled program (litmus, fuzz and application
 /// lowerings) on \p Ctx's memory system and RNG: runBatchProgram by
 /// default; under --engine=scalar, the reference interpretation — a
 /// Scheduler launch whose kernel coroutine walks each lane's op range
-/// through ThreadContext, one co_await per suspending op. Only the op
-/// codes those lowerings emit (Jitter, Store, Load, AsyncLoad, AwaitLoad,
-/// AtomicAdd, FenceDevice, WbStore) are interpretable; any other fails a
-/// GPUWMM_CHECK. Per-run setup is the caller's, as for runBatchProgram.
+/// through ThreadContext, running free ops inline and one co_await per
+/// suspending op. Every op code has an interpretation. Per-run setup is
+/// the caller's, as for runBatchProgram.
 RunResult runProgram(const BatchProgram &BP, ExecutionContext &Ctx,
                      const ChipProfile &Chip, Word *Regs,
-                     const BatchRunConfig &Cfg);
+                     const SchedulerConfig &Cfg);
 
 } // namespace sim
 } // namespace gpuwmm

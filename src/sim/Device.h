@@ -42,6 +42,7 @@
 #ifndef GPUWMM_SIM_DEVICE_H
 #define GPUWMM_SIM_DEVICE_H
 
+#include "sim/BatchExec.h"
 #include "sim/ChipProfile.h"
 #include "sim/Congestion.h"
 #include "sim/ExecutionContext.h"
@@ -102,6 +103,9 @@ public:
   /// Enables the application's original fences (disable for -nf variants).
   void setBuiltinFences(bool Enabled) { BuiltinFences = Enabled; }
 
+  const FencePolicy *fencePolicy() const { return Policy; }
+  bool builtinFences() const { return BuiltinFences; }
+
   /// Thread randomisation (paper Sec. 3.5).
   void setRandomiseThreads(bool Enabled) { Sched.RandomiseThreads = Enabled; }
 
@@ -126,10 +130,19 @@ public:
     S.setFencePolicy(Policy);
     S.setBuiltinFences(BuiltinFences);
     S.launch(LC, Fn);
-    RunResult Result = S.run();
-    TotalTicks += Result.Ticks;
-    LastStatus = Result.Status;
-    return Result;
+    return account(S.run());
+  }
+
+  /// Launches and runs one compiled program (sim/BatchExec.h) through
+  /// runProgram: the compiled engine, or its reference interpretation on
+  /// the scheduler under --engine=scalar. Scheduling follows this
+  /// Device's configuration; the program bakes in its own fences, so the
+  /// fence policy and built-in fence settings do not apply. Registers
+  /// start at zero. Accumulates time as the coroutine launch does.
+  RunResult run(const BatchProgram &BP) {
+    std::vector<Word> &Regs = Ctx.batchScratch().Regs;
+    Regs.assign(BP.NumSlots, 0);
+    return account(runProgram(BP, Ctx, Chip, Regs.data(), Sched));
   }
 
   /// Status of the most recent launch.
@@ -171,6 +184,12 @@ public:
   ExecutionContext &context() { return Ctx; }
 
 private:
+  RunResult account(const RunResult &Result) {
+    TotalTicks += Result.Ticks;
+    LastStatus = Result.Status;
+    return Result;
+  }
+
   const ChipProfile &Chip;
   ContextLease Lease; ///< Empty when an external context is bound.
   ExecutionContext &Ctx;

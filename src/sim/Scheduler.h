@@ -47,18 +47,6 @@ enum class ThreadState {
   Done       ///< Coroutine finished.
 };
 
-/// Scheduler/launch options.
-struct SchedulerConfig {
-  /// Thread randomisation (paper Sec. 3.5): shuffles block placement and
-  /// adds warp-priority jitter while respecting warp/block membership.
-  bool RandomiseThreads = false;
-  /// Warps each SM may issue per tick.
-  unsigned IssueWidthPerSM = 2;
-  /// Tick budget; exceeding it reports RunStatus::Timeout (the analogue of
-  /// the paper's 30-second wall-clock timeout).
-  uint64_t MaxTicks = 400000;
-};
-
 /// Executes one kernel launch to completion.
 class Scheduler {
 public:

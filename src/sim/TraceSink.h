@@ -102,6 +102,8 @@ struct TraceEvent {
   /// Atomic: the old (read) value.
   uint64_t Id = 0;
   uint64_t Tick = 0;  ///< Simulator tick at emission.
+
+  bool operator==(const TraceEvent &) const = default;
 };
 
 /// Receiver of trace events. Implementations must not touch the simulator

@@ -36,6 +36,18 @@ struct LaunchConfig {
   unsigned totalThreads() const { return GridDim * BlockDim; }
 };
 
+/// Scheduler/launch options, shared by both engines.
+struct SchedulerConfig {
+  /// Thread randomisation (paper Sec. 3.5): shuffles block placement and
+  /// adds warp-priority jitter while respecting warp/block membership.
+  bool RandomiseThreads = false;
+  /// Warps each SM may issue per tick.
+  unsigned IssueWidthPerSM = 2;
+  /// Tick budget; exceeding it reports RunStatus::Timeout (the analogue of
+  /// the paper's 30-second wall-clock timeout).
+  uint64_t MaxTicks = 400000;
+};
+
 /// Memory-operation counters accumulated over a kernel execution.
 struct MemStats {
   uint64_t Loads = 0;

@@ -2,8 +2,9 @@
 
 #include "support/Statistics.h"
 
+#include "support/Check.h"
+
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 using namespace gpuwmm;
@@ -18,7 +19,7 @@ double gpuwmm::mean(const std::vector<double> &Values) {
 }
 
 double gpuwmm::quantile(std::vector<double> Values, double Q) {
-  assert(Q >= 0.0 && Q <= 1.0 && "quantile Q must lie in [0, 1]");
+  GPUWMM_CHECK(Q >= 0.0 && Q <= 1.0, "quantile Q must lie in [0, 1]");
   if (Values.empty())
     return 0.0;
   std::sort(Values.begin(), Values.end());

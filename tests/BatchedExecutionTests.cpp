@@ -265,22 +265,65 @@ TEST(FuzzPrograms, FiftyRandomProgramsMatchScalarBitForBit) {
 }
 
 //===----------------------------------------------------------------------===//
-// Control-flow op semantics: the app-lowering ISA extensions (DESIGN.md
-// Sec. 19) exercised directly through runBatchProgram, independent of any
-// application emitter.
+// Op semantics: the app-lowering ISA (DESIGN.md Sec. 19) exercised directly
+// through sim::runProgram on both engines, independent of any application
+// lowering. Every program runs on the compiled engine and on its reference
+// interpretation; the two must agree on status, ticks, memory statistics,
+// the trace event stream and final memory, and the tests then check the
+// op semantics on that common result.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Runs a hand-assembled program once on a fresh context and returns the
-/// RunResult; \p Regs receives the run's final registers.
-sim::RunResult runRaw(const sim::BatchProgram &BP, sim::ExecutionContext &Ctx,
-                      std::vector<sim::Word> &Regs) {
-  sim::BatchRunConfig Cfg;
+/// One traced run of a hand-assembled program on one engine.
+struct RawRun {
+  sim::RunResult Result;
+  std::vector<sim::TraceEvent> Events;
+  std::vector<sim::Word> Memory; ///< Every allocated word after the run.
+  std::vector<sim::Word> Regs;   ///< The run's final registers.
+};
+
+RawRun runOn(sim::EngineMode Mode, const sim::BatchProgram &BP,
+             unsigned Words, uint64_t Seed) {
+  EngineModeGuard Guard(Mode);
+  sim::ExecutionContext Ctx;
+  Ctx.requestTracing(true);
+  Ctx.reset(titan(), Seed);
+  if (Words != 0)
+    (void)Ctx.memory().alloc(Words);
+  sim::SchedulerConfig Cfg;
   Cfg.MaxTicks = 100000;
-  Regs.assign(std::max(1u, BP.NumSlots), 0);
-  return sim::runBatchProgram(BP, titan(), Ctx.memory(), Ctx.rng(),
-                              Ctx.batchScratch(), Regs.data(), Cfg);
+  RawRun R;
+  R.Regs.assign(std::max(1u, BP.NumSlots), 0);
+  R.Result = sim::runProgram(BP, Ctx, titan(), R.Regs.data(), Cfg);
+  R.Events = Ctx.trace().events();
+  for (sim::Addr A = 0; A != Words; ++A)
+    R.Memory.push_back(Ctx.memory().hostRead(A));
+  return R;
+}
+
+/// Runs \p BP once on each engine from a fresh context at \p Seed whose
+/// first \p Words words are allocated (the layout a test built on a
+/// scratch context with the same chip), expects the runs to agree, and
+/// returns the compiled engine's. Registers of a completed run agree too;
+/// a run cut short may leave its last load's register unwritten on the
+/// reference engine, which assigns loaded values at the next resume.
+RawRun runRaw(const sim::BatchProgram &BP, unsigned Words, uint64_t Seed) {
+  const RawRun Ref = runOn(sim::EngineMode::Scalar, BP, Words, Seed);
+  const RawRun R = runOn(sim::EngineMode::Auto, BP, Words, Seed);
+  EXPECT_EQ(R.Result.Status, Ref.Result.Status);
+  EXPECT_EQ(R.Result.Ticks, Ref.Result.Ticks);
+  EXPECT_EQ(R.Result.Mem.Loads, Ref.Result.Mem.Loads);
+  EXPECT_EQ(R.Result.Mem.Stores, Ref.Result.Mem.Stores);
+  EXPECT_EQ(R.Result.Mem.Atomics, Ref.Result.Mem.Atomics);
+  EXPECT_EQ(R.Result.Mem.DeviceFences, Ref.Result.Mem.DeviceFences);
+  EXPECT_EQ(R.Result.Mem.BlockFences, Ref.Result.Mem.BlockFences);
+  EXPECT_TRUE(R.Events == Ref.Events) << "event streams differ";
+  EXPECT_EQ(R.Memory, Ref.Memory);
+  if (R.Result.completed()) {
+    EXPECT_EQ(R.Regs, Ref.Regs);
+  }
+  return R;
 }
 
 } // namespace
@@ -308,12 +351,11 @@ TEST(BatchOpSemantics, FreeOpLoopWithBackwardBranch) {
   BP.Ops.push_back({Code::WbStore, 0, 0, Out, 0});
   BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
 
-  std::vector<sim::Word> Regs;
-  const sim::RunResult R = runRaw(BP, Ctx, Regs);
-  EXPECT_EQ(R.Status, sim::RunStatus::Completed);
-  EXPECT_EQ(Ctx.memory().hostRead(Out), 10u);
-  EXPECT_EQ(Regs[0], 10u);
-  EXPECT_EQ(Regs[1], 5u);
+  const RawRun R = runRaw(BP, Ctx.memory().allocatedWords(), 7);
+  EXPECT_EQ(R.Result.Status, sim::RunStatus::Completed);
+  EXPECT_EQ(R.Memory[Out], 10u);
+  EXPECT_EQ(R.Regs[0], 10u);
+  EXPECT_EQ(R.Regs[1], 5u);
 }
 
 TEST(BatchOpSemantics, IndexedAddressingRoundTrip) {
@@ -337,11 +379,10 @@ TEST(BatchOpSemantics, IndexedAddressingRoundTrip) {
   BP.Ops.push_back({Code::WbStore, 2, 0, Out, 0});
   BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
 
-  std::vector<sim::Word> Regs;
-  const sim::RunResult R = runRaw(BP, Ctx, Regs);
-  EXPECT_EQ(R.Status, sim::RunStatus::Completed);
-  EXPECT_EQ(Ctx.memory().hostRead(Table + 5), 9u);
-  EXPECT_EQ(Ctx.memory().hostRead(Out), 9u);
+  const RawRun R = runRaw(BP, Ctx.memory().allocatedWords(), 11);
+  EXPECT_EQ(R.Result.Status, sim::RunStatus::Completed);
+  EXPECT_EQ(R.Memory[Table + 5], 9u);
+  EXPECT_EQ(R.Memory[Out], 9u);
 }
 
 TEST(BatchOpSemantics, AtomicReturnValueOps) {
@@ -371,13 +412,12 @@ TEST(BatchOpSemantics, AtomicReturnValueOps) {
   BP.Ops.push_back({Code::WbStore, 2, 0, Out + 2, 0});
   BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
 
-  std::vector<sim::Word> Regs;
-  const sim::RunResult R = runRaw(BP, Ctx, Regs);
-  EXPECT_EQ(R.Status, sim::RunStatus::Completed);
-  EXPECT_EQ(Ctx.memory().hostRead(Out + 0), 0u);
-  EXPECT_EQ(Ctx.memory().hostRead(Out + 1), 1u);
-  EXPECT_EQ(Ctx.memory().hostRead(Out + 2), 5u);
-  EXPECT_EQ(Ctx.memory().hostRead(M), 11u);
+  const RawRun R = runRaw(BP, Ctx.memory().allocatedWords(), 13);
+  EXPECT_EQ(R.Result.Status, sim::RunStatus::Completed);
+  EXPECT_EQ(R.Memory[Out + 0], 0u);
+  EXPECT_EQ(R.Memory[Out + 1], 1u);
+  EXPECT_EQ(R.Memory[Out + 2], 5u);
+  EXPECT_EQ(R.Memory[M], 11u);
 }
 
 TEST(BatchOpSemantics, BarrierSynchronisesBlockStores) {
@@ -406,10 +446,9 @@ TEST(BatchOpSemantics, BarrierSynchronisesBlockStores) {
   BP.Lanes.push_back({P0, P1});
   BP.Lanes.push_back({P1, End});
 
-  std::vector<sim::Word> Regs;
-  const sim::RunResult R = runRaw(BP, Ctx, Regs);
-  EXPECT_EQ(R.Status, sim::RunStatus::Completed);
-  EXPECT_EQ(Ctx.memory().hostRead(Out), 1u);
+  const RawRun R = runRaw(BP, Ctx.memory().allocatedWords(), 17);
+  EXPECT_EQ(R.Result.Status, sim::RunStatus::Completed);
+  EXPECT_EQ(R.Memory[Out], 1u);
 }
 
 TEST(BatchOpSemantics, BarrierDivergenceIsDetected) {
@@ -432,9 +471,8 @@ TEST(BatchOpSemantics, BarrierDivergenceIsDetected) {
   BP.Lanes.push_back({P0, P1});
   BP.Lanes.push_back({P1, End});
 
-  std::vector<sim::Word> Regs;
-  const sim::RunResult R = runRaw(BP, Ctx, Regs);
-  EXPECT_EQ(R.Status, sim::RunStatus::BarrierDivergence);
+  const RawRun R = runRaw(BP, Ctx.memory().allocatedWords(), 19);
+  EXPECT_EQ(R.Result.Status, sim::RunStatus::BarrierDivergence);
 }
 
 TEST(BatchOpSemantics, TaskQueueOps) {
@@ -464,14 +502,73 @@ TEST(BatchOpSemantics, TaskQueueOps) {
   BP.Ops.push_back({Code::Store, 0, 0, Out + 1, 1});   // runs
   BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
 
-  std::vector<sim::Word> Regs;
-  const sim::RunResult R = runRaw(BP, Ctx, Regs);
-  EXPECT_EQ(R.Status, sim::RunStatus::Completed);
-  EXPECT_EQ(Regs[1], 3u);
-  EXPECT_EQ(Ctx.memory().hostRead(Counts + 3), 5u);
-  EXPECT_EQ(Ctx.memory().hostRead(Buf + 3), 13u);
-  EXPECT_EQ(Ctx.memory().hostRead(Out), 0u);
-  EXPECT_EQ(Ctx.memory().hostRead(Out + 1), 1u);
+  const RawRun R = runRaw(BP, Ctx.memory().allocatedWords(), 23);
+  EXPECT_EQ(R.Result.Status, sim::RunStatus::Completed);
+  EXPECT_EQ(R.Regs[1], 3u);
+  EXPECT_EQ(R.Memory[Counts + 3], 5u);
+  EXPECT_EQ(R.Memory[Buf + 3], 13u);
+  EXPECT_EQ(R.Memory[Out], 0u);
+  EXPECT_EQ(R.Memory[Out + 1], 1u);
+}
+
+TEST(BatchOpSemantics, FusedLoadsBackoffAndIndexedAtomics) {
+  // The remaining codes: start jitter, LoadAcc/LoadAccIdx/LoadMulAcc
+  // accumulate, AtomicCasIdx/AtomicExchIdx address through a register,
+  // SleepRand draws its backoff, BrEq/BrNe steer, AtomicAdd and
+  // FenceDevice publish, and a split-phase AsyncLoad/AwaitLoad pair reads
+  // back the published In[2].
+  using Code = sim::BatchOp::Code;
+  sim::ExecutionContext Ctx;
+  Ctx.reset(titan(), 29);
+  const sim::Addr In = Ctx.memory().alloc(4);
+  const sim::Addr Locks = Ctx.memory().alloc(4);
+  const sim::Addr Out = Ctx.memory().alloc(4);
+
+  sim::BatchProgram BP;
+  BP.GridDim = 1;
+  BP.BlockDim = 2;
+  BP.NumSlots = 5;
+  // Lane 0 seeds In[0..2] = 2, 3, 4, publishes with a fence and an
+  // atomic, and takes lock 2 by CAS.
+  BP.Ops.push_back({Code::Jitter, 0, 0, 0, 4});
+  BP.Ops.push_back({Code::Store, 0, 0, In + 0, 2});
+  BP.Ops.push_back({Code::Store, 0, 0, In + 1, 3});
+  BP.Ops.push_back({Code::Store, 0, 0, In + 2, 4});
+  BP.Ops.push_back({Code::FenceDevice, 0, 0, 0, 0});
+  BP.Ops.push_back({Code::AtomicAdd, 0, 0, In + 3, 1});
+  BP.Ops.push_back({Code::MovImm, 0, 0, 0, 2});              // r0 = 2
+  BP.Ops.push_back({Code::AtomicCasIdx, 1, 0, Locks, 1u << 16}); // r1 = 0
+  const uint32_t L1 = static_cast<uint32_t>(BP.Ops.size());
+  // Lane 1 waits for the atomic flag, then accumulates
+  // r2 = In[0] + In[2] + 3 * In[1] = 15 and releases lock 2 by exchange.
+  BP.Ops.push_back({Code::Load, 2, 0, In + 3, 0});           // poll:
+  BP.Ops.push_back({Code::BrNe, 2, 0, L1 + 4, 0});           // flag set?
+  BP.Ops.push_back({Code::SleepRand, 0, 0, 1, 3});           // backoff
+  BP.Ops.push_back({Code::Jump, 0, 0, L1, 0});
+  BP.Ops.push_back({Code::MovImm, 2, 0, 0, 0});              // r2 = 0
+  BP.Ops.push_back({Code::LoadAcc, 2, 0, In + 0, 0});        // r2 += 2
+  BP.Ops.push_back({Code::MovImm, 3, 0, 0, 2});              // r3 = 2
+  BP.Ops.push_back({Code::LoadAccIdx, 2, 3, In, 0});         // r2 += 4
+  BP.Ops.push_back({Code::MovImm, 4, 0, 0, 3});              // r4 = 3
+  BP.Ops.push_back({Code::LoadMulAcc, 2, 4, In + 1, 0});     // r2 += 9
+  BP.Ops.push_back({Code::BrEq, 2, 0, L1 + 12, 15});         // r2 == 15
+  BP.Ops.push_back({Code::Store, 0, 0, Out + 3, 1});         // skipped
+  BP.Ops.push_back({Code::WbStore, 2, 0, Out + 0, 0});
+  BP.Ops.push_back({Code::AtomicExchIdx, 0, 3, Locks, 9});   // Locks[2] = 9
+  BP.Ops.push_back({Code::AsyncLoad, 4, 0, In + 2, 0});
+  BP.Ops.push_back({Code::AwaitLoad, 4, 0, 0, 0});
+  BP.Ops.push_back({Code::WbStore, 4, 0, Out + 1, 1});
+  const uint32_t End = static_cast<uint32_t>(BP.Ops.size());
+  BP.Lanes.push_back({0, L1});
+  BP.Lanes.push_back({L1, End});
+
+  const RawRun R = runRaw(BP, Ctx.memory().allocatedWords(), 29);
+  EXPECT_EQ(R.Result.Status, sim::RunStatus::Completed);
+  EXPECT_EQ(R.Regs[1], 0u);
+  EXPECT_EQ(R.Memory[Locks + 2], 9u);
+  EXPECT_EQ(R.Memory[Out + 0], 15u);
+  EXPECT_EQ(R.Memory[Out + 1], 5u);
+  EXPECT_EQ(R.Memory[Out + 3], 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -498,7 +595,7 @@ ProofRun runProofCase(const sim::BatchProgram &BP, unsigned Words,
   Ctx.requestTracing(Traced);
   Ctx.reset(titan(), 29);
   (void)Ctx.memory().alloc(Words);
-  sim::BatchRunConfig Cfg;
+  sim::SchedulerConfig Cfg;
   Cfg.MaxTicks = ProofBudget;
   std::vector<sim::Word> Regs(std::max(1u, BP.NumSlots), 0);
   ProofRun R;

@@ -1,14 +1,25 @@
-# CLI engine identity for compiled straight-line programs, run as a CTest
-# script (cli.engine_identity_litmus_fuzz): `litmus --explain --stress`
-# for MP, SB, LB, IRIW and WRC, and `fuzz --seed=3`, each under
-# --engine=scalar (the reference interpretation of the compiled op stream)
-# and --engine=auto (the compiled engine). The two outputs must match byte
-# for byte.
+# CLI engine identity, run as CTest scripts: the same command under
+# --engine=scalar (the reference interpretation of the compiled op stream
+# on the coroutine scheduler) and the compiled engine must print the same
+# bytes.
 #
-# Inputs: GPUWMM_BIN (the gpuwmm binary).
+#  * SUITE=litmus_fuzz (cli.engine_identity_litmus_fuzz): `litmus
+#    --explain --stress` for MP, SB, LB, IRIW and WRC, and `fuzz
+#    --seed=3`, under --engine=scalar and --engine=auto.
+#  * SUITE=apps (cli.engine_identity_apps): a titan campaign over all
+#    seven lowered apps under no-str- and sys-str+, unchecked and with
+#    every run streamed through the oracle (--oracle=all), under
+#    --engine=batched and --engine=scalar. The reports must match once
+#    each cell's "engine" field is masked. tpo-tm's sys-str+ cell holds
+#    livelocked runs, which the compiled engine ends early as provable
+#    timeouts when unchecked and runs to the budget when checked; the
+#    coroutine engine always runs them to the budget.
+#
+# Inputs: GPUWMM_BIN (the gpuwmm binary), SUITE, and for SUITE=apps
+# WORK_DIR (a scratch directory for the reports).
 
-if(NOT GPUWMM_BIN)
-  message(FATAL_ERROR "need -DGPUWMM_BIN")
+if(NOT GPUWMM_BIN OR NOT SUITE)
+  message(FATAL_ERROR "need -DGPUWMM_BIN and -DSUITE")
 endif()
 
 function(run_on_engine engine outvar)
@@ -33,8 +44,42 @@ function(expect_engine_identity)
   endif()
 endfunction()
 
-foreach(test MP SB LB IRIW WRC)
-  expect_engine_identity(litmus --test=${test} --explain --stress
-                         --distance=128)
-endforeach()
-expect_engine_identity(fuzz --seed=3)
+# The campaign report of one engine with every "engine" field masked.
+function(masked_campaign engine outvar)
+  set(file ${WORK_DIR}/campaign-${engine}.json)
+  run_on_engine(${engine} ignored ${ARGN} --out=${file})
+  file(READ ${file} json)
+  string(REGEX REPLACE "\"engine\": \"[a-z]*\"" "\"engine\": \"X\""
+         json "${json}")
+  set(${outvar} "${json}" PARENT_SCOPE)
+endfunction()
+
+if(SUITE STREQUAL "litmus_fuzz")
+  foreach(test MP SB LB IRIW WRC)
+    expect_engine_identity(litmus --test=${test} --explain --stress
+                           --distance=128)
+  endforeach()
+  expect_engine_identity(fuzz --seed=3)
+elseif(SUITE STREQUAL "apps")
+  if(NOT WORK_DIR)
+    message(FATAL_ERROR "need -DWORK_DIR")
+  endif()
+  file(MAKE_DIRECTORY ${WORK_DIR})
+  foreach(oracle "" "--oracle=all")
+    set(grid campaign --chips=titan --envs=no-str-,sys-str+
+        --apps=cbe-dot,cbe-ht,sdk-red,sdk-red-nf,cub-scan,cub-scan-nf,tpo-tm
+        --runs=20 --seed=42 --jobs=2 ${oracle})
+    masked_campaign(batched batched_json ${grid})
+    masked_campaign(scalar scalar_json ${grid})
+    if(NOT batched_json MATCHES "\"cells\"")
+      message(FATAL_ERROR "'${grid}' wrote no campaign report")
+    endif()
+    if(NOT batched_json STREQUAL scalar_json)
+      message(FATAL_ERROR "'${grid}' differs between engines\n"
+                          "--- batched:\n${batched_json}\n"
+                          "--- scalar:\n${scalar_json}")
+    endif()
+  endforeach()
+else()
+  message(FATAL_ERROR "unknown SUITE '${SUITE}'")
+endif()

@@ -17,14 +17,13 @@
 //  * every lowered application kernel under all eight environments, with
 //    no inserted fences and with one single-site fence policy.
 //
-// For litmus and fuzz programs the reference is sim::runProgram's
-// interpretation of the very op stream the compiled engine walks, so these
-// tests check runBatchProgram against the coroutine scheduler directly
-// (the lowerings themselves are pinned by the litmus and fuzz goldens).
-// For apps it is the hand-written coroutine bodies. The barrier release
-// is the one event the engines emit themselves (everything else comes
-// from the shared MemorySystem), so the app grid is what pins
-// runBatchProgram's BarrierRelease against the scheduler's.
+// The reference is sim::runProgram's interpretation of the very op stream
+// the compiled engine walks, so these tests check runBatchProgram against
+// the coroutine scheduler directly; the lowerings themselves are pinned by
+// the litmus, fuzz, campaign and cost goldens. The barrier release is the
+// one event the engines emit themselves (everything else comes from the
+// shared MemorySystem), so the app grid is what pins runBatchProgram's
+// BarrierRelease against the scheduler's.
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,12 +55,6 @@ struct Record {
   std::vector<std::vector<sim::TraceEvent>> Events;
 };
 
-bool sameEvent(const sim::TraceEvent &A, const sim::TraceEvent &B) {
-  return A.Kind == B.Kind && A.Source == B.Source && A.Flag == B.Flag &&
-         A.Tid == B.Tid && A.Block == B.Block && A.Bank == B.Bank &&
-         A.A == B.A && A.V == B.V && A.Id == B.Id && A.Tick == B.Tick;
-}
-
 std::string describe(const sim::TraceEvent &E) {
   std::ostringstream OS;
   OS << sim::traceEventKindName(E.Kind) << " src="
@@ -84,7 +77,7 @@ void expectIdentical(const Record &Scalar, const Record &Compiled,
     EXPECT_FALSE(S.empty()) << What << " run " << R;
     const size_t N = std::min(S.size(), C.size());
     size_t I = 0;
-    while (I != N && sameEvent(S[I], C[I]))
+    while (I != N && S[I] == C[I])
       ++I;
     if (I == N) {
       EXPECT_EQ(S.size(), C.size()) << What << " run " << R;
@@ -297,24 +290,22 @@ TEST(EngineChecksDeathTest, UnlowerableAppAbortsInEveryBuild) {
                "check failed: app does not lower");
 }
 
-TEST(EngineChecksDeathTest, ReferenceInterpreterRejectsUnsupportedOps) {
-  // The reference interpretation covers the straight-line ops the litmus
-  // and fuzz lowerings emit; anything else (a barrier, say) must abort
-  // rather than run wrongly.
+TEST(EngineChecksDeathTest, MismatchedAppFencePolicyAbortsInEveryBuild) {
+  // A policy sized for another app would index past the policy's sites
+  // when the plan's site mask is built; the check is a GPUWMM_CHECK, so
+  // it fires under NDEBUG too, on either engine.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  sim::BatchProgram BP;
-  BP.GridDim = 1;
-  BP.BlockDim = 1;
-  BP.NumSlots = 1;
-  BP.Ops.push_back({sim::BatchOp::Code::Barrier, 0, 0, 0, 0});
-  BP.Lanes.push_back({0, 1});
-  EXPECT_DEATH(
-      {
-        EngineModeGuard Guard(sim::EngineMode::Scalar);
-        sim::ExecutionContext Ctx;
-        Ctx.reset(titan(), 1);
-        sim::Word Reg = 0;
-        (void)sim::runProgram(BP, Ctx, titan(), &Reg, {});
-      },
-      "check failed: op has no reference interpretation");
+  const sim::FencePolicy TooShort = sim::FencePolicy::all(2);
+  const auto Tuned = stress::TunedStressParams::paperDefaults(titan());
+  for (const sim::EngineMode Mode :
+       {sim::EngineMode::Auto, sim::EngineMode::Scalar})
+    EXPECT_DEATH(
+        {
+          EngineModeGuard Guard(Mode);
+          (void)apps::runApplicationOnce(apps::AppKind::CbeDot, titan(),
+                                         {stress::StressKind::None, false},
+                                         Tuned, &TooShort, 1);
+        },
+        "check failed: fence policy does not match the app's sites")
+        << sim::engineModeName(Mode);
 }

@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineModeGuard.h"
+
 #include "harness/CostBenchmark.h"
 #include "harness/EnvironmentRunner.h"
 
@@ -180,4 +182,45 @@ TEST(CostBenchmarkTest, DiscardsErroneousRuns) {
                              sim::FencePolicy::none(NumSites), 10, 24);
   EXPECT_EQ(M.RunsUsed, 10u);
   EXPECT_GT(M.RuntimeMs, 0.0);
+}
+
+TEST(CostBenchmarkTest, Fig5CostsArePinnedOnBothEngines) {
+  // Exact Fig. 5 costs, recorded from the hand-written coroutine kernels
+  // the lowered plans replaced: with those bodies gone, these numbers
+  // (and the seed-4 campaign golden in ParallelTests) are the independent
+  // reference for the lowerings. Both engines must reproduce them bit
+  // for bit.
+  struct Golden {
+    apps::AppKind App;
+    bool AllFences;
+    double RuntimeMs;
+    double EnergyJ;
+  };
+  const Golden Expected[] = {
+      {apps::AppKind::CbeDot, false, 0.068750000000000019,
+       0.019061500000000002},
+      {apps::AppKind::CbeDot, true, 0.24280303030303033,
+       0.070831507575757582},
+      {apps::AppKind::TpoTm, false, 2.1135416666666664, 0.75128491666666675},
+      {apps::AppKind::TpoTm, true, 15.183333333333335, 5.3240112499999999},
+  };
+  for (const sim::EngineMode Mode :
+       {sim::EngineMode::Auto, sim::EngineMode::Scalar}) {
+    EngineModeGuard Guard(Mode);
+    for (const Golden &G : Expected) {
+      const unsigned NumSites = apps::appNumSites(G.App);
+      const auto M = measureCost(G.App, titan(),
+                                 G.AllFences ? sim::FencePolicy::all(NumSites)
+                                             : sim::FencePolicy::none(NumSites),
+                                 12, 5);
+      const std::string What = std::string(apps::appName(G.App)) +
+                               (G.AllFences ? " all" : " none") + " on " +
+                               sim::engineModeName(Mode);
+      EXPECT_EQ(M.RuntimeMs, G.RuntimeMs) << What;
+      EXPECT_EQ(M.EnergyJ, G.EnergyJ) << What;
+      EXPECT_TRUE(M.EnergyValid) << What;
+      EXPECT_EQ(M.RunsUsed, 12u) << What;
+      EXPECT_EQ(M.RunsDiscarded, 0u) << What;
+    }
+  }
 }

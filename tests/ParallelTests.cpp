@@ -29,6 +29,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 
@@ -424,6 +426,50 @@ TEST(GoldenCampaignTest, SubGridSummariesArePinned) {
       EXPECT_EQ(S.AppsWithErrors, G.AppsWithErrors)
           << G.Chip << " under " << G.Env;
     }
+}
+
+TEST(GoldenCampaignTest, TitanSeed4JsonIsPinnedOnBothEngines) {
+  // The whole Tab. 5 grid on titan (all ten apps, all eight
+  // environments), 20 runs at seed 4, byte for byte against the report
+  // recorded from the hand-written coroutine kernels the lowered plans
+  // replaced; only each cell's "engine" field is masked. With those
+  // bodies gone, this golden (and the Fig. 5 cost golden in HarnessTests)
+  // is the independent reference for the lowerings. Regenerate with:
+  //   gpuwmm campaign --chips=titan --runs=20 --seed=4
+  //     --out=tests/golden/campaign-titan-seed4.json
+  std::ifstream In(GPUWMM_GOLDEN_DIR "/campaign-titan-seed4.json");
+  ASSERT_TRUE(In) << "missing golden file";
+  std::ostringstream Golden;
+  Golden << In.rdbuf();
+  const std::regex Engine("\"engine\": \"[a-z]*\"");
+  const auto Masked = [&](const std::string &Json) {
+    return std::regex_replace(Json, Engine, "\"engine\": \"X\"");
+  };
+
+  harness::CampaignConfig Config;
+  Config.Chips = {sim::ChipProfile::lookup("titan")};
+  Config.Envs.assign(stress::Environment::all().begin(),
+                     stress::Environment::all().end());
+  Config.Apps.assign(apps::AllAppKinds.begin(), apps::AllAppKinds.end());
+  Config.Runs = 20;
+  Config.Seed = 4;
+  for (const sim::EngineMode Mode :
+       {sim::EngineMode::Auto, sim::EngineMode::Scalar}) {
+    EngineModeGuard Guard(Mode);
+    ThreadPool Pool;
+    std::ostringstream Json;
+    harness::writeCampaignJson(harness::runCampaign(Config, &Pool), Json);
+    std::istringstream Got(Masked(Json.str())), Want(Masked(Golden.str()));
+    std::string GotLine, WantLine;
+    for (unsigned Line = 1; std::getline(Want, WantLine); ++Line) {
+      if (!std::getline(Got, GotLine))
+        GotLine = "<end of output>";
+      ASSERT_EQ(GotLine, WantLine)
+          << "engine=" << sim::engineModeName(Mode) << ", line " << Line;
+    }
+    EXPECT_FALSE(std::getline(Got, GotLine))
+        << "engine=" << sim::engineModeName(Mode) << ": trailing output";
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,7 @@
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -169,6 +170,17 @@ TEST(StatisticsTest, QuantileInterpolates) {
   const std::vector<double> V{0.0, 10.0};
   EXPECT_DOUBLE_EQ(quantile(V, 0.25), 2.5);
   EXPECT_DOUBLE_EQ(quantile(V, 0.5), 5.0);
+}
+
+TEST(StatisticsDeathTest, QuantileOutsideUnitRangeAbortsInEveryBuild) {
+  // A GPUWMM_CHECK, so it fires under NDEBUG too: NaN included, since it
+  // fails both comparisons.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<double> V = {1.0, 2.0};
+  for (const double Q : {-0.5, 1.5, std::nan("")})
+    EXPECT_DEATH((void)quantile(V, Q),
+                 "check failed: quantile Q must lie in \\[0, 1\\]")
+        << Q;
 }
 
 TEST(StatisticsTest, SummarizeFields) {

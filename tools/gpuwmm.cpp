@@ -277,6 +277,8 @@ int cmdLitmus(const Options &Opts) {
   // frontier), cross-check its verdict against the operational outcome,
   // and print the human-readable event chain (the po ∪ rf ∪ co ∪ fr
   // cycle, extracted from the retained frontier) behind the first weak
+  // run of the forbidden outcome, or the first axiom violation; only when
+  // no run is weak does it explain the first SC run that shows the
   // outcome. When the enumerator finds an SC execution showing the
   // forbidden outcome, a run that shows it and is SC is not a
   // disagreement; when it finds no non-SC one, a run the checker called
@@ -300,7 +302,28 @@ int cmdLitmus(const Options &Opts) {
       return Runner.addrName(A);
     };
     unsigned Checked = 0, Weak = 0, ScForbidden = 0, Disagreements = 0;
-    bool Explained = false;
+    // The explanation is rendered while its run's verdict is live: the
+    // first weak run (or violation) is final, the first SC run of the
+    // outcome only a fallback.
+    std::string Explanation;
+    bool ExplainedWeak = false;
+    const auto Explain = [&](const model::StreamVerdict &R) {
+      char Head[256];
+      std::snprintf(Head, sizeof(Head),
+                    "%s d=%u on %s%s%s: execution %u hit the forbidden "
+                    "outcome\n",
+                    P->Name.c_str(), Distance, Chip->ShortName,
+                    Opts.has("stress") ? " +tuned-stress" : "",
+                    RunOpts.WithFences ? " +fences" : "", Checked - 1);
+      Explanation = Head;
+      if (ScOnly)
+        Explanation += "forbidden outcome is SC-reachable: no non-SC "
+                       "execution shows it\n";
+      else if (Enumerated.ScReachable)
+        Explanation += "forbidden outcome is SC-reachable too: SC and "
+                       "non-SC executions both show it\n";
+      Explanation += model::renderStreamExplanation(R, Namer);
+    };
     for (const auto &S : Configs)
       for (unsigned I = 0; I != Runs; ++I) {
         Checker.begin();
@@ -315,24 +338,18 @@ int cmdLitmus(const Options &Opts) {
           Weak += Forbidden;
           Disagreements += !R.AxiomsOk || R.weak() != Forbidden;
         }
-        if (!Explained && (Forbidden || !R.AxiomsOk)) {
-          std::printf("%s d=%u on %s%s%s: execution %u hit the forbidden "
-                      "outcome\n",
-                      P->Name.c_str(), Distance, Chip->ShortName,
-                      Opts.has("stress") ? " +tuned-stress" : "",
-                      RunOpts.WithFences ? " +fences" : "", Checked - 1);
-          if (ScOnly)
-            std::printf("forbidden outcome is SC-reachable: no non-SC "
-                        "execution shows it\n");
-          else if (Enumerated.ScReachable)
-            std::printf("forbidden outcome is SC-reachable too: SC and "
-                        "non-SC executions both show it\n");
-          std::fputs(model::renderStreamExplanation(R, Namer).c_str(),
-                     stdout);
-          Explained = true;
+        if (ExplainedWeak)
+          continue;
+        if (!R.AxiomsOk || (Forbidden && R.weak())) {
+          Explain(R);
+          ExplainedWeak = true;
+        } else if (Forbidden && Explanation.empty()) {
+          Explain(R);
         }
       }
-    if (!Explained)
+    if (!Explanation.empty())
+      std::fputs(Explanation.c_str(), stdout);
+    else
       std::printf("%s d=%u on %s: no weak outcome in %u executions; "
                   "nothing to explain\n",
                   P->Name.c_str(), Distance, Chip->ShortName, Checked);
