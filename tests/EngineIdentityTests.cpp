@@ -20,7 +20,8 @@
 // The reference is sim::runProgram's interpretation of the very op stream
 // the compiled engine walks, so these tests check runBatchProgram against
 // the coroutine scheduler directly; the lowerings themselves are pinned by
-// the litmus, fuzz, campaign and cost goldens. The barrier release is the
+// the litmus, fuzz, campaign and cost goldens and, fence site by fence
+// site, by the app event-stream digests below. The barrier release is the
 // one event the engines emit themselves (everything else comes from the
 // shared MemorySystem), so the app grid is what pins runBatchProgram's
 // BarrierRelease against the scheduler's.
@@ -258,6 +259,125 @@ INSTANTIATE_TEST_SUITE_P(
           C = '_';
       return N;
     });
+
+namespace {
+
+/// FNV-1a over a record's verdicts and every field of every event, so a
+/// golden can pin a whole run sequence in one word.
+uint64_t digest(const Record &R) {
+  uint64_t H = 14695981039346656037ull;
+  auto Mix = [&H](uint64_t V) {
+    for (unsigned Byte = 0; Byte != 8; ++Byte, V >>= 8) {
+      H ^= V & 0xff;
+      H *= 1099511628211ull;
+    }
+  };
+  for (size_t Run = 0; Run != R.Events.size(); ++Run) {
+    Mix(static_cast<uint64_t>(R.Verdicts[Run]));
+    for (const sim::TraceEvent &E : R.Events[Run])
+      for (const uint64_t F :
+           {static_cast<uint64_t>(E.Kind), static_cast<uint64_t>(E.Source),
+            static_cast<uint64_t>(E.Flag), static_cast<uint64_t>(E.Tid),
+            static_cast<uint64_t>(E.Block), static_cast<uint64_t>(E.Bank),
+            static_cast<uint64_t>(E.A), static_cast<uint64_t>(E.V), E.Id,
+            E.Tick})
+        Mix(F);
+  }
+  return H;
+}
+
+} // namespace
+
+TEST(AppFenceSiteGolden, EventStreamsArePinnedOnBothEngines) {
+  // Where each lowering puts each inserted fence, pinned for every
+  // lowered app: two native runs under the all-sites policy (Site -1) and
+  // under each single-site policy, recorded from the hand-written
+  // coroutine kernels the lowerings replaced. The FenceDevice events and
+  // everything after them move with the fence, so a wrong Site constant
+  // or a fence after the wrong op changes the digest even where the
+  // Fig. 5 cost pin cannot see it (two sites whose fences cost alike).
+  using apps::AppKind;
+  struct Golden {
+    AppKind App;
+    int Site;
+    size_t Events;
+    uint64_t Digest;
+  };
+  const Golden Expected[] = {
+      {AppKind::CbeHt, -1, 12242, 0x6b9dedf984697b57ull},
+      {AppKind::CbeHt, 0, 6002, 0x961799545399c6f4ull},
+      {AppKind::CbeHt, 1, 6767, 0xc880ae814079c878ull},
+      {AppKind::CbeHt, 2, 6764, 0x180a3abd1959eb7eull},
+      {AppKind::CbeHt, 3, 6769, 0x75b4259ed59c5e20ull},
+      {AppKind::CbeHt, 4, 6756, 0x7510180c319fa61cull},
+      {AppKind::CbeHt, 5, 4871, 0xba07b8b382587698ull},
+      {AppKind::CbeDot, -1, 4252, 0x7723bf881e590bffull},
+      {AppKind::CbeDot, 0, 4162, 0x65d9f20fbac3af29ull},
+      {AppKind::CbeDot, 1, 3158, 0x9976713ece46f3deull},
+      {AppKind::CbeDot, 2, 3173, 0x3f009d503b12acdaull},
+      {AppKind::CbeDot, 3, 3173, 0x8db4072ea496d66full},
+      {AppKind::CbeDot, 4, 3146, 0xe9dd538d17eecc12ull},
+      {AppKind::TpoTm, -1, 261044, 0x0d5d4c46b32261afull},
+      {AppKind::TpoTm, 0, 112418, 0x16e3cae37a41074dull},
+      {AppKind::TpoTm, 1, 127840, 0x802ad229b4ffd710ull},
+      {AppKind::TpoTm, 2, 166368, 0x544ecbf14ea3495bull},
+      {AppKind::TpoTm, 3, 84667, 0x9e4ed69b4111cdcbull},
+      {AppKind::TpoTm, 4, 64471, 0x38fee457ee36afc0ull},
+      {AppKind::TpoTm, 5, 72250, 0xcc47a33faceae077ull},
+      {AppKind::TpoTm, 6, 61311, 0x4c2c45e75c850e93ull},
+      {AppKind::SdkRed, -1, 3755, 0x9e041b4adfe08926ull},
+      {AppKind::SdkRed, 0, 3705, 0x5528dfc1d51a1bfeull},
+      {AppKind::SdkRed, 1, 3209, 0x6552c9ac19facb66ull},
+      {AppKind::SdkRed, 2, 3209, 0xd28f0d6a982d8726ull},
+      {AppKind::SdkRed, 3, 3209, 0x5559f780e3ff41a6ull},
+      {AppKind::SdkRed, 4, 3195, 0xddbea2fbcacf556eull},
+      {AppKind::SdkRedNf, -1, 3739, 0x299e9775415ff92eull},
+      {AppKind::SdkRedNf, 0, 3689, 0xa95148f04807781eull},
+      {AppKind::SdkRedNf, 1, 3193, 0xf697d31204fb9dc6ull},
+      {AppKind::SdkRedNf, 2, 3193, 0x89c3b0f51a449a06ull},
+      {AppKind::SdkRedNf, 3, 3193, 0xd56bd5d74c7df10eull},
+      {AppKind::SdkRedNf, 4, 3179, 0x0330cf8866c962f6ull},
+      {AppKind::CubScan, -1, 8166, 0x0d4c3bfa72a445c8ull},
+      {AppKind::CubScan, 0, 7517, 0x65d5522701bf087bull},
+      {AppKind::CubScan, 1, 7021, 0xbfc70b8bdbddd723ull},
+      {AppKind::CubScan, 2, 7021, 0x0bf332d1aa0fb663ull},
+      {AppKind::CubScan, 3, 7034, 0xbe6d0686abb8759eull},
+      {AppKind::CubScan, 4, 7010, 0xa38fdd171bb117e6ull},
+      {AppKind::CubScan, 5, 7013, 0x5753b5faaad25789ull},
+      {AppKind::CubScan, 6, 7029, 0xf3e76c7b6e635911ull},
+      {AppKind::CubScan, 7, 7021, 0x16ca2116661aa74dull},
+      {AppKind::CubScan, 8, 7517, 0xe6ebe37432afe87dull},
+      {AppKind::CubScanNf, -1, 8134, 0xb23d2607b68eb438ull},
+      {AppKind::CubScanNf, 0, 7477, 0xc7cd2ac42b03604eull},
+      {AppKind::CubScanNf, 1, 6981, 0x7d9b138cc811b856ull},
+      {AppKind::CubScanNf, 2, 6981, 0x43edd1b7e1f68336ull},
+      {AppKind::CubScanNf, 3, 7002, 0x4f64a121d6a5ac10ull},
+      {AppKind::CubScanNf, 4, 6978, 0xdff234e34589326cull},
+      {AppKind::CubScanNf, 5, 6975, 0xa4f2f305e2793e24ull},
+      {AppKind::CubScanNf, 6, 6997, 0xd4392aae179bb145ull},
+      {AppKind::CubScanNf, 7, 6981, 0xb9d9c4a7ff1a3126ull},
+      {AppKind::CubScanNf, 8, 7477, 0xd2d65a05187dd638ull},
+  };
+  const stress::Environment Native{stress::StressKind::None, false};
+  for (const sim::EngineMode Mode :
+       {sim::EngineMode::Auto, sim::EngineMode::Scalar})
+    for (const Golden &G : Expected) {
+      const unsigned NumSites = apps::appNumSites(G.App);
+      const auto Policy =
+          G.Site < 0 ? sim::FencePolicy::all(NumSites)
+                     : sim::FencePolicy::ofSites(
+                           NumSites, {static_cast<unsigned>(G.Site)});
+      const Record R = appRecord(Mode, G.App, Native, &Policy, 2, 4242);
+      size_t Events = 0;
+      for (const auto &Run : R.Events)
+        Events += Run.size();
+      const std::string What = std::string(apps::appName(G.App)) +
+                               " site " + std::to_string(G.Site) + " on " +
+                               sim::engineModeName(Mode);
+      EXPECT_EQ(Events, G.Events) << What;
+      EXPECT_EQ(digest(R), G.Digest) << What;
+    }
+}
 
 //===----------------------------------------------------------------------===//
 // Release-build invariant checks
