@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 using namespace gpuwmm;
 using namespace gpuwmm::model;
@@ -140,7 +139,8 @@ struct ConsistencyChecker::PostHocGraph {
 
   const std::vector<TraceEvent> *Events = nullptr;
   RelationGraph *Edges = nullptr;
-  std::unordered_map<unsigned, uint32_t> LastPo;
+  /// Each lane's latest program-order point (InitWrite: none yet).
+  std::vector<uint32_t> LastPo;
   /// Per-location coherence orders: the first NumCo slots are in use, the
   /// rest are empty (kept for their capacity).
   std::vector<std::vector<uint32_t>> CoOrders;
@@ -169,12 +169,12 @@ struct ConsistencyChecker::PostHocGraph {
     return W == NoWriter ? InitWrite : static_cast<uint32_t>(W);
   }
 
-  void po(unsigned Tid, uint64_t I) {
-    const auto [It, First] = LastPo.try_emplace(Tid, idx(I));
-    if (!First) {
-      (*Edges)[It->second].emplace_back(idx(I), EdgeKind::Po);
-      It->second = idx(I);
-    }
+  void po(uint32_t Lane, uint64_t I) {
+    if (Lane >= LastPo.size())
+      LastPo.resize(Lane + 1, InitWrite);
+    if (LastPo[Lane] != InitWrite)
+      (*Edges)[LastPo[Lane]].emplace_back(idx(I), EdgeKind::Po);
+    LastPo[Lane] = idx(I);
   }
 
   void read(uint64_t R, Loc &L, uint64_t W, bool /*Buffered*/) {
@@ -209,7 +209,7 @@ struct ConsistencyChecker::PostHocGraph {
   }
 
   // Pending work and window bookkeeping only the streaming graph keeps.
-  void node(uint64_t, const TraceEvent &) {}
+  void node(uint64_t, const TraceEvent &, uint32_t) {}
   void buffered(uint64_t, Loc &) {}
   void asyncIssued(uint64_t) {}
   void drained(Loc &, uint64_t, uint64_t) {}

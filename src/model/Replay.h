@@ -12,10 +12,13 @@
 /// trace, the streaming checker (model/StreamingChecker.h) event by event.
 /// They differ only in the causality back end the replay feeds.
 ///
-/// The replay owns the axiom state: each thread's buffered stores per
-/// bank, the pending split-phase loads, the block overlay and the promoted
-/// store ids, and per address the visible value, its writer and the newest
-/// plain store id. It checks
+/// The replay owns the axiom state: each thread's buffered stores and
+/// pending split-phase loads, the block overlay and the promoted store
+/// ids, and per address the visible value, its writer and the newest plain
+/// store id. Threads are numbered by dense *lanes* in first-seen order
+/// (\ref LaneIds), so the per-thread state every store, atomic and
+/// program-order point touches is a vector indexed by lane, not a hash
+/// keyed by thread id. It checks
 ///
 ///  * coherence-per-location (applied same-address plain writes never step
 ///    backwards in store order),
@@ -40,9 +43,11 @@
 /// members, which the replay calls per event in this order (a template
 /// parameter, so the streaming path makes no virtual call per event):
 ///
-///   node(I, E)                  event I joins the causality graph
+///   node(I, E, Lane)            event I joins the causality graph
 ///                               (stores, loads, split-phase issues,
-///                               atomics, host writes);
+///                               atomics, host writes); Lane is its
+///                               thread's lane (\ref NoLane for a host
+///                               write);
 ///   buffered(I, L)              store I waits in its thread's buffer;
 ///   asyncIssued(I)              split-phase load I awaits its bind;
 ///   coAppend(L, W, Plain, Id, OldVisible)
@@ -55,13 +60,15 @@
 ///                               read from write W (\ref NoWriter: the
 ///                               initial state); Buffered: W is still in
 ///                               its thread's buffer or the overlay;
-///   po(Tid, I)                  I is thread Tid's next program-order point;
+///   po(Lane, I)                 I is lane Lane's next program-order point;
 ///   drained(L, W, Visible)      the drain of store W ended;
 ///   asyncBound(I)               split-phase load I bound;
 ///   written(L, Visible)         an atomic or host write ended.
 ///
 /// L is the back end's Loc for the event's address; Visible is that
-/// address's visible writer after the event.
+/// address's visible writer after the event. Lanes are below the number
+/// of threads the run has named so far, so a back end may keep its own
+/// per-thread state in vectors too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,7 +79,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -82,6 +88,55 @@ namespace model {
 
 /// The writer of a value no write produced: the initial state.
 inline constexpr uint64_t NoWriter = static_cast<uint64_t>(-1);
+
+/// No lane: a host write, which no thread issues.
+inline constexpr uint32_t NoLane = static_cast<uint32_t>(-1);
+
+/// Thread ids -> dense lanes, numbered in first-seen order. Engine thread
+/// ids are small, so a direct table answers them; a larger id (only a
+/// hand-built trace carries one) is looked up in a hash map instead, so
+/// no id sizes memory.
+class LaneIds {
+public:
+  uint32_t laneOf(unsigned Tid) {
+    if (Tid < Direct.size() && Direct[Tid] != NoLane)
+      return Direct[Tid];
+    return assign(Tid);
+  }
+  /// Lanes handed out since clear().
+  uint32_t size() const { return static_cast<uint32_t>(Tids.size()); }
+  /// Forgets every lane; the direct table keeps its size.
+  void clear() {
+    for (const unsigned Tid : Tids)
+      if (Tid < Direct.size())
+        Direct[Tid] = NoLane;
+    Tids.clear();
+    Far.clear();
+  }
+
+private:
+  /// Ids from here on go to Far: the direct table stays under 256 KiB.
+  static constexpr unsigned DirectBelow = 1u << 16;
+
+  uint32_t assign(unsigned Tid) {
+    const uint32_t Lane = size();
+    if (Tid >= DirectBelow) {
+      const auto [It, New] = Far.try_emplace(Tid, Lane);
+      if (!New)
+        return It->second;
+    } else {
+      if (Tid >= Direct.size())
+        Direct.resize(Tid + 1, NoLane);
+      Direct[Tid] = Lane;
+    }
+    Tids.push_back(Tid);
+    return Lane;
+  }
+
+  std::vector<uint32_t> Direct; ///< Tid -> lane (NoLane: not seen).
+  std::unordered_map<unsigned, uint32_t> Far;
+  std::vector<unsigned> Tids; ///< Lane -> Tid.
+};
 
 /// The first violated replay axiom of a run.
 struct ReplayViolation {
@@ -94,15 +149,15 @@ struct ReplayViolation {
 };
 
 /// The replay axioms over one run, feeding causality back end
-/// \p Backend. Reusable: \ref clear keeps hash buckets.
+/// \p Backend. Reusable: \ref clear keeps per-thread storage and hash
+/// buckets.
 template <class Backend> class Replay {
 public:
   /// Starts a fresh run.
   void clear() {
-    Pending.clear();
-    PendingByTid.clear();
-    AsyncByTidBank.clear();
-    AsyncByTid.clear();
+    for (uint32_t L = 0; L != Lanes.size(); ++L)
+      Threads[L].clear();
+    Lanes.clear();
     AsyncIssueAt.clear();
     Overlay.clear();
     PromotedIds.clear();
@@ -123,26 +178,60 @@ public:
   void finish() {
     if (!ok())
       return;
-    for (const auto &KV : PendingByTid)
-      if (KV.second != 0)
+    for (uint32_t L = 0; L != Lanes.size(); ++L)
+      if (!Threads[L].Stores.empty())
         violate("fence-drain: stores were still buffered at the end of the "
                 "run (the kernel boundary must drain them)",
                 LastI, LastEv, LastI, LastEv);
-    for (const auto &KV : AsyncByTid)
-      if (KV.second != 0)
+    for (uint32_t L = 0; L != Lanes.size(); ++L)
+      if (Threads[L].Async != 0)
         violate("fence-drain: split-phase loads were still pending at the "
                 "end of the run",
                 LastI, LastEv, LastI, LastEv);
   }
 
 private:
-  /// One thread's un-drained buffered store on one bank.
+  /// One thread's un-drained buffered store.
   struct PendingStore {
-    uint64_t Node; ///< Its StoreIssue event.
-    uint64_t Id;
-    sim::Addr A;
-    sim::Word V;
-    sim::TraceEvent Ev;
+    uint64_t Node;      ///< Its StoreIssue event...
+    sim::TraceEvent Ev; ///< ...and a copy of it (bank, address, value, id).
+  };
+  /// One thread's pending work, indexed by its lane.
+  struct ThreadState {
+    /// Buffered stores on every bank, in issue order: a bank's FIFO is the
+    /// subsequence on that bank. A thread buffers a handful at a time.
+    std::vector<PendingStore> Stores;
+    unsigned Async = 0; ///< Pending split-phase loads.
+    /// (bank, pending split-phase loads on it) for each bank used.
+    std::vector<std::pair<unsigned, unsigned>> AsyncOnBank;
+
+    /// Empties the state, keeping capacity.
+    void clear() {
+      Stores.clear();
+      Async = 0;
+      AsyncOnBank.clear();
+    }
+    /// Pending split-phase loads on \p Bank.
+    unsigned &asyncOn(unsigned Bank) {
+      for (auto &[B, N] : AsyncOnBank)
+        if (B == Bank)
+          return N;
+      return AsyncOnBank.emplace_back(Bank, 0).second;
+    }
+    /// The oldest store still buffered on \p Bank.
+    const PendingStore *oldestOn(unsigned Bank) const {
+      for (const PendingStore &P : Stores)
+        if (P.Ev.Bank == Bank)
+          return &P;
+      return nullptr;
+    }
+    /// The newest store to \p A still buffered on \p Bank.
+    const PendingStore *newestTo(unsigned Bank, sim::Addr A) const {
+      for (auto It = Stores.rbegin(); It != Stores.rend(); ++It)
+        if (It->Ev.Bank == Bank && It->Ev.A == A)
+          return &*It;
+      return nullptr;
+    }
   };
   /// One live block-visible value.
   struct OverlayEnt {
@@ -165,8 +254,12 @@ private:
     typename Backend::Loc Back;  ///< The back end's state for the address.
   };
 
-  static uint64_t tidBankKey(unsigned Tid, unsigned Bank) {
-    return (static_cast<uint64_t>(Tid) << 32) | Bank;
+  /// \p Tid's lane, assigned on first sight; Threads covers it.
+  uint32_t lane(unsigned Tid) {
+    const uint32_t L = Lanes.laneOf(Tid);
+    if (L == Threads.size())
+      Threads.emplace_back();
+    return L;
   }
 
   void violate(const char *Msg, uint64_t A, const sim::TraceEvent &EvA,
@@ -190,21 +283,6 @@ private:
       violate(Msg, AS.Visible, AS.VisibleEv, I, E);
   }
 
-  /// The oldest store the thread still buffers on \p Key's bank.
-  const PendingStore *oldestPending(uint64_t Key) const {
-    const auto It = Pending.find(Key);
-    return It == Pending.end() || It->second.empty() ? nullptr
-                                                     : &It->second.front();
-  }
-  PendingStore *newestPendingTo(uint64_t Key, sim::Addr A) {
-    const auto It = Pending.find(Key);
-    if (It == Pending.end())
-      return nullptr;
-    for (auto RIt = It->second.rbegin(); RIt != It->second.rend(); ++RIt)
-      if (RIt->A == A)
-        return &*RIt;
-    return nullptr;
-  }
   OverlayEnt *overlayFor(unsigned Block, sim::Addr A) {
     const auto It = Overlay.find(A);
     if (It == Overlay.end())
@@ -218,10 +296,9 @@ private:
   void storeDrain(const sim::TraceEvent &E, uint64_t I, Backend &B);
   void loadBind(const sim::TraceEvent &E, uint64_t I, Backend &B);
 
-  std::unordered_map<uint64_t, std::deque<PendingStore>> Pending;
-  std::unordered_map<unsigned, unsigned> PendingByTid;
-  std::unordered_map<uint64_t, unsigned> AsyncByTidBank;
-  std::unordered_map<unsigned, unsigned> AsyncByTid;
+  LaneIds Lanes;
+  /// By lane; entries past Lanes.size() are reset and kept for capacity.
+  std::vector<ThreadState> Threads;
   std::unordered_map<uint64_t, AsyncIssueEnt> AsyncIssueAt; ///< By ticket.
   std::unordered_map<sim::Addr, std::vector<OverlayEnt>> Overlay;
   std::unordered_set<uint64_t> PromotedIds;
@@ -239,18 +316,18 @@ void Replay<Backend>::event(const sim::TraceEvent &E, uint64_t I,
     return;
   LastI = I;
   LastEv = E;
-  const uint64_t Key = tidBankKey(E.Tid, E.Bank);
   switch (E.Kind) {
   case TraceEventKind::StoreIssue: {
-    if (AsyncByTidBank[Key] != 0)
+    const uint32_t L = lane(E.Tid);
+    ThreadState &T = Threads[L];
+    if (T.asyncOn(E.Bank) != 0)
       violate("same-bank issue order: store issued while a split-phase "
               "load is pending on its bank",
               I, E, I, E);
-    Pending[Key].push_back({I, E.Id, E.A, E.V, E});
-    ++PendingByTid[E.Tid];
-    B.node(I, E);
+    T.Stores.push_back({I, E});
+    B.node(I, E, L);
     B.buffered(I, Addrs[E.A].Back);
-    B.po(E.Tid, I);
+    B.po(L, I);
     break;
   }
   case TraceEventKind::StoreDrain:
@@ -260,12 +337,14 @@ void Replay<Backend>::event(const sim::TraceEvent &E, uint64_t I,
     loadBind(E, I, B);
     break;
   case TraceEventKind::AsyncIssue: {
+    const uint32_t L = lane(E.Tid);
+    ThreadState &T = Threads[L];
     AsyncIssueAt[E.Id] = {I, E};
-    ++AsyncByTidBank[Key];
-    ++AsyncByTid[E.Tid];
-    B.node(I, E);
+    ++T.asyncOn(E.Bank);
+    ++T.Async;
+    B.node(I, E, L);
     B.asyncIssued(I);
-    B.po(E.Tid, I);
+    B.po(L, I);
     break;
   }
   case TraceEventKind::AsyncBind: {
@@ -275,8 +354,9 @@ void Replay<Backend>::event(const sim::TraceEvent &E, uint64_t I,
               E, I, E);
       break;
     }
-    --AsyncByTidBank[Key];
-    --AsyncByTid[E.Tid];
+    ThreadState &T = Threads[lane(E.Tid)];
+    --T.asyncOn(E.Bank);
+    --T.Async;
     AddrState &AS = Addrs[E.A];
     if (E.V != AS.Val)
       violateValue("read-value: a split-phase load bound a value memory "
@@ -291,12 +371,14 @@ void Replay<Backend>::event(const sim::TraceEvent &E, uint64_t I,
     break;
   }
   case TraceEventKind::Atomic: {
+    const uint32_t L = lane(E.Tid);
+    ThreadState &T = Threads[L];
     AddrState &AS = Addrs[E.A];
-    if (const PendingStore *Oldest = oldestPending(Key))
+    if (const PendingStore *Oldest = T.oldestOn(E.Bank))
       violate("self-coherence: an atomic executed while the thread still "
               "buffered stores on its bank",
               Oldest->Node, Oldest->Ev, I, E);
-    else if (AsyncByTidBank[Key] != 0)
+    else if (T.asyncOn(E.Bank) != 0)
       violate("same-bank issue order: an atomic executed while a "
               "split-phase load is pending on its bank",
               I, E, I, E);
@@ -304,7 +386,7 @@ void Replay<Backend>::event(const sim::TraceEvent &E, uint64_t I,
       violateValue("read-value: an atomic read a value memory does not hold",
                    AS, I, E);
     const uint64_t W = AS.Visible; // The read side binds pre-write.
-    B.node(I, E);
+    B.node(I, E, L);
     if (E.Flag) {
       AS.Val = E.V;
       const uint64_t OldVisible = AS.Visible;
@@ -314,7 +396,7 @@ void Replay<Backend>::event(const sim::TraceEvent &E, uint64_t I,
       Overlay.erase(E.A); // Atomics invalidate block-visible values.
     }
     B.read(I, AS.Back, W, /*Buffered=*/false);
-    B.po(E.Tid, I);
+    B.po(L, I);
     // The write side ends after the read side: the back end may retire
     // the write the atomic read from only once the read is recorded.
     if (E.Flag)
@@ -322,11 +404,12 @@ void Replay<Backend>::event(const sim::TraceEvent &E, uint64_t I,
     break;
   }
   case TraceEventKind::FenceDevice: {
-    if (PendingByTid[E.Tid] != 0)
+    const ThreadState &T = Threads[lane(E.Tid)];
+    if (!T.Stores.empty())
       violate("fence-drain: a device fence completed with the thread's "
               "stores still buffered",
               I, E, I, E);
-    else if (AsyncByTid[E.Tid] != 0)
+    else if (T.Async != 0)
       violate("fence-drain: a device fence completed with the thread's "
               "split-phase loads still pending",
               I, E, I, E);
@@ -335,11 +418,9 @@ void Replay<Backend>::event(const sim::TraceEvent &E, uint64_t I,
   case TraceEventKind::StorePromote: {
     PromotedIds.insert(E.Id);
     const PendingStore *P = nullptr;
-    const auto It = Pending.find(Key);
-    if (It != Pending.end())
-      for (const PendingStore &PS : It->second)
-        if (PS.Id == E.Id)
-          P = &PS;
+    for (const PendingStore &PS : Threads[lane(E.Tid)].Stores)
+      if (PS.Ev.Bank == E.Bank && PS.Ev.Id == E.Id)
+        P = &PS;
     if (!P) {
       violate("forwarding: a block fence promoted a store that is not "
               "buffered",
@@ -363,7 +444,7 @@ void Replay<Backend>::event(const sim::TraceEvent &E, uint64_t I,
     AS.Visible = I;
     AS.VisibleEv = E;
     AS.PlainMax = E.Id;
-    B.node(I, E);
+    B.node(I, E, NoLane);
     B.coAppend(AS.Back, I, /*Plain=*/true, E.Id, OldVisible);
     B.written(AS.Back, I);
     break;
@@ -374,16 +455,19 @@ void Replay<Backend>::event(const sim::TraceEvent &E, uint64_t I,
 template <class Backend>
 void Replay<Backend>::storeDrain(const sim::TraceEvent &E, uint64_t I,
                                  Backend &B) {
-  std::deque<PendingStore> &Q = Pending[tidBankKey(E.Tid, E.Bank)];
-  if (Q.empty() || Q.front().Id != E.Id) {
+  std::vector<PendingStore> &Stores = Threads[lane(E.Tid)].Stores;
+  // The head of the bank's FIFO.
+  auto Head = Stores.begin();
+  while (Head != Stores.end() && Head->Ev.Bank != E.Bank)
+    ++Head;
+  if (Head == Stores.end() || Head->Ev.Id != E.Id) {
+    const bool Empty = Head == Stores.end();
     violate("same-bank FIFO: a store drained out of its bank's issue order",
-            Q.empty() ? I : Q.front().Node, Q.empty() ? E : Q.front().Ev, I,
-            E);
+            Empty ? I : Head->Node, Empty ? E : Head->Ev, I, E);
     return;
   }
-  const PendingStore Front = Q.front();
-  Q.pop_front();
-  --PendingByTid[E.Tid];
+  const PendingStore Front = *Head;
+  Stores.erase(Head);
   AddrState &AS = Addrs[E.A];
   if (E.Flag != (E.Id >= AS.PlainMax)) {
     violate("coherence-per-location: a drain was applied/dropped against "
@@ -423,15 +507,16 @@ template <class Backend>
 void Replay<Backend>::loadBind(const sim::TraceEvent &E, uint64_t I,
                                Backend &B) {
   using sim::LoadSource;
-  const uint64_t Key = tidBankKey(E.Tid, E.Bank);
+  const uint32_t L = lane(E.Tid);
+  const ThreadState &T = Threads[L];
   AddrState &AS = Addrs[E.A];
-  const PendingStore *Newest = newestPendingTo(Key, E.A);
+  const PendingStore *Newest = T.newestTo(E.Bank, E.A);
   const OverlayEnt *OV = overlayFor(E.Block, E.A);
   uint64_t Rf = NoWriter;
   bool Buffered = false;
   switch (E.Source) {
   case LoadSource::Memory:
-    if (const PendingStore *Oldest = oldestPending(Key))
+    if (const PendingStore *Oldest = T.oldestOn(E.Bank))
       violate("self-coherence: a load bound from memory while the thread "
               "still buffered stores on the load's bank",
               Oldest->Node, Oldest->Ev, I, E);
@@ -449,15 +534,15 @@ void Replay<Backend>::loadBind(const sim::TraceEvent &E, uint64_t I,
       violate("forwarding: a load forwarded with no buffered store to its "
               "address",
               I, E, I, E);
-    else if (E.V != Newest->V)
+    else if (E.V != Newest->Ev.V)
       violate("forwarding: a load forwarded a value its newest buffered "
               "store did not write",
               Newest->Node, Newest->Ev, I, E);
-    else if (AS.PlainMax > Newest->Id)
+    else if (AS.PlainMax > Newest->Ev.Id)
       violate("coherence-per-location: a load forwarded a store that newer "
               "globally visible writes supersede",
               Newest->Node, Newest->Ev, I, E);
-    else if (OV && OV->Id > Newest->Id)
+    else if (OV && OV->Id > Newest->Ev.Id)
       violate("coherence-per-location: a load forwarded a store that a "
               "newer block-visible value supersedes",
               Newest->Node, Newest->Ev, I, E);
@@ -467,7 +552,7 @@ void Replay<Backend>::loadBind(const sim::TraceEvent &E, uint64_t I,
     }
     break;
   case LoadSource::MemorySuperseded:
-    if (!Newest || AS.PlainMax <= Newest->Id)
+    if (!Newest || AS.PlainMax <= Newest->Ev.Id)
       violate("coherence-per-location: a superseded-forward load without a "
               "superseding write",
               I, E, I, E);
@@ -478,7 +563,7 @@ void Replay<Backend>::loadBind(const sim::TraceEvent &E, uint64_t I,
     Rf = AS.Visible;
     break;
   case LoadSource::OverlaySuperseded:
-    if (!Newest || !OV || OV->Id <= Newest->Id)
+    if (!Newest || !OV || OV->Id <= Newest->Ev.Id)
       violate("coherence-per-location: a superseded-forward load without a "
               "newer block-visible value",
               I, E, I, E);
@@ -492,7 +577,7 @@ void Replay<Backend>::loadBind(const sim::TraceEvent &E, uint64_t I,
     }
     break;
   case LoadSource::Overlay:
-    if (const PendingStore *Oldest = oldestPending(Key))
+    if (const PendingStore *Oldest = T.oldestOn(E.Bank))
       violate("self-coherence: a load bound from the block overlay while "
               "the thread still buffered stores on the bank",
               Oldest->Node, Oldest->Ev, I, E);
@@ -510,9 +595,9 @@ void Replay<Backend>::loadBind(const sim::TraceEvent &E, uint64_t I,
     }
     break;
   }
-  B.node(I, E);
+  B.node(I, E, L);
   B.read(I, AS.Back, Rf, Buffered);
-  B.po(E.Tid, I);
+  B.po(L, I);
 }
 
 } // namespace model

@@ -5,7 +5,9 @@
 // first violation (message and violating event indices) is identical by
 // construction. This file is the causality back end: a live graph with
 // incremental cycle detection and frontier-bounded retirement (DESIGN.md
-// Sec. 15).
+// Sec. 15). Its per-event path hashes only the event index of a node;
+// adjacency lookups scan a short list or read a pooled dense row by lane,
+// and program order is a vector by lane.
 //
 // Retirement soundness leans on one engine invariant: store ids
 // (NextStoreId, shared with host writes) are monotonic in issue order, so
@@ -20,7 +22,6 @@
 #include "model/Replay.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <sstream>
 
@@ -41,10 +42,10 @@ enum : uint8_t {
   PinVisible = 32,       ///< An address's current visible writer (rf source).
 };
 
-/// No po lane: a host write, which sits on no thread's program order.
-constexpr uint32_t NoLane = static_cast<uint32_t>(-1);
 constexpr uint32_t NoSlot = static_cast<uint32_t>(-1); ///< Not live.
 constexpr uint32_t NoEdge = static_cast<uint32_t>(-1); ///< List end / miss.
+constexpr uint32_t NoRow = static_cast<uint32_t>(-1);  ///< List not indexed.
+constexpr uint64_t NoEvent = static_cast<uint64_t>(-1);
 
 /// Recycled storage with stable element addresses, grown a chunk at a time:
 /// no doubling copy, no doubled slack, and a run's surplus chunks can be
@@ -73,92 +74,73 @@ private:
   std::vector<std::unique_ptr<T[]>> Chunks;
 };
 
-/// Open-addressing map from a 64-bit adjacency key to an edge id: linear
-/// probing at load <= 3/4 and backward-shift deletion (no tombstones).
-class EdgeIndex {
+/// Dense adjacency rows for the lists past GraphState::IndexAbove: a row
+/// maps each lane to its node's one edge to or from that lane (NoEdge:
+/// none). A row is taken when a list is indexed and handed back when its
+/// node retires. Rows sit Stride words apart in one array, Stride covering
+/// every lane the run has named.
+class RowPool {
 public:
-  /// Empties the map. A table past KeepBuckets is handed back; one up to
-  /// that size (a spin-lock app's hub index: tpo-tm needs ~19k keys)
-  /// stays, since reallocating it every run fragments the heap more than
-  /// keeping it costs.
+  uint32_t take() {
+    uint32_t R;
+    if (!Free.empty()) {
+      R = Free.back();
+      Free.pop_back();
+    } else {
+      R = Count++;
+      Words.resize(size_t{Count} * Stride);
+    }
+    std::fill_n(row(R), Stride, NoEdge);
+    Peak = std::max(Peak, ++InUse);
+    return R;
+  }
+  void give(uint32_t R) {
+    Free.push_back(R);
+    --InUse;
+  }
+  uint32_t *row(uint32_t R) { return Words.data() + size_t{R} * Stride; }
+
+  /// Widens every row to cover \p Lane. Lanes are named in first-seen
+  /// order, mostly before any list is indexed, so there is rarely a row to
+  /// move.
+  void cover(uint32_t Lane) {
+    if (Lane < Stride)
+      return;
+    const uint32_t Wide = (Lane | 15) + 1;
+    if (Count == 0) {
+      Stride = Wide;
+      return;
+    }
+    std::vector<uint32_t> Old;
+    Old.swap(Words);
+    Words.assign(size_t{Count} * Wide, NoEdge);
+    for (uint32_t R = 0; R != Count; ++R)
+      std::copy_n(Old.data() + size_t{R} * Stride, Stride,
+                  Words.data() + size_t{R} * Wide);
+    Stride = Wide;
+  }
+
+  /// High-water mark of rows in use since clear().
+  uint32_t peak() const { return Peak; }
+
+  /// Forgets every row. Storage up to KeepWords stays (tpo-tm's hub lists
+  /// peak near 1100 rows of 64 lanes, 278 KiB); more is handed back.
   void clear() {
-    if (Buckets.size() > KeepBuckets) {
-      std::vector<Bucket>().swap(Buckets);
-      Mask = 0;
-      Shift = 64;
-    } else if (Count != 0) {
-      std::fill(Buckets.begin(), Buckets.end(), Bucket());
-    }
-    Count = 0;
-  }
-
-  uint32_t find(uint64_t Key) const {
-    if (Buckets.empty())
-      return NoEdge;
-    for (size_t I = home(Key);; I = (I + 1) & Mask) {
-      const Bucket &B = Buckets[I];
-      if (B.Edge == NoEdge || B.Key == Key)
-        return B.Edge;
-    }
-  }
-
-  /// \p Key must be absent.
-  void insert(uint64_t Key, uint32_t Edge) {
-    if (4 * (Count + 1) > 3 * Buckets.size())
-      grow();
-    size_t I = home(Key);
-    while (Buckets[I].Edge != NoEdge)
-      I = (I + 1) & Mask;
-    Buckets[I] = {Key, Edge};
-    ++Count;
-  }
-
-  /// \p Key must be present.
-  void erase(uint64_t Key) {
-    size_t I = home(Key);
-    while (Buckets[I].Key != Key || Buckets[I].Edge == NoEdge)
-      I = (I + 1) & Mask;
-    // Backward shift: pull every later run member whose home is not in
-    // (I, J] into the hole, so probes never need tombstones.
-    for (size_t J = (I + 1) & Mask; Buckets[J].Edge != NoEdge;
-         J = (J + 1) & Mask) {
-      const size_t H = home(Buckets[J].Key);
-      if (((J - H) & Mask) >= ((J - I) & Mask)) {
-        Buckets[I] = Buckets[J];
-        I = J;
-      }
-    }
-    Buckets[I].Edge = NoEdge;
-    --Count;
+    if (Words.capacity() > KeepWords)
+      std::vector<uint32_t>().swap(Words);
+    else
+      Words.clear();
+    Free.clear();
+    Stride = Count = InUse = Peak = 0;
   }
 
 private:
-  struct Bucket {
-    uint64_t Key = 0;
-    uint32_t Edge = NoEdge; ///< NoEdge marks an empty bucket.
-  };
-  static constexpr size_t MinSize = 256, KeepBuckets = size_t{1} << 15;
-  std::vector<Bucket> Buckets;
-  size_t Mask = 0;
-  unsigned Shift = 64;
-  size_t Count = 0;
-
-  size_t home(uint64_t Key) const {
-    return static_cast<size_t>((Key * 0x9E3779B97F4A7C15ull) >> Shift);
-  }
-
-  void grow() {
-    std::vector<Bucket> Old;
-    Old.swap(Buckets);
-    const size_t Size = Old.empty() ? MinSize : 2 * Old.size();
-    Buckets.assign(Size, Bucket());
-    Mask = Size - 1;
-    Shift = 64 - static_cast<unsigned>(std::countr_zero(Size));
-    Count = 0;
-    for (const Bucket &B : Old)
-      if (B.Edge != NoEdge)
-        insert(B.Key, B.Edge);
-  }
+  static constexpr size_t KeepWords = size_t{1} << 17;
+  std::vector<uint32_t> Words;
+  std::vector<uint32_t> Free;
+  uint32_t Stride = 0; ///< Words per row.
+  uint32_t Count = 0;  ///< Rows laid out this run.
+  uint32_t InUse = 0, Peak = 0;
 };
 
 /// One write in an address's live coherence window.
@@ -178,7 +160,8 @@ struct CoWindow {
 };
 
 /// The live causality graph, recycled across begin() calls (clear() keeps
-/// hash buckets, and the graph storage of litmus-sized runs).
+/// hash buckets, the row pool up to its keep size, and the graph storage of
+/// litmus-sized runs).
 struct GraphState {
   /// One stored edge, threaded on its source's out-list and its target's
   /// in-list (both in insertion order: the DFS, and so the witness, order).
@@ -191,13 +174,14 @@ struct GraphState {
   struct GNode {
     TraceEvent Ev;
     uint64_t Index = 0;     ///< Global event index.
-    uint32_t Lane = NoLane; ///< Issuing thread (NoLane for a host write).
+    uint32_t Lane = NoLane; ///< Issuing thread's lane (NoLane: host write).
     uint32_t OutHead = NoEdge, OutTail = NoEdge;
     uint32_t InHead = NoEdge, InTail = NoEdge;
     uint32_t OutDegree = 0, InDegree = 0;
     uint8_t Pins = 0;
-    /// The list is in Adjacency (it outgrew a scan); stays until retired.
-    bool OutIndexed = false, InIndexed = false;
+    /// The list's row in Rows once it outgrew a scan (NoRow before); kept
+    /// until the node retires.
+    uint32_t OutRow = NoRow, InRow = NoRow;
     uint64_t Stamp = 0; ///< DFS visitation stamp.
   };
   /// Adjacency lists longer than this are indexed, shorter ones scanned
@@ -212,15 +196,14 @@ struct GraphState {
   Slab<Edge, 10> Edges;
   std::vector<uint32_t> FreeEdges;
   uint32_t UsedEdges = 0;
-  /// (node slot, direction, neighbour lane) -> the node's unique edge to or
-  /// from that lane, for indexed lists; a host-write neighbour is keyed by
-  /// its slot instead.
-  EdgeIndex Adjacency;
+  /// Rows of the indexed lists. A host-write neighbour has no lane, so an
+  /// indexed list is still scanned for one (host writes are rare).
+  RowPool Rows;
   std::unordered_map<uint64_t, uint32_t> Live; ///< Event index -> slot.
   /// Readers registered on a still-pending store (not yet in co), keyed by
   /// its issue node; transferred to the CoEnt when the store drains.
   std::unordered_map<uint64_t, std::vector<uint64_t>> PendingReaders;
-  std::unordered_map<unsigned, uint64_t> LastPo;
+  std::vector<uint64_t> LastPo; ///< By lane (NoEvent: none yet).
   uint64_t DfsStamp = 0;
   bool GraphDead = false; ///< Cycle found: graph dropped, axioms continue.
 
@@ -245,7 +228,7 @@ struct GraphState {
     UsedSlots = 0;
     FreeEdges.clear();
     UsedEdges = 0;
-    Adjacency.clear();
+    Rows.clear();
     Live.clear();
     PendingReaders.clear();
     LastPo.clear();
@@ -317,9 +300,11 @@ struct Graph {
 
   // --- The live graph -----------------------------------------------------
 
-  void node(uint64_t I, const TraceEvent &E) {
+  void node(uint64_t I, const TraceEvent &E, uint32_t Lane) {
     if (S.GraphDead)
       return;
+    if (Lane != NoLane)
+      S.Rows.cover(Lane);
     uint32_t Slot;
     if (!S.FreeSlots.empty()) {
       Slot = S.FreeSlots.back();
@@ -332,7 +317,7 @@ struct Graph {
     N = GNode();
     N.Ev = E;
     N.Index = I;
-    N.Lane = E.Kind == TraceEventKind::HostWrite ? NoLane : E.Tid;
+    N.Lane = Lane;
     S.Live.emplace(I, Slot);
     PeakLive = std::max(PeakLive, S.Live.size());
   }
@@ -357,26 +342,14 @@ struct Graph {
       retire(Slot);
   }
 
-  /// The adjacency-index key for \p Slot's edge in direction \p In whose
-  /// neighbour is \p Nb on \p NbLane: the lane, or the slot of a host write.
-  static uint64_t adjKey(uint32_t Slot, bool In, uint32_t Nb, uint32_t NbLane) {
-    const uint64_t Key = NbLane == NoLane ? (uint64_t{1} << 32) | Nb : NbLane;
-    return (static_cast<uint64_t>(Slot) << 34) | (uint64_t{In} << 33) | Key;
-  }
-  uint64_t outKey(const Edge &E) {
-    return adjKey(E.From, /*In=*/false, E.To, S.Nodes[E.To].Lane);
-  }
-  uint64_t inKey(const Edge &E) {
-    return adjKey(E.To, /*In=*/true, E.From, S.Nodes[E.From].Lane);
-  }
-
   /// \p Slot's edge in direction \p In whose neighbour matches \p Nb on
   /// \p NbLane (same lane; for a host write, the node itself), or NoEdge.
   /// There is at most one: the lane reduction's invariant.
   uint32_t findEdge(uint32_t Slot, bool In, uint32_t Nb, uint32_t NbLane) {
     const GNode &N = S.Nodes[Slot];
-    if (In ? N.InIndexed : N.OutIndexed)
-      return S.Adjacency.find(adjKey(Slot, In, Nb, NbLane));
+    const uint32_t Row = In ? N.InRow : N.OutRow;
+    if (Row != NoRow && NbLane != NoLane)
+      return S.Rows.row(Row)[NbLane];
     for (uint32_t Id = In ? N.InHead : N.OutHead; Id != NoEdge;) {
       const Edge &E = S.Edges[Id];
       const uint32_t Other = In ? E.From : E.To;
@@ -387,13 +360,17 @@ struct Graph {
     return NoEdge;
   }
 
-  /// Moves a list that outgrew a scan into the index.
+  /// Gives a list that outgrew a scan a row.
   void indexList(uint32_t Slot, bool In) {
     GNode &N = S.Nodes[Slot];
-    (In ? N.InIndexed : N.OutIndexed) = true;
+    const uint32_t Row = S.Rows.take();
+    (In ? N.InRow : N.OutRow) = Row;
+    uint32_t *ByLane = S.Rows.row(Row);
     for (uint32_t Id = In ? N.InHead : N.OutHead; Id != NoEdge;) {
       const Edge &E = S.Edges[Id];
-      S.Adjacency.insert(In ? inKey(E) : outKey(E), Id);
+      const uint32_t Lane = S.Nodes[In ? E.From : E.To].Lane;
+      if (Lane != NoLane)
+        ByLane[Lane] = Id;
       Id = In ? E.NextIn : E.NextOut;
     }
   }
@@ -410,10 +387,10 @@ struct Graph {
     (E.NextIn == NoEdge ? To.InTail : S.Edges[E.NextIn].PrevIn) = E.PrevIn;
     --From.OutDegree;
     --To.InDegree;
-    if (From.OutIndexed)
-      S.Adjacency.erase(outKey(E));
-    if (To.InIndexed)
-      S.Adjacency.erase(inKey(E));
+    if (From.OutRow != NoRow && To.Lane != NoLane)
+      S.Rows.row(From.OutRow)[To.Lane] = NoEdge;
+    if (To.InRow != NoRow && From.Lane != NoLane)
+      S.Rows.row(To.InRow)[From.Lane] = NoEdge;
     S.FreeEdges.push_back(Id);
     ++EdgeOps;
   }
@@ -438,14 +415,18 @@ struct Graph {
     To.InTail = Id;
     ++From.OutDegree;
     ++To.InDegree;
-    if (From.OutIndexed)
-      S.Adjacency.insert(outKey(E), Id);
-    else if (From.OutDegree > GraphState::IndexAbove)
+    if (From.OutRow != NoRow) {
+      if (To.Lane != NoLane)
+        S.Rows.row(From.OutRow)[To.Lane] = Id;
+    } else if (From.OutDegree > GraphState::IndexAbove) {
       indexList(FromSlot, /*In=*/false);
-    if (To.InIndexed)
-      S.Adjacency.insert(inKey(E), Id);
-    else if (To.InDegree > GraphState::IndexAbove)
+    }
+    if (To.InRow != NoRow) {
+      if (From.Lane != NoLane)
+        S.Rows.row(To.InRow)[From.Lane] = Id;
+    } else if (To.InDegree > GraphState::IndexAbove) {
       indexList(ToSlot, /*In=*/true);
+    }
     ++EdgeOps;
     PeakDegree = std::max<size_t>(PeakDegree,
                                   std::max(From.OutDegree, To.InDegree));
@@ -458,7 +439,8 @@ struct Graph {
   /// reaches To, and F' -> To (F' at or after From on From's lane) is
   /// already reached from From. Keeping only the dominant edge leaves each
   /// node at most one out-edge per target lane and one in-edge per source
-  /// lane, which findEdge finds in O(1). Host writes sit on no lane:
+  /// lane, which findEdge finds by a short scan or a row. Host writes sit
+  /// on no lane:
   /// reasoning never runs through one. Returns false when the edge was
   /// implied (or a duplicate).
   bool link(uint32_t FromSlot, uint32_t ToSlot, EdgeKind K) {
@@ -499,11 +481,17 @@ struct Graph {
       S.SpliceFrom.push_back(S.Edges[E].From);
     for (uint32_t E = N.OutHead; E != NoEdge; E = S.Edges[E].NextOut)
       S.SpliceTo.emplace_back(S.Edges[E].To, S.Edges[E].Kind);
-    // Detach first so the splice sees clean lists.
+    // Detach first so the splice sees clean lists; the rows go back to
+    // the pool, all NoEdge again.
     while (N.InHead != NoEdge)
       eraseEdge(N.InHead);
     while (N.OutHead != NoEdge)
       eraseEdge(N.OutHead);
+    for (uint32_t *Row : {&N.InRow, &N.OutRow})
+      if (*Row != NoRow) {
+        S.Rows.give(*Row);
+        *Row = NoRow;
+      }
     for (uint32_t F : S.SpliceFrom)
       for (const auto &[T, K] : S.SpliceTo)
         if (T != F)
@@ -585,20 +573,21 @@ struct Graph {
     S.Stack.clear();
   }
 
-  void po(unsigned Tid, uint64_t I) {
+  void po(uint32_t Lane, uint64_t I) {
     if (S.GraphDead)
       return;
-    const auto It = S.LastPo.find(Tid);
-    if (It == S.LastPo.end()) {
-      S.LastPo[Tid] = I;
+    if (Lane >= S.LastPo.size())
+      S.LastPo.resize(Lane + 1, NoEvent);
+    const uint64_t Prev = S.LastPo[Lane];
+    if (Prev == NoEvent) {
+      S.LastPo[Lane] = I;
       pin(I, PinPoLast);
       return;
     }
-    const uint64_t Prev = It->second;
     addEdge(Prev, I, EdgeKind::Po);
     if (S.GraphDead)
       return;
-    It->second = I;
+    S.LastPo[Lane] = I;
     pin(I, PinPoLast);
     unpin(Prev, PinPoLast);
   }
@@ -801,6 +790,8 @@ void StreamingChecker::begin() {
 }
 
 size_t StreamingChecker::liveEvents() const { return St->GS.Live.size(); }
+
+size_t StreamingChecker::peakRows() const { return St->GS.Rows.peak(); }
 
 void StreamingChecker::event(const TraceEvent &E) {
   Graph G{St->GS, R, PeakLive, Retired, EdgeOps, PeakDegree};

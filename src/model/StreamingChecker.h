@@ -39,7 +39,9 @@
 ///  * No edge program order already implies is stored, so every live node
 ///    keeps at most one edge per thread in each direction (plus one per
 ///    live host write) and a retirement splice costs at most the thread
-///    count squared, however long the run (DESIGN.md Sec. 15).
+///    count squared, however long the run (DESIGN.md Sec. 15). A list past
+///    8 edges gets a dense row from lane to edge, so finding a node's edge
+///    to a thread hashes nothing.
 ///
 /// The live graph is this checker's own causality back end; the post-hoc
 /// checker's whole-trace graph remains its reference: both consume
@@ -155,6 +157,9 @@ public:
   /// The per-lane reduction bounds it by the thread count plus the live
   /// host-write nodes.
   size_t peakDegree() const { return PeakDegree; }
+  /// High-water mark of adjacency rows in use since begin(): the lists
+  /// past 8 edges indexed at once (litmus-sized graphs never index one).
+  size_t peakRows() const;
 
 private:
   std::unique_ptr<detail::StreamingCheckerState> St;

@@ -635,8 +635,9 @@ struct WorkCounts {
 
 /// One checked titan run of the \p AppIndex-th application under each of
 /// no-str+ and cache-str- (seed deriveStream(99, 2 * AppIndex + EnvIndex)),
-/// summed.
-WorkCounts checkedAppWork(size_t AppIndex) {
+/// summed; the larger of the two runs' StreamingChecker::peakRows() goes
+/// to \p PeakRows.
+WorkCounts checkedAppWork(size_t AppIndex, size_t &PeakRows) {
   const apps::AppKind App = apps::AllAppKinds[AppIndex];
   const sim::ChipProfile &Chip = titan();
   const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
@@ -645,6 +646,7 @@ WorkCounts checkedAppWork(size_t AppIndex) {
   StreamingChecker Checker;
   sim::ExecutionContext Ctx;
   WorkCounts W;
+  PeakRows = 0;
   for (size_t E = 0; E != std::size(Envs); ++E) {
     Checker.begin();
     Ctx.requestStreaming(&Checker);
@@ -657,6 +659,7 @@ WorkCounts checkedAppWork(size_t AppIndex) {
                             << ": " << V.AxiomViolation;
     W.add(Checker);
     W.add(Ctx.memory().stats());
+    PeakRows = std::max(PeakRows, Checker.peakRows());
   }
   return W;
 }
@@ -686,6 +689,7 @@ std::vector<uint8_t> stressedMpRuns(litmus::LitmusRunner::RunOpts Opts,
       const StreamVerdict &V = Checker.finish();
       EXPECT_TRUE(V.AxiomsOk) << V.AxiomViolation;
       EXPECT_EQ(V.weak(), Weak.back() != 0) << "region " << Region;
+      EXPECT_EQ(Checker.peakRows(), 0u) << "a litmus list was indexed";
       W->add(Checker);
     }
   }
@@ -722,22 +726,31 @@ TEST(StreamingMemoryBoundTest, CheckedWorkIsPinnedOnBothEngines) {
       {15385, 48224, 12335, 802, 241, 45, 802, 1},   // ls-bh
       {15029, 45116, 11922, 838, 271, 0, 838, 2},    // ls-bh-nf
   };
+  // The most adjacency rows in use at once (peakRows(), the larger run),
+  // in the same order: the hub lists indexed together. MP's lists never
+  // reach a row (stressedMpRuns checks each run).
+  const size_t RowPins[] = {226, 0, 133, 1085, 0, 0, 8, 8, 303, 322};
   // MP: {events, edge ops} (its memory counts are not observable through
   // the runner) and the number of weak runs.
   const WorkCounts MpPin = {2000, 1847};
   const size_t MpWeakPin = 6;
   ASSERT_EQ(std::size(AppPins), apps::AllAppKinds.size())
       << "pin every app";
+  ASSERT_EQ(std::size(RowPins), apps::AllAppKinds.size())
+      << "pin every app's rows";
 
   for (const sim::EngineMode Mode :
        {sim::EngineMode::Auto, sim::EngineMode::Scalar}) {
     EngineModeGuard Guard(Mode);
     const std::string Engine = sim::engineModeName(Mode);
     for (size_t A = 0; A != std::size(AppPins); ++A) {
-      const WorkCounts Got = checkedAppWork(A);
+      size_t Rows = 0;
+      const WorkCounts Got = checkedAppWork(A, Rows);
       EXPECT_EQ(Got, AppPins[A])
           << apps::appName(apps::AllAppKinds[A]) << " on " << Engine
           << ": actual " << Got.row();
+      EXPECT_EQ(Rows, RowPins[A])
+          << apps::appName(apps::AllAppKinds[A]) << " on " << Engine;
     }
 
     WorkCounts Got;
@@ -1030,6 +1043,161 @@ TEST(ReplayAxiomTest, EveryViolationReportsItsHandDerivedPair) {
   }
   // 25 replay messages and 2 end-of-run ones.
   EXPECT_EQ(Messages.size(), 27u);
+}
+
+//===----------------------------------------------------------------------===//
+// Indexed hub lists: host-write neighbours and thread ids
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Hub writes whose lists outgrow a scan (more than 8 lanes), with
+/// host-write neighbours in those lists, retired through splices, and a
+/// weak cycle that closes through the splices' shortcuts. Thread K has id
+/// \p Tid(K); bank 0 holds x, 1 y, z and u, 2 v.
+///
+///   e0-e9     t23..t32: ld u = 0               (lanes 0-9, so lane 32
+///                                               comes only at e51)
+///   e10       host z = 1                       (hz: out-list indexed by
+///   e11-e19   t1..t9: ld z = 1                  e19)
+///   e20       host x = 1                       (hx1)
+///   e21       t1: st v = 1, buffered to e55    (s1)
+///   e22       host z = 2: co hz -> e22; e11 retires, and its splice meets
+///             that edge again: host to host, found by scanning hz's
+///             indexed list
+///   e23       t21: st x = 9, buffered to e49   (keeps x's window open)
+///   e24-e33   t1..t10: ld x = 1 from hx1       (hx1's out-list indexed)
+///   e34, e35  t0: st x = 2, drained            (w's in-list indexed: fr
+///                                               from 10 lanes, co from
+///                                               hx1)
+///   e36, e37  t0: ld y = 0, ld x = 2
+///   e38-e47   t11..t20: ld x = 2 from w        (w's out-list indexed)
+///   e48       host y = 5: e36 retires, splicing w -> e48
+///   e49       t21's store drains, dropped: co hx1 -> e23 -> w; hx1
+///             retires
+///   e50       host x = 7: co w -> e50; w retires through a splice that
+///             gives e24..e33 indexed lists of lane edges and edges to
+///             both host writes
+///   e51       t33: ld u = 0: lane 32 widens every row in use
+///   e52       t21: ld y = 5: e23 retires, and its splice meets the edges
+///             of w's splice again, through the widened rows and scans
+///   e53, e54  t22: ld x = 7, ld v = 0
+///   e55       s1 drains, closing s1 -po-> e24 -fr-> w -co-> e50 -rf->
+///             e53 -po-> e54 -fr-> s1; w is gone, so the streaming
+///             witness runs through shortcuts of the splices
+std::vector<TraceEvent> hubTrace(unsigned (*Tid)(unsigned)) {
+  constexpr sim::Addr Z = 32, U = 96, V = 128;
+  const auto Thread = [&](TraceEvent E, unsigned K) {
+    E.Tid = E.Block = Tid(K);
+    return E;
+  };
+  std::vector<TraceEvent> Es;
+  for (unsigned K = 23; K <= 32; ++K)
+    Es.push_back(Thread(ld(0, 1, U, 0), K));
+  Es.push_back(hostWrite(Z, 1, 1));
+  for (unsigned K = 1; K <= 9; ++K)
+    Es.push_back(Thread(ld(0, 1, Z, 1), K));
+  Es.push_back(hostWrite(X, 1, 2));
+  Es.push_back(Thread(st(0, 2, V, 1, 3), 1));
+  Es.push_back(hostWrite(Z, 2, 4));
+  Es.push_back(Thread(st(0, 0, X, 9, 5), 21));
+  for (unsigned K = 1; K <= 10; ++K)
+    Es.push_back(Thread(ld(0, 0, X, 1), K));
+  Es.push_back(Thread(st(0, 0, X, 2, 6), 0));
+  Es.push_back(Thread(drain(0, 0, X, 2, 6), 0));
+  Es.push_back(Thread(ld(0, 1, Y, 0), 0));
+  Es.push_back(Thread(ld(0, 0, X, 2), 0));
+  for (unsigned K = 11; K <= 20; ++K)
+    Es.push_back(Thread(ld(0, 0, X, 2), K));
+  Es.push_back(hostWrite(Y, 5, 7));
+  Es.push_back(Thread(drain(0, 0, X, 9, 5, /*Applied=*/false), 21));
+  Es.push_back(hostWrite(X, 7, 8));
+  Es.push_back(Thread(ld(0, 1, U, 0), 33));
+  Es.push_back(Thread(ld(0, 1, Y, 5), 21));
+  Es.push_back(Thread(ld(0, 0, X, 7), 22));
+  Es.push_back(Thread(ld(0, 2, V, 0), 22));
+  Es.push_back(Thread(drain(0, 2, V, 1, 3), 1));
+  return Es;
+}
+
+unsigned smallTid(unsigned K) { return K; }
+unsigned hugeTid(unsigned K) { return 0xFFFFFFF0u - K; }
+
+} // namespace
+
+// Indexed lists are rows by lane, but a host write has no lane: its edges
+// in an indexed list are found by a scan. And a lane named late widens
+// every row in use. Both checkers must call the run weak, every step of
+// the streaming witness must be a path in the trace, and the witness and
+// the edge work must be what they were when indexed lists were a hash
+// keyed by lane or host-write slot; the rows' high-water mark is pinned
+// too.
+TEST(StreamingHubTest, HostWriteNeighboursOfAnIndexedListSurviveItsSplice) {
+  const std::vector<TraceEvent> Events = hubTrace(smallTid);
+  ConsistencyChecker PostHoc;
+  StreamingChecker Stream;
+  const CheckResult A = PostHoc.check(Events);
+  ASSERT_TRUE(A.AxiomsOk) << A.AxiomViolation;
+  EXPECT_FALSE(A.Sc);
+  const StreamVerdict &B = Stream.checkAll(Events);
+  ASSERT_TRUE(B.AxiomsOk) << B.AxiomViolation;
+  ASSERT_TRUE(B.weak());
+  std::string Witness;
+  for (size_t K = 0; K != B.Cycle.size(); ++K) {
+    const size_t From = B.Cycle[K].first;
+    const size_t To = B.Cycle[(K + 1) % B.Cycle.size()].first;
+    EXPECT_TRUE(reaches(PostHoc.edges(), Events.size(), From, To))
+        << "witness step e" << From << " -> e" << To;
+    // Appended piecewise: GCC 12 warns falsely (-Wrestrict) on operator+.
+    Witness += "e";
+    Witness += std::to_string(From);
+    Witness += " -";
+    Witness += model::edgeKindName(B.Cycle[K].second);
+    Witness += "-> ";
+  }
+  EXPECT_EQ(Witness,
+            "e54 -fr-> e21 -po-> e24 -rf-> e38 -fr-> e50 -rf-> e53 -po-> ");
+  EXPECT_EQ(B.ViolatingA, 54u);
+  EXPECT_EQ(B.ViolatingB, 21u);
+  EXPECT_EQ(Stream.edgeOps(), 328u);
+  EXPECT_EQ(Stream.retiredEvents(), 14u);
+  EXPECT_EQ(Stream.peakRows(), 26u);
+}
+
+// Thread ids only name lanes: the same trace with ids near 2^32 must give
+// the same verdicts, witness and work, and no table may be sized by those
+// ids (one would take 16 GiB).
+TEST(StreamingHubTest, HugeThreadIdsGetDenseLanes) {
+  const std::vector<TraceEvent> Small = hubTrace(smallTid);
+  const std::vector<TraceEvent> Huge = hubTrace(hugeTid);
+  ConsistencyChecker PostHoc;
+  StreamingChecker Stream;
+  const CheckResult A = PostHoc.check(Huge);
+  ASSERT_TRUE(A.AxiomsOk) << A.AxiomViolation;
+  EXPECT_FALSE(A.Sc);
+  EXPECT_EQ(A.Cycle, PostHoc.check(Small).Cycle);
+  const StreamVerdict Want = Stream.checkAll(Small);
+  const uint64_t WantOps = Stream.edgeOps();
+  const size_t WantRows = Stream.peakRows();
+  const StreamVerdict &Got = Stream.checkAll(Huge);
+  ASSERT_TRUE(Got.AxiomsOk) << Got.AxiomViolation;
+  EXPECT_TRUE(Got.weak());
+  EXPECT_EQ(Got.Cycle, Want.Cycle);
+  EXPECT_EQ(Stream.edgeOps(), WantOps);
+  EXPECT_EQ(Stream.peakRows(), WantRows);
+  // The lanes still keep the threads apart: after e21, t1 buffers a store
+  // and t0 nothing, so a device fence of t1 there is a violation and one
+  // of t0 is not.
+  for (const unsigned K : {0u, 1u}) {
+    std::vector<TraceEvent> Fenced = Huge;
+    Fenced.insert(Fenced.begin() + 22, fenceDevice(hugeTid(K)));
+    const CheckResult C = PostHoc.check(Fenced);
+    EXPECT_EQ(C.AxiomsOk, K == 0) << "t" << K << ": " << C.AxiomViolation;
+    EXPECT_EQ(Stream.checkAll(Fenced).AxiomsOk, K == 0) << "t" << K;
+    if (K == 1) {
+      EXPECT_EQ(C.ViolatingA, 22u);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
