@@ -27,23 +27,6 @@ using sim::Word;
 
 namespace {
 
-/// The stress source for \p S over the scratchpad at \p ScratchBase (null
-/// when unstressed), with no population yet: each run draws its own
-/// (\ref drawPopulation), so one source can serve many runs.
-std::unique_ptr<stress::SysStress>
-makeStress(const sim::ChipProfile &Chip, Addr ScratchBase,
-           const LitmusRunner::MicroStress &S) {
-  if (!S.Enabled)
-    return nullptr;
-  GPUWMM_CHECK(!S.ScratchOffsets.empty(), "stress without locations");
-  std::vector<Addr> Locs;
-  Locs.reserve(S.ScratchOffsets.size());
-  for (unsigned Off : S.ScratchOffsets)
-    Locs.push_back(ScratchBase + Off);
-  return std::make_unique<stress::SysStress>(Chip, S.Seq, std::move(Locs),
-                                             0.0);
-}
-
 /// The scratchpad size \p S needs: its furthest offset plus one patch.
 unsigned scratchWords(const sim::ChipProfile &Chip,
                       const LitmusRunner::MicroStress &S) {
@@ -86,10 +69,15 @@ unsigned LitmusRunner::countWeak(const Program &P, unsigned Distance,
   if (C == 0)
     return 0;
   const CompiledPlan &B = compiledPlan(P, Distance, Opts.WithFences);
-  const auto Stress = makeStress(Chip, B.ScratchBase, S);
+  if (S.Enabled) {
+    // The source over this plan's scratchpad, with no population yet:
+    // each run draws its own (drawPopulation).
+    GPUWMM_CHECK(!S.ScratchOffsets.empty(), "stress without locations");
+    Stress.retarget(S.Seq, B.ScratchBase, S.ScratchOffsets, 0.0);
+  }
   unsigned Weak = 0;
   for (unsigned I = 0; I != C; ++I) {
-    const bool IsWeak = runCompiled(B, S, Opts, Stress.get());
+    const bool IsWeak = runCompiled(B, S, Opts);
     Weak += IsWeak;
     if (PerRun)
       PerRun->push_back(IsWeak);
@@ -216,8 +204,7 @@ LitmusRunner::compiledPlan(const Program &P, unsigned Distance, bool Fenced) {
 }
 
 bool LitmusRunner::runCompiled(const CompiledPlan &B, const MicroStress &S,
-                               const RunOpts &Opts,
-                               stress::SysStress *Stress) {
+                               const RunOpts &Opts) {
   // Per-run draw order: fork the run stream, seed the context, then (when
   // stressed) draw the occupancy.
   Rng RunRng = Master.fork(Execs);
@@ -238,7 +225,7 @@ bool LitmusRunner::runCompiled(const CompiledPlan &B, const MicroStress &S,
   noteLayout(*B.P, Base, B.Delta, Results);
   for (const auto &[A, V] : B.InitWrites)
     Mem.hostWrite(A, V);
-  if (Stress) {
+  if (S.Enabled) {
     // The scratchpad is a real allocation, so stressed locations occupy
     // genuine banks downstream of the test locations (the paper cannot
     // control this distance either and designs the stress not to depend
@@ -246,8 +233,8 @@ bool LitmusRunner::runCompiled(const CompiledPlan &B, const MicroStress &S,
     const Addr Scratch = Mem.alloc(scratchWords(Chip, S));
     GPUWMM_CHECK(Scratch == B.ScratchBase,
                  "scratch layout diverged from the compiled plan");
-    drawPopulation(*Stress, Chip, S, RunRng);
-    Mem.setCongestionSource(Stress);
+    drawPopulation(Stress, Chip, S, RunRng);
+    Mem.setCongestionSource(&Stress);
   }
 
   // Program::validate guarantees every register slot is written — by its

@@ -31,15 +31,13 @@
 #include "sim/ChipProfile.h"
 #include "sim/ExecutionContext.h"
 #include "stress/AccessSequence.h"
+#include "stress/StressSources.h"
 #include "support/Rng.h"
 
 #include <cstdint>
 #include <vector>
 
 namespace gpuwmm {
-namespace stress {
-class SysStress;
-} // namespace stress
 namespace litmus {
 
 /// Per-execution litmus options.
@@ -108,7 +106,7 @@ public:
   /// thousands of runOnce calls allocate nothing per run in steady state.
   /// Use the runner on the thread that constructed it.
   LitmusRunner(const sim::ChipProfile &Chip, uint64_t Seed)
-      : Chip(Chip), Master(Seed) {}
+      : Chip(Chip), Master(Seed), Stress(Chip) {}
 
   /// Executes \p P once with its communication locations \p Distance
   /// words apart; returns true iff the program's forbidden outcome was
@@ -128,8 +126,8 @@ public:
 
   /// Executes \p P \p C times; returns the number of weak behaviours.
   /// Bit-identical, run for run, to a \ref runOnce loop on the same
-  /// runner; one stress source serves the whole call, with only the
-  /// per-run stressing population redrawn. When
+  /// runner; the runner's one stress source is re-targeted at each call's
+  /// scratchpad, with only the per-run stressing population redrawn. When
   /// \p PerRun is non-null it receives each run's weak verdict in
   /// execution order (0/1).
   unsigned countWeak(const Program &P, unsigned Distance,
@@ -172,11 +170,10 @@ private:
 
   const CompiledPlan &compiledPlan(const Program &P, unsigned Distance,
                                    bool Fenced);
-  /// One execution of \p B on the engine sim::runProgram picks; \p Stress
-  /// is the source built for \p S (null when unstressed), reused across
-  /// runs.
+  /// One execution of \p B on the engine sim::runProgram picks; a stressed
+  /// run uses \ref Stress, which countWeak targeted at \p S.
   bool runCompiled(const CompiledPlan &B, const MicroStress &S,
-                   const RunOpts &Opts, stress::SysStress *Stress);
+                   const RunOpts &Opts);
   /// Records the program and layout addrName describes.
   void noteLayout(const Program &P, sim::Addr Base, unsigned Delta,
                   sim::Addr Results);
@@ -191,6 +188,9 @@ private:
   std::vector<sim::Addr> LocAddr;
   std::vector<sim::Word> FinalRegs, FinalMem;
   sim::Addr ResultsBase = 0; ///< Writeback allocation (addrName).
+  /// The stress source of every stressed run, re-targeted per countWeak
+  /// call.
+  stress::SysStress Stress;
 };
 
 } // namespace litmus

@@ -135,6 +135,7 @@ struct ConsistencyChecker::PostHocGraph {
   /// use.
   struct Loc {
     uint32_t Co = InitWrite;
+    void clear() { Co = InitWrite; }
   };
 
   const std::vector<TraceEvent> *Events = nullptr;
@@ -165,11 +166,11 @@ struct ConsistencyChecker::PostHocGraph {
     return L.Co;
   }
 
-  static uint32_t idx(uint64_t W) {
-    return W == NoWriter ? InitWrite : static_cast<uint32_t>(W);
+  static uint32_t idx(NodeRef N) {
+    return N.Index == NoWriter ? InitWrite : static_cast<uint32_t>(N.Index);
   }
 
-  void po(uint32_t Lane, uint64_t I) {
+  void po(uint32_t Lane, NodeRef I) {
     if (Lane >= LastPo.size())
       LastPo.resize(Lane + 1, InitWrite);
     if (LastPo[Lane] != InitWrite)
@@ -177,12 +178,12 @@ struct ConsistencyChecker::PostHocGraph {
     LastPo[Lane] = idx(I);
   }
 
-  void read(uint64_t R, Loc &L, uint64_t W, bool /*Buffered*/) {
+  void read(NodeRef R, Loc &L, NodeRef W, bool /*Buffered*/) {
     CommReads.push_back({idx(R), idx(W), coIndex(L)});
   }
 
-  void coAppend(Loc &L, uint64_t W, bool /*Plain*/, uint64_t /*Id*/,
-                uint64_t /*OldVisible*/) {
+  void coAppend(Loc &L, NodeRef W, bool /*Plain*/, uint64_t /*Id*/,
+                NodeRef /*OldVisible*/) {
     CoOrders[coIndex(L)].push_back(idx(W));
   }
 
@@ -193,7 +194,7 @@ struct ConsistencyChecker::PostHocGraph {
   /// read agree with that order. Plain writes stay in increasing id order,
   /// so the scan back from the end stops at the first plain write older
   /// than this one (atomics carry no id and are stepped over).
-  void coInsertDropped(Loc &L, uint64_t W, uint64_t Id) {
+  void coInsertDropped(Loc &L, NodeRef W, uint64_t Id) {
     std::vector<uint32_t> &Order = CoOrders[coIndex(L)];
     size_t Pos = Order.size();
     for (size_t K = Order.size(); K != 0; --K) {
@@ -208,13 +209,14 @@ struct ConsistencyChecker::PostHocGraph {
     Order.insert(Order.begin() + static_cast<ptrdiff_t>(Pos), idx(W));
   }
 
-  // Pending work and window bookkeeping only the streaming graph keeps.
-  void node(uint64_t, const TraceEvent &, uint32_t) {}
-  void buffered(uint64_t, Loc &) {}
-  void asyncIssued(uint64_t) {}
-  void drained(Loc &, uint64_t, uint64_t) {}
-  void asyncBound(uint64_t) {}
-  void written(Loc &, uint64_t) {}
+  // Node handles, pending work and window bookkeeping only the streaming
+  // graph keeps: nodes are event indices here.
+  uint32_t node(uint64_t, const TraceEvent &, uint32_t) { return NoHandle; }
+  void buffered(NodeRef, Loc &) {}
+  void asyncIssued(NodeRef) {}
+  void drained(Loc &, NodeRef, NodeRef) {}
+  void asyncBound(NodeRef) {}
+  void written(Loc &, NodeRef) {}
 };
 
 struct ConsistencyChecker::State {

@@ -5,9 +5,12 @@
 // first violation (message and violating event indices) is identical by
 // construction. This file is the causality back end: a live graph with
 // incremental cycle detection and frontier-bounded retirement (DESIGN.md
-// Sec. 15). Its per-event path hashes only the event index of a node;
-// adjacency lookups scan a short list or read a pooled dense row by lane,
-// and program order is a vector by lane.
+// Sec. 15). Its per-event path hashes nothing: the replay hands back the
+// slot handle of every node it keeps (a recycled slot is told apart by
+// its stored event index), adjacency lookups scan a short list or read a
+// pooled dense row by lane, program order is a vector by lane, and
+// reader lists are chains in a pooled link array. begin() keeps all of
+// it, so a steady stream of litmus-sized runs allocates nothing.
 //
 // Retirement soundness leans on one engine invariant: store ids
 // (NextStoreId, shared with host writes) are monotonic in issue order, so
@@ -42,10 +45,11 @@ enum : uint8_t {
   PinVisible = 32,       ///< An address's current visible writer (rf source).
 };
 
-constexpr uint32_t NoSlot = static_cast<uint32_t>(-1); ///< Not live.
+constexpr uint32_t NoSlot = NoHandle;                  ///< Not live.
 constexpr uint32_t NoEdge = static_cast<uint32_t>(-1); ///< List end / miss.
 constexpr uint32_t NoRow = static_cast<uint32_t>(-1);  ///< List not indexed.
-constexpr uint64_t NoEvent = static_cast<uint64_t>(-1);
+constexpr uint32_t NoLink = static_cast<uint32_t>(-1); ///< Reader list end.
+constexpr uint64_t NoEvent = NoWriter; ///< A free slot's index.
 
 /// Recycled storage with stable element addresses, grown a chunk at a time:
 /// no doubling copy, no doubled slack, and a run's surplus chunks can be
@@ -143,25 +147,39 @@ private:
   uint32_t InUse = 0, Peak = 0;
 };
 
-/// One write in an address's live coherence window.
-struct CoEnt {
-  uint64_t Node;
-  uint64_t Id;
-  bool Plain; ///< Carries a store id (StoreIssue/HostWrite, not Atomic).
-  std::vector<uint64_t> Readers; ///< Watched readers of this write.
+/// A list of watched readers: a chain of links in GraphState::Links, in
+/// registration order (the order their from-read edges are emitted).
+struct ReaderList {
+  uint32_t Head = NoLink, Tail = NoLink;
 };
 
-/// The graph's per-address state (the replay keeps it with the address's
-/// axiom state).
+/// One write in an address's live coherence window.
+struct CoEnt {
+  NodeRef Node;
+  uint64_t Id;
+  bool Plain; ///< Carries a store id (StoreIssue/HostWrite, not Atomic).
+  ReaderList Readers; ///< Watched readers of this write.
+};
+
+/// The graph's per-address state (the replay keeps it in the address's
+/// record).
 struct CoWindow {
-  unsigned PendingStores = 0;        ///< Buffered stores to this address.
-  std::vector<CoEnt> Co;             ///< Live coherence window.
-  std::vector<uint64_t> InitReaders; ///< Watched initial-state readers.
+  unsigned PendingStores = 0; ///< Buffered stores to this address.
+  std::vector<CoEnt> Co;      ///< Live coherence window.
+  ReaderList InitReaders;     ///< Watched initial-state readers.
+
+  /// Empties the window for a new address, keeping capacity (the reader
+  /// links go back with the graph's pool).
+  void clear() {
+    PendingStores = 0;
+    Co.clear();
+    InitReaders = ReaderList();
+  }
 };
 
 /// The live causality graph, recycled across begin() calls (clear() keeps
-/// hash buckets, the row pool up to its keep size, and the graph storage of
-/// litmus-sized runs).
+/// the row pool up to its keep size and the graph storage of litmus-sized
+/// runs).
 struct GraphState {
   /// One stored edge, threaded on its source's out-list and its target's
   /// in-list (both in insertion order: the DFS, and so the witness, order).
@@ -173,8 +191,8 @@ struct GraphState {
   };
   struct GNode {
     TraceEvent Ev;
-    uint64_t Index = 0;     ///< Global event index.
-    uint32_t Lane = NoLane; ///< Issuing thread's lane (NoLane: host write).
+    uint64_t Index = NoEvent; ///< Global event index (NoEvent: free slot).
+    uint32_t Lane = NoLane;   ///< Issuing thread's lane (NoLane: host write).
     uint32_t OutHead = NoEdge, OutTail = NoEdge;
     uint32_t InHead = NoEdge, InTail = NoEdge;
     uint32_t OutDegree = 0, InDegree = 0;
@@ -183,6 +201,14 @@ struct GraphState {
     /// until the node retires.
     uint32_t OutRow = NoRow, InRow = NoRow;
     uint64_t Stamp = 0; ///< DFS visitation stamp.
+    /// Readers of this store registered while it is buffered (not yet in
+    /// co); moved to its CoEnt when it drains.
+    ReaderList Pending;
+  };
+  /// One watched reader in a ReaderList.
+  struct ReaderLink {
+    NodeRef Reader;
+    uint32_t Next;
   };
   /// Adjacency lists longer than this are indexed, shorter ones scanned
   /// (DESIGN.md Sec. 15 has the measured degree distribution and the A/B
@@ -199,11 +225,14 @@ struct GraphState {
   /// Rows of the indexed lists. A host-write neighbour has no lane, so an
   /// indexed list is still scanned for one (host writes are rare).
   RowPool Rows;
-  std::unordered_map<uint64_t, uint32_t> Live; ///< Event index -> slot.
-  /// Readers registered on a still-pending store (not yet in co), keyed by
-  /// its issue node; transferred to the CoEnt when the store drains.
-  std::unordered_map<uint64_t, std::vector<uint64_t>> PendingReaders;
-  std::vector<uint64_t> LastPo; ///< By lane (NoEvent: none yet).
+  size_t LiveCount = 0; ///< Live nodes.
+  /// The links of every reader list, pooled like the nodes: a watched
+  /// reader is a live node on one list, so there are no more links than
+  /// live nodes.
+  Slab<ReaderLink, 8> Links;
+  std::vector<uint32_t> FreeLinks;
+  uint32_t UsedLinks = 0;
+  std::vector<NodeRef> LastPo; ///< By lane (index NoEvent: none yet).
   uint64_t DfsStamp = 0;
   bool GraphDead = false; ///< Cycle found: graph dropped, axioms continue.
 
@@ -217,6 +246,18 @@ struct GraphState {
   std::vector<uint32_t> SpliceFrom;
   std::vector<std::pair<uint32_t, EdgeKind>> SpliceTo;
 
+  /// The scratch lists start with room for what the kept chunks hold, so
+  /// a run that stays within them never grows one.
+  GraphState() {
+    constexpr uint32_t NodeRoom = decltype(Nodes)::ChunkSize;
+    FreeSlots.reserve(NodeRoom);
+    FreeEdges.reserve(decltype(Edges)::ChunkSize);
+    FreeLinks.reserve(NodeRoom);
+    Stack.reserve(NodeRoom);
+    SpliceFrom.reserve(NodeRoom);
+    SpliceTo.reserve(NodeRoom);
+  }
+
   void clear() {
     // The first chunks stay, so streams of litmus-sized checked runs stop
     // allocating. An app-sized graph's surplus is handed back: otherwise
@@ -229,18 +270,42 @@ struct GraphState {
     FreeEdges.clear();
     UsedEdges = 0;
     Rows.clear();
-    Live.clear();
-    PendingReaders.clear();
+    LiveCount = 0;
+    Links.trim();
+    FreeLinks.clear();
+    UsedLinks = 0;
     LastPo.clear();
     DfsStamp = 0;
     GraphDead = false;
     Stack.clear();
   }
 
-  /// The live node's slot, or NoSlot when the event is not live.
-  uint32_t slotOf(uint64_t I) const {
-    const auto It = Live.find(I);
-    return It == Live.end() ? NoSlot : It->second;
+  /// \p N's slot while its node is live, else NoSlot: a retired node's
+  /// slot holds NoEvent or, once recycled, another event's index.
+  uint32_t slotOf(NodeRef N) {
+    return N.Handle != NoSlot && Nodes[N.Handle].Index == N.Index ? N.Handle
+                                                                   : NoSlot;
+  }
+
+  void pushReader(ReaderList &L, NodeRef Reader) {
+    uint32_t Id;
+    if (!FreeLinks.empty()) {
+      Id = FreeLinks.back();
+      FreeLinks.pop_back();
+    } else {
+      Id = UsedLinks++;
+      Links.reach(Id);
+    }
+    Links[Id] = {Reader, NoLink};
+    (L.Tail == NoLink ? L.Head : Links[L.Tail].Next) = Id;
+    L.Tail = Id;
+  }
+
+  /// Hands \p L's links back to the pool and empties it.
+  void freeReaders(ReaderList &L) {
+    for (uint32_t Id = L.Head; Id != NoLink; Id = Links[Id].Next)
+      FreeLinks.push_back(Id);
+    L = ReaderList();
   }
 };
 
@@ -262,27 +327,26 @@ struct Graph {
 
   // --- The replay's facts (node, po and read are below) -------------------
 
-  void buffered(uint64_t I, CoWindow &L) {
+  void buffered(NodeRef I, CoWindow &L) {
     if (S.GraphDead)
       return;
     pin(I, PinPendingStore);
     ++L.PendingStores;
   }
 
-  void asyncIssued(uint64_t I) { pin(I, PinPendingAsync); }
+  void asyncIssued(NodeRef I) { pin(I, PinPendingAsync); }
 
   /// W's append also moves the address's rf-source pin to it.
-  void coAppend(CoWindow &L, uint64_t W, bool Plain, uint64_t Id,
-                uint64_t OldVisible) {
+  void coAppend(CoWindow &L, NodeRef W, bool Plain, uint64_t Id,
+                NodeRef OldVisible) {
     appendCo(L, W, Plain, Id);
     if (S.GraphDead)
       return;
     pin(W, PinVisible);
-    if (OldVisible != NoWriter)
-      unpin(OldVisible, PinVisible);
+    unpin(OldVisible, PinVisible);
   }
 
-  void drained(CoWindow &L, uint64_t W, uint64_t Visible) {
+  void drained(CoWindow &L, NodeRef W, NodeRef Visible) {
     if (S.GraphDead)
       return;
     if (L.PendingStores != 0)
@@ -291,18 +355,19 @@ struct Graph {
     written(L, Visible);
   }
 
-  void asyncBound(uint64_t I) { unpin(I, PinPendingAsync); }
+  void asyncBound(NodeRef I) { unpin(I, PinPendingAsync); }
 
-  void written(CoWindow &L, uint64_t Visible) {
+  void written(CoWindow &L, NodeRef Visible) {
     if (!S.GraphDead && L.PendingStores == 0)
       pruneCo(L, Visible);
   }
 
   // --- The live graph -----------------------------------------------------
 
-  void node(uint64_t I, const TraceEvent &E, uint32_t Lane) {
+  /// Returns the node's slot: its handle while it is live.
+  uint32_t node(uint64_t I, const TraceEvent &E, uint32_t Lane) {
     if (S.GraphDead)
-      return;
+      return NoSlot;
     if (Lane != NoLane)
       S.Rows.cover(Lane);
     uint32_t Slot;
@@ -318,11 +383,11 @@ struct Graph {
     N.Ev = E;
     N.Index = I;
     N.Lane = Lane;
-    S.Live.emplace(I, Slot);
-    PeakLive = std::max(PeakLive, S.Live.size());
+    PeakLive = std::max(PeakLive, ++S.LiveCount);
+    return Slot;
   }
 
-  void pin(uint64_t I, uint8_t Bit) {
+  void pin(NodeRef I, uint8_t Bit) {
     if (S.GraphDead)
       return;
     const uint32_t Slot = S.slotOf(I);
@@ -330,7 +395,7 @@ struct Graph {
       S.Nodes[Slot].Pins |= Bit;
   }
 
-  void unpin(uint64_t I, uint8_t Bit) {
+  void unpin(NodeRef I, uint8_t Bit) {
     if (S.GraphDead)
       return;
     const uint32_t Slot = S.slotOf(I);
@@ -496,7 +561,9 @@ struct Graph {
       for (const auto &[T, K] : S.SpliceTo)
         if (T != F)
           (void)link(F, T, K);
-    S.Live.erase(N.Index);
+    S.freeReaders(N.Pending); // Only a corrupted trace leaves any.
+    N.Index = NoEvent;
+    --S.LiveCount;
     S.FreeSlots.push_back(Slot);
     ++Retired;
   }
@@ -505,8 +572,8 @@ struct Graph {
   /// hit is the first po ∪ rf ∪ co ∪ fr cycle, reported at the event that
   /// closed it. An edge po already implies is skipped with its search: a
   /// cycle through it would have closed through the implying path.
-  void addEdge(uint64_t From, uint64_t To, EdgeKind K) {
-    if (S.GraphDead || From == To)
+  void addEdge(NodeRef From, NodeRef To, EdgeKind K) {
+    if (S.GraphDead || From.Index == To.Index)
       return;
     const uint32_t FromSlot = S.slotOf(From);
     const uint32_t ToSlot = S.slotOf(To);
@@ -567,19 +634,18 @@ struct Graph {
     R.EventA = R.CycleEvents[Pick];
     R.EventB = R.CycleEvents[Next];
     S.GraphDead = true;
-    S.Live.clear();
-    S.PendingReaders.clear();
+    S.LiveCount = 0;
     S.LastPo.clear();
     S.Stack.clear();
   }
 
-  void po(uint32_t Lane, uint64_t I) {
+  void po(uint32_t Lane, NodeRef I) {
     if (S.GraphDead)
       return;
     if (Lane >= S.LastPo.size())
-      S.LastPo.resize(Lane + 1, NoEvent);
-    const uint64_t Prev = S.LastPo[Lane];
-    if (Prev == NoEvent) {
+      S.LastPo.resize(Lane + 1);
+    const NodeRef Prev = S.LastPo[Lane];
+    if (Prev.Index == NoEvent) {
       S.LastPo[Lane] = I;
       pin(I, PinPoLast);
       return;
@@ -592,25 +658,30 @@ struct Graph {
     unpin(Prev, PinPoLast);
   }
 
-  void emitFrOne(uint64_t Reader, uint64_t Target) {
-    if (Reader != Target)
+  void emitFrOne(NodeRef Reader, NodeRef Target) {
+    if (Reader.Index != Target.Index)
       addEdge(Reader, Target, EdgeKind::Fr);
   }
 
-  void emitFr(const std::vector<uint64_t> &Readers, uint64_t Target) {
-    for (uint64_t Rd : Readers) {
-      emitFrOne(Rd, Target);
+  void emitFr(const ReaderList &Readers, NodeRef Target) {
+    for (uint32_t Id = Readers.Head; Id != NoLink; Id = S.Links[Id].Next) {
+      emitFrOne(S.Links[Id].Reader, Target);
       if (S.GraphDead)
         return;
     }
   }
 
-  void releaseReaders(std::vector<uint64_t> &Readers) {
+  void watch(ReaderList &Readers, NodeRef Reader) {
+    S.pushReader(Readers, Reader);
+    pin(Reader, PinWatchedReader);
+  }
+
+  void releaseReaders(ReaderList &Readers) {
     if (S.GraphDead)
       return;
-    for (uint64_t Rd : Readers)
-      unpin(Rd, PinWatchedReader);
-    Readers.clear();
+    for (uint32_t Id = Readers.Head; Id != NoLink; Id = S.Links[Id].Next)
+      unpin(S.Links[Id].Reader, PinWatchedReader);
+    S.freeReaders(Readers);
   }
 
   /// Once no store to the address is buffered, every future coherence
@@ -618,7 +689,7 @@ struct Graph {
   /// issue order, and a dropped drain inserts only before plain writes
   /// with a *newer* id), so everything before the visible writer retires
   /// and every non-last write's from-read successor is final.
-  void pruneCo(CoWindow &L, uint64_t Visible) {
+  void pruneCo(CoWindow &L, NodeRef Visible) {
     if (S.GraphDead || L.Co.empty())
       return;
     for (size_t K = 0; K + 1 < L.Co.size(); ++K)
@@ -626,7 +697,7 @@ struct Graph {
     releaseReaders(L.InitReaders);
     size_t VPos = 0;
     for (size_t K = L.Co.size(); K-- != 0;)
-      if (L.Co[K].Node == Visible) {
+      if (L.Co[K].Node.Index == Visible.Index) {
         VPos = K;
         break;
       }
@@ -639,17 +710,17 @@ struct Graph {
   /// entry (their pins carry over; their from-read is emitted once the
   /// write has a coherence successor).
   void adoptPendingReaders(CoEnt &E) {
-    const auto It = S.PendingReaders.find(E.Node);
-    if (It == S.PendingReaders.end())
+    const uint32_t Slot = S.slotOf(E.Node);
+    if (Slot == NoSlot)
       return;
-    E.Readers = std::move(It->second);
-    S.PendingReaders.erase(It);
+    E.Readers = S.Nodes[Slot].Pending;
+    S.Nodes[Slot].Pending = ReaderList();
   }
 
   /// Appends an applied write (drain/atomic/host write) to the window:
   /// coherence edge from the old last, from-read edges from its watched
   /// readers (their successor just materialised).
-  void appendCo(CoWindow &L, uint64_t N, bool Plain, uint64_t Id) {
+  void appendCo(CoWindow &L, NodeRef N, bool Plain, uint64_t Id) {
     if (S.GraphDead)
       return;
     if (!L.Co.empty()) {
@@ -673,7 +744,7 @@ struct Graph {
   /// runs, over the live window (which still contains the true insertion
   /// point: the store was buffered since its issue, so no prune released
   /// it in between).
-  void coInsertDropped(CoWindow &L, uint64_t N, uint64_t Id) {
+  void coInsertDropped(CoWindow &L, NodeRef N, uint64_t Id) {
     if (S.GraphDead)
       return;
     size_t Pos = L.Co.size();
@@ -718,10 +789,10 @@ struct Graph {
   /// Registers a read: its rf edge, its current from-read edge, and — when
   /// the rf write's coherence successor can still change — a watch
   /// registration so every successor change re-emits the from-read.
-  void read(uint64_t Reader, CoWindow &L, uint64_t W, bool Buffered) {
+  void read(NodeRef Reader, CoWindow &L, NodeRef W, bool Buffered) {
     if (S.GraphDead)
       return;
-    if (W == NoWriter) {
+    if (W.Index == NoWriter) {
       // Initial-state read: from-read to the window front; watched while
       // the front can still change (no write yet, or inserts possible).
       if (!L.Co.empty()) {
@@ -729,10 +800,8 @@ struct Graph {
         if (S.GraphDead)
           return;
       }
-      if (L.Co.empty() || L.PendingStores != 0) {
-        L.InitReaders.push_back(Reader);
-        pin(Reader, PinWatchedReader);
-      }
+      if (L.Co.empty() || L.PendingStores != 0)
+        watch(L.InitReaders, Reader);
       return;
     }
     addEdge(W, Reader, EdgeKind::Rf);
@@ -740,15 +809,18 @@ struct Graph {
       return;
     if (Buffered) {
       // The write is still buffered (forward/overlay read): its coherence
-      // position is unknown until it drains; watch through the drain.
-      S.PendingReaders[W].push_back(Reader);
+      // position is unknown until it drains; watch through the drain. A
+      // buffered write is pinned, so it is live on engine traces.
+      const uint32_t Slot = S.slotOf(W);
+      if (Slot != NoSlot)
+        S.pushReader(S.Nodes[Slot].Pending, Reader);
       pin(Reader, PinWatchedReader);
       return;
     }
     // The write is in the window (it is the visible writer).
     size_t Pos = L.Co.size();
     for (size_t K = L.Co.size(); K-- != 0;)
-      if (L.Co[K].Node == W) {
+      if (L.Co[K].Node.Index == W.Index) {
         Pos = K;
         break;
       }
@@ -759,10 +831,8 @@ struct Graph {
       if (S.GraphDead)
         return;
     }
-    if (Pos + 1 == L.Co.size() || L.PendingStores != 0) {
-      L.Co[Pos].Readers.push_back(Reader);
-      pin(Reader, PinWatchedReader);
-    }
+    if (Pos + 1 == L.Co.size() || L.PendingStores != 0)
+      watch(L.Co[Pos].Readers, Reader);
   }
 };
 
@@ -775,13 +845,17 @@ struct gpuwmm::model::detail::StreamingCheckerState {
 };
 
 StreamingChecker::StreamingChecker()
-    : St(std::make_unique<detail::StreamingCheckerState>()) {}
+    : St(std::make_unique<detail::StreamingCheckerState>()) {
+  // A cycle has at most one entry per live node.
+  R.Cycle.reserve(decltype(GraphState::Nodes)::ChunkSize);
+  R.CycleEvents.reserve(decltype(GraphState::Nodes)::ChunkSize);
+}
 StreamingChecker::~StreamingChecker() = default;
 
 void StreamingChecker::begin() {
   St->GS.clear();
   St->Axioms.clear();
-  R = StreamVerdict();
+  R.clear();
   Consumed = 0;
   PeakLive = 0;
   Retired = 0;
@@ -789,7 +863,7 @@ void StreamingChecker::begin() {
   PeakDegree = 0;
 }
 
-size_t StreamingChecker::liveEvents() const { return St->GS.Live.size(); }
+size_t StreamingChecker::liveEvents() const { return St->GS.LiveCount; }
 
 size_t StreamingChecker::peakRows() const { return St->GS.Rows.peak(); }
 

@@ -43,6 +43,12 @@
 ///    8 edges gets a dense row from lane to edge, so finding a node's edge
 ///    to a thread hashes nothing.
 ///
+///  * Nothing on the per-event path hashes: the replay keeps each node's
+///    slot handle and hands it back with every fact, and per-run state
+///    (replay records, graph slabs, reader lists, the verdict) is
+///    recycled by \ref begin, so a steady stream of checked litmus runs
+///    allocates nothing (DESIGN.md Sec. 15, "Storage").
+///
 /// The live graph is this checker's own causality back end; the post-hoc
 /// checker's whole-trace graph remains its reference: both consume
 /// identical event streams, so every streaming verdict is differentially
@@ -97,6 +103,17 @@ struct StreamVerdict {
   std::vector<sim::TraceEvent> CycleEvents; ///< Copies, parallel to Cycle.
 
   bool weak() const { return AxiomsOk && !Sc; }
+
+  /// Resets to a fresh verdict, keeping the string's and vectors' storage.
+  void clear() {
+    AxiomsOk = true;
+    AxiomViolation.clear();
+    ViolatingA = ViolatingB = static_cast<size_t>(-1);
+    EventA = EventB = sim::TraceEvent();
+    Sc = true;
+    Cycle.clear();
+    CycleEvents.clear();
+  }
 };
 
 /// The incremental consistency oracle. Attach it as a run's trace sink
@@ -104,7 +121,7 @@ struct StreamVerdict {
 /// by \ref begin and \ref finish; or feed a recorded trace via
 /// \ref checkAll. One instance is reusable: begin() keeps container
 /// capacity (the graph's only up to litmus size), so steady-state checked
-/// litmus runs stop allocating.
+/// litmus runs allocate nothing.
 class StreamingChecker final : public sim::TraceSink {
 public:
   StreamingChecker();

@@ -35,6 +35,11 @@ void MemorySystem::reset(const ChipProfile &NewChip) {
     Q.Touched = false;
     Q.StallUntil = 0;
   }
+  // The drain and active lists are sized by the queues the last run
+  // touched, not by what was pending or active at a time, so neither
+  // grows again once a program has run once.
+  DrainTids.reserve(TouchedQueues.size() + AsyncSlots.size());
+  ActiveQueues.reserve(TouchedQueues.size());
   TouchedQueues.clear();
   ActiveQueues.clear();
 

@@ -22,10 +22,15 @@ double stress::threadUnits(const sim::ChipProfile &Chip,
 SysStress::SysStress(const sim::ChipProfile &Chip, AccessSequence Seq,
                      std::vector<sim::Addr> Locations, double Units)
     : Chip(Chip) {
-  assert(!Locations.empty() && "sys-str needs at least one location");
-  Banks.reserve(Locations.size());
-  for (sim::Addr A : Locations)
-    Banks.push_back(Chip.bankOf(A));
+  retarget(Seq, /*Base=*/0, Locations, Units);
+}
+
+void SysStress::retarget(AccessSequence Seq, sim::Addr Base,
+                         const std::vector<unsigned> &Offsets, double Units) {
+  assert(!Offsets.empty() && "sys-str needs at least one location");
+  Banks.clear();
+  for (unsigned Off : Offsets)
+    Banks.push_back(Chip.bankOf(Base + Off));
   Rate = Seq.trafficPerTick();
   setUnits(Units);
 }

@@ -50,6 +50,16 @@ public:
   SysStress(const sim::ChipProfile &Chip, AccessSequence Seq,
             std::vector<sim::Addr> Locations, double Units);
 
+  /// A source with no locations yet: \ref retarget it before use.
+  explicit SysStress(const sim::ChipProfile &Chip) : Chip(Chip) {}
+
+  /// Re-targets the source at \p Seq applied at \p Base plus each of
+  /// \p Offsets (at least one) with \p Units thread units. Equivalent to
+  /// constructing a fresh source at those addresses, but it keeps its
+  /// storage, so a runner can serve every call from one source.
+  void retarget(AccessSequence Seq, sim::Addr Base,
+                const std::vector<unsigned> &Offsets, double Units);
+
   /// Re-targets the source at a new total intensity, keeping its access
   /// sequence and locations. Equivalent to constructing a fresh source
   /// with the same sequence/locations and \p Units — the hook that lets

@@ -36,6 +36,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 #include <set>
 
 using namespace gpuwmm;
@@ -1198,6 +1200,191 @@ TEST(StreamingHubTest, HugeThreadIdsGetDenseLanes) {
       EXPECT_EQ(C.ViolatingA, 22u);
     }
   }
+}
+
+namespace {
+
+/// The hub trace with every address moved up by \p Base, and thread 22
+/// running two split-phase loads at once (tickets \p TicketA on u, then
+/// \p TicketB on y, bound in the other order) just before s1's drain
+/// closes the cycle.
+std::vector<TraceEvent> farTrace(sim::Addr Base, uint64_t TicketA,
+                                 uint64_t TicketB) {
+  constexpr sim::Addr U = 96;
+  std::vector<TraceEvent> Es = hubTrace(smallTid);
+  for (TraceEvent &E : Es)
+    E.A += Base;
+  const TraceEvent Closing = Es.back();
+  Es.pop_back();
+  Es.push_back(asyncIssue(22, 1, Base + U, TicketA));
+  Es.push_back(asyncIssue(22, 1, Base + Y, TicketB));
+  Es.push_back(asyncBind(22, 1, Base + Y, 5, TicketB));
+  Es.push_back(asyncBind(22, 1, Base + U, 0, TicketA));
+  Es.push_back(Closing);
+  return Es;
+}
+
+} // namespace
+
+// Addresses only name the replay's records and tickets only name pending
+// loads: the trace with addresses just below 2^32, and two pending
+// tickets past 2^32 that agree in their low 32 bits, must give the same
+// verdicts, witness, violating pair and work as at small values, and no
+// table may be sized by an address (one would take 16 GiB).
+TEST(StreamingHubTest, HugeAddressesAndTicketsGetDenseRecords) {
+  constexpr sim::Addr Far = 0xFFFFFF00u;
+  constexpr uint64_t TicketA = 0xFFFFFFFFu, TicketB = 0x1FFFFFFFFu;
+  const std::vector<TraceEvent> Small = farTrace(0, 1, 2);
+  const std::vector<TraceEvent> Huge = farTrace(Far, TicketA, TicketB);
+  ConsistencyChecker PostHoc;
+  StreamingChecker Stream;
+  const CheckResult WantPh = PostHoc.check(Small);
+  ASSERT_TRUE(WantPh.AxiomsOk) << WantPh.AxiomViolation;
+  EXPECT_FALSE(WantPh.Sc);
+  const CheckResult GotPh = PostHoc.check(Huge);
+  ASSERT_TRUE(GotPh.AxiomsOk) << GotPh.AxiomViolation;
+  EXPECT_FALSE(GotPh.Sc);
+  EXPECT_EQ(GotPh.Cycle, WantPh.Cycle);
+  EXPECT_EQ(GotPh.ViolatingA, WantPh.ViolatingA);
+  EXPECT_EQ(GotPh.ViolatingB, WantPh.ViolatingB);
+  const StreamVerdict Want = Stream.checkAll(Small);
+  const uint64_t WantOps = Stream.edgeOps();
+  const uint64_t WantRetired = Stream.retiredEvents();
+  ASSERT_TRUE(Want.weak());
+  const StreamVerdict &Got = Stream.checkAll(Huge);
+  ASSERT_TRUE(Got.AxiomsOk) << Got.AxiomViolation;
+  EXPECT_TRUE(Got.weak());
+  EXPECT_EQ(Got.Cycle, Want.Cycle);
+  EXPECT_EQ(Got.ViolatingA, Want.ViolatingA);
+  EXPECT_EQ(Got.ViolatingB, Want.ViolatingB);
+  EXPECT_EQ(Stream.edgeOps(), WantOps);
+  EXPECT_EQ(Stream.retiredEvents(), WantRetired);
+  // The tickets are kept whole: a bind of one that matches a pending
+  // ticket only in its low 32 bits has no issue.
+  std::vector<TraceEvent> Stray = Huge;
+  const size_t Bind = Stray.size() - 3;
+  Stray[Bind].Id = TicketA + (uint64_t{1} << 33);
+  for (const bool Streamed : {false, true}) {
+    const std::string Msg = Streamed
+                                ? Stream.checkAll(Stray).AxiomViolation
+                                : PostHoc.check(Stray).AxiomViolation;
+    EXPECT_EQ(Msg, "causality: a split-phase load completed without an issue")
+        << (Streamed ? "streaming" : "post-hoc");
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Allocation-free steady state
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Heap allocations this thread made through operator new, which this
+/// binary replaces below to count them.
+thread_local uint64_t HeapAllocs = 0;
+
+/// Thread 0 stores to one of four addresses, promotes the store to its
+/// block and drains it; thread 1, in the same block, reads each store
+/// from the overlay while it is buffered, from memory after, and by a
+/// split-phase load issued before the drain and bound after it. Seven
+/// events a round.
+std::vector<TraceEvent> promoteDrainStream(size_t Rounds) {
+  std::vector<TraceEvent> Es;
+  for (uint64_t Id = 1; Id <= Rounds; ++Id) {
+    const sim::Addr A = 32 * static_cast<sim::Addr>(Id % 4);
+    const auto V = static_cast<sim::Word>(Id);
+    Es.push_back(st(0, 0, A, V, Id));
+    Es.push_back(promote(0, 0, 0, A, V, Id));
+    Es.push_back(ldIn(0, 1, 0, A, V, LoadSource::Overlay));
+    Es.push_back(asyncIssue(1, 1, A, Id));
+    Es.push_back(drain(0, 0, A, V, Id));
+    Es.push_back(ldIn(0, 1, 0, A, V, LoadSource::Memory));
+    Es.push_back(asyncBind(1, 1, A, V, Id));
+  }
+  return Es;
+}
+
+} // namespace
+
+// Kept out of line: inlined, GCC would pair the callers' new with free.
+__attribute__((noinline)) void *operator new(std::size_t N) {
+  ++HeapAllocs;
+  if (void *P = std::malloc(N == 0 ? 1 : N))
+    return P;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void *P) noexcept {
+  std::free(P);
+}
+__attribute__((noinline)) void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
+
+// Harden, verify and shrink are streams of checked litmus runs, each on
+// one runner and one checker. Once warm, such a run (engine, stress
+// source and streaming oracle together) must not touch the heap: fenced
+// and unfenced MP, SB and IRIW, 500 runs each under tuned stress.
+TEST(StreamingAllocationTest, CheckedLitmusRunsAllocateNothing) {
+  const sim::ChipProfile &Chip = titan();
+  const auto Stress = litmus::LitmusRunner::MicroStress::tuned(Chip, 0);
+  for (const char *Name : {"MP", "SB", "IRIW"})
+    for (const bool Fenced : {false, true}) {
+      SCOPED_TRACE(std::string(Name) + (Fenced ? " fenced" : " unfenced"));
+      const litmus::Program *P = litmus::findCatalogProgram(Name);
+      ASSERT_NE(P, nullptr);
+      litmus::LitmusRunner Runner(Chip, 23);
+      StreamingChecker Checker;
+      litmus::LitmusRunOpts Opts;
+      Opts.WithFences = Fenced;
+      Opts.Sink = &Checker;
+      unsigned Weak = 0;
+      uint64_t Events = 0;
+      const auto Run = [&] {
+        Checker.begin();
+        (void)Runner.runOnce(*P, /*Distance=*/128, Stress, Opts);
+        const StreamVerdict &V = Checker.finish();
+        EXPECT_TRUE(V.AxiomsOk) << V.AxiomViolation;
+        Weak += V.weak();
+        Events += Checker.consumedEvents();
+      };
+      for (unsigned I = 0; I != 100; ++I)
+        Run();
+      const uint64_t Before = HeapAllocs;
+      for (unsigned I = 0; I != 500; ++I)
+        Run();
+      EXPECT_EQ(HeapAllocs - Before, 0u);
+      EXPECT_GT(Events, 600u * 8); // Every run was checked.
+      if (Fenced) {
+        EXPECT_EQ(Weak, 0u);
+      }
+    }
+}
+
+// A long checked stream through promotions, overlay reads, drains and
+// split-phase loads: past its first 1k events, the replay's records and
+// per-thread state, the graph's slots, edges and reader links are all
+// recycled, so the other 99k events allocate nothing.
+TEST(StreamingAllocationTest, PromoteDrainStreamAllocatesNothing) {
+  const std::vector<TraceEvent> Events = promoteDrainStream(100000 / 7 + 1);
+  ASSERT_GE(Events.size(), 100000u);
+  StreamingChecker Stream;
+  Stream.begin();
+  uint64_t Before = 0;
+  for (size_t I = 0; I != Events.size(); ++I) {
+    if (I == 1000)
+      Before = HeapAllocs;
+    Stream.event(Events[I]);
+  }
+  const uint64_t Allocs = HeapAllocs - Before;
+  const StreamVerdict &R = Stream.finish();
+  ASSERT_TRUE(R.AxiomsOk) << R.AxiomViolation;
+  EXPECT_TRUE(R.Sc);
+  EXPECT_EQ(Allocs, 0u);
+  EXPECT_LT(Stream.peakLiveEvents(), 64u);
+  ConsistencyChecker PostHoc;
+  const CheckResult A = PostHoc.check(Events);
+  ASSERT_TRUE(A.AxiomsOk) << A.AxiomViolation;
+  EXPECT_TRUE(A.Sc);
 }
 
 //===----------------------------------------------------------------------===//
