@@ -357,6 +357,38 @@ TEST(AppFenceSiteGolden, EventStreamsArePinnedOnBothEngines) {
       {AppKind::CubScanNf, 6, 6997, 0xd4392aae179bb145ull},
       {AppKind::CubScanNf, 7, 6981, 0xb9d9c4a7ff1a3126ull},
       {AppKind::CubScanNf, 8, 7477, 0xd2d65a05187dd638ull},
+      {AppKind::LsBh, -1, 28116, 0x0672887d64eb5631ull},
+      {AppKind::LsBh, 0, 15608, 0x2e6f7d98dd9bd94aull},
+      {AppKind::LsBh, 1, 15493, 0x062132f006efecb9ull},
+      {AppKind::LsBh, 2, 15569, 0xe5f150f925739bfcull},
+      {AppKind::LsBh, 3, 17817, 0xdbd58f18f568148eull},
+      {AppKind::LsBh, 4, 15779, 0x90a2943380afe1b8ull},
+      {AppKind::LsBh, 5, 15423, 0x250557dda7412aa9ull},
+      {AppKind::LsBh, 6, 15969, 0x613df6b6182fa58eull},
+      {AppKind::LsBh, 7, 15539, 0xd2c9a453d83bc997ull},
+      {AppKind::LsBh, 8, 15853, 0xe4c64cebe24f0e96ull},
+      {AppKind::LsBh, 9, 24643, 0x7dc913ab2512386eull},
+      {AppKind::LsBh, 10, 15523, 0x360864776c61a6fdull},
+      {AppKind::LsBh, 11, 15523, 0x52a28a61882e13fbull},
+      {AppKind::LsBhNf, -1, 28122, 0x5781f854f167e02eull},
+      {AppKind::LsBhNf, 0, 15586, 0x4c34dd1a1f7a8c74ull},
+      {AppKind::LsBhNf, 1, 15431, 0x153106142c4be094ull},
+      {AppKind::LsBhNf, 2, 15441, 0xb01fd5f5cd036bedull},
+      {AppKind::LsBhNf, 3, 17634, 0xb7c189ec043490c8ull},
+      {AppKind::LsBhNf, 4, 15623, 0xf303e0f3531593daull},
+      {AppKind::LsBhNf, 5, 15320, 0x13c4c4cfaded476bull},
+      {AppKind::LsBhNf, 6, 15923, 0x93c5708681e8198dull},
+      {AppKind::LsBhNf, 7, 15465, 0x412c1a06227d6479ull},
+      {AppKind::LsBhNf, 8, 15779, 0xf7178a6694f0e941ull},
+      {AppKind::LsBhNf, 9, 24569, 0x7be65dfccbd0e19cull},
+      {AppKind::LsBhNf, 10, 15449, 0xfbc991b31df0a90dull},
+      {AppKind::LsBhNf, 11, 15449, 0x63913fd1a639da5bull},
+      {AppKind::CtOctree, -1, 3298, 0xc917478180e781efull},
+      {AppKind::CtOctree, 0, 2666, 0x53916df616a24246ull},
+      {AppKind::CtOctree, 1, 2600, 0x6befd8f57ef95a94ull},
+      {AppKind::CtOctree, 2, 2754, 0x96ea093b374cabacull},
+      {AppKind::CtOctree, 3, 2761, 0x1269fb50a22b84b8ull},
+      {AppKind::CtOctree, 4, 2600, 0x6e77596b9beef75aull},
   };
   const stress::Environment Native{stress::StressKind::None, false};
   for (const sim::EngineMode Mode :

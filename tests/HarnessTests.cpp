@@ -260,6 +260,41 @@ TEST(CostBenchmarkTest, Fig5CostsArePinnedOnBothEngines) {
       {AppKind::CubScanNf, 6, 0.11477272727272726, 0.033801348484848483},
       {AppKind::CubScanNf, 7, 0.11022727272727273, 0.032649318181818189},
       {AppKind::CubScanNf, 8, 0.11022727272727273, 0.03636931818181819},
+      {AppKind::LsBh, None, 0.67500000000000016, 0.18336683333333337},
+      {AppKind::LsBh, All, 5.6107954545454559, 1.5095939469696971},
+      {AppKind::LsBh, 0, 0.78664772727272736, 0.2144176818181818},
+      {AppKind::LsBh, 1, 0.69564393939393943, 0.18945656818181822},
+      {AppKind::LsBh, 2, 0.71212121212121227, 0.19342113636363636},
+      {AppKind::LsBh, 3, 0.93361742424242433, 0.25235985606060607},
+      {AppKind::LsBh, 4, 0.71259469696969713, 0.19340617424242426},
+      {AppKind::LsBh, 5, 0.6982954545454545, 0.18948536363636367},
+      {AppKind::LsBh, 6, 0.95416666666666661, 0.26069775000000001},
+      {AppKind::LsBh, 7, 1.2659090909090909, 0.33206910606060613},
+      {AppKind::LsBh, 8, 2.6083333333333334, 0.66989016666666668},
+      {AppKind::LsBh, 9, 2.2537878787878789, 0.64494130303030317},
+      {AppKind::LsBh, 10, 0.69318181818181834, 0.18887228787878788},
+      {AppKind::LsBh, 11, 0.69318181818181834, 0.18887228787878788},
+      {AppKind::LsBhNf, None, 0.66126893939393949, 0.17954673484848485},
+      {AppKind::LsBhNf, All, 5.6244318181818187, 1.5130779545454545},
+      {AppKind::LsBhNf, 0, 0.77462121212121227, 0.2110781363636364},
+      {AppKind::LsBhNf, 1, 0.68465909090909094, 0.18635552272727274},
+      {AppKind::LsBhNf, 2, 0.69772727272727286, 0.18943473484848491},
+      {AppKind::LsBhNf, 3, 0.92017045454545476, 0.24855944696969698},
+      {AppKind::LsBhNf, 4, 0.69782196969696975, 0.18928899242424246},
+      {AppKind::LsBhNf, 5, 0.68361742424242433, 0.18539918939393943},
+      {AppKind::LsBhNf, 6, 0.94460227272727282, 0.25799156818181823},
+      {AppKind::LsBhNf, 7, 1.2521780303030308, 0.32824900757575765},
+      {AppKind::LsBhNf, 8, 2.5946022727272728, 0.66607006818181824},
+      {AppKind::LsBhNf, 9, 2.2400568181818183, 0.64112120454545463},
+      {AppKind::LsBhNf, 10, 0.67945075757575746, 0.18505218939393941},
+      {AppKind::LsBhNf, 11, 0.67945075757575746, 0.18505218939393941},
+      {AppKind::CtOctree, None, 0.025757575757575757, 0.0096662272727272743},
+      {AppKind::CtOctree, All, 0.087500000000000022, 0.030882999999999997},
+      {AppKind::CtOctree, 0, 0.035132575757575758, 0.012796477272727274},
+      {AppKind::CtOctree, 1, 0.032954545454545459, 0.0121854696969697},
+      {AppKind::CtOctree, 2, 0.050946969696969706, 0.017872742424242426},
+      {AppKind::CtOctree, 3, 0.044412878787878786, 0.015837053030303031},
+      {AppKind::CtOctree, 4, 0.034848484848484851, 0.012658954545454543},
   };
   for (const sim::EngineMode Mode :
        {sim::EngineMode::Auto, sim::EngineMode::Scalar}) {
