@@ -1,21 +1,23 @@
-//===- apps/AppCompile.cpp - Plan cache for the lowered app kernels -----------===//
+//===- apps/AppCompile.cpp - Plan cache for the app kernels ------------------===//
 //
-// The plan cache and launch path of the lowered application kernels
-// (DESIGN.md Sec. 19). Each kernel is written once, as a PlanBuilder
-// lowering in its app's source file next to its setup, site names and
-// post-condition. Writing a kernel as a plan follows these rules:
+// The plan cache and launch path of the application kernels (DESIGN.md
+// Sec. 19). Each kernel is written once, as a PlanBuilder lowering in its
+// app's source file next to its setup, site names and post-condition.
+// Writing a kernel as a plan follows these rules:
 //
 //  * unroll every compile-time loop (grid-stride slices, block
-//    reductions, the per-thread key loop) and split lane roles: each lane
-//    gets its own op range, so "if (threadIdx != 0) return" ends a lane's
-//    program early;
-//  * keep data-dependent loops (lock spins, lookback polls, queue polls)
-//    as register branches: free ops run at the head of the resume that
-//    issues the next suspending op, where a thread evaluates its
-//    conditions;
+//    reductions, the per-thread key loop, a node's four children) and
+//    split lane roles: each lane gets its own op range, so
+//    "if (threadIdx != 0) return" ends a lane's program early;
+//  * keep data-dependent loops (lock spins, lookback polls, queue polls,
+//    tree descents) as register branches: free ops run at the head of
+//    the resume that issues the next suspending op, where a thread
+//    evaluates its conditions;
 //  * fold free arithmetic into fused suspending ops (LoadAcc,
-//    LoadMulAcc) where convenient: register state is invisible to the
-//    memory model;
+//    LoadMulAcc) where convenient, and write what free ops cannot say
+//    briefly (signed 64-bit arithmetic, a register-indexed stack) as a
+//    Step function over a window of the lane's registers: register state
+//    is invisible to the memory model;
 //  * bake fences into the stream: a built-in fence is a FenceDevice op (a
 //    Sleep(1) in the -nf variants), and an inserted policy fence after an
 //    armed site is Sleep(FenceBaseLatency) then FenceDevice, the two
@@ -23,14 +25,17 @@
 //  * allocate buffers through a layout shared with setup, replaying
 //    MemorySystem::alloc's patch-aligned bump allocator (checked against
 //    the live layout every run);
-//  * flag plans with a backward branch (PlanBuilder::finish): only those
-//    try runBatchProgram's provable-timeout check.
+//  * start each kernel with PlanBuilder::launch; PlanBuilder::finish flags
+//    kernels with a backward branch: only those try runBatchProgram's
+//    provable-timeout check.
 //
 // Both engines run the same plan: runBatchProgram, or under
 // --engine=scalar sim::runProgram's interpretation of it on the coroutine
 // scheduler. Engine identity tests therefore cannot catch a wrong
-// lowering; the seed-4 campaign and Fig. 5 cost goldens (ParallelTests,
-// HarnessTests) pin the lowerings on both engines.
+// lowering; the seed-4 campaign, Fig. 5 cost and fence-site event-stream
+// goldens (ParallelTests, HarnessTests, EngineIdentityTests), recorded
+// from the hand-written coroutine kernels the lowerings replaced, pin the
+// lowerings on both engines.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,23 +51,7 @@
 using namespace gpuwmm;
 using namespace gpuwmm::apps;
 
-bool apps::appLowerable(AppKind K) {
-  switch (K) {
-  case AppKind::CbeHt:
-  case AppKind::CbeDot:
-  case AppKind::SdkRed:
-  case AppKind::SdkRedNf:
-  case AppKind::CubScan:
-  case AppKind::CubScanNf:
-  case AppKind::TpoTm:
-    return true;
-  case AppKind::CtOctree: // Dynamic work queues (data-dependent fan-out).
-  case AppKind::LsBh:     // Tree build with retry loops over child slots.
-  case AppKind::LsBhNf:
-    return false;
-  }
-  return false;
-}
+bool apps::appLowerable(AppKind) { return true; }
 
 namespace {
 
@@ -85,7 +74,7 @@ uint32_t policyMask(AppKind K, const sim::FencePolicy *Policy) {
 }
 
 AppPlan compile(AppKind K, const sim::ChipProfile &Chip, uint32_t Mask) {
-  const bool Builtin = appHasBuiltinFences(K) && !isNoFenceVariant(K);
+  const bool Builtin = !isNoFenceVariant(K);
   detail::PlanBuilder B(Chip, Mask);
   switch (K) {
   case AppKind::SdkRed:
@@ -105,8 +94,13 @@ AppPlan compile(AppKind K, const sim::ChipProfile &Chip, uint32_t Mask) {
   case AppKind::TpoTm:
     detail::emitTpoTm(B);
     break;
-  default:
-    GPUWMM_CHECK(false, "app does not lower (check appLowerable first)");
+  case AppKind::CtOctree:
+    detail::emitCtOctree(B);
+    break;
+  case AppKind::LsBh:
+  case AppKind::LsBhNf:
+    detail::emitLsBh(B, Builtin);
+    break;
   }
   return B.finish();
 }
@@ -128,7 +122,6 @@ struct PlanKey {
 const AppPlan &apps::compileApplication(AppKind K,
                                         const sim::ChipProfile &Chip,
                                         const sim::FencePolicy *Policy) {
-  GPUWMM_CHECK(appLowerable(K), "app does not lower to the batched engine");
   const PlanKey Key{K, policyMask(K, Policy), Chip.PatchSizeWords,
                     Chip.FenceBaseLatency};
   // Worker-local cache, linear scan: campaigns touch a handful of
@@ -147,5 +140,8 @@ bool apps::detail::runPlan(sim::Device &Dev, AppKind K, unsigned SetupWords) {
   const AppPlan &Plan = compileApplication(K, Dev.chip(), Dev.fencePolicy());
   GPUWMM_CHECK(SetupWords == Plan.SetupAllocWords,
                "allocation layout diverged from the compiled plan");
-  return Dev.run(Plan.BP).completed();
+  for (const sim::BatchProgram &Kernel : Plan.Kernels)
+    if (!Dev.run(Kernel).completed())
+      return false;
+  return true;
 }

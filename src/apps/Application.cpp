@@ -62,13 +62,13 @@ std::unique_ptr<Application> apps::makeApp(AppKind K) {
     return detail::makeTpoTaskMgmt();
   case AppKind::SdkRed:
   case AppKind::SdkRedNf:
-    return detail::makeSdkReduction();
+    return detail::makeSdkReduction(K);
   case AppKind::CubScan:
   case AppKind::CubScanNf:
-    return detail::makeCubScan();
+    return detail::makeCubScan(K);
   case AppKind::LsBh:
   case AppKind::LsBhNf:
-    return detail::makeLsBarnesHut();
+    return detail::makeLsBarnesHut(K);
   }
   return nullptr;
 }
@@ -99,7 +99,6 @@ AppVerdict apps::runApplicationOnce(sim::ExecutionContext &Ctx, AppKind K,
   sim::Device Dev(Ctx, Chip, R.next());
   Dev.setSequentialMode(Sequential);
   Dev.setFencePolicy(Policy);
-  Dev.setBuiltinFences(!isNoFenceVariant(K));
 
   std::unique_ptr<Application> App = makeApp(K);
   Dev.setMaxTicks(App->maxTicks());

@@ -8,10 +8,10 @@
 /// \file
 /// The framework for the paper's ten application case studies (Tab. 4):
 /// seven code bases plus three "-nf" (no-fence) variants. Every application
-/// provides kernels against the simulator API, instrumented fence sites
-/// (for Sec. 5's empirical fence insertion and Sec. 6's cost study), and a
-/// functional post-condition that decides whether an execution was
-/// erroneous.
+/// provides its kernels as a compiled plan (apps/AppCompile.h),
+/// instrumented fence sites (for Sec. 5's empirical fence insertion and
+/// Sec. 6's cost study), and a functional post-condition that decides
+/// whether an execution was erroneous.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,7 +7,8 @@
 ///
 /// \file
 /// Internal factory functions wiring each case-study implementation into
-/// the registry in Application.cpp, and the plan builder the lowered
+/// the registry in Application.cpp (apps with an -nf variant take their
+/// kind, which picks the plan), and the plan builder the lowered
 /// kernels are written against (AppCompile.h). Not part of the public API.
 ///
 //===----------------------------------------------------------------------===//
@@ -32,14 +33,15 @@ std::unique_ptr<Application> makeCbeDot();
 std::unique_ptr<Application> makeCbeHashtable();
 std::unique_ptr<Application> makeCtOctree();
 std::unique_ptr<Application> makeTpoTaskMgmt();
-std::unique_ptr<Application> makeSdkReduction();
-std::unique_ptr<Application> makeCubScan();
-std::unique_ptr<Application> makeLsBarnesHut();
+std::unique_ptr<Application> makeSdkReduction(AppKind K);
+std::unique_ptr<Application> makeCubScan(AppKind K);
+std::unique_ptr<Application> makeLsBarnesHut(AppKind K);
 
-/// Builds one kernel's plan: the op stream of every lane, in lane order,
-/// with register slots, fences and the buffer layout baked in. A lowered
-/// kernel reads as the kernel: one loop over its lanes, each lane's body
-/// written as the CUDA code's statements, one suspending op per access.
+/// Builds an app's plan: for each kernel it launches, in launch order,
+/// the op stream of every lane, in lane order, with register slots, fences
+/// and the buffer layout baked in. A lowered kernel reads as the kernel:
+/// one loop over its lanes, each lane's body written as the CUDA code's
+/// statements, one suspending op per access.
 class PlanBuilder {
 public:
   using Code = sim::BatchOp::Code;
@@ -49,11 +51,13 @@ public:
   PlanBuilder(const sim::ChipProfile &Chip, uint32_t PolicyMask)
       : Chip(Chip), Mask(PolicyMask) {}
 
-  /// Sets the launch shape; call once, before the first lane.
+  /// Starts the next kernel with this launch shape; lanes, registers and
+  /// ops up to the next launch belong to it.
   void launch(unsigned GridDim, unsigned BlockDim) {
-    Plan.BP.GridDim = GridDim;
-    Plan.BP.BlockDim = BlockDim;
-    Plan.BP.Lanes.resize(static_cast<size_t>(GridDim) * BlockDim);
+    sim::BatchProgram &BP = Plan.Kernels.emplace_back();
+    BP.GridDim = GridDim;
+    BP.BlockDim = BlockDim;
+    BP.Lanes.resize(static_cast<size_t>(GridDim) * BlockDim);
   }
 
   /// Replays MemorySystem::alloc: align the next free word up to the
@@ -67,26 +71,41 @@ public:
     return Base;
   }
 
-  /// A fresh per-lane register slot.
-  uint16_t reg() {
-    GPUWMM_CHECK(Plan.BP.NumSlots < 0xffff, "register slots exhausted");
-    return static_cast<uint16_t>(Plan.BP.NumSlots++);
+  /// \p N fresh, consecutive per-lane register slots (a step window when
+  /// N > 1); returns the first.
+  uint16_t regs(unsigned N) {
+    sim::BatchProgram &BP = kernel();
+    GPUWMM_CHECK(BP.NumSlots + N <= 0xffff, "register slots exhausted");
+    BP.NumSlots += N;
+    return static_cast<uint16_t>(BP.NumSlots - N);
   }
+  uint16_t reg() { return regs(1); }
 
   void beginLane(unsigned Tid) {
     LaneTid = Tid;
-    Plan.BP.Lanes[Tid].Begin = size();
+    kernel().Lanes[Tid].Begin = size();
   }
-  void endLane() { Plan.BP.Lanes[LaneTid].End = size(); }
+  void endLane() { kernel().Lanes[LaneTid].End = size(); }
 
   uint32_t size() const {
-    return static_cast<uint32_t>(Plan.BP.Ops.size());
+    return static_cast<uint32_t>(Plan.Kernels.back().Ops.size());
   }
 
   uint32_t emit(Code C, uint16_t Slot = 0, uint16_t Slot2 = 0,
                 sim::Addr A = 0, sim::Word Imm = 0) {
-    Plan.BP.Ops.push_back({C, Slot, Slot2, A, Imm});
+    kernel().Ops.push_back({C, Slot, Slot2, A, Imm});
     return size() - 1;
+  }
+
+  /// A Step op: \p F over the \p N registers from \p Window.
+  void step(sim::StepFn F, uint16_t Window, unsigned N) {
+    std::vector<sim::StepFn> &Steps = kernel().Steps;
+    const auto It = std::find(Steps.begin(), Steps.end(), F);
+    const size_t Idx = It - Steps.begin();
+    if (It == Steps.end())
+      Steps.push_back(F);
+    emit(Code::Step, Window, static_cast<uint16_t>(N), 0,
+         static_cast<sim::Word>(Idx));
   }
 
   /// A site-instrumented memory op: the op itself, then — when the
@@ -116,15 +135,16 @@ public:
   /// random backoff yield(1 + rand(3)) after each failed attempt (it
   /// breaks deterministic starvation cycles, as contended spinlocks do on
   /// real hardware). \p Index, if not NoIndex, names a register added to
-  /// the mutex address.
+  /// the mutex address. \p RLock holds the compare value, then the old
+  /// word.
   static constexpr uint16_t NoIndex = 0xffff;
   void spinLock(int Site, uint16_t RLock, sim::Addr Mutex,
                 uint16_t Index = NoIndex) {
-    const uint32_t Spin = size();
+    const uint32_t Spin = emit(Code::MovImm, RLock, 0, 0, 0);
     if (Index == NoIndex)
-      emitMem(Code::AtomicCas, Site, RLock, 0, Mutex, 1u << 16);
+      emitMem(Code::AtomicCas, Site, RLock, 0, Mutex, 1);
     else
-      emitMem(Code::AtomicCasIdx, Site, RLock, Index, Mutex, 1u << 16);
+      emitMem(Code::AtomicCasIdx, Site, RLock, Index, Mutex, 1);
     const uint32_t BrCrit = emit(Code::BrEq, RLock, 0, 0, 0);
     emit(Code::SleepRand, 0, 0, 1, 3);
     emit(Code::Jump, 0, 0, Spin);
@@ -133,23 +153,27 @@ public:
 
   /// Retargets a branch/jump emitted earlier to \p Target.
   void patch(uint32_t OpIdx, uint32_t Target) {
-    Plan.BP.Ops[OpIdx].A = Target;
+    kernel().Ops[OpIdx].A = Target;
   }
 
-  /// The finished plan; flags a backward branch, so only looping plans
-  /// try runBatchProgram's provable-timeout check.
+  /// The finished plan; flags each kernel with a backward branch, so only
+  /// looping kernels try runBatchProgram's provable-timeout check.
   AppPlan finish() {
     Plan.SetupAllocWords = Next;
-    Plan.BP.NumSlots = std::max(Plan.BP.NumSlots, 1u);
-    for (uint32_t I = 0; I != size(); ++I) {
-      const sim::BatchOp &O = Plan.BP.Ops[I];
-      Plan.BP.HasBackwardBranch |=
-          O.C >= Code::Jump && O.C <= Code::BrLtRR && O.A <= I;
+    for (sim::BatchProgram &BP : Plan.Kernels) {
+      BP.NumSlots = std::max(BP.NumSlots, 1u);
+      for (uint32_t I = 0; I != BP.Ops.size(); ++I) {
+        const sim::BatchOp &O = BP.Ops[I];
+        BP.HasBackwardBranch |=
+            O.C >= Code::Jump && O.C <= Code::BrLtRR && O.A <= I;
+      }
     }
     return std::move(Plan);
   }
 
 private:
+  sim::BatchProgram &kernel() { return Plan.Kernels.back(); }
+
   const sim::ChipProfile &Chip;
   uint32_t Mask;
   AppPlan Plan;
@@ -163,11 +187,14 @@ void emitCbeHt(PlanBuilder &B);
 void emitSdkRed(PlanBuilder &B, bool BuiltinFences);
 void emitCubScan(PlanBuilder &B, bool BuiltinFences);
 void emitTpoTm(PlanBuilder &B);
+void emitCtOctree(PlanBuilder &B);
+void emitLsBh(PlanBuilder &B, bool BuiltinFences);
 
-/// The run() of every lowered app: launches \p K's plan for \p Dev's chip
-/// and fence policy on \p Dev. \p SetupWords is the device's
-/// allocatedWords() at the end of setup, checked against the plan's
-/// replayed layout. False if the launch faulted.
+/// The run() of every app: launches \p K's plan for \p Dev's chip and
+/// fence policy on \p Dev, kernel by kernel, stopping at the first that
+/// does not complete. \p SetupWords is the device's allocatedWords() at
+/// the end of setup, checked against the plan's replayed layout. False if
+/// a launch faulted.
 bool runPlan(sim::Device &Dev, AppKind K, unsigned SetupWords);
 
 } // namespace detail

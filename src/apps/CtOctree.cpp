@@ -20,16 +20,13 @@
 
 #include "apps/AppsInternal.h"
 
-#include "sim/ThreadContext.h"
-
 #include <vector>
 
 using namespace gpuwmm;
 using namespace gpuwmm::apps;
 using sim::Addr;
-using sim::Kernel;
-using sim::ThreadContext;
 using sim::Word;
+using Code = detail::PlanBuilder::Code;
 
 namespace {
 
@@ -77,50 +74,46 @@ unsigned leafCellOf(Word X, Word Y) {
   return (((Qy1 << 1) | Qx1) << 2) | ((Qy2 << 1) | Qx2);
 }
 
-Kernel workerKernel(ThreadContext &Ctx, Addr Xs, Addr Ys, Addr Buf,
-                    Addr Ready, Addr Head, Addr Tail, Addr LeafCounts,
-                    Addr ErrorFlag) {
-  while (true) {
-    const Word H = co_await Ctx.atomicAdd(Head, 1);
-    if (H >= TotalPops)
-      co_return;
+/// The kernel's buffers, allocated in this order by setup (on the device)
+/// and by the lowering (replaying the allocator).
+struct Buffers {
+  Addr Xs = 0, Ys = 0, Buf = 0, Ready = 0, Head = 0, Tail = 0,
+       LeafCounts = 0, ErrorFlag = 0;
 
-    // Wait for the slot's payload to be published. (Awaits stay out of
-    // conditions: GCC 12 coroutine bug.)
-    for (;;) {
-      const Word IsReady = co_await Ctx.ld(Ready + H, SiteReadyLd);
-      if (IsReady != 0)
-        break;
-      co_await Ctx.yield(2 + static_cast<unsigned>(Ctx.rand(3)));
-    }
-    const Word Item = co_await Ctx.ld(Buf + H, SiteBufLd);
-
-    const unsigned PointIdx = itemPoint(Item);
-    if (Item == EmptySlot || PointIdx >= NumPoints) {
-      // Stale payload: the out-of-bounds queue access the post-condition
-      // (and, on the original code, a crash) would surface.
-      co_await Ctx.st(ErrorFlag, 1);
-      continue;
-    }
-
-    const Word X = co_await Ctx.ld(Xs + PointIdx);
-    const Word Y = co_await Ctx.ld(Ys + PointIdx);
-    const unsigned Depth = itemDepth(Item);
-    if (Depth < MaxDepth) {
-      // Push one level deeper: reserve, publish payload, publish flag.
-      const Word Slot = co_await Ctx.atomicAdd(Tail, 1);
-      if (Slot >= QueueCap) {
-        co_await Ctx.st(ErrorFlag, 1);
-        continue;
-      }
-      co_await Ctx.st(Buf + Slot, packItem(PointIdx, Depth + 1), SiteBufSt);
-      co_await Ctx.st(Ready + Slot, 1, SiteReadySt);
-      continue;
-    }
-    // Leaf level: deposit the particle in its final cell.
-    co_await Ctx.atomicAdd(LeafCounts + leafCellOf(X, Y), 1, SiteLeafAdd);
+  template <class Allocator> void allocate(Allocator &M) {
+    Xs = M.alloc(NumPoints);
+    Ys = M.alloc(NumPoints);
+    Buf = M.alloc(QueueCap);
+    Ready = M.alloc(QueueCap);
+    Head = M.alloc(1);
+    Tail = M.alloc(1);
+    LeafCounts = M.alloc(LeafCells);
+    ErrorFlag = M.alloc(1);
   }
+};
+
+/// A worker lane's registers: the window its step functions see.
+enum WorkerReg : uint16_t {
+  RH,      ///< The popped queue index.
+  RReady,  ///< Its ready flag.
+  RItem,   ///< Its payload.
+  RPoint,  ///< itemPoint(Item).
+  RDepth,  ///< itemDepth(Item).
+  RNext,   ///< The item one level deeper.
+  RX,      ///< The point's coordinates.
+  RY,
+  RLeaf,   ///< leafCellOf(X, Y).
+  RSlot,   ///< The reserved push slot.
+  NumWorkerRegs
+};
+
+void decodeItem(Word *W) {
+  W[RPoint] = itemPoint(W[RItem]);
+  W[RDepth] = itemDepth(W[RItem]);
+  W[RNext] = packItem(W[RPoint], W[RDepth] + 1);
 }
+
+void leafCell(Word *W) { W[RLeaf] = leafCellOf(W[RX], W[RY]); }
 
 class CtOctree final : public Application {
 public:
@@ -131,63 +124,110 @@ public:
   }
 
   void setup(sim::Device &Dev, Rng &R) override {
-    Xs = Dev.alloc(NumPoints);
-    Ys = Dev.alloc(NumPoints);
-    Buf = Dev.alloc(QueueCap);
-    Ready = Dev.alloc(QueueCap);
-    Head = Dev.alloc(1);
-    Tail = Dev.alloc(1);
-    LeafCounts = Dev.alloc(LeafCells);
-    ErrorFlag = Dev.alloc(1);
+    Buf.allocate(Dev);
+    SetupWords = Dev.memory().allocatedWords();
 
     ExpectedLeafCounts.assign(LeafCells, 0);
     for (unsigned I = 0; I != NumPoints; ++I) {
       const Word X = static_cast<Word>(R.below(1u << CoordBits));
       const Word Y = static_cast<Word>(R.below(1u << CoordBits));
-      Dev.write(Xs + I, X);
-      Dev.write(Ys + I, Y);
+      Dev.write(Buf.Xs + I, X);
+      Dev.write(Buf.Ys + I, Y);
       ++ExpectedLeafCounts[leafCellOf(X, Y)];
     }
     for (unsigned I = 0; I != QueueCap; ++I) {
-      Dev.write(Buf + I, EmptySlot);
-      Dev.write(Ready + I, 0);
+      Dev.write(Buf.Buf + I, EmptySlot);
+      Dev.write(Buf.Ready + I, 0);
     }
     // Seed the queue with all points at depth 0.
     for (unsigned I = 0; I != NumPoints; ++I) {
-      Dev.write(Buf + I, packItem(I, 0));
-      Dev.write(Ready + I, 1);
+      Dev.write(Buf.Buf + I, packItem(I, 0));
+      Dev.write(Buf.Ready + I, 1);
     }
-    Dev.write(Tail, NumPoints);
+    Dev.write(Buf.Tail, NumPoints);
   }
 
   bool run(sim::Device &Dev) override {
-    const Addr XsV = Xs, YsV = Ys, BufV = Buf, ReadyV = Ready,
-               HeadV = Head, TailV = Tail, LeafV = LeafCounts,
-               ErrV = ErrorFlag;
-    const sim::RunResult Result = Dev.run(
-        {GridDim, BlockDim}, [=](ThreadContext &Ctx) -> Kernel {
-          return workerKernel(Ctx, XsV, YsV, BufV, ReadyV, HeadV, TailV,
-                              LeafV, ErrV);
-        });
-    return Result.completed();
+    return detail::runPlan(Dev, AppKind::CtOctree, SetupWords);
   }
 
   bool checkPostCondition(const sim::Device &Dev) const override {
-    if (Dev.read(ErrorFlag) != 0)
+    if (Dev.read(Buf.ErrorFlag) != 0)
       return false;
     for (unsigned C = 0; C != LeafCells; ++C)
-      if (Dev.read(LeafCounts + C) != ExpectedLeafCounts[C])
+      if (Dev.read(Buf.LeafCounts + C) != ExpectedLeafCounts[C])
         return false;
     return true;
   }
 
 private:
-  Addr Xs = 0, Ys = 0, Buf = 0, Ready = 0, Head = 0, Tail = 0,
-       LeafCounts = 0, ErrorFlag = 0;
+  Buffers Buf;
+  unsigned SetupWords = 0;
   std::vector<Word> ExpectedLeafCounts;
 };
 
 } // namespace
+
+void apps::detail::emitCtOctree(PlanBuilder &B) {
+  Buffers Buf;
+  Buf.allocate(B);
+  B.launch(GridDim, BlockDim);
+
+  for (unsigned Tid = 0; Tid != GridDim * BlockDim; ++Tid) {
+    B.beginLane(Tid);
+    const uint16_t W = B.regs(NumWorkerRegs);
+
+    // while (true): pop the next queue index; past the last pop, return.
+    const uint32_t Loop = B.size();
+    B.emitMem(Code::AtomicAddReg, sim::NoSite, W + RH, 0, Buf.Head, 1);
+    const uint32_t Popped = B.emit(Code::BrLt, W + RH, 0, 0, TotalPops);
+    const uint32_t Exit = B.emit(Code::Jump);
+    B.patch(Popped, B.size());
+
+    // Wait for the slot's payload to be published, backing off with
+    // yield(2 + rand(3)) between polls.
+    const uint32_t Poll = B.emitMem(Code::LoadIdx, SiteReadyLd, W + RReady,
+                                    W + RH, Buf.Ready);
+    const uint32_t IsReady = B.emit(Code::BrNe, W + RReady, 0, 0, 0);
+    B.emit(Code::SleepRand, 0, 0, 2, 3);
+    B.emit(Code::Jump, 0, 0, Poll);
+    B.patch(IsReady, B.size());
+    B.emitMem(Code::LoadIdx, SiteBufLd, W + RItem, W + RH, Buf.Buf);
+
+    // A stale payload: the out-of-bounds queue access the post-condition
+    // (and, on the original code, a crash) would surface.
+    B.step(decodeItem, W, NumWorkerRegs);
+    const uint32_t Stale = B.emit(Code::BrEq, W + RItem, 0, 0, EmptySlot);
+    const uint32_t Valid = B.emit(Code::BrLt, W + RPoint, 0, 0, NumPoints);
+    B.patch(Stale, B.size());
+    B.emitMem(Code::Store, sim::NoSite, 0, 0, Buf.ErrorFlag, 1);
+    B.emit(Code::Jump, 0, 0, Loop);
+    B.patch(Valid, B.size());
+
+    B.emitMem(Code::LoadIdx, sim::NoSite, W + RX, W + RPoint, Buf.Xs);
+    B.emitMem(Code::LoadIdx, sim::NoSite, W + RY, W + RPoint, Buf.Ys);
+    const uint32_t Deeper = B.emit(Code::BrLt, W + RDepth, 0, 0, MaxDepth);
+
+    // Leaf level: deposit the particle in its final cell.
+    B.step(leafCell, W, NumWorkerRegs);
+    B.emitMem(Code::AtomicAddIdx, SiteLeafAdd, 0, W + RLeaf, Buf.LeafCounts,
+              1);
+    B.emit(Code::Jump, 0, 0, Loop);
+
+    // Push one level deeper: reserve, publish payload, publish flag.
+    B.patch(Deeper, B.size());
+    B.emitMem(Code::AtomicAddReg, sim::NoSite, W + RSlot, 0, Buf.Tail, 1);
+    const uint32_t Room = B.emit(Code::BrLt, W + RSlot, 0, 0, QueueCap);
+    B.emitMem(Code::Store, sim::NoSite, 0, 0, Buf.ErrorFlag, 1);
+    B.emit(Code::Jump, 0, 0, Loop);
+    B.patch(Room, B.size());
+    B.emitMem(Code::WbStoreIdx, SiteBufSt, W + RNext, W + RSlot, Buf.Buf);
+    B.emitMem(Code::StoreIdx, SiteReadySt, 0, W + RSlot, Buf.Ready, 1);
+    B.emit(Code::Jump, 0, 0, Loop);
+    B.patch(Exit, B.size()); // Leaving the loop ends the lane.
+    B.endLane();
+  }
+}
 
 std::unique_ptr<Application> apps::detail::makeCtOctree() {
   return std::make_unique<CtOctree>();

@@ -79,6 +79,8 @@ struct Buffers {
 
 class CubScan final : public Application {
 public:
+  explicit CubScan(AppKind K) : Kind(K) {}
+
   const char *name() const override { return "cub-scan"; }
   unsigned numSites() const override { return NumSites; }
   const char *siteName(unsigned Site) const override {
@@ -99,9 +101,7 @@ public:
   }
 
   bool run(sim::Device &Dev) override {
-    return detail::runPlan(
-        Dev, Dev.builtinFences() ? AppKind::CubScan : AppKind::CubScanNf,
-        SetupWords);
+    return detail::runPlan(Dev, Kind, SetupWords);
   }
 
   bool checkPostCondition(const sim::Device &Dev) const override {
@@ -112,6 +112,7 @@ public:
   }
 
 private:
+  AppKind Kind; ///< CubScan or CubScanNf: picks the plan.
   Buffers Buf;
   unsigned SetupWords = 0;
   std::vector<Word> Expected;
@@ -205,6 +206,6 @@ void apps::detail::emitCubScan(PlanBuilder &B, bool BuiltinFences) {
   }
 }
 
-std::unique_ptr<Application> apps::detail::makeCubScan() {
-  return std::make_unique<CubScan>();
+std::unique_ptr<Application> apps::detail::makeCubScan(AppKind K) {
+  return std::make_unique<CubScan>(K);
 }

@@ -25,14 +25,12 @@
 // superset of the provided fences, as in the paper (Sec. 5.2).
 //
 // The post-condition compares final positions against a sequentially
-// consistent reference execution, the analogue of the paper's use of a
-// conservatively fenced run as reference for ls-bh.
+// consistent reference execution of the same plan, the analogue of the
+// paper's use of a conservatively fenced run as reference for ls-bh.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/AppsInternal.h"
-
-#include "sim/ThreadContext.h"
 
 #include <algorithm>
 #include <vector>
@@ -40,9 +38,8 @@
 using namespace gpuwmm;
 using namespace gpuwmm::apps;
 using sim::Addr;
-using sim::Kernel;
-using sim::ThreadContext;
 using sim::Word;
+using Code = detail::PlanBuilder::Code;
 
 namespace {
 
@@ -81,9 +78,16 @@ const char *const SiteNames[NumSites] = {
 constexpr unsigned NumBodies = 32;
 constexpr unsigned GridDim = 2;
 constexpr unsigned BlockDim = 16;
+static_assert(GridDim * BlockDim == NumBodies,
+              "the grid-stride body loops run once per thread");
 constexpr unsigned MaxNodes = 128;
 constexpr unsigned CoordBits = 14; ///< Space is [0, 2^14)^2 fixed-point.
+constexpr Word CoordMask = (1u << CoordBits) - 1;
 constexpr Word RootHalf = 1u << (CoordBits - 1);
+constexpr unsigned BuildGuard = 512;  ///< Descent steps before giving up.
+constexpr unsigned ForceGuard = 4096; ///< Traversal steps before giving up.
+constexpr unsigned StackDepth = 64;   ///< The traversal stack.
+constexpr unsigned StackLimit = 60;   ///< Deepest stack a step may start at.
 
 // Child-slot encodings.
 constexpr Word SlotEmpty = 0xffffffffu;
@@ -94,18 +98,6 @@ bool slotIsBody(Word S) { return (S & BodyTagBit) != 0 && S != SlotEmpty &&
                                  S != SlotLock; }
 Word bodyTag(unsigned BodyIdx) { return BodyTagBit | BodyIdx; }
 unsigned bodyOf(Word S) { return S & ~BodyTagBit; }
-
-/// Node layout in the Nodes arrays (struct-of-arrays).
-struct TreeAddrs {
-  Addr Children;  ///< 4 slots per node.
-  Addr CenterX;   ///< Cell centre.
-  Addr CenterY;
-  Addr Half;      ///< Cell half-width.
-  Addr Mass;      ///< Filled by the summarise kernel.
-  Addr ComX;
-  Addr ComY;
-  Addr NodeCount; ///< Allocation bump counter.
-};
 
 unsigned quadrantOf(Word X, Word Y, Word Cx, Word Cy) {
   return (X >= Cx ? 1u : 0u) | (Y >= Cy ? 2u : 0u);
@@ -119,94 +111,180 @@ void childCenter(unsigned Q, Word Cx, Word Cy, Word Half, Word &Ox,
   Oy = (Q & 2) ? Cy + H2 : Cy - H2;
 }
 
+/// The app's buffers (node arrays struct-of-arrays), allocated in this
+/// order by setup (on the device and on the SC reference device) and by
+/// the lowering (replaying the allocator).
+struct Buffers {
+  Addr PosX = 0, PosY = 0, AccX = 0, AccY = 0;
+  Addr Children = 0; ///< 4 slots per node.
+  Addr CenterX = 0;  ///< Cell centre.
+  Addr CenterY = 0;
+  Addr Half = 0;     ///< Cell half-width.
+  Addr Mass = 0;     ///< Filled by the summarise kernel.
+  Addr ComX = 0;
+  Addr ComY = 0;
+  Addr NodeCount = 0; ///< Allocation bump counter.
+  Addr ErrorFlag = 0;
+
+  template <class Allocator> void allocate(Allocator &M) {
+    PosX = M.alloc(NumBodies);
+    PosY = M.alloc(NumBodies);
+    AccX = M.alloc(NumBodies);
+    AccY = M.alloc(NumBodies);
+    Children = M.alloc(MaxNodes * 4);
+    CenterX = M.alloc(MaxNodes);
+    CenterY = M.alloc(MaxNodes);
+    Half = M.alloc(MaxNodes);
+    Mass = M.alloc(MaxNodes);
+    ComX = M.alloc(MaxNodes);
+    ComY = M.alloc(MaxNodes);
+    NodeCount = M.alloc(1);
+    ErrorFlag = M.alloc(1);
+  }
+};
+
 //===----------------------------------------------------------------------===//
 // Kernel 1: concurrent tree build
 //===----------------------------------------------------------------------===//
 
-Kernel buildKernel(ThreadContext &Ctx, TreeAddrs T, Addr PosX, Addr PosY,
-                   Addr ErrorFlag) {
-  for (unsigned Body = Ctx.globalId(); Body < NumBodies;
-       Body += Ctx.blockDim() * Ctx.gridDim()) {
-    const Word X = co_await Ctx.ld(PosX + Body);
-    const Word Y = co_await Ctx.ld(PosY + Body);
+/// A build lane's registers: the window its step functions see.
+enum BuildReg : uint16_t {
+  BX, BY,        ///< The body's position.
+  BCur,          ///< The node being descended.
+  BGuard,        ///< Descent steps taken.
+  BCx, BCy, BHalf, ///< The node's geometry.
+  BSlot,         ///< Cur * 4 + Q: the child slot's offset.
+  BQ,            ///< Its quadrant.
+  BC,            ///< The child slot's value.
+  BPrev,         ///< CAS compare value, then the old word.
+  BNew,          ///< The allocated node.
+  BNewCx, BNewCy, BNewHalf, ///< Its geometry.
+  BOld,          ///< The displaced body.
+  BOldX, BOldY,  ///< Its position.
+  BOldSlot,      ///< NewNode * 4 + its quadrant.
+  NumBuildRegs
+};
 
-    unsigned Cur = 0; // Root.
-    unsigned Guard = 0;
-    bool Done = false;
-    while (!Done) {
-      if (++Guard > 512) {
-        // Corrupt descent (e.g. through a half-initialised node).
-        co_await Ctx.st(ErrorFlag, 1);
-        break;
-      }
-      const Word Cx = co_await Ctx.ld(T.CenterX + Cur, SiteGeomLd);
-      const Word Cy = co_await Ctx.ld(T.CenterY + Cur, SiteGeomLd);
-      const Word Half = co_await Ctx.ld(T.Half + Cur, SiteGeomLd);
-      const unsigned Q = quadrantOf(X, Y, Cx, Cy);
-      const Addr Slot = T.Children + Cur * 4 + Q;
+void buildQuadrant(Word *W) {
+  W[BQ] = quadrantOf(W[BX], W[BY], W[BCx], W[BCy]);
+  W[BSlot] = W[BCur] * 4 + W[BQ];
+}
 
-      const Word C = co_await Ctx.ld(Slot, SiteChildLd);
-      if (C == SlotLock) {
-        co_await Ctx.yield(2 + static_cast<unsigned>(Ctx.rand(3)));
-        continue;
-      }
-      if (C == SlotEmpty) {
-        const Word Prev = co_await Ctx.atomicCAS(
-            Slot, SlotEmpty, bodyTag(Body), SiteInsCAS);
-        if (Prev == SlotEmpty)
-          Done = true;
-        continue; // Raced: re-examine the slot.
-      }
-      if (!slotIsBody(C)) {
-        // Internal node: descend.
-        if (C >= MaxNodes) {
-          co_await Ctx.st(ErrorFlag, 1); // Garbage pointer.
-          break;
-        }
-        Cur = static_cast<unsigned>(C);
-        continue;
-      }
+void buildNewCell(Word *W) {
+  childCenter(W[BQ], W[BCx], W[BCy], W[BHalf], W[BNewCx], W[BNewCy]);
+  W[BNewHalf] = W[BHalf] / 2;
+}
 
-      // Occupied by a body: split. Lock the slot first.
-      const Word LockPrev =
-          co_await Ctx.atomicCAS(Slot, C, SlotLock, SiteLockCAS);
-      if (LockPrev != C)
-        continue; // Raced: re-examine.
+void buildOldQuadrant(Word *W) {
+  W[BOldSlot] =
+      W[BNew] * 4 + quadrantOf(W[BOldX], W[BOldY], W[BNewCx], W[BNewCy]);
+}
 
-      const unsigned NewNode = static_cast<unsigned>(
-          co_await Ctx.atomicAdd(T.NodeCount, 1));
-      if (NewNode >= MaxNodes) {
-        co_await Ctx.st(ErrorFlag, 1);
-        break;
-      }
-      Word NCx, NCy;
-      childCenter(Q, Cx, Cy, Half, NCx, NCy);
+void emitBuild(detail::PlanBuilder &B, const Buffers &Buf,
+               bool BuiltinFences) {
+  B.launch(GridDim, BlockDim);
+  for (unsigned Body = 0; Body != NumBodies; ++Body) {
+    B.beginLane(Body);
+    const uint16_t W = B.regs(NumBuildRegs);
+    // Lanes that give up store the error flag and end; so does a guard
+    // overflow, a garbage node pointer or an exhausted node pool.
+    std::vector<uint32_t> ToError;
+    B.emitMem(Code::Load, sim::NoSite, W + BX, 0, Buf.PosX + Body);
+    B.emitMem(Code::Load, sim::NoSite, W + BY, 0, Buf.PosY + Body);
+    B.emit(Code::MovImm, W + BCur, 0, 0, 0); // The root.
+    B.emit(Code::MovImm, W + BGuard, 0, 0, 0);
 
-      // Initialise the fresh node.
-      co_await Ctx.st(T.CenterX + NewNode, NCx, SiteNewChildSt);
-      co_await Ctx.st(T.CenterY + NewNode, NCy, SiteNewChildSt);
-      co_await Ctx.st(T.Half + NewNode, Half / 2, SiteNewChildSt);
-      for (unsigned I = 0; I != 4; ++I)
-        co_await Ctx.st(T.Children + NewNode * 4 + I, SlotEmpty,
-                        SiteNewChildSt);
+    // while (!Done): a corrupt descent (e.g. through a half-initialised
+    // node) gives up after BuildGuard steps.
+    const uint32_t Loop = B.size();
+    B.emit(Code::AddImm, W + BGuard, W + BGuard, 0, 1);
+    const uint32_t InBudget =
+        B.emit(Code::BrLt, W + BGuard, 0, 0, BuildGuard + 1);
+    ToError.push_back(B.emit(Code::Jump));
+    B.patch(InBudget, B.size());
+    B.emitMem(Code::LoadIdx, SiteGeomLd, W + BCx, W + BCur, Buf.CenterX);
+    B.emitMem(Code::LoadIdx, SiteGeomLd, W + BCy, W + BCur, Buf.CenterY);
+    B.emitMem(Code::LoadIdx, SiteGeomLd, W + BHalf, W + BCur, Buf.Half);
+    B.step(buildQuadrant, W, NumBuildRegs);
+    B.emitMem(Code::LoadIdx, SiteChildLd, W + BC, W + BSlot, Buf.Children);
 
-      // The original code fences here — covering the initialisation
-      // stores but NOT the displaced-body placement below, which is why
-      // ls-bh's provided fences are insufficient (paper Sec. 4.3).
-      co_await Ctx.builtinFence();
+    // A locked slot: back off with yield(2 + rand(3)), then re-examine.
+    const uint32_t NotLocked = B.emit(Code::BrNe, W + BC, 0, 0, SlotLock);
+    B.emit(Code::SleepRand, 0, 0, 2, 3);
+    B.emit(Code::Jump, 0, 0, Loop);
+    B.patch(NotLocked, B.size());
 
-      // Re-seat the displaced body in the new node.
-      const unsigned OldBody = bodyOf(C);
-      const Word OX = co_await Ctx.ld(PosX + OldBody);
-      const Word OY = co_await Ctx.ld(PosY + OldBody);
-      const unsigned OQ = quadrantOf(OX, OY, NCx, NCy);
-      co_await Ctx.st(T.Children + NewNode * 4 + OQ, C, SiteOldBodySt);
+    // An empty slot: CAS the body in; done on success, else re-examine.
+    const uint32_t NotEmpty = B.emit(Code::BrNe, W + BC, 0, 0, SlotEmpty);
+    B.emit(Code::MovImm, W + BPrev, 0, 0, SlotEmpty);
+    B.emitMem(Code::AtomicCasIdx, SiteInsCAS, W + BPrev, W + BSlot,
+              Buf.Children, bodyTag(Body));
+    const uint32_t Inserted = B.emit(Code::BrEq, W + BPrev, 0, 0, SlotEmpty);
+    B.emit(Code::Jump, 0, 0, Loop);
+    B.patch(NotEmpty, B.size());
 
-      // Publish the new node (unlocks the slot). A plain store: the
-      // release ordering is exactly what weak memory breaks.
-      co_await Ctx.st(Slot, NewNode, SitePublishSt);
-      // Loop: re-descend to place our own body (now into NewNode).
-    }
+    // An internal node (no body tag): descend, unless the pointer is
+    // garbage.
+    const uint32_t IsNode = B.emit(Code::BrLt, W + BC, 0, 0, BodyTagBit);
+
+    // Occupied by a body: split. Lock the slot first; a raced lock
+    // re-examines the slot.
+    B.emit(Code::AddImm, W + BPrev, W + BC, 0, 0);
+    B.emitMem(Code::AtomicCasIdx, SiteLockCAS, W + BPrev, W + BSlot,
+              Buf.Children, SlotLock);
+    B.emit(Code::BrLtRR, W + BPrev, W + BC, Loop);
+    B.emit(Code::BrLtRR, W + BC, W + BPrev, Loop);
+    B.emitMem(Code::AtomicAddReg, sim::NoSite, W + BNew, 0, Buf.NodeCount,
+              1);
+    const uint32_t HaveNode = B.emit(Code::BrLt, W + BNew, 0, 0, MaxNodes);
+    ToError.push_back(B.emit(Code::Jump));
+    B.patch(HaveNode, B.size());
+
+    // Initialise the fresh node.
+    B.step(buildNewCell, W, NumBuildRegs);
+    B.emitMem(Code::WbStoreIdx, SiteNewChildSt, W + BNewCx, W + BNew,
+              Buf.CenterX);
+    B.emitMem(Code::WbStoreIdx, SiteNewChildSt, W + BNewCy, W + BNew,
+              Buf.CenterY);
+    B.emitMem(Code::WbStoreIdx, SiteNewChildSt, W + BNewHalf, W + BNew,
+              Buf.Half);
+    B.emit(Code::MulImm, W + BOldSlot, W + BNew, 0, 4);
+    for (unsigned I = 0; I != 4; ++I)
+      B.emitMem(Code::StoreIdx, SiteNewChildSt, 0, W + BOldSlot,
+                Buf.Children + I, SlotEmpty);
+
+    // The original code fences here — covering the initialisation stores
+    // but NOT the displaced-body placement below, which is why ls-bh's
+    // provided fences are insufficient (paper Sec. 4.3).
+    B.builtinFence(BuiltinFences);
+
+    // Re-seat the displaced body in the new node.
+    B.emit(Code::AndImm, W + BOld, W + BC, 0, ~BodyTagBit);
+    B.emitMem(Code::LoadIdx, sim::NoSite, W + BOldX, W + BOld, Buf.PosX);
+    B.emitMem(Code::LoadIdx, sim::NoSite, W + BOldY, W + BOld, Buf.PosY);
+    B.step(buildOldQuadrant, W, NumBuildRegs);
+    B.emitMem(Code::WbStoreIdx, SiteOldBodySt, W + BC, W + BOldSlot,
+              Buf.Children);
+
+    // Publish the new node (unlocks the slot). A plain store: the release
+    // ordering is exactly what weak memory breaks. Then re-descend to
+    // place our own body (now into NewNode).
+    B.emitMem(Code::WbStoreIdx, SitePublishSt, W + BNew, W + BSlot,
+              Buf.Children);
+    B.emit(Code::Jump, 0, 0, Loop);
+
+    B.patch(IsNode, B.size());
+    const uint32_t Descend = B.emit(Code::BrLt, W + BC, 0, 0, MaxNodes);
+    ToError.push_back(B.emit(Code::Jump)); // A garbage pointer.
+    B.patch(Descend, B.size());
+    B.emit(Code::AddImm, W + BCur, W + BC, 0, 0);
+    B.emit(Code::Jump, 0, 0, Loop);
+
+    for (const uint32_t J : ToError)
+      B.patch(J, B.size());
+    B.emitMem(Code::Store, sim::NoSite, 0, 0, Buf.ErrorFlag, 1);
+    B.patch(Inserted, B.size());
+    B.endLane();
   }
 }
 
@@ -215,115 +293,200 @@ Kernel buildKernel(ThreadContext &Ctx, TreeAddrs T, Addr PosX, Addr PosY,
 // kernel boundary has already synchronised the tree).
 //===----------------------------------------------------------------------===//
 
-Kernel summariseKernel(ThreadContext &Ctx, TreeAddrs T, Addr PosX,
-                       Addr PosY) {
-  if (Ctx.globalId() != 0)
-    co_return;
+/// The leader's registers.
+enum SumReg : uint16_t {
+  SI,    ///< The node being summarised.
+  SI4,   ///< I * 4.
+  SC,    ///< A child slot's value.
+  SB,    ///< The body it holds.
+  SMass, ///< The node's mass and coordinate sums.
+  SX,
+  SY,
+  NumSumRegs
+};
+
+void emitSummarise(detail::PlanBuilder &B, const Buffers &Buf) {
+  B.launch(1, 1);
+  B.beginLane(0);
+  const uint16_t W = B.regs(NumSumRegs);
+
   // A failed build can leave NodeCount past the node arrays (every
   // inserter that overflows still bumps it) and garbage in child slots,
   // so the walk is bounded like the force kernel's: at most MaxNodes
   // nodes, child nodes below MaxNodes, bodies below NumBodies.
-  const unsigned Count =
-      std::min<Word>(co_await Ctx.ld(T.NodeCount), MaxNodes);
+  B.emitMem(Code::Load, sim::NoSite, W + SI, 0, Buf.NodeCount);
+  const uint32_t InRange = B.emit(Code::BrLt, W + SI, 0, 0, MaxNodes + 1);
+  B.emit(Code::MovImm, W + SI, 0, 0, MaxNodes);
+  B.patch(InRange, B.size());
+
   // Children always have higher indices than their parents, so one
   // reverse pass computes all centres of mass bottom-up. Exact coordinate
   // SUMS are stored (division happens at use in the force kernel), so the
   // results are independent of the racy-but-unique tree construction
   // order: a PR quadtree's shape, and hence every node's body set,
   // depends only on the body positions.
-  for (unsigned I = Count; I-- != 0;) {
-    Word Mass = 0, Sx = 0, Sy = 0;
-    for (unsigned Q = 0; Q != 4; ++Q) {
-      const Word C = co_await Ctx.ld(T.Children + I * 4 + Q, SiteSumLd);
-      if (C == SlotEmpty || C == SlotLock)
-        continue;
-      if (slotIsBody(C)) {
-        const unsigned B = bodyOf(C);
-        if (B >= NumBodies)
-          continue;
-        Mass += 1;
-        Sx += co_await Ctx.ld(PosX + B, SiteSumLd);
-        Sy += co_await Ctx.ld(PosY + B, SiteSumLd);
-        continue;
-      }
-      if (C >= MaxNodes)
-        continue;
-      Mass += co_await Ctx.ld(T.Mass + C, SiteSumLd);
-      Sx += co_await Ctx.ld(T.ComX + C, SiteSumLd);
-      Sy += co_await Ctx.ld(T.ComY + C, SiteSumLd);
-    }
-    co_await Ctx.st(T.Mass + I, Mass, SiteComSt);
-    co_await Ctx.st(T.ComX + I, Sx, SiteComSt); // Coordinate sums.
-    co_await Ctx.st(T.ComY + I, Sy, SiteComSt);
+  const uint32_t Loop = B.emit(Code::BrEq, W + SI, 0, 0, 0);
+  B.emit(Code::AddImm, W + SI, W + SI, 0, 0xffffffffu);
+  B.emit(Code::MulImm, W + SI4, W + SI, 0, 4);
+  B.emit(Code::MovImm, W + SMass, 0, 0, 0);
+  B.emit(Code::MovImm, W + SX, 0, 0, 0);
+  B.emit(Code::MovImm, W + SY, 0, 0, 0);
+  for (unsigned Q = 0; Q != 4; ++Q) {
+    std::vector<uint32_t> ToNext;
+    B.emitMem(Code::LoadIdx, SiteSumLd, W + SC, W + SI4, Buf.Children + Q);
+    ToNext.push_back(B.emit(Code::BrEq, W + SC, 0, 0, SlotEmpty));
+    ToNext.push_back(B.emit(Code::BrEq, W + SC, 0, 0, SlotLock));
+    const uint32_t IsNode = B.emit(Code::BrLt, W + SC, 0, 0, BodyTagBit);
+    B.emit(Code::AndImm, W + SB, W + SC, 0, ~BodyTagBit);
+    const uint32_t BodyOk = B.emit(Code::BrLt, W + SB, 0, 0, NumBodies);
+    ToNext.push_back(B.emit(Code::Jump));
+    B.patch(BodyOk, B.size());
+    B.emit(Code::AddImm, W + SMass, W + SMass, 0, 1);
+    B.emitMem(Code::LoadAccIdx, SiteSumLd, W + SX, W + SB, Buf.PosX);
+    B.emitMem(Code::LoadAccIdx, SiteSumLd, W + SY, W + SB, Buf.PosY);
+    ToNext.push_back(B.emit(Code::Jump));
+    B.patch(IsNode, B.size());
+    const uint32_t NodeOk = B.emit(Code::BrLt, W + SC, 0, 0, MaxNodes);
+    ToNext.push_back(B.emit(Code::Jump));
+    B.patch(NodeOk, B.size());
+    B.emitMem(Code::LoadAccIdx, SiteSumLd, W + SMass, W + SC, Buf.Mass);
+    B.emitMem(Code::LoadAccIdx, SiteSumLd, W + SX, W + SC, Buf.ComX);
+    B.emitMem(Code::LoadAccIdx, SiteSumLd, W + SY, W + SC, Buf.ComY);
+    for (const uint32_t J : ToNext)
+      B.patch(J, B.size());
   }
+  B.emitMem(Code::WbStoreIdx, SiteComSt, W + SMass, W + SI, Buf.Mass);
+  B.emitMem(Code::WbStoreIdx, SiteComSt, W + SX, W + SI, Buf.ComX);
+  B.emitMem(Code::WbStoreIdx, SiteComSt, W + SY, W + SI, Buf.ComY);
+  B.emit(Code::Jump, 0, 0, Loop);
+  B.patch(Loop, B.size());
+  B.endLane();
 }
 
 //===----------------------------------------------------------------------===//
 // Kernel 3: force computation (read-only traversal)
 //===----------------------------------------------------------------------===//
 
-Kernel forceKernel(ThreadContext &Ctx, TreeAddrs T, Addr PosX, Addr PosY,
-                   Addr AccX, Addr AccY, Addr ErrorFlag) {
-  for (unsigned Body = Ctx.globalId(); Body < NumBodies;
-       Body += Ctx.blockDim() * Ctx.gridDim()) {
-    const Word X = co_await Ctx.ld(PosX + Body);
-    const Word Y = co_await Ctx.ld(PosY + Body);
+/// A force lane's registers: the window its step functions see, ending
+/// in the traversal stack.
+enum ForceReg : uint16_t {
+  FBody,         ///< The lane's body.
+  FX, FY,        ///< Its position.
+  FAx, FAy,      ///< The accumulated acceleration.
+  FTop,          ///< Stack entries in use.
+  FGuard,        ///< Traversal steps taken.
+  FFlag,         ///< A step's verdict for the next branch.
+  FNode, FNode4, ///< The popped node, and Node * 4.
+  FMass, FComX, FComY, FHalf, ///< Its summary and size.
+  FC,            ///< A child slot's value.
+  FB,            ///< The body it holds.
+  FBx, FBy,      ///< That body's position.
+  FStack,        ///< StackDepth entries.
+  NumForceRegs = FStack + StackDepth
+};
 
-    // Explicit-stack traversal with the s/d < theta opening criterion.
-    Word Ax = 0, Ay = 0;
-    unsigned Stack[64];
-    unsigned Top = 0;
-    Stack[Top++] = 0;
-    unsigned Guard = 0;
-    while (Top != 0) {
-      if (++Guard > 4096 || Top >= 60) {
-        co_await Ctx.st(ErrorFlag, 1);
-        break;
-      }
-      const unsigned Node = Stack[--Top];
-      const Word Mass = co_await Ctx.ld(T.Mass + Node, SiteForceLd);
-      if (Mass == 0)
-        continue;
-      // COM fields hold exact coordinate sums; divide at use.
-      const Word Cmx =
-          (co_await Ctx.ld(T.ComX + Node, SiteForceLd)) / Mass;
-      const Word Cmy =
-          (co_await Ctx.ld(T.ComY + Node, SiteForceLd)) / Mass;
-      const Word Half = co_await Ctx.ld(T.Half + Node, SiteForceLd);
-      const int64_t Dx = static_cast<int64_t>(Cmx) - X;
-      const int64_t Dy = static_cast<int64_t>(Cmy) - Y;
-      const int64_t Dist2 = Dx * Dx + Dy * Dy + 1;
-      const int64_t Size2 = 4 * static_cast<int64_t>(Half) * Half;
-      // Open the cell when (s/d)^2 >= theta^2 with theta = 1/2.
-      if (Size2 * 4 >= Dist2) {
-        for (unsigned Q = 0; Q != 4; ++Q) {
-          const Word C =
-              co_await Ctx.ld(T.Children + Node * 4 + Q, SiteForceLd);
-          if (C == SlotEmpty || C == SlotLock)
-            continue;
-          if (slotIsBody(C)) {
-            const unsigned B = bodyOf(C);
-            if (B == Body)
-              continue;
-            const Word Bx = co_await Ctx.ld(PosX + B, SiteForceLd);
-            const Word By = co_await Ctx.ld(PosY + B, SiteForceLd);
-            const int64_t Ddx = static_cast<int64_t>(Bx) - X;
-            const int64_t Ddy = static_cast<int64_t>(By) - Y;
-            const int64_t D2 = Ddx * Ddx + Ddy * Ddy + 1;
-            Ax = static_cast<Word>(Ax + ((Ddx << 12) / D2));
-            Ay = static_cast<Word>(Ay + ((Ddy << 12) / D2));
-          } else if (C < MaxNodes) {
-            Stack[Top++] = static_cast<unsigned>(C);
-          }
-        }
-        continue;
-      }
-      // Approximate by the cell's centre of mass.
-      Ax = static_cast<Word>(Ax + Mass * ((Dx << 12) / Dist2));
-      Ay = static_cast<Word>(Ay + Mass * ((Dy << 12) / Dist2));
+/// One traversal step: give up (Flag) past ForceGuard steps or near a
+/// full stack, else pop the next node.
+void forcePop(Word *W) {
+  W[FFlag] = ++W[FGuard] > ForceGuard || W[FTop] >= StackLimit;
+  if (W[FFlag])
+    return;
+  W[FNode] = W[FStack + --W[FTop]];
+  W[FNode4] = W[FNode] * 4;
+}
+
+/// The opening test with theta = 1/2: Flag if the cell must be opened,
+/// else the cell's centre of mass approximates it.
+void forceCell(Word *W) {
+  const Word Mass = W[FMass];
+  // COM fields hold exact coordinate sums; divide at use.
+  const Word Cmx = W[FComX] / Mass;
+  const Word Cmy = W[FComY] / Mass;
+  const Word Half = W[FHalf];
+  const int64_t Dx = static_cast<int64_t>(Cmx) - W[FX];
+  const int64_t Dy = static_cast<int64_t>(Cmy) - W[FY];
+  const int64_t Dist2 = Dx * Dx + Dy * Dy + 1;
+  const int64_t Size2 = 4 * static_cast<int64_t>(Half) * Half;
+  // Open the cell when (s/d)^2 >= theta^2.
+  W[FFlag] = Size2 * 4 >= Dist2;
+  if (W[FFlag])
+    return;
+  W[FAx] = static_cast<Word>(W[FAx] + Mass * ((Dx << 12) / Dist2));
+  W[FAy] = static_cast<Word>(W[FAy] + Mass * ((Dy << 12) / Dist2));
+}
+
+/// An opened cell's child: Flag for another body (its position is loaded
+/// next), push an internal node, skip the rest.
+void forceChild(Word *W) {
+  const Word C = W[FC];
+  W[FFlag] = 0;
+  if (C == SlotEmpty || C == SlotLock)
+    return;
+  if (slotIsBody(C)) {
+    W[FB] = bodyOf(C);
+    W[FFlag] = W[FB] != W[FBody];
+  } else if (C < MaxNodes) {
+    // forcePop's StackLimit leaves room for all four children.
+    GPUWMM_CHECK(W[FTop] < StackDepth, "ls-bh traversal stack overflow");
+    W[FStack + W[FTop]++] = C;
+  }
+}
+
+/// A body's direct contribution.
+void forceBody(Word *W) {
+  const int64_t Ddx = static_cast<int64_t>(W[FBx]) - W[FX];
+  const int64_t Ddy = static_cast<int64_t>(W[FBy]) - W[FY];
+  const int64_t D2 = Ddx * Ddx + Ddy * Ddy + 1;
+  W[FAx] = static_cast<Word>(W[FAx] + ((Ddx << 12) / D2));
+  W[FAy] = static_cast<Word>(W[FAy] + ((Ddy << 12) / D2));
+}
+
+void emitForce(detail::PlanBuilder &B, const Buffers &Buf) {
+  B.launch(GridDim, BlockDim);
+  for (unsigned Body = 0; Body != NumBodies; ++Body) {
+    B.beginLane(Body);
+    const uint16_t W = B.regs(NumForceRegs);
+    B.emit(Code::MovImm, W + FBody, 0, 0, Body);
+    B.emitMem(Code::Load, sim::NoSite, W + FX, 0, Buf.PosX + Body);
+    B.emitMem(Code::Load, sim::NoSite, W + FY, 0, Buf.PosY + Body);
+
+    // Explicit-stack traversal from the root.
+    B.emit(Code::MovImm, W + FAx, 0, 0, 0);
+    B.emit(Code::MovImm, W + FAy, 0, 0, 0);
+    B.emit(Code::MovImm, W + FGuard, 0, 0, 0);
+    B.emit(Code::MovImm, W + FStack, 0, 0, 0);
+    B.emit(Code::MovImm, W + FTop, 0, 0, 1);
+    const uint32_t Loop = B.emit(Code::BrEq, W + FTop, 0, 0, 0);
+    B.step(forcePop, W, NumForceRegs);
+    const uint32_t Visit = B.emit(Code::BrEq, W + FFlag, 0, 0, 0);
+    B.emitMem(Code::Store, sim::NoSite, 0, 0, Buf.ErrorFlag, 1);
+    const uint32_t GiveUp = B.emit(Code::Jump);
+    B.patch(Visit, B.size());
+
+    B.emitMem(Code::LoadIdx, SiteForceLd, W + FMass, W + FNode, Buf.Mass);
+    B.emit(Code::BrEq, W + FMass, 0, Loop, 0);
+    B.emitMem(Code::LoadIdx, SiteForceLd, W + FComX, W + FNode, Buf.ComX);
+    B.emitMem(Code::LoadIdx, SiteForceLd, W + FComY, W + FNode, Buf.ComY);
+    B.emitMem(Code::LoadIdx, SiteForceLd, W + FHalf, W + FNode, Buf.Half);
+    B.step(forceCell, W, NumForceRegs);
+    B.emit(Code::BrEq, W + FFlag, 0, Loop, 0);
+    for (unsigned Q = 0; Q != 4; ++Q) {
+      B.emitMem(Code::LoadIdx, SiteForceLd, W + FC, W + FNode4,
+                Buf.Children + Q);
+      B.step(forceChild, W, NumForceRegs);
+      const uint32_t Skip = B.emit(Code::BrEq, W + FFlag, 0, 0, 0);
+      B.emitMem(Code::LoadIdx, SiteForceLd, W + FBx, W + FB, Buf.PosX);
+      B.emitMem(Code::LoadIdx, SiteForceLd, W + FBy, W + FB, Buf.PosY);
+      B.step(forceBody, W, NumForceRegs);
+      B.patch(Skip, B.size());
     }
-    co_await Ctx.st(AccX + Body, Ax, SiteAccSt);
-    co_await Ctx.st(AccY + Body, Ay, SiteAccSt);
+    B.emit(Code::Jump, 0, 0, Loop);
+
+    B.patch(Loop, B.size());
+    B.patch(GiveUp, B.size());
+    B.emitMem(Code::WbStore, SiteAccSt, W + FAx, 0, Buf.AccX + Body);
+    B.emitMem(Code::WbStore, SiteAccSt, W + FAy, 0, Buf.AccY + Body);
+    B.endLane();
   }
 }
 
@@ -331,18 +494,26 @@ Kernel forceKernel(ThreadContext &Ctx, TreeAddrs T, Addr PosX, Addr PosY,
 // Kernel 4: integration
 //===----------------------------------------------------------------------===//
 
-Kernel integrateKernel(ThreadContext &Ctx, Addr PosX, Addr PosY, Addr AccX,
-                       Addr AccY) {
-  for (unsigned Body = Ctx.globalId(); Body < NumBodies;
-       Body += Ctx.blockDim() * Ctx.gridDim()) {
-    const Word X = co_await Ctx.ld(PosX + Body);
-    const Word Y = co_await Ctx.ld(PosY + Body);
-    const Word Ax = co_await Ctx.ld(AccX + Body);
-    const Word Ay = co_await Ctx.ld(AccY + Body);
-    co_await Ctx.st(PosX + Body, (X + (Ax >> 6)) & ((1u << CoordBits) - 1),
-                    SitePosSt);
-    co_await Ctx.st(PosY + Body, (Y + (Ay >> 6)) & ((1u << CoordBits) - 1),
-                    SitePosSt);
+enum IntegrateReg : uint16_t { IX, IY, IAx, IAy, NumIntegrateRegs };
+
+void integrateStep(Word *W) {
+  W[IX] = (W[IX] + (W[IAx] >> 6)) & CoordMask;
+  W[IY] = (W[IY] + (W[IAy] >> 6)) & CoordMask;
+}
+
+void emitIntegrate(detail::PlanBuilder &B, const Buffers &Buf) {
+  B.launch(GridDim, BlockDim);
+  for (unsigned Body = 0; Body != NumBodies; ++Body) {
+    B.beginLane(Body);
+    const uint16_t W = B.regs(NumIntegrateRegs);
+    B.emitMem(Code::Load, sim::NoSite, W + IX, 0, Buf.PosX + Body);
+    B.emitMem(Code::Load, sim::NoSite, W + IY, 0, Buf.PosY + Body);
+    B.emitMem(Code::Load, sim::NoSite, W + IAx, 0, Buf.AccX + Body);
+    B.emitMem(Code::Load, sim::NoSite, W + IAy, 0, Buf.AccY + Body);
+    B.step(integrateStep, W, NumIntegrateRegs);
+    B.emitMem(Code::WbStore, SitePosSt, W + IX, 0, Buf.PosX + Body);
+    B.emitMem(Code::WbStore, SitePosSt, W + IY, 0, Buf.PosY + Body);
+    B.endLane();
   }
 }
 
@@ -352,6 +523,8 @@ Kernel integrateKernel(ThreadContext &Ctx, Addr PosX, Addr PosY, Addr AccX,
 
 class LsBarnesHut final : public Application {
 public:
+  explicit LsBarnesHut(AppKind K) : Kind(K) {}
+
   const char *name() const override { return "ls-bh"; }
   unsigned numSites() const override { return NumSites; }
   const char *siteName(unsigned Site) const override {
@@ -360,123 +533,79 @@ public:
   uint64_t maxTicks() const override { return 120000; }
 
   void setup(sim::Device &Dev, Rng &R) override {
-    PosX = Dev.alloc(NumBodies);
-    PosY = Dev.alloc(NumBodies);
-    AccX = Dev.alloc(NumBodies);
-    AccY = Dev.alloc(NumBodies);
-    T.Children = Dev.alloc(MaxNodes * 4);
-    T.CenterX = Dev.alloc(MaxNodes);
-    T.CenterY = Dev.alloc(MaxNodes);
-    T.Half = Dev.alloc(MaxNodes);
-    T.Mass = Dev.alloc(MaxNodes);
-    T.ComX = Dev.alloc(MaxNodes);
-    T.ComY = Dev.alloc(MaxNodes);
-    T.NodeCount = Dev.alloc(1);
-    ErrorFlag = Dev.alloc(1);
-
     InitialX.resize(NumBodies);
     InitialY.resize(NumBodies);
     for (unsigned I = 0; I != NumBodies; ++I) {
       InitialX[I] = static_cast<Word>(R.below(1u << CoordBits));
       InitialY[I] = static_cast<Word>(R.below(1u << CoordBits));
     }
-    initialiseDevice(Dev);
+    SetupWords = initialise(Dev);
 
-    // Reference positions from a sequentially consistent execution (the
-    // analogue of the paper's conservatively fenced reference run).
-    computeReference(Dev.chip());
+    // Reference positions from a sequentially consistent execution of the
+    // fenced plan on a private device (the analogue of the paper's
+    // conservatively fenced reference run).
+    sim::Device Ref(Dev.chip(), /*Seed=*/1);
+    Ref.setSequentialMode(true);
+    (void)detail::runPlan(Ref, AppKind::LsBh, initialise(Ref));
+    RefX.resize(NumBodies);
+    RefY.resize(NumBodies);
+    for (unsigned I = 0; I != NumBodies; ++I) {
+      RefX[I] = Ref.read(Buf.PosX + I);
+      RefY[I] = Ref.read(Buf.PosY + I);
+    }
   }
 
-  bool run(sim::Device &Dev) override { return runKernels(Dev); }
+  bool run(sim::Device &Dev) override {
+    return detail::runPlan(Dev, Kind, SetupWords);
+  }
 
   bool checkPostCondition(const sim::Device &Dev) const override {
-    if (Dev.read(ErrorFlag) != 0)
+    if (Dev.read(Buf.ErrorFlag) != 0)
       return false;
     for (unsigned I = 0; I != NumBodies; ++I)
-      if (Dev.read(PosX + I) != RefX[I] || Dev.read(PosY + I) != RefY[I])
+      if (Dev.read(Buf.PosX + I) != RefX[I] ||
+          Dev.read(Buf.PosY + I) != RefY[I])
         return false;
     return true;
   }
 
 private:
-  void initialiseDevice(sim::Device &Dev) {
+  /// Allocates the buffers on the fresh device \p Dev (every fresh device
+  /// yields the same layout) and writes the initial state; returns the
+  /// allocated words.
+  unsigned initialise(sim::Device &Dev) {
+    Buf.allocate(Dev);
     for (unsigned I = 0; I != NumBodies; ++I) {
-      Dev.write(PosX + I, InitialX[I]);
-      Dev.write(PosY + I, InitialY[I]);
+      Dev.write(Buf.PosX + I, InitialX[I]);
+      Dev.write(Buf.PosY + I, InitialY[I]);
     }
     for (unsigned I = 0; I != MaxNodes * 4; ++I)
-      Dev.write(T.Children + I, SlotEmpty);
+      Dev.write(Buf.Children + I, SlotEmpty);
     // Root cell covers the whole space.
-    Dev.write(T.CenterX, RootHalf);
-    Dev.write(T.CenterY, RootHalf);
-    Dev.write(T.Half, RootHalf);
-    Dev.write(T.NodeCount, 1);
+    Dev.write(Buf.CenterX, RootHalf);
+    Dev.write(Buf.CenterY, RootHalf);
+    Dev.write(Buf.Half, RootHalf);
+    Dev.write(Buf.NodeCount, 1);
+    return Dev.memory().allocatedWords();
   }
 
-  bool runKernels(sim::Device &Dev) {
-    const TreeAddrs TV = T;
-    const Addr PX = PosX, PY = PosY, AX = AccX, AY = AccY,
-               Err = ErrorFlag;
-    if (!Dev.run({GridDim, BlockDim}, [=](ThreadContext &Ctx) -> Kernel {
-          return buildKernel(Ctx, TV, PX, PY, Err);
-        }).completed())
-      return false;
-    if (!Dev.run({1, 1}, [=](ThreadContext &Ctx) -> Kernel {
-          return summariseKernel(Ctx, TV, PX, PY);
-        }).completed())
-      return false;
-    if (!Dev.run({GridDim, BlockDim}, [=](ThreadContext &Ctx) -> Kernel {
-          return forceKernel(Ctx, TV, PX, PY, AX, AY, Err);
-        }).completed())
-      return false;
-    return Dev
-        .run({GridDim, BlockDim},
-             [=](ThreadContext &Ctx) -> Kernel {
-               return integrateKernel(Ctx, PX, PY, AX, AY);
-             })
-        .completed();
-  }
-
-  /// Runs the whole pipeline on a private SC device to obtain the
-  /// reference positions.
-  void computeReference(const sim::ChipProfile &Chip) {
-    sim::Device Ref(Chip, /*Seed=*/1);
-    Ref.setSequentialMode(true);
-    // Mirror the allocation order exactly.
-    LsBarnesHut Shadow;
-    Shadow.PosX = Ref.alloc(NumBodies);
-    Shadow.PosY = Ref.alloc(NumBodies);
-    Shadow.AccX = Ref.alloc(NumBodies);
-    Shadow.AccY = Ref.alloc(NumBodies);
-    Shadow.T.Children = Ref.alloc(MaxNodes * 4);
-    Shadow.T.CenterX = Ref.alloc(MaxNodes);
-    Shadow.T.CenterY = Ref.alloc(MaxNodes);
-    Shadow.T.Half = Ref.alloc(MaxNodes);
-    Shadow.T.Mass = Ref.alloc(MaxNodes);
-    Shadow.T.ComX = Ref.alloc(MaxNodes);
-    Shadow.T.ComY = Ref.alloc(MaxNodes);
-    Shadow.T.NodeCount = Ref.alloc(1);
-    Shadow.ErrorFlag = Ref.alloc(1);
-    Shadow.InitialX = InitialX;
-    Shadow.InitialY = InitialY;
-    Shadow.initialiseDevice(Ref);
-    const bool Ok = Shadow.runKernels(Ref);
-    (void)Ok;
-    RefX.resize(NumBodies);
-    RefY.resize(NumBodies);
-    for (unsigned I = 0; I != NumBodies; ++I) {
-      RefX[I] = Ref.read(Shadow.PosX + I);
-      RefY[I] = Ref.read(Shadow.PosY + I);
-    }
-  }
-
-  TreeAddrs T{};
-  Addr PosX = 0, PosY = 0, AccX = 0, AccY = 0, ErrorFlag = 0;
+  AppKind Kind; ///< LsBh or LsBhNf: picks the plan.
+  Buffers Buf;
+  unsigned SetupWords = 0;
   std::vector<Word> InitialX, InitialY, RefX, RefY;
 };
 
 } // namespace
 
-std::unique_ptr<Application> apps::detail::makeLsBarnesHut() {
-  return std::make_unique<LsBarnesHut>();
+void apps::detail::emitLsBh(PlanBuilder &B, bool BuiltinFences) {
+  Buffers Buf;
+  Buf.allocate(B);
+  emitBuild(B, Buf, BuiltinFences);
+  emitSummarise(B, Buf);
+  emitForce(B, Buf);
+  emitIntegrate(B, Buf);
+}
+
+std::unique_ptr<Application> apps::detail::makeLsBarnesHut(AppKind K) {
+  return std::make_unique<LsBarnesHut>(K);
 }

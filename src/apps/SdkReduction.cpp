@@ -64,6 +64,8 @@ struct Buffers {
 
 class SdkReduction final : public Application {
 public:
+  explicit SdkReduction(AppKind K) : Kind(K) {}
+
   const char *name() const override { return "sdk-red"; }
   unsigned numSites() const override { return NumSites; }
   const char *siteName(unsigned Site) const override {
@@ -82,9 +84,7 @@ public:
   }
 
   bool run(sim::Device &Dev) override {
-    return detail::runPlan(
-        Dev, Dev.builtinFences() ? AppKind::SdkRed : AppKind::SdkRedNf,
-        SetupWords);
+    return detail::runPlan(Dev, Kind, SetupWords);
   }
 
   bool checkPostCondition(const sim::Device &Dev) const override {
@@ -92,6 +92,7 @@ public:
   }
 
 private:
+  AppKind Kind; ///< SdkRed or SdkRedNf: picks the plan.
   Buffers Buf;
   unsigned SetupWords = 0;
   Word Expected = 0;
@@ -149,6 +150,6 @@ void apps::detail::emitSdkRed(PlanBuilder &B, bool BuiltinFences) {
   }
 }
 
-std::unique_ptr<Application> apps::detail::makeSdkReduction() {
-  return std::make_unique<SdkReduction>();
+std::unique_ptr<Application> apps::detail::makeSdkReduction(AppKind K) {
+  return std::make_unique<SdkReduction>(K);
 }

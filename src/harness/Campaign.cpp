@@ -381,13 +381,10 @@ void harness::writeCampaignJson(const CampaignReport &Report,
        << ", \"timeouts\": " << R.Timeouts << ", \"effective\": "
        << (R.effective() ? "true" : "false")
        // Which engine the cell's runs took (additive v2 key; derived, not
-       // stored — dispatch is a pure function of the app and the
-       // process-wide mode).
+       // stored — every app runs compiled unless --engine=scalar).
        << ", \"engine\": \""
-       << (apps::appLowerable(Cell.App) &&
-               sim::engineMode() != sim::EngineMode::Scalar
-           ? "batched"
-           : "scalar")
+       << (sim::engineMode() == sim::EngineMode::Scalar ? "scalar"
+                                                         : "batched")
        << '"';
     if (Config.OracleEvery)
       OS << ", \"oracle_checked\": " << Cell.OracleChecked

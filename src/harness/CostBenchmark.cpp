@@ -21,7 +21,6 @@ CostMeasurement harness::measureCost(apps::AppKind App,
     Rng R = Master.fork(I);
     sim::Device Dev(Ctx.get(), Chip, R.next());
     Dev.setFencePolicy(&Fences);
-    Dev.setBuiltinFences(!apps::isNoFenceVariant(App));
 
     std::unique_ptr<apps::Application> Instance = apps::makeApp(App);
     Dev.setMaxTicks(Instance->maxTicks());

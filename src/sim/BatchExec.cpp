@@ -79,8 +79,6 @@ const char *sim::engineModeName(EngineMode M) {
     return "auto";
   case EngineMode::Scalar:
     return "scalar";
-  case EngineMode::Batched:
-    return "batched";
   }
   return "unknown";
 }
@@ -90,8 +88,6 @@ std::optional<EngineMode> sim::parseEngineMode(std::string_view Name) {
     return EngineMode::Auto;
   if (Name == "scalar")
     return EngineMode::Scalar;
-  if (Name == "batched")
-    return EngineMode::Batched;
   return std::nullopt;
 }
 
@@ -109,11 +105,14 @@ constexpr uint8_t LaneOnTicket = 1;
 constexpr uint8_t LaneDone = 2;
 constexpr uint8_t LaneAtBarrier = 3;
 
-/// Executes free op \p F at \p PC on \p Regs and returns the next PC.
-/// Both engines run free ops through this one definition; it is inlined
-/// into runBatchProgram's resume loop, the compiled engine's hot path.
+/// Executes free op \p F at \p PC on \p Regs, with \p Steps the
+/// program's step table, and returns the next PC. Both engines run free
+/// ops through this one definition; it is inlined into runBatchProgram's
+/// resume loop, the compiled engine's hot path.
 [[gnu::always_inline]] inline uint32_t runFreeOp(const BatchOp &F,
-                                                  Word *Regs, uint32_t PC) {
+                                                  Word *Regs,
+                                                  const StepFn *Steps,
+                                                  uint32_t PC) {
   switch (F.C) {
   case BatchOp::Code::MovImm:
     Regs[F.Slot] = F.Imm;
@@ -132,6 +131,9 @@ constexpr uint8_t LaneAtBarrier = 3;
     return PC + 1;
   case BatchOp::Code::AddRR:
     Regs[F.Slot] = Regs[F.Slot2] + Regs[F.A];
+    return PC + 1;
+  case BatchOp::Code::Step:
+    Steps[F.Imm](Regs + F.Slot);
     return PC + 1;
   case BatchOp::Code::Jump:
     return F.A;
@@ -213,7 +215,11 @@ private:
     for (uint32_t PC = L.Begin; PC != L.End; ++PC) {
       const BatchOp &O = BP.Ops[PC];
       AddSlot(O.Slot);
-      AddSlot(O.Slot2);
+      if (O.C == BatchOp::Code::Step)
+        for (uint32_t J = 1; J < O.Slot2; ++J)
+          AddSlot(O.Slot + J);
+      else
+        AddSlot(O.Slot2);
       if (O.C == BatchOp::Code::AddRR)
         AddSlot(O.A);
     }
@@ -376,6 +382,10 @@ private:
       reg(O.Slot) = {X.V + Y.V, X.Known && Y.Known};
       break;
     }
+    case Code::Step: // Opaque: the whole window becomes unknown.
+      for (uint32_t J = 0; J != O.Slot2; ++J)
+        reg(O.Slot + J) = {};
+      break;
     case Code::Jump:
       return flowTo(O.A);
     case Code::BrEq: {
@@ -494,6 +504,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
     }
 
   const BatchOp *const Ops = BP.Ops.data();
+  const StepFn *const Steps = BP.Steps.data();
   unsigned Live = NumThreads;
   uint64_t Now = 0;
   bool DivergenceFlag = false;
@@ -575,7 +586,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
           uint32_t PC = S.PC[Tid];
           const uint32_t End = BP.Lanes[Tid].End;
           while (PC != End && Ops[PC].C >= BatchOp::Code::MovImm)
-            PC = runFreeOp(Ops[PC], Regs, PC);
+            PC = runFreeOp(Ops[PC], Regs, Steps, PC);
           if (PC == End) {
             // The coroutine's final resume: the lane completes. A block
             // with lanes parked at a barrier can now never release it.
@@ -687,13 +698,12 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
             S.WakeTick[Tid] = Now + std::max(1u, Chip.AtomicLatency);
             break;
           case BatchOp::Code::AtomicCas:
-            Regs[O.Slot] =
-                Mem.atomicCAS(Tid, O.A, O.Imm & 0xffffu, O.Imm >> 16);
+            Regs[O.Slot] = Mem.atomicCAS(Tid, O.A, Regs[O.Slot], O.Imm);
             S.WakeTick[Tid] = Now + std::max(1u, Chip.AtomicLatency);
             break;
           case BatchOp::Code::AtomicCasIdx:
-            Regs[O.Slot] = Mem.atomicCAS(Tid, O.A + Regs[O.Slot2],
-                                         O.Imm & 0xffffu, O.Imm >> 16);
+            Regs[O.Slot] =
+                Mem.atomicCAS(Tid, O.A + Regs[O.Slot2], Regs[O.Slot], O.Imm);
             S.WakeTick[Tid] = Now + std::max(1u, Chip.AtomicLatency);
             break;
           case BatchOp::Code::AtomicExch:
@@ -812,14 +822,14 @@ namespace {
 /// with the loaded value. A loaded value reaches its register when the
 /// lane next resumes rather than in the load's own resume; registers are
 /// lane-private, so nothing observes the difference.
-Kernel interpretLane(ThreadContext &TC, const BatchOp *Ops, BatchLane L,
+Kernel interpretLane(ThreadContext &TC, const BatchProgram &BP, BatchLane L,
                      Word *Regs) {
   using Code = BatchOp::Code;
   uint32_t PC = L.Begin;
   while (PC != L.End) {
-    const BatchOp &O = Ops[PC];
+    const BatchOp &O = BP.Ops[PC];
     if (O.C >= Code::MovImm) {
-      PC = runFreeOp(O, Regs, PC);
+      PC = runFreeOp(O, Regs, BP.Steps.data(), PC);
       continue;
     }
     ++PC;
@@ -887,12 +897,11 @@ Kernel interpretLane(ThreadContext &TC, const BatchOp *Ops, BatchLane L,
       Regs[O.Slot] = V;
       break;
     case Code::AtomicCas:
-      V = co_await TC.atomicCAS(O.A, O.Imm & 0xffffu, O.Imm >> 16);
+      V = co_await TC.atomicCAS(O.A, Regs[O.Slot], O.Imm);
       Regs[O.Slot] = V;
       break;
     case Code::AtomicCasIdx:
-      V = co_await TC.atomicCAS(O.A + Regs[O.Slot2], O.Imm & 0xffffu,
-                                O.Imm >> 16);
+      V = co_await TC.atomicCAS(O.A + Regs[O.Slot2], Regs[O.Slot], O.Imm);
       Regs[O.Slot] = V;
       break;
     case Code::AtomicExch:
@@ -925,7 +934,7 @@ RunResult sim::runProgram(const BatchProgram &BP, ExecutionContext &Ctx,
                "batch program lane table does not match its launch shape");
   Scheduler S(Chip, Ctx.memory(), Ctx.rng(), Cfg, &Ctx.schedulerScratch());
   S.launch({BP.GridDim, BP.BlockDim}, [&BP, Regs](ThreadContext &TC) {
-    return interpretLane(TC, BP.Ops.data(), BP.Lanes[TC.globalId()], Regs);
+    return interpretLane(TC, BP, BP.Lanes[TC.globalId()], Regs);
   });
   return S.run();
 }

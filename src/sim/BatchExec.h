@@ -107,8 +107,9 @@ struct BatchOp {
     StoreIdx,    ///< Mem.store(A + Regs[Slot2], Imm); sleep 1.
     AtomicAddReg, ///< Regs[Slot] = Mem.atomicAdd(A, Imm); sleep
                   ///< AtomicLatency (old value, e.g. a ticket draw).
-    AtomicCas,    ///< Regs[Slot] = Mem.atomicCAS(A, Imm & 0xffff,
-                  ///< Imm >> 16); sleep AtomicLatency.
+    AtomicCas,    ///< Regs[Slot] = Mem.atomicCAS(A, Regs[Slot], Imm):
+                  ///< compare with the register, swap in the immediate,
+                  ///< keep the old word; sleep AtomicLatency.
     AtomicCasIdx, ///< As AtomicCas at address A + Regs[Slot2].
     AtomicExch,   ///< Mem.atomicExch(A, Imm); sleep AtomicLatency.
     AtomicExchIdx, ///< Mem.atomicExch(A + Regs[Slot2], Imm); sleep
@@ -126,6 +127,9 @@ struct BatchOp {
     AndImm, ///< Regs[Slot] = Regs[Slot2] & Imm.
     ModImm, ///< Regs[Slot] = Regs[Slot2] % Imm (Imm != 0).
     AddRR,  ///< Regs[Slot] = Regs[Slot2] + Regs[A] (A names a third slot).
+    Step,   ///< Steps[Imm](&Regs[Slot]): a pure step function of the
+            ///< program's table reads and writes the register window
+            ///< [Slot, Slot + Slot2) and nothing else.
     // --- Control flow: Jump through BrLtRR, kept last and contiguous.
     Jump,   ///< PC = A.
     BrEq,   ///< if (Regs[Slot] == Imm) PC = A; else fall through.
@@ -140,6 +144,12 @@ struct BatchOp {
   Word Imm = 0;       ///< Immediate: store value / bound / operand.
 };
 
+/// A step function (BatchOp::Code::Step): pure computation over a window
+/// of one lane's registers that would take many free ops to spell out
+/// (signed 64-bit arithmetic, a register-indexed stack). It may touch only
+/// its window.
+using StepFn = void (*)(Word *Window);
+
 /// The op range [Begin, End) of one launched lane; Begin == End is an idle
 /// lane (a block's filler thread), which completes at its first resume.
 struct BatchLane {
@@ -153,6 +163,7 @@ struct BatchLane {
 struct BatchProgram {
   std::vector<BatchOp> Ops;
   std::vector<BatchLane> Lanes; ///< Indexed by Tid; size GridDim*BlockDim.
+  std::vector<StepFn> Steps;    ///< The Step ops' functions, by Imm.
   unsigned GridDim = 0;
   unsigned BlockDim = 0;
   unsigned NumSlots = 0; ///< Register slots one run needs.
@@ -221,19 +232,16 @@ struct BatchScratch {
 
 /// The process-wide engine selection (--engine).
 ///
-///  * Auto (the default): every program that lowers (litmus/fuzz
-///    programs, lowerable app kernels) runs on the compiled engine, traced,
-///    sink-attached and sequential runs included; only the unlowerable
-///    apps take the coroutine engine.
-///  * Scalar: force the coroutine engine everywhere (A/B debugging,
-///    bisection of batched-vs-scalar divergence).
-///  * Batched: as Auto, but consumers that cannot batch a request the
-///    user explicitly made (an app kernel with no lowering) must fail
-///    loudly instead of silently falling back — enforced at the CLI.
+///  * Auto (the default): every program (litmus, fuzz and application
+///    plans) runs on the compiled engine, traced, sink-attached and
+///    sequential runs included.
+///  * Scalar: interpret the same programs on the coroutine reference
+///    engine (A/B debugging, bisection of compiled-vs-reference
+///    divergence).
 ///
 /// Engine choice never affects results, only throughput: both engines are
 /// draw-for-draw identical per run.
-enum class EngineMode : uint8_t { Auto, Scalar, Batched };
+enum class EngineMode : uint8_t { Auto, Scalar };
 
 /// The process-wide engine mode: the one last installed by
 /// \ref setEngineMode (the CLI's --engine), else Auto.
@@ -242,7 +250,7 @@ EngineMode engineMode();
 /// Installs the CLI-selected engine mode.
 void setEngineMode(EngineMode M);
 
-/// "auto" / "scalar" / "batched".
+/// "auto" / "scalar".
 const char *engineModeName(EngineMode M);
 
 /// Parses an engineModeName; returns nullopt for anything else.

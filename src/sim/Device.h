@@ -100,11 +100,7 @@ public:
   /// Installs the per-site fence policy (not owned; null = no fences).
   void setFencePolicy(const FencePolicy *P) { Policy = P; }
 
-  /// Enables the application's original fences (disable for -nf variants).
-  void setBuiltinFences(bool Enabled) { BuiltinFences = Enabled; }
-
   const FencePolicy *fencePolicy() const { return Policy; }
-  bool builtinFences() const { return BuiltinFences; }
 
   /// Thread randomisation (paper Sec. 3.5).
   void setRandomiseThreads(bool Enabled) { Sched.RandomiseThreads = Enabled; }
@@ -128,7 +124,6 @@ public:
   RunResult run(const LaunchConfig &LC, const KernelFn &Fn) {
     Scheduler S(Chip, memory(), rng(), Sched, &Ctx.schedulerScratch());
     S.setFencePolicy(Policy);
-    S.setBuiltinFences(BuiltinFences);
     S.launch(LC, Fn);
     return account(S.run());
   }
@@ -136,9 +131,10 @@ public:
   /// Launches and runs one compiled program (sim/BatchExec.h) through
   /// runProgram: the compiled engine, or its reference interpretation on
   /// the scheduler under --engine=scalar. Scheduling follows this
-  /// Device's configuration; the program bakes in its own fences, so the
-  /// fence policy and built-in fence settings do not apply. Registers
-  /// start at zero. Accumulates time as the coroutine launch does.
+  /// Device's configuration; the program bakes in its own fences (apps
+  /// compile theirs for fencePolicy()), so the policy is not applied
+  /// again. Registers start at zero. Accumulates time as the coroutine
+  /// launch does.
   RunResult run(const BatchProgram &BP) {
     std::vector<Word> &Regs = Ctx.batchScratch().Regs;
     Regs.assign(BP.NumSlots, 0);
@@ -195,7 +191,6 @@ private:
   ExecutionContext &Ctx;
   SchedulerConfig Sched;
   const FencePolicy *Policy = nullptr;
-  bool BuiltinFences = true;
   uint64_t TotalTicks = 0;
   RunStatus LastStatus = RunStatus::Completed;
 };

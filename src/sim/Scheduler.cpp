@@ -274,14 +274,6 @@ void Scheduler::opFenceBlock(unsigned Tid) {
   sleep(T, Mem.fenceBlock(Tid, T.Block));
 }
 
-void Scheduler::opBuiltinFence(unsigned Tid) {
-  if (!BuiltinFences) {
-    sleep(S.Threads[Tid], 1);
-    return;
-  }
-  opFenceDevice(Tid);
-}
-
 void Scheduler::opAsyncIssue(unsigned Tid, Addr A) {
   SimThread &T = S.Threads[Tid];
   T.RetVal = Mem.issueAsyncLoad(Tid, A);

@@ -116,10 +116,6 @@ public:
   /// Installs the per-site fence policy (not owned; may be null).
   void setFencePolicy(const FencePolicy *P) { Policy = P; }
 
-  /// Enables/disables the application's built-in fences (the paper's
-  /// "-nf" variants disable them).
-  void setBuiltinFences(bool Enabled) { BuiltinFences = Enabled; }
-
   /// Runs the launched grid to completion (or fault/timeout).
   RunResult run();
 
@@ -132,7 +128,6 @@ public:
   void opAtomicAdd(unsigned Tid, Addr A, Word Val, int Site);
   void opFenceDevice(unsigned Tid);
   void opFenceBlock(unsigned Tid);
-  void opBuiltinFence(unsigned Tid);
   void opAsyncIssue(unsigned Tid, Addr A);
   void opAsyncWait(unsigned Tid, unsigned Ticket);
   void opBarrier(unsigned Tid);
@@ -164,7 +159,6 @@ private:
   SchedulerConfig Config;
 
   const FencePolicy *Policy = nullptr;
-  bool BuiltinFences = true;
 
   std::unique_ptr<Scratch> OwnedScratch; ///< Engaged when none was passed.
   Scratch &S;

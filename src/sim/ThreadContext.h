@@ -98,13 +98,6 @@ public:
     return {this};
   }
 
-  /// A fence present in the original application source; disabled when the
-  /// "-nf" (no-fence) variant is selected.
-  OpAwait builtinFence() {
-    Sched.opBuiltinFence(Tid);
-    return {this};
-  }
-
   /// __syncthreads(): block barrier (undefined behaviour under divergence,
   /// which the simulator detects and reports).
   OpAwait syncthreads() {

@@ -246,20 +246,7 @@ std::vector<AppVerdict> scalarVerdicts(AppKind K,
   return runVerdicts(K, Chip, Env, Policy, Seeds);
 }
 
-const AppKind LowerableKinds[] = {AppKind::CbeHt,    AppKind::CbeDot,
-                                  AppKind::SdkRed,   AppKind::SdkRedNf,
-                                  AppKind::CubScan,  AppKind::CubScanNf,
-                                  AppKind::TpoTm};
-
 } // namespace
-
-TEST(AppBatchLowering, CapabilityMatrixIsStable) {
-  for (const AppKind K : LowerableKinds)
-    EXPECT_TRUE(appLowerable(K)) << appName(K);
-  EXPECT_FALSE(appLowerable(AppKind::CtOctree));
-  EXPECT_FALSE(appLowerable(AppKind::LsBh));
-  EXPECT_FALSE(appLowerable(AppKind::LsBhNf));
-}
 
 class AppBatchIdentity : public ::testing::TestWithParam<AppKind> {};
 
@@ -378,7 +365,7 @@ TEST_P(AppBatchIdentity, TracedContextsFallBackToScalar) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Lowerable, AppBatchIdentity,
-                         ::testing::ValuesIn(LowerableKinds),
+                         ::testing::ValuesIn(AllAppKinds),
                          [](const auto &Info) {
                            std::string N = appName(Info.param);
                            for (char &C : N)
@@ -386,17 +373,6 @@ INSTANTIATE_TEST_SUITE_P(Lowerable, AppBatchIdentity,
                                C = '_';
                            return N;
                          });
-
-TEST(AppBatchFallback, UnlowerableAppsMatchScalarViaFallback) {
-  // An irregular app takes the coroutine path under every engine mode,
-  // run for run.
-  const auto Seeds = forkSeeds(6060, 6);
-  for (const AppKind K : {AppKind::LsBh, AppKind::CtOctree}) {
-    const auto Ref = scalarVerdicts(K, titan(), SysPlus, nullptr, Seeds);
-    EXPECT_EQ(Ref, runVerdicts(K, titan(), SysPlus, nullptr, Seeds))
-        << appName(K);
-  }
-}
 
 TEST(AppBatchFallback, ScalarEngineModeForcesCoroutinePath) {
   // --engine=scalar must be honoured by runApplicationOnce (identity

@@ -386,30 +386,34 @@ TEST(BatchOpSemantics, IndexedAddressingRoundTrip) {
 }
 
 TEST(BatchOpSemantics, AtomicReturnValueOps) {
-  // AtomicCas packs (compare, value) into Imm's (low, high) halves and
-  // returns the old word; AtomicAddReg returns the pre-add value (a ticket
-  // draw); AtomicExch is fire-and-forget. Single lane, so the sequence is
-  // fully determined.
+  // AtomicCas compares with its register, swaps in the immediate and
+  // leaves the old word in the register; AtomicAddReg returns the pre-add
+  // value (a ticket draw); AtomicExch is fire-and-forget. Single lane, so
+  // the sequence is fully determined.
   using Code = sim::BatchOp::Code;
   sim::ExecutionContext Ctx;
   Ctx.reset(titan(), 13);
   const sim::Addr M = Ctx.memory().alloc(1);
-  const sim::Addr Out = Ctx.memory().alloc(3);
+  const sim::Addr Out = Ctx.memory().alloc(4);
 
   sim::BatchProgram BP;
   BP.GridDim = 1;
   BP.BlockDim = 1;
-  BP.NumSlots = 3;
+  BP.NumSlots = 4;
   // CAS(M, compare 0, value 1): succeeds, old value 0.
-  BP.Ops.push_back({Code::AtomicCas, 0, 0, M, 1u << 16});
+  BP.Ops.push_back({Code::MovImm, 0, 0, 0, 0});
+  BP.Ops.push_back({Code::AtomicCas, 0, 0, M, 1});
   // CAS(M, compare 0, value 7): fails (M == 1), old value 1.
-  BP.Ops.push_back({Code::AtomicCas, 1, 0, M, 7u << 16});
-  // Exch(M, 5), then AtomicAddReg returns the pre-add 5 and leaves 11.
-  BP.Ops.push_back({Code::AtomicExch, 0, 0, M, 5});
+  BP.Ops.push_back({Code::MovImm, 1, 0, 0, 0});
+  BP.Ops.push_back({Code::AtomicCas, 1, 0, M, 7});
+  // Exch(M, 0xfffffffe); a full-width compare then swaps in 5.
+  BP.Ops.push_back({Code::AtomicExch, 0, 0, M, 0xfffffffeu});
+  BP.Ops.push_back({Code::MovImm, 3, 0, 0, 0xfffffffeu});
+  BP.Ops.push_back({Code::AtomicCas, 3, 0, M, 5});
+  // AtomicAddReg returns the pre-add 5 and leaves 11.
   BP.Ops.push_back({Code::AtomicAddReg, 2, 0, M, 6});
-  BP.Ops.push_back({Code::WbStore, 0, 0, Out + 0, 0});
-  BP.Ops.push_back({Code::WbStore, 1, 0, Out + 1, 0});
-  BP.Ops.push_back({Code::WbStore, 2, 0, Out + 2, 0});
+  for (uint16_t R = 0; R != 4; ++R)
+    BP.Ops.push_back({Code::WbStore, R, 0, Out + R, 0});
   BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
 
   const RawRun R = runRaw(BP, Ctx.memory().allocatedWords(), 13);
@@ -417,7 +421,51 @@ TEST(BatchOpSemantics, AtomicReturnValueOps) {
   EXPECT_EQ(R.Memory[Out + 0], 0u);
   EXPECT_EQ(R.Memory[Out + 1], 1u);
   EXPECT_EQ(R.Memory[Out + 2], 5u);
+  EXPECT_EQ(R.Memory[Out + 3], 0xfffffffeu);
   EXPECT_EQ(R.Memory[M], 11u);
+}
+
+namespace {
+
+/// Step functions for StepCallsItsTableEntryOnTheWindow: a signed
+/// 64-bit quotient, and a push onto a stack held in the window.
+void signedQuotient(sim::Word *W) {
+  const int64_t D = static_cast<int64_t>(W[0]) - W[1];
+  W[2] = static_cast<sim::Word>((D << 12) / 3);
+}
+void pushOnWindowStack(sim::Word *W) { W[3 + W[2] % 4] = W[0]; }
+
+} // namespace
+
+TEST(BatchOpSemantics, StepCallsItsTableEntryOnTheWindow) {
+  // A Step op calls Steps[Imm] on the window starting at its slot, in the
+  // prefix of the next suspending op's resume, on both engines: slots
+  // below the window stay untouched.
+  using Code = sim::BatchOp::Code;
+  sim::ExecutionContext Ctx;
+  Ctx.reset(titan(), 31);
+  const sim::Addr Out = Ctx.memory().alloc(2);
+
+  sim::BatchProgram BP;
+  BP.GridDim = 1;
+  BP.BlockDim = 1;
+  BP.NumSlots = 8;
+  BP.Steps = {signedQuotient, pushOnWindowStack};
+  BP.Ops.push_back({Code::MovImm, 0, 0, 0, 99});   // Outside the window.
+  BP.Ops.push_back({Code::MovImm, 1, 0, 0, 5});    // W[0] = 5
+  BP.Ops.push_back({Code::MovImm, 2, 0, 0, 8});    // W[1] = 8
+  BP.Ops.push_back({Code::Step, 1, 7, 0, 0});      // W[2] = (-3 << 12) / 3
+  BP.Ops.push_back({Code::WbStore, 3, 0, Out, 0});
+  BP.Ops.push_back({Code::Step, 1, 7, 0, 1});      // W[3 + W[2] % 4] = 5
+  BP.Ops.push_back({Code::WbStore, 0, 0, Out + 1, 0});
+  BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
+
+  const RawRun R = runRaw(BP, Ctx.memory().allocatedWords(), 31);
+  EXPECT_EQ(R.Result.Status, sim::RunStatus::Completed);
+  const sim::Word Quotient = static_cast<sim::Word>(-4096);
+  EXPECT_EQ(R.Memory[Out], Quotient);
+  EXPECT_EQ(R.Memory[Out + 1], 99u);
+  EXPECT_EQ(R.Regs[4 + Quotient % 4], 5u);
 }
 
 TEST(BatchOpSemantics, BarrierSynchronisesBlockStores) {
@@ -537,7 +585,8 @@ TEST(BatchOpSemantics, FusedLoadsBackoffAndIndexedAtomics) {
   BP.Ops.push_back({Code::FenceDevice, 0, 0, 0, 0});
   BP.Ops.push_back({Code::AtomicAdd, 0, 0, In + 3, 1});
   BP.Ops.push_back({Code::MovImm, 0, 0, 0, 2});              // r0 = 2
-  BP.Ops.push_back({Code::AtomicCasIdx, 1, 0, Locks, 1u << 16}); // r1 = 0
+  BP.Ops.push_back({Code::MovImm, 1, 0, 0, 0});              // compare 0
+  BP.Ops.push_back({Code::AtomicCasIdx, 1, 0, Locks, 1});    // r1 = 0
   const uint32_t L1 = static_cast<uint32_t>(BP.Ops.size());
   // Lane 1 waits for the atomic flag, then accumulates
   // r2 = In[0] + In[2] + 3 * In[1] = 15 and releases lock 2 by exchange.
@@ -705,6 +754,19 @@ TEST(ProvableTimeout, UnknownStoreAddressBlocksTheProof) {
   BP.Ops.push_back({ProofCode::BrEq, 0, 0, 0, 0});
   BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
   expectUncut(BP, 4, sim::RunStatus::Timeout);
+}
+
+TEST(ProvableTimeout, StepWindowIsUnknownToTheProof) {
+  // The spin condition passes through a Step op. The proof does not look
+  // into step functions: the whole window becomes unknown, so the exit
+  // arm stays reachable and the run goes to the full budget.
+  sim::BatchProgram BP = loopingProgram(1);
+  BP.Steps = {[](sim::Word *W) { W[1] = W[0]; }};
+  BP.Ops.push_back({ProofCode::Load, 0, 0, 0, 0});
+  BP.Ops.push_back({ProofCode::Step, 0, 2, 0, 0});
+  BP.Ops.push_back({ProofCode::BrEq, 1, 0, 0, 0});
+  BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
+  expectUncut(BP, 1, sim::RunStatus::Timeout);
 }
 
 TEST(ProvableTimeout, BarrierInSpinLoopBlocksTheProof) {

@@ -7,10 +7,10 @@
 #    --explain --stress` for MP, SB, LB, IRIW and WRC, and `fuzz
 #    --seed=3`, under --engine=scalar and --engine=auto.
 #  * SUITE=apps (cli.engine_identity_apps): a titan campaign over all
-#    seven lowered apps under no-str- and sys-str+, unchecked and with
-#    every run streamed through the oracle (--oracle=all), under
-#    --engine=batched and --engine=scalar. The reports must match once
-#    each cell's "engine" field is masked. tpo-tm's sys-str+ cell holds
+#    ten apps under no-str- and sys-str+, unchecked and with every run
+#    streamed through the oracle (--oracle=all), under --engine=auto and
+#    --engine=scalar. The reports must match once each cell's "engine"
+#    field is masked. tpo-tm's sys-str+ cell holds
 #    livelocked runs, which the compiled engine ends early as provable
 #    timeouts when unchecked and runs to the budget when checked; the
 #    coroutine engine always runs them to the budget.
@@ -67,16 +67,15 @@ elseif(SUITE STREQUAL "apps")
   file(MAKE_DIRECTORY ${WORK_DIR})
   foreach(oracle "" "--oracle=all")
     set(grid campaign --chips=titan --envs=no-str-,sys-str+
-        --apps=cbe-dot,cbe-ht,sdk-red,sdk-red-nf,cub-scan,cub-scan-nf,tpo-tm
         --runs=20 --seed=42 --jobs=2 ${oracle})
-    masked_campaign(batched batched_json ${grid})
+    masked_campaign(auto auto_json ${grid})
     masked_campaign(scalar scalar_json ${grid})
-    if(NOT batched_json MATCHES "\"cells\"")
+    if(NOT auto_json MATCHES "\"cells\"")
       message(FATAL_ERROR "'${grid}' wrote no campaign report")
     endif()
-    if(NOT batched_json STREQUAL scalar_json)
+    if(NOT auto_json STREQUAL scalar_json)
       message(FATAL_ERROR "'${grid}' differs between engines\n"
-                          "--- batched:\n${batched_json}\n"
+                          "--- auto:\n${auto_json}\n"
                           "--- scalar:\n${scalar_json}")
     endif()
   endforeach()

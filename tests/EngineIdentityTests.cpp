@@ -231,7 +231,6 @@ class EventStreamIdentityApps
 
 TEST_P(EventStreamIdentityApps, UnderEveryEnvironment) {
   const apps::AppKind K = GetParam();
-  ASSERT_TRUE(apps::appLowerable(K));
   const unsigned NumSites = apps::appNumSites(K);
   const sim::FencePolicy OneSite = sim::FencePolicy::ofSites(NumSites, {1u});
   const sim::FencePolicy *const Policies[] = {nullptr, &OneSite};
@@ -247,11 +246,7 @@ TEST_P(EventStreamIdentityApps, UnderEveryEnvironment) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Lowered, EventStreamIdentityApps,
-    ::testing::Values(apps::AppKind::CbeHt, apps::AppKind::CbeDot,
-                      apps::AppKind::SdkRed, apps::AppKind::SdkRedNf,
-                      apps::AppKind::CubScan, apps::AppKind::CubScanNf,
-                      apps::AppKind::TpoTm),
+    Lowered, EventStreamIdentityApps, ::testing::ValuesIn(apps::AllAppKinds),
     [](const auto &Info) {
       std::string N = apps::appName(Info.param);
       for (char &C : N)
@@ -432,14 +427,6 @@ TEST(EngineChecksDeathTest, MalformedProgramAbortsInEveryBuild) {
         },
         "check failed: program must be well-formed")
         << sim::engineModeName(Mode);
-}
-
-TEST(EngineChecksDeathTest, UnlowerableAppAbortsInEveryBuild) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  ASSERT_FALSE(apps::appLowerable(apps::AppKind::LsBh));
-  EXPECT_DEATH((void)apps::compileApplication(apps::AppKind::LsBh, titan(),
-                                              nullptr),
-               "check failed: app does not lower");
 }
 
 TEST(EngineChecksDeathTest, MismatchedAppFencePolicyAbortsInEveryBuild) {

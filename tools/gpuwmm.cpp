@@ -116,12 +116,12 @@ int usage() {
       "\n"
       "common options: --seed=N; --jobs=N worker threads (results are\n"
       "identical for every N; default GPUWMM_JOBS or all cores);\n"
-      "--engine=auto|scalar|batched engine selection (auto runs every\n"
-      "program that lowers on the compiled engine, traced and oracle-\n"
-      "checked runs included; scalar forces the coroutine reference\n"
-      "engine; batched fails on kernels that cannot lower; results are\n"
-      "engine-independent; default auto); GPUWMM_SCALE scales run\n"
-      "counts globally. Unknown options are rejected.\n");
+      "--engine=auto|scalar engine selection (auto runs every program\n"
+      "on the compiled engine, traced and oracle-checked runs included;\n"
+      "scalar interprets the same programs on the coroutine reference\n"
+      "engine; results are engine-independent; default auto);\n"
+      "GPUWMM_SCALE scales run counts globally. Unknown options are\n"
+      "rejected.\n");
   return 2;
 }
 
@@ -432,20 +432,6 @@ int cmdTune(const Options &Opts) {
   return 0;
 }
 
-/// Under --engine=batched, refuses (exit 2) an application the compiler
-/// cannot lower; --engine=auto falls back to the scalar engine silently.
-void dieIfBatchedUnlowerable(apps::AppKind App) {
-  if (sim::engineMode() != sim::EngineMode::Batched ||
-      apps::appLowerable(App))
-    return;
-  std::fprintf(stderr,
-               "error: --engine=batched, but app '%s' does not lower to "
-               "the batched engine (irregular control flow); drop the "
-               "flag or use --engine=auto for automatic fallback\n",
-               apps::appName(App));
-  std::exit(2);
-}
-
 int cmdTest(const Options &Opts) {
   const sim::ChipProfile *Chip = chipOrDie(Opts);
   const auto App = apps::parseAppName(Opts.getString("app", "cbe-dot"));
@@ -453,7 +439,6 @@ int cmdTest(const Options &Opts) {
     std::fprintf(stderr, "error: unknown app\n");
     return 2;
   }
-  dieIfBatchedUnlowerable(*App);
   const auto Env =
       stress::Environment::parse(Opts.getString("env", "sys-str+"));
   if (!Env) {
@@ -481,7 +466,6 @@ int cmdHarden(const Options &Opts) {
     std::fprintf(stderr, "error: unknown app\n");
     return 2;
   }
-  dieIfBatchedUnlowerable(*App);
   const unsigned StableRuns = Opts.getCount("stable-runs", scaledCount(300));
   ThreadPool Pool = makePool(Opts);
   harden::AppCheckOracle Oracle(*App, *Chip, Opts.getSeed(1), StableRuns,
@@ -883,8 +867,6 @@ int cmdCampaign(const Options &Opts) {
     std::fprintf(stderr, "error: empty campaign grid\n");
     return 2;
   }
-  for (apps::AppKind App : Config.Apps)
-    dieIfBatchedUnlowerable(App);
   Config.Runs = Opts.getCount("runs", scaledCount(100));
   Config.Seed = Opts.getSeed(1);
   // --oracle=N: stream every Nth run of every cell through the
@@ -982,14 +964,13 @@ int main(int Argc, char **Argv) {
     return 2;
   }
   // --engine selects the execution engine globally (results are
-  // engine-independent; batched additionally refuses kernels that cannot
-  // lower). The flag must parse.
+  // engine-independent). The flag must parse.
   if (Opts.has("engine")) {
     const std::string Name = Opts.getString("engine", "");
     const auto Mode = sim::parseEngineMode(Name);
     if (!Mode) {
-      std::fprintf(stderr, "error: invalid --engine='%s' (must be auto, "
-                           "scalar or batched)\n",
+      std::fprintf(stderr, "error: invalid --engine='%s' (must be auto "
+                           "or scalar)\n",
                    Name.c_str());
       return 2;
     }
