@@ -74,7 +74,7 @@ uint32_t policyMask(AppKind K, const sim::FencePolicy *Policy) {
 }
 
 AppPlan compile(AppKind K, const sim::ChipProfile &Chip, uint32_t Mask) {
-  const bool Builtin = !isNoFenceVariant(K);
+  const bool Builtin = appHasBuiltinFences(K) && !isNoFenceVariant(K);
   detail::PlanBuilder B(Chip, Mask);
   switch (K) {
   case AppKind::SdkRed:

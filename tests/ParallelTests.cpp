@@ -478,9 +478,9 @@ TEST(GoldenCampaignTest, TitanSeed4JsonIsPinnedOnBothEngines) {
 
 TEST(GoldenCampaignTest, EngineAndJobsGridIsInvariant) {
   // The compiled application engine (DESIGN.md Sec. 19) must leave every
-  // campaign number untouched: a sub-grid mixing lowerable kernels
-  // (cbe-dot, sdk-red, cub-scan) with a coroutine-only fallback (ls-bh),
-  // with the streaming oracle sampling every 5th run, is executed under
+  // campaign number untouched: a sub-grid of single-kernel apps
+  // (cbe-dot, sdk-red, cub-scan) and four-kernel ls-bh, with the
+  // streaming oracle sampling every 5th run, is executed under
   // engine {scalar, auto} x jobs {1, 8} and every combination must
   // reproduce the scalar/serial reference cell for cell — error counts,
   // oracle tallies and all.
