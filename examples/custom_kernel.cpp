@@ -4,20 +4,24 @@
 // Weak Memory in GPU Applications" (Sorensen & Donaldson, PLDI 2016).
 //
 // Shows how a user brings their OWN fine-grained-concurrency kernel to the
-// testing environment: write the kernel against the simulator API, give it
-// a functional post-condition, and run it under the eight environments.
-// The testing environment needs no knowledge of the kernel's communication
-// idiom — that is the paper's black-box property.
+// testing environment: write the kernel as a program for the simulator,
+// give it a functional post-condition, and run it under the eight
+// environments. The testing environment needs no knowledge of the kernel's
+// communication idiom — that is the paper's black-box property.
 //
 // The kernel here is a producer/consumer pipeline: block 0 produces a
 // sequence of items, publishing each with a data store followed by a
 // ticket store (an MP handshake); block 1 consumes them. Without a fence
 // between data and ticket the consumer can read stale items.
 //
+// A kernel is a sim::BatchProgram: one op range per launched thread, each
+// op one simulated instruction (a store, a load, a fence, a sleep) or a
+// free register computation (arithmetic, branches) that runs before the
+// next instruction.
+//
 //===----------------------------------------------------------------------===//
 
 #include "sim/Device.h"
-#include "sim/ThreadContext.h"
 #include "stress/Environment.h"
 #include "support/Options.h"
 #include "support/Table.h"
@@ -27,44 +31,57 @@
 
 using namespace gpuwmm;
 using sim::Addr;
-using sim::Kernel;
-using sim::ThreadContext;
+using sim::BatchOp;
 using sim::Word;
+using Code = sim::BatchOp::Code;
 
 namespace {
 
 constexpr unsigned NumItems = 24;
 
-// Fence sites of the kernel, so the hardening machinery could be applied
-// to it exactly as to the paper's case studies.
-enum Site : int { SiteItemSt = 0, SiteTicketSt, SiteTicketLd, SiteItemLd };
-
-Kernel producer(ThreadContext &Ctx, Addr Items, Addr Ticket, bool Fenced) {
-  for (unsigned I = 0; I != NumItems; ++I) {
-    co_await Ctx.st(Items + I, 1000 + I, SiteItemSt);
-    if (Fenced)
-      co_await Ctx.fence(); // __threadfence() between data and ticket.
-    co_await Ctx.st(Ticket, I + 1, SiteTicketSt);
-    co_await Ctx.yield(1 + static_cast<unsigned>(Ctx.rand(3)));
-  }
+/// Appends an op to \p BP and returns its index.
+uint32_t emit(sim::BatchProgram &BP, Code C, uint16_t Slot = 0,
+              Addr A = 0, Word Imm = 0) {
+  BP.Ops.push_back({C, Slot, 0, A, Imm});
+  return static_cast<uint32_t>(BP.Ops.size() - 1);
 }
 
-Kernel consumer(ThreadContext &Ctx, Addr Items, Addr Ticket, Addr Sum) {
-  unsigned Consumed = 0;
-  Word Total = 0;
-  while (Consumed != NumItems) {
-    // Wait for the next ticket. (Awaits stay out of control-flow
-    // conditions: GCC 12 coroutine bug; see README.)
-    for (;;) {
-      const Word T = co_await Ctx.ld(Ticket, SiteTicketLd);
-      if (T > Consumed)
-        break;
-      co_await Ctx.yield(2);
-    }
-    Total += co_await Ctx.ld(Items + Consumed, SiteItemLd);
-    ++Consumed;
+/// Two blocks of one thread: block 0 produces, block 1 consumes.
+sim::BatchProgram pipeline(Addr Items, Addr Ticket, Addr Sum, bool Fenced) {
+  sim::BatchProgram BP;
+  BP.GridDim = 2;
+  BP.BlockDim = 1;
+  BP.NumSlots = 2;
+  constexpr uint16_t RTicket = 0, RTotal = 1;
+
+  // Producer: for each item, the data store, an optional __threadfence()
+  // between data and ticket, the ticket store, then a random backoff
+  // yield(1 + rand(3)).
+  for (unsigned I = 0; I != NumItems; ++I) {
+    emit(BP, Code::Store, 0, Items + I, 1000 + I);
+    if (Fenced)
+      emit(BP, Code::FenceDevice);
+    emit(BP, Code::Store, 0, Ticket, I + 1);
+    emit(BP, Code::SleepRand, 0, /*A=*/1, /*Imm=*/3);
   }
-  co_await Ctx.st(Sum, Total);
+  const uint32_t ConsumerBegin = static_cast<uint32_t>(BP.Ops.size());
+  BP.Lanes.push_back({0, ConsumerBegin});
+
+  // Consumer: for each item, poll the ticket until it passes the item
+  // (yield(2) between polls), then add the item to the running total;
+  // finally store the total.
+  for (unsigned I = 0; I != NumItems; ++I) {
+    const uint32_t Poll = emit(BP, Code::Load, RTicket, Ticket);
+    const uint32_t Ready = Poll + 5;
+    emit(BP, Code::BrLt, RTicket, /*A=*/Poll + 3, /*Imm=*/I + 1);
+    emit(BP, Code::Jump, 0, Ready);
+    emit(BP, Code::Sleep, 0, 0, 2); // Poll + 3: not yet, back off.
+    emit(BP, Code::Jump, 0, Poll);
+    emit(BP, Code::LoadAcc, RTotal, Items + I); // Ready.
+  }
+  emit(BP, Code::WbStore, RTotal, Sum);
+  BP.Lanes.push_back({ConsumerBegin, static_cast<uint32_t>(BP.Ops.size())});
+  return BP;
 }
 
 /// One execution; returns true iff the post-condition held.
@@ -81,12 +98,7 @@ bool runOnce(const sim::ChipProfile &Chip, const stress::Environment &Env,
   Rng EnvRng = R.fork(1);
   const auto Stress = applyEnvironment(Env, Dev, Tuned, EnvRng);
 
-  const auto Result =
-      Dev.run({2, 1}, [=](ThreadContext &Ctx) -> Kernel {
-        if (Ctx.blockIdx() == 0)
-          return producer(Ctx, Items, Ticket, Fenced);
-        return consumer(Ctx, Items, Ticket, Sum);
-      });
+  const auto Result = Dev.run(pipeline(Items, Ticket, Sum, Fenced));
   if (!Result.completed())
     return false;
 

@@ -20,8 +20,10 @@
 //    is invisible to the memory model;
 //  * bake fences into the stream: a built-in fence is a FenceDevice op (a
 //    Sleep(1) in the -nf variants), and an inserted policy fence after an
-//    armed site is Sleep(FenceBaseLatency) then FenceDevice, the two
-//    resumes the coroutine scheduler's inserted fences take;
+//    armed site is Sleep(FenceBaseLatency) then FenceDevice: the fence
+//    is its own instruction after the access, so its drain lands
+//    FenceBaseLatency ticks later, leaving the reordering window a
+//    trailing fence cannot close (e.g. after an unlock);
 //  * allocate buffers through a layout shared with setup, replaying
 //    MemorySystem::alloc's patch-aligned bump allocator (checked against
 //    the live layout every run);
@@ -30,8 +32,8 @@
 //    provable-timeout check.
 //
 // Both engines run the same plan: runBatchProgram, or under
-// --engine=scalar sim::runProgram's interpretation of it on the coroutine
-// scheduler. Engine identity tests therefore cannot catch a wrong
+// --engine=scalar the reference engine (the Scheduler) stepping it.
+// Engine identity tests therefore cannot catch a wrong
 // lowering; the seed-4 campaign, Fig. 5 cost and fence-site event-stream
 // goldens (ParallelTests, HarnessTests, EngineIdentityTests), recorded
 // from the hand-written coroutine kernels the lowerings replaced, pin the

@@ -27,8 +27,8 @@
 /// Each app's run() launches its plan through sim::Device, so every
 /// caller (runApplicationOnce, the Fig. 5 cost study, ls-bh's SC
 /// reference) takes the same path: runBatchProgram by default, or under
-/// --engine=scalar sim::runProgram's interpretation of the same plan on
-/// the coroutine scheduler. An untraced compiled run that livelocks
+/// --engine=scalar the reference engine (the Scheduler) stepping the same
+/// plan. An untraced compiled run that livelocks
 /// (tpo-tm's lost push) ends as soon as its timeout is provable, with the
 /// same verdict and tick count (sim/BatchExec.h).
 ///

@@ -88,8 +88,8 @@ CompiledProgram compileProgram(const litmus::Program &P,
 /// Executes one run of \p CP on the weak machine and returns the outcome.
 /// \p Stressed applies tuned sys-str+ stress to the run. \p Ctx is the
 /// reusable execution engine to run on (reset for this run); the engine is
-/// sim::runProgram's choice, so --engine=scalar interprets the same op
-/// stream on the coroutine scheduler.
+/// sim::runProgram's choice, so --engine=scalar steps the same op stream
+/// on the reference engine.
 Outcome runOnWeakMachine(sim::ExecutionContext &Ctx, const CompiledProgram &CP,
                          const sim::ChipProfile &Chip, uint64_t Seed,
                          bool Stressed);

@@ -59,8 +59,7 @@ Program insertAtSites(const Program &P, const sim::FencePolicy &F,
 /// non-SC behaviours survive does not pass. The K-th check runs with
 /// seed stream deriveStream(Seed, K), so verdicts depend only on the
 /// check's position in the reduction — deterministic for every --jobs
-/// and --engine (sink-attached runs take the compiled engine, which is
-/// bit-identical to the coroutine one by contract).
+/// and --engine (the two engines are bit-identical by contract).
 class LitmusCheckOracle final : public CheckOracle {
 public:
   LitmusCheckOracle(const Program &P, const sim::ChipProfile &Chip,

@@ -2,8 +2,8 @@
 //
 // Executes litmus::Program tests on the simulated GPU. Every program is
 // compiled to one flat op stream per (program, distance, fencing), run by
-// sim::runProgram: on the compiled engine by default, interpreted on the
-// coroutine scheduler under --engine=scalar (the reference). The stream
+// sim::runProgram: on the compiled engine by default, stepped by the
+// reference engine (the Scheduler) under --engine=scalar. The stream
 // reproduces the op shape of the original hand-written Fig. 2 kernels
 // exactly — start-phase jitter, ops in order, then register writeback in
 // first-load order — so catalog programs for MP/LB/SB/R/S/2+2W execute

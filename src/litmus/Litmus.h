@@ -119,7 +119,7 @@ public:
   /// Equivalent to countWeak(P, Distance, S, 1, Opts) != 0. Every run
   /// executes the plan's op stream through sim::runProgram, so the engine
   /// is chosen only by --engine: the compiled engine unless the mode is
-  /// scalar, which interprets the same stream on the coroutine scheduler.
+  /// scalar, which steps the same stream on the reference engine.
   /// Both emit identical results and event streams (DESIGN.md Sec. 17).
   bool runOnce(const Program &P, unsigned Distance, const MicroStress &S,
                const RunOpts &Opts = RunOpts());

@@ -1,24 +1,24 @@
 //===- sim/BatchExec.cpp - Batched flat op-stream executor -------------------===//
 //
-// The run loop below is a line-for-line replica of Scheduler::launch and
-// Scheduler::run restricted to the op shapes batched programs use (no
-// faults). Fidelity notes, keyed to the scalar source:
+// The run loop below is a replica of the reference engine's
+// Scheduler::launch and Scheduler::run (sim/Scheduler.h), which steps the
+// same op stream tick by tick over every SM. Fidelity notes, keyed to
+// that source:
 //
 //  * Residency: block B -> SM B % NumSMs (or a random SM per block, in
 //    block order, under randomisation); warps never straddle blocks; under
 //    randomisation every SM's warp list is shuffled in SM index order
 //    (empty lists draw nothing, so iterating only [0, NumSMs) is
-//    draw-identical to the scalar loop over a possibly larger scratch).
+//    draw-identical to the reference loop over a possibly larger scratch).
 //  * A resume executes exactly one op and sleeps — or, past the lane's
-//    last op, completes the lane (the coroutine's final resume). Both
-//    count toward the warp's issue.
+//    last op, completes the lane. Both count toward the warp's issue.
 //  * An AwaitLoad whose ticket is pending parks the lane with its PC
 //    unadvanced; the wake loop binds the value and advances the PC, so the
-//    next resume executes the *following* op — mirroring the coroutine,
-//    where await_resume assigns the register and the body runs on to the
-//    next co_await within that same resume.
+//    next resume executes the *following* op. The reference engine binds
+//    every result at the lane's next resume instead; registers are
+//    lane-private, so nothing observes the difference.
 //  * Idle fast-forward (deterministic mode only): when every live lane is
-//    sleeping and the memory system is quiescent, the scalar engine's
+//    sleeping and the memory system is quiescent, the reference engine's
 //    intervening ticks draw nothing and have no effect beyond advancing
 //    the clock and each non-empty SM's rotor by one per tick. Jumping
 //    Now to (first wake tick - 1) and advancing the rotors by the span
@@ -26,19 +26,18 @@
 //    at a barrier are excluded from the wake scan (they wake only through
 //    a release, which requires a sleeping lane's resume first).
 //  * Free ops (register arithmetic, branches) run at the head of the
-//    resume that issues the lane's next suspending op — exactly where the
-//    reference interpretation (runProgram under --engine=scalar) runs
-//    them, between two co_awaits. Register state is invisible to the
+//    resume that issues the lane's next suspending op, through the
+//    runFreeOp both engines share. Register state is invisible to the
 //    memory model, so only the suspending ops' side effects, sleeps and
 //    draws carry fidelity.
-//  * Barriers replicate opBarrier/releaseBarrier: the arriving lane parks
-//    (still resident in its warp, ineligible), the last live arriver
-//    emits the BarrierRelease trace event, then releases every parked
-//    lane of its block in ascending Tid order with a draw-free block
-//    fence and wake at Now + 1, and a lane completing
+//  * Barriers replicate the reference engine's arrival and release: the
+//    arriving lane parks (still resident in its warp, ineligible), the
+//    last live arriver emits the BarrierRelease trace event, then releases
+//    every parked lane of its block in ascending Tid order with a
+//    draw-free block fence and wake at Now + 1, and a lane completing
 //    while block-mates are parked raises the divergence flag, which the
-//    main loop surfaces at the top of the next tick — all in the scalar
-//    engine's exact order.
+//    main loop surfaces at the top of the next tick — all in the
+//    reference engine's exact order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +46,7 @@
 #include "sim/ChipProfile.h"
 #include "sim/ExecutionContext.h"
 #include "sim/MemorySystem.h"
-#include "sim/ThreadContext.h"
+#include "sim/Scheduler.h"
 #include "sim/TraceSink.h"
 #include "support/Check.h"
 #include "support/Rng.h"
@@ -97,59 +96,13 @@ std::optional<EngineMode> sim::parseEngineMode(std::string_view Name) {
 
 namespace {
 
-// Lane states; the scalar engine's Running is transient. A lane at a
-// barrier stays in its warp's live list but fails the eligibility test,
-// exactly as the scalar AtBarrier state does.
+// Lane states. A lane at a barrier stays in its warp's live list but
+// fails the eligibility test, exactly as the reference engine's AtBarrier
+// state does.
 constexpr uint8_t LaneSleeping = 0;
 constexpr uint8_t LaneOnTicket = 1;
 constexpr uint8_t LaneDone = 2;
 constexpr uint8_t LaneAtBarrier = 3;
-
-/// Executes free op \p F at \p PC on \p Regs, with \p Steps the
-/// program's step table, and returns the next PC. Both engines run free
-/// ops through this one definition; it is inlined into runBatchProgram's
-/// resume loop, the compiled engine's hot path.
-[[gnu::always_inline]] inline uint32_t runFreeOp(const BatchOp &F,
-                                                  Word *Regs,
-                                                  const StepFn *Steps,
-                                                  uint32_t PC) {
-  switch (F.C) {
-  case BatchOp::Code::MovImm:
-    Regs[F.Slot] = F.Imm;
-    return PC + 1;
-  case BatchOp::Code::AddImm:
-    Regs[F.Slot] = Regs[F.Slot2] + F.Imm;
-    return PC + 1;
-  case BatchOp::Code::MulImm:
-    Regs[F.Slot] = Regs[F.Slot2] * F.Imm;
-    return PC + 1;
-  case BatchOp::Code::ModImm:
-    Regs[F.Slot] = Regs[F.Slot2] % F.Imm;
-    return PC + 1;
-  case BatchOp::Code::AndImm:
-    Regs[F.Slot] = Regs[F.Slot2] & F.Imm;
-    return PC + 1;
-  case BatchOp::Code::AddRR:
-    Regs[F.Slot] = Regs[F.Slot2] + Regs[F.A];
-    return PC + 1;
-  case BatchOp::Code::Step:
-    Steps[F.Imm](Regs + F.Slot);
-    return PC + 1;
-  case BatchOp::Code::Jump:
-    return F.A;
-  case BatchOp::Code::BrEq:
-    return Regs[F.Slot] == F.Imm ? F.A : PC + 1;
-  case BatchOp::Code::BrNe:
-    return Regs[F.Slot] != F.Imm ? F.A : PC + 1;
-  case BatchOp::Code::BrLt:
-    return Regs[F.Slot] < F.Imm ? F.A : PC + 1;
-  case BatchOp::Code::BrLtRR:
-    return Regs[F.Slot] < Regs[F.Slot2] ? F.A : PC + 1;
-  default:
-    GPUWMM_CHECK(false, "suspending op in free-op dispatch");
-    return PC;
-  }
-}
 
 /// One register in the timeout proof: a concrete value, or unknown.
 struct AbsReg {
@@ -436,7 +389,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
   Mem.registerThreads(NumThreads);
 
   // Lane state: everything starts Sleeping at wake tick 0 (eligible on
-  // tick 1), as freshly launched coroutines do.
+  // tick 1), as the reference engine's freshly launched threads do.
   S.State.assign(NumThreads, LaneSleeping);
   S.WakeTick.assign(NumThreads, 0);
   S.PC.resize(NumThreads);
@@ -449,7 +402,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
   // Residency. Under deterministic scheduling the layout is a pure
   // function of (grid, block, SMs) and launch draws nothing, so it is
   // cached across runs; under randomisation it is redrawn per run in the
-  // scalar engine's exact draw order.
+  // reference engine's exact draw order.
   const unsigned NumSMs = Chip.NumSMs;
   const bool HaveCached = !Cfg.RandomiseThreads && S.CachedGrid == BP.GridDim &&
                           S.CachedBlock == BP.BlockDim && S.CachedSMs == NumSMs;
@@ -513,7 +466,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
 
   while (Live > 0) {
     ++Now;
-    // The scalar loop checks the divergence flag at the top of the next
+    // The reference loop checks the divergence flag at the top of the next
     // tick, before the timeout: a lane completing past a barrier its
     // block-mates still wait at surfaces one tick later.
     if (DivergenceFlag) {
@@ -529,8 +482,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
 
     // Wake async-load waiters whose tickets completed. The parked lane's
     // PC still addresses its AwaitLoad op; binding the value and stepping
-    // the PC here makes the next resume run the following op, exactly as
-    // the coroutine resumes through its await.
+    // the PC here makes the next resume run the following op.
     for (size_t I = 0; I != S.TicketWaiters.size();) {
       const unsigned Tid = S.TicketWaiters[I];
       const BatchOp &O = Ops[S.PC[Tid]];
@@ -579,8 +531,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
           WarpIssued = true;
 
           // --- Resume: free ops, then one suspending op (or finish the
-          // --- lane). The free prefix is the coroutine body's
-          // --- computation between two co_awaits: register arithmetic
+          // --- lane). The free prefix is the lane's register arithmetic
           // --- and control flow, evaluated in the resume that issues the
           // --- next suspending op.
           uint32_t PC = S.PC[Tid];
@@ -588,7 +539,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
           while (PC != End && Ops[PC].C >= BatchOp::Code::MovImm)
             PC = runFreeOp(Ops[PC], Regs, Steps, PC);
           if (PC == End) {
-            // The coroutine's final resume: the lane completes. A block
+            // The lane's final resume: it completes. A block
             // with lanes parked at a barrier can now never release it.
             S.State[Tid] = LaneDone;
             --Live;
@@ -642,14 +593,14 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
             S.WakeTick[Tid] = Now + std::max(1u, O.Imm);
             break;
           case BatchOp::Code::SleepRand:
-            // The draw and the sleep share this resume, as the
-            // coroutine's rand-then-yield backoff does.
+            // The draw and the sleep share this resume, as in the
+            // reference engine.
             S.WakeTick[Tid] =
                 Now + std::max<uint64_t>(1, O.A + R.below(O.Imm));
             break;
           case BatchOp::Code::Barrier: {
-            // opBarrier: park the lane; the last live arriver releases
-            // the whole block within its own resume (releaseBarrier):
+            // Park the lane; the last live arriver releases the whole
+            // block within its own resume (Scheduler::releaseBarrier):
             // the release event first, then a fence for each parked lane
             // in ascending Tid order.
             S.State[Tid] = LaneAtBarrier;
@@ -747,7 +698,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
           for (const uint32_t Tid : S.WarpLive[W.LiveIdx])
             AnySleeping |= S.State[Tid] == LaneSleeping;
       if (!AnySleeping) {
-        // Scalar tie-break: live lanes stuck at a barrier classify as
+        // Reference tie-break: live lanes stuck at a barrier classify as
         // barrier divergence, anything else is a plain deadlock.
         bool AnyAtBarrier = false;
         for (const unsigned AB : S.BlockAtBarrier)
@@ -807,134 +758,13 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
   return Result;
 }
 
-//===----------------------------------------------------------------------===//
-// The reference interpretation (--engine=scalar)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Interprets lane \p L: free ops run inline between co_awaits, and every
-/// suspending op is one co_await, so each resume executes the free prefix
-/// and then one suspending op, exactly as runBatchProgram does. An idle
-/// lane (empty range) completes at its first resume. \p Regs is shared by
-/// all lanes; every lowering gives each slot a single writing lane, and a
-/// split-phase load's slot holds its ticket until the await replaces it
-/// with the loaded value. A loaded value reaches its register when the
-/// lane next resumes rather than in the load's own resume; registers are
-/// lane-private, so nothing observes the difference.
-Kernel interpretLane(ThreadContext &TC, const BatchProgram &BP, BatchLane L,
-                     Word *Regs) {
-  using Code = BatchOp::Code;
-  uint32_t PC = L.Begin;
-  while (PC != L.End) {
-    const BatchOp &O = BP.Ops[PC];
-    if (O.C >= Code::MovImm) {
-      PC = runFreeOp(O, Regs, BP.Steps.data(), PC);
-      continue;
-    }
-    ++PC;
-    // Awaits stay out of conditions and compound assignments (GCC 12
-    // coroutine bug): each loaded value lands in V first.
-    Word V = 0;
-    switch (O.C) {
-    case Code::Jitter:
-      co_await TC.yield(1 + static_cast<unsigned>(TC.rand(O.Imm)));
-      break;
-    case Code::Store:
-      co_await TC.st(O.A, O.Imm);
-      break;
-    case Code::Load:
-      V = co_await TC.ld(O.A);
-      Regs[O.Slot] = V;
-      break;
-    case Code::AsyncLoad:
-      V = co_await TC.ldAsync(O.A);
-      Regs[O.Slot] = V;
-      break;
-    case Code::AwaitLoad:
-      V = co_await TC.awaitLoad(Regs[O.Slot]);
-      Regs[O.Slot] = V;
-      break;
-    case Code::AtomicAdd:
-      co_await TC.atomicAdd(O.A, O.Imm);
-      break;
-    case Code::FenceDevice:
-      co_await TC.fence();
-      break;
-    case Code::WbStore:
-      co_await TC.st(O.A, Regs[O.Slot] + O.Imm);
-      break;
-    case Code::Sleep:
-      co_await TC.yield(O.Imm);
-      break;
-    case Code::SleepRand:
-      co_await TC.yield(O.A + static_cast<unsigned>(TC.rand(O.Imm)));
-      break;
-    case Code::Barrier:
-      co_await TC.syncthreads();
-      break;
-    case Code::LoadAcc:
-      V = co_await TC.ld(O.A);
-      Regs[O.Slot] += V;
-      break;
-    case Code::LoadIdx:
-      V = co_await TC.ld(O.A + Regs[O.Slot2]);
-      Regs[O.Slot] = V;
-      break;
-    case Code::LoadAccIdx:
-      V = co_await TC.ld(O.A + Regs[O.Slot2]);
-      Regs[O.Slot] += V;
-      break;
-    case Code::LoadMulAcc:
-      V = co_await TC.ld(O.A);
-      Regs[O.Slot] += Regs[O.Slot2] * V;
-      break;
-    case Code::StoreIdx:
-      co_await TC.st(O.A + Regs[O.Slot2], O.Imm);
-      break;
-    case Code::AtomicAddReg:
-      V = co_await TC.atomicAdd(O.A, O.Imm);
-      Regs[O.Slot] = V;
-      break;
-    case Code::AtomicCas:
-      V = co_await TC.atomicCAS(O.A, Regs[O.Slot], O.Imm);
-      Regs[O.Slot] = V;
-      break;
-    case Code::AtomicCasIdx:
-      V = co_await TC.atomicCAS(O.A + Regs[O.Slot2], Regs[O.Slot], O.Imm);
-      Regs[O.Slot] = V;
-      break;
-    case Code::AtomicExch:
-      co_await TC.atomicExch(O.A, O.Imm);
-      break;
-    case Code::AtomicExchIdx:
-      co_await TC.atomicExch(O.A + Regs[O.Slot2], O.Imm);
-      break;
-    case Code::AtomicAddIdx:
-      co_await TC.atomicAdd(O.A + Regs[O.Slot2], O.Imm);
-      break;
-    case Code::WbStoreIdx:
-      co_await TC.st(O.A + Regs[O.Slot2], Regs[O.Slot] + O.Imm);
-      break;
-    default: // Free ops ran above.
-      break;
-    }
-  }
-}
-
-} // namespace
-
 RunResult sim::runProgram(const BatchProgram &BP, ExecutionContext &Ctx,
                           const ChipProfile &Chip, Word *Regs,
                           const SchedulerConfig &Cfg) {
   if (engineMode() != EngineMode::Scalar)
     return runBatchProgram(BP, Chip, Ctx.memory(), Ctx.rng(),
                            Ctx.batchScratch(), Regs, Cfg);
-  GPUWMM_CHECK(BP.Lanes.size() == size_t{BP.GridDim} * BP.BlockDim,
-               "batch program lane table does not match its launch shape");
   Scheduler S(Chip, Ctx.memory(), Ctx.rng(), Cfg, &Ctx.schedulerScratch());
-  S.launch({BP.GridDim, BP.BlockDim}, [&BP, Regs](ThreadContext &TC) {
-    return interpretLane(TC, BP, BP.Lanes[TC.globalId()], Regs);
-  });
+  S.launch(BP, Regs);
   return S.run();
 }

@@ -6,42 +6,39 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compiled execution engine behind every lowerable program: litmus
-/// and fuzz programs and the regular application kernels (DESIGN.md
-/// Secs. 17, 19).
+/// The one program form and its compiled execution engine. Litmus and
+/// fuzz programs and all ten application kernels are \ref BatchProgram
+/// op streams (DESIGN.md Secs. 17, 19); two engines run them.
 ///
-/// Every tuning sweep, campaign cell and fuzz round executes the same small
-/// program thousands of times at different seeds. The coroutine-based
-/// scheduler pays per run for work that is identical across those runs:
-/// coroutine frames, kernel std::function dispatch, launch-time residency
-/// construction, and a per-tick walk over every SM of the chip (most of
-/// them empty for a 2-4 block litmus grid).
+/// The reference engine (--engine=scalar, sim/Scheduler.h) steps every
+/// lane's ops with a program counter, tick by tick over every SM of the
+/// chip, with launch-time residency construction per run. Every tuning
+/// sweep, campaign cell and fuzz round executes the same small program
+/// thousands of times at different seeds, and most of that per-run work
+/// is identical across runs: most SMs are empty for a 2-4 block litmus
+/// grid, and the residency layout repeats.
 ///
-/// This engine splits that cost: a \ref BatchProgram is a flat, branch-light
-/// op stream compiled once per (program, distance) — addresses, register
-/// slots and writeback targets pre-resolved — and \ref runBatchProgram is a
-/// tight table-walking replica of Scheduler::run that touches only resident
-/// SMs and fast-forwards idle tick spans. Per-run state lives in
-/// structure-of-arrays lane state owned by the ExecutionContext's
-/// \ref BatchScratch, so resets stay O(touched).
+/// The compiled engine, \ref runBatchProgram, is a tight table-walking
+/// replica of the reference engine's run loop that touches only resident
+/// SMs and fast-forwards idle tick spans. A BatchProgram is compiled once
+/// per (program, distance): addresses, register slots and writeback
+/// targets pre-resolved. Per-run state lives in structure-of-arrays lane
+/// state owned by the ExecutionContext's \ref BatchScratch, so resets stay
+/// O(touched).
 ///
-/// Determinism contract (absolute): for the op shapes a BatchProgram can
-/// express (start-phase jitter, loads, stores, atomics, device fences,
-/// split-phase load pairs, register writebacks, block barriers, structured
-/// loops/branches over registers, indexed addressing and pre-compiled
-/// fence-policy sequences), runBatchProgram consumes exactly the same RNG
-/// draws in exactly the same order as the coroutine scheduler and produces
-/// bit-identical memory states and trace event streams, under both
-/// scheduling modes. The idle fast-forward is draw-free by construction: a
-/// tick in which no lane is eligible, no store is buffered and no async
-/// load is pending draws nothing in the scalar engine either — it only
-/// advances the clock and the SM rotors, which the fast-forward replays in
-/// closed form. The engine emits every scheduler-level trace event itself (the
-/// barrier release); all other events come from the shared MemorySystem.
-/// EngineIdentityTests pins the equivalence event for event against the
-/// coroutine engine (--engine=scalar), which is \ref runProgram's
-/// interpretation of the same op stream on the scheduler, for litmus,
-/// fuzz and application programs alike.
+/// Determinism contract (absolute): runBatchProgram consumes exactly the
+/// same RNG draws in exactly the same order as the reference engine and
+/// produces bit-identical memory states and trace event streams, under
+/// both scheduling modes. The idle fast-forward is draw-free by
+/// construction: a tick in which no lane is eligible, no store is buffered
+/// and no async load is pending draws nothing in the reference engine
+/// either — it only advances the clock and the SM rotors, which the
+/// fast-forward replays in closed form. The engine emits every
+/// scheduler-level trace event itself (the barrier release); all other
+/// events come from the shared MemorySystem. EngineIdentityTests pins the
+/// equivalence event for event against the reference engine, for litmus,
+/// fuzz and application programs alike. The two engines share only
+/// \ref runFreeOp.
 ///
 /// Provable timeouts: an untraced run of a program with a backward branch
 /// stops as soon as a check proves that no lane can ever finish, and
@@ -55,6 +52,7 @@
 #define GPUWMM_SIM_BATCHEXEC_H
 
 #include "sim/Types.h"
+#include "support/Check.h"
 
 #include <cstdint>
 #include <optional>
@@ -74,13 +72,12 @@ struct ChipProfile;
 /// One pre-resolved instruction of a batched program, walked linearly per
 /// lane. Op codes split into two groups:
 ///
-///  * Suspending ops (everything before MovImm) are the batched analogue
-///    of one co_await: a resume executes exactly one of them and sleeps.
-///  * Free ops (MovImm and later) are the batched analogue of the free
-///    computation between two co_awaits: register moves, arithmetic and
-///    control flow. They execute — any number of them — at the start of
-///    the resume that then issues the next suspending op (or completes
-///    the lane), exactly where the coroutine body evaluates them.
+///  * Suspending ops (everything before MovImm) are the simulated
+///    instructions: a resume executes exactly one of them and sleeps.
+///  * Free ops (MovImm and later) are the computation between two
+///    instructions: register moves, arithmetic and control flow. They
+///    execute — any number of them — at the start of the resume that then
+///    issues the next suspending op (or completes the lane).
 struct BatchOp {
   enum class Code : uint8_t {
     // --- Suspending ops (one resume each). ---
@@ -98,8 +95,9 @@ struct BatchOp {
                  ///< stage (Imm = FenceBaseLatency).
     SleepRand,   ///< sleep(max(1, A + rng.below(Imm))): backoff
                  ///< yield(A + rand(Imm)); draw and sleep share one
-                 ///< resume, as the coroutine's rand-then-yield does.
-    Barrier,     ///< Block barrier: replicates opBarrier/releaseBarrier.
+                 ///< resume.
+    Barrier,     ///< __syncthreads(): park until every live lane of the
+                 ///< block arrives; the release block-fences each one.
     LoadAcc,     ///< Regs[Slot] += Mem.load(A); sleep 1.
     LoadIdx,     ///< Regs[Slot] = Mem.load(A + Regs[Slot2]); sleep 1.
     LoadAccIdx,  ///< Regs[Slot] += Mem.load(A + Regs[Slot2]); sleep 1.
@@ -150,6 +148,51 @@ struct BatchOp {
 /// its window.
 using StepFn = void (*)(Word *Window);
 
+/// Executes free op \p F at \p PC on \p Regs, with \p Steps the
+/// program's step table, and returns the next PC. Both engines run free
+/// ops through this one definition; it is inlined into runBatchProgram's
+/// resume loop, the compiled engine's hot path.
+[[gnu::always_inline]] inline uint32_t runFreeOp(const BatchOp &F, Word *Regs,
+                                                  const StepFn *Steps,
+                                                  uint32_t PC) {
+  switch (F.C) {
+  case BatchOp::Code::MovImm:
+    Regs[F.Slot] = F.Imm;
+    return PC + 1;
+  case BatchOp::Code::AddImm:
+    Regs[F.Slot] = Regs[F.Slot2] + F.Imm;
+    return PC + 1;
+  case BatchOp::Code::MulImm:
+    Regs[F.Slot] = Regs[F.Slot2] * F.Imm;
+    return PC + 1;
+  case BatchOp::Code::ModImm:
+    Regs[F.Slot] = Regs[F.Slot2] % F.Imm;
+    return PC + 1;
+  case BatchOp::Code::AndImm:
+    Regs[F.Slot] = Regs[F.Slot2] & F.Imm;
+    return PC + 1;
+  case BatchOp::Code::AddRR:
+    Regs[F.Slot] = Regs[F.Slot2] + Regs[F.A];
+    return PC + 1;
+  case BatchOp::Code::Step:
+    Steps[F.Imm](Regs + F.Slot);
+    return PC + 1;
+  case BatchOp::Code::Jump:
+    return F.A;
+  case BatchOp::Code::BrEq:
+    return Regs[F.Slot] == F.Imm ? F.A : PC + 1;
+  case BatchOp::Code::BrNe:
+    return Regs[F.Slot] != F.Imm ? F.A : PC + 1;
+  case BatchOp::Code::BrLt:
+    return Regs[F.Slot] < F.Imm ? F.A : PC + 1;
+  case BatchOp::Code::BrLtRR:
+    return Regs[F.Slot] < Regs[F.Slot2] ? F.A : PC + 1;
+  default:
+    GPUWMM_CHECK(false, "suspending op in free-op dispatch");
+    return PC;
+  }
+}
+
 /// The op range [Begin, End) of one launched lane; Begin == End is an idle
 /// lane (a block's filler thread), which completes at its first resume.
 struct BatchLane {
@@ -199,16 +242,16 @@ struct BatchScratch {
   std::vector<uint64_t> WakeTick;
   std::vector<uint32_t> PC;
   std::vector<unsigned> TicketWaiters;
-  /// Per-block barrier bookkeeping, mirroring the scalar BarrierState:
-  /// lanes still live in the block and lanes currently parked at its
-  /// barrier. A lane completing while its block has parked lanes raises
-  /// barrier divergence, as the coroutine scheduler does.
+  /// Per-block barrier bookkeeping, mirroring the reference engine's
+  /// BlockState: lanes still live in the block and lanes currently parked
+  /// at its barrier. A lane completing while its block has parked lanes
+  /// raises barrier divergence, as the reference engine does.
   std::vector<unsigned> BlockLive;
   std::vector<unsigned> BlockAtBarrier;
   /// Per-warp live-lane lists (Tids in lane order): completed lanes drop
   /// out, so steady-state ticks scan only the program's real threads, not
   /// a block's idle filler lanes. Removal preserves order, keeping the
-  /// resume sequence identical to the scalar engine's full-warp walk
+  /// resume sequence identical to the reference engine's full-warp walk
   /// (done lanes fail its eligibility test and resume nothing).
   std::vector<std::vector<uint32_t>> WarpLive;
 
@@ -235,8 +278,8 @@ struct BatchScratch {
 ///  * Auto (the default): every program (litmus, fuzz and application
 ///    plans) runs on the compiled engine, traced, sink-attached and
 ///    sequential runs included.
-///  * Scalar: interpret the same programs on the coroutine reference
-///    engine (A/B debugging, bisection of compiled-vs-reference
+///  * Scalar: run the same programs on the reference engine, the
+///    Scheduler (A/B debugging, bisection of compiled-vs-reference
 ///    divergence).
 ///
 /// Engine choice never affects results, only throughput: both engines are
@@ -257,17 +300,16 @@ const char *engineModeName(EngineMode M);
 std::optional<EngineMode> parseEngineMode(std::string_view Name);
 
 /// Executes one run of \p BP to completion on \p Mem, drawing from \p R —
-/// a draw-for-draw replica of Scheduler::launch + Scheduler::run for the
-/// batched op shapes, trace events included. Without a trace sink, a run
-/// of a program with HasBackwardBranch set ends early once its timeout is
-/// provable: every TimeoutProofInterval ticks, when memory is quiescent
+/// a draw-for-draw replica of Scheduler::launch + Scheduler::run, trace
+/// events included. Without a trace sink, a run of a program with
+/// HasBackwardBranch set ends early once its timeout is provable: every TimeoutProofInterval ticks, when memory is quiescent
 /// and no lane waits at a barrier or on a ticket, it explores each live
 /// lane's reachable ops and stops if none can complete, reach a barrier
 /// or an async load, or write an unknown address. The result is then
 /// Timeout at MaxTicks + 1, as the full run's; only Mem's statistics and
 /// \p R's position reflect the skipped ticks. \p Regs is the run's
 /// register vector (NumSlots words). The caller owns per-run setup exactly
-/// as with the scalar engine: context reset, allocations, initial-value
+/// as with the reference engine: context reset, allocations, initial-value
 /// writes and the congestion source all happen before the call.
 RunResult runBatchProgram(const BatchProgram &BP, const ChipProfile &Chip,
                           MemorySystem &Mem, Rng &R, BatchScratch &S,
@@ -275,11 +317,9 @@ RunResult runBatchProgram(const BatchProgram &BP, const ChipProfile &Chip,
 
 /// Executes one run of a compiled program (litmus, fuzz and application
 /// lowerings) on \p Ctx's memory system and RNG: runBatchProgram by
-/// default; under --engine=scalar, the reference interpretation — a
-/// Scheduler launch whose kernel coroutine walks each lane's op range
-/// through ThreadContext, running free ops inline and one co_await per
-/// suspending op. Every op code has an interpretation. Per-run setup is
-/// the caller's, as for runBatchProgram.
+/// default; under --engine=scalar, a Scheduler launch of \p BP on the
+/// context's scheduler scratch. Per-run setup is the caller's, as for
+/// runBatchProgram.
 RunResult runProgram(const BatchProgram &BP, ExecutionContext &Ctx,
                      const ChipProfile &Chip, Word *Regs,
                      const SchedulerConfig &Cfg);

@@ -12,16 +12,22 @@
 /// Sec. 6 cost study.
 ///
 /// A Device is a thin facade over an ExecutionContext, which owns all
-/// heavyweight simulator state. The one-argument-pair constructor leases a
-/// recycled context from the current thread's pool, so even the classic
+/// heavyweight simulator state. Kernels are compiled programs
+/// (sim/BatchExec.h): one op range per launched thread. The
+/// one-argument-pair constructor leases a recycled context from the
+/// current thread's pool, so even the classic
 ///
 /// \code
 ///   sim::Device Dev(*sim::ChipProfile::lookup("titan"), Seed);
-///   sim::Addr Buf = Dev.alloc(256);
-///   Dev.run({/*GridDim=*/2, /*BlockDim=*/32}, [&](sim::ThreadContext &Ctx)
-///       -> sim::Kernel {
-///     co_await Ctx.st(Buf + Ctx.globalId(), 1);
-///   });
+///   const sim::Addr Buf = Dev.alloc(64);
+///   sim::BatchProgram BP; // GridDim 2 x BlockDim 32: Buf[Tid] = 1.
+///   BP.GridDim = 2;
+///   BP.BlockDim = 32;
+///   for (uint32_t Tid = 0; Tid != 64; ++Tid) {
+///     BP.Ops.push_back({sim::BatchOp::Code::Store, 0, 0, Buf + Tid, 1});
+///     BP.Lanes.push_back({Tid, Tid + 1});
+///   }
+///   Dev.run(BP);
 /// \endcode
 ///
 /// performs no per-run container allocation in steady state. Hot loops that
@@ -47,9 +53,7 @@
 #include "sim/Congestion.h"
 #include "sim/ExecutionContext.h"
 #include "sim/FencePolicy.h"
-#include "sim/Kernel.h"
 #include "sim/MemorySystem.h"
-#include "sim/Scheduler.h"
 #include "sim/Types.h"
 #include "support/Rng.h"
 
@@ -98,6 +102,8 @@ public:
   }
 
   /// Installs the per-site fence policy (not owned; null = no fences).
+  /// Apps compile it into their plans (apps/AppCompile.h); a program
+  /// launched through run() bakes in its own fences.
   void setFencePolicy(const FencePolicy *P) { Policy = P; }
 
   const FencePolicy *fencePolicy() const { return Policy; }
@@ -119,22 +125,13 @@ public:
 
   // --- Execution ---------------------------------------------------------------
 
-  /// Launches and runs one kernel to completion; successive launches
-  /// accumulate time and energy (multi-kernel applications).
-  RunResult run(const LaunchConfig &LC, const KernelFn &Fn) {
-    Scheduler S(Chip, memory(), rng(), Sched, &Ctx.schedulerScratch());
-    S.setFencePolicy(Policy);
-    S.launch(LC, Fn);
-    return account(S.run());
-  }
-
-  /// Launches and runs one compiled program (sim/BatchExec.h) through
-  /// runProgram: the compiled engine, or its reference interpretation on
-  /// the scheduler under --engine=scalar. Scheduling follows this
+  /// Launches and runs one compiled program (sim/BatchExec.h) to
+  /// completion through runProgram: the compiled engine, or the reference
+  /// engine (the Scheduler) under --engine=scalar. Scheduling follows this
   /// Device's configuration; the program bakes in its own fences (apps
   /// compile theirs for fencePolicy()), so the policy is not applied
-  /// again. Registers start at zero. Accumulates time as the coroutine
-  /// launch does.
+  /// again. Registers start at zero. Successive launches share memory and
+  /// accumulate time and energy (multi-kernel applications).
   RunResult run(const BatchProgram &BP) {
     std::vector<Word> &Regs = Ctx.batchScratch().Regs;
     Regs.assign(BP.NumSlots, 0);

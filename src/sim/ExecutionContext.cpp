@@ -15,20 +15,20 @@ namespace {
 /// exit); Free holds the currently leasable subset. A plain free list —
 /// leases may be released in any order, though stack-scoped use makes the
 /// order LIFO in practice, which keeps the hottest context hot.
-struct ThreadContextPool {
+struct ContextPool {
   std::vector<std::unique_ptr<ExecutionContext>> All;
   std::vector<ExecutionContext *> Free;
 };
 
-ThreadContextPool &pool() {
-  static thread_local ThreadContextPool P;
+ContextPool &pool() {
+  static thread_local ContextPool P;
   return P;
 }
 
 } // namespace
 
 ContextLease::ContextLease() {
-  ThreadContextPool &P = pool();
+  ContextPool &P = pool();
   Owner = &P;
   if (!P.Free.empty()) {
     Ctx = P.Free.back();

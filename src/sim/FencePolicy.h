@@ -10,14 +10,17 @@
 /// device fence follows the access. This is the mechanism behind the
 /// paper's Sec. 5 (empirical fence insertion: start from a fence after
 /// every access and reduce) and Sec. 6 (cost of the no/emp/cons fencing
-/// configurations).
+/// configurations). A policy is read when a program is compiled (an app's
+/// plan, a litmus program's inserted fences), never per simulated op, so
+/// its range checks stay on in every build.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPUWMM_SIM_FENCEPOLICY_H
 #define GPUWMM_SIM_FENCEPOLICY_H
 
-#include <cassert>
+#include "support/Check.h"
+
 #include <cstddef>
 #include <vector>
 
@@ -51,7 +54,7 @@ public:
                              const std::vector<unsigned> &Sites) {
     FencePolicy P = none(NumSites);
     for (unsigned S : Sites) {
-      assert(S < NumSites && "site out of range");
+      GPUWMM_CHECK(S < NumSites, "fence site out of range");
       P.AfterSite[S] = true;
     }
     return P;
@@ -61,13 +64,13 @@ public:
   bool fenceAfter(int Site) const {
     if (Site < 0)
       return false;
-    assert(static_cast<size_t>(Site) < AfterSite.size() &&
-           "unknown site id");
+    GPUWMM_CHECK(static_cast<size_t>(Site) < AfterSite.size(),
+                 "unknown fence site");
     return AfterSite[Site];
   }
 
   void set(unsigned Site, bool Fenced) {
-    assert(Site < AfterSite.size() && "site out of range");
+    GPUWMM_CHECK(Site < AfterSite.size(), "fence site out of range");
     AfterSite[Site] = Fenced;
   }
 

@@ -2,7 +2,9 @@
 
 #include "sim/Scheduler.h"
 
-#include "sim/ThreadContext.h"
+#include "sim/ChipProfile.h"
+#include "sim/TraceSink.h"
+#include "support/Check.h"
 
 #include <algorithm>
 #include <cassert>
@@ -10,16 +12,13 @@
 using namespace gpuwmm;
 using namespace gpuwmm::sim;
 
-Scheduler::Scratch::Scratch() = default;
-Scheduler::Scratch::~Scratch() = default;
-
 void Scheduler::Scratch::clear() {
-  Threads.clear(); // Destroys the kernel coroutines.
-  Contexts.clear();
+  Threads.clear();
   Blocks.clear();
   for (std::vector<Warp> &Ws : SMWarps)
     Ws.clear();
   SMRotor.clear();
+  BlockToSM.clear();
   TicketWaiters.clear();
 }
 
@@ -31,51 +30,59 @@ Scheduler::Scheduler(const ChipProfile &Chip, MemorySystem &Mem, Rng &R,
 
 Scheduler::~Scheduler() { S.clear(); }
 
-void Scheduler::launch(const LaunchConfig &LC, const KernelFn &Fn) {
+void Scheduler::launch(const BatchProgram &Prog, Word *RegFile) {
   assert(S.Threads.empty() && "scheduler already launched");
-  Launch = LC;
-  const unsigned NumThreads = LC.totalThreads();
+  const unsigned GridDim = Prog.GridDim, BlockDim = Prog.BlockDim;
+  const unsigned NumThreads = GridDim * BlockDim;
+  GPUWMM_CHECK(NumThreads != 0 && Prog.Lanes.size() == NumThreads,
+               "batch program lane table does not match its launch shape");
+  BP = &Prog;
+  Regs = RegFile;
   Mem.registerThreads(NumThreads);
   S.Threads.resize(NumThreads);
-  S.Contexts.reserve(NumThreads); // Reserve first: addresses must be stable.
-  S.Blocks.assign(LC.GridDim, BlockState{});
+  S.Blocks.assign(GridDim, BlockState{});
+  // Capacity for the worst case (every warp on one SM, every thread on a
+  // ticket), so random placement never grows a list mid-stream.
+  const unsigned NumWarps = GridDim * ((BlockDim + WarpSize - 1) / WarpSize);
   if (S.SMWarps.size() < Chip.NumSMs)
     S.SMWarps.resize(Chip.NumSMs);
-  for (std::vector<Warp> &Ws : S.SMWarps)
+  for (std::vector<Warp> &Ws : S.SMWarps) {
     Ws.clear();
+    Ws.reserve(NumWarps);
+  }
+  S.TicketWaiters.reserve(NumThreads);
   S.SMRotor.assign(Chip.NumSMs, 0);
 
   // Block placement: deterministic round-robin natively; random placement
   // under thread randomisation (blocks move as units, so block membership
   // is honoured).
-  std::vector<unsigned> BlockToSM(LC.GridDim);
-  for (unsigned B = 0; B != LC.GridDim; ++B)
-    BlockToSM[B] = B % Chip.NumSMs;
+  S.BlockToSM.resize(GridDim);
+  for (unsigned B = 0; B != GridDim; ++B)
+    S.BlockToSM[B] = B % Chip.NumSMs;
   if (Config.RandomiseThreads)
-    for (unsigned B = 0; B != LC.GridDim; ++B)
-      BlockToSM[B] = static_cast<unsigned>(R.below(Chip.NumSMs));
+    for (unsigned B = 0; B != GridDim; ++B)
+      S.BlockToSM[B] = static_cast<unsigned>(R.below(Chip.NumSMs));
 
-  for (unsigned B = 0; B != LC.GridDim; ++B) {
+  for (unsigned B = 0; B != GridDim; ++B) {
     BlockState &BS = S.Blocks[B];
-    BS.FirstTid = B * LC.BlockDim;
-    BS.NumThreads = LC.BlockDim;
-    BS.Live = LC.BlockDim;
+    BS.FirstTid = B * BlockDim;
+    BS.NumThreads = BlockDim;
+    BS.Live = BlockDim;
 
     // Warps never straddle blocks (CUDA guarantees this).
-    for (unsigned W = 0; W * WarpSize < LC.BlockDim; ++W) {
+    for (unsigned W = 0; W * WarpSize < BlockDim; ++W) {
       Warp Wp;
       Wp.FirstTid = BS.FirstTid + W * WarpSize;
-      Wp.NumThreads = std::min(WarpSize, LC.BlockDim - W * WarpSize);
-      S.SMWarps[BlockToSM[B]].push_back(Wp);
+      Wp.NumThreads = std::min(WarpSize, BlockDim - W * WarpSize);
+      S.SMWarps[S.BlockToSM[B]].push_back(Wp);
     }
 
-    for (unsigned L = 0; L != LC.BlockDim; ++L) {
+    for (unsigned L = 0; L != BlockDim; ++L) {
       const unsigned Tid = BS.FirstTid + L;
-      S.Contexts.emplace_back(*this, Tid, B, L, LC);
       SimThread &T = S.Threads[Tid];
+      T = SimThread();
       T.Block = B;
-      T.Coro = Fn(S.Contexts.back());
-      assert(T.Coro.valid() && "kernel factory returned an invalid kernel");
+      T.PC = Prog.Lanes[Tid].Begin;
     }
   }
   Live = NumThreads;
@@ -96,25 +103,46 @@ void Scheduler::sleep(SimThread &T, unsigned Latency) {
   T.WakeTick = Now + std::max(1u, Latency);
 }
 
+void Scheduler::bindResult(SimThread &T) {
+  using Code = BatchOp::Code;
+  const BatchOp &O = BP->Ops[T.PC - 1];
+  switch (O.C) {
+  case Code::Load:
+  case Code::LoadIdx:
+  case Code::AsyncLoad:
+  case Code::AwaitLoad:
+  case Code::AtomicAddReg:
+  case Code::AtomicCas:
+  case Code::AtomicCasIdx:
+    Regs[O.Slot] = T.RetVal;
+    break;
+  case Code::LoadAcc:
+  case Code::LoadAccIdx:
+    Regs[O.Slot] += T.RetVal;
+    break;
+  case Code::LoadMulAcc:
+    Regs[O.Slot] += Regs[O.Slot2] * T.RetVal;
+    break;
+  default: // No result.
+    break;
+  }
+}
+
 void Scheduler::resumeThread(unsigned Tid) {
+  using Code = BatchOp::Code;
   SimThread &T = S.Threads[Tid];
   assert(threadEligible(T) && "resuming an ineligible thread");
-  // A pending inserted fence executes as its own instruction before the
-  // kernel proceeds: first the fence's round-trip latency elapses, then
-  // its drain takes effect.
-  if (T.PendingFenceStage == 1) {
-    T.PendingFenceStage = 2;
-    sleep(T, Chip.FenceBaseLatency);
-    return;
+  if (T.Bind) {
+    bindResult(T);
+    T.Bind = false;
   }
-  if (T.PendingFenceStage == 2) {
-    T.PendingFenceStage = 0;
-    sleep(T, Mem.fenceDevice(Tid));
-    return;
-  }
-  T.State = ThreadState::Running;
-  T.Coro.resume();
-  if (T.Coro.done()) {
+  // Free ops: the lane's register arithmetic and control flow up to its
+  // next suspending op.
+  const BatchOp *const Ops = BP->Ops.data();
+  const uint32_t End = BP->Lanes[Tid].End;
+  while (T.PC != End && Ops[T.PC].C >= Code::MovImm)
+    T.PC = runFreeOp(Ops[T.PC], Regs, BP->Steps.data(), T.PC);
+  if (T.PC == End) {
     T.State = ThreadState::Done;
     --Live;
     BlockState &BS = S.Blocks[T.Block];
@@ -129,17 +157,108 @@ void Scheduler::resumeThread(unsigned Tid) {
     // boundary (end of run) performs the full drain.
     return;
   }
-  assert(T.State != ThreadState::Running &&
-         "kernel step must end in an awaited operation");
+
+  // One suspending op: its memory effect now, its result at the next
+  // resume.
+  const BatchOp &O = Ops[T.PC++];
+  T.Bind = true;
+  const unsigned B = T.Block;
+  switch (O.C) {
+  case Code::Jitter:
+    sleep(T, 1 + static_cast<unsigned>(R.below(O.Imm)));
+    break;
+  case Code::Store:
+    Mem.store(Tid, B, O.A, O.Imm);
+    sleep(T, 1);
+    break;
+  case Code::WbStore:
+    Mem.store(Tid, B, O.A, Regs[O.Slot] + O.Imm);
+    sleep(T, 1);
+    break;
+  case Code::StoreIdx:
+    Mem.store(Tid, B, O.A + Regs[O.Slot2], O.Imm);
+    sleep(T, 1);
+    break;
+  case Code::WbStoreIdx:
+    Mem.store(Tid, B, O.A + Regs[O.Slot2], Regs[O.Slot] + O.Imm);
+    sleep(T, 1);
+    break;
+  case Code::Load:
+  case Code::LoadAcc:
+  case Code::LoadMulAcc:
+    T.RetVal = Mem.load(Tid, B, O.A);
+    sleep(T, 1);
+    break;
+  case Code::LoadIdx:
+  case Code::LoadAccIdx:
+    T.RetVal = Mem.load(Tid, B, O.A + Regs[O.Slot2]);
+    sleep(T, 1);
+    break;
+  case Code::AsyncLoad:
+    T.RetVal = Mem.issueAsyncLoad(Tid, O.A);
+    sleep(T, 1);
+    break;
+  case Code::AwaitLoad: {
+    const unsigned Ticket = static_cast<unsigned>(Regs[O.Slot]);
+    if (Mem.asyncDone(Ticket)) {
+      T.RetVal = Mem.asyncValue(Ticket);
+      sleep(T, 1);
+      break;
+    }
+    // Parked: the wake loop delivers the value.
+    T.State = ThreadState::OnTicket;
+    T.Ticket = Ticket;
+    S.TicketWaiters.push_back(Tid);
+    break;
+  }
+  case Code::AtomicAdd:
+  case Code::AtomicAddReg:
+    T.RetVal = Mem.atomicAdd(Tid, O.A, O.Imm);
+    sleep(T, Chip.AtomicLatency);
+    break;
+  case Code::AtomicAddIdx:
+    T.RetVal = Mem.atomicAdd(Tid, O.A + Regs[O.Slot2], O.Imm);
+    sleep(T, Chip.AtomicLatency);
+    break;
+  case Code::AtomicCas:
+    T.RetVal = Mem.atomicCAS(Tid, O.A, Regs[O.Slot], O.Imm);
+    sleep(T, Chip.AtomicLatency);
+    break;
+  case Code::AtomicCasIdx:
+    T.RetVal = Mem.atomicCAS(Tid, O.A + Regs[O.Slot2], Regs[O.Slot], O.Imm);
+    sleep(T, Chip.AtomicLatency);
+    break;
+  case Code::AtomicExch:
+    T.RetVal = Mem.atomicExch(Tid, O.A, O.Imm);
+    sleep(T, Chip.AtomicLatency);
+    break;
+  case Code::AtomicExchIdx:
+    T.RetVal = Mem.atomicExch(Tid, O.A + Regs[O.Slot2], O.Imm);
+    sleep(T, Chip.AtomicLatency);
+    break;
+  case Code::FenceDevice:
+    sleep(T, Mem.fenceDevice(Tid));
+    break;
+  case Code::Sleep:
+    sleep(T, O.Imm);
+    break;
+  case Code::SleepRand:
+    sleep(T, O.A + static_cast<unsigned>(R.below(O.Imm)));
+    break;
+  case Code::Barrier:
+    arriveAtBarrier(Tid);
+    break;
+  default:
+    GPUWMM_CHECK(false, "free op in suspending-op dispatch");
+  }
 }
 
 RunResult Scheduler::run() {
   RunResult Result;
   while (Live > 0) {
     ++Now;
-    if (DivergenceFlag || FaultFlag) {
-      Result.Status = DivergenceFlag ? RunStatus::BarrierDivergence
-                                     : RunStatus::KernelFault;
+    if (DivergenceFlag) {
+      Result.Status = RunStatus::BarrierDivergence;
       break;
     }
     if (Now > Config.MaxTicks) {
@@ -220,79 +339,10 @@ RunResult Scheduler::run() {
 }
 
 //===----------------------------------------------------------------------===//
-// Thread operations
+// Barriers
 //===----------------------------------------------------------------------===//
 
-void Scheduler::armPolicyFence(SimThread &T, int Site) {
-  if (!Policy || !Policy->fenceAfter(Site))
-    return;
-  T.PendingFenceStage = 1;
-}
-
-void Scheduler::opStore(unsigned Tid, Addr A, Word V, int Site) {
-  SimThread &T = S.Threads[Tid];
-  Mem.store(Tid, T.Block, A, V);
-  sleep(T, 1);
-  armPolicyFence(T, Site);
-}
-
-void Scheduler::opLoad(unsigned Tid, Addr A, int Site) {
-  SimThread &T = S.Threads[Tid];
-  T.RetVal = Mem.load(Tid, T.Block, A);
-  sleep(T, 1);
-  armPolicyFence(T, Site);
-}
-
-void Scheduler::opAtomicCAS(unsigned Tid, Addr A, Word Cmp, Word Val,
-                            int Site) {
-  SimThread &T = S.Threads[Tid];
-  T.RetVal = Mem.atomicCAS(Tid, A, Cmp, Val);
-  sleep(T, Chip.AtomicLatency);
-  armPolicyFence(T, Site);
-}
-
-void Scheduler::opAtomicExch(unsigned Tid, Addr A, Word Val, int Site) {
-  SimThread &T = S.Threads[Tid];
-  T.RetVal = Mem.atomicExch(Tid, A, Val);
-  sleep(T, Chip.AtomicLatency);
-  armPolicyFence(T, Site);
-}
-
-void Scheduler::opAtomicAdd(unsigned Tid, Addr A, Word Val, int Site) {
-  SimThread &T = S.Threads[Tid];
-  T.RetVal = Mem.atomicAdd(Tid, A, Val);
-  sleep(T, Chip.AtomicLatency);
-  armPolicyFence(T, Site);
-}
-
-void Scheduler::opFenceDevice(unsigned Tid) {
-  sleep(S.Threads[Tid], Mem.fenceDevice(Tid));
-}
-
-void Scheduler::opFenceBlock(unsigned Tid) {
-  SimThread &T = S.Threads[Tid];
-  sleep(T, Mem.fenceBlock(Tid, T.Block));
-}
-
-void Scheduler::opAsyncIssue(unsigned Tid, Addr A) {
-  SimThread &T = S.Threads[Tid];
-  T.RetVal = Mem.issueAsyncLoad(Tid, A);
-  sleep(T, 1);
-}
-
-void Scheduler::opAsyncWait(unsigned Tid, unsigned Ticket) {
-  SimThread &T = S.Threads[Tid];
-  if (Mem.asyncDone(Ticket)) {
-    T.RetVal = Mem.asyncValue(Ticket);
-    sleep(T, 1);
-    return;
-  }
-  T.State = ThreadState::OnTicket;
-  T.Ticket = Ticket;
-  S.TicketWaiters.push_back(Tid);
-}
-
-void Scheduler::opBarrier(unsigned Tid) {
+void Scheduler::arriveAtBarrier(unsigned Tid) {
   SimThread &T = S.Threads[Tid];
   BlockState &BS = S.Blocks[T.Block];
   T.State = ThreadState::AtBarrier;
@@ -322,14 +372,3 @@ void Scheduler::releaseBarrier(unsigned Block) {
   }
   BS.AtBarrier = 0;
 }
-
-void Scheduler::opYield(unsigned Tid, unsigned Ticks) {
-  sleep(S.Threads[Tid], std::max(1u, Ticks));
-}
-
-void Scheduler::opFault(unsigned Tid) {
-  (void)Tid;
-  FaultFlag = true;
-}
-
-Word Scheduler::retVal(unsigned Tid) const { return S.Threads[Tid].RetVal; }

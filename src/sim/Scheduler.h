@@ -6,26 +6,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The SIMT scheduler: owns the simulated threads of one kernel launch,
-/// groups them into warps and blocks, places blocks onto SMs, and advances
-/// execution tick by tick. Implements CUDA barriers (with divergence
-/// detection), per-site fence policies, and the thread-randomisation
+/// The SIMT scheduler, the reference engine (--engine=scalar): it runs one
+/// launch of a compiled program (sim/BatchExec.h), groups the launched
+/// threads into warps and blocks, places blocks onto SMs, and advances
+/// execution tick by tick over every SM. Each thread steps its lane's op
+/// range with a program counter: a resume binds the previous suspending
+/// op's result to its register, runs the free ops up to the next
+/// suspending op and issues that one against the memory system. Implements
+/// CUDA barriers (with divergence detection) and the thread-randomisation
 /// heuristic of the paper's Sec. 3.5 (permuted block placement plus warp
 /// scheduling jitter, always honouring warp and block membership).
 ///
 /// The scheduler's launch-lifetime containers live in a Scheduler::Scratch
 /// that can be supplied by an ExecutionContext: the scheduler clears it
 /// (capacity preserved) when it finishes, so back-to-back launches on a
-/// reused context allocate nothing beyond the coroutine frames themselves
-/// (DESIGN.md Sec. 12).
+/// reused context allocate nothing (DESIGN.md Sec. 12).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPUWMM_SIM_SCHEDULER_H
 #define GPUWMM_SIM_SCHEDULER_H
 
-#include "sim/FencePolicy.h"
-#include "sim/Kernel.h"
+#include "sim/BatchExec.h"
 #include "sim/MemorySystem.h"
 #include "sim/Types.h"
 #include "support/Rng.h"
@@ -36,18 +38,15 @@
 namespace gpuwmm {
 namespace sim {
 
-class ThreadContext;
-
 /// Execution state of one simulated thread.
 enum class ThreadState {
   Sleeping,  ///< Eligible to run once WakeTick is reached.
-  Running,   ///< Currently inside a resume (transient).
   AtBarrier, ///< Parked at __syncthreads.
   OnTicket,  ///< Parked awaiting an async-load completion.
-  Done       ///< Coroutine finished.
+  Done       ///< Reached the end of its op range.
 };
 
-/// Executes one kernel launch to completion.
+/// Executes one program launch to completion.
 class Scheduler {
 public:
   /// The scheduler's launch-lifetime containers, recyclable across
@@ -55,25 +54,17 @@ public:
   /// them (capacity preserved) in its destructor; contents are internal
   /// to the scheduler.
   struct Scratch {
-    // Out-of-line special members: Contexts holds the (here incomplete)
-    // ThreadContext type, so instantiation must happen in Scheduler.cpp.
-    Scratch();
-    ~Scratch();
-    Scratch(const Scratch &) = delete;
-    Scratch &operator=(const Scratch &) = delete;
-
     struct SimThread {
-      Kernel Coro;
       ThreadState State = ThreadState::Sleeping;
       uint64_t WakeTick = 0;
+      uint32_t PC = 0; ///< Next op of the lane's range.
       unsigned Ticket = 0;
+      /// The last suspending op's result, bound to its register when the
+      /// thread next resumes.
       Word RetVal = 0;
+      /// Ops[PC - 1] is a suspending op whose result is still to bind.
+      bool Bind = false;
       unsigned Block = 0;
-      /// Inserted-fence micro-sequencer: a policy fence is a separate
-      /// instruction after the access, so its drain lands FenceBaseLatency
-      /// ticks later — leaving the genuine reordering window a trailing
-      /// fence cannot close (e.g. after an unlock).
-      unsigned PendingFenceStage = 0;
     };
 
     struct Warp {
@@ -89,15 +80,13 @@ public:
     };
 
     std::vector<SimThread> Threads;
-    /// Stable for a launch: reserved to the thread count before any
-    /// element is created, so coroutines may hold references into it.
-    std::vector<ThreadContext> Contexts;
     std::vector<BlockState> Blocks;
     std::vector<std::vector<Warp>> SMWarps; ///< Warps resident on each SM.
     std::vector<unsigned> SMRotor;          ///< Round-robin start per SM.
+    std::vector<unsigned> BlockToSM;
     std::vector<unsigned> TicketWaiters;
 
-    /// Destroys launch state (coroutines included), keeping capacity.
+    /// Destroys launch state, keeping capacity.
     void clear();
   };
 
@@ -110,33 +99,14 @@ public:
   Scheduler(const Scheduler &) = delete;
   Scheduler &operator=(const Scheduler &) = delete;
 
-  /// Creates the grid's threads and their coroutines.
-  void launch(const LaunchConfig &LC, const KernelFn &Fn);
+  /// Creates the grid's threads, each with its PC at the start of its
+  /// lane's op range. \p BP and \p Regs (BP.NumSlots words, shared by all
+  /// lanes) must outlive run().
+  void launch(const BatchProgram &BP, Word *Regs);
 
-  /// Installs the per-site fence policy (not owned; may be null).
-  void setFencePolicy(const FencePolicy *P) { Policy = P; }
-
-  /// Runs the launched grid to completion (or fault/timeout).
+  /// Runs the launched grid to completion (or divergence, deadlock or
+  /// timeout).
   RunResult run();
-
-  // --- Operations invoked by ThreadContext ---------------------------------
-
-  void opStore(unsigned Tid, Addr A, Word V, int Site);
-  void opLoad(unsigned Tid, Addr A, int Site);
-  void opAtomicCAS(unsigned Tid, Addr A, Word Cmp, Word Val, int Site);
-  void opAtomicExch(unsigned Tid, Addr A, Word Val, int Site);
-  void opAtomicAdd(unsigned Tid, Addr A, Word Val, int Site);
-  void opFenceDevice(unsigned Tid);
-  void opFenceBlock(unsigned Tid);
-  void opAsyncIssue(unsigned Tid, Addr A);
-  void opAsyncWait(unsigned Tid, unsigned Ticket);
-  void opBarrier(unsigned Tid);
-  void opYield(unsigned Tid, unsigned Ticks);
-  void opFault(unsigned Tid);
-
-  Word retVal(unsigned Tid) const;
-  Rng &rng() { return R; }
-  uint64_t now() const { return Now; }
 
 private:
   using SimThread = Scratch::SimThread;
@@ -146,10 +116,11 @@ private:
   /// Puts \p T to sleep for \p Latency ticks.
   void sleep(SimThread &T, unsigned Latency);
 
-  /// Arms the delayed policy fence after an access at \p Site.
-  void armPolicyFence(SimThread &T, int Site);
+  /// Writes the result of the suspending op before T.PC to its register.
+  void bindResult(SimThread &T);
 
   void resumeThread(unsigned Tid);
+  void arriveAtBarrier(unsigned Tid);
   void releaseBarrier(unsigned Block);
   bool threadEligible(const SimThread &T) const;
 
@@ -158,15 +129,13 @@ private:
   Rng &R;
   SchedulerConfig Config;
 
-  const FencePolicy *Policy = nullptr;
-
   std::unique_ptr<Scratch> OwnedScratch; ///< Engaged when none was passed.
   Scratch &S;
 
-  LaunchConfig Launch;
+  const BatchProgram *BP = nullptr;
+  Word *Regs = nullptr;
   uint64_t Now = 0;
   unsigned Live = 0;
-  bool FaultFlag = false;
   bool DivergenceFlag = false;
 };
 

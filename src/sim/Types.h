@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Basic types shared by the GPU simulator: words, addresses, launch
-/// configurations and run statistics.
+/// Basic types shared by the GPU simulator: words, addresses, scheduling
+/// options and run statistics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,15 +26,6 @@ using Addr = uint32_t;
 
 /// Number of threads in a warp (as in CUDA).
 inline constexpr unsigned WarpSize = 32;
-
-/// A one-dimensional kernel launch: GridDim blocks of BlockDim threads.
-/// (All case studies in the paper use 1-D launches.)
-struct LaunchConfig {
-  unsigned GridDim = 1;
-  unsigned BlockDim = WarpSize;
-
-  unsigned totalThreads() const { return GridDim * BlockDim; }
-};
 
 /// Scheduler/launch options, shared by both engines.
 struct SchedulerConfig {
@@ -67,8 +58,7 @@ enum class RunStatus {
   Completed,        ///< All threads ran to completion.
   Timeout,          ///< Tick budget exceeded (cf. the paper's 30s timeout).
   BarrierDivergence,///< Barrier executed under divergence (UB in CUDA).
-  Deadlock,         ///< No thread could ever make progress again.
-  KernelFault       ///< A kernel signalled an internal invariant violation.
+  Deadlock          ///< No thread could ever make progress again.
 };
 
 /// Result of one kernel execution.

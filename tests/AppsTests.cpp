@@ -236,7 +236,7 @@ std::vector<AppVerdict> runVerdicts(AppKind K, const sim::ChipProfile &Chip,
   return V;
 }
 
-/// The coroutine reference (--engine=scalar).
+/// The reference engine (--engine=scalar).
 std::vector<AppVerdict> scalarVerdicts(AppKind K,
                                        const sim::ChipProfile &Chip,
                                        const stress::Environment &Env,
@@ -265,7 +265,7 @@ TEST_P(AppBatchIdentity, MatchesScalarAcrossEnvironments) {
         std::count(Scalar.begin(), Scalar.end(), AppVerdict::Timeout));
   }
   // tpo-tm's livelocks are where the compiled engine stops a run early
-  // (a provable timeout); the coroutine reference never does, so the grid
+  // (a provable timeout); the reference engine never does, so the grid
   // must hold some for the comparison to cover that path.
   if (GetParam() == AppKind::TpoTm) {
     EXPECT_GT(Timeouts, 0u);
@@ -338,7 +338,7 @@ TEST_P(AppBatchIdentity, ChipRebindingInterleavings) {
 
 TEST_P(AppBatchIdentity, TracedContextsFallBackToScalar) {
   // Tracing never picks the engine: a traced context falls back to the
-  // coroutine engine only under --engine=scalar, and otherwise runs the
+  // reference engine only under --engine=scalar, and otherwise runs the
   // compiled plan — with the same verdicts and the same event stream.
   const auto Seeds = forkSeeds(5050, 6);
   const auto Tuned = stress::TunedStressParams::paperDefaults(titan());

@@ -5,7 +5,7 @@
 //
 // The compiled litmus engine's determinism contract (DESIGN.md Sec. 17):
 // LitmusRunner::countWeak on the compiled engine must be bit-identical,
-// run for run, to a runOnce loop on the coroutine reference engine
+// run for run, to a runOnce loop on the reference engine
 // (--engine=scalar) at the same derived seed streams — for every option
 // combination, fresh and reused contexts, and under host-level
 // parallelism. These property tests pin that contract over the full
@@ -502,7 +502,7 @@ TEST(BatchOpSemantics, BarrierSynchronisesBlockStores) {
 TEST(BatchOpSemantics, BarrierDivergenceIsDetected) {
   // One lane parks at a barrier its sibling never reaches (the sibling
   // sleeps and completes). CUDA calls this UB; the engine classifies it
-  // as BarrierDivergence exactly as the coroutine scheduler does.
+  // as BarrierDivergence exactly as the reference engine does.
   using Code = sim::BatchOp::Code;
   sim::ExecutionContext Ctx;
   Ctx.reset(titan(), 19);

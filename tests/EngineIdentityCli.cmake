@@ -1,7 +1,6 @@
 # CLI engine identity, run as CTest scripts: the same command under
-# --engine=scalar (the reference interpretation of the compiled op stream
-# on the coroutine scheduler) and the compiled engine must print the same
-# bytes.
+# --engine=scalar (the reference engine stepping the compiled op stream)
+# and the compiled engine must print the same bytes.
 #
 #  * SUITE=litmus_fuzz (cli.engine_identity_litmus_fuzz): `litmus
 #    --explain --stress` for MP, SB, LB, IRIW and WRC, and `fuzz
@@ -13,7 +12,7 @@
 #    field is masked. tpo-tm's sys-str+ cell holds
 #    livelocked runs, which the compiled engine ends early as provable
 #    timeouts when unchecked and runs to the budget when checked; the
-#    coroutine engine always runs them to the budget.
+#    reference engine always runs them to the budget.
 #
 # Inputs: GPUWMM_BIN (the gpuwmm binary), SUITE, and for SUITE=apps
 # WORK_DIR (a scratch directory for the reports).

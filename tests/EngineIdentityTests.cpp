@@ -5,7 +5,7 @@
 //
 // The compiled op-stream engine serves every run of a lowerable program,
 // traced and oracle-checked runs included, so it must be indistinguishable
-// from the coroutine reference engine (--engine=scalar) not only in its
+// from the reference engine (--engine=scalar) not only in its
 // verdicts but in the memory events it emits: the same TraceEvent
 // sequence, every field including the tick, for
 //
@@ -17,11 +17,11 @@
 //  * every lowered application kernel under all eight environments, with
 //    no inserted fences and with one single-site fence policy.
 //
-// The reference is sim::runProgram's interpretation of the very op stream
-// the compiled engine walks, so these tests check runBatchProgram against
-// the coroutine scheduler directly; the lowerings themselves are pinned by
-// the litmus, fuzz, campaign and cost goldens and, fence site by fence
-// site, by the app event-stream digests below. The barrier release is the
+// The reference engine steps the very op stream the compiled engine
+// walks, so these tests check runBatchProgram against the Scheduler
+// directly; the lowerings themselves are pinned by the litmus, fuzz,
+// campaign and cost goldens and, fence site by fence site, by the app
+// event-stream digests below. The barrier release is the
 // one event the engines emit themselves (everything else comes from the
 // shared MemorySystem), so the app grid is what pins runBatchProgram's
 // BarrierRelease against the scheduler's.

@@ -4,8 +4,8 @@
 // Weak Memory in GPU Applications" (Sorensen & Donaldson, PLDI 2016).
 //
 // Every per-run entry point picks its engine from the process-wide
-// --engine mode alone, so tests reach the coroutine reference engine by
-// switching the mode for a scope.
+// --engine mode alone, so tests reach the reference engine (the
+// Scheduler) by switching the mode for a scope.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +13,8 @@
 #define GPUWMM_TESTS_ENGINEMODEGUARD_H
 
 #include "sim/BatchExec.h"
+
+#include "gtest/gtest.h"
 
 namespace gpuwmm {
 
@@ -30,6 +32,16 @@ public:
 private:
   sim::EngineMode Saved;
 };
+
+/// Runs \p Body once on each engine, the reference engine first.
+template <typename Fn> void onBothEngines(Fn Body) {
+  for (const sim::EngineMode M :
+       {sim::EngineMode::Scalar, sim::EngineMode::Auto}) {
+    SCOPED_TRACE(sim::engineModeName(M));
+    EngineModeGuard Guard(M);
+    Body();
+  }
+}
 
 } // namespace gpuwmm
 

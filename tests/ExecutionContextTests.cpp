@@ -13,13 +13,13 @@
 
 #include "sim/ExecutionContext.h"
 
+#include "EngineModeGuard.h"
 #include "apps/Application.h"
 #include "fuzz/ProgramFuzzer.h"
 #include "harden/FenceInsertion.h"
 #include "harness/EnvironmentRunner.h"
 #include "litmus/Litmus.h"
 #include "sim/Device.h"
-#include "sim/ThreadContext.h"
 
 #include "gtest/gtest.h"
 
@@ -53,21 +53,34 @@ struct ProbeResult {
   }
 };
 
-Kernel probeKernel(ThreadContext &Ctx, Addr Data, Addr Flags, Addr Out) {
-  const unsigned Id = Ctx.globalId();
-  co_await Ctx.yield(1 + static_cast<unsigned>(Ctx.rand(8)));
-  // Cross-bank stores (Data is patch-spread), then an atomic handshake.
-  co_await Ctx.st(Data + Id * 64, Id + 1);
-  co_await Ctx.atomicAdd(Flags, 1);
-  if (Id % 2 == 0)
-    co_await Ctx.fence();
-  else
-    co_await Ctx.fenceBlock();
-  const Word Ticket = co_await Ctx.ldAsync(Data);
-  co_await Ctx.syncthreads();
-  const Word V = co_await Ctx.awaitLoad(Ticket);
-  const Word F = co_await Ctx.ld(Flags);
-  co_await Ctx.st(Out + Id, V + F);
+/// The probe kernel: every thread jitters its start, stores across banks
+/// (Data is patch-spread), joins an atomic handshake, then device-fences
+/// (even threads) or goes straight to a split-phase load of Data[0] and the
+/// barrier (odd threads: the barrier's release block-fences them), awaits
+/// the load, reads the handshake counter and stores the sum.
+BatchProgram probePlan(Addr Data, Addr Flags, Addr Out) {
+  using Code = BatchOp::Code;
+  BatchProgram BP;
+  BP.GridDim = 2;
+  BP.BlockDim = 4;
+  for (uint16_t Id = 0; Id != 8; ++Id) {
+    const uint16_t RV = 3 * Id, RF = RV + 1, RSum = RV + 2;
+    const uint32_t Begin = static_cast<uint32_t>(BP.Ops.size());
+    BP.Ops.push_back({Code::Jitter, 0, 0, 0, 8});
+    BP.Ops.push_back({Code::Store, 0, 0, Data + Id * 64u, Id + 1u});
+    BP.Ops.push_back({Code::AtomicAdd, 0, 0, Flags, 1});
+    if (Id % 2 == 0)
+      BP.Ops.push_back({Code::FenceDevice});
+    BP.Ops.push_back({Code::AsyncLoad, RV, 0, Data, 0});
+    BP.Ops.push_back({Code::Barrier});
+    BP.Ops.push_back({Code::AwaitLoad, RV, 0, 0, 0});
+    BP.Ops.push_back({Code::Load, RF, 0, Flags, 0});
+    BP.Ops.push_back({Code::AddRR, RSum, RV, RF, 0});
+    BP.Ops.push_back({Code::WbStore, RSum, 0, Out + Id, 0});
+    BP.Lanes.push_back({Begin, static_cast<uint32_t>(BP.Ops.size())});
+  }
+  BP.NumSlots = 3 * 8;
+  return BP;
 }
 
 ProbeResult runProbe(Device &Dev) {
@@ -75,11 +88,7 @@ ProbeResult runProbe(Device &Dev) {
   const Addr Flags = Dev.alloc(1);
   const Addr Out = Dev.alloc(8);
   Dev.write(Data, 7);
-  const RunResult R =
-      Dev.run({/*GridDim=*/2, /*BlockDim=*/4},
-              [=](ThreadContext &Ctx) -> Kernel {
-                return probeKernel(Ctx, Data, Flags, Out);
-              });
+  const RunResult R = Dev.run(probePlan(Data, Flags, Out));
   EXPECT_TRUE(R.completed());
   ProbeResult P;
   for (Addr A = 0; A != Dev.memory().allocatedWords(); ++A)
@@ -97,73 +106,81 @@ ProbeResult runProbe(Device &Dev) {
 
 TEST(ExecutionContext, ReusedContextReproducesFreshRun) {
   // Fresh reference.
-  ExecutionContext Fresh;
-  Device FreshDev(Fresh, titan(), /*Seed=*/123);
-  const ProbeResult Expected = runProbe(FreshDev);
+  onBothEngines([] {
+    ExecutionContext Fresh;
+    Device FreshDev(Fresh, titan(), /*Seed=*/123);
+    const ProbeResult Expected = runProbe(FreshDev);
 
-  // Same run on a context dirtied by a different prior workload.
-  ExecutionContext Reused;
-  {
-    Device Warmup(Reused, titan(), /*Seed=*/999);
-    runProbe(Warmup);
-  }
-  Device ReusedDev(Reused, titan(), /*Seed=*/123);
-  EXPECT_EQ(runProbe(ReusedDev), Expected);
+    // Same run on a context dirtied by a different prior workload.
+    ExecutionContext Reused;
+    {
+      Device Warmup(Reused, titan(), /*Seed=*/999);
+      runProbe(Warmup);
+    }
+    Device ReusedDev(Reused, titan(), /*Seed=*/123);
+    EXPECT_EQ(runProbe(ReusedDev), Expected);
+  });
 }
 
 TEST(ExecutionContext, ResetClearsEverything) {
-  ExecutionContext Ctx;
-  {
-    Device Dev(Ctx, titan(), /*Seed=*/5);
-    runProbe(Dev);
-    EXPECT_GT(Ctx.memory().allocatedWords(), 0u);
-    EXPECT_GT(Ctx.memory().stats().Stores, 0u);
-  }
-  Ctx.reset(titan(), /*Seed=*/5);
-  EXPECT_EQ(Ctx.memory().allocatedWords(), 0u);
-  EXPECT_EQ(Ctx.memory().stats().Stores, 0u);
-  EXPECT_EQ(Ctx.memory().stats().Loads, 0u);
-  EXPECT_FALSE(Ctx.memory().hasPendingWork());
-  // Every word the previous run wrote reads back zero after reallocation.
-  const Addr A = Ctx.memory().alloc(8 * 64 + 9);
-  for (Addr W = A; W != A + 8 * 64 + 9; ++W)
-    EXPECT_EQ(Ctx.memory().hostRead(W), 0u) << "word " << W;
+  onBothEngines([] {
+    ExecutionContext Ctx;
+    {
+      Device Dev(Ctx, titan(), /*Seed=*/5);
+      runProbe(Dev);
+      EXPECT_GT(Ctx.memory().allocatedWords(), 0u);
+      EXPECT_GT(Ctx.memory().stats().Stores, 0u);
+    }
+    Ctx.reset(titan(), /*Seed=*/5);
+    EXPECT_EQ(Ctx.memory().allocatedWords(), 0u);
+    EXPECT_EQ(Ctx.memory().stats().Stores, 0u);
+    EXPECT_EQ(Ctx.memory().stats().Loads, 0u);
+    EXPECT_FALSE(Ctx.memory().hasPendingWork());
+    // Every word the previous run wrote reads back zero after reallocation.
+    const Addr A = Ctx.memory().alloc(8 * 64 + 9);
+    for (Addr W = A; W != A + 8 * 64 + 9; ++W)
+      EXPECT_EQ(Ctx.memory().hostRead(W), 0u) << "word " << W;
+  });
 }
 
 TEST(ExecutionContext, RunAResetRunBEqualsFreshB) {
   // The reset-clears-everything property, end to end: run A, reset, run B
   // must equal B run on a fresh context — for several (A, B) seed pairs.
-  for (uint64_t SeedA : {1ULL, 77ULL, 1234567ULL}) {
-    for (uint64_t SeedB : {2ULL, 99ULL}) {
-      ExecutionContext CtxFresh;
-      Device DevFresh(CtxFresh, titan(), SeedB);
-      const ProbeResult Expected = runProbe(DevFresh);
+  onBothEngines([] {
+    for (uint64_t SeedA : {1ULL, 77ULL, 1234567ULL}) {
+      for (uint64_t SeedB : {2ULL, 99ULL}) {
+        ExecutionContext CtxFresh;
+        Device DevFresh(CtxFresh, titan(), SeedB);
+        const ProbeResult Expected = runProbe(DevFresh);
 
-      ExecutionContext CtxReused;
-      {
-        Device DevA(CtxReused, titan(), SeedA);
-        runProbe(DevA);
+        ExecutionContext CtxReused;
+        {
+          Device DevA(CtxReused, titan(), SeedA);
+          runProbe(DevA);
+        }
+        Device DevB(CtxReused, titan(), SeedB);
+        EXPECT_EQ(runProbe(DevB), Expected)
+            << "A-seed " << SeedA << ", B-seed " << SeedB;
       }
-      Device DevB(CtxReused, titan(), SeedB);
-      EXPECT_EQ(runProbe(DevB), Expected)
-          << "A-seed " << SeedA << ", B-seed " << SeedB;
     }
-  }
+  });
 }
 
 TEST(ExecutionContext, ChipRebindingDoesNotLeakState) {
   // titan (64-word patches, Kepler) and 980 (Maxwell) disagree on every
   // model parameter; interleave them on one context and compare each run
   // to a fresh-context reference.
-  ExecutionContext Reused;
-  for (const ChipProfile *Chip :
-       {&titan(), &gtx980(), &titan(), &gtx980()}) {
-    ExecutionContext Fresh;
-    Device FreshDev(Fresh, *Chip, /*Seed=*/17);
-    const ProbeResult Expected = runProbe(FreshDev);
-    Device ReusedDev(Reused, *Chip, /*Seed=*/17);
-    EXPECT_EQ(runProbe(ReusedDev), Expected) << Chip->ShortName;
-  }
+  onBothEngines([] {
+    ExecutionContext Reused;
+    for (const ChipProfile *Chip :
+         {&titan(), &gtx980(), &titan(), &gtx980()}) {
+      ExecutionContext Fresh;
+      Device FreshDev(Fresh, *Chip, /*Seed=*/17);
+      const ProbeResult Expected = runProbe(FreshDev);
+      Device ReusedDev(Reused, *Chip, /*Seed=*/17);
+      EXPECT_EQ(runProbe(ReusedDev), Expected) << Chip->ShortName;
+    }
+  });
 }
 
 TEST(ExecutionContext, LeaseRecyclesContextsPerThread) {

@@ -100,6 +100,15 @@ TEST(FencePolicyTest, SitesRoundTrip) {
   EXPECT_EQ(FencePolicy::ofSites(8, P.sites()), P);
 }
 
+TEST(FencePolicyDeathTest, OutOfRangeSiteAbortsInEveryBuild) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH((void)FencePolicy::ofSites(4, {1, 4}),
+               "check failed: fence site out of range");
+  FencePolicy P = FencePolicy::none(4);
+  EXPECT_DEATH(P.set(4, true), "check failed: fence site out of range");
+  EXPECT_DEATH((void)P.fenceAfter(4), "check failed: unknown fence site");
+}
+
 //===----------------------------------------------------------------------===//
 // Reductions against mock oracles
 //===----------------------------------------------------------------------===//

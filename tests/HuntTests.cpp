@@ -924,7 +924,7 @@ TEST(HuntPipelineTest, SameBugFromDifferentFuzzSeedsCollapses) {
 TEST(HuntPipelineTest, JobsYieldIdenticalCorpus) {
   // The determinism acceptance criterion: a bounded hunt's corpus bytes,
   // artifacts and report JSON are bit-identical for every --jobs, and for
-  // the coroutine reference engine too.
+  // the reference engine too.
   ThreadPool Pool(8);
   struct Variant {
     const char *Name;

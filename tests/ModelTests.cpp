@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineModeGuard.h"
 #include "apps/Application.h"
 #include "fuzz/LitmusBridge.h"
 #include "fuzz/ProgramFuzzer.h"
@@ -25,7 +26,6 @@
 #include "model/ConsistencyChecker.h"
 #include "model/Enumerate.h"
 #include "sim/Device.h"
-#include "sim/ThreadContext.h"
 #include "stress/Environment.h"
 
 #include <gtest/gtest.h>
@@ -137,27 +137,37 @@ TEST(TraceTest, SteadyStateTraceIsAllocationFree) {
   // Identical reruns on one context: after the first traced run the
   // recorder's backing buffer is warm, so rerunning the same seed must
   // reuse it (same capacity, same storage address) while recording the
-  // same events — the PR 3 reuse contract extended to the recorder.
-  sim::ExecutionContext Ctx;
-  Ctx.requestTracing(true);
-  const auto RunOne = [&] {
-    sim::Device Dev(Ctx, titan(), /*Seed=*/77);
-    const sim::Addr Buf = Dev.alloc(64);
-    Dev.run({2, 32}, [&](sim::ThreadContext &TC) -> sim::Kernel {
-      co_await TC.st(Buf + TC.globalId(), TC.globalId() + 1);
-      (void)co_await TC.ld(Buf + TC.globalId());
-    });
-  };
-  RunOne();
-  const std::vector<TraceEvent> First = Ctx.trace().events();
-  ASSERT_FALSE(First.empty());
-  const size_t Cap = Ctx.trace().capacity();
-  const TraceEvent *Data = First.empty() ? nullptr
-                                         : Ctx.trace().events().data();
-  RunOne();
-  EXPECT_EQ(Ctx.trace().capacity(), Cap);
-  EXPECT_EQ(Ctx.trace().events().data(), Data);
-  EXPECT_EQ(Ctx.trace().size(), First.size());
+  // same events — the context reuse contract (DESIGN.md Sec. 12)
+  // extended to the recorder. Each of 64 threads stores to its own word,
+  // then loads it back.
+  using Code = sim::BatchOp::Code;
+  onBothEngines([] {
+    sim::ExecutionContext Ctx;
+    Ctx.requestTracing(true);
+    const auto RunOne = [&] {
+      sim::Device Dev(Ctx, titan(), /*Seed=*/77);
+      const sim::Addr Buf = Dev.alloc(64);
+      sim::BatchProgram BP;
+      BP.GridDim = 2;
+      BP.BlockDim = 32;
+      BP.NumSlots = 64;
+      for (uint16_t Tid = 0; Tid != 64; ++Tid) {
+        BP.Ops.push_back({Code::Store, 0, 0, Buf + Tid, Tid + 1u});
+        BP.Ops.push_back({Code::Load, Tid, 0, Buf + Tid, 0});
+        BP.Lanes.push_back({2u * Tid, 2u * Tid + 2});
+      }
+      Dev.run(BP);
+    };
+    RunOne();
+    const std::vector<TraceEvent> First = Ctx.trace().events();
+    ASSERT_FALSE(First.empty());
+    const size_t Cap = Ctx.trace().capacity();
+    const TraceEvent *Data = Ctx.trace().events().data();
+    RunOne();
+    EXPECT_EQ(Ctx.trace().capacity(), Cap);
+    EXPECT_EQ(Ctx.trace().events().data(), Data);
+    EXPECT_EQ(Ctx.trace().size(), First.size());
+  });
 }
 
 TEST(TraceTest, LeaseDisarmsTracing) {

@@ -205,7 +205,7 @@ TEST(ParallelDeterminismTest, PatchFinderScan) {
   Cfg.NumLocations = 48;
   Cfg.Distances = {16, 32, 64};
   Cfg.Executions = 3;
-  // The serial arm runs the coroutine reference engine: histograms must
+  // The serial arm runs the reference engine: histograms must
   // be invariant to both jobs and engine.
   const auto A = [&] {
     EngineModeGuard Scalar(sim::EngineMode::Scalar);

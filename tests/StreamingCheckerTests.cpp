@@ -701,7 +701,7 @@ std::vector<uint8_t> stressedMpRuns(litmus::LitmusRunner::RunOpts Opts,
 } // namespace
 
 // The exact work of fixed checked runs, on both engines. Checked runs are
-// never cut short, so the compiled engine and the coroutine reference must
+// never cut short, so the compiled engine and the reference engine must
 // do the same work to the unit. The counts are machine independent, so
 // they gate performance where wall time cannot: a splice that densifies,
 // an extra store or fence in a lowering, or an engine that diverges from
@@ -1385,6 +1385,70 @@ TEST(StreamingAllocationTest, PromoteDrainStreamAllocatesNothing) {
   const CheckResult A = PostHoc.check(Events);
   ASSERT_TRUE(A.AxiomsOk) << A.AxiomViolation;
   EXPECT_TRUE(A.Sc);
+}
+
+// The reference engine (--engine=scalar) keeps its launch state in the
+// context's scheduler scratch: once warm, a stream of plan launches on one
+// ExecutionContext allocates nothing, under deterministic and randomised
+// scheduling. Two blocks of 40 threads (a partial second warp each):
+// jitter, a store, a ticket draw, a split-phase load across a barrier, a
+// spin on a flag the last thread sets, and a writeback.
+TEST(StreamingAllocationTest, ReferenceEnginePlanRunsAllocateNothing) {
+  using Code = sim::BatchOp::Code;
+  EngineModeGuard Guard(sim::EngineMode::Scalar);
+  sim::ExecutionContext Ctx;
+  const auto Layout = [&](sim::Device &Dev) {
+    const sim::Addr Data = Dev.alloc(80);
+    return std::make_pair(Data, Dev.alloc(2));
+  };
+  sim::BatchProgram BP;
+  {
+    sim::Device Dev(Ctx, titan(), 0);
+    const auto [Data, Counter] = Layout(Dev);
+    const sim::Addr Flag = Counter + 1;
+    BP.GridDim = 2;
+    BP.BlockDim = 40;
+    for (uint16_t Tid = 0; Tid != 80; ++Tid) {
+      const uint16_t RT = 3 * Tid, RV = RT + 1, RF = RT + 2;
+      const auto Begin = static_cast<uint32_t>(BP.Ops.size());
+      BP.Ops.push_back({Code::Jitter, 0, 0, 0, 4});
+      BP.Ops.push_back({Code::Store, 0, 0, Data + Tid, Tid + 1u});
+      BP.Ops.push_back({Code::AtomicAddReg, RT, 0, Counter, 1});
+      BP.Ops.push_back({Code::AsyncLoad, RV, 0, Data + (Tid + 1u) % 80, 0});
+      BP.Ops.push_back({Code::Barrier});
+      BP.Ops.push_back({Code::AwaitLoad, RV, 0, 0, 0});
+      if (Tid == 79) {
+        BP.Ops.push_back({Code::Store, 0, 0, Flag, 1});
+      } else {
+        const auto Poll = static_cast<uint32_t>(BP.Ops.size());
+        BP.Ops.push_back({Code::Load, RF, 0, Flag, 0});
+        BP.Ops.push_back({Code::BrEq, RF, 0, Poll + 3, 0});
+        BP.Ops.push_back({Code::Jump, 0, 0, Poll + 5, 0});
+        BP.Ops.push_back({Code::Sleep, 0, 0, 0, 2});
+        BP.Ops.push_back({Code::Jump, 0, 0, Poll, 0});
+      }
+      BP.Ops.push_back({Code::WbStore, RV, 0, Data + Tid, 0});
+      BP.Lanes.push_back({Begin, static_cast<uint32_t>(BP.Ops.size())});
+    }
+    BP.NumSlots = 240;
+  }
+  for (const bool Randomise : {false, true}) {
+    SCOPED_TRACE(Randomise ? "randomised" : "deterministic");
+    unsigned Completed = 0;
+    const auto Run = [&](uint64_t Seed) {
+      sim::Device Dev(Ctx, titan(), Seed);
+      Dev.setRandomiseThreads(Randomise);
+      (void)Layout(Dev);
+      Completed += Dev.run(BP).completed();
+    };
+    for (uint64_t Seed = 0; Seed != 20; ++Seed)
+      Run(Seed);
+    const uint64_t Before = HeapAllocs;
+    for (uint64_t Seed = 20; Seed != 220; ++Seed)
+      Run(Seed);
+    EXPECT_EQ(HeapAllocs - Before, 0u);
+    EXPECT_EQ(Completed, 220u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

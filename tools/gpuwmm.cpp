@@ -118,8 +118,9 @@ int usage() {
       "identical for every N; default GPUWMM_JOBS or all cores);\n"
       "--engine=auto|scalar engine selection (auto runs every program\n"
       "on the compiled engine, traced and oracle-checked runs included;\n"
-      "scalar interprets the same programs on the coroutine reference\n"
-      "engine; results are engine-independent; default auto);\n"
+      "scalar steps the same programs on the reference engine, the\n"
+      "tick-by-tick scheduler; results are engine-independent; default\n"
+      "auto);\n"
       "GPUWMM_SCALE scales run counts globally. Unknown options are\n"
       "rejected.\n");
   return 2;
