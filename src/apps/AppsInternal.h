@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 namespace gpuwmm {
 namespace apps {
@@ -189,6 +190,36 @@ void emitCubScan(PlanBuilder &B, bool BuiltinFences);
 void emitTpoTm(PlanBuilder &B);
 void emitCtOctree(PlanBuilder &B);
 void emitLsBh(PlanBuilder &B, bool BuiltinFences);
+
+/// ls-bh's bodies, and its sequentially consistent reference: the final
+/// positions of the fenced plan run from initial positions \p X, \p Y
+/// (LsBhNumBodies words each).
+///
+///  * lsBhHostReference evaluates the plan's integer algorithm on the
+///    host. It returns false, leaving \p OutX and \p OutY unspecified,
+///    wherever one of the plan's guards (node pool, descent or traversal
+///    budget, traversal stack) would trip.
+///  * lsBhPlanReference simulates the plan in sequential mode on a device
+///    of \p Chip.
+///  * lsBhReference, what setup() uses, is the host reference, falling
+///    back to the plan reference where the host one declines; it counts
+///    each fallback in lsBhReferenceFallbacks() (process-wide).
+inline constexpr unsigned LsBhNumBodies = 32;
+bool lsBhHostReference(const std::vector<sim::Word> &X,
+                       const std::vector<sim::Word> &Y,
+                       std::vector<sim::Word> &OutX,
+                       std::vector<sim::Word> &OutY);
+void lsBhPlanReference(const sim::ChipProfile &Chip,
+                       const std::vector<sim::Word> &X,
+                       const std::vector<sim::Word> &Y,
+                       std::vector<sim::Word> &OutX,
+                       std::vector<sim::Word> &OutY);
+void lsBhReference(const sim::ChipProfile &Chip,
+                   const std::vector<sim::Word> &X,
+                   const std::vector<sim::Word> &Y,
+                   std::vector<sim::Word> &OutX,
+                   std::vector<sim::Word> &OutY);
+uint64_t lsBhReferenceFallbacks();
 
 /// The run() of every app: launches \p K's plan for \p Dev's chip and
 /// fence policy on \p Dev, kernel by kernel, stopping at the first that

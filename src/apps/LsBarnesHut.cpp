@@ -24,15 +24,28 @@
 // variant can lose a body. Empirical fence insertion on ls-bh-nf finds a
 // superset of the provided fences, as in the paper (Sec. 5.2).
 //
-// The post-condition compares final positions against a sequentially
-// consistent reference execution of the same plan, the analogue of the
-// paper's use of a conservatively fenced run as reference for ls-bh.
+// The post-condition compares final positions against the sequentially
+// consistent result of the fenced plan, the analogue of the paper's use
+// of a conservatively fenced run as reference for ls-bh. setup computes
+// it on the host: the bodies are inserted one at a time, centres of mass
+// summed, forces traversed and positions integrated, through the
+// kernels' own step functions. That equals the concurrent build's result
+// exactly: all arithmetic is integer and the sums wrap, so their order
+// does not matter, and child slots are indexed by quadrant, so the tree's
+// shape and every traversal order depend only on the positions; the node
+// numbering insertion order does change is read by no result. Where a
+// guard of the plan would trip (node pool, descent or traversal budget,
+// traversal stack; coincident bodies exhaust the pool), the host
+// evaluation declines, and setup simulates the fenced plan sequentially
+// on a private device instead and counts the fallback.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/AppsInternal.h"
 
 #include <algorithm>
+#include <atomic>
+#include <iterator>
 #include <vector>
 
 using namespace gpuwmm;
@@ -75,7 +88,7 @@ const char *const SiteNames[NumSites] = {
     "integrate: store position",
 };
 
-constexpr unsigned NumBodies = 32;
+constexpr unsigned NumBodies = detail::LsBhNumBodies;
 constexpr unsigned GridDim = 2;
 constexpr unsigned BlockDim = 16;
 static_assert(GridDim * BlockDim == NumBodies,
@@ -518,6 +531,217 @@ void emitIntegrate(detail::PlanBuilder &B, const Buffers &Buf) {
 }
 
 //===----------------------------------------------------------------------===//
+// Initial state and the SC reference
+//===----------------------------------------------------------------------===//
+
+/// Allocates the buffers on the fresh device \p Dev into \p Buf (every
+/// fresh device yields the same layout) and writes the initial state for
+/// bodies at (\p X, \p Y); returns the allocated words.
+unsigned initialise(sim::Device &Dev, Buffers &Buf, const std::vector<Word> &X,
+                    const std::vector<Word> &Y) {
+  Buf.allocate(Dev);
+  for (unsigned I = 0; I != NumBodies; ++I) {
+    Dev.write(Buf.PosX + I, X[I]);
+    Dev.write(Buf.PosY + I, Y[I]);
+  }
+  for (unsigned I = 0; I != MaxNodes * 4; ++I)
+    Dev.write(Buf.Children + I, SlotEmpty);
+  // Root cell covers the whole space.
+  Dev.write(Buf.CenterX, RootHalf);
+  Dev.write(Buf.CenterY, RootHalf);
+  Dev.write(Buf.Half, RootHalf);
+  Dev.write(Buf.NodeCount, 1);
+  return Dev.memory().allocatedWords();
+}
+
+/// The node arrays of Buffers, on the host.
+struct HostTree {
+  Word Children[MaxNodes * 4];
+  Word CenterX[MaxNodes], CenterY[MaxNodes], Half[MaxNodes];
+  Word Mass[MaxNodes], ComX[MaxNodes], ComY[MaxNodes];
+  unsigned NodeCount = 1;
+};
+
+/// Kernel 1 on the host: inserts the bodies one at a time with the build
+/// lane's descent and split, through its step functions. Inserting in
+/// body order yields the concurrent build's tree up to node numbering (a
+/// PR quadtree's shape depends only on the positions). False if the node
+/// pool or the descent budget runs out.
+bool hostBuild(HostTree &T, const std::vector<Word> &X,
+               const std::vector<Word> &Y) {
+  std::fill(std::begin(T.Children), std::end(T.Children), SlotEmpty);
+  T.CenterX[0] = T.CenterY[0] = T.Half[0] = RootHalf;
+  T.NodeCount = 1;
+  for (unsigned Body = 0; Body != NumBodies; ++Body) {
+    Word W[NumBuildRegs] = {};
+    W[BX] = X[Body];
+    W[BY] = Y[Body];
+    for (;;) {
+      if (++W[BGuard] > BuildGuard)
+        return false;
+      W[BCx] = T.CenterX[W[BCur]];
+      W[BCy] = T.CenterY[W[BCur]];
+      W[BHalf] = T.Half[W[BCur]];
+      buildQuadrant(W);
+      W[BC] = T.Children[W[BSlot]];
+      if (W[BC] == SlotEmpty) {
+        T.Children[W[BSlot]] = bodyTag(Body);
+        break;
+      }
+      if (W[BC] < BodyTagBit) { // An internal node: descend.
+        W[BCur] = W[BC];
+        continue;
+      }
+      // A body: split its leaf, then re-examine the slot.
+      W[BNew] = T.NodeCount++;
+      if (W[BNew] >= MaxNodes)
+        return false;
+      buildNewCell(W);
+      T.CenterX[W[BNew]] = W[BNewCx];
+      T.CenterY[W[BNew]] = W[BNewCy];
+      T.Half[W[BNew]] = W[BNewHalf];
+      W[BOld] = bodyOf(W[BC]);
+      W[BOldX] = X[W[BOld]];
+      W[BOldY] = Y[W[BOld]];
+      buildOldQuadrant(W);
+      T.Children[W[BOldSlot]] = W[BC];
+      T.Children[W[BSlot]] = W[BNew];
+    }
+  }
+  return true;
+}
+
+/// Kernel 2 on the host: the leader's reverse pass, with the same
+/// wrapping sums.
+void hostSummarise(HostTree &T, const std::vector<Word> &X,
+                   const std::vector<Word> &Y) {
+  for (unsigned I = T.NodeCount; I-- != 0;) {
+    Word Mass = 0, SumX = 0, SumY = 0;
+    for (unsigned Q = 0; Q != 4; ++Q) {
+      const Word C = T.Children[I * 4 + Q];
+      if (slotIsBody(C)) {
+        ++Mass;
+        SumX += X[bodyOf(C)];
+        SumY += Y[bodyOf(C)];
+      } else if (C < BodyTagBit) {
+        Mass += T.Mass[C];
+        SumX += T.ComX[C];
+        SumY += T.ComY[C];
+      }
+    }
+    T.Mass[I] = Mass;
+    T.ComX[I] = SumX;
+    T.ComY[I] = SumY;
+  }
+}
+
+/// Kernel 3 on the host for one body: the force lane's traversal through
+/// its step functions. False if the traversal budget or stack runs out.
+bool hostForce(const HostTree &T, const std::vector<Word> &X,
+               const std::vector<Word> &Y, unsigned Body, Word &Ax,
+               Word &Ay) {
+  Word W[NumForceRegs] = {};
+  W[FBody] = Body;
+  W[FX] = X[Body];
+  W[FY] = Y[Body];
+  W[FStack] = 0; // The root.
+  W[FTop] = 1;
+  while (W[FTop] != 0) {
+    forcePop(W);
+    if (W[FFlag])
+      return false;
+    W[FMass] = T.Mass[W[FNode]];
+    if (W[FMass] == 0)
+      continue;
+    W[FComX] = T.ComX[W[FNode]];
+    W[FComY] = T.ComY[W[FNode]];
+    W[FHalf] = T.Half[W[FNode]];
+    forceCell(W);
+    if (!W[FFlag])
+      continue;
+    for (unsigned Q = 0; Q != 4; ++Q) {
+      W[FC] = T.Children[W[FNode4] + Q];
+      forceChild(W);
+      if (!W[FFlag])
+        continue;
+      W[FBx] = X[W[FB]];
+      W[FBy] = Y[W[FB]];
+      forceBody(W);
+    }
+  }
+  Ax = W[FAx];
+  Ay = W[FAy];
+  return true;
+}
+
+/// References that fell back to the plan.
+std::atomic<uint64_t> ReferenceFallbacks{0};
+
+} // namespace
+
+bool apps::detail::lsBhHostReference(const std::vector<Word> &X,
+                                     const std::vector<Word> &Y,
+                                     std::vector<Word> &OutX,
+                                     std::vector<Word> &OutY) {
+  HostTree T = {};
+  if (!hostBuild(T, X, Y))
+    return false;
+  hostSummarise(T, X, Y);
+  OutX.resize(NumBodies);
+  OutY.resize(NumBodies);
+  // Forces read the initial positions, so integrate after all of them
+  // (kernel 4, through its step function).
+  Word Acc[NumBodies][2] = {};
+  for (unsigned I = 0; I != NumBodies; ++I)
+    if (!hostForce(T, X, Y, I, Acc[I][0], Acc[I][1]))
+      return false;
+  for (unsigned I = 0; I != NumBodies; ++I) {
+    Word W[NumIntegrateRegs] = {X[I], Y[I], Acc[I][0], Acc[I][1]};
+    integrateStep(W);
+    OutX[I] = W[IX];
+    OutY[I] = W[IY];
+  }
+  return true;
+}
+
+void apps::detail::lsBhPlanReference(const sim::ChipProfile &Chip,
+                                     const std::vector<Word> &X,
+                                     const std::vector<Word> &Y,
+                                     std::vector<Word> &OutX,
+                                     std::vector<Word> &OutY) {
+  // A sequentially consistent execution of the fenced plan on a private
+  // device (the analogue of the paper's conservatively fenced reference
+  // run).
+  sim::Device Ref(Chip, /*Seed=*/1);
+  Ref.setSequentialMode(true);
+  Buffers Buf;
+  (void)detail::runPlan(Ref, AppKind::LsBh, initialise(Ref, Buf, X, Y));
+  OutX.resize(NumBodies);
+  OutY.resize(NumBodies);
+  for (unsigned I = 0; I != NumBodies; ++I) {
+    OutX[I] = Ref.read(Buf.PosX + I);
+    OutY[I] = Ref.read(Buf.PosY + I);
+  }
+}
+
+void apps::detail::lsBhReference(const sim::ChipProfile &Chip,
+                                 const std::vector<Word> &X,
+                                 const std::vector<Word> &Y,
+                                 std::vector<Word> &OutX,
+                                 std::vector<Word> &OutY) {
+  if (lsBhHostReference(X, Y, OutX, OutY))
+    return;
+  ReferenceFallbacks.fetch_add(1, std::memory_order_relaxed);
+  lsBhPlanReference(Chip, X, Y, OutX, OutY);
+}
+
+uint64_t apps::detail::lsBhReferenceFallbacks() {
+  return ReferenceFallbacks.load(std::memory_order_relaxed);
+}
+
+namespace {
+
+//===----------------------------------------------------------------------===//
 // The application
 //===----------------------------------------------------------------------===//
 
@@ -539,20 +763,9 @@ public:
       InitialX[I] = static_cast<Word>(R.below(1u << CoordBits));
       InitialY[I] = static_cast<Word>(R.below(1u << CoordBits));
     }
-    SetupWords = initialise(Dev);
+    SetupWords = initialise(Dev, Buf, InitialX, InitialY);
 
-    // Reference positions from a sequentially consistent execution of the
-    // fenced plan on a private device (the analogue of the paper's
-    // conservatively fenced reference run).
-    sim::Device Ref(Dev.chip(), /*Seed=*/1);
-    Ref.setSequentialMode(true);
-    (void)detail::runPlan(Ref, AppKind::LsBh, initialise(Ref));
-    RefX.resize(NumBodies);
-    RefY.resize(NumBodies);
-    for (unsigned I = 0; I != NumBodies; ++I) {
-      RefX[I] = Ref.read(Buf.PosX + I);
-      RefY[I] = Ref.read(Buf.PosY + I);
-    }
+    detail::lsBhReference(Dev.chip(), InitialX, InitialY, RefX, RefY);
   }
 
   bool run(sim::Device &Dev) override {
@@ -570,25 +783,6 @@ public:
   }
 
 private:
-  /// Allocates the buffers on the fresh device \p Dev (every fresh device
-  /// yields the same layout) and writes the initial state; returns the
-  /// allocated words.
-  unsigned initialise(sim::Device &Dev) {
-    Buf.allocate(Dev);
-    for (unsigned I = 0; I != NumBodies; ++I) {
-      Dev.write(Buf.PosX + I, InitialX[I]);
-      Dev.write(Buf.PosY + I, InitialY[I]);
-    }
-    for (unsigned I = 0; I != MaxNodes * 4; ++I)
-      Dev.write(Buf.Children + I, SlotEmpty);
-    // Root cell covers the whole space.
-    Dev.write(Buf.CenterX, RootHalf);
-    Dev.write(Buf.CenterY, RootHalf);
-    Dev.write(Buf.Half, RootHalf);
-    Dev.write(Buf.NodeCount, 1);
-    return Dev.memory().allocatedWords();
-  }
-
   AppKind Kind; ///< LsBh or LsBhNf: picks the plan.
   Buffers Buf;
   unsigned SetupWords = 0;

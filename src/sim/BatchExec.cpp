@@ -104,11 +104,7 @@ constexpr uint8_t LaneOnTicket = 1;
 constexpr uint8_t LaneDone = 2;
 constexpr uint8_t LaneAtBarrier = 3;
 
-/// One register in the timeout proof: a concrete value, or unknown.
-struct AbsReg {
-  Word V = 0;
-  bool Known = false;
-};
+using AbsReg = BatchScratch::ProofBuffers::AbsReg;
 
 /// The provable-timeout check (DESIGN.md Sec. 19). Explores every live
 /// lane's op range from its PC over its concrete registers: a load returns
@@ -123,15 +119,24 @@ struct AbsReg {
 /// may-write set keeps its global value until something writes it, and the
 /// first such write would have to be issued by an explored op. Lanes own
 /// disjoint register slots (every lowering allocates them per lane).
+/// Its buffers live in the scratch's ProofBuffers, so an attempt
+/// allocates nothing once they are warm.
 class TimeoutProof {
 public:
   TimeoutProof(const BatchProgram &BP, const MemorySystem &Mem,
-               const BatchScratch &S, const Word *Regs)
-      : BP(BP), Mem(Mem), S(S), Regs(Regs),
-        SlotIdx(std::max(1u, BP.NumSlots), NoSlot) {}
+               BatchScratch &S, const Word *Regs)
+      : BP(BP), Mem(Mem), S(S), Regs(Regs), Writes(S.Proof.Writes),
+        NewWrites(S.Proof.NewWrites), SlotIdx(S.Proof.SlotIdx),
+        Slots(S.Proof.Slots), At(S.Proof.At), Seen(S.Proof.Seen),
+        Cur(S.Proof.Cur), Work(S.Proof.Work),
+        NumSlots(std::max(1u, BP.NumSlots)) {
+    if (SlotIdx.size() < NumSlots)
+      SlotIdx.resize(NumSlots, NoSlot);
+  }
 
   bool holds() {
     const unsigned NumThreads = BP.GridDim * BP.BlockDim;
+    Writes.clear();
     for (;;) {
       NewWrites.clear();
       for (unsigned Tid = 0; Tid != NumThreads; ++Tid)
@@ -160,7 +165,7 @@ private:
     // it uses), seeded with their current values.
     Slots.clear();
     const auto AddSlot = [&](uint32_t Sl) {
-      if (Sl < SlotIdx.size() && SlotIdx[Sl] == NoSlot) {
+      if (Sl < NumSlots && SlotIdx[Sl] == NoSlot) {
         SlotIdx[Sl] = static_cast<uint32_t>(Slots.size());
         Slots.push_back(Sl);
       }
@@ -365,16 +370,18 @@ private:
   const MemorySystem &Mem;
   const BatchScratch &S;
   const Word *Regs;
-  std::vector<Addr> Writes;    ///< The may-write set (sorted).
-  std::vector<Addr> NewWrites; ///< Writes found by the current round.
-  std::vector<uint32_t> SlotIdx; ///< Slot -> index into the lane's Slots.
-  std::vector<uint32_t> Slots;   ///< The current lane's tracked slots.
-  size_t K = 0;                  ///< Slots.size().
-  uint32_t Begin = 0, End = 0;   ///< The current lane's op range.
-  std::vector<AbsReg> At;        ///< Joined state per op (K per op).
-  std::vector<uint8_t> Seen;     ///< Op reached at all.
-  std::vector<AbsReg> Cur;       ///< The state being stepped.
-  std::vector<uint32_t> Work;    ///< Ops whose state changed.
+  // The scratch's ProofBuffers (documented there).
+  std::vector<Addr> &Writes;
+  std::vector<Addr> &NewWrites;
+  std::vector<uint32_t> &SlotIdx;
+  std::vector<uint32_t> &Slots;
+  std::vector<AbsReg> &At; ///< K entries per op.
+  std::vector<uint8_t> &Seen;
+  std::vector<AbsReg> &Cur;
+  std::vector<uint32_t> &Work;
+  const uint32_t NumSlots; ///< Register slots of the program (at least 1).
+  size_t K = 0;                ///< Slots.size().
+  uint32_t Begin = 0, End = 0; ///< The current lane's op range.
 };
 
 } // namespace
@@ -396,6 +403,7 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
   for (unsigned T = 0; T != NumThreads; ++T)
     S.PC[T] = BP.Lanes[T].Begin;
   S.TicketWaiters.clear();
+  S.TicketWaiters.reserve(NumThreads);
   S.BlockLive.assign(BP.GridDim, BP.BlockDim);
   S.BlockAtBarrier.assign(BP.GridDim, 0);
 
@@ -407,10 +415,17 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
   const bool HaveCached = !Cfg.RandomiseThreads && S.CachedGrid == BP.GridDim &&
                           S.CachedBlock == BP.BlockDim && S.CachedSMs == NumSMs;
   if (!HaveCached) {
+    // Every list is reserved for the whole launch, as Scheduler::launch
+    // does, so random placement never grows one on a warm context.
+    const unsigned LaunchWarps =
+        BP.GridDim * ((BP.BlockDim + WarpSize - 1) / WarpSize);
     if (S.SMWarps.size() < NumSMs)
       S.SMWarps.resize(NumSMs);
-    for (std::vector<BatchScratch::Warp> &Ws : S.SMWarps)
+    for (std::vector<BatchScratch::Warp> &Ws : S.SMWarps) {
       Ws.clear();
+      Ws.reserve(LaunchWarps);
+    }
+    S.ActiveSMs.reserve(NumSMs);
     S.BlockToSM.resize(BP.GridDim);
     for (unsigned B = 0; B != BP.GridDim; ++B)
       S.BlockToSM[B] = B % NumSMs;
@@ -461,7 +476,11 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
   unsigned Live = NumThreads;
   uint64_t Now = 0;
   bool DivergenceFlag = false;
-  uint64_t NextProof = TimeoutProofInterval;
+  // The provable-timeout schedule: the next quiet checkpoint, the next
+  // unconditional attempt, and the store count at the last checkpoint.
+  uint64_t NextCheck = TimeoutCheckInterval;
+  uint64_t NextBackstop = TimeoutBackstopInterval;
+  uint64_t CheckStores = Mem.stats().Stores;
   RunResult Result;
 
   while (Live > 0) {
@@ -712,11 +731,25 @@ RunResult sim::runBatchProgram(const BatchProgram &BP,
     // Provable timeout: stop as soon as no lane can ever finish. The run
     // ends exactly as the full simulation would (Timeout at MaxTicks + 1);
     // only the skipped ticks' memory statistics and RNG draws are missing.
-    // Traced runs never stop early: their event stream is the result.
-    if (BP.HasBackwardBranch && Live > 0 && Now >= NextProof) {
-      NextProof = Now + TimeoutProofInterval;
-      if (!Mem.traceSink() && !DivergenceFlag && S.TicketWaiters.empty() &&
-          Mem.quiescent() &&
+    // Traced runs never stop early: their event stream is the result. A
+    // checkpoint attempts the proof only after a window without plain
+    // stores (a livelock spins on loads and atomics; a run still storing
+    // is usually making progress); the backstop attempts it regardless.
+    if (BP.HasBackwardBranch && Live > 0 &&
+        (Now >= NextCheck || Now >= NextBackstop)) {
+      bool Attempt = false;
+      if (Now >= NextCheck) {
+        NextCheck = Now + TimeoutCheckInterval;
+        const uint64_t Stores = Mem.stats().Stores;
+        Attempt = Stores == CheckStores;
+        CheckStores = Stores;
+      }
+      if (Now >= NextBackstop) {
+        NextBackstop = Now + TimeoutBackstopInterval;
+        Attempt = true;
+      }
+      if (Attempt && !Mem.traceSink() && !DivergenceFlag &&
+          S.TicketWaiters.empty() && Mem.quiescent() &&
           std::all_of(S.BlockAtBarrier.begin(), S.BlockAtBarrier.end(),
                       [](unsigned AB) { return AB == 0; }) &&
           TimeoutProof(BP, Mem, S, Regs).holds()) {

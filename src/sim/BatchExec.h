@@ -218,9 +218,14 @@ struct BatchProgram {
   bool HasBackwardBranch = false;
 };
 
-/// Ticks between two attempts at runBatchProgram's provable-timeout
-/// check: a constant, not an option.
-inline constexpr uint64_t TimeoutProofInterval = 4096;
+/// runBatchProgram's provable-timeout schedule (DESIGN.md Sec. 19):
+/// constants, not options. Every TimeoutCheckInterval ticks a checkpoint
+/// tries the proof if no plain store was issued since the previous
+/// checkpoint (a livelock spins on loads and atomics); every
+/// TimeoutBackstopInterval ticks the proof is tried unconditionally, so a
+/// livelock that keeps storing is still cut.
+inline constexpr uint64_t TimeoutCheckInterval = 256;
+inline constexpr uint64_t TimeoutBackstopInterval = 4096;
 
 /// Recyclable batched-executor state, owned by an ExecutionContext
 /// alongside the scheduler scratch. Lane state is structure-of-arrays and
@@ -269,6 +274,26 @@ struct BatchScratch {
   /// caller before each run.
   std::vector<Word> Regs;
 
+  /// The provable-timeout proof's buffers, recycled so that an attempt
+  /// allocates nothing once warm.
+  struct ProofBuffers {
+    /// One register in the proof: a concrete value, or unknown.
+    struct AbsReg {
+      Word V = 0;
+      bool Known = false;
+    };
+    std::vector<Addr> Writes;    ///< The may-write set (sorted).
+    std::vector<Addr> NewWrites; ///< Writes found by the current round.
+    /// Slot -> index into the lane's Slots; all NoSlot between lanes.
+    std::vector<uint32_t> SlotIdx;
+    std::vector<uint32_t> Slots; ///< The current lane's tracked slots.
+    std::vector<AbsReg> At;      ///< Joined state per op (one per slot).
+    std::vector<uint8_t> Seen;   ///< Op reached at all.
+    std::vector<AbsReg> Cur;     ///< The state being stepped.
+    std::vector<uint32_t> Work;  ///< Ops whose state changed.
+  };
+  ProofBuffers Proof;
+
   /// Drops the deterministic residency cache (tests / chip changes).
   void invalidateResidency() { CachedGrid = CachedBlock = CachedSMs = ~0u; }
 };
@@ -302,7 +327,8 @@ std::optional<EngineMode> parseEngineMode(std::string_view Name);
 /// Executes one run of \p BP to completion on \p Mem, drawing from \p R —
 /// a draw-for-draw replica of Scheduler::launch + Scheduler::run, trace
 /// events included. Without a trace sink, a run of a program with
-/// HasBackwardBranch set ends early once its timeout is provable: every TimeoutProofInterval ticks, when memory is quiescent
+/// HasBackwardBranch set ends early once its timeout is provable: at
+/// each attempt of the schedule above, when memory is quiescent
 /// and no lane waits at a barrier or on a ticket, it explores each live
 /// lane's reachable ops and stops if none can complete, reach a barrier
 /// or an async load, or write an unknown address. The result is then

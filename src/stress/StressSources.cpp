@@ -21,7 +21,7 @@ double stress::threadUnits(const sim::ChipProfile &Chip,
 
 SysStress::SysStress(const sim::ChipProfile &Chip, AccessSequence Seq,
                      std::vector<sim::Addr> Locations, double Units)
-    : Chip(Chip) {
+    : SysStress(Chip) {
   retarget(Seq, /*Base=*/0, Locations, Units);
 }
 
@@ -47,10 +47,17 @@ void SysStress::setUnits(double Units) {
     PerLocation.Write *= Scale;
     PerLocation.Read *= Scale;
   }
+  std::fill(Filled.begin(), Filled.end(), 0);
 }
 
 BankPressure SysStress::pressureAt(uint64_t, unsigned Bank) const {
-  BankPressure P;
+  assert(Bank < Table.size() && "bank out of range");
+  // The pressure does not depend on the tick, so each bank's is summed
+  // once per setUnits, on first use (a run asks for a few banks only).
+  if (Filled[Bank])
+    return Table[Bank];
+  BankPressure &P = Table[Bank];
+  P = BankPressure{};
   const unsigned NB = Chip.NumBanks;
   for (unsigned B : Banks) {
     if (B == Bank) {
@@ -65,6 +72,7 @@ BankPressure SysStress::pressureAt(uint64_t, unsigned Bank) const {
       P.Read += PerLocation.Read * NeighbourSpill;
     }
   }
+  Filled[Bank] = 1;
   return P;
 }
 

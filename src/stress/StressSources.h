@@ -50,8 +50,10 @@ public:
   SysStress(const sim::ChipProfile &Chip, AccessSequence Seq,
             std::vector<sim::Addr> Locations, double Units);
 
-  /// A source with no locations yet: \ref retarget it before use.
-  explicit SysStress(const sim::ChipProfile &Chip) : Chip(Chip) {}
+  /// A source with no locations yet (zero pressure): \ref retarget it
+  /// before use.
+  explicit SysStress(const sim::ChipProfile &Chip)
+      : Chip(Chip), Table(Chip.NumBanks), Filled(Chip.NumBanks, 0) {}
 
   /// Re-targets the source at \p Seq applied at \p Base plus each of
   /// \p Offsets (at least one) with \p Units thread units. Equivalent to
@@ -67,6 +69,8 @@ public:
   /// while still drawing the per-run random stressing population.
   void setUnits(double Units);
 
+  /// Tick-invariant: the bank's entry of a per-bank table, filled on
+  /// first use after each setUnits.
   sim::BankPressure pressureAt(uint64_t Tick, unsigned Bank) const override;
 
   const std::vector<unsigned> &stressedBanks() const { return Banks; }
@@ -74,6 +78,10 @@ public:
 private:
   const sim::ChipProfile &Chip;
   std::vector<unsigned> Banks;
+  /// Pressure per bank, valid where Filled is set (a cache that
+  /// pressureAt fills; setUnits clears it).
+  mutable std::vector<sim::BankPressure> Table;
+  mutable std::vector<uint8_t> Filled;
   sim::BankPressure Rate;        ///< Sequence traffic per tick per unit.
   sim::BankPressure PerLocation; ///< Pressure each stressed bank receives.
   /// Fraction of a stressed bank's pressure that spills onto its

@@ -122,15 +122,22 @@ public:
 
   /// Draws K distinct values from [0, Bound) in selection order.
   std::vector<unsigned> sampleDistinct(unsigned K, unsigned Bound) {
+    std::vector<unsigned> Sample;
+    sampleDistinct(K, Bound, Sample);
+    return Sample;
+  }
+
+  /// The same draws into \p Sample, reusing its capacity.
+  void sampleDistinct(unsigned K, unsigned Bound,
+                      std::vector<unsigned> &Sample) {
     assert(K <= Bound && "cannot sample more values than the universe holds");
-    std::vector<unsigned> Universe(Bound);
+    Sample.resize(Bound);
     for (unsigned I = 0; I != Bound; ++I)
-      Universe[I] = I;
+      Sample[I] = I;
     // Partial Fisher-Yates: the first K slots are the sample.
     for (unsigned I = 0; I != K; ++I)
-      std::swap(Universe[I], Universe[I + below(Bound - I)]);
-    Universe.resize(K);
-    return Universe;
+      std::swap(Sample[I], Sample[I + below(Bound - I)]);
+    Sample.resize(K);
   }
 
 private:

@@ -29,17 +29,19 @@ std::vector<SpreadScore> SpreadTuner::rankAll(unsigned PatchSize,
     const uint64_t SpreadSeed = Rng::deriveStream(Seed, I);
     LitmusRunner Runner(Chip, Rng::deriveStream(SpreadSeed, 0));
     Rng SubsetRng(Rng::deriveStream(SpreadSeed, 1));
+    // One stress description and one sample buffer serve every execution.
+    LitmusRunner::MicroStress S = LitmusRunner::MicroStress::atAll(Seq, {});
+    std::vector<unsigned> Regions;
     for (size_t K = 0; K != Cfg.Tests.size(); ++K) {
       uint64_t Total = 0;
       for (unsigned D : Distances) {
         for (unsigned C = 0; C != Cfg.Executions; ++C) {
           // A fresh random m-subset of regions per execution, as in the
           // paper's ⟨T_d, σ@Lm⟩ tests.
-          std::vector<unsigned> Offsets;
-          for (unsigned Region : SubsetRng.sampleDistinct(M, Cfg.MaxSpread))
-            Offsets.push_back(Region * PatchSize);
-          const auto S =
-              LitmusRunner::MicroStress::atAll(Seq, std::move(Offsets));
+          SubsetRng.sampleDistinct(M, Cfg.MaxSpread, Regions);
+          S.ScratchOffsets.clear();
+          for (unsigned Region : Regions)
+            S.ScratchOffsets.push_back(Region * PatchSize);
           Total += Runner.countWeak(*Cfg.Tests[K], D, S, 1);
         }
       }

@@ -13,6 +13,7 @@
 #include "EngineModeGuard.h"
 
 #include "apps/AppCompile.h"
+#include "apps/AppsInternal.h"
 #include "apps/Application.h"
 #include "harness/Campaign.h"
 #include "harness/EnvironmentRunner.h"
@@ -401,4 +402,105 @@ TEST(LsBhRegression, CampaignSeed4SummariseStaysInBounds) {
   const harness::CampaignCell Cell =
       harness::runCampaignAppCell(Cfg, Chip, Env, AppKind::LsBh, nullptr);
   EXPECT_EQ(Cell.Result.Runs, 8u);
+}
+
+//===----------------------------------------------------------------------===//
+// ls-bh's SC reference: host evaluation against the simulated plan
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using BodySet = std::pair<std::vector<sim::Word>, std::vector<sim::Word>>;
+
+/// Bodies drawn like ls-bh's setup, from a square of side 2^Bits.
+BodySet randomBodies(uint64_t Seed, unsigned Bits) {
+  Rng R(Seed);
+  BodySet B;
+  for (unsigned I = 0; I != detail::LsBhNumBodies; ++I) {
+    B.first.push_back(static_cast<sim::Word>(R.below(1u << Bits)));
+    B.second.push_back(static_cast<sim::Word>(R.below(1u << Bits)));
+  }
+  return B;
+}
+
+} // namespace
+
+TEST(LsBhReference, HostMatchesThePlanOnSeededBodySets) {
+  // 1,700 sets over the app's whole space, and 600 crowded into a 32x32
+  // square, where the concurrent build contends on every slot and some
+  // sets hold coincident bodies. Wherever the host reference answers, it
+  // equals the simulated plan's positions exactly.
+  unsigned Answered = 0, Declined = 0;
+  for (uint64_t Seed = 0; Seed != 2300; ++Seed) {
+    const BodySet B = randomBodies(Seed, Seed < 1700 ? 14 : 5);
+    std::vector<sim::Word> HostX, HostY, PlanX, PlanY;
+    detail::lsBhPlanReference(titan(), B.first, B.second, PlanX, PlanY);
+    if (!detail::lsBhHostReference(B.first, B.second, HostX, HostY)) {
+      ++Declined;
+      continue;
+    }
+    ++Answered;
+    ASSERT_EQ(HostX, PlanX) << "body set " << Seed;
+    ASSERT_EQ(HostY, PlanY) << "body set " << Seed;
+  }
+  EXPECT_GE(Answered, 2000u);
+  EXPECT_GT(Declined, 0u); // The crowded sets reach the fallback.
+}
+
+TEST(LsBhReference, DegenerateSetsTakeTheCountedFallback) {
+  // Coincident bodies split forever, and sixteen pairs of neighbours one
+  // unit apart need 181 nodes: both exhaust the node pool, so the host
+  // reference declines, and lsBhReference returns the plan reference and
+  // counts one fallback each. An ordinary set takes no fallback.
+  BodySet Coincident = randomBodies(1, 14);
+  Coincident.first[7] = Coincident.first[3];
+  Coincident.second[7] = Coincident.second[3];
+  BodySet Pairs;
+  for (unsigned I = 0; I != detail::LsBhNumBodies; ++I) {
+    const unsigned Pair = I / 2;
+    Pairs.first.push_back(4096 * (Pair % 4) + 2 + I % 2);
+    Pairs.second.push_back(4096 * (Pair / 4) + 2);
+  }
+  for (const BodySet *B : {&Coincident, &Pairs}) {
+    std::vector<sim::Word> X, Y, PlanX, PlanY;
+    EXPECT_FALSE(detail::lsBhHostReference(B->first, B->second, X, Y));
+    const uint64_t Before = detail::lsBhReferenceFallbacks();
+    detail::lsBhReference(titan(), B->first, B->second, X, Y);
+    EXPECT_EQ(detail::lsBhReferenceFallbacks(), Before + 1);
+    detail::lsBhPlanReference(titan(), B->first, B->second, PlanX, PlanY);
+    EXPECT_EQ(X, PlanX);
+    EXPECT_EQ(Y, PlanY);
+  }
+  const BodySet Ordinary = randomBodies(2, 14);
+  std::vector<sim::Word> X, Y;
+  const uint64_t Before = detail::lsBhReferenceFallbacks();
+  detail::lsBhReference(titan(), Ordinary.first, Ordinary.second, X, Y);
+  EXPECT_EQ(detail::lsBhReferenceFallbacks(), Before);
+}
+
+//===----------------------------------------------------------------------===//
+// Work of decided runs
+//===----------------------------------------------------------------------===//
+
+TEST(DecidedRunWork, TpoTmTimeoutsStopEarly) {
+  // `gpuwmm test --app=tpo-tm --env=sys-str+ --runs=200 --seed=2`, run by
+  // run on the compiled engine: the livelocked runs are cut once their
+  // timeout is provable (DESIGN.md Sec. 19). Their summed atomics pin
+  // how early; the proof tried only every 4096 ticks left 7,890,743, and
+  // the quiet checkpoints must keep it at or below 60% of that.
+  EngineModeGuard Guard(sim::EngineMode::Auto);
+  const auto Env = *stress::Environment::parse("sys-str+");
+  sim::ExecutionContext Ctx;
+  unsigned Timeouts = 0;
+  uint64_t Atomics = 0;
+  for (unsigned Run = 0; Run != 200; ++Run)
+    if (runApplicationOnce(Ctx, AppKind::TpoTm, titan(), Env, tunedTitan(),
+                           nullptr, Rng::deriveStream(2, Run)) ==
+        AppVerdict::Timeout) {
+      ++Timeouts;
+      Atomics += Ctx.memory().stats().Atomics;
+    }
+  EXPECT_EQ(Timeouts, 132u);
+  EXPECT_EQ(Atomics, 4332459u);
+  EXPECT_LE(Atomics, 7890743u * 6 / 10);
 }

@@ -629,7 +629,7 @@ namespace {
 
 using ProofCode = sim::BatchOp::Code;
 
-constexpr uint64_t ProofBudget = 5 * sim::TimeoutProofInterval;
+constexpr uint64_t ProofBudget = 5 * sim::TimeoutBackstopInterval;
 
 struct ProofRun {
   sim::RunResult Result;
@@ -701,16 +701,18 @@ void expectUncut(const sim::BatchProgram &BP, unsigned Words,
 } // namespace
 
 TEST(ProvableTimeout, SpinOnUnwrittenFlagStopsEarly) {
-  // Two lanes spin on a flag no op writes: the proof holds at its first
-  // attempt, and the run reports the full simulation's Timeout at
-  // MaxTicks + 1 after a fraction of its loads.
+  // Two lanes spin on a flag no op writes, storing nothing: the proof
+  // holds at the first quiet checkpoint, and the run reports the full
+  // simulation's Timeout at MaxTicks + 1 after a fraction of its loads
+  // (one per lane per tick up to that checkpoint).
   sim::BatchProgram BP = loopingProgram(2);
   spinLane(BP, 0);
   spinLane(BP, 1);
   const ProofRun Plain = runProofCase(BP, 1, false);
   EXPECT_EQ(Plain.Result.Status, sim::RunStatus::Timeout);
   EXPECT_EQ(Plain.Result.Ticks, ProofBudget + 1);
-  EXPECT_LT(Plain.Result.Mem.Loads, 2 * 2 * sim::TimeoutProofInterval);
+  EXPECT_LT(Plain.Result.Mem.Loads, 2 * 2 * sim::TimeoutCheckInterval);
+  EXPECT_LE(Plain.Result.Mem.Loads, 2 * sim::TimeoutCheckInterval);
 
   // Traced, the same run is never cut: every load of the full budget is
   // in the event stream.
@@ -722,23 +724,24 @@ TEST(ProvableTimeout, SpinOnUnwrittenFlagStopsEarly) {
 }
 
 TEST(ProvableTimeout, FlagSetLaterByAnotherLaneCompletes) {
-  // Lane 1 sleeps past the first attempt, then stores the flag and spins
-  // on it too. Its pending Store puts the flag in the may-write set, so
-  // both spinners' exits are reachable and the run completes.
+  // Lane 1 sleeps past the first backstop attempt, then stores the flag
+  // and spins on it too. Its pending Store puts the flag in the may-write
+  // set, so both spinners' exits are reachable and the run completes.
   sim::BatchProgram BP = loopingProgram(2);
   spinLane(BP, 0);
-  flagSetterLane(BP, 1, 2 * sim::TimeoutProofInterval);
+  flagSetterLane(BP, 1, 2 * sim::TimeoutBackstopInterval);
   expectUncut(BP, 1, sim::RunStatus::Completed);
 }
 
 TEST(ProvableTimeout, BufferedFlagStoreBlocksTheProof) {
-  // Lane 1 stores the flag in the very tick of the first attempt. Global
-  // memory still holds 0 and no op left to explore writes the flag, so
-  // only the quiescence precondition keeps the proof from cutting a run
-  // that completes.
+  // Lane 1 stores the flag in the very tick of the first backstop attempt
+  // (the store makes that tick's checkpoint skip). Global memory still
+  // holds 0 and no op left to explore writes the flag, so only the
+  // quiescence precondition keeps the proof from cutting a run that
+  // completes.
   sim::BatchProgram BP = loopingProgram(2);
   spinLane(BP, 0);
-  flagSetterLane(BP, 1, sim::TimeoutProofInterval - 1);
+  flagSetterLane(BP, 1, sim::TimeoutBackstopInterval - 1);
   expectUncut(BP, 1, sim::RunStatus::Completed);
 }
 
@@ -784,17 +787,52 @@ TEST(ProvableTimeout, BarrierInSpinLoopBlocksTheProof) {
 }
 
 TEST(ProvableTimeout, LastLaneFinishingOnAnAttemptTickCompletes) {
-  // The only lane completes in the very tick of the first attempt: with
-  // no live lane left the proof must not be tried (it would hold
-  // vacuously and turn a completed run into a timeout).
+  // The only lane completes in the very tick of the first (quiet)
+  // checkpoint: with no live lane left the proof must not be tried (it
+  // would hold vacuously and turn a completed run into a timeout).
   sim::BatchProgram BP = loopingProgram(1);
   BP.Ops.push_back({ProofCode::MovImm, 0, 0, 0, 0});
   BP.Ops.push_back({ProofCode::AddImm, 0, 0, 0, 1});
   BP.Ops.push_back({ProofCode::BrLt, 0, 0, 1, 3});
   BP.Ops.push_back({ProofCode::Sleep, 0, 0, 0,
-                    static_cast<sim::Word>(sim::TimeoutProofInterval - 1)});
+                    static_cast<sim::Word>(sim::TimeoutCheckInterval - 1)});
   BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
   const ProofRun Plain = runProofCase(BP, 1, false);
   EXPECT_EQ(Plain.Result.Status, sim::RunStatus::Completed);
-  EXPECT_EQ(Plain.Result.Ticks, sim::TimeoutProofInterval);
+  EXPECT_EQ(Plain.Result.Ticks, sim::TimeoutCheckInterval);
+}
+
+TEST(ProvableTimeout, StoringLivelockIsCutByTheBackstop) {
+  // One lane loops forever: store word 1, sleep, poll the flag (word 0,
+  // never written). A store every 201 ticks leaves no quiet checkpoint
+  // window, so only the unconditional backstop tries the proof; it holds
+  // there (the store's address is known and is not the flag) and the
+  // run is cut at the first backstop, after 21 of its stores.
+  constexpr uint64_t Period = 201;
+  sim::BatchProgram BP = loopingProgram(1);
+  BP.Ops.push_back({ProofCode::Store, 0, 0, 1, 1});
+  BP.Ops.push_back(
+      {ProofCode::Sleep, 0, 0, 0, static_cast<sim::Word>(Period - 2)});
+  BP.Ops.push_back({ProofCode::Load, 0, 0, 0, 0});
+  BP.Ops.push_back({ProofCode::BrEq, 0, 0, 0, 0});
+  BP.Lanes.push_back({0, static_cast<uint32_t>(BP.Ops.size())});
+  const ProofRun Plain = runProofCase(BP, 2, false);
+  EXPECT_EQ(Plain.Result.Status, sim::RunStatus::Timeout);
+  EXPECT_EQ(Plain.Result.Ticks, ProofBudget + 1);
+  EXPECT_EQ(Plain.Result.Mem.Stores,
+            (sim::TimeoutBackstopInterval - 1) / Period + 1);
+  const ProofRun Traced = runProofCase(BP, 2, true);
+  EXPECT_EQ(Traced.Result.Ticks, ProofBudget + 1);
+  EXPECT_EQ(Traced.Result.Mem.Stores, (ProofBudget - 1) / Period + 1);
+}
+
+TEST(ProvableTimeout, RunCompletingAfterQuietWindowsIsNeverCut) {
+  // Lane 1 sleeps through five quiet checkpoints before it stores the
+  // flag lane 0 spins on. Every checkpoint tries the proof, which fails
+  // because the pending Store reaches the flag, so the run completes with
+  // the same work as the traced (never cut) run.
+  sim::BatchProgram BP = loopingProgram(2);
+  spinLane(BP, 0);
+  flagSetterLane(BP, 1, 5 * sim::TimeoutCheckInterval + 17);
+  expectUncut(BP, 1, sim::RunStatus::Completed);
 }

@@ -5,17 +5,19 @@
 #  * SUITE=litmus_fuzz (cli.engine_identity_litmus_fuzz): `litmus
 #    --explain --stress` for MP, SB, LB, IRIW and WRC, and `fuzz
 #    --seed=3`, under --engine=scalar and --engine=auto.
-#  * SUITE=apps (cli.engine_identity_apps): a titan campaign over all
-#    ten apps under no-str- and sys-str+, unchecked and with every run
-#    streamed through the oracle (--oracle=all), under --engine=auto and
-#    --engine=scalar. The reports must match once each cell's "engine"
-#    field is masked. tpo-tm's sys-str+ cell holds
-#    livelocked runs, which the compiled engine ends early as provable
-#    timeouts when unchecked and runs to the budget when checked; the
-#    reference engine always runs them to the budget.
+#  * SUITE=apps: a titan campaign over all ten apps under no-str- and
+#    sys-str+, under --engine=auto and --engine=scalar, unchecked
+#    (cli.engine_identity_apps) or, with ORACLE=all, with every run
+#    streamed through the oracle (cli.engine_identity_apps_oracle). The
+#    reports must match once each cell's "engine" field is masked.
+#    tpo-tm's sys-str+ cell holds livelocked runs, which the compiled
+#    engine ends early as provable timeouts when unchecked and runs to
+#    the budget when checked; the reference engine always runs them to
+#    the budget.
 #
 # Inputs: GPUWMM_BIN (the gpuwmm binary), SUITE, and for SUITE=apps
-# WORK_DIR (a scratch directory for the reports).
+# WORK_DIR (a scratch directory for the reports) and optionally ORACLE
+# (the --oracle value).
 
 if(NOT GPUWMM_BIN OR NOT SUITE)
   message(FATAL_ERROR "need -DGPUWMM_BIN and -DSUITE")
@@ -64,20 +66,22 @@ elseif(SUITE STREQUAL "apps")
     message(FATAL_ERROR "need -DWORK_DIR")
   endif()
   file(MAKE_DIRECTORY ${WORK_DIR})
-  foreach(oracle "" "--oracle=all")
-    set(grid campaign --chips=titan --envs=no-str-,sys-str+
-        --runs=20 --seed=42 --jobs=2 ${oracle})
-    masked_campaign(auto auto_json ${grid})
-    masked_campaign(scalar scalar_json ${grid})
-    if(NOT auto_json MATCHES "\"cells\"")
-      message(FATAL_ERROR "'${grid}' wrote no campaign report")
-    endif()
-    if(NOT auto_json STREQUAL scalar_json)
-      message(FATAL_ERROR "'${grid}' differs between engines\n"
-                          "--- auto:\n${auto_json}\n"
-                          "--- scalar:\n${scalar_json}")
-    endif()
-  endforeach()
+  set(oracle "")
+  if(ORACLE)
+    set(oracle --oracle=${ORACLE})
+  endif()
+  set(grid campaign --chips=titan --envs=no-str-,sys-str+
+      --runs=20 --seed=42 --jobs=2 ${oracle})
+  masked_campaign(auto auto_json ${grid})
+  masked_campaign(scalar scalar_json ${grid})
+  if(NOT auto_json MATCHES "\"cells\"")
+    message(FATAL_ERROR "'${grid}' wrote no campaign report")
+  endif()
+  if(NOT auto_json STREQUAL scalar_json)
+    message(FATAL_ERROR "'${grid}' differs between engines\n"
+                        "--- auto:\n${auto_json}\n"
+                        "--- scalar:\n${scalar_json}")
+  endif()
 else()
   message(FATAL_ERROR "unknown SUITE '${SUITE}'")
 endif()

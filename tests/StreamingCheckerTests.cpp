@@ -1387,22 +1387,23 @@ TEST(StreamingAllocationTest, PromoteDrainStreamAllocatesNothing) {
   EXPECT_TRUE(A.Sc);
 }
 
-// The reference engine (--engine=scalar) keeps its launch state in the
-// context's scheduler scratch: once warm, a stream of plan launches on one
-// ExecutionContext allocates nothing, under deterministic and randomised
-// scheduling. Two blocks of 40 threads (a partial second warp each):
-// jitter, a store, a ticket draw, a split-phase load across a barrier, a
-// spin on a flag the last thread sets, and a writeback.
+// Both engines keep their launch state in the context: the reference
+// engine (--engine=scalar) in its scheduler scratch, the compiled engine
+// in its batch scratch. Once warm, a stream of plan launches on one
+// ExecutionContext allocates nothing on either, under deterministic and
+// randomised scheduling (random placement included). Two blocks of 40
+// threads (a partial second warp each): jitter, a store, a ticket draw, a
+// split-phase load across a barrier, a spin on a flag the last thread
+// sets, and a writeback.
 TEST(StreamingAllocationTest, ReferenceEnginePlanRunsAllocateNothing) {
   using Code = sim::BatchOp::Code;
-  EngineModeGuard Guard(sim::EngineMode::Scalar);
-  sim::ExecutionContext Ctx;
   const auto Layout = [&](sim::Device &Dev) {
     const sim::Addr Data = Dev.alloc(80);
     return std::make_pair(Data, Dev.alloc(2));
   };
   sim::BatchProgram BP;
   {
+    sim::ExecutionContext Ctx;
     sim::Device Dev(Ctx, titan(), 0);
     const auto [Data, Counter] = Layout(Dev);
     const sim::Addr Flag = Counter + 1;
@@ -1432,22 +1433,84 @@ TEST(StreamingAllocationTest, ReferenceEnginePlanRunsAllocateNothing) {
     }
     BP.NumSlots = 240;
   }
+  onBothEngines([&] {
+    sim::ExecutionContext Ctx;
+    for (const bool Randomise : {false, true}) {
+      SCOPED_TRACE(Randomise ? "randomised" : "deterministic");
+      unsigned Completed = 0;
+      const auto Run = [&](uint64_t Seed) {
+        sim::Device Dev(Ctx, titan(), Seed);
+        Dev.setRandomiseThreads(Randomise);
+        (void)Layout(Dev);
+        Completed += Dev.run(BP).completed();
+      };
+      for (uint64_t Seed = 0; Seed != 20; ++Seed)
+        Run(Seed);
+      const uint64_t Before = HeapAllocs;
+      for (uint64_t Seed = 20; Seed != 220; ++Seed)
+        Run(Seed);
+      EXPECT_EQ(HeapAllocs - Before, 0u);
+      EXPECT_EQ(Completed, 220u);
+    }
+  });
+}
+
+// The compiled engine's provable-timeout proof (DESIGN.md Sec. 19) keeps
+// its buffers in the batch scratch: once warm, runs that attempt it
+// allocate nothing. Two blocks of 40 threads poll a flag with loads only,
+// so every quiet checkpoint tries the proof. In the completing plan the
+// last thread sets the flag after four checkpoints, each of whose proofs
+// fails (its store is reachable); in the livelocked plan nobody sets it,
+// and the first checkpoint's proof cuts the run.
+TEST(StreamingAllocationTest, ProofAttemptsAllocateNothing) {
+  using Code = sim::BatchOp::Code;
+  const auto Plan = [](bool SetFlag) {
+    sim::BatchProgram BP;
+    BP.GridDim = 2;
+    BP.BlockDim = 40;
+    BP.HasBackwardBranch = true;
+    for (uint16_t Tid = 0; Tid != 80; ++Tid) {
+      const auto Begin = static_cast<uint32_t>(BP.Ops.size());
+      if (SetFlag && Tid == 79) {
+        BP.Ops.push_back(
+            {Code::Sleep, 0, 0, 0,
+             static_cast<sim::Word>(4 * sim::TimeoutCheckInterval + 9)});
+        BP.Ops.push_back({Code::Store, 0, 0, 0, 1});
+      } else {
+        BP.Ops.push_back({Code::Load, Tid, 0, 0, 0});
+        BP.Ops.push_back({Code::BrEq, Tid, 0, Begin, 0});
+      }
+      BP.Lanes.push_back({Begin, static_cast<uint32_t>(BP.Ops.size())});
+    }
+    BP.NumSlots = 80;
+    return BP;
+  };
+  const sim::BatchProgram Completing = Plan(true), Livelocked = Plan(false);
+  EngineModeGuard Guard(sim::EngineMode::Auto);
+  sim::ExecutionContext Ctx;
   for (const bool Randomise : {false, true}) {
     SCOPED_TRACE(Randomise ? "randomised" : "deterministic");
-    unsigned Completed = 0;
+    unsigned Completed = 0, Cut = 0;
     const auto Run = [&](uint64_t Seed) {
       sim::Device Dev(Ctx, titan(), Seed);
       Dev.setRandomiseThreads(Randomise);
-      (void)Layout(Dev);
-      Completed += Dev.run(BP).completed();
+      (void)Dev.alloc(1);
+      const bool Livelock = Seed % 2 != 0;
+      const sim::RunResult R = Dev.run(Livelock ? Livelocked : Completing);
+      if (Livelock)
+        Cut += R.Status == sim::RunStatus::Timeout &&
+               R.Mem.Loads < 79 * 2 * sim::TimeoutCheckInterval;
+      else
+        Completed += R.completed() && R.Ticks > 4 * sim::TimeoutCheckInterval;
     };
-    for (uint64_t Seed = 0; Seed != 20; ++Seed)
+    for (uint64_t Seed = 0; Seed != 10; ++Seed)
       Run(Seed);
     const uint64_t Before = HeapAllocs;
-    for (uint64_t Seed = 20; Seed != 220; ++Seed)
+    for (uint64_t Seed = 10; Seed != 60; ++Seed)
       Run(Seed);
     EXPECT_EQ(HeapAllocs - Before, 0u);
-    EXPECT_EQ(Completed, 220u);
+    EXPECT_EQ(Completed, 30u);
+    EXPECT_EQ(Cut, 30u);
   }
 }
 
