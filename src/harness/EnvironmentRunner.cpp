@@ -80,17 +80,3 @@ CellResult harness::runCell(apps::AppKind App, const sim::ChipProfile &Chip,
       .front()
       .Result;
 }
-
-EnvironmentSummary harness::runEnvironmentSummary(
-    const sim::ChipProfile &Chip, const stress::Environment &Env,
-    const stress::TunedStressParams &Tuned, unsigned Runs, uint64_t Seed,
-    ThreadPool *Pool) {
-  std::vector<CellSpec> Cells;
-  for (size_t A = 0; A != apps::AllAppKinds.size(); ++A)
-    Cells.push_back({apps::AllAppKinds[A], &Chip, Env, &Tuned,
-                     Rng::deriveStream(Seed, static_cast<uint64_t>(A))});
-  EnvironmentSummary Summary;
-  for (const CellTally &T : runCells(Cells, Runs, /*OracleEvery=*/0, Pool))
-    Summary.add(T.Result);
-  return Summary;
-}

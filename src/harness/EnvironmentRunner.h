@@ -57,9 +57,9 @@ struct CellResult {
   }
 };
 
-/// Runs per work unit when a cell's runs are spread over a pool
-/// (runCell, runEnvironmentSummary, the campaign). Chunking is
-/// wall-clock only: run I's seed depends on I alone, never on its chunk.
+/// Runs per work unit when a cell's runs are spread over a pool (runCell
+/// and the campaign). Chunking is wall-clock only: run I's seed depends
+/// on I alone, never on its chunk.
 inline constexpr unsigned CellChunkRuns = 64;
 
 /// Summary over the ten applications for one (chip, environment) pair, as
@@ -98,11 +98,11 @@ struct CellTally {
 };
 
 /// Runs \p Runs executions of every cell in \p Cells: the one per-run
-/// loop behind runCell, runEnvironmentSummary and the campaign. Every
-/// \p OracleEvery-th run of a cell (none when 0) streams its events
-/// through the worker's incremental checker as it executes: no trace is
-/// retained, so checking every run costs frontier-bounded memory, and
-/// the checker only observes, so counts are the same with it on or off.
+/// loop behind runCell and the campaign. Every \p OracleEvery-th run of
+/// a cell (none when 0) streams its events through the worker's
+/// incremental checker as it executes: no trace is retained, so checking
+/// every run costs frontier-bounded memory, and the checker only
+/// observes, so counts are the same with it on or off.
 /// The flattened (cell, chunk of CellChunkRuns runs) space is spread
 /// over \p Pool, so small cells still fill every worker; results are
 /// bit-identical for any pool and engine.
@@ -118,16 +118,6 @@ CellResult runCell(apps::AppKind App, const sim::ChipProfile &Chip,
                    const stress::Environment &Env,
                    const stress::TunedStressParams &Tuned, unsigned Runs,
                    uint64_t Seed, ThreadPool *Pool = nullptr);
-
-/// Runs a full Tab. 5 row cell: all ten applications for one
-/// (chip, environment) pair. Application A's cell runs with seed
-/// deriveStream(Seed, index of A in AllAppKinds); the (app, run) index
-/// space is flattened so a pool is kept busy across app boundaries.
-EnvironmentSummary
-runEnvironmentSummary(const sim::ChipProfile &Chip,
-                      const stress::Environment &Env,
-                      const stress::TunedStressParams &Tuned, unsigned Runs,
-                      uint64_t Seed, ThreadPool *Pool = nullptr);
 
 } // namespace harness
 } // namespace gpuwmm

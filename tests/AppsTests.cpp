@@ -247,31 +247,67 @@ std::vector<AppVerdict> scalarVerdicts(AppKind K,
   return runVerdicts(K, Chip, Env, Policy, Seeds);
 }
 
+/// Test-name form of \p K: tpo-tm -> tpo_tm.
+std::string appTestName(AppKind K) {
+  std::string N = appName(K);
+  std::replace(N.begin(), N.end(), '-', '_');
+  return N;
+}
+
+/// The identity grid's seeds: 24 runs per environment.
+const std::vector<uint64_t> &envGridSeeds() {
+  static const std::vector<uint64_t> Seeds = forkSeeds(1010, 24);
+  return Seeds;
+}
+
 } // namespace
 
-class AppBatchIdentity : public ::testing::TestWithParam<AppKind> {};
+/// One (app, environment) pair per test, so the slow reference-engine
+/// pairs (tpo-tm's livelocks run to the full budget there) spread over
+/// many ctest cases.
+class AppEnvIdentity : public ::testing::TestWithParam<
+                           std::tuple<AppKind, stress::Environment>> {};
 
-TEST_P(AppBatchIdentity, MatchesScalarAcrossEnvironments) {
+TEST_P(AppEnvIdentity, MatchesScalar) {
   // The tier-1 identity grid: every environment of the paper's sweep,
-  // unfenced, 24 runs each, verdict-for-verdict agreement.
-  const auto Seeds = forkSeeds(1010, 24);
-  unsigned Timeouts = 0;
-  for (const stress::Environment &Env : stress::Environment::all()) {
-    const auto Scalar =
-        scalarVerdicts(GetParam(), titan(), Env, nullptr, Seeds);
-    const auto Compiled =
-        runVerdicts(GetParam(), titan(), Env, nullptr, Seeds);
-    EXPECT_EQ(Scalar, Compiled) << appName(GetParam()) << " " << Env.name();
-    Timeouts += static_cast<unsigned>(
-        std::count(Scalar.begin(), Scalar.end(), AppVerdict::Timeout));
-  }
+  // unfenced, verdict-for-verdict agreement.
+  const auto [K, Env] = GetParam();
+  EXPECT_EQ(scalarVerdicts(K, titan(), Env, nullptr, envGridSeeds()),
+            runVerdicts(K, titan(), Env, nullptr, envGridSeeds()))
+      << appName(K) << " " << Env.name();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Lowerable, AppEnvIdentity,
+    ::testing::Combine(::testing::ValuesIn(AllAppKinds),
+                       ::testing::ValuesIn(stress::Environment::all())),
+    [](const auto &Info) {
+      // tpo-tm under sys-str+ -> tpo_tm_sys_str_plus.
+      std::string Env = std::get<1>(Info.param).name();
+      const char Sign = Env.back();
+      Env.pop_back();
+      std::replace(Env.begin(), Env.end(), '-', '_');
+      return appTestName(std::get<0>(Info.param)) + "_" + Env +
+             (Sign == '+' ? "_plus" : "_minus");
+    });
+
+TEST(AppEnvIdentityGrid, TpoTmGridHoldsTimeouts) {
   // tpo-tm's livelocks are where the compiled engine stops a run early
   // (a provable timeout); the reference engine never does, so the grid
-  // must hold some for the comparison to cover that path.
-  if (GetParam() == AppKind::TpoTm) {
-    EXPECT_GT(Timeouts, 0u);
+  // must hold some for the comparison to cover that path. AppEnvIdentity
+  // checks the engines agree per run, so counting on the compiled engine
+  // counts the reference engine's timeouts too.
+  unsigned Timeouts = 0;
+  for (const stress::Environment &Env : stress::Environment::all()) {
+    const auto V =
+        runVerdicts(AppKind::TpoTm, titan(), Env, nullptr, envGridSeeds());
+    Timeouts += static_cast<unsigned>(
+        std::count(V.begin(), V.end(), AppVerdict::Timeout));
   }
+  EXPECT_GT(Timeouts, 0u);
 }
+
+class AppBatchIdentity : public ::testing::TestWithParam<AppKind> {};
 
 TEST_P(AppBatchIdentity, MatchesScalarUnderFencePolicies) {
   // Inserted fences reshape the op stream (two extra resumes per armed
@@ -294,20 +330,24 @@ TEST_P(AppBatchIdentity, MatchesScalarUnderFencePolicies) {
 TEST_P(AppBatchIdentity, WidthSweepIncludingDegenerateAndOversized) {
   // runCell splits a cell into work units of CellChunkRuns runs: a single
   // run (degenerate), one short of a unit, and a unit plus a partial one
-  // (oversized) must all fold to the scalar per-run verdicts.
+  // (oversized) must all fold to the scalar per-run verdicts. Run I's
+  // seed depends on I alone, so one reference over the largest count
+  // serves every count as a prefix.
   const auto Tuned = stress::TunedStressParams::paperDefaults(titan());
   ThreadPool Pool(2);
-  for (const unsigned Runs :
-       {1u, harness::CellChunkRuns - 1, harness::CellChunkRuns + 3}) {
-    std::vector<uint64_t> Seeds(Runs);
-    for (unsigned I = 0; I != Runs; ++I)
-      Seeds[I] = Rng::deriveStream(3030, I);
+  const unsigned Counts[] = {1u, harness::CellChunkRuns - 1,
+                             harness::CellChunkRuns + 3};
+  std::vector<uint64_t> Seeds(Counts[2]);
+  for (unsigned I = 0; I != Counts[2]; ++I)
+    Seeds[I] = Rng::deriveStream(3030, I);
+  const auto Scalar =
+      scalarVerdicts(GetParam(), titan(), SysPlus, nullptr, Seeds);
+  for (const unsigned Runs : Counts) {
     harness::CellResult Ref;
     Ref.Runs = Runs;
-    for (const AppVerdict V :
-         scalarVerdicts(GetParam(), titan(), SysPlus, nullptr, Seeds)) {
-      Ref.Errors += isErroneous(V);
-      Ref.Timeouts += V == AppVerdict::Timeout;
+    for (unsigned I = 0; I != Runs; ++I) {
+      Ref.Errors += isErroneous(Scalar[I]);
+      Ref.Timeouts += Scalar[I] == AppVerdict::Timeout;
     }
     EXPECT_EQ(Ref, harness::runCell(GetParam(), titan(), SysPlus, Tuned,
                                     Runs, 3030, &Pool))
@@ -368,11 +408,7 @@ TEST_P(AppBatchIdentity, TracedContextsFallBackToScalar) {
 INSTANTIATE_TEST_SUITE_P(Lowerable, AppBatchIdentity,
                          ::testing::ValuesIn(AllAppKinds),
                          [](const auto &Info) {
-                           std::string N = appName(Info.param);
-                           for (char &C : N)
-                             if (C == '-')
-                               C = '_';
-                           return N;
+                           return appTestName(Info.param);
                          });
 
 TEST(AppBatchFallback, ScalarEngineModeForcesCoroutinePath) {

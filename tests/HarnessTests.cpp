@@ -3,16 +3,16 @@
 // Part of the gpuwmm project, a reproduction of "Exposing Errors Related to
 // Weak Memory in GPU Applications" (Sorensen & Donaldson, PLDI 2016).
 //
-// Tests the Tab. 5 environment runner (effectiveness accounting) and the
-// Sec. 6 cost benchmark (runtime/energy ordering of the three fencing
-// strategies), plus the chip registry.
+// Tests the Tab. 5 environment runner and campaign summaries
+// (effectiveness accounting) and the Sec. 6 cost benchmark (runtime/energy
+// ordering of the three fencing strategies), plus the chip registry.
 //
 //===----------------------------------------------------------------------===//
 
 #include "EngineModeGuard.h"
 
+#include "harness/Campaign.h"
 #include "harness/CostBenchmark.h"
-#include "harness/EnvironmentRunner.h"
 
 #include "gtest/gtest.h"
 
@@ -23,6 +23,19 @@ namespace {
 
 const sim::ChipProfile &titan() {
   return *sim::ChipProfile::lookup("titan");
+}
+
+/// Tab. 5's titan row for sys-str+ and no-str- over all ten apps at 25
+/// runs, as `gpuwmm paper --table=5` computes it.
+CampaignReport titanSubGrid() {
+  CampaignConfig Config;
+  Config.Chips = {&titan()};
+  Config.Envs = {{stress::StressKind::Sys, true},
+                 {stress::StressKind::None, false}};
+  Config.Apps.assign(apps::AllAppKinds.begin(), apps::AllAppKinds.end());
+  Config.Runs = 25;
+  Config.Seed = 13;
+  return runCampaign(Config);
 }
 
 } // namespace
@@ -111,9 +124,7 @@ TEST(EnvironmentRunnerTest, SysStressIsEffectiveOnCbeDot) {
 }
 
 TEST(EnvironmentRunnerTest, SummaryCountsAreConsistent) {
-  const auto Tuned = stress::TunedStressParams::paperDefaults(titan());
-  const auto S = runEnvironmentSummary(
-      titan(), {stress::StressKind::Sys, true}, Tuned, 25, 13);
+  const EnvironmentSummary S = titanSubGrid().summary(0, 0);
   EXPECT_LE(S.AppsEffective, S.AppsWithErrors);
   EXPECT_LE(S.AppsWithErrors, 10u);
   EXPECT_GE(S.AppsWithErrors, 6u)
@@ -121,9 +132,7 @@ TEST(EnvironmentRunnerTest, SummaryCountsAreConsistent) {
 }
 
 TEST(EnvironmentRunnerTest, NoStressSummaryIsNearZero) {
-  const auto Tuned = stress::TunedStressParams::paperDefaults(titan());
-  const auto S = runEnvironmentSummary(
-      titan(), {stress::StressKind::None, false}, Tuned, 25, 14);
+  const EnvironmentSummary S = titanSubGrid().summary(0, 1);
   EXPECT_LE(S.AppsWithErrors, 2u);
 }
 

@@ -167,37 +167,6 @@ TEST(ParallelDeterminismTest, RunCell) {
   EXPECT_EQ(Serial.Runs, 40u);
 }
 
-TEST(ParallelDeterminismTest, EnvironmentSummary) {
-  const auto &Chip = chip("980");
-  const stress::Environment Env{stress::StressKind::Sys, true};
-  const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
-  const auto Serial =
-      harness::runEnvironmentSummary(Chip, Env, Tuned, /*Runs=*/10, 17);
-  ThreadPool Pool(8);
-  const auto Parallel =
-      harness::runEnvironmentSummary(Chip, Env, Tuned, 10, 17, &Pool);
-  EXPECT_EQ(Serial, Parallel);
-}
-
-TEST(ParallelDeterminismTest, EnvironmentSummaryMatchesPerAppCells) {
-  // The summary's per-app cells are runCell at the app's derived stream —
-  // the composition contract call sites rely on.
-  const auto &Chip = chip("titan");
-  const stress::Environment Env{stress::StressKind::Sys, true};
-  const auto Tuned = stress::TunedStressParams::paperDefaults(Chip);
-  const uint64_t Seed = 23;
-  harness::EnvironmentSummary Expected;
-  for (size_t A = 0; A != apps::AllAppKinds.size(); ++A) {
-    const auto Cell =
-        harness::runCell(apps::AllAppKinds[A], Chip, Env, Tuned, 8,
-                         Rng::deriveStream(Seed, A));
-    Expected.AppsWithErrors += Cell.observed();
-    Expected.AppsEffective += Cell.effective();
-  }
-  EXPECT_EQ(harness::runEnvironmentSummary(Chip, Env, Tuned, 8, Seed),
-            Expected);
-}
-
 TEST(ParallelDeterminismTest, PatchFinderScan) {
   tuning::PatchFinder Serial(chip("k20"), 31);
   tuning::PatchFinder Parallel(chip("k20"), 31);
