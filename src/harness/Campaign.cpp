@@ -10,17 +10,9 @@
 #include "support/Check.h"
 
 #include <algorithm>
-#include <csignal>
-#include <cstdio>
 #include <numeric>
 #include <ostream>
 #include <set>
-
-/// Build version baked into the campaign JSON header (kept in sync with
-/// the CMake project version; the build passes it via compile definition).
-#ifndef GPUWMM_VERSION
-#define GPUWMM_VERSION "unknown"
-#endif
 
 using namespace gpuwmm;
 using namespace gpuwmm::harness;
@@ -251,7 +243,8 @@ bool harness::runCampaignFabric(const CampaignConfig &Config,
       }
   }
 
-  std::optional<ShardStore> Store = ShardStore::open(Opts.Dir, Config, Err);
+  std::optional<ShardStore> Store =
+      ShardStore::open(Opts.Dir, Config, Err, Opts.CrashAfterAppends);
   if (!Store)
     return false;
 
@@ -275,7 +268,6 @@ bool harness::runCampaignFabric(const CampaignConfig &Config,
     Selection = &All;
   }
 
-  unsigned Appended = 0;
   for (const size_t Idx : *Selection) {
     GPUWMM_CHECK(Idx < Work.size(), "cell index outside the work list");
     const CampaignWorkItem &Item = Work[Idx];
@@ -312,16 +304,6 @@ bool harness::runCampaignFabric(const CampaignConfig &Config,
       return false;
     ++Out.Completed;
     Out.OracleViolations += Record.OracleViolations;
-    // Crash-injection hook: die the hardest way possible (SIGKILL — no
-    // destructors, no flushing) right after the Nth durable append, so
-    // the tests prove the store's records survive and --resume completes
-    // the grid byte-identically.
-    if (Opts.CrashAfterAppends && ++Appended == Opts.CrashAfterAppends) {
-      std::fprintf(stderr,
-                   "campaign: crash hook firing after %u record(s)\n",
-                   Appended);
-      ::raise(SIGKILL);
-    }
   }
   Out.ShardPath = Store->shardPath();
   return true;

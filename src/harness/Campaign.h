@@ -140,8 +140,8 @@ struct FabricOptions {
   /// Work-list indices this worker covers (null = every cell), so N
   /// workers can stripe one grid with disjoint --cells= selections.
   const std::vector<size_t> *Selection = nullptr;
-  /// Crash-injection test hook (GPUWMM_CAMPAIGN_CRASH_AFTER): SIGKILL
-  /// this process immediately after the Nth durable append, proving
+  /// Crash-injection test hook (GPUWMM_CAMPAIGN_CRASH_AFTER, RecordDir's):
+  /// SIGKILL this process right after the Nth durable append, proving
   /// --resume + report recover byte-identically. 0 = off.
   unsigned CrashAfterAppends = 0;
 };

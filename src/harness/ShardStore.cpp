@@ -4,23 +4,7 @@
 
 #include "support/Json.h"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <limits>
-#include <functional>
-
-#include <sys/stat.h>
-
-/// Build version baked into the manifest (kept in sync with the CMake
-/// project version; the build passes it via compile definition). Resuming
-/// or striping a campaign across builds of different versions is refused —
-/// the record schema and simulator behaviour are only pinned per version.
-#ifndef GPUWMM_VERSION
-#define GPUWMM_VERSION "unknown"
-#endif
+#include <type_traits>
 
 using namespace gpuwmm;
 using namespace gpuwmm::harness;
@@ -53,55 +37,14 @@ std::string ShardRecord::toJson() const {
   return S;
 }
 
-namespace {
-
-/// Fetches a required member of \p Obj, failing with a field-specific
-/// message; \p WantString selects string vs number kind.
-const JsonValue *requireField(const JsonValue &Obj, const char *Key,
-                              bool WantString, std::string *Err) {
-  const JsonValue *V = Obj.find(Key);
-  if (!V || (WantString ? V->kind() != JsonValue::Kind::String
-                        : V->kind() != JsonValue::Kind::Number)) {
-    if (Err)
-      *Err = std::string("shard record is missing or mistypes '") + Key +
-             "'";
-    return nullptr;
-  }
-  return V;
-}
-
-bool getUnsigned(const JsonValue &Obj, const char *Key, unsigned &Out,
-                 std::string *Err) {
-  const JsonValue *V = requireField(Obj, Key, /*WantString=*/false, Err);
-  if (!V)
-    return false;
-  // Counts are plain non-negative integers; a sign, fraction or exponent
-  // (or a value wider than unsigned) marks a record we did not write.
-  const std::string &Text = V->numberText();
-  if (Text.find_first_not_of("0123456789") != std::string::npos ||
-      V->asUInt64() > std::numeric_limits<unsigned>::max()) {
-    if (Err)
-      *Err = std::string("shard record field '") + Key +
-             "' is not an unsigned integer";
-    return false;
-  }
-  Out = static_cast<unsigned>(V->asUInt64());
-  return true;
-}
-
-} // namespace
-
 std::optional<ShardRecord> ShardRecord::fromJson(std::string_view Payload,
                                                  std::string *Err) {
   const std::optional<JsonValue> Doc = parseJson(Payload, Err);
   if (!Doc)
     return std::nullopt;
-  if (!Doc->isObject()) {
-    if (Err)
-      *Err = "shard record is not a JSON object";
-    return std::nullopt;
-  }
-  const JsonValue *Kind = requireField(*Doc, "kind", true, Err);
+  // A non-object has no members, so jsonField rejects it too.
+  constexpr JsonValue::Kind String = JsonValue::Kind::String;
+  const JsonValue *Kind = jsonField(*Doc, "kind", String, Err);
   if (!Kind)
     return std::nullopt;
   ShardRecord R;
@@ -112,29 +55,30 @@ std::optional<ShardRecord> ShardRecord::fromJson(std::string_view Payload,
       *Err = "shard record has unknown kind '" + Kind->asString() + "'";
     return std::nullopt;
   }
-  const JsonValue *Chip = requireField(*Doc, "chip", true, Err);
+  const JsonValue *Chip = jsonField(*Doc, "chip", String, Err);
   if (!Chip)
     return std::nullopt;
   R.Chip = Chip->asString();
   if (R.IsLitmus) {
-    const JsonValue *Test = requireField(*Doc, "test", true, Err);
-    if (!Test || !getUnsigned(*Doc, "weak", R.Weak, Err))
+    const JsonValue *Test = jsonField(*Doc, "test", String, Err);
+    if (!Test || !jsonCount(*Doc, "weak", R.Weak, Err))
       return std::nullopt;
     R.Test = Test->asString();
   } else {
-    const JsonValue *Env = requireField(*Doc, "env", true, Err);
-    const JsonValue *App = Env ? requireField(*Doc, "app", true, Err)
+    const JsonValue *Env = jsonField(*Doc, "env", String, Err);
+    const JsonValue *App = Env ? jsonField(*Doc, "app", String, Err)
                                : nullptr;
-    if (!App || !getUnsigned(*Doc, "errors", R.Errors, Err) ||
-        !getUnsigned(*Doc, "timeouts", R.Timeouts, Err))
+    if (!App || !jsonCount(*Doc, "errors", R.Errors, Err) ||
+        !jsonCount(*Doc, "timeouts", R.Timeouts, Err))
       return std::nullopt;
     R.Env = Env->asString();
     R.App = App->asString();
   }
-  const JsonValue *Seed = requireField(*Doc, "seed", false, Err);
-  if (!Seed || !getUnsigned(*Doc, "runs", R.Runs, Err) ||
-      !getUnsigned(*Doc, "oracle_checked", R.OracleChecked, Err) ||
-      !getUnsigned(*Doc, "oracle_violations", R.OracleViolations, Err))
+  const JsonValue *Seed =
+      jsonField(*Doc, "seed", JsonValue::Kind::Number, Err);
+  if (!Seed || !jsonCount(*Doc, "runs", R.Runs, Err) ||
+      !jsonCount(*Doc, "oracle_checked", R.OracleChecked, Err) ||
+      !jsonCount(*Doc, "oracle_violations", R.OracleViolations, Err))
     return std::nullopt;
   R.Seed = Seed->asUInt64();
   return R;
@@ -202,25 +146,19 @@ bool harness::parseCampaignManifest(const std::string &Text,
       *Err = "not a gpuwmm campaign manifest";
     return false;
   }
-  const JsonValue *Seed = Doc->find("seed");
-  const JsonValue *Runs = Doc->find("runs");
-  const JsonValue *Oracle = Doc->find("oracle_every");
-  if (!Seed || !Runs || !Oracle) {
-    if (Err)
-      *Err = "manifest is missing seed/runs/oracle_every";
-    return false;
-  }
   Config = CampaignConfig();
   Config.Chips.clear();
   Config.Envs.clear();
   Config.Apps.clear();
+  const JsonValue *Seed =
+      jsonField(*Doc, "seed", JsonValue::Kind::Number, Err);
+  if (!Seed || !jsonCount(*Doc, "runs", Config.Runs, Err) ||
+      !jsonCount(*Doc, "oracle_every", Config.OracleEvery, Err))
+    return false;
   Config.Seed = Seed->asUInt64();
-  Config.Runs = static_cast<unsigned>(Runs->asUInt64());
-  Config.OracleEvery = static_cast<unsigned>(Oracle->asUInt64());
 
-  const auto ForEachName =
-      [&](const char *Key,
-          const std::function<bool(const std::string &)> &Add) -> bool {
+  // Each grid dimension is a list of names this build must know.
+  const auto Resolve = [&](const char *Key, auto &Dim, auto Lookup) {
     const JsonValue *List = Doc->find(Key);
     if (!List || !List->isArray()) {
       if (Err)
@@ -228,46 +166,26 @@ bool harness::parseCampaignManifest(const std::string &Text,
       return false;
     }
     for (const JsonValue &V : List->items()) {
-      if (V.kind() != JsonValue::Kind::String || !Add(V.asString())) {
-        if (Err && Err->empty())
+      const std::string Name =
+          V.kind() == JsonValue::Kind::String ? V.asString() : "";
+      const auto Found = Lookup(Name);
+      if (!Found) {
+        if (Err)
           *Err = std::string("manifest names an unknown ") + Key +
-                 " entry" +
-                 (V.kind() == JsonValue::Kind::String
-                      ? " '" + V.asString() + "'"
-                      : "");
+                 " entry '" + Name + "'";
         return false;
       }
+      if constexpr (std::is_pointer_v<decltype(Found)>)
+        Dim.push_back(Found);
+      else
+        Dim.push_back(*Found);
     }
     return true;
   };
-
-  if (!ForEachName("chips", [&](const std::string &Name) {
-        const sim::ChipProfile *Chip = sim::ChipProfile::lookup(Name);
-        if (Chip)
-          Config.Chips.push_back(Chip);
-        return Chip != nullptr;
-      }))
-    return false;
-  if (!ForEachName("envs", [&](const std::string &Name) {
-        const auto Env = stress::Environment::parse(Name);
-        if (Env)
-          Config.Envs.push_back(*Env);
-        return Env.has_value();
-      }))
-    return false;
-  if (!ForEachName("apps", [&](const std::string &Name) {
-        const auto App = apps::parseAppName(Name);
-        if (App)
-          Config.Apps.push_back(*App);
-        return App.has_value();
-      }))
-    return false;
-  if (!ForEachName("litmus", [&](const std::string &Name) {
-        const litmus::Program *Test = litmus::findCatalogProgram(Name);
-        if (Test)
-          Config.LitmusTests.push_back(Test);
-        return Test != nullptr;
-      }))
+  if (!Resolve("chips", Config.Chips, sim::ChipProfile::lookup) ||
+      !Resolve("envs", Config.Envs, stress::Environment::parse) ||
+      !Resolve("apps", Config.Apps, apps::parseAppName) ||
+      !Resolve("litmus", Config.LitmusTests, litmus::findCatalogProgram))
     return false;
   if (Config.Chips.empty() || Config.Envs.empty() || Config.Apps.empty()) {
     if (Err)
@@ -291,108 +209,45 @@ bool harness::loadCampaignManifest(const std::string &Dir,
   return true;
 }
 
+namespace {
+
+/// A campaign directory as RecordDir lays it out.
+constexpr RecordDir::Naming CampaignNaming = {
+    "shard", "campaign",
+    "campaign (grid, seed, runs, oracle or tool version differ); use a "
+    "fresh --out-dir or matching flags",
+    "cell"};
+
+} // namespace
+
 std::optional<ShardStore> ShardStore::open(const std::string &Dir,
                                            const CampaignConfig &Config,
-                                           std::string *Err) {
-  if (::mkdir(Dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    if (Err)
-      *Err = "cannot create campaign directory '" + Dir +
-             "': " + std::strerror(errno);
+                                           std::string *Err,
+                                           unsigned CrashAfterAppends) {
+  std::optional<RecordDir> Records =
+      RecordDir::open(Dir, CampaignNaming, campaignManifestJson(Config),
+                      CrashAfterAppends, Err);
+  if (!Records)
     return std::nullopt;
-  }
-  const std::string Manifest = campaignManifestJson(Config);
-  const std::string Path = Dir + "/manifest.json";
-  std::string Existing;
-  std::string ReadErr;
-  if (readFile(Path, Existing, &ReadErr)) {
-    // Joining an existing campaign: the directory's identity must match
-    // this worker's config exactly, or shards from different campaigns
-    // (or tool versions) would silently mix.
-    if (Existing != Manifest) {
-      if (Err)
-        *Err = "'" + Path + "' describes a different campaign (grid, "
-               "seed, runs, oracle or tool version differ); use a fresh "
-               "--out-dir or matching flags";
-      return std::nullopt;
-    }
-  } else if (!atomicWriteFile(Path, Manifest, Err)) {
-    return std::nullopt;
-  }
-  ShardStore Store;
-  Store.Directory = Dir;
-  return Store;
-}
-
-bool ShardStore::append(const ShardRecord &Record, std::string *Err) {
-  if (!Log.isOpen()) {
-    // Claim the lowest free shard index; O_EXCL arbitrates races between
-    // workers sharing the directory.
-    for (unsigned I = 0; I != 10000; ++I) {
-      char Name[32];
-      std::snprintf(Name, sizeof(Name), "shard-%04u.jsonl", I);
-      bool Exists = false;
-      std::string ClaimErr;
-      auto Claimed =
-          RecordLog::createExclusive(Directory + "/" + Name, &ClaimErr,
-                                     &Exists);
-      if (Claimed) {
-        Log = std::move(*Claimed);
-        break;
-      }
-      if (!Exists) {
-        if (Err)
-          *Err = ClaimErr;
-        return false;
-      }
-    }
-    if (!Log.isOpen()) {
-      if (Err)
-        *Err = "no free shard slot in '" + Directory + "'";
-      return false;
-    }
-  }
-  return Log.append(Record.toJson(), Err);
+  return ShardStore(std::move(*Records));
 }
 
 bool harness::loadCampaignShards(const std::string &Dir, LoadedShards &Out,
                                  std::string *Err) {
   Out = LoadedShards();
-  std::vector<std::string> Shards;
-  std::error_code Ec;
-  for (const auto &Entry : std::filesystem::directory_iterator(Dir, Ec)) {
-    const std::string Name = Entry.path().filename().string();
-    if (Name.rfind("shard-", 0) == 0 &&
-        Name.size() > 6 + 6 &&
-        Name.compare(Name.size() - 6, 6, ".jsonl") == 0)
-      Shards.push_back(Entry.path().string());
-  }
-  if (Ec) {
-    if (Err)
-      *Err = "cannot list '" + Dir + "': " + Ec.message();
+  std::vector<ScannedLog> Shards;
+  if (!RecordDir::scan(Dir, CampaignNaming, Shards, Out.Warnings, Err))
     return false;
-  }
-  std::sort(Shards.begin(), Shards.end());
-
-  for (const std::string &Shard : Shards) {
+  for (const ScannedLog &Shard : Shards) {
     ++Out.ShardFiles;
-    std::string Text;
-    if (!readFile(Shard, Text, Err))
-      return false;
-    const FramedRecords Framed = parseFramedRecords(Text);
-    if (Framed.TornTail) {
-      ++Out.TornShards;
-      Out.Warnings.push_back(
-          "'" + Shard + "': torn tail record truncated at byte " +
-          std::to_string(Framed.ValidBytes) +
-          " (crash mid-append; the cell will be re-run on --resume)");
-    }
-    for (const std::string &Payload : Framed.Payloads) {
+    Out.TornShards += Shard.Records.TornTail;
+    for (const std::string &Payload : Shard.Records.Payloads) {
       std::string ParseErr;
       const std::optional<ShardRecord> R =
           ShardRecord::fromJson(Payload, &ParseErr);
       if (!R) {
         if (Err)
-          *Err = "'" + Shard + "': " + ParseErr;
+          *Err = "'" + Shard.Path + "': " + ParseErr;
         return false;
       }
       const std::string Key = R->key();
@@ -407,8 +262,8 @@ bool harness::loadCampaignShards(const std::string &Dir, LoadedShards &Out,
       // and no merge of it can be trusted.
       if (!(Out.Records[It->second] == *R)) {
         if (Err)
-          *Err = "'" + Shard + "': conflicting duplicate record for cell "
-                 "'" + Key + "' (the store mixes incompatible runs)";
+          *Err = "'" + Shard.Path + "': conflicting duplicate record for "
+                 "cell '" + Key + "' (the store mixes incompatible runs)";
         return false;
       }
       ++Out.Duplicates;

@@ -6,16 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The campaign fabric's shard store (DESIGN.md Sec. 16). A campaign
-/// directory holds:
+/// The campaign fabric's shard store (DESIGN.md Sec. 16): a durable
+/// record directory (RecordDir, support/ShardIo.h, which owns the
+/// manifest check, log claiming, scanning and crash hook) holding
 ///
-///   manifest.json      the grid, seed, runs, oracle setting and schema,
-///                      written atomically once; every worker joining the
-///                      directory must match it byte for byte
-///   shard-NNNN.jsonl   append-only logs of CRC-framed single-line JSON
-///                      records, one self-describing record per completed
-///                      cell, fsync'd per append; each worker process
-///                      claims its own shard file via O_EXCL
+///   manifest.json      the grid, seed, runs, oracle setting and schema;
+///                      every worker joining the directory must match it
+///                      byte for byte
+///   shard-NNNN.jsonl   one log per worker process, one self-describing
+///                      record per completed cell
 ///
 /// Invariants: records are keyed by canonical cell identity, so merging
 /// is order-independent and idempotent — duplicates (two workers racing
@@ -34,6 +33,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gpuwmm {
@@ -85,10 +85,9 @@ bool parseCampaignManifest(const std::string &Text, CampaignConfig &Config,
 bool loadCampaignManifest(const std::string &Dir, CampaignConfig &Config,
                           std::string *Err);
 
-/// A worker's handle on a campaign directory: creates the directory and
-/// manifest if needed (or byte-verifies the existing manifest), then
-/// appends one durable record per completed cell to a private shard file
-/// claimed on first append.
+/// A worker's handle on a campaign directory: a RecordDir
+/// (support/ShardIo.h) whose manifest is campaignManifestJson() and whose
+/// records are ShardRecords, one per completed cell.
 class ShardStore {
 public:
   /// Opens \p Dir for \p Config. Creates the directory (one level) and
@@ -96,21 +95,26 @@ public:
   /// existing manifest must equal campaignManifestJson(Config) byte for
   /// byte — a mismatch (different grid, seed, runs, oracle or tool
   /// version) fails rather than silently mixing campaigns.
+  /// \p CrashAfterAppends arms RecordDir's SIGKILL hook (0 = off).
   static std::optional<ShardStore> open(const std::string &Dir,
                                         const CampaignConfig &Config,
-                                        std::string *Err);
+                                        std::string *Err,
+                                        unsigned CrashAfterAppends = 0);
 
   /// Durably appends one record: framed, written, fsync'd. The first
   /// append claims a fresh shard-NNNN.jsonl via O_EXCL.
-  bool append(const ShardRecord &Record, std::string *Err);
+  bool append(const ShardRecord &Record, std::string *Err) {
+    return Records.append(Record.toJson(), Err);
+  }
 
   /// The shard file this store appends to; empty until the first append.
-  const std::string &shardPath() const { return Log.path(); }
-  const std::string &dir() const { return Directory; }
+  const std::string &shardPath() const { return Records.logPath(); }
+  const std::string &dir() const { return Records.dir(); }
 
 private:
-  std::string Directory;
-  RecordLog Log;
+  explicit ShardStore(RecordDir R) : Records(std::move(R)) {}
+
+  RecordDir Records;
 };
 
 /// Every durable record in \p Dir: all shard-*.jsonl files in sorted

@@ -6,14 +6,11 @@
 #include "harden/LitmusHarden.h"
 #include "litmus/Format.h"
 #include "support/Json.h"
+#include "support/Options.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <sys/stat.h>
+#include <cstdlib>
 
 using namespace gpuwmm;
 using namespace gpuwmm::hunt;
@@ -65,14 +62,22 @@ std::string CorpusManifest::render() const {
 
 namespace {
 
+/// A corpus directory as RecordDir lays it out.
+constexpr RecordDir::Naming CorpusNaming = {
+    "corpus", "corpus",
+    "hunt (chip, seed or stage budgets differ); use a fresh --corpus-dir "
+    "or matching flags",
+    "round"};
+
 std::string hex8(uint32_t V) {
   char Buf[16];
   std::snprintf(Buf, sizeof(Buf), "%08x", V);
   return Buf;
 }
 
-/// One corpus entry as a single-line record payload.
-std::string entryJson(const CorpusEntry &E) {
+} // namespace
+
+std::string hunt::entryJson(const CorpusEntry &E, bool WithAxioms) {
   std::string S = "{";
   S += "\"name\": \"" + jsonEscape(E.Name) + "\"";
   S += ", \"round\": " + std::to_string(E.Round);
@@ -92,80 +97,78 @@ std::string entryJson(const CorpusEntry &E) {
   S += ", \"verify_runs\": " + std::to_string(E.VerifyRuns);
   S += ", \"verify_weak\": " + std::to_string(E.VerifyWeak);
   S += ", \"verify_forbidden\": " + std::to_string(E.VerifyForbidden);
-  S += ", \"axiom_violations\": {";
-  const auto &Keys = axiomKeys();
-  for (size_t I = 0; I != Keys.size(); ++I) {
-    S += I ? ", " : "";
-    // Built without operator+ to dodge GCC 12's -Wrestrict false positive.
-    S += "\"";
-    S += Keys[I];
-    S += "\": ";
-    S += std::to_string(E.AxiomViolations[I]);
+  if (WithAxioms) {
+    S += ", \"axiom_violations\": {";
+    const auto &Keys = axiomKeys();
+    for (size_t I = 0; I != Keys.size(); ++I) {
+      S += I ? ", " : "";
+      // Built without operator+ to dodge GCC 12's -Wrestrict false
+      // positive.
+      S += "\"";
+      S += Keys[I];
+      S += "\": ";
+      S += std::to_string(E.AxiomViolations[I]);
+    }
+    S += "}";
   }
-  S += "}";
   S += ", \"litmus\": \"";
   S += jsonEscape(litmus::printLitmus(E.Annotated));
   S += "\"}";
   return S;
 }
 
-bool getUnsigned(const JsonValue &Doc, const char *Key, unsigned &Out,
-                 std::string *Err) {
-  const JsonValue *V = Doc.find(Key);
-  if (!V || V->kind() != JsonValue::Kind::Number) {
-    if (Err)
-      *Err = std::string("record is missing the '") + Key + "' number";
-    return false;
-  }
-  Out = static_cast<unsigned>(V->asUInt64());
-  return true;
+namespace {
+
+/// Whether \p Name has the form Corpus::append gives entries
+/// ("hunt-" and at least six digits): it names a file in the corpus
+/// directory, so a damaged one must not reach the file system.
+bool isEntryName(const std::string &Name) {
+  return Name.size() >= 11 && Name.compare(0, 5, "hunt-") == 0 &&
+         Name.find_first_not_of("0123456789", 5) == std::string::npos;
 }
 
 bool entryFromJson(const JsonValue &Doc, CorpusEntry &E, std::string *Err) {
-  const JsonValue *Name = Doc.find("name");
-  const JsonValue *KeyCrc = Doc.find("key_crc");
-  const JsonValue *Stable = Doc.find("harden_stable");
-  const JsonValue *Cross = Doc.find("cross_checks");
-  const JsonValue *Axioms = Doc.find("axiom_violations");
-  const JsonValue *Litmus = Doc.find("litmus");
-  if (!Name || Name->kind() != JsonValue::Kind::String || !KeyCrc ||
-      KeyCrc->kind() != JsonValue::Kind::String || !Stable ||
-      Stable->kind() != JsonValue::Kind::Bool || !Cross ||
-      Cross->kind() != JsonValue::Kind::Number || !Axioms ||
-      !Axioms->isObject() || !Litmus ||
-      Litmus->kind() != JsonValue::Kind::String) {
+  using Kind = JsonValue::Kind;
+  const JsonValue *Name = jsonField(Doc, "name", Kind::String, Err);
+  const JsonValue *KeyCrc = jsonField(Doc, "key_crc", Kind::String, Err);
+  const JsonValue *Stable = jsonField(Doc, "harden_stable", Kind::Bool, Err);
+  const JsonValue *Cross = jsonField(Doc, "cross_checks", Kind::Number, Err);
+  const JsonValue *Axioms =
+      jsonField(Doc, "axiom_violations", Kind::Object, Err);
+  const JsonValue *Litmus = jsonField(Doc, "litmus", Kind::String, Err);
+  if (!Name || !KeyCrc || !Stable || !Cross || !Axioms || !Litmus)
+    return false;
+  E.Name = Name->asString();
+  if (!isEntryName(E.Name)) {
     if (Err)
-      *Err = "record is not a corpus entry";
+      *Err = "record has a malformed entry name '" + E.Name + "'";
     return false;
   }
-  E.Name = Name->asString();
   E.KeyCrc = static_cast<uint32_t>(
       std::strtoul(KeyCrc->asString().c_str(), nullptr, 16));
   E.HardenStable = Stable->asBool();
   E.CrossChecks = Cross->asUInt64();
-  if (!getUnsigned(Doc, "round", E.Round, Err) ||
-      !getUnsigned(Doc, "original_ops", E.OriginalOps, Err) ||
-      !getUnsigned(Doc, "reduced_ops", E.ReducedOps, Err) ||
-      !getUnsigned(Doc, "shrink_candidates", E.ShrinkCandidates, Err) ||
-      !getUnsigned(Doc, "shrink_accepted", E.ShrinkAccepted, Err) ||
-      !getUnsigned(Doc, "provoking_region", E.ProvokingRegion, Err) ||
-      !getUnsigned(Doc, "fence_sites", E.FenceSites, Err) ||
-      !getUnsigned(Doc, "fences", E.Fences, Err) ||
-      !getUnsigned(Doc, "harden_rounds", E.HardenRounds, Err) ||
-      !getUnsigned(Doc, "harden_attempts", E.HardenAttempts, Err) ||
-      !getUnsigned(Doc, "verify_runs", E.VerifyRuns, Err) ||
-      !getUnsigned(Doc, "verify_weak", E.VerifyWeak, Err) ||
-      !getUnsigned(Doc, "verify_forbidden", E.VerifyForbidden, Err))
-    return false;
+  for (const auto &[Key, Field] :
+       {std::pair{"round", &CorpusEntry::Round},
+        {"original_ops", &CorpusEntry::OriginalOps},
+        {"reduced_ops", &CorpusEntry::ReducedOps},
+        {"shrink_candidates", &CorpusEntry::ShrinkCandidates},
+        {"shrink_accepted", &CorpusEntry::ShrinkAccepted},
+        {"provoking_region", &CorpusEntry::ProvokingRegion},
+        {"fence_sites", &CorpusEntry::FenceSites},
+        {"fences", &CorpusEntry::Fences},
+        {"harden_rounds", &CorpusEntry::HardenRounds},
+        {"harden_attempts", &CorpusEntry::HardenAttempts},
+        {"verify_runs", &CorpusEntry::VerifyRuns},
+        {"verify_weak", &CorpusEntry::VerifyWeak},
+        {"verify_forbidden", &CorpusEntry::VerifyForbidden}})
+    if (!jsonCount(Doc, Key, E.*Field, Err))
+      return false;
   const auto &Keys = axiomKeys();
   for (size_t I = 0; I != Keys.size(); ++I) {
-    const JsonValue *V = Axioms->find(Keys[I]);
-    if (!V || V->kind() != JsonValue::Kind::Number) {
-      if (Err)
-        *Err = std::string("record is missing the '") + Keys[I] +
-               "' axiom counter";
+    const JsonValue *V = jsonField(*Axioms, Keys[I], Kind::Number, Err);
+    if (!V)
       return false;
-    }
     E.AxiomViolations[I] = V->asUInt64();
   }
   litmus::ParseError ParseErr;
@@ -198,94 +201,50 @@ bool entryFromJson(const JsonValue &Doc, CorpusEntry &E, std::string *Err) {
 bool Corpus::open(const OpenOptions &Opts, const CorpusManifest &M,
                   Corpus &Out, std::string *Err) {
   Out = Corpus();
-  Out.Dir = Opts.Dir;
-  Out.CrashAfterAppends = Opts.CrashAfterAppends;
   if (Opts.Dir.empty())
     return true;
 
-  if (::mkdir(Opts.Dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    if (Err)
-      *Err = "cannot create corpus directory '" + Opts.Dir +
-             "': " + std::strerror(errno);
+  std::optional<RecordDir> Store = RecordDir::open(
+      Opts.Dir, CorpusNaming, M.render(), Opts.CrashAfterAppends, Err);
+  if (!Store)
     return false;
-  }
-
-  const std::string Manifest = M.render();
-  const std::string ManifestPath = Opts.Dir + "/manifest.json";
-  std::string Existing;
-  std::string ReadErr;
-  if (readFile(ManifestPath, Existing, &ReadErr)) {
-    // Joining an existing corpus: its identity must match this hunt's
-    // config exactly, or entries mined under different budgets (or tool
-    // versions) would silently mix.
-    if (Existing != Manifest) {
-      if (Err)
-        *Err = "'" + ManifestPath + "' describes a different hunt (chip, "
-               "seed or stage budgets differ); use a fresh --corpus-dir "
-               "or matching flags";
-      return false;
-    }
-    if (!Opts.Resume) {
-      if (Err)
-        *Err = "'" + Opts.Dir + "' already holds a corpus; pass --resume "
-               "to extend it";
-      return false;
-    }
-  } else if (!atomicWriteFile(ManifestPath, Manifest, Err)) {
+  if (Store->existed() && !Opts.Resume) {
+    if (Err)
+      *Err = "'" + Opts.Dir + "' already holds a corpus; pass --resume "
+             "to extend it";
     return false;
   }
 
   // Load every durable record from every log, oldest-claimed first.
-  std::vector<std::string> Logs;
-  std::error_code Ec;
-  for (const auto &Entry :
-       std::filesystem::directory_iterator(Opts.Dir, Ec)) {
-    const std::string Name = Entry.path().filename().string();
-    if (Name.rfind("corpus-", 0) == 0 && Name.size() > 7 + 6 &&
-        Name.compare(Name.size() - 6, 6, ".jsonl") == 0)
-      Logs.push_back(Entry.path().string());
-  }
-  if (Ec) {
-    if (Err)
-      *Err = "cannot list '" + Opts.Dir + "': " + Ec.message();
+  std::vector<ScannedLog> Logs;
+  if (!RecordDir::scan(Opts.Dir, CorpusNaming, Logs, Out.Warnings, Err))
     return false;
-  }
-  std::sort(Logs.begin(), Logs.end());
-
-  for (const std::string &LogPath : Logs) {
-    std::string Text;
-    if (!readFile(LogPath, Text, Err))
-      return false;
-    const FramedRecords Framed = parseFramedRecords(Text);
-    if (Framed.TornTail)
-      Out.Warnings.push_back(
-          "'" + LogPath + "': torn tail record truncated at byte " +
-          std::to_string(Framed.ValidBytes) +
-          " (crash mid-append; the round will be re-run on --resume)");
-    for (const std::string &Payload : Framed.Payloads) {
+  for (const ScannedLog &Log : Logs) {
+    for (const std::string &Payload : Log.Records.Payloads) {
       std::string ParseErr;
       const std::optional<JsonValue> Doc = parseJson(Payload, &ParseErr);
       if (!Doc || !Doc->isObject()) {
         if (Err)
-          *Err = "'" + LogPath + "': " +
+          *Err = "'" + Log.Path + "': " +
                  (ParseErr.empty() ? "record is not a JSON object"
                                    : ParseErr);
         return false;
       }
-      if (const JsonValue *Round = Doc->find("round_done")) {
-        if (Round->kind() != JsonValue::Kind::Number) {
+      if (Doc->find("round_done")) {
+        unsigned Done = 0;
+        if (!jsonCount(*Doc, "round_done", Done, nullptr) ||
+            Done > Options::MaxCount) {
           if (Err)
-            *Err = "'" + LogPath + "': malformed round_done record";
+            *Err = "'" + Log.Path + "': malformed round_done record";
           return false;
         }
-        Out.LastRound =
-            std::max(Out.LastRound, static_cast<int>(Round->asInt64()));
+        Out.LastRound = std::max(Out.LastRound, static_cast<int>(Done));
         continue;
       }
       CorpusEntry E;
       if (!entryFromJson(*Doc, E, Err)) {
         if (Err)
-          *Err = "'" + LogPath + "': " + *Err;
+          *Err = "'" + Log.Path + "': " + *Err;
         return false;
       }
       // First record wins per key: a crashed round re-run on resume may
@@ -303,45 +262,7 @@ bool Corpus::open(const OpenOptions &Opts, const CorpusManifest &M,
     if (!atomicWriteFile(Opts.Dir + "/" + E.Name + ".litmus",
                          litmus::printLitmus(E.Annotated), Err))
       return false;
-  return true;
-}
-
-bool Corpus::durableAppend(const std::string &Payload, std::string *Err) {
-  if (Dir.empty())
-    return true;
-  if (!Log.isOpen()) {
-    // Claim the lowest free log index; O_EXCL arbitrates races between
-    // invocations sharing the directory.
-    for (unsigned I = 0; I != 10000; ++I) {
-      char Name[32];
-      std::snprintf(Name, sizeof(Name), "corpus-%04u.jsonl", I);
-      bool Exists = false;
-      std::string ClaimErr;
-      auto Claimed = RecordLog::createExclusive(Dir + "/" + Name,
-                                                &ClaimErr, &Exists);
-      if (Claimed) {
-        Log = std::move(*Claimed);
-        break;
-      }
-      if (!Exists) {
-        if (Err)
-          *Err = ClaimErr;
-        return false;
-      }
-    }
-    if (!Log.isOpen()) {
-      if (Err)
-        *Err = "no free corpus log slot in '" + Dir + "'";
-      return false;
-    }
-  }
-  if (!Log.append(Payload, Err))
-    return false;
-  // Crash-injection hook: the record above is durable, everything after
-  // this point (artifacts, later records) is not — exactly the window
-  // the resume tests must prove harmless.
-  if (CrashAfterAppends && ++Appends == CrashAfterAppends)
-    ::raise(SIGKILL);
+  Out.Store = std::move(Store);
   return true;
 }
 
@@ -363,11 +284,9 @@ bool Corpus::append(CorpusEntry E, std::string *Err) {
   E.Annotated.Name = E.Name;
   E.Annotated.Doc.clear();
   E.KeyCrc = crc32(E.Key);
-  if (!durableAppend(entryJson(E), Err))
-    return false;
-  if (!Dir.empty() &&
-      !atomicWriteFile(Dir + "/" + E.Name + ".litmus",
-                       litmus::printLitmus(E.Annotated), Err))
+  if (Store && (!Store->append(entryJson(E), Err) ||
+                !atomicWriteFile(Store->dir() + "/" + E.Name + ".litmus",
+                                 litmus::printLitmus(E.Annotated), Err)))
     return false;
   Keys.insert(E.Key);
   Entries.push_back(std::move(E));
@@ -375,7 +294,8 @@ bool Corpus::append(CorpusEntry E, std::string *Err) {
 }
 
 bool Corpus::markRoundDone(unsigned Round, std::string *Err) {
-  if (!durableAppend("{\"round_done\": " + std::to_string(Round) + "}",
+  if (Store &&
+      !Store->append("{\"round_done\": " + std::to_string(Round) + "}",
                      Err))
     return false;
   LastRound = std::max(LastRound, static_cast<int>(Round));

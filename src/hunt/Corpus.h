@@ -7,21 +7,19 @@
 ///
 /// \file
 /// The hunt pipeline's on-disk corpus (DESIGN.md Sec. 18): a growing,
-/// deduplicated collection of minimal, fence-annotated weak litmus tests,
-/// built on the same durable primitives as the campaign fabric
-/// (support/ShardIo.h). A corpus directory holds:
+/// deduplicated collection of minimal, fence-annotated weak litmus tests.
+/// A corpus directory is a durable record directory (RecordDir,
+/// support/ShardIo.h, shared with the campaign fabric: manifest check,
+/// log claiming, scanning and crash hook) plus one artifact per entry:
 ///
 ///   manifest.json        the chip, seed and stage budgets the corpus was
-///                        mined with, written atomically once; every hunt
-///                        joining the directory must match it byte for
-///                        byte (rounds are NOT pinned — a resumed hunt
-///                        may extend them)
-///   corpus-NNNN.jsonl    append-only logs of CRC-framed single-line JSON
-///                        records — one per corpus entry (stats plus the
-///                        full `.litmus` text) and one `round_done`
-///                        marker per completed round — fsync'd per
-///                        append; each hunt invocation claims its own log
-///                        via O_EXCL
+///                        mined with; every hunt joining the directory
+///                        must match it byte for byte (rounds are NOT
+///                        pinned — a resumed hunt may extend them)
+///   corpus-NNNN.jsonl    one log per hunt invocation: one record per
+///                        corpus entry (stats plus the full `.litmus`
+///                        text) and one `round_done` marker per completed
+///                        round
 ///   <name>.litmus        one replayable artifact per entry (atomic
 ///                        write; re-published for every entry on resume,
 ///                        healing a crash between record and artifact)
@@ -44,6 +42,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -87,6 +86,10 @@ struct CorpusEntry {
   std::array<uint64_t, NumAxioms> AxiomViolations{};
 };
 
+/// \p E as one line of JSON: the corpus record, or (without the axiom
+/// counters) an entry of the hunt report.
+std::string entryJson(const CorpusEntry &E, bool WithAxioms = true);
+
 /// The corpus identity pinned by manifest.json. Rounds are deliberately
 /// absent: resuming with a larger --rounds extends the same corpus.
 struct CorpusManifest {
@@ -108,8 +111,8 @@ public:
   struct OpenOptions {
     std::string Dir; ///< Empty = in-memory.
     bool Resume = false;
-    /// Crash-injection test hook: SIGKILL the process right after the
-    /// Nth durable record append (0 = off).
+    /// Crash-injection test hook (RecordDir's): SIGKILL the process
+    /// right after the Nth durable record append (0 = off).
     unsigned CrashAfterAppends = 0;
   };
 
@@ -144,12 +147,7 @@ public:
   bool markRoundDone(unsigned Round, std::string *Err);
 
 private:
-  bool durableAppend(const std::string &Payload, std::string *Err);
-
-  std::string Dir; ///< Empty in in-memory mode.
-  unsigned CrashAfterAppends = 0;
-  unsigned Appends = 0;
-  RecordLog Log; ///< Claimed lazily on first durable append.
+  std::optional<RecordDir> Store; ///< Absent in in-memory mode.
   std::vector<CorpusEntry> Entries;
   std::unordered_set<std::string> Keys;
   int LastRound = -1;

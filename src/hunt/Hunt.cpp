@@ -5,13 +5,10 @@
 #include "fuzz/LitmusBridge.h"
 #include "fuzz/Shrink.h"
 #include "harden/LitmusHarden.h"
-#include "litmus/Format.h"
 #include "litmus/Litmus.h"
 #include "model/StreamingChecker.h"
-#include "support/Json.h"
 #include "support/Rng.h"
 
-#include <cstdio>
 #include <ostream>
 #include <set>
 #include <utility>
@@ -310,31 +307,8 @@ void hunt::writeHuntJson(const HuntReport &Report, std::ostream &OS,
   OS << "}},\n";
 
   OS << "  \"entries\": [";
-  for (size_t I = 0; I != Report.Entries.size(); ++I) {
-    const CorpusEntry &E = Report.Entries[I];
-    OS << (I ? "," : "") << "\n    {\"name\": \"" << jsonEscape(E.Name)
-       << "\", \"round\": " << E.Round << ", \"key_crc\": \"";
-    {
-      char Buf[16];
-      std::snprintf(Buf, sizeof(Buf), "%08x", E.KeyCrc);
-      OS << Buf;
-    }
-    OS << "\", \"original_ops\": " << E.OriginalOps
-       << ", \"reduced_ops\": " << E.ReducedOps
-       << ", \"shrink_candidates\": " << E.ShrinkCandidates
-       << ", \"shrink_accepted\": " << E.ShrinkAccepted
-       << ", \"cross_checks\": " << E.CrossChecks
-       << ", \"provoking_region\": " << E.ProvokingRegion
-       << ", \"fence_sites\": " << E.FenceSites
-       << ", \"fences\": " << E.Fences
-       << ", \"harden_rounds\": " << E.HardenRounds
-       << ", \"harden_attempts\": " << E.HardenAttempts
-       << ", \"harden_stable\": " << (E.HardenStable ? "true" : "false")
-       << ", \"verify_runs\": " << E.VerifyRuns
-       << ", \"verify_weak\": " << E.VerifyWeak
-       << ", \"verify_forbidden\": " << E.VerifyForbidden
-       << ", \"litmus\": \"" << jsonEscape(litmus::printLitmus(E.Annotated))
-       << "\"}";
-  }
+  for (size_t I = 0; I != Report.Entries.size(); ++I)
+    OS << (I ? "," : "") << "\n    "
+       << entryJson(Report.Entries[I], /*WithAxioms=*/false);
   OS << (Report.Entries.empty() ? "" : "\n  ") << "]\n}\n";
 }

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 using namespace gpuwmm;
 
@@ -286,6 +287,31 @@ std::optional<JsonValue> gpuwmm::parseJson(std::string_view Text,
   if (Err)
     Err->clear();
   return JsonParser(Text, Err).parse();
+}
+
+const JsonValue *gpuwmm::jsonField(const JsonValue &Obj, const char *Key,
+                                   JsonValue::Kind K, std::string *Err) {
+  const JsonValue *V = Obj.find(Key);
+  if (V && V->kind() == K)
+    return V;
+  if (Err)
+    *Err = std::string("field '") + Key + "' is missing or mistyped";
+  return nullptr;
+}
+
+bool gpuwmm::jsonCount(const JsonValue &Obj, const char *Key, unsigned &Out,
+                       std::string *Err) {
+  const JsonValue *V = jsonField(Obj, Key, JsonValue::Kind::Number, Err);
+  if (!V)
+    return false;
+  if (V->numberText().find_first_not_of("0123456789") != std::string::npos ||
+      V->asUInt64() > std::numeric_limits<unsigned>::max()) {
+    if (Err)
+      *Err = std::string("field '") + Key + "' is not an unsigned integer";
+    return false;
+  }
+  Out = static_cast<unsigned>(V->asUInt64());
+  return true;
 }
 
 std::string gpuwmm::jsonEscape(std::string_view S) {

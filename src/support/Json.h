@@ -73,6 +73,17 @@ private:
 /// trailing garbage rejected). nullopt + \p Err on malformed input.
 std::optional<JsonValue> parseJson(std::string_view Text, std::string *Err);
 
+/// Member \p Key of object \p Obj when present with kind \p K; null +
+/// \p Err naming the key otherwise (the record parsers' field access).
+const JsonValue *jsonField(const JsonValue &Obj, const char *Key,
+                           JsonValue::Kind K, std::string *Err);
+
+/// Member \p Key of \p Obj as a count: a plain non-negative integer (no
+/// sign, fraction or exponent) that fits unsigned. False + \p Err naming
+/// the key otherwise.
+bool jsonCount(const JsonValue &Obj, const char *Key, unsigned &Out,
+               std::string *Err);
+
 /// Escapes \p S for embedding in a JSON string literal (quotes, backslash
 /// and control characters; the writers' names never need more).
 std::string jsonEscape(std::string_view S);

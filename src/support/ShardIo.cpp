@@ -2,10 +2,13 @@
 
 #include "support/ShardIo.h"
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -239,6 +242,112 @@ bool RecordLog::append(std::string_view Payload, std::string *Err) {
   if (::fsync(Fd) != 0) {
     setErr(Err, "cannot fsync '" + LogPath + "'");
     return false;
+  }
+  return true;
+}
+
+std::optional<RecordDir> RecordDir::open(const std::string &Dir,
+                                         const Naming &Names,
+                                         std::string_view Manifest,
+                                         unsigned CrashAfterAppends,
+                                         std::string *Err) {
+  if (::mkdir(Dir.c_str(), 0755) != 0 && errno != EEXIST) {
+    setErr(Err, std::string("cannot create ") + Names.Noun +
+                    " directory '" + Dir + "'");
+    return std::nullopt;
+  }
+  RecordDir D;
+  D.Directory = Dir;
+  D.Prefix = Names.Prefix;
+  D.CrashAfterAppends = CrashAfterAppends;
+  const std::string Path = Dir + "/manifest.json";
+  std::string Existing;
+  if (readFile(Path, Existing, nullptr)) {
+    // Joining an existing directory: its identity must match this
+    // writer's exactly, or records of different runs (or tool versions)
+    // would silently mix.
+    if (Existing != Manifest) {
+      if (Err)
+        *Err = "'" + Path + "' describes a different " + Names.Mismatch;
+      return std::nullopt;
+    }
+    D.Existed = true;
+  } else if (!atomicWriteFile(Path, Manifest, Err)) {
+    return std::nullopt;
+  }
+  return D;
+}
+
+bool RecordDir::append(std::string_view Payload, std::string *Err) {
+  // Claim the lowest free log index; O_EXCL arbitrates races between
+  // writers sharing the directory.
+  for (unsigned I = 0; I != 10000 && !Log.isOpen(); ++I) {
+    char Index[16];
+    std::snprintf(Index, sizeof(Index), "%04u", I);
+    bool Exists = false;
+    std::string ClaimErr;
+    std::optional<RecordLog> Claimed = RecordLog::createExclusive(
+        Directory + "/" + Prefix + "-" + Index + ".jsonl", &ClaimErr,
+        &Exists);
+    if (Claimed) {
+      Log = std::move(*Claimed);
+    } else if (!Exists) {
+      if (Err)
+        *Err = ClaimErr;
+      return false;
+    }
+  }
+  if (!Log.isOpen()) {
+    if (Err)
+      *Err = "no free " + Prefix + "-NNNN.jsonl name in '" + Directory +
+             "'";
+    return false;
+  }
+  if (!Log.append(Payload, Err))
+    return false;
+  // Crash-injection hook: die the hardest way possible (SIGKILL: no
+  // destructors, no flushing) right after the Nth durable append. The
+  // record is durable; whatever the store does after it (artifacts, later
+  // records) is not, which is the window the resume tests prove harmless.
+  if (CrashAfterAppends && ++Appends == CrashAfterAppends) {
+    std::fprintf(stderr, "'%s': crash hook firing after %u record(s)\n",
+                 Log.path().c_str(), Appends);
+    ::raise(SIGKILL);
+  }
+  return true;
+}
+
+bool RecordDir::scan(const std::string &Dir, const Naming &Names,
+                     std::vector<ScannedLog> &Logs,
+                     std::vector<std::string> &Warnings, std::string *Err) {
+  Logs.clear();
+  const std::string Head = std::string(Names.Prefix) + "-";
+  std::vector<std::string> Paths;
+  std::error_code Ec;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir, Ec)) {
+    const std::string Name = Entry.path().filename().string();
+    if (Name.rfind(Head, 0) == 0 && Name.size() > Head.size() + 6 &&
+        Name.compare(Name.size() - 6, 6, ".jsonl") == 0)
+      Paths.push_back(Entry.path().string());
+  }
+  if (Ec) {
+    if (Err)
+      *Err = "cannot list '" + Dir + "': " + Ec.message();
+    return false;
+  }
+  std::sort(Paths.begin(), Paths.end());
+  for (std::string &Path : Paths) {
+    std::string Text;
+    if (!readFile(Path, Text, Err))
+      return false;
+    Logs.push_back({std::move(Path), parseFramedRecords(Text)});
+    const FramedRecords &Records = Logs.back().Records;
+    if (Records.TornTail)
+      Warnings.push_back("'" + Logs.back().Path +
+                         "': torn tail record truncated at byte " +
+                         std::to_string(Records.ValidBytes) +
+                         " (crash mid-append; the " + Names.Unit +
+                         " will be re-run on --resume)");
   }
   return true;
 }

@@ -6,9 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The storage primitives the sharded campaign fabric is built on
-/// (DESIGN.md Sec. 16): CRC-framed append-only record logs with a
-/// per-record fsync, and atomic write-then-rename file publication.
+/// The durable storage layer of the sharded campaign fabric and the hunt
+/// corpus (DESIGN.md Sec. 16): CRC-framed append-only record logs with a
+/// per-record fsync, atomic write-then-rename file publication, and
+/// RecordDir, the one directory layout both stores share (a pinned
+/// manifest plus one claimed log per writer).
 ///
 /// Crash model: a worker can die (SIGKILL, OOM, power loss) at any
 /// instruction. Because every record is appended with one write() and
@@ -96,6 +98,67 @@ public:
 private:
   int Fd = -1;
   std::string LogPath;
+};
+
+/// One record log of a RecordDir, as RecordDir::scan read it.
+struct ScannedLog {
+  std::string Path;
+  FramedRecords Records;
+};
+
+/// A durable record directory: manifest.json, which pins what the
+/// directory holds, plus append-only "<Prefix>-NNNN.jsonl" record logs,
+/// one per writer process. The campaign's shard store (harness/
+/// ShardStore.h) and the hunt corpus (hunt/Corpus.h) are both one; they
+/// add only their record schemas and dedupe rules.
+class RecordDir {
+public:
+  /// How a store names its logs and itself in errors.
+  struct Naming {
+    const char *Prefix;   ///< Logs are "<Prefix>-NNNN.jsonl".
+    const char *Noun;     ///< "cannot create <Noun> directory '...'".
+    const char *Mismatch; ///< "'<manifest>' describes a different ...".
+    const char *Unit;     ///< What a resume re-runs after a torn tail.
+  };
+
+  /// Opens \p Dir: creates it (one level) and atomically publishes
+  /// \p Manifest when no manifest exists, or requires the existing one to
+  /// equal \p Manifest byte for byte, so two different runs never mix in
+  /// one directory. With \p CrashAfterAppends = N > 0 the Nth append()
+  /// SIGKILLs the process once its record is durable (the crash tests'
+  /// hook). nullopt + \p Err on failure.
+  static std::optional<RecordDir> open(const std::string &Dir,
+                                       const Naming &Names,
+                                       std::string_view Manifest,
+                                       unsigned CrashAfterAppends,
+                                       std::string *Err);
+
+  /// Appends one record durably (framed, written, fsync'd). The first
+  /// append claims the lowest free log name via O_EXCL, so writers
+  /// sharing the directory never share a log.
+  bool append(std::string_view Payload, std::string *Err);
+
+  /// Every log in \p Dir in sorted-name (= claim) order, read and
+  /// CRC-scanned. A torn tail is no error: it adds a warning.
+  static bool scan(const std::string &Dir, const Naming &Names,
+                   std::vector<ScannedLog> &Logs,
+                   std::vector<std::string> &Warnings, std::string *Err);
+
+  /// Whether the manifest already existed when open() ran.
+  bool existed() const { return Existed; }
+  const std::string &dir() const { return Directory; }
+  /// The log this writer appends to; empty until the first append.
+  const std::string &logPath() const { return Log.path(); }
+
+private:
+  RecordDir() = default;
+
+  std::string Directory;
+  std::string Prefix;
+  bool Existed = false;
+  unsigned CrashAfterAppends = 0;
+  unsigned Appends = 0;
+  RecordLog Log;
 };
 
 } // namespace gpuwmm

@@ -401,6 +401,23 @@ TEST(CampaignShardStoreTest, ManifestRoundTripsThroughParser) {
   EXPECT_EQ(Back.LitmusTests[0], Config.LitmusTests[0]);
 }
 
+TEST(CampaignShardStoreTest, ManifestCountsMustBeUnsignedIntegers) {
+  // A damaged count must fail as the manifest's fault, not parse as 0 or
+  // 2^32 - 1 and make every record "contradict the manifest".
+  const std::string Manifest = harness::campaignManifestJson(fabricGrid());
+  const std::string Runs = "\"runs\": 6";
+  ASSERT_NE(Manifest.find(Runs), std::string::npos);
+  for (const char *Bad : {"\"runs\": \"six\"", "\"runs\": -1",
+                          "\"runs\": 6.5", "\"runs\": 4294967296"}) {
+    std::string Text = Manifest;
+    Text.replace(Text.find(Runs), Runs.size(), Bad);
+    harness::CampaignConfig Back;
+    std::string Err;
+    EXPECT_FALSE(harness::parseCampaignManifest(Text, Back, &Err)) << Bad;
+    EXPECT_NE(Err.find("'runs'"), std::string::npos) << Bad << ": " << Err;
+  }
+}
+
 TEST(CampaignShardStoreTest, OpenRefusesForeignManifest) {
   TempCampaignDir Dir;
   auto Config = fabricGrid();

@@ -4,10 +4,14 @@
 #
 # Inputs: GPUWMM_BIN (the gpuwmm binary), ARGS (the ;-separated command
 # line), EXIT (the expected exit status), STDERR_REGEX (what stderr must
-# match) and, optionally, STDOUT_REGEX (what stdout must match).
+# match) and, optionally, STDOUT_REGEX (what stdout must match) and
+# REMOVE_DIR (a directory the command writes, removed before it runs).
 
 if(NOT GPUWMM_BIN OR NOT DEFINED EXIT OR NOT DEFINED STDERR_REGEX)
   message(FATAL_ERROR "need -DGPUWMM_BIN, -DEXIT and -DSTDERR_REGEX")
+endif()
+if(DEFINED REMOVE_DIR)
+  file(REMOVE_RECURSE "${REMOVE_DIR}")
 endif()
 
 execute_process(COMMAND ${GPUWMM_BIN} ${ARGS}

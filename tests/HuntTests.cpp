@@ -756,6 +756,41 @@ TEST(CorpusTest, KeyCrcMismatchFailsTheLoad) {
   EXPECT_NE(Err.find("canonical-key CRC"), std::string::npos) << Err;
 }
 
+TEST(CorpusTest, MalformedEntryNameFailsTheLoad) {
+  // An entry's name becomes its artifact's file name, so a validly-framed
+  // record whose name is not "hunt-NNNNNN" (here one that climbs out of
+  // the corpus directory) must fail the load, naming the log, before any
+  // artifact is written.
+  TempCorpusDir Dir;
+  {
+    hunt::Corpus C = openCorpus(Dir.str());
+    std::string Err;
+    ASSERT_TRUE(C.append(entryFor(MpText), &Err)) << Err;
+  }
+  const std::string LogPath = (Dir.Path / "corpus-0000.jsonl").string();
+  std::string Text, Err;
+  ASSERT_TRUE(readFile(LogPath, Text, &Err)) << Err;
+  std::string Payload = parseFramedRecords(Text).Payloads.at(0);
+  const std::string Name = "\"name\": \"hunt-000000\"";
+  const size_t At = Payload.find(Name);
+  ASSERT_NE(At, std::string::npos);
+  Payload.replace(At, Name.size(), "\"name\": \"../hunt-000000\"");
+  ASSERT_TRUE(atomicWriteFile(LogPath, frameRecord(Payload), &Err)) << Err;
+  std::filesystem::remove(Dir.Path / "hunt-000000.litmus");
+
+  hunt::Corpus::OpenOptions Opts;
+  Opts.Dir = Dir.str();
+  Opts.Resume = true;
+  hunt::Corpus C;
+  EXPECT_FALSE(hunt::Corpus::open(Opts, testManifest(), C, &Err));
+  EXPECT_NE(Err.find(LogPath), std::string::npos) << Err;
+  EXPECT_NE(Err.find("malformed entry name '../hunt-000000'"),
+            std::string::npos)
+      << Err;
+  EXPECT_FALSE(
+      std::filesystem::exists(Dir.Path.parent_path() / "hunt-000000.litmus"));
+}
+
 TEST(CorpusTest, SigkillAfterNthAppendKeepsDurablePrefix) {
   // The crash hook in-process: a forked child SIGKILLs itself right
   // after its 2nd durable append. The durable prefix must survive

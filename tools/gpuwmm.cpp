@@ -41,10 +41,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 using namespace gpuwmm;
 
@@ -75,7 +76,8 @@ int usage() {
       "  harden  --chip --app [--stable-runs]\n"
       "                                empirical fence insertion (Alg. 1)\n"
       "  fuzz    --chip [--programs] [--runs] [--file=T.litmus]\n"
-      "          [--export-weak=DIR] [--shrink [--out=T.litmus]]\n"
+      "          [--export-weak=DIR]\n"
+      "          [--shrink [--out=T.litmus] [--distance]]\n"
       "                                random-program differential fuzzing;\n"
       "                                --file re-fuzzes an exported case,\n"
       "                                --export-weak writes failing programs\n"
@@ -127,20 +129,28 @@ int usage() {
       "scalar steps the same programs on the reference engine, the\n"
       "tick-by-tick scheduler; results are engine-independent; default\n"
       "auto);\n"
-      "GPUWMM_SCALE scales run counts globally. Unknown options are\n"
-      "rejected.\n");
+      "GPUWMM_SCALE scales run counts globally. Options a command does\n"
+      "not read are rejected.\n");
   return 2;
+}
+
+/// The seven chips in Tab. 1's order.
+std::vector<const sim::ChipProfile *> allChips() {
+  size_t Count = 0;
+  const sim::ChipProfile *Chips = sim::ChipProfile::all(Count);
+  std::vector<const sim::ChipProfile *> V;
+  for (size_t I = 0; I != Count; ++I)
+    V.push_back(&Chips[I]);
+  return V;
 }
 
 const sim::ChipProfile *chipOrDie(const Options &Opts) {
   const std::string Name = Opts.getString("chip", "titan");
   const sim::ChipProfile *Chip = sim::ChipProfile::lookup(Name);
   if (!Chip) {
-    size_t Count = 0;
-    const sim::ChipProfile *Chips = sim::ChipProfile::all(Count);
     std::vector<std::string> Names;
-    for (size_t I = 0; I != Count; ++I)
-      Names.push_back(Chips[I].ShortName);
+    for (const sim::ChipProfile *C : allChips())
+      Names.push_back(C->ShortName);
     std::fprintf(stderr, "error: unknown chip '%s'%s (try: gpuwmm chips)\n",
                  Name.c_str(), suggestClause(Name, Names).c_str());
     std::exit(2);
@@ -160,17 +170,6 @@ const litmus::Program *catalogTestOrNull(const std::string &Name) {
                suggestClause(Name, litmus::catalogNames()).c_str());
   return nullptr;
 }
-
-/// Every option key any command reads (main() rejects all others).
-constexpr const char *KnownOptions[] = {
-    "app",         "apps",        "cells",       "chip",        "chips",
-    "corpus-dir",  "dir",         "distance",    "engine",      "env",
-    "envs",        "explain",     "export-weak", "fences",      "figure",
-    "file",        "harden-runs", "jobs",        "litmus",      "oracle",
-    "out",         "out-dir",     "print",       "programs",    "resume",
-    "rounds",      "runs",        "scale",       "seed",        "shrink",
-    "shrink-runs", "stable-runs", "stress",      "table",       "test",
-    "tests",       "verify-runs"};
 
 /// Upper bound on --jobs: far beyond any useful worker count, but small
 /// enough that narrowing to unsigned can never truncate.
@@ -202,18 +201,8 @@ std::vector<std::string> splitCsv(const std::string &Csv) {
   return Parts;
 }
 
-/// The seven chips in Tab. 1's order.
-std::vector<const sim::ChipProfile *> allChips() {
-  size_t Count = 0;
-  const sim::ChipProfile *Chips = sim::ChipProfile::all(Count);
-  std::vector<const sim::ChipProfile *> V;
-  for (size_t I = 0; I != Count; ++I)
-    V.push_back(&Chips[I]);
-  return V;
-}
-
 /// `gpuwmm chips`: Tab. 1's columns for every simulated GPU.
-int cmdChips() {
+int cmdChips(const Options &) {
   Table T({"chip", "architecture", "short name", "released", "patch (w)",
            "banks", "SMs", "drain base", "sensitivity", "power query"});
   for (const sim::ChipProfile *C : allChips())
@@ -228,7 +217,7 @@ int cmdChips() {
 }
 
 /// `gpuwmm litmus list`: the built-in catalog at a glance.
-int cmdLitmusList() {
+int cmdLitmusList(const Options &) {
   Table T({"name", "threads", "locations", "registers", "description"});
   for (const litmus::Program &P : litmus::catalog()) {
     std::string Locs;
@@ -291,6 +280,15 @@ int cmdLitmus(const Options &Opts) {
   litmus::LitmusRunner Runner(*Chip, Seed);
   litmus::LitmusRunner::RunOpts RunOpts;
   RunOpts.WithFences = Opts.has("fences");
+  // --stress scans one location per bank, as the tuning micro-benchmarks
+  // do, and reports the most effective.
+  std::vector<litmus::LitmusRunner::MicroStress> Configs;
+  if (Opts.has("stress"))
+    for (unsigned Region = 0; Region != Chip->NumBanks; ++Region)
+      Configs.push_back(
+          litmus::LitmusRunner::MicroStress::tuned(*Chip, Region));
+  else
+    Configs.push_back(litmus::LitmusRunner::MicroStress::none());
 
   // --explain: stream every run's events through the incremental checker
   // (no trace is retained — memory stays bounded by the checker's
@@ -310,13 +308,6 @@ int cmdLitmus(const Options &Opts) {
     litmus::LitmusRunner::RunOpts StreamOpts = RunOpts;
     model::StreamingChecker Checker;
     StreamOpts.Sink = &Checker;
-    std::vector<litmus::LitmusRunner::MicroStress> Configs;
-    if (Opts.has("stress"))
-      for (unsigned Region = 0; Region != Chip->NumBanks; ++Region)
-        Configs.push_back(
-            litmus::LitmusRunner::MicroStress::tuned(*Chip, Region));
-    else
-      Configs.push_back(litmus::LitmusRunner::MicroStress::none());
 
     const model::AddrNamer Namer = [&Runner](sim::Addr A) {
       return Runner.addrName(A);
@@ -395,20 +386,8 @@ int cmdLitmus(const Options &Opts) {
   }
 
   unsigned Weak = 0;
-  if (Opts.has("stress")) {
-    // Scan one location per bank and report the most effective, as the
-    // tuning micro-benchmarks do.
-    for (unsigned Region = 0; Region != Chip->NumBanks; ++Region)
-      Weak = std::max(
-          Weak, Runner.countWeak(*P, Distance,
-                                 litmus::LitmusRunner::MicroStress::tuned(
-                                     *Chip, Region),
-                                 Runs, RunOpts));
-  } else {
-    Weak = Runner.countWeak(*P, Distance,
-                            litmus::LitmusRunner::MicroStress::none(), Runs,
-                            RunOpts);
-  }
+  for (const auto &S : Configs)
+    Weak = std::max(Weak, Runner.countWeak(*P, Distance, S, Runs, RunOpts));
   std::printf("%s d=%u on %s%s%s: %u/%u weak (%.2f%%)\n",
               P->Name.c_str(), Distance, Chip->ShortName,
               Opts.has("stress") ? " +tuned-stress" : "",
@@ -627,6 +606,48 @@ int cmdFuzz(const Options &Opts) {
   return 0;
 }
 
+/// Writes a report through \p Write to --out (a file; stdout when absent
+/// or "-"). False after an error message when the file cannot be opened.
+template <typename WriteFn>
+bool writeOut(const Options &Opts, const WriteFn &Write) {
+  const std::string Out = Opts.getString("out", "-");
+  if (Out == "-") {
+    Write(std::cout);
+    return true;
+  }
+  std::ofstream OS(Out);
+  if (!OS) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", Out.c_str());
+    return false;
+  }
+  Write(OS);
+  return true;
+}
+
+/// Wall-clock seconds since \p Start (stderr-only figures).
+double secondsSince(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       Start)
+      .count();
+}
+
+/// The crash-injection hook count that environment variable \p Var
+/// (GPUWMM_CAMPAIGN_CRASH_AFTER, GPUWMM_HUNT_CRASH_AFTER) arms: SIGKILL
+/// right after the Nth durable record append; 0 = unset. A value that is
+/// not a whole number from 1 to UINT_MAX warns and is ignored, like
+/// GPUWMM_JOBS.
+unsigned crashAfterFromEnv(const char *Var) {
+  const char *Env = std::getenv(Var);
+  if (!Env)
+    return 0;
+  char *End = nullptr;
+  const long long N = std::strtoll(Env, &End, 10);
+  if (*Env && !*End && N > 0 && N <= std::numeric_limits<unsigned>::max())
+    return static_cast<unsigned>(N);
+  std::fprintf(stderr, "warning: ignoring invalid %s='%s'\n", Var, Env);
+  return 0;
+}
+
 /// `gpuwmm hunt`: the closed-loop bug-mining pipeline (hunt/Hunt.h) —
 /// fuzz, shrink, dedupe, harden, verify, with an optional crash-safe
 /// on-disk corpus. Exit 1 when the hardened corpus is not oracle-clean or
@@ -652,20 +673,7 @@ int cmdHunt(const Options &Opts) {
                          "corpus to extend)\n");
     return 2;
   }
-  // Crash-injection test hook, as the campaign fabric's: SIGKILL this
-  // process right after the Nth durable corpus append.
-  if (const char *Env = std::getenv("GPUWMM_HUNT_CRASH_AFTER")) {
-    char *End = nullptr;
-    const long long N = std::strtoll(Env, &End, 10);
-    if (*Env && !*End && N > 0)
-      Cfg.CrashAfterAppends = static_cast<unsigned>(N);
-    else
-      std::fprintf(stderr,
-                   "warning: ignoring invalid GPUWMM_HUNT_CRASH_AFTER="
-                   "'%s'\n",
-                   Env);
-  }
-
+  Cfg.CrashAfterAppends = crashAfterFromEnv("GPUWMM_HUNT_CRASH_AFTER");
   ThreadPool Pool = makePool(Opts);
   const auto Start = std::chrono::steady_clock::now();
   hunt::HuntReport Report;
@@ -674,10 +682,7 @@ int cmdHunt(const Options &Opts) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-  const double WallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    Start)
-          .count();
+  const double WallSeconds = secondsSince(Start);
   for (const std::string &W : Report.Warnings)
     std::fprintf(stderr, "warning: %s\n", W.c_str());
 
@@ -719,17 +724,10 @@ int cmdHunt(const Options &Opts) {
                static_cast<unsigned long long>(Report.CrossChecks),
                Report.clean() ? "clean" : "NOT CLEAN");
 
-  const std::string Out = Opts.getString("out", "-");
-  if (Out == "-") {
-    hunt::writeHuntJson(Report, std::cout, /*WithWork=*/true);
-  } else {
-    std::ofstream OS(Out);
-    if (!OS) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", Out.c_str());
-      return 1;
-    }
-    hunt::writeHuntJson(Report, OS, /*WithWork=*/true);
-  }
+  if (!writeOut(Opts, [&](std::ostream &OS) {
+        hunt::writeHuntJson(Report, OS, /*WithWork=*/true);
+      }))
+    return 1;
   return Report.clean() ? 0 : 1;
 }
 
@@ -760,21 +758,8 @@ int runShardedCampaign(const harness::CampaignConfig &Config,
   FOpts.Dir = Dir;
   FOpts.Resume = Opts.has("resume");
   FOpts.Selection = Selection ? &*Selection : nullptr;
-  // Crash-injection test hook: SIGKILL this worker right after the Nth
-  // durable append. Invalid values warn and are ignored, like
-  // GPUWMM_JOBS.
-  if (const char *Env = std::getenv("GPUWMM_CAMPAIGN_CRASH_AFTER")) {
-    char *End = nullptr;
-    const long long N = std::strtoll(Env, &End, 10);
-    if (*Env && !*End && N > 0)
-      FOpts.CrashAfterAppends = static_cast<unsigned>(N);
-    else
-      std::fprintf(stderr,
-                   "warning: ignoring invalid "
-                   "GPUWMM_CAMPAIGN_CRASH_AFTER='%s'\n",
-                   Env);
-  }
-
+  FOpts.CrashAfterAppends =
+      crashAfterFromEnv("GPUWMM_CAMPAIGN_CRASH_AFTER");
   ThreadPool Pool = makePool(Opts);
   const auto Start = std::chrono::steady_clock::now();
   harness::FabricOutcome Out;
@@ -783,10 +768,7 @@ int runShardedCampaign(const harness::CampaignConfig &Config,
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 2;
   }
-  const double WallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    Start)
-          .count();
+  const double WallSeconds = secondsSince(Start);
   for (const std::string &W : Out.Warnings)
     std::fprintf(stderr, "warning: %s\n", W.c_str());
   std::fprintf(stderr,
@@ -828,63 +810,44 @@ int cmdReport(const Options &Opts) {
                Stats.CellsMerged, Stats.ShardFiles, Dir.c_str(),
                Stats.Duplicates, Stats.TornShards);
 
-  const std::string Out = Opts.getString("out", "-");
-  if (Out == "-") {
-    harness::writeCampaignJson(Report, std::cout);
-  } else {
-    std::ofstream OS(Out);
-    if (!OS) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", Out.c_str());
-      return 1;
-    }
-    harness::writeCampaignJson(Report, OS);
-  }
+  if (!writeOut(Opts, [&](std::ostream &OS) {
+        harness::writeCampaignJson(Report, OS);
+      }))
+    return 1;
   return 0;
 }
 
 int cmdCampaign(const Options &Opts) {
   harness::CampaignConfig Config = harness::CampaignConfig::full();
-  if (Opts.has("chips")) {
-    Config.Chips.clear();
-    for (const std::string &Name : splitCsv(Opts.getString("chips", ""))) {
-      const sim::ChipProfile *Chip = sim::ChipProfile::lookup(Name);
-      if (!Chip) {
-        std::fprintf(stderr, "error: unknown chip '%s'\n", Name.c_str());
-        return 2;
+  // --chips, --envs and --apps replace a dimension of the full grid.
+  const auto Select = [&Opts](const char *Key, const char *Noun, auto &Dim,
+                              auto Parse) {
+    if (!Opts.has(Key))
+      return true;
+    Dim.clear();
+    for (const std::string &Name : splitCsv(Opts.getString(Key, ""))) {
+      const auto Value = Parse(Name);
+      if (!Value) {
+        std::fprintf(stderr, "error: unknown %s '%s'\n", Noun, Name.c_str());
+        return false;
       }
-      Config.Chips.push_back(Chip);
+      if constexpr (std::is_pointer_v<decltype(Value)>)
+        Dim.push_back(Value);
+      else
+        Dim.push_back(*Value);
     }
-  }
-  if (Opts.has("envs")) {
-    Config.Envs.clear();
-    for (const std::string &Name : splitCsv(Opts.getString("envs", ""))) {
-      const auto Env = stress::Environment::parse(Name);
-      if (!Env) {
-        std::fprintf(stderr, "error: unknown environment '%s'\n",
-                     Name.c_str());
-        return 2;
-      }
-      Config.Envs.push_back(*Env);
-    }
-  }
-  if (Opts.has("apps")) {
-    Config.Apps.clear();
-    for (const std::string &Name : splitCsv(Opts.getString("apps", ""))) {
-      const auto App = apps::parseAppName(Name);
-      if (!App) {
-        std::fprintf(stderr, "error: unknown app '%s'\n", Name.c_str());
-        return 2;
-      }
-      Config.Apps.push_back(*App);
-    }
-  }
-  if (Opts.has("litmus")) {
-    for (const std::string &Name : splitCsv(Opts.getString("litmus", ""))) {
-      const litmus::Program *P = catalogTestOrNull(Name);
-      if (!P)
-        return 2;
-      Config.LitmusTests.push_back(P);
-    }
+    return true;
+  };
+  if (!Select("chips", "chip", Config.Chips, sim::ChipProfile::lookup) ||
+      !Select("envs", "environment", Config.Envs,
+              stress::Environment::parse) ||
+      !Select("apps", "app", Config.Apps, apps::parseAppName))
+    return 2;
+  for (const std::string &Name : splitCsv(Opts.getString("litmus", ""))) {
+    const litmus::Program *P = catalogTestOrNull(Name);
+    if (!P)
+      return 2;
+    Config.LitmusTests.push_back(P);
   }
   if (Config.Chips.empty() || Config.Envs.empty() || Config.Apps.empty()) {
     std::fprintf(stderr, "error: empty campaign grid\n");
@@ -925,9 +888,7 @@ int cmdCampaign(const Options &Opts) {
   const auto Start = std::chrono::steady_clock::now();
   const harness::CampaignReport Report =
       harness::runCampaign(Config, &Pool);
-  const double WallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
+  const double WallSeconds = secondsSince(Start);
 
   // Wall time goes to stderr only: the JSON report is byte-identical
   // across machines and --jobs values for one seed.
@@ -949,17 +910,10 @@ int cmdCampaign(const Options &Opts) {
                  OracleChecked, OracleViolations);
   }
 
-  const std::string Out = Opts.getString("out", "-");
-  if (Out == "-") {
-    harness::writeCampaignJson(Report, std::cout);
-  } else {
-    std::ofstream OS(Out);
-    if (!OS) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", Out.c_str());
-      return 1;
-    }
-    harness::writeCampaignJson(Report, OS);
-  }
+  if (!writeOut(Opts, [&](std::ostream &OS) {
+        harness::writeCampaignJson(Report, OS);
+      }))
+    return 1;
   return OracleViolations ? 1 : 0;
 }
 
@@ -983,10 +937,10 @@ struct PaperRun {
   }
 };
 
-void table1(const PaperRun &) {
+void table1(const PaperRun &P) {
   std::printf("== Table 1: the seven Nvidia GPUs that we study (simulated "
               "profiles) ==\n\n");
-  cmdChips();
+  cmdChips(P.Opts);
 }
 
 void table2(const PaperRun &P) {
@@ -1380,29 +1334,89 @@ int cmdPaper(const Options &Opts) {
   return 2;
 }
 
+/// One gpuwmm command: its handler and the options it reads besides the
+/// common --engine, --jobs and --seed. main() rejects every other option.
+struct Command {
+  const char *Name;
+  int (*Run)(const Options &);
+  const char *Reads;
+
+  std::vector<std::string> flags() const {
+    std::vector<std::string> Flags;
+    std::istringstream IS(std::string("engine jobs seed ") + Reads);
+    for (std::string Key; IS >> Key;)
+      Flags.push_back("--" + Key);
+    return Flags;
+  }
+};
+
+const Command Commands[] = {
+    {"chips", cmdChips, ""},
+    {"litmus list", cmdLitmusList, ""},
+    {"litmus", cmdLitmus,
+     "chip distance explain fences file print runs stress test"},
+    {"tune", cmdTune, "chip scale tests"},
+    {"test", cmdTest, "app chip env runs"},
+    {"harden", cmdHarden, "app chip stable-runs"},
+    {"fuzz", cmdFuzz,
+     "chip distance export-weak file out programs runs shrink"},
+    {"hunt", cmdHunt,
+     "chip corpus-dir distance harden-runs out programs resume rounds runs "
+     "shrink-runs stable-runs verify-runs"},
+    {"campaign", cmdCampaign,
+     "apps cells chips envs litmus oracle out out-dir resume runs"},
+    {"report", cmdReport, "dir out"},
+    {"paper", cmdPaper, "chip figure table"}};
+
+/// The command \p Argv names ("litmus list" is two words); null if none.
+const Command *findCommand(int Argc, char **Argv) {
+  const std::string Word = Argv[1];
+  for (const std::string &Name :
+       {Argc >= 3 ? Word + " " + Argv[2] : Word, Word})
+    for (const Command &C : Commands)
+      if (Name == C.Name)
+        return &C;
+  return nullptr;
+}
+
+/// Exits 2 unless \p Cmd reads every option given, suggesting a close
+/// option it does read: a misspelt, retired or misplaced option fails
+/// loudly instead of being ignored.
+void rejectUnreadOptions(const Command &Cmd, const Options &Opts) {
+  const std::vector<std::string> Reads = Cmd.flags();
+  const auto ReadBy = [](const std::vector<std::string> &Flags,
+                         const std::string &Flag) {
+    return std::find(Flags.begin(), Flags.end(), Flag) != Flags.end();
+  };
+  for (const std::string &Key : Opts.keys()) {
+    const std::string Flag = "--" + Key;
+    if (ReadBy(Reads, Flag))
+      continue;
+    const bool Known = std::any_of(
+        std::begin(Commands), std::end(Commands),
+        [&](const Command &C) { return ReadBy(C.flags(), Flag); });
+    const std::string What = Known ? "gpuwmm " + std::string(Cmd.Name) +
+                                         " does not read"
+                                   : "unknown option";
+    std::fprintf(stderr, "error: %s '%s'%s\n", What.c_str(), Flag.c_str(),
+                 suggestClause(Flag, Reads).c_str());
+    std::exit(2);
+  }
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage();
-  const char *Cmd = Argv[1];
+  const Command *Cmd = findCommand(Argc, Argv);
+  if (!Cmd)
+    return usage();
   Options Opts(Argc, Argv);
   // --jobs is a common option: validate it for every command (exits with
   // a clear error on 0, negative, non-numeric or absurdly large values).
   (void)Opts.getPositiveInt("jobs", 0, MaxJobs);
-  // Every --key must be one the CLI reads: a misspelt or retired option
-  // fails loudly instead of being silently ignored.
-  for (const std::string &Key : Opts.keys()) {
-    if (std::find(std::begin(KnownOptions), std::end(KnownOptions), Key) !=
-        std::end(KnownOptions))
-      continue;
-    std::vector<std::string> Candidates;
-    for (const char *K : KnownOptions)
-      Candidates.push_back(std::string("--") + K);
-    std::fprintf(stderr, "error: unknown option '--%s'%s\n", Key.c_str(),
-                 suggestClause("--" + Key, Candidates).c_str());
-    return 2;
-  }
+  rejectUnreadOptions(*Cmd, Opts);
   // --engine selects the execution engine globally (results are
   // engine-independent). The flag must parse.
   if (Opts.has("engine")) {
@@ -1416,28 +1430,5 @@ int main(int Argc, char **Argv) {
     }
     sim::setEngineMode(*Mode);
   }
-  if (!std::strcmp(Cmd, "chips"))
-    return cmdChips();
-  if (!std::strcmp(Cmd, "litmus")) {
-    if (Argc >= 3 && !std::strcmp(Argv[2], "list"))
-      return cmdLitmusList();
-    return cmdLitmus(Opts);
-  }
-  if (!std::strcmp(Cmd, "tune"))
-    return cmdTune(Opts);
-  if (!std::strcmp(Cmd, "test"))
-    return cmdTest(Opts);
-  if (!std::strcmp(Cmd, "harden"))
-    return cmdHarden(Opts);
-  if (!std::strcmp(Cmd, "fuzz"))
-    return cmdFuzz(Opts);
-  if (!std::strcmp(Cmd, "hunt"))
-    return cmdHunt(Opts);
-  if (!std::strcmp(Cmd, "campaign"))
-    return cmdCampaign(Opts);
-  if (!std::strcmp(Cmd, "report"))
-    return cmdReport(Opts);
-  if (!std::strcmp(Cmd, "paper"))
-    return cmdPaper(Opts);
-  return usage();
+  return Cmd->Run(Opts);
 }
